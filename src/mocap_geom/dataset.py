@@ -32,7 +32,7 @@ from .spatial import OpticalFrame, OpticalPoint
 MAGIC_DEPTH = b"DMCD"
 MAGIC_MASK = b"DMCI"
 MAGIC_MAPS = b"DMCM"
-MAPS_VERSION = 1
+MAPS_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +83,20 @@ def write_maps(path: str | Path, maps: dict[ReflectorId, ConfidenceMap],
                fields: dict[ReflectorId, FlowField]) -> None:
     """Map tensor file: the plug point for any external predictor.
 
-    Header {magic, version, w, h, reflector_count}; then per reflector (in
-    ascending id order) the w*h float32 confidence plane; then per reflector
-    the two w*h float32 flow planes (x components, then y components).
+    Header {magic, version 2, w, h, reflector_count}, then the
+    reflector_count reflector ids as u32 in ascending order; then per
+    reflector (in that order) the w*h float32 confidence plane; then per
+    reflector the two w*h float32 flow planes (x components, then y
+    components).  A frame with no reflectors is written as w = h = count = 0.
     """
     if set(maps) != set(fields):
         raise ValidationError("maps and fields must cover the same reflectors")
     rids = sorted(maps)
-    first = maps[rids[0]]
-    w, h = first.width, first.height
+    w, h = (maps[rids[0]].width, maps[rids[0]].height) if rids else (0, 0)
     with open(path, "wb") as fh:
         fh.write(MAGIC_MAPS)
         fh.write(struct.pack("<IIII", MAPS_VERSION, w, h, len(rids)))
+        fh.write(struct.pack(f"<{len(rids)}I", *(rid.index for rid in rids)))
         for rid in rids:
             if (maps[rid].width, maps[rid].height) != (w, h):
                 raise ValidationError("inconsistent map dimensions")
@@ -109,31 +111,47 @@ def write_maps(path: str | Path, maps: dict[ReflectorId, ConfidenceMap],
 
 def read_maps(path: str | Path) -> tuple[dict[ReflectorId, ConfidenceMap],
                                          dict[ReflectorId, FlowField]]:
+    """Read a `.dmcm` file; version 1 files (no id list) hold ids 1..count."""
     data = Path(path).read_bytes()
     if data[:4] != MAGIC_MAPS:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected DMCM")
+    if len(data) < 20:
+        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
     version, w, h, count = struct.unpack("<IIII", data[4:20])
-    if version != MAPS_VERSION:
+    off = 20
+    if version == 1:
+        indices = list(range(1, count + 1))
+    elif version == MAPS_VERSION:
+        if len(data) < off + 4 * count:
+            raise FormatError(f"{path}: truncated reflector id list")
+        indices = list(struct.unpack_from(f"<{count}I", data, off))
+        off += 4 * count
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise FormatError(f"{path}: reflector ids {indices} are not "
+                              "strictly ascending")
+    else:
         raise FormatError(f"{path}: unsupported version {version}")
     plane = 4 * w * h
-    expected = 20 + count * plane * 3
+    expected = off + count * plane * 3
     if len(data) != expected:
         raise FormatError(f"{path}: size {len(data)} != expected {expected}")
     maps: dict[ReflectorId, ConfidenceMap] = {}
     fields: dict[ReflectorId, FlowField] = {}
-    off = 20
-    rids = [ReflectorId(i) for i in range(1, count + 1)]
-    for rid in rids:
-        vals = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
-        maps[rid] = ConfidenceMap(rid, vals.reshape(h, w).astype(np.float64))
-        off += plane
-    for rid in rids:
-        x = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
-        off += plane
-        y = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
-        off += plane
-        vec = np.stack([x.reshape(h, w), y.reshape(h, w)], axis=-1)
-        fields[rid] = FlowField(rid, vec.astype(np.float64))
+    try:
+        rids = [ReflectorId(i) for i in indices]
+        for rid in rids:
+            vals = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
+            maps[rid] = ConfidenceMap(rid, vals.reshape(h, w).astype(np.float64))
+            off += plane
+        for rid in rids:
+            x = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
+            off += plane
+            y = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
+            off += plane
+            vec = np.stack([x.reshape(h, w), y.reshape(h, w)], axis=-1)
+            fields[rid] = FlowField(rid, vec.astype(np.float64))
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return maps, fields
 
 

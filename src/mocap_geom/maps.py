@@ -9,6 +9,7 @@ consistency with a line integral over the field, and fuses both scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,10 @@ from scipy.ndimage import maximum_filter
 
 from .core import ReflectorId
 from .errors import DegenerateMotionError, DimensionError, ValidationError
+
+# exp(-d2 / sigma^2) < 2**-150, which rounds to 0 in float32, once
+# d > sigma * sqrt(150 ln 2).
+_PEAK_REACH = math.sqrt(150.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,8 @@ class ConfidenceMap:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2 or vals.size == 0:
             raise DimensionError("confidence map must be a non-empty 2D array")
-        if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
+        # written so that NaN, for which every comparison is False, fails
+        if not (vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12):
             raise ValidationError("confidence values must lie in [0, 1]")
         self.values = vals
 
@@ -125,16 +131,23 @@ def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
     """Gaussian belief peak: value(p) = exp(-|p - center|^2 / sigma^2).
 
     The maximum is exactly 1.0 at the center; synthesize with integer-pixel
-    centers when a grid pixel must attain it.
+    centers when a grid pixel must attain it.  Values below 2**-150, which
+    are 0 once stored as float32, are stored as 0: the peak is evaluated
+    only on the box of half-width sigma * sqrt(150 ln 2) (about 10.2 sigma)
+    around the center, and every value inside it is the full-frame value.
     """
     w, h = dims
     cx, cy = center
     if not (0 <= cx < w and 0 <= cy < h):
         raise ValidationError(f"center {center} outside {w}x{h} map")
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)
+    reach = params.sigma_peak * _PEAK_REACH
+    x0, x1 = max(math.floor(cx - reach), 0), min(math.ceil(cx + reach) + 1, w)
+    y0, y1 = max(math.floor(cy - reach), 0), min(math.ceil(cy + reach) + 1, h)
+    xs = np.arange(x0, x1, dtype=np.float64)
+    ys = np.arange(y0, y1, dtype=np.float64)
     d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
-    values = np.exp(-d2 / params.sigma_peak ** 2)
+    values = np.zeros((h, w))
+    values[y0:y1, x0:x1] = np.exp(-d2 / params.sigma_peak ** 2)
     return ConfidenceMap(reflector or ReflectorId(1), values)
 
 
@@ -158,16 +171,25 @@ def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
     v = disp / dist
     v_perp = np.array([-v[1], v[0]])
 
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)
-    rel_x = xs[None, :] - prev[0]
-    rel_y = ys[:, None] - prev[1]
-    along = rel_x * v[0] + rel_y * v[1]
-    across = rel_x * v_perp[0] + rel_y * v_perp[1]
-    support = (along >= 0) & (along <= dist) & (np.abs(across) <= params.sigma_field)
-
+    # The support lies within sigma_field of the segment, so only the
+    # segment's bounding box grown by sigma_field (plus a 1 px guard band
+    # against rounding in along/across) is evaluated, clipped to the image.
+    grow = params.sigma_field + 1.0
+    lo = np.minimum(prev, curr) - grow
+    hi = np.maximum(prev, curr) + grow
+    x0, x1 = max(math.floor(lo[0]), 0), min(math.ceil(hi[0]) + 1, w)
+    y0, y1 = max(math.floor(lo[1]), 0), min(math.ceil(hi[1]) + 1, h)
     vectors = np.zeros((h, w, 2))
-    vectors[support] = v
+    if x0 < x1 and y0 < y1:
+        xs = np.arange(x0, x1, dtype=np.float64)
+        ys = np.arange(y0, y1, dtype=np.float64)
+        rel_x = xs[None, :] - prev[0]
+        rel_y = ys[:, None] - prev[1]
+        along = rel_x * v[0] + rel_y * v[1]
+        across = rel_x * v_perp[0] + rel_y * v_perp[1]
+        support = (along >= 0) & (along <= dist) & \
+            (np.abs(across) <= params.sigma_field)
+        vectors[y0:y1, x0:x1][support] = v
     return FlowField(reflector or ReflectorId(1), vectors)
 
 

@@ -1,9 +1,12 @@
 """Round-trip and format-error tests for the on-disk artifact codecs."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from mocap_geom import dataset as ds
+from mocap_geom.cli import main
 from mocap_geom.core import DepthFrame, IrMask, ReflectorId
 from mocap_geom.errors import FormatError
 from mocap_geom.maps import (Annotation2D, MapSynthesisParams,
@@ -11,6 +14,36 @@ from mocap_geom.maps import (Annotation2D, MapSynthesisParams,
                              synth_flow_field)
 from mocap_geom.skeleton import Pose, SkeletonTemplate, rotation_about
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
+
+
+def corrupt_maps_files(tmp_path) -> dict[str, bytes]:
+    """Bytes of damaged `.dmcm` files, each derived from a valid one."""
+    params = MapSynthesisParams()
+    rids = (ReflectorId(3), ReflectorId(17))
+    maps = {rid: synth_confidence_map((4.0, 5.0), (8, 6), params, rid)
+            for rid in rids}
+    fields = {rid: synth_flow_field((1.0, 1.0), (6.0, 4.0), (8, 6), params, rid)
+              for rid in rids}
+    path = tmp_path / "valid.dmcm"
+    ds.write_maps(path, maps, fields)
+    good = path.read_bytes()
+    header, ids, planes = good[:20], good[20:28], good[28:]
+
+    def with_header(version=2, count=2):
+        return b"DMCM" + struct.pack("<IIII", version, 8, 6, count)
+
+    nan_plane = bytearray(planes)
+    nan_plane[4 * 10:4 * 11] = struct.pack("<f", float("nan"))
+    return {
+        "truncated_header": good[:12],
+        "truncated_id_list": with_header(count=40) + ids,
+        "duplicate_ids": header + struct.pack("<II", 3, 3) + planes,
+        "unsorted_ids": header + struct.pack("<II", 17, 3) + planes,
+        "id_out_of_range": header + struct.pack("<II", 3, 27) + planes,
+        "unknown_version": with_header(version=3) + ids + planes,
+        "size_mismatch": good[:-4],
+        "nan_confidence": header + ids + bytes(nan_plane),
+    }
 
 
 class TestBinaryFormats:
@@ -48,6 +81,56 @@ class TestBinaryFormats:
             np.testing.assert_allclose(fields2[rid].vectors, fields[rid].vectors,
                                        atol=1e-7)
 
+    def test_maps_round_trip_keeps_sparse_ids(self, tmp_path):
+        rng = np.random.default_rng(13)
+        params = MapSynthesisParams()
+        dims = (40, 30)
+        for trial in range(20):
+            ids = sorted(int(i) for i in rng.choice(
+                np.arange(1, 27), size=int(rng.integers(1, 8)), replace=False))
+            maps, fields = {}, {}
+            for i in ids:
+                rid = ReflectorId(i)
+                center = tuple(float(x) for x in rng.uniform(0, [40, 30]))
+                maps[rid] = synth_confidence_map(center, dims, params, rid)
+                fields[rid] = synth_flow_field(
+                    tuple(rng.uniform(-5, 45, 2)), center, dims, params, rid)
+            path = tmp_path / f"maps_{trial}.dmcm"
+            ds.write_maps(path, maps, fields)
+            maps2, fields2 = ds.read_maps(path)
+            assert sorted(r.index for r in maps2) == ids
+            assert sorted(r.index for r in fields2) == ids
+            for rid in maps:
+                assert maps2[rid].reflector == rid
+                assert np.array_equal(maps2[rid].values,
+                                      maps[rid].values.astype("<f4"))
+                assert np.array_equal(fields2[rid].vectors,
+                                      fields[rid].vectors.astype("<f4"))
+
+    def test_maps_round_trip_empty_frame(self, tmp_path):
+        path = tmp_path / "maps_00000.dmcm"
+        ds.write_maps(path, {}, {})
+        assert ds.read_maps(path) == ({}, {})
+
+    def test_maps_version_1_reads_ids_from_one(self, tmp_path):
+        plane = np.zeros((3, 4), dtype="<f4")
+        plane[1, 2] = 1.0
+        path = tmp_path / "maps_v1.dmcm"
+        path.write_bytes(b"DMCM" + struct.pack("<IIII", 1, 4, 3, 2)
+                         + plane.tobytes() * 2 + np.zeros(48, "<f4").tobytes())
+        maps, fields = ds.read_maps(path)
+        assert sorted(r.index for r in maps) == [1, 2]
+        assert maps[ReflectorId(2)].values[1, 2] == 1.0
+        assert not fields[ReflectorId(1)].vectors.any()
+
+    def test_corrupt_maps_headers_name_the_file(self, tmp_path):
+        for name, data in corrupt_maps_files(tmp_path).items():
+            path = tmp_path / f"{name}.dmcm"
+            path.write_bytes(data)
+            with pytest.raises(FormatError) as exc:
+                ds.read_maps(path)
+            assert f"{name}.dmcm" in str(exc.value), name
+
     def test_corrupt_magic_names_the_file(self, tmp_path):
         path = tmp_path / "maps_00000.dmcm"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
@@ -62,6 +145,22 @@ class TestBinaryFormats:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
             ds.read_depth(path)
+
+
+class TestMapsThroughCli:
+    def test_corrupt_maps_file_exits_3_naming_it(self, tmp_path, capsys):
+        dataset, out = tmp_path / "dataset", tmp_path / "run"
+        config = tmp_path / "tiny.ini"
+        config.write_text("[synth]\nduration = 1\nnoise_sigma_mm = 0\n")
+        assert main(["synth", "--config", str(config), "--dataset",
+                     str(dataset), "--out", str(out)]) == 0
+        victim = dataset / "view_1" / "maps_00000.dmcm"
+        for name, data in corrupt_maps_files(tmp_path).items():
+            victim.write_bytes(data)
+            capsys.readouterr()
+            assert main(["infer", "--config", str(config), "--dataset",
+                         str(dataset), "--out", str(out)]) == 3, name
+            assert str(victim) in capsys.readouterr().err, name
 
 
 class TestJsonlCodecs:

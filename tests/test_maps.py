@@ -5,7 +5,8 @@ import pytest
 from scipy.ndimage import maximum_filter
 
 from mocap_geom.core import ReflectorId
-from mocap_geom.errors import DegenerateMotionError, DimensionError
+from mocap_geom.errors import (DegenerateMotionError, DimensionError,
+                               ValidationError)
 from mocap_geom.maps import (ConfidenceMap, FlowField,
                              InferenceParams, MapSynthesisParams,
                              ReflectorEstimate2D, extract_peaks,
@@ -47,6 +48,43 @@ class TestConfidenceMapSynthesis:
         a = synth_confidence_map((11.5, 20.25), (48, 40), PARAMS)
         b = synth_confidence_map((11.5, 20.25), (48, 40), PARAMS)
         assert np.array_equal(a.values, b.values)
+
+    def test_windowed_matches_full_frame_reference(self):
+        tiny = 2.0 ** -150  # below it a value is 0 in float32
+        rng = np.random.default_rng(23)
+        cut_maps = clipped_maps = 0
+        for trial in range(600):
+            w, h = (int(x) for x in rng.integers(1, 260, 2))
+            sigma = float(rng.uniform(0.5, 20.0))
+            kind = trial % 3
+            if kind == 0:  # on an integer pixel
+                center = (float(rng.integers(0, w)), float(rng.integers(0, h)))
+            elif kind == 1 and rng.random() < 0.5:  # on a left/right border
+                center = (float(rng.choice([0, w - 1])), float(rng.uniform(0, h)))
+            elif kind == 1:  # on a top/bottom border
+                center = (float(rng.uniform(0, w)), float(rng.choice([0, h - 1])))
+            else:  # sub-pixel
+                center = (float(rng.uniform(0, w)), float(rng.uniform(0, h)))
+            center = (min(center[0], np.nextafter(w, 0)),
+                      min(center[1], np.nextafter(h, 0)))
+            got = synth_confidence_map(
+                center, (w, h), MapSynthesisParams(sigma_peak=sigma)).values
+            # the full-frame expression, evaluated on every pixel
+            xs = np.arange(w, dtype=np.float64)
+            ys = np.arange(h, dtype=np.float64)
+            ref = np.exp(-((xs[None, :] - center[0]) ** 2
+                           + (ys[:, None] - center[1]) ** 2) / sigma ** 2)
+            kept = ref >= tiny
+            assert got.shape == ref.shape
+            assert np.array_equal(got[kept], ref[kept])
+            assert np.all(got[~kept] <= tiny)
+            assert got.astype("<f4").tobytes() == ref.astype("<f4").tobytes()
+            cut_maps += bool(np.any((ref > 0) & (got == 0)))
+            clipped_maps += min(center[0], w - 1 - center[0],
+                                center[1], h - 1 - center[1]) < 10.2 * sigma
+        # both sides of the cut are exercised: maps that reach the frame
+        # edge and maps whose far tail is cut
+        assert cut_maps >= 100 and clipped_maps >= 100
 
 
 class TestFlowFieldSynthesis:
@@ -96,6 +134,54 @@ class TestFlowFieldSynthesis:
         f = zero_flow_field((20, 10))
         assert f.vectors.shape == (10, 20, 2)
         assert not f.vectors.any()
+
+    def test_windowed_matches_full_frame_reference(self):
+        rng = np.random.default_rng(29)
+        off_image = 0
+        for _ in range(600):
+            w, h = (int(x) for x in rng.integers(1, 200, 2))
+            sigma_field = float(rng.uniform(0.5, 20.0))
+            # endpoints up to 40 px off the image, on integer pixels or not
+            a = rng.uniform(-40, [w + 40, h + 40])
+            b = rng.uniform(-40, [w + 40, h + 40])
+            if rng.random() < 0.5:
+                a, b = np.round(a), np.round(b)
+            if np.array_equal(a, b):
+                continue
+            params = MapSynthesisParams(sigma_field=sigma_field)
+            got = synth_flow_field(tuple(a), tuple(b), (w, h), params).vectors
+            # the full-frame expression, evaluated on every pixel
+            disp = b - a
+            dist = float(np.linalg.norm(disp))
+            v = disp / dist
+            v_perp = np.array([-v[1], v[0]])
+            rel_x = np.arange(w, dtype=np.float64)[None, :] - a[0]
+            rel_y = np.arange(h, dtype=np.float64)[:, None] - a[1]
+            along = rel_x * v[0] + rel_y * v[1]
+            across = rel_x * v_perp[0] + rel_y * v_perp[1]
+            ref = np.zeros((h, w, 2))
+            ref[(along >= 0) & (along <= dist)
+                & (np.abs(across) <= sigma_field)] = v
+            assert np.array_equal(got, ref)
+            off_image += not (0 <= min(a[0], b[0]) and max(a[0], b[0]) < w
+                              and 0 <= min(a[1], b[1]) and max(a[1], b[1]) < h)
+        assert off_image >= 200
+
+
+class TestConfidenceMapValidation:
+    def test_nan_pixel_rejected(self):
+        vals = np.zeros((8, 8))
+        vals[4, 4] = 0.9
+        vals[2, 6] = np.nan
+        with pytest.raises(ValidationError):
+            ConfidenceMap(ReflectorId(1), vals)
+
+    def test_out_of_range_rejected(self):
+        for bad in (-0.5, 1.5, np.inf):
+            vals = np.zeros((8, 8))
+            vals[3, 3] = bad
+            with pytest.raises(ValidationError):
+                ConfidenceMap(ReflectorId(1), vals)
 
 
 class TestExtractPeaks:

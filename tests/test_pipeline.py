@@ -112,6 +112,34 @@ class TestInfer:
             target.unlink()
 
 
+    def test_written_maps_infer_as_oracle_maps(self, tmp_path):
+        # synth with write_maps = true, then infer from the .dmcm files,
+        # decodes what oracle infer decodes from the annotations; at 3 fps
+        # the 1 s lead-in at rest ends at frame 3, so frame 4 scores flow
+        cfg = small_config(duration=5)
+        sc = cfg.synth
+        sc.fps, sc.image_width, sc.image_height = 3.0, 160, 120
+        sc.focal_px /= 2
+        sc.write_maps = True
+        root = cmd_synth(cfg, tmp_path / "with_maps")
+        sc.write_maps = False
+        oracle_root = cmd_synth(cfg, tmp_path / "oracle")
+        assert len(list(root.glob("view_*/maps_*.dmcm"))) == 15
+        assert not list(oracle_root.glob("view_*/maps_*.dmcm"))
+        from_files = infer_dataset(ds.DatasetReader(root), cfg)
+        oracle = infer_dataset(ds.DatasetReader(oracle_root), cfg)
+        assert [(f, v) for f, v, _ in from_files] == [(f, v) for f, v, _ in oracle]
+        flowed = 0
+        for (_, _, got), (_, _, want) in zip(from_files, oracle):
+            assert [(e.reflector, e.position) for e in got] == \
+                [(e.reflector, e.position) for e in want]
+            for g, o in zip(got, want):
+                assert g.e_s == o.e_s
+                assert g.e_l == pytest.approx(o.e_l, abs=1e-6)
+                flowed += o.e_l > 0
+        assert flowed > 20
+
+
 class TestComposition:
     def test_file_chain_equals_in_process(self, small_dataset, tmp_path):
         root, cfg = small_dataset
