@@ -143,12 +143,12 @@ def read_maps(path: str | Path) -> tuple[dict[ReflectorId, ConfidenceMap],
             vals = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
             maps[rid] = ConfidenceMap(rid, vals.reshape(h, w).astype(np.float64))
             off += plane
-        for rid in rids:
-            x = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
-            off += plane
-            y = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
-            off += plane
-            vec = np.stack([x.reshape(h, w), y.reshape(h, w)], axis=-1)
+        flow = np.frombuffer(data, dtype="<f4", count=2 * count * w * h,
+                             offset=off).reshape(count, 2, h, w)
+        if not np.isfinite(flow).all():
+            raise FormatError(f"{path}: flow planes hold NaN or infinite values")
+        for k, rid in enumerate(rids):
+            vec = np.stack([flow[k, 0], flow[k, 1]], axis=-1)
             fields[rid] = FlowField(rid, vec.astype(np.float64))
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc

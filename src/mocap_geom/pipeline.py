@@ -15,7 +15,8 @@ import numpy as np
 from . import dataset as ds
 from .config import PipelineConfig
 from .core import ReflectorKind, save_rig
-from .errors import CalibrationInputError, SplitFailure, ValidationError
+from .errors import (CalibrationInputError, FormatError, SplitFailure,
+                     ValidationError)
 from .filtering import apply_filters
 from .kalman import ReflectorTracker
 from .maps import (Annotation2D, ReflectorEstimate2D, greedy_inference,
@@ -125,6 +126,11 @@ def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
             maps_path = reader.maps_path(v, f)
             if maps_path.exists():
                 maps, fields = ds.read_maps(maps_path)
+                # one w x h covers every plane of the file
+                first = next(iter(maps.values()), None)
+                if first is not None and (first.width, first.height) != dims:
+                    raise FormatError(f"{maps_path}: maps are {first.width}x"
+                                      f"{first.height}, view {v} is {dims[0]}x{dims[1]}")
             else:
                 anns = annotations.get(f, [])
                 maps, fields = _maps_from_annotations(anns, dims, config)

@@ -62,12 +62,6 @@ JOINTS: tuple[JointDef, ...] = (
 
 JOINT_BY_NAME = {j.name: j for j in JOINTS}
 
-#: Joints used for 3D evaluation (shoulders, elbows, wrists, hips, knees,
-#: ankles on both sides).
-EVAL_JOINTS = ("left_shoulder", "right_shoulder", "left_elbow", "right_elbow",
-               "left_wrist", "right_wrist", "left_hip", "right_hip",
-               "left_knee", "right_knee", "left_ankle", "right_ankle")
-
 # Default rest pose: standing, arms down, z up / y forward / x to the
 # subject's left; root at the origin.  Positions in meters.
 _REST_POSITIONS = {

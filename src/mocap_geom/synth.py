@@ -371,9 +371,10 @@ def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
     if u0 >= u1 or v0 >= v1:
         return None
 
-    uu, vv = np.meshgrid(np.arange(u0, u1), np.arange(v0, v1))
-    d = np.stack([(uu - intr.cx) / intr.fx, (vv - intr.cy) / intr.fy,
-                  np.ones_like(uu, dtype=np.float64)], axis=-1)
+    d = np.empty((v1 - v0, u1 - u0, 3))
+    d[..., 0] = (np.arange(u0, u1) - intr.cx) / intr.fx
+    d[..., 1] = ((np.arange(v0, v1) - intr.cy) / intr.fy)[:, None]
+    d[..., 2] = 1.0
 
     seg = b - a
     length = np.linalg.norm(seg)
@@ -387,8 +388,8 @@ def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
     beta = 2.0 * (d_perp @ q)
     gamma = q @ q - radius * radius
     disc = beta ** 2 - 4.0 * alpha * gamma
-    z = np.full(uu.shape, np.inf)
-    s_axial = np.zeros(uu.shape)
+    z = np.full(d.shape[:2], np.inf)
+    s_axial = np.zeros(d.shape[:2])
     ok = (disc >= 0) & (alpha > 1e-12)
     sqrt_disc = np.sqrt(np.where(ok, disc, 0.0))
     t_cyl = np.where(ok, (-beta - sqrt_disc) / np.where(ok, 2.0 * alpha, 1.0), -1.0)
@@ -398,10 +399,10 @@ def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
     s_axial = np.where(on_segment, s, s_axial)
 
     # spherical caps
+    aq = np.einsum("...i,...i", d, d)
     for center, s_cap in ((a, 0.0), (b, length)):
         bq = -2.0 * (d @ center)
         cq = center @ center - radius * radius
-        aq = np.einsum("...i,...i", d, d)
         disc_c = bq ** 2 - 4.0 * aq * cq
         okc = disc_c >= 0
         t_cap = np.where(okc, (-bq - np.sqrt(np.where(okc, disc_c, 0.0))) / (2.0 * aq), np.inf)
@@ -444,6 +445,7 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
         owner = np.full((intr.height, intr.width), -1, dtype=np.int32)
         axial = np.zeros((intr.height, intr.width))
         bones = [j.name for j in JOINTS if j.parent is not None]
+        boxes: dict[int, tuple[slice, slice]] = {}
         cam_points = {name: to_camera(pose.positions[name], extr) for name in pose.positions}
         for bi, name in enumerate(bones):
             a = cam_points[JOINT_BY_NAME[name].parent]
@@ -452,6 +454,7 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
             if hit is None:
                 continue
             (sv, su), _, z, s_ax = hit
+            boxes[bi] = (sv, su)
             sub_z = zbuf[sv, su]
             better = z < sub_z
             zbuf[sv, su] = np.where(better, z, sub_z)
@@ -468,16 +471,16 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
         for idx in sorted(samples):
             sample = samples[idx]
             footprint = _reflector_footprint(sample, body, intr, extr, cam_pos,
-                                             zbuf, owner, axial, bones)
+                                             zbuf, owner, axial, bones, boxes)
             if footprint is None:
                 continue
-            pixels, surface_pt = footprint
-            if int(pixels.sum()) < 1:
-                continue
-            mask |= pixels
+            # the footprint is off outside its window, so eroding the window
+            # with an off border erodes the whole frame
+            win, pixels, surface_pt = footprint
+            mask[win] |= pixels
             hole = ndimage.binary_erosion(pixels, structure=_HOLE_ERODE,
                                           border_value=0)
-            depth_mm[hole] = 0.0
+            depth_mm[win][hole] = 0.0
             # suppress the annotation unless the footprint forms a blob big
             # enough to survive the downstream validity rule
             if _largest_component(pixels) >= 5:
@@ -501,26 +504,36 @@ def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
                          intr: CameraIntrinsics, extr: CameraExtrinsics,
                          cam_pos: np.ndarray, zbuf: np.ndarray,
                          owner: np.ndarray, axial: np.ndarray,
-                         bones: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Visible pixel footprint and annotated surface point of one reflector."""
+                         bones: list[str], boxes: dict[int, tuple[slice, slice]]
+                         ) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray] | None:
+    """Visible footprint of one reflector and its annotated surface point.
+
+    Returns the footprint's image window, its pixels within that window
+    (every pixel outside the window is off) and the surface point.
+    """
     idx = sample.reflector.index
     if sample.ring_axis is not None:
         # strap: pixels of the carrying capsule within the axial band and
-        # facing the camera
+        # facing the camera; the capsule owns pixels only inside its box
         site = body.strap_sites[idx]
         bone_name = site.capsule
         bi = bones.index(bone_name)
+        if bi not in boxes:
+            return None
+        win = boxes[bi]
+        sub_axial = axial[win]
         length = np.linalg.norm(body.template.bone_vectors[bone_name])
         s_center = length - site.offset
         # tube hits only: cap hits carry non-radial normals
-        band = ((owner == bi) & (np.abs(axial - s_center) <= sample.band_half)
-                & (axial > 1e-9) & (axial < length - 1e-9))
+        band = ((owner[win] == bi) & (np.abs(sub_axial - s_center) <= sample.band_half)
+                & (sub_axial > 1e-9) & (sub_axial < length - 1e-9))
         if not band.any():
             return None
-        # facing test on the band's surface points
+        # facing test on the band's surface points, in image coordinates
         vs, us = np.nonzero(band)
-        zs = zbuf[vs, us]
-        dirs = np.stack([(us - intr.cx) / intr.fx, (vs - intr.cy) / intr.fy,
+        zs = zbuf[win][vs, us]
+        dirs = np.stack([(us + win[1].start - intr.cx) / intr.fx,
+                         (vs + win[0].start - intr.cy) / intr.fy,
                          np.ones_like(us, dtype=np.float64)], axis=-1)
         hits_cam = dirs * zs[:, None]
         axis_cam = extr.rotation.T @ sample.ring_axis
@@ -533,14 +546,14 @@ def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
         surf_normal[ok_norm] = rad[ok_norm] / rad_norm[ok_norm, None]
         view_dir = -hits_cam / np.linalg.norm(hits_cam, axis=1, keepdims=True)
         facing = np.einsum("ij,ij->i", surf_normal, view_dir) >= _FACING_COS
+        if not facing.any():
+            return None
         pixels = np.zeros_like(band)
         pixels[vs[facing], us[facing]] = True
-        if not pixels.any():
-            return None
         surface_pt = sample.surface_point_toward(cam_pos)
         if not _point_visible(surface_pt, intr, extr, zbuf):
             return None
-        return pixels, surface_pt
+        return win, pixels, surface_pt
 
     # patch: disk around the projected center on nearby body surface
     normal = sample.surface_normal
@@ -564,21 +577,16 @@ def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
     v_hi = min(int(v0 + r_px) + 2, intr.height)
     uu, vv = np.meshgrid(np.arange(u_lo, u_hi), np.arange(v_lo, v_hi))
     disk = (uu - u0) ** 2 + (vv - v0) ** 2 <= r_px ** 2
-    near_surface = np.abs(zbuf[v_lo:v_hi, u_lo:u_hi] - pt_cam[2]) < 0.08
-    pixels = np.zeros_like(zbuf, dtype=bool)
-    pixels[v_lo:v_hi, u_lo:u_hi] = disk & near_surface
+    win = (slice(v_lo, v_hi), slice(u_lo, u_hi))
+    pixels = disk & (np.abs(zbuf[win] - pt_cam[2]) < 0.08)
     if not pixels.any():
         return None
-    return pixels, sample.axis_point
+    return win, pixels, sample.axis_point
 
 
 def _largest_component(pixels: np.ndarray) -> int:
-    """Size of the biggest 8-connected blob in a sparse boolean image."""
-    vs, us = np.nonzero(pixels)
-    if len(vs) == 0:
-        return 0
-    window = pixels[vs.min():vs.max() + 1, us.min():us.max() + 1]
-    labels, n = ndimage.label(window, structure=np.ones((3, 3), dtype=bool))
+    """Size of the biggest 8-connected blob in a footprint window."""
+    labels, n = ndimage.label(pixels, structure=np.ones((3, 3), dtype=bool))
     if n == 0:
         return 0
     return int(np.bincount(labels.ravel())[1:].max())

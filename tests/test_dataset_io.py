@@ -32,8 +32,12 @@ def corrupt_maps_files(tmp_path) -> dict[str, bytes]:
     def with_header(version=2, count=2):
         return b"DMCM" + struct.pack("<IIII", version, 8, 6, count)
 
-    nan_plane = bytearray(planes)
-    nan_plane[4 * 10:4 * 11] = struct.pack("<f", float("nan"))
+    def with_value(offset, value):
+        damaged = bytearray(planes)
+        damaged[offset:offset + 4] = struct.pack("<f", value)
+        return header + ids + bytes(damaged)
+
+    flow = 2 * 4 * 8 * 6  # the flow planes follow both confidence planes
     return {
         "truncated_header": good[:12],
         "truncated_id_list": with_header(count=40) + ids,
@@ -42,7 +46,9 @@ def corrupt_maps_files(tmp_path) -> dict[str, bytes]:
         "id_out_of_range": header + struct.pack("<II", 3, 27) + planes,
         "unknown_version": with_header(version=3) + ids + planes,
         "size_mismatch": good[:-4],
-        "nan_confidence": header + ids + bytes(nan_plane),
+        "nan_confidence": with_value(4 * 10, float("nan")),
+        "nan_flow": with_value(flow + 4 * 10, float("nan")),
+        "inf_flow": with_value(len(planes) - 4, float("-inf")),
     }
 
 
@@ -148,12 +154,18 @@ class TestBinaryFormats:
 
 
 class TestMapsThroughCli:
-    def test_corrupt_maps_file_exits_3_naming_it(self, tmp_path, capsys):
+    @staticmethod
+    def _one_frame_take(tmp_path):
+        """A 1-frame 320x240 take; returns its config, dataset and out paths."""
         dataset, out = tmp_path / "dataset", tmp_path / "run"
         config = tmp_path / "tiny.ini"
         config.write_text("[synth]\nduration = 1\nnoise_sigma_mm = 0\n")
         assert main(["synth", "--config", str(config), "--dataset",
                      str(dataset), "--out", str(out)]) == 0
+        return config, dataset, out
+
+    def test_corrupt_maps_file_exits_3_naming_it(self, tmp_path, capsys):
+        config, dataset, out = self._one_frame_take(tmp_path)
         victim = dataset / "view_1" / "maps_00000.dmcm"
         for name, data in corrupt_maps_files(tmp_path).items():
             victim.write_bytes(data)
@@ -161,6 +173,20 @@ class TestMapsThroughCli:
             assert main(["infer", "--config", str(config), "--dataset",
                          str(dataset), "--out", str(out)]) == 3, name
             assert str(victim) in capsys.readouterr().err, name
+
+    def test_maps_of_another_size_exit_3_naming_it(self, tmp_path, capsys):
+        config, dataset, out = self._one_frame_take(tmp_path)
+        params, rid = MapSynthesisParams(), ReflectorId(3)
+        victim = dataset / "view_1" / "maps_00000.dmcm"
+        ds.write_maps(victim,
+                      {rid: synth_confidence_map((4.0, 5.0), (8, 6), params, rid)},
+                      {rid: synth_flow_field((1.0, 1.0), (6.0, 4.0), (8, 6),
+                                             params, rid)})
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--dataset",
+                     str(dataset), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(victim) in err and "8x6" in err and "320x240" in err
 
 
 class TestJsonlCodecs:

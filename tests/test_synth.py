@@ -1,15 +1,19 @@
 """Tests for the synthetic capture rig (oracle geometry and rendering)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from mocap_geom.core import ReflectorId, project, to_camera
+from mocap_geom import synth
+from mocap_geom.core import MultiViewRig, ReflectorId, project, to_camera
 from mocap_geom.errors import ValidationError
-from mocap_geom.maps import ReflectorEstimate2D
-from mocap_geom.skeleton import rotation_about
+from mocap_geom.maps import Annotation2D, ReflectorEstimate2D
+from mocap_geom.skeleton import JOINT_BY_NAME, JOINTS, rotation_about
 from mocap_geom.spatial import find_regions, fuse_strap, fuse_strap_single_view, observe
-from mocap_geom.synth import (MotionScript, SyntheticBody, animate, default_rig,
-                              reflector_positions, render)
+from mocap_geom.synth import (MOTION_NAMES, MotionScript, SyntheticBody, animate,
+                              default_rig, reflector_positions, render)
 
 
 def _est(idx, x, y, conf=0.9):
@@ -182,6 +186,163 @@ class TestRender:
     def test_view_subset(self):
         views = render(self.rig, self.body, self.pose, view_subset=[1])
         assert len(views) == 1
+
+
+def _full_frame_footprint(sample, body, intr, extr, zbuf, owner, axial, bones):
+    """Reference footprint: every test on the whole (h, w) frame."""
+    cam_pos = extr.translation
+    if sample.ring_axis is not None:
+        site = body.strap_sites[sample.reflector.index]
+        bi = bones.index(site.capsule)
+        length = np.linalg.norm(body.template.bone_vectors[site.capsule])
+        s_center = length - site.offset
+        band = ((owner == bi) & (np.abs(axial - s_center) <= sample.band_half)
+                & (axial > 1e-9) & (axial < length - 1e-9))
+        vs, us = np.nonzero(band)
+        hits_cam = np.stack([(us - intr.cx) / intr.fx, (vs - intr.cy) / intr.fy,
+                             np.ones(len(us))], axis=-1) * zbuf[vs, us][:, None]
+        axis_cam = extr.rotation.T @ sample.ring_axis
+        rel = hits_cam - to_camera(sample.axis_point, extr)
+        rad = rel - (rel @ axis_cam)[:, None] * axis_cam
+        rad_norm = np.linalg.norm(rad, axis=1)
+        ok_norm = rad_norm > 1e-9
+        surf_normal = np.zeros_like(rad)
+        surf_normal[ok_norm] = rad[ok_norm] / rad_norm[ok_norm, None]
+        view_dir = -hits_cam / np.linalg.norm(hits_cam, axis=1, keepdims=True)
+        facing = np.einsum("ij,ij->i", surf_normal, view_dir) >= synth._FACING_COS
+        pixels = np.zeros_like(band)
+        pixels[vs[facing], us[facing]] = True
+        surface_pt = sample.surface_point_toward(cam_pos)
+        if not pixels.any() or not synth._point_visible(surface_pt, intr, extr, zbuf):
+            return None
+        return pixels, surface_pt
+    to_cam_dir = cam_pos - sample.axis_point
+    if sample.surface_normal @ (to_cam_dir / np.linalg.norm(to_cam_dir)) < 0.25:
+        return None
+    pt_cam = to_camera(sample.axis_point, extr)
+    if pt_cam[2] <= 0.05:
+        return None
+    u0, v0, _ = project(pt_cam, intr)
+    if not (0 <= u0 < intr.width and 0 <= v0 < intr.height):
+        return None
+    if not synth._point_visible(sample.axis_point, intr, extr, zbuf, tol=0.05):
+        return None
+    r_px = body.patch_sites[sample.reflector.index].radius * intr.fx / pt_cam[2]
+    uu, vv = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
+    pixels = (((uu - u0) ** 2 + (vv - v0) ** 2 <= r_px ** 2)
+              & (np.abs(zbuf - pt_cam[2]) < 0.08))
+    if not pixels.any():
+        return None
+    return pixels, sample.axis_point
+
+
+def _full_frame_render(rig, body, pose, noise_sigma_mm, seed, frame, seen):
+    """Reference for `render`: full-frame footprints, erosions and labels.
+
+    `seen` counts the cases worth covering: capsule boxes clipped at the
+    image border and strap-carrying bones with no hit in a view.
+    """
+    samples = reflector_positions(body, pose)
+    bones = [j.name for j in JOINTS if j.parent is not None]
+    carriers = {site.capsule for site in body.strap_sites.values()}
+    out = []
+    for v in range(len(rig)):
+        intr, extr = rig[v]
+        shape = (intr.height, intr.width)
+        zbuf = np.full(shape, np.inf)
+        owner = np.full(shape, -1, dtype=np.int32)
+        axial = np.zeros(shape)
+        for bi, name in enumerate(bones):
+            a = to_camera(pose.positions[JOINT_BY_NAME[name].parent], extr)
+            b = to_camera(pose.positions[name], extr)
+            hit = synth._capsule_hits(intr, a, b, body.capsule_radii[name])
+            if hit is None:
+                seen["strap bone without hit"] += name in carriers
+                continue
+            (sv, su), d, z, s_ax = hit
+            uu, vv = np.meshgrid(np.arange(su.start, su.stop),
+                                 np.arange(sv.start, sv.stop))
+            assert np.array_equal(d, np.stack([(uu - intr.cx) / intr.fx,
+                                               (vv - intr.cy) / intr.fy,
+                                               np.ones(uu.shape)], axis=-1))
+            seen["clipped box"] += (sv.start == 0 or su.start == 0
+                                    or sv.stop == intr.height or su.stop == intr.width)
+            better = z < zbuf[sv, su]
+            zbuf[sv, su] = np.where(better, z, zbuf[sv, su])
+            owner[sv, su] = np.where(better, bi, owner[sv, su])
+            axial[sv, su] = np.where(better, s_ax, axial[sv, su])
+        body_pixels = np.isfinite(zbuf)
+        depth_mm = np.where(body_pixels, zbuf * 1000.0, 0.0)
+        mask = np.zeros(shape, dtype=bool)
+        annotations = []
+        for idx in sorted(samples):
+            footprint = _full_frame_footprint(samples[idx], body, intr, extr,
+                                              zbuf, owner, axial, bones)
+            if footprint is None:
+                continue
+            pixels, surface_pt = footprint
+            mask |= pixels
+            depth_mm[ndimage.binary_erosion(pixels, structure=np.ones((3, 3)),
+                                            border_value=0)] = 0.0
+            labels, _ = ndimage.label(pixels, structure=np.ones((3, 3)))
+            if np.bincount(labels.ravel())[1:].max() >= 5:
+                u, v_pix, _ = project(to_camera(surface_pt, extr), intr)
+                annotations.append(Annotation2D(ReflectorId(idx), (u, v_pix),
+                                                None, frame, v))
+        if noise_sigma_mm > 0:
+            rng = np.random.default_rng([seed, v, frame])
+            noisy = body_pixels & (depth_mm > 0)
+            depth_mm[noisy] += rng.normal(scale=noise_sigma_mm, size=int(noisy.sum()))
+        depth_u16 = np.zeros(shape, dtype=np.uint16)
+        valid = depth_mm > 0.5
+        depth_u16[valid] = np.clip(np.rint(depth_mm[valid]), 1, 65535).astype(np.uint16)
+        out.append((depth_u16, mask, annotations))
+    return out
+
+
+class TestRenderMatchesFullFrameReference:
+    def test_random_takes(self):
+        """Windowed footprints render exactly as full-frame ones.
+
+        Random motions, frames, 1-4 views, body scales, image sizes, rigs
+        close enough that the body leaves the image and principal points
+        that push it against every border.
+        """
+        rng = np.random.default_rng(2024)
+        seen = {"clipped box": 0, "strap bone without hit": 0}
+        annotated = 0
+        for trial in range(40):
+            body = SyntheticBody.default(scale=float(rng.uniform(0.8, 1.25)))
+            script = MotionScript(str(rng.choice(MOTION_NAMES)), duration=120,
+                                  lead_in=float(rng.uniform(0.0, 1.0)))
+            frame = int(rng.integers(0, 120))
+            pose = animate(body, script, frame)
+            rig = default_rig(num_views=int(rng.integers(1, 5)),
+                              radius=float(rng.uniform(0.9, 2.6)),
+                              height=float(rng.uniform(0.4, 1.6)),
+                              width=int(rng.integers(80, 321)),
+                              height_px=int(rng.integers(60, 241)),
+                              focal=float(rng.uniform(120.0, 320.0)),
+                              target_height=float(rng.uniform(0.5, 1.3)))
+            rig = MultiViewRig(tuple(
+                (dataclasses.replace(intr, fy=intr.fx * float(rng.uniform(0.9, 1.1)),
+                                     cx=intr.width * float(rng.uniform(0.02, 0.98)),
+                                     cy=intr.height * float(rng.uniform(0.02, 0.98))),
+                 extr) for intr, extr in rig.cameras))
+            noise = float(rng.choice([0.0, 3.0]))
+            seed = int(rng.integers(0, 1000))
+            views = render(rig, body, pose, noise_sigma_mm=noise, seed=seed,
+                           frame=frame)
+            expected = _full_frame_render(rig, body, pose, noise, seed, frame, seen)
+            assert len(views) == len(expected)
+            for v, (rv, (depth, mask, anns)) in enumerate(zip(views, expected)):
+                where = f"trial {trial}, view {v}"
+                assert rv.depth.pixels.tobytes() == depth.tobytes(), where
+                assert np.array_equal(rv.mask.bits, mask), where
+                assert rv.annotations == anns, where
+                annotated += len(anns)
+        assert annotated > 0
+        assert all(count > 0 for count in seen.values()), seen
 
 
 class TestStrapGeometryThroughPipeline:
