@@ -63,8 +63,12 @@ def run(argv: list[str] | None = None) -> int:
         config.seed = args.seed
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    views = None if args.views is None else [
-        int(x) for x in args.views.split(",") if x.strip()]
+    try:
+        views = None if args.views is None else [
+            int(x) for x in args.views.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"--views {args.views!r}: expected comma-separated "
+                              "view indices") from None
 
     if args.command == "synth":
         root = cmd_synth(config, args.dataset or out / "dataset")
@@ -97,7 +101,8 @@ def run(argv: list[str] | None = None) -> int:
         report = cmd_eval(args.dataset, config,
                           estimates_path=estimates if estimates.exists() else None,
                           motion_path=motion if motion.exists() else None,
-                          out_json=out / "eval.json", out_csv=out / "eval.csv")
+                          out_json=out / "eval.json", out_csv=out / "eval.csv",
+                          view_subset=views)
         if report.map_total is not None:
             print(f"mAP = {report.map_total:.4f}")
         if report.total_mae_cm is not None:

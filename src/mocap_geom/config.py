@@ -8,7 +8,7 @@ a named key here so runs are reproducible from the config file alone.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ValidationError
@@ -53,139 +53,131 @@ class PipelineConfig:
     eval_a3d_cm: float = 20.0
 
 
-def _get(parser, section, key, cast, default):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+# Every INI key: (section, key, PipelineConfig attribute holding the
+# parameter group or None for a top-level field, field name).  The type of
+# the default value is the key's type.
+_KEYS = (
+    ("pipeline", "seed", None, "seed"),
+    ("pipeline", "fps", None, "fps"),
+    ("maps", "sigma_peak", "maps", "sigma_peak"),
+    ("maps", "sigma_field", "maps", "sigma_field"),
+    ("maps", "samples", "maps", "samples"),
+    ("maps", "nms_window", "inference", "nms_window"),
+    ("maps", "min_peak_conf", "inference", "min_peak_conf"),
+    ("filter", "b_min", "filters", "b_min"),
+    ("filter", "colocate_dist", "filters", "colocate_dist"),
+    ("filter", "c_min", "filters", "c_min"),
+    ("kalman", "accel_noise", "kalman", "accel_noise"),
+    ("kalman", "meas_noise", "kalman", "meas_noise"),
+    ("kalman", "init_pos_var", "kalman", "init_pos_var"),
+    ("kalman", "init_vel_var", "kalman", "init_vel_var"),
+    ("calibration", "particle_count", "calibration", "particle_count"),
+    ("calibration", "frame_window", "calibration", "frame_window"),
+    ("calibration", "conf_min", "calibration", "conf_min"),
+    ("calibration", "gen_radius", "calibration", "gen_radius"),
+    ("calibration", "rest_frames", "calibration", "rest_frames"),
+    ("calibration", "min_excitation", "calibration", "min_excitation"),
+    ("calibration", "rigid_pair_tol", "calibration", "rigid_pair_tol"),
+    ("synth", "motion", "synth", "motion"),
+    ("synth", "duration", "synth", "duration"),
+    ("synth", "noise_sigma_mm", "synth", "noise_sigma_mm"),
+    ("synth", "body_scale", "synth", "body_scale"),
+    ("synth", "num_views", "synth", "num_views"),
+    ("synth", "image_width", "synth", "image_width"),
+    ("synth", "image_height", "synth", "image_height"),
+    ("synth", "focal_px", "synth", "focal_px"),
+    ("synth", "rig_radius", "synth", "rig_radius"),
+    ("synth", "rig_height", "synth", "rig_height"),
+    ("synth", "write_maps", "synth", "write_maps"),
+    ("eval", "alpha", None, "eval_alpha"),
+    ("eval", "a3d_cm", None, "eval_a3d_cm"),
+)
+_BY_SECTION: dict[str, dict[str, tuple[str | None, str]]] = {}
+_SECTION_OF = {}  # parameter group -> its section
+for _section, _key, _group, _name in _KEYS:
+    _BY_SECTION.setdefault(_section, {})[_key] = (_group, _name)
+    _SECTION_OF[_group] = _section
+
+
+def _value(raw: str, like, where: str):
+    """``raw`` as a value of the type of ``like``."""
+    if isinstance(like, bool):
+        if raw.lower() in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            return raw.lower() in ("1", "true", "yes", "on")
+        raise ValidationError(f"{where}: not a boolean: {raw!r}")
+    try:
+        return type(like)(raw)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
-    """Read an INI config; missing file or keys fall back to defaults."""
+    """Read an INI config; missing keys fall back to defaults.
+
+    An unknown section or key, a value of the wrong type or out of range,
+    or an unparsable file raises ValidationError naming the file (and the
+    section and key).
+    """
     cfg = PipelineConfig()
     if path is None:
         return cfg
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    if parser.defaults():
+        raise ValidationError(f"{path}: [DEFAULT] {next(iter(parser.defaults()))}: "
+                              "unknown key")
 
-    cfg.seed = _get(parser, "pipeline", "seed", int, cfg.seed)
-    cfg.fps = _get(parser, "pipeline", "fps", float, cfg.fps)
-    cfg.eval_alpha = _get(parser, "eval", "alpha", float, cfg.eval_alpha)
-    cfg.eval_a3d_cm = _get(parser, "eval", "a3d_cm", float, cfg.eval_a3d_cm)
+    groups: dict[str | None, dict] = {}
+    for section in parser.sections():
+        if section != "straps" and section not in _BY_SECTION:
+            raise ValidationError(f"{path}: unknown section [{section}]")
+        for key, raw in parser.items(section):
+            where = f"{path}: [{section}] {key}"
+            if section == "straps":
+                idx = key[len("radius_"):]
+                if not (key.startswith("radius_") and idx.isdigit()
+                        and int(idx) in DEFAULT_LIMB_RADII):
+                    raise ValidationError(f"{where}: unknown key, expected "
+                                          "radius_<strap reflector id>")
+                cfg.limb_radii[int(idx)] = _value(raw, 0.0, where)
+                continue
+            if key not in _BY_SECTION[section]:
+                raise ValidationError(f"{where}: unknown key")
+            group, name = _BY_SECTION[section][key]
+            like = getattr(cfg if group is None else getattr(cfg, group), name)
+            groups.setdefault(group, {})[name] = _value(raw, like, where)
 
-    cfg.maps = MapSynthesisParams(
-        sigma_peak=_get(parser, "maps", "sigma_peak", float, cfg.maps.sigma_peak),
-        sigma_field=_get(parser, "maps", "sigma_field", float, cfg.maps.sigma_field),
-        samples=_get(parser, "maps", "samples", int, cfg.maps.samples),
-    )
-    cfg.inference = InferenceParams(
-        nms_window=_get(parser, "maps", "nms_window", int, cfg.inference.nms_window),
-        min_peak_conf=_get(parser, "maps", "min_peak_conf", float,
-                           cfg.inference.min_peak_conf),
-        samples=cfg.maps.samples,
-    )
-    cfg.filters = FilterParams(
-        b_min=_get(parser, "filter", "b_min", int, cfg.filters.b_min),
-        colocate_dist=_get(parser, "filter", "colocate_dist", float,
-                           cfg.filters.colocate_dist),
-        c_min=_get(parser, "filter", "c_min", float, cfg.filters.c_min),
-    )
-    cfg.kalman = KalmanParams(
-        accel_noise=_get(parser, "kalman", "accel_noise", float,
-                         cfg.kalman.accel_noise),
-        meas_noise=_get(parser, "kalman", "meas_noise", float,
-                        cfg.kalman.meas_noise),
-    )
-    cfg.calibration = CalibrationConfig(
-        particle_count=_get(parser, "calibration", "particle_count", int,
-                            cfg.calibration.particle_count),
-        frame_window=_get(parser, "calibration", "frame_window", int,
-                          cfg.calibration.frame_window),
-        conf_min=_get(parser, "calibration", "conf_min", float,
-                      cfg.calibration.conf_min),
-        gen_radius=_get(parser, "calibration", "gen_radius", float,
-                        cfg.calibration.gen_radius),
-        rest_frames=_get(parser, "calibration", "rest_frames", int,
-                         cfg.calibration.rest_frames),
-    )
-    cfg.synth = SynthConfig(
-        motion=_get(parser, "synth", "motion", str, cfg.synth.motion),
-        duration=_get(parser, "synth", "duration", int, cfg.synth.duration),
-        fps=cfg.fps,
-        noise_sigma_mm=_get(parser, "synth", "noise_sigma_mm", float,
-                            cfg.synth.noise_sigma_mm),
-        body_scale=_get(parser, "synth", "body_scale", float, cfg.synth.body_scale),
-        num_views=_get(parser, "synth", "num_views", int, cfg.synth.num_views),
-        image_width=_get(parser, "synth", "image_width", int, cfg.synth.image_width),
-        image_height=_get(parser, "synth", "image_height", int,
-                          cfg.synth.image_height),
-        focal_px=_get(parser, "synth", "focal_px", float, cfg.synth.focal_px),
-        rig_radius=_get(parser, "synth", "rig_radius", float, cfg.synth.rig_radius),
-        rig_height=_get(parser, "synth", "rig_height", float, cfg.synth.rig_height),
-        write_maps=_get(parser, "synth", "write_maps", bool, cfg.synth.write_maps),
-    )
-    if parser.has_section("straps"):
-        for key, value in parser.items("straps"):
-            if key.startswith("radius_"):
-                cfg.limb_radii[int(key.split("_", 1)[1])] = float(value)
+    for name, value in groups.pop(None, {}).items():
+        setattr(cfg, name, value)
+    # the line integral and the rendered take follow the top-level values
+    groups.setdefault("inference", {})["samples"] = groups.get(
+        "maps", {}).get("samples", cfg.maps.samples)
+    groups.setdefault("synth", {})["fps"] = cfg.fps
+    for group, values in groups.items():
+        try:
+            setattr(cfg, group, replace(getattr(cfg, group), **values))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: [{_SECTION_OF[group]}] {exc}") from exc
     return cfg
 
 
 def write_default_config(path: str | Path) -> None:
-    """Emit a fully commented template with every default spelled out."""
+    """Emit a template with every default spelled out."""
     cfg = PipelineConfig()
-    lines = [
-        "[pipeline]",
-        f"seed = {cfg.seed}",
-        f"fps = {cfg.fps}",
-        "",
-        "[maps]",
-        f"sigma_peak = {cfg.maps.sigma_peak}",
-        f"sigma_field = {cfg.maps.sigma_field}",
-        f"samples = {cfg.maps.samples}",
-        f"nms_window = {cfg.inference.nms_window}",
-        f"min_peak_conf = {cfg.inference.min_peak_conf}",
-        "",
-        "[filter]",
-        f"b_min = {cfg.filters.b_min}",
-        f"colocate_dist = {cfg.filters.colocate_dist}",
-        f"c_min = {cfg.filters.c_min}",
-        "",
-        "[kalman]",
-        f"accel_noise = {cfg.kalman.accel_noise}",
-        f"meas_noise = {cfg.kalman.meas_noise}",
-        "",
-        "[calibration]",
-        f"particle_count = {cfg.calibration.particle_count}",
-        f"frame_window = {cfg.calibration.frame_window}",
-        f"conf_min = {cfg.calibration.conf_min}",
-        f"gen_radius = {cfg.calibration.gen_radius}",
-        f"rest_frames = {cfg.calibration.rest_frames}",
-        "",
-        "[synth]",
-        f"motion = {cfg.synth.motion}",
-        f"duration = {cfg.synth.duration}",
-        f"noise_sigma_mm = {cfg.synth.noise_sigma_mm}",
-        f"body_scale = {cfg.synth.body_scale}",
-        f"num_views = {cfg.synth.num_views}",
-        f"image_width = {cfg.synth.image_width}",
-        f"image_height = {cfg.synth.image_height}",
-        f"focal_px = {cfg.synth.focal_px}",
-        f"rig_radius = {cfg.synth.rig_radius}",
-        f"rig_height = {cfg.synth.rig_height}",
-        f"write_maps = {str(cfg.synth.write_maps).lower()}",
-        "",
-        "[eval]",
-        f"alpha = {cfg.eval_alpha}",
-        f"a3d_cm = {cfg.eval_a3d_cm}",
-        "",
-        "[straps]",
-    ]
+    lines = []
+    for section, keys in _BY_SECTION.items():
+        lines.append(f"[{section}]")
+        for key, (group, name) in keys.items():
+            value = getattr(cfg if group is None else getattr(cfg, group), name)
+            lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
+        lines.append("")
+    lines.append("[straps]")
     for idx in sorted(cfg.limb_radii):
         lines.append(f"radius_{idx} = {cfg.limb_radii[idx]}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -88,23 +88,25 @@ def write_maps(path: str | Path, maps: dict[ReflectorId, ConfidenceMap],
     reflector (in that order) the w*h float32 confidence plane; then per
     reflector the two w*h float32 flow planes (x components, then y
     components).  A frame with no reflectors is written as w = h = count = 0.
+    Planes are whole frames: each stored window is densified as it is
+    written.
     """
     if set(maps) != set(fields):
         raise ValidationError("maps and fields must cover the same reflectors")
     rids = sorted(maps)
-    w, h = (maps[rids[0]].width, maps[rids[0]].height) if rids else (0, 0)
+    w, h = maps[rids[0]].size if rids else (0, 0)
     with open(path, "wb") as fh:
         fh.write(MAGIC_MAPS)
         fh.write(struct.pack("<IIII", MAPS_VERSION, w, h, len(rids)))
         fh.write(struct.pack(f"<{len(rids)}I", *(rid.index for rid in rids)))
         for rid in rids:
-            if (maps[rid].width, maps[rid].height) != (w, h):
+            if maps[rid].size != (w, h):
                 raise ValidationError("inconsistent map dimensions")
-            fh.write(maps[rid].values.astype("<f4").tobytes())
+            fh.write(maps[rid].dense().astype("<f4").tobytes())
         for rid in rids:
-            vec = fields[rid].vectors
-            if vec.shape[:2] != (h, w):
+            if fields[rid].size != (w, h):
                 raise ValidationError("inconsistent field dimensions")
+            vec = fields[rid].dense()
             fh.write(vec[:, :, 0].astype("<f4").tobytes())
             fh.write(vec[:, :, 1].astype("<f4").tobytes())
 

@@ -51,55 +51,103 @@ class InferenceParams:
             raise ValidationError("nms_window must be odd and >= 3")
 
 
+def _frame_window(shape: tuple[int, ...], origin, size, what: str):
+    """Check that a stored window lies inside a non-empty frame.
+
+    ``size`` None means the window is the whole frame.  Returns the
+    normalized ``(origin, size)``.
+    """
+    r0, c0 = (int(x) for x in origin)
+    w, h = (shape[1], shape[0]) if size is None else (int(x) for x in size)
+    if w < 1 or h < 1:
+        raise DimensionError(f"{what} frame must be non-empty, got {w}x{h}")
+    if r0 < 0 or c0 < 0 or r0 + shape[0] > h or c0 + shape[1] > w:
+        raise DimensionError(f"{what} window {shape[1]}x{shape[0]} at row "
+                             f"{r0}, col {c0} is outside the {w}x{h} frame")
+    return (r0, c0), (w, h)
+
+
+def _densify(window: np.ndarray, origin: tuple[int, int],
+             size: tuple[int, int]) -> np.ndarray:
+    """The full frame: the window at its origin, 0 everywhere else."""
+    (r0, c0), (w, h) = origin, size
+    out = np.zeros((h, w) + window.shape[2:])
+    out[r0:r0 + window.shape[0], c0:c0 + window.shape[1]] = window
+    return out
+
+
 @dataclass
 class ConfidenceMap:
-    """Per-reflector 2D belief image with values in [0, 1]."""
+    """Per-reflector 2D belief image with values in [0, 1].
+
+    Only a window of the frame is stored: ``values[i, j]`` is frame pixel
+    (row ``origin[0] + i``, col ``origin[1] + j``) of a ``size`` = (w, h)
+    frame, and every frame pixel outside the window is 0.  A dense map is
+    the window that covers the frame (origin (0, 0), the default size).
+    """
 
     reflector: ReflectorId
-    values: np.ndarray  # (h, w) float64
+    values: np.ndarray  # (rows, cols) float64 window
+    origin: tuple[int, int] = (0, 0)        # (row, col) of values[0, 0]
+    size: tuple[int, int] | None = None     # frame (w, h); None: the window
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2 or vals.size == 0:
-            raise DimensionError("confidence map must be a non-empty 2D array")
+        if vals.ndim != 2:
+            raise DimensionError("confidence map must be a 2D array")
+        self.origin, self.size = _frame_window(vals.shape, self.origin,
+                                               self.size, "confidence map")
         # written so that NaN, for which every comparison is False, fails
-        if not (vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12):
+        if vals.size and not (vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12):
             raise ValidationError("confidence values must lie in [0, 1]")
         self.values = vals
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.size[1]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.size[0]
+
+    def dense(self) -> np.ndarray:
+        """A new (h, w) array of the whole frame."""
+        return _densify(self.values, self.origin, self.size)
 
 
 @dataclass
 class FlowField:
     """Per-reflector 2-channel temporal vector field.
 
-    ``vectors[v, u]`` holds the (x, y) flow direction at pixel (u, v); zero
-    outside the field support.
+    Stored as a window like :class:`ConfidenceMap`: ``vectors[i, j]`` holds
+    the (x, y) flow direction at frame pixel (u, v) = (``origin[1] + j``,
+    ``origin[0] + i``); zero outside the window and the field support.
     """
 
     reflector: ReflectorId
-    vectors: np.ndarray  # (h, w, 2) float64
+    vectors: np.ndarray  # (rows, cols, 2) float64 window
+    origin: tuple[int, int] = (0, 0)        # (row, col) of vectors[0, 0]
+    size: tuple[int, int] | None = None     # frame (w, h); None: the window
 
     def __post_init__(self):
         vec = np.asarray(self.vectors, dtype=np.float64)
-        if vec.ndim != 3 or vec.shape[2] != 2 or vec.size == 0:
-            raise DimensionError("flow field must be a non-empty (h, w, 2) array")
+        if vec.ndim != 3 or vec.shape[2] != 2:
+            raise DimensionError("flow field must be a (rows, cols, 2) array")
+        self.origin, self.size = _frame_window(vec.shape, self.origin,
+                                               self.size, "flow field")
         self.vectors = vec
 
     @property
     def height(self) -> int:
-        return self.vectors.shape[0]
+        return self.size[1]
 
     @property
     def width(self) -> int:
-        return self.vectors.shape[1]
+        return self.size[0]
+
+    def dense(self) -> np.ndarray:
+        """A new (h, w, 2) array of the whole frame."""
+        return _densify(self.vectors, self.origin, self.size)
 
 
 @dataclass(frozen=True)
@@ -132,9 +180,9 @@ def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
 
     The maximum is exactly 1.0 at the center; synthesize with integer-pixel
     centers when a grid pixel must attain it.  Values below 2**-150, which
-    are 0 once stored as float32, are stored as 0: the peak is evaluated
-    only on the box of half-width sigma * sqrt(150 ln 2) (about 10.2 sigma)
-    around the center, and every value inside it is the full-frame value.
+    are 0 once stored as float32, are 0: the map stores only the box of
+    half-width sigma * sqrt(150 ln 2) (about 10.2 sigma) around the center,
+    clipped to the frame, and every value inside it is the full-frame value.
     """
     w, h = dims
     cx, cy = center
@@ -146,9 +194,8 @@ def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
     xs = np.arange(x0, x1, dtype=np.float64)
     ys = np.arange(y0, y1, dtype=np.float64)
     d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
-    values = np.zeros((h, w))
-    values[y0:y1, x0:x1] = np.exp(-d2 / params.sigma_peak ** 2)
-    return ConfidenceMap(reflector or ReflectorId(1), values)
+    return ConfidenceMap(reflector or ReflectorId(1),
+                         np.exp(-d2 / params.sigma_peak ** 2), (y0, x0), (w, h))
 
 
 def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
@@ -171,33 +218,36 @@ def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
     v = disp / dist
     v_perp = np.array([-v[1], v[0]])
 
-    # The support lies within sigma_field of the segment, so only the
-    # segment's bounding box grown by sigma_field (plus a 1 px guard band
-    # against rounding in along/across) is evaluated, clipped to the image.
+    # The support lies within sigma_field of the segment, so the field
+    # stores only the segment's bounding box grown by sigma_field (plus a
+    # 1 px guard band against rounding in along/across), clipped to the
+    # image; a band that misses the image is an empty window.
     grow = params.sigma_field + 1.0
     lo = np.minimum(prev, curr) - grow
     hi = np.maximum(prev, curr) + grow
     x0, x1 = max(math.floor(lo[0]), 0), min(math.ceil(hi[0]) + 1, w)
     y0, y1 = max(math.floor(lo[1]), 0), min(math.ceil(hi[1]) + 1, h)
-    vectors = np.zeros((h, w, 2))
-    if x0 < x1 and y0 < y1:
-        xs = np.arange(x0, x1, dtype=np.float64)
-        ys = np.arange(y0, y1, dtype=np.float64)
-        rel_x = xs[None, :] - prev[0]
-        rel_y = ys[:, None] - prev[1]
-        along = rel_x * v[0] + rel_y * v[1]
-        across = rel_x * v_perp[0] + rel_y * v_perp[1]
-        support = (along >= 0) & (along <= dist) & \
-            (np.abs(across) <= params.sigma_field)
-        vectors[y0:y1, x0:x1][support] = v
-    return FlowField(reflector or ReflectorId(1), vectors)
+    if x0 >= x1 or y0 >= y1:
+        return FlowField(reflector or ReflectorId(1), np.zeros((0, 0, 2)),
+                         (0, 0), (w, h))
+    xs = np.arange(x0, x1, dtype=np.float64)
+    ys = np.arange(y0, y1, dtype=np.float64)
+    rel_x = xs[None, :] - prev[0]
+    rel_y = ys[:, None] - prev[1]
+    along = rel_x * v[0] + rel_y * v[1]
+    across = rel_x * v_perp[0] + rel_y * v_perp[1]
+    support = (along >= 0) & (along <= dist) & \
+        (np.abs(across) <= params.sigma_field)
+    vectors = np.zeros((y1 - y0, x1 - x0, 2))
+    vectors[support] = v
+    return FlowField(reflector or ReflectorId(1), vectors, (y0, x0), (w, h))
 
 
 def zero_flow_field(dims: tuple[int, int],
                     reflector: ReflectorId | None = None) -> FlowField:
-    """All-zero field: the ground truth for a stationary reflector."""
-    w, h = dims
-    return FlowField(reflector or ReflectorId(1), np.zeros((h, w, 2)))
+    """All-zero field, an empty window: the truth for a stationary reflector."""
+    return FlowField(reflector or ReflectorId(1), np.zeros((0, 0, 2)), (0, 0),
+                     dims)
 
 
 def extract_peaks(conf_map: ConfidenceMap, nms_window: int = 5,
@@ -211,43 +261,67 @@ def extract_peaks(conf_map: ConfidenceMap, nms_window: int = 5,
     if nms_window < 3 or nms_window % 2 == 0:
         raise ValidationError("nms_window must be odd and >= 3")
     vals = conf_map.values
-    strong = vals >= min_conf
-    strong_rows = np.flatnonzero(strong.any(axis=1))
-    if len(strong_rows) == 0:
-        return []
-    strong_cols = np.flatnonzero(strong.any(axis=0))
+    (wr, wc), (w, h) = conf_map.origin, conf_map.size
+    if min_conf <= 0 and vals.shape != (h, w):
+        # the 0s outside the window are strong too
+        top, bottom, left, right = 0, h - 1, 0, w - 1
+    else:
+        strong = vals >= min_conf
+        strong_rows = np.flatnonzero(strong.any(axis=1))
+        if len(strong_rows) == 0:
+            return []
+        strong_cols = np.flatnonzero(strong.any(axis=0))
+        top, bottom = wr + int(strong_rows[0]), wr + int(strong_rows[-1])
+        left, right = wc + int(strong_cols[0]), wc + int(strong_cols[-1])
     # Only pixels >= min_conf can be peaks, and a peak's window reaches
     # nms_window // 2 past it, so the filter runs on the bounding box of
-    # those pixels grown by that much (and clipped to the map); every value
-    # a candidate's window reads is inside the crop.
+    # those pixels grown by that much and clipped to the frame: every value
+    # a candidate's window reads is inside the crop, which holds the stored
+    # values inside the window and 0 outside it.
     half = nms_window // 2
-    r0 = max(int(strong_rows[0]) - half, 0)
-    c0 = max(int(strong_cols[0]) - half, 0)
-    crop = vals[r0:int(strong_rows[-1]) + half + 1,
-                c0:int(strong_cols[-1]) + half + 1]
+    r0, r1 = max(top - half, 0), min(bottom + half + 1, h)
+    c0, c1 = max(left - half, 0), min(right + half + 1, w)
+    crop = np.zeros((r1 - r0, c1 - c0))
+    i0, i1 = max(r0, wr), min(r1, wr + vals.shape[0])
+    j0, j1 = max(c0, wc), min(c1, wc + vals.shape[1])
+    if i0 < i1 and j0 < j1:
+        crop[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = \
+            vals[i0 - wr:i1 - wr, j0 - wc:j1 - wc]
     footprint = np.ones((nms_window, nms_window), dtype=bool)
     footprint[half, half] = False
     neighborhood_max = maximum_filter(crop, footprint=footprint,
                                       mode="constant", cval=-np.inf)
     is_peak = (crop > neighborhood_max) & (crop >= min_conf)
     rows, cols = np.nonzero(is_peak)
+    scores = crop[rows, cols]
     rows += r0
     cols += c0
     order = sorted(range(len(rows)),
-                   key=lambda i: (-vals[rows[i], cols[i]], rows[i], cols[i]))
-    return [((int(cols[i]), int(rows[i])), float(vals[rows[i], cols[i]])) for i in order]
+                   key=lambda i: (-scores[i], rows[i], cols[i]))
+    return [((int(cols[i]), int(rows[i])), float(scores[i])) for i in order]
 
 
-def _bilinear_sample(vectors: np.ndarray, x: float, y: float) -> np.ndarray:
+_ZERO_VECTOR = np.zeros(2)
+_ZERO_VECTOR.setflags(write=False)
+
+
+def _bilinear_sample(field: FlowField, x: float, y: float) -> np.ndarray:
     """Bilinear field sample; off-image points contribute the zero vector."""
-    h, w = vectors.shape[:2]
+    w, h = field.size
     if x < 0 or y < 0 or x > w - 1 or y > h - 1:
         return np.zeros(2)
     x0, y0 = int(np.floor(x)), int(np.floor(y))
     x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
     fx, fy = x - x0, y - y0
-    top = vectors[y0, x0] * (1 - fx) + vectors[y0, x1] * fx
-    bot = vectors[y1, x0] * (1 - fx) + vectors[y1, x1] * fx
+    vectors = field.vectors
+    (wr, wc), (rows, cols) = field.origin, vectors.shape[:2]
+
+    def at(row, col):  # frame pixel (col, row); 0 outside the window
+        i, j = row - wr, col - wc
+        return vectors[i, j] if 0 <= i < rows and 0 <= j < cols else _ZERO_VECTOR
+
+    top = at(y0, x0) * (1 - fx) + at(y0, x1) * fx
+    bot = at(y1, x0) * (1 - fx) + at(y1, x1) * fx
     return top * (1 - fy) + bot * fy
 
 
@@ -271,7 +345,7 @@ def line_integral(field: FlowField, r_prev: tuple[float, float],
     total = 0.0
     for u in np.linspace(0.0, 1.0, samples):
         p = (1.0 - u) * prev + u * curr
-        total += float(_bilinear_sample(field.vectors, p[0], p[1]) @ direction)
+        total += float(_bilinear_sample(field, p[0], p[1]) @ direction)
     return total / samples
 
 
@@ -326,9 +400,9 @@ def loss_maps(pred: list[ConfidenceMap], truth: list[ConfidenceMap]) -> float:
         raise DimensionError("prediction/truth reflector counts differ")
     total = 0.0
     for p, t in zip(pred, truth):
-        if p.values.shape != t.values.shape:
+        if p.size != t.size:
             raise DimensionError("map dimensions differ")
-        total += float(np.sum((p.values - t.values) ** 2))
+        total += float(np.sum((p.dense() - t.dense()) ** 2))
     return total
 
 
@@ -338,7 +412,7 @@ def loss_fields(pred: list[FlowField], truth: list[FlowField]) -> float:
         raise DimensionError("prediction/truth reflector counts differ")
     total = 0.0
     for p, t in zip(pred, truth):
-        if p.vectors.shape != t.vectors.shape:
+        if p.size != t.size:
             raise DimensionError("field dimensions differ")
-        total += float(np.sum((p.vectors - t.vectors) ** 2))
+        total += float(np.sum((p.dense() - t.dense()) ** 2))
     return total

@@ -105,6 +105,16 @@ def _maps_from_annotations(anns: list[Annotation2D], dims: tuple[int, int],
     return maps, fields
 
 
+def _views(reader: ds.DatasetReader, view_subset: list[int] | None) -> list[int]:
+    """The views to process, ascending: all of them, or the given subset."""
+    if view_subset is None:
+        return list(range(reader.num_views))
+    bad = [v for v in view_subset if not 0 <= v < reader.num_views]
+    if bad:
+        raise ValidationError(f"views {bad} outside 0..{reader.num_views - 1}")
+    return sorted(set(view_subset))
+
+
 def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
                   view_subset: list[int] | None = None
                   ) -> list[tuple[int, int, list[ReflectorEstimate2D]]]:
@@ -115,9 +125,8 @@ def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
     (oracle mode).  The temporal chain feeds each frame's retained estimates
     into the next frame's flow scoring for the same view.
     """
-    views = range(reader.num_views) if view_subset is None else view_subset
     out = []
-    for v in views:
+    for v in _views(reader, view_subset):
         intr, _ = reader.rig[v]
         dims = (intr.width, intr.height)
         annotations = reader.annotations(v)
@@ -316,11 +325,16 @@ def cmd_track(optical_path: str | Path, template_path: str | Path,
 def eval_2d(reader: ds.DatasetReader,
             estimates: list[tuple[int, int, list[ReflectorEstimate2D]]],
             config: PipelineConfig,
-            sweep_grid: list[float] | None = None) -> EvalReport:
-    """AP/mAP of 2D estimates against the dataset annotations."""
+            sweep_grid: list[float] | None = None,
+            view_subset: list[int] | None = None) -> EvalReport:
+    """AP/mAP of 2D estimates against the dataset annotations.
+
+    Only the views of ``view_subset`` (all when None) are scored, so views
+    that infer left out do not count as misses.
+    """
     by_fv = {(f, v): ests for f, v, ests in estimates}
     detections = []
-    for v in range(reader.num_views):
+    for v in _views(reader, view_subset):
         annotations = reader.annotations(v)
         for f, anns in sorted(annotations.items()):
             if not anns:
@@ -382,13 +396,15 @@ def cmd_eval(dataset_dir: str | Path, config: PipelineConfig,
              estimates_path: str | Path | None = None,
              motion_path: str | Path | None = None,
              out_json: str | Path = "eval.json",
-             out_csv: str | Path | None = None) -> EvalReport:
-    """Evaluate 2D estimates and/or tracked motion against the dataset truth."""
+             out_csv: str | Path | None = None,
+             view_subset: list[int] | None = None) -> EvalReport:
+    """Evaluate 2D estimates (on ``view_subset``, all views when None)
+    and/or tracked motion against the dataset truth."""
     reader = ds.DatasetReader(dataset_dir)
     report = None
     if estimates_path is not None:
         estimates = ds.read_estimates(estimates_path)
-        report = eval_2d(reader, estimates, config)
+        report = eval_2d(reader, estimates, config, view_subset=view_subset)
     if motion_path is not None:
         gt = reader.gt_motion()
         if gt is None:

@@ -55,9 +55,9 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_map_math():
     start = time.perf_counter()
-    m = synth_confidence_map((30, 20), (64, 48), PARAMS)
-    ok = abs(m.values[20, 30] - 1.0) <= 1e-9
-    ok &= abs(m.values[20, 37] - np.exp(-1.0)) <= 1e-9
+    m = synth_confidence_map((30, 20), (64, 48), PARAMS).dense()
+    ok = abs(m[20, 30] - 1.0) <= 1e-9
+    ok &= abs(m[20, 37] - np.exp(-1.0)) <= 1e-9
 
     field = synth_flow_field((8, 20), (30, 12), (48, 40), PARAMS)
     integral = line_integral(field, (8, 20), (30, 12), samples=10)
@@ -120,7 +120,7 @@ def test_criterion_2_brute_force_equivalence():
             curr = (curr[0] + 1, curr[1])
         sigma = float(rng.uniform(1.0, 4.0))
         params = MapSynthesisParams(sigma_field=sigma)
-        fast = synth_flow_field(prev, curr, dims, params).vectors
+        fast = synth_flow_field(prev, curr, dims, params).dense()
         naive = _naive_flow_field(prev, curr, dims, sigma)
         # pixels mathematically on a membership boundary may flip with the
         # last-ulp of either evaluation; compare off-boundary pixels only

@@ -82,9 +82,9 @@ class TestBinaryFormats:
         maps2, fields2 = ds.read_maps(path)
         assert set(maps2) == set(maps)
         for rid in maps:
-            np.testing.assert_allclose(maps2[rid].values, maps[rid].values,
+            np.testing.assert_allclose(maps2[rid].values, maps[rid].dense(),
                                        atol=1e-7)  # float32 storage
-            np.testing.assert_allclose(fields2[rid].vectors, fields[rid].vectors,
+            np.testing.assert_allclose(fields2[rid].vectors, fields[rid].dense(),
                                        atol=1e-7)
 
     def test_maps_round_trip_keeps_sparse_ids(self, tmp_path):
@@ -109,9 +109,9 @@ class TestBinaryFormats:
             for rid in maps:
                 assert maps2[rid].reflector == rid
                 assert np.array_equal(maps2[rid].values,
-                                      maps[rid].values.astype("<f4"))
+                                      maps[rid].dense().astype("<f4"))
                 assert np.array_equal(fields2[rid].vectors,
-                                      fields[rid].vectors.astype("<f4"))
+                                      fields[rid].dense().astype("<f4"))
 
     def test_maps_round_trip_empty_frame(self, tmp_path):
         path = tmp_path / "maps_00000.dmcm"

@@ -20,25 +20,25 @@ PARAMS = MapSynthesisParams(sigma_peak=7.0, sigma_field=4.0, samples=10)
 class TestConfidenceMapSynthesis:
     def test_value_at_center_is_one(self):
         m = synth_confidence_map((20, 15), (64, 48), PARAMS)
-        assert m.values[15, 20] == 1.0
+        assert m.dense()[15, 20] == 1.0
 
     def test_value_at_sigma_offset(self):
         m = synth_confidence_map((20, 15), (64, 48), PARAMS)
-        np.testing.assert_allclose(m.values[15, 27], np.exp(-1.0), atol=1e-12)
+        np.testing.assert_allclose(m.dense()[15, 27], np.exp(-1.0), atol=1e-12)
 
     def test_matches_double_loop_oracle(self):
         params = MapSynthesisParams(sigma_peak=7.0)
         center = (184, 170)
-        m = synth_confidence_map(center, (368, 368), params)
+        m = synth_confidence_map(center, (368, 368), params).dense()
         # brute-force oracle, independent pixel loop over a band
         for y in range(160, 181):
             for x in range(175, 195):
                 d2 = (x - center[0]) ** 2 + (y - center[1]) ** 2
-                assert m.values[y, x] == np.exp(-d2 / 49.0)
+                assert m[y, x] == np.exp(-d2 / 49.0)
         # and the total mass agrees with a vectorized re-evaluation
         ys, xs = np.mgrid[:368, :368].astype(float)
         oracle = np.exp(-((xs - center[0]) ** 2 + (ys - center[1]) ** 2) / 49.0)
-        assert float(np.sum(m.values)) == float(np.sum(oracle))
+        assert float(np.sum(m)) == float(np.sum(oracle))
 
     def test_out_of_bounds_center_rejected(self):
         with pytest.raises(Exception):
@@ -47,7 +47,7 @@ class TestConfidenceMapSynthesis:
     def test_resynthesis_is_deterministic(self):
         a = synth_confidence_map((11.5, 20.25), (48, 40), PARAMS)
         b = synth_confidence_map((11.5, 20.25), (48, 40), PARAMS)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.dense(), b.dense())
 
     def test_windowed_matches_full_frame_reference(self):
         tiny = 2.0 ** -150  # below it a value is 0 in float32
@@ -68,7 +68,7 @@ class TestConfidenceMapSynthesis:
             center = (min(center[0], np.nextafter(w, 0)),
                       min(center[1], np.nextafter(h, 0)))
             got = synth_confidence_map(
-                center, (w, h), MapSynthesisParams(sigma_peak=sigma)).values
+                center, (w, h), MapSynthesisParams(sigma_peak=sigma)).dense()
             # the full-frame expression, evaluated on every pixel
             xs = np.arange(w, dtype=np.float64)
             ys = np.arange(h, dtype=np.float64)
@@ -90,8 +90,8 @@ class TestConfidenceMapSynthesis:
 class TestFlowFieldSynthesis:
     def test_axis_aligned_band(self):
         params = MapSynthesisParams(sigma_field=2.0)
-        f = synth_flow_field((10, 10), (20, 10), (40, 30), params)
-        support = np.any(f.vectors != 0, axis=2)
+        f = synth_flow_field((10, 10), (20, 10), (40, 30), params).dense()
+        support = np.any(f != 0, axis=2)
         # brute-force membership oracle
         expected = np.zeros((30, 40), dtype=bool)
         for y in range(30):
@@ -101,18 +101,18 @@ class TestFlowFieldSynthesis:
                 expected[y, x] = 0 <= along <= 10 and across <= 2
         assert np.array_equal(support, expected)
         assert support.sum() == 11 * 5
-        vecs = f.vectors[support]
+        vecs = f[support]
         np.testing.assert_allclose(vecs, np.tile([1.0, 0.0], (len(vecs), 1)))
 
     def test_start_point_inside_support(self):
         f = synth_flow_field((10, 10), (20, 14), (40, 30), PARAMS)
         v = np.array([10, 4]) / np.linalg.norm([10, 4])
-        np.testing.assert_allclose(f.vectors[10, 10], v, atol=1e-12)
+        np.testing.assert_allclose(f.dense()[10, 10], v, atol=1e-12)
 
     def test_outside_half_width_is_zero(self):
         params = MapSynthesisParams(sigma_field=2.0)
         f = synth_flow_field((10, 10), (20, 10), (40, 30), params)
-        assert np.all(f.vectors[13, 15] == 0)  # offset 3 > sigma_field
+        assert np.all(f.dense()[13, 15] == 0)  # offset 3 > sigma_field
 
     def test_support_vectors_unit_norm(self):
         rng = np.random.default_rng(5)
@@ -121,9 +121,9 @@ class TestFlowFieldSynthesis:
             b = tuple(rng.integers(2, 35, 2))
             if a == b:
                 continue
-            f = synth_flow_field(a, b, (40, 40), PARAMS)
-            support = np.any(f.vectors != 0, axis=2)
-            norms = np.linalg.norm(f.vectors[support], axis=1)
+            f = synth_flow_field(a, b, (40, 40), PARAMS).dense()
+            support = np.any(f != 0, axis=2)
+            norms = np.linalg.norm(f[support], axis=1)
             assert np.all(np.abs(norms - 1.0) < 1e-6)
 
     def test_degenerate_motion_raises(self):
@@ -132,8 +132,8 @@ class TestFlowFieldSynthesis:
 
     def test_zero_field_substitute(self):
         f = zero_flow_field((20, 10))
-        assert f.vectors.shape == (10, 20, 2)
-        assert not f.vectors.any()
+        assert f.dense().shape == (10, 20, 2)
+        assert not f.dense().any()
 
     def test_windowed_matches_full_frame_reference(self):
         rng = np.random.default_rng(29)
@@ -149,7 +149,7 @@ class TestFlowFieldSynthesis:
             if np.array_equal(a, b):
                 continue
             params = MapSynthesisParams(sigma_field=sigma_field)
-            got = synth_flow_field(tuple(a), tuple(b), (w, h), params).vectors
+            got = synth_flow_field(tuple(a), tuple(b), (w, h), params).dense()
             # the full-frame expression, evaluated on every pixel
             disp = b - a
             dist = float(np.linalg.norm(disp))
@@ -193,8 +193,8 @@ class TestExtractPeaks:
         assert peaks[0][1] == 1.0
 
     def test_two_peaks_sorted_by_score(self):
-        a = synth_confidence_map((20, 30), (128, 96), PARAMS).values
-        b = synth_confidence_map((70, 30), (128, 96), PARAMS).values
+        a = synth_confidence_map((20, 30), (128, 96), PARAMS).dense()
+        b = synth_confidence_map((70, 30), (128, 96), PARAMS).dense()
         m = ConfidenceMap(ReflectorId(1), np.maximum(a, 0.8 * b))
         peaks = extract_peaks(m, nms_window=5, min_conf=0.1)
         assert [p[0] for p in peaks] == [(20, 30), (70, 30)]
@@ -266,6 +266,145 @@ class TestExtractPeaks:
         assert border_peaks >= 20 and empty_maps >= 100 and plateau_maps >= 100
 
 
+def _random_window(rng, w, h):
+    """(origin, rows, cols) of a window inside a w x h frame.
+
+    Windows lie strictly inside the frame, reach one border, reach two
+    opposite borders, cover the frame, or are empty, in equal shares.
+    """
+    kind = int(rng.integers(0, 5))
+    if kind == 4:
+        return (0, 0), 0, 0
+    r0, r1 = sorted(int(x) for x in rng.integers(0, h + 1, 2))
+    c0, c1 = sorted(int(x) for x in rng.integers(0, w + 1, 2))
+    r1, c1 = max(r1, r0 + 1), max(c1, c0 + 1)
+    if kind == 1:  # reaches one border
+        side = int(rng.integers(0, 4))
+        r0 = 0 if side == 0 else r0
+        r1 = h if side == 1 else r1
+        c0 = 0 if side == 2 else c0
+        c1 = w if side == 3 else c1
+    elif kind == 2:  # reaches two opposite borders
+        if rng.random() < 0.5:
+            r0, r1 = 0, h
+        else:
+            c0, c1 = 0, w
+    elif kind == 3:
+        r0, r1, c0, c1 = 0, h, 0, w
+    r0, c0 = min(r0, h - 1), min(c0, w - 1)
+    return (r0, c0), min(r1, h) - r0, min(c1, w) - c0
+
+
+class TestWindowedMaps:
+    """A window and its densified frame decode to the same result."""
+
+    def test_stores_only_the_support_window(self):
+        m = synth_confidence_map((160, 120), (320, 240), PARAMS)
+        assert m.values.shape == (145, 145) and m.origin == (48, 88)
+        assert m.size == (320, 240) and m.dense().shape == (240, 320)
+        f = synth_flow_field((100, 50), (110, 56), (320, 240), PARAMS)
+        assert f.vectors.shape == (17, 21, 2) and f.origin == (45, 95)
+        z = zero_flow_field((320, 240))
+        assert z.vectors.shape == (0, 0, 2) and z.size == (320, 240)
+        off = synth_flow_field((-40, -40), (-20, -30), (320, 240), PARAMS)
+        assert off.vectors.size == 0 and not off.dense().any()
+
+    def test_extract_peaks_matches_dense_on_random_windows(self):
+        rng = np.random.default_rng(41)
+        edge_peaks = nonpositive = clipped = 0
+        for trial in range(600):
+            w, h = (int(x) for x in rng.integers(1, 40, 2))
+            (r0, c0), rows, cols = _random_window(rng, w, h)
+            nms_window = int(rng.choice([3, 5, 7, 9]))
+            min_conf = [0.0, -0.5, float(rng.uniform(0.05, 0.9))][trial % 3]
+            # a background of 0s and tiny negatives (legal down to -1e-12)
+            vals = np.where(rng.random((rows, cols)) < 0.5, 0.0,
+                            -1e-12 * rng.random((rows, cols)))
+            ys, xs = np.mgrid[0:rows, 0:cols]
+            for _ in range(int(rng.integers(0, 4))):
+                cx, cy = rng.uniform(-2, [cols + 1, rows + 1])
+                amp = float(rng.uniform(0.0, 1.0))
+                vals = np.maximum(vals, amp * np.exp(
+                    -((xs - cx) ** 2 + (ys - cy) ** 2)
+                    / float(rng.uniform(0.8, 5.0)) ** 2))
+            if rows and cols:  # a strong pixel on a window edge
+                i = int(rng.choice([0, rows - 1]))
+                j = int(rng.integers(0, cols))
+                if rng.random() < 0.5:
+                    i, j = int(rng.integers(0, rows)), int(rng.choice([0, cols - 1]))
+                vals[i, j] = float(rng.uniform(0.5, 1.0))
+            m = ConfidenceMap(ReflectorId(1), vals, (r0, c0), (w, h))
+            got = extract_peaks(m, nms_window, min_conf)
+            dense = m.dense()
+            assert got == TestExtractPeaks._full_frame_peaks(dense, nms_window,
+                                                            min_conf)
+            assert got == extract_peaks(ConfidenceMap(ReflectorId(1), dense),
+                                        nms_window, min_conf)
+            # a peak on a window edge that has frame pixels beyond it
+            edge_peaks += any(
+                r0 <= y < r0 + rows and c0 <= x < c0 + cols
+                and (y == r0 > 0 or y == r0 + rows - 1 < h - 1
+                     or x == c0 > 0 or x == c0 + cols - 1 < w - 1)
+                for (x, y), _ in got)
+            nonpositive += min_conf <= 0 and 0 < rows * cols < w * h
+            clipped += 0 < rows * cols < w * h and (
+                r0 == 0 or c0 == 0 or r0 + rows == h or c0 + cols == w)
+        # windows whose edges lie inside the frame carry peaks on those
+        # edges, and non-positive thresholds see the 0s outside the window
+        assert edge_peaks >= 100 and nonpositive >= 200 and clipped >= 150
+
+    def test_line_integral_matches_dense_field(self):
+        rng = np.random.default_rng(43)
+        off_image = shifted = 0
+        for _ in range(500):
+            w, h = (int(x) for x in rng.integers(1, 40, 2))
+            (r0, c0), rows, cols = _random_window(rng, w, h)
+            field = FlowField(ReflectorId(1), rng.normal(size=(rows, cols, 2)),
+                              (r0, c0), (w, h))
+            dense = FlowField(ReflectorId(1), field.dense())
+            a = rng.uniform(-6, [w + 6, h + 6])
+            b = rng.uniform(-6, [w + 6, h + 6])
+            if rng.random() < 0.3:
+                a, b = np.round(a), np.round(b)
+            samples = int(rng.integers(2, 12))
+            got = line_integral(field, tuple(a), tuple(b), samples)
+            assert got == line_integral(dense, tuple(a), tuple(b), samples)
+            off_image += not all(0 <= p[0] <= w - 1 and 0 <= p[1] <= h - 1
+                                 for p in (a, b))
+            shifted += rows * cols > 0 and (r0, c0) != (0, 0)
+        assert off_image >= 200 and shifted >= 150
+
+    def test_nan_in_window_rejected(self):
+        vals = np.zeros((4, 5))
+        vals[1, 2] = 0.9
+        vals[3, 0] = np.nan
+        with pytest.raises(ValidationError):
+            ConfidenceMap(ReflectorId(1), vals, (2, 3), (20, 10))
+
+    def test_window_outside_frame_rejected(self):
+        for origin, shape, size in (((-1, 0), (3, 3), (10, 10)),
+                                    ((0, -2), (3, 3), (10, 10)),
+                                    ((8, 0), (3, 3), (10, 10)),
+                                    ((0, 8), (3, 3), (10, 10)),
+                                    ((0, 0), (3, 11), (10, 10)),
+                                    ((2, 2), (3, 3), None),
+                                    ((0, 0), (0, 0), (0, 10))):
+            with pytest.raises(DimensionError):
+                ConfidenceMap(ReflectorId(1), np.zeros(shape), origin, size)
+            with pytest.raises(DimensionError):
+                FlowField(ReflectorId(1), np.zeros(shape + (2,)), origin, size)
+
+    def test_losses_compare_dense_frames(self):
+        a = synth_confidence_map((20, 15), (64, 48), PARAMS)
+        b = ConfidenceMap(ReflectorId(1), a.dense())
+        assert loss_maps([a], [b]) == 0.0
+        f = synth_flow_field((10, 10), (20, 14), (64, 48), PARAMS)
+        z = zero_flow_field((64, 48))
+        assert loss_fields([f], [z]) == float(np.sum(f.dense() ** 2)) > 0
+        with pytest.raises(DimensionError):
+            loss_fields([f], [zero_flow_field((64, 47))])
+
+
 class TestLineIntegral:
     def test_self_consistent_field_scores_one(self):
         prev, curr = (8, 20), (30, 12)
@@ -280,6 +419,7 @@ class TestLineIntegral:
     def test_half_inside_matches_direct_summation(self):
         params = MapSynthesisParams(sigma_field=3.0)
         f = synth_flow_field((10, 10), (20, 10), (60, 30), params)
+        vectors = f.dense()
         r_prev, r_curr = (15.0, 10.0), (25.0, 10.0)
         direction = np.array([1.0, 0.0])
         total = 0.0
@@ -287,7 +427,7 @@ class TestLineIntegral:
             p = (1 - u) * np.array(r_prev) + u * np.array(r_curr)
             x0 = int(np.floor(p[0]))
             fx = p[0] - x0
-            vec = f.vectors[10, x0] * (1 - fx) + f.vectors[10, min(x0 + 1, 59)] * fx
+            vec = vectors[10, x0] * (1 - fx) + vectors[10, min(x0 + 1, 59)] * fx
             total += vec @ direction
         assert line_integral(f, r_prev, r_curr, samples=10) == pytest.approx(total / 10)
 
@@ -335,7 +475,7 @@ def _single_peak_setup(dims=(64, 48)):
         cx = 4 + (idx * 2) % (dims[0] - 8)
         cy = 4 + (idx * 7) % (dims[1] - 8)
         m = synth_confidence_map((cx, cy), dims, PARAMS)
-        maps[rid] = ConfidenceMap(rid, m.values)
+        maps[rid] = ConfidenceMap(rid, m.dense())
         fields[rid] = zero_flow_field(dims, rid)
     return maps, fields
 
@@ -352,8 +492,8 @@ class TestGreedyInference:
     def test_flow_consistent_candidate_wins(self):
         dims = (128, 64)
         rid = ReflectorId(5)
-        strong = synth_confidence_map((90, 30), dims, PARAMS).values * 0.7
-        weak = synth_confidence_map((40, 30), dims, PARAMS).values * 0.55
+        strong = synth_confidence_map((90, 30), dims, PARAMS).dense() * 0.7
+        weak = synth_confidence_map((40, 30), dims, PARAMS).dense() * 0.55
         maps = {rid: ConfidenceMap(rid, np.maximum(strong, weak))}
         fields = {rid: synth_flow_field((30, 30), (40, 30), dims, PARAMS, rid)}
         prev = {rid: ReflectorEstimate2D(rid, (30.0, 30.0), 1.0, 0.0, 1.0, 0)}

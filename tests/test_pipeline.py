@@ -8,6 +8,7 @@ import pytest
 from mocap_geom import dataset as ds
 from mocap_geom.cli import main
 from mocap_geom.config import PipelineConfig, load_config, write_default_config
+from mocap_geom.errors import ValidationError
 from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
                                  cmd_synth, cmd_track, infer_dataset,
                                  run_in_process)
@@ -194,6 +195,44 @@ class TestConfig:
         with pytest.raises(Exception):
             load_config(tmp_path / "nope.ini")
 
+    def test_default_config_loads_as_the_defaults(self, tmp_path):
+        path = tmp_path / "config.ini"
+        write_default_config(path)
+        assert load_config(path) == PipelineConfig()
+        text = path.read_text()
+        for key in ("min_excitation", "rigid_pair_tol", "init_pos_var",
+                    "init_vel_var"):
+            assert f"\n{key} = " in text, key
+
+    def test_kalman_and_calibration_keys_are_read(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_text("[kalman]\ninit_pos_var = 0.002\ninit_vel_var = 3.5\n"
+                        "\n[calibration]\nmin_excitation = 0.05\n"
+                        "rigid_pair_tol = 0.01\n")
+        cfg = load_config(path)
+        assert (cfg.kalman.init_pos_var, cfg.kalman.init_vel_var) == (0.002, 3.5)
+        assert cfg.calibration.min_excitation == 0.05
+        assert cfg.calibration.rigid_pair_tol == 0.01
+        assert cfg.kalman.accel_noise == PipelineConfig().kalman.accel_noise
+
+    def test_unknown_or_bad_entries_name_file_section_and_key(self, tmp_path):
+        path = tmp_path / "config.ini"
+        for text, names in (
+                ("[maps]\nsigma_peek = 5\n", ("[maps]", "sigma_peek")),
+                ("[mapz]\nsigma_peak = 5\n", ("[mapz]",)),
+                ("[straps]\nradius_99 = 0.05\n", ("[straps]", "radius_99")),
+                ("[straps]\nlimb_11 = 0.05\n", ("[straps]", "limb_11")),
+                ("[DEFAULT]\nseed = 3\n", ("[DEFAULT]", "seed")),
+                ("[filter]\nb_min = five\n", ("[filter]", "b_min")),
+                ("[synth]\nwrite_maps = maybe\n", ("[synth]", "write_maps")),
+                ("[maps]\nnms_window = 4\n", ("[maps]", "nms_window")),
+                ("[maps]\nsigma_peak = 5\nsigma_peak = 6\n", ("sigma_peak",))):
+            path.write_text(text)
+            with pytest.raises(ValidationError) as exc:
+                load_config(path)
+            for name in (str(path),) + names:
+                assert name in str(exc.value), (text, str(exc.value))
+
 
 class TestCli:
     def test_full_chain_exit_codes(self, tmp_path):
@@ -234,6 +273,41 @@ class TestCli:
         victim.write_bytes(bytes(data))
         assert main(["infer", "--config", str(config), "--dataset",
                      str(dataset), "--out", str(out)]) == 3
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "tiny.ini"
+        config.write_text("[synth]\nduration = 3\nnoise_sigma = 0\n")
+        assert main(["synth", "--config", str(config), "--dataset",
+                     str(tmp_path / "dataset"), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "[synth]" in err and "noise_sigma" in err
+        assert not (tmp_path / "dataset").exists()
+
+    def test_eval_scores_only_the_listed_views(self, tmp_path):
+        dataset, config = tmp_path / "dataset", tmp_path / "tiny.ini"
+        config.write_text("[synth]\nduration = 4\nnoise_sigma_mm = 0\n")
+        run_all, run_02 = tmp_path / "all", tmp_path / "v02"
+
+        def cli(command, out, *extra):
+            assert main([command, "--config", str(config), "--dataset",
+                         str(dataset), "--out", str(out), *extra]) == 0
+            return (out / "eval.json").read_bytes() if command == "eval" else None
+
+        cli("synth", run_all)
+        cli("infer", run_all)
+        every_view = cli("eval", run_all)
+        assert cli("eval", run_all, "--views", "0,1,2") == every_view
+        scored_02 = cli("eval", run_all, "--views", "0,2")
+        cli("infer", run_02, "--views", "0,2")
+        # views 0 and 2 infer alike with or without view 1, so scoring
+        # only them gives the same report; scoring all counts view 1 as
+        # misses
+        assert cli("eval", run_02, "--views", "0,2") == scored_02
+        with_misses = json.loads(cli("eval", run_02))
+        assert with_misses["map_total"] < json.loads(scored_02)["map_total"]
+        for bad in ("3", "0,-1", "x"):  # outside the 3-view take, not a list
+            assert main(["eval", "--config", str(config), "--dataset",
+                         str(dataset), "--out", str(run_02), "--views", bad]) == 2
 
     def test_init_config(self, tmp_path):
         target = tmp_path / "cfg.ini"
