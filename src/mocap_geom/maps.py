@@ -9,11 +9,11 @@ consistency with a line integral over the field, and fuses both scores.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .core import ReflectorId
 from .errors import DegenerateMotionError, DimensionError, ValidationError
@@ -21,6 +21,10 @@ from .errors import DegenerateMotionError, DimensionError, ValidationError
 # exp(-d2 / sigma^2) < 2**-150, which rounds to 0 in float32, once
 # d > sigma * sqrt(150 ln 2).
 _PEAK_REACH = math.sqrt(150.0 * math.log(2.0))
+
+# Peak kernels kept, one per (sigma, sub-pixel offset): oracle centres are
+# integer pixels, so a run with one sigma_peak uses a single kernel.
+_PEAK_KERNELS = 4
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,12 @@ class MapSynthesisParams:
     samples: int = 10         # sample count for the line integral
 
     def __post_init__(self):
-        if self.sigma_peak <= 0 or self.sigma_field <= 0:
-            raise ValidationError("sigma_peak and sigma_field must be positive")
+        for key in ("sigma_peak", "sigma_field"):
+            value = getattr(self, key)
+            # written so that NaN, for which every comparison is False, fails
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{key} must be finite and positive, "
+                                      f"got {value}")
         if self.samples < 2:
             raise ValidationError("samples must be >= 2")
 
@@ -49,6 +57,9 @@ class InferenceParams:
     def __post_init__(self):
         if self.nms_window < 3 or self.nms_window % 2 == 0:
             raise ValidationError("nms_window must be odd and >= 3")
+        if not math.isfinite(self.min_peak_conf):
+            raise ValidationError("min_peak_conf must be finite, got "
+                                  f"{self.min_peak_conf}")
 
 
 def _frame_window(shape: tuple[int, ...], origin, size, what: str):
@@ -84,6 +95,8 @@ class ConfidenceMap:
     (row ``origin[0] + i``, col ``origin[1] + j``) of a ``size`` = (w, h)
     frame, and every frame pixel outside the window is 0.  A dense map is
     the window that covers the frame (origin (0, 0), the default size).
+    ``values`` may be a read-only view shared with other maps (a synthesized
+    map's window of its peak kernel); :meth:`dense` returns a new array.
     """
 
     reflector: ReflectorId
@@ -173,6 +186,22 @@ class ReflectorEstimate2D:
     frame: int
 
 
+@functools.lru_cache(maxsize=_PEAK_KERNELS)
+def _peak_kernel(sigma: float, fx: float, fy: float) -> np.ndarray:
+    """exp(-((k - fx)^2 + (j - fy)^2) / sigma^2), read-only.
+
+    Row j and column k run over the integer offsets -r..r, with
+    r = ceil(sigma * _PEAK_REACH) + 2, so element [r + j, r + k] is the
+    value at pixel (ix + k, iy + j) of a peak centred at (ix + fx, iy + fy).
+    """
+    r = math.ceil(sigma * _PEAK_REACH) + 2
+    ks = np.arange(-r, r + 1, dtype=np.float64)
+    d2 = (ks[None, :] - fx) ** 2 + (ks[:, None] - fy) ** 2
+    kernel = np.exp(-d2 / sigma ** 2)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
                          params: MapSynthesisParams,
                          reflector: ReflectorId | None = None) -> ConfidenceMap:
@@ -183,19 +212,24 @@ def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
     are 0 once stored as float32, are 0: the map stores only the box of
     half-width sigma * sqrt(150 ln 2) (about 10.2 sigma) around the center,
     clipped to the frame, and every value inside it is the full-frame value.
+
+    The box is a read-only window of the kernel of the center's sub-pixel
+    offset.  ``cx - floor(cx)`` is exact, so ``k - fx`` is the float nearest
+    to ``x - cx``, as in the full-frame expression, and so is every value.
     """
     w, h = dims
-    cx, cy = center
+    cx, cy = float(center[0]), float(center[1])
     if not (0 <= cx < w and 0 <= cy < h):
         raise ValidationError(f"center {center} outside {w}x{h} map")
     reach = params.sigma_peak * _PEAK_REACH
     x0, x1 = max(math.floor(cx - reach), 0), min(math.ceil(cx + reach) + 1, w)
     y0, y1 = max(math.floor(cy - reach), 0), min(math.ceil(cy + reach) + 1, h)
-    xs = np.arange(x0, x1, dtype=np.float64)
-    ys = np.arange(y0, y1, dtype=np.float64)
-    d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
+    ix, iy = math.floor(cx), math.floor(cy)
+    kernel = _peak_kernel(params.sigma_peak, cx - ix, cy - iy)
+    r = kernel.shape[0] // 2
     return ConfidenceMap(reflector or ReflectorId(1),
-                         np.exp(-d2 / params.sigma_peak ** 2), (y0, x0), (w, h))
+                         kernel[r + y0 - iy:r + y1 - iy, r + x0 - ix:r + x1 - ix],
+                         (y0, x0), (w, h))
 
 
 def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
@@ -266,39 +300,50 @@ def extract_peaks(conf_map: ConfidenceMap, nms_window: int = 5,
         # the 0s outside the window are strong too
         top, bottom, left, right = 0, h - 1, 0, w - 1
     else:
-        strong = vals >= min_conf
-        strong_rows = np.flatnonzero(strong.any(axis=1))
+        if vals.size == 0:
+            return []
+        strong_rows = np.flatnonzero(vals.max(axis=1) >= min_conf)
         if len(strong_rows) == 0:
             return []
-        strong_cols = np.flatnonzero(strong.any(axis=0))
-        top, bottom = wr + int(strong_rows[0]), wr + int(strong_rows[-1])
+        first, last = int(strong_rows[0]), int(strong_rows[-1])
+        strong_cols = np.flatnonzero(vals[first:last + 1].max(axis=0) >= min_conf)
+        top, bottom = wr + first, wr + last
         left, right = wc + int(strong_cols[0]), wc + int(strong_cols[-1])
     # Only pixels >= min_conf can be peaks, and a peak's window reaches
-    # nms_window // 2 past it, so the filter runs on the bounding box of
+    # nms_window // 2 past it, so the search runs on the bounding box of
     # those pixels grown by that much and clipped to the frame: every value
     # a candidate's window reads is inside the crop, which holds the stored
-    # values inside the window and 0 outside it.
+    # values inside the window and 0 outside it.  The crop sits in a
+    # -inf border of that width, which stands for the pixels off the frame.
     half = nms_window // 2
     r0, r1 = max(top - half, 0), min(bottom + half + 1, h)
     c0, c1 = max(left - half, 0), min(right + half + 1, w)
-    crop = np.zeros((r1 - r0, c1 - c0))
+    rows, cols = r1 - r0, c1 - c0
+    padded = np.full((rows + 2 * half, cols + 2 * half), -np.inf)
+    crop = padded[half:half + rows, half:half + cols]
+    crop[...] = 0.0
     i0, i1 = max(r0, wr), min(r1, wr + vals.shape[0])
     j0, j1 = max(c0, wc), min(c1, wc + vals.shape[1])
     if i0 < i1 and j0 < j1:
         crop[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = \
             vals[i0 - wr:i1 - wr, j0 - wc:j1 - wc]
-    footprint = np.ones((nms_window, nms_window), dtype=bool)
-    footprint[half, half] = False
-    neighborhood_max = maximum_filter(crop, footprint=footprint,
-                                      mode="constant", cval=-np.inf)
-    is_peak = (crop > neighborhood_max) & (crop >= min_conf)
-    rows, cols = np.nonzero(is_peak)
-    scores = crop[rows, cols]
-    rows += r0
-    cols += c0
-    order = sorted(range(len(rows)),
-                   key=lambda i: (-scores[i], rows[i], cols[i]))
-    return [((int(cols[i]), int(rows[i])), float(scores[i])) for i in order]
+    # the window maximum, centre included: along rows, then along columns
+    row_max = np.maximum(padded[:, :cols], padded[:, 1:cols + 1])
+    for k in range(2, nms_window):
+        np.maximum(row_max, padded[:, k:k + cols], out=row_max)
+    window_max = np.maximum(row_max[:rows], row_max[1:rows + 1])
+    for k in range(2, nms_window):
+        np.maximum(window_max, row_max[k:k + rows], out=window_max)
+    peaks = []
+    for i, j in zip(*np.nonzero((crop == window_max) & (crop >= min_conf))):
+        score = crop[i, j]
+        # the window of crop pixel (i, j) is padded[i:i + n, j:j + n]; a
+        # maximum that another pixel there ties is not strict
+        if np.count_nonzero(padded[i:i + nms_window, j:j + nms_window]
+                            == score) == 1:
+            peaks.append((-score, r0 + int(i), c0 + int(j)))
+    peaks.sort()
+    return [((col, row), float(-neg)) for neg, row, col in peaks]
 
 
 _ZERO_VECTOR = np.zeros(2)

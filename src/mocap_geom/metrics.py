@@ -109,10 +109,36 @@ def mean_average_precision(ap: dict[int, float],
 
 def map_sweep(detections: list[Detection2D], alpha: float,
               thresholds: list[float]) -> list[tuple[float, float]]:
-    """(c_min, mAP) curve over a threshold grid."""
+    """(c_min, mAP) curve over a threshold grid.
+
+    Equal to :func:`average_precision` at each threshold, in one pass: a
+    threshold never changes which predictions are correct, so each one that
+    passes the lowest threshold is tested once, and each threshold counts
+    the correct ones whose confidence it passes.
+    """
+    if len(thresholds) == 0:
+        return []
+    grid = np.asarray(thresholds, dtype=np.float64)
+    lowest = grid.min()  # NaN if the grid holds one; nothing is <= NaN
+    total: dict[int, int] = {}
+    hits: dict[int, list[float]] = {}  # confidences of correct predictions
+    for det in detections:
+        if det.gt is None:
+            continue
+        total[det.reflector] = total.get(det.reflector, 0) + 1
+        if det.pred is None or det.confidence <= lowest:
+            continue
+        params = Pck2dParams(alpha, det.bbox[0], det.bbox[1])
+        if pck2d_correct(det.pred, det.gt, params):
+            hits.setdefault(det.reflector, []).append(det.confidence)
+    # counted[r][k]: correct predictions of r that thresholds[k] does not
+    # skip (skipped: confidence <= c_min, as in average_precision)
+    counted = {r: np.count_nonzero(
+        ~(np.array(hits.get(r, []), dtype=np.float64)[:, None] <= grid),
+        axis=0) for r in sorted(total)}
     out = []
-    for c_min in thresholds:
-        ap = average_precision(detections, alpha, c_min)
+    for k, c_min in enumerate(thresholds):
+        ap = {r: int(n[k]) / total[r] for r, n in counted.items()}
         out.append((float(c_min), mean_average_precision(ap)))
     return out
 

@@ -392,9 +392,11 @@ def test_criterion_6_latency_and_scaling(e2e, tmp_path):
     # exactly N view-passes and content imbalance between views cancels.
     # The shared machine's speed drifts over the tens of seconds the loop
     # takes, so the N values are interleaved rather than run one after
-    # another: in each of the two rounds, every rotation times N = 1..4 back
+    # another: in each of the three rounds, every rotation times N = 1..4 back
     # to back, in ascending and descending order alternately.  A drift then
-    # lands on all N alike instead of reading as non-linearity.
+    # lands on all N alike instead of reading as non-linearity.  The loop is
+    # timed in CPU time, which a stall of the process (descheduled while
+    # other work runs) does not add to, and each time is the best of three.
     cfg4 = PipelineConfig()
     cfg4.synth.duration = 15
     cfg4.synth.num_views = 4
@@ -404,17 +406,17 @@ def test_criterion_6_latency_and_scaling(e2e, tmp_path):
     infer_dataset(reader4, cfg4, view_subset=[0])  # warm caches
     best = np.full((4, 4), np.inf)  # [N - 1, rotation]
     block = 0
-    for _ in range(2):  # best-of-2 damps scheduler noise
+    for _ in range(3):  # best-of-3 damps scheduler noise
         for rot in range(4):
             order = (1, 2, 3, 4) if block % 2 == 0 else (4, 3, 2, 1)
             block += 1
             for n in order:
                 subset = [(rot + k) % 4 for k in range(n)]
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 est_n = infer_dataset(reader4, cfg4, view_subset=subset)
                 fuse_estimates(reader4, est_n, cfg4)
                 best[n - 1, rot] = min(best[n - 1, rot],
-                                       time.perf_counter() - t0)
+                                       time.process_time() - t0)
     times = best.sum(axis=1).tolist()
     ns = np.array([1.0, 2.0, 3.0, 4.0])
     ts = np.array(times)

@@ -1,5 +1,7 @@
 """Unit tests for confidence maps, flow fields and greedy inference."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
@@ -86,6 +88,48 @@ class TestConfidenceMapSynthesis:
         # edge and maps whose far tail is cut
         assert cut_maps >= 100 and clipped_maps >= 100
 
+    @staticmethod
+    def _direct(center, dims, sigma):
+        # the box of the docstring, with exp evaluated on it directly
+        (w, h), (cx, cy) = dims, center
+        reach = sigma * np.sqrt(150.0 * np.log(2.0))
+        x0, x1 = max(int(np.floor(cx - reach)), 0), min(int(np.ceil(cx + reach)) + 1, w)
+        y0, y1 = max(int(np.floor(cy - reach)), 0), min(int(np.ceil(cy + reach)) + 1, h)
+        xs = np.arange(x0, x1, dtype=np.float64)
+        ys = np.arange(y0, y1, dtype=np.float64)
+        d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
+        return np.exp(-d2 / sigma ** 2), (y0, x0)
+
+    def test_kernel_slices_equal_direct_evaluation(self):
+        for sigma in (0.5, 7.0, 20.0):
+            params = MapSynthesisParams(sigma_peak=sigma)
+            reach = int(np.ceil(sigma * 10.2)) + 3
+            for w, h in ((2 * reach + 9, 2 * reach + 5), (37, 23)):
+                for fx, fy in itertools.product((0.0, 0.25, 0.5, 0.999),
+                                                repeat=2):
+                    # interior, each border, and two corners
+                    for ix, iy in ((w // 2, h // 2), (0, h // 2),
+                                   (w - 1, h // 2), (w // 2, 0),
+                                   (w // 2, h - 1), (0, 0), (w - 1, h - 1)):
+                        center = (ix + fx, iy + fy)
+                        m = synth_confidence_map(center, (w, h), params)
+                        ref, origin = self._direct(center, (w, h), sigma)
+                        assert m.origin == origin, (sigma, center)
+                        assert m.values.shape == ref.shape, (sigma, center)
+                        assert m.values.tobytes() == ref.tobytes(), (sigma, center)
+
+    def test_values_are_a_read_only_view(self):
+        m = synth_confidence_map((20, 15), (64, 48), PARAMS)
+        with pytest.raises(ValueError):
+            m.values[15 - m.origin[0], 20 - m.origin[1]] = 0.5
+        dense = m.dense()
+        dense[15, 20] = 0.5  # a new, writable array
+        assert not np.shares_memory(dense, m.values)
+        assert m.dense()[15, 20] == 1.0
+        # maps with the same sigma and sub-pixel offset share one kernel
+        other = synth_confidence_map((30, 25), (64, 48), PARAMS)
+        assert np.shares_memory(other.values, m.values)
+
 
 class TestFlowFieldSynthesis:
     def test_axis_aligned_band(self):
@@ -168,6 +212,20 @@ class TestFlowFieldSynthesis:
         assert off_image >= 200
 
 
+class TestParams:
+    def test_non_finite_values_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+            for key in ("sigma_peak", "sigma_field"):
+                with pytest.raises(ValidationError, match=key):
+                    MapSynthesisParams(**{key: bad})
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="min_peak_conf"):
+                InferenceParams(min_peak_conf=bad)
+        # finite values stay legal, a non-positive threshold included
+        assert InferenceParams(min_peak_conf=-0.5).min_peak_conf == -0.5
+        assert MapSynthesisParams(sigma_peak=0.01).sigma_peak == 0.01
+
+
 class TestConfidenceMapValidation:
     def test_nan_pixel_rejected(self):
         vals = np.zeros((8, 8))
@@ -209,6 +267,39 @@ class TestExtractPeaks:
                 if vals[y, x] >= 0.1 and (window < vals[y, x]).sum() == window.size - 1:
                     brute.append((x, y))
         assert sorted(p[0] for p in peaks) == sorted(brute)
+
+    def test_equal_maxima_in_one_window_are_no_peak(self):
+        for dr, dc in ((0, 2), (2, 0), (2, 2), (-2, 2), (0, -2)):
+            vals = np.zeros((9, 11))
+            vals[4, 5] = vals[4 + dr, 5 + dc] = 0.8
+            m = ConfidenceMap(ReflectorId(1), vals, (3, 6), (30, 20))
+            assert extract_peaks(m, 5, 0.1) == [], (dr, dc)
+            # one pixel farther apart, each is alone in its window
+            far = np.zeros((9, 11))
+            far[4, 5] = far[4 + dr + np.sign(dr), 5 + dc + np.sign(dc)] = 0.8
+            m = ConfidenceMap(ReflectorId(1), far, (3, 6), (30, 20))
+            got = extract_peaks(m, 5, 0.1)
+            expected = sorted([(11, 7), (11 + dc + np.sign(dc), 7 + dr + np.sign(dr))],
+                              key=lambda p: (p[1], p[0]))
+            assert got == [(p, 0.8) for p in expected], (dr, dc)
+
+    def test_peak_on_the_frame_border(self):
+        w, h = 16, 12
+        for x, y in ((0, 5), (w - 1, 5), (7, 0), (7, h - 1), (0, 0),
+                     (w - 1, h - 1)):
+            m = synth_confidence_map((x, y), (w, h),
+                                     MapSynthesisParams(sigma_peak=2.0))
+            assert extract_peaks(m, 5, 0.1) == [((x, y), 1.0)]
+            # a tie one pixel inside the frame suppresses it
+            vals = m.dense()
+            vals[y + (1 if y == 0 else -1), x] = 1.0
+            got = extract_peaks(ConfidenceMap(ReflectorId(1), vals), 5, 0.1)
+            assert got == [] == self._full_frame_peaks(vals, 5, 0.1)
+        # a window that ends at the frame edge, with its peak on that edge
+        vals = np.zeros((3, 4))
+        vals[1, 3] = 0.7
+        m = ConfidenceMap(ReflectorId(1), vals, (4, 12), (w, h))
+        assert extract_peaks(m, 3, 0.1) == [((15, 5), 0.7)]
 
     def test_uniform_zero_map_has_no_peaks(self):
         m = ConfidenceMap(ReflectorId(1), np.zeros((32, 32)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mocap_geom.errors import ValidationError
 from mocap_geom.metrics import (Detection2D, Pck2dParams,
                                 average_precision, evaluate_motion, map_sweep,
                                 mae_rmse, mean_average_precision, pck2d_correct,
@@ -97,6 +98,44 @@ class TestAveragePrecision:
         curve = map_sweep(dets, 0.05, [0.1, 0.4, 0.7])
         assert [c for c, _ in curve] == [0.1, 0.4, 0.7]
         assert curve[0][1] == 1.0 and curve[2][1] == 0.0
+
+    def test_sweep_equals_average_precision_per_threshold(self):
+        rng = np.random.default_rng(19)
+        for trial in range(300):
+            dets = []
+            for _ in range(int(rng.integers(0, 40))):
+                gt = None if rng.random() < 0.2 else tuple(rng.uniform(0, 100, 2))
+                pred = None if rng.random() < 0.2 else tuple(
+                    (gt if gt is not None else (50.0, 50.0))
+                    + rng.normal(0, 6, 2))
+                # quantized confidences land on the thresholds themselves
+                conf = float(np.round(rng.random(), 1)) if rng.random() < 0.5 \
+                    else float(rng.random())
+                dets.append(Detection2D(int(rng.integers(1, 6)), 0, 0, gt, pred,
+                                        conf, tuple(rng.uniform(50, 150, 2))))
+            # unsorted grids with duplicates, and the empty grid
+            grid = [float(x) for x in np.round(
+                rng.uniform(-0.1, 1.0, int(rng.integers(0, 8))), 1)]
+            if any(d.gt is not None for d in dets) or not grid:
+                expected = [(c, mean_average_precision(
+                    average_precision(dets, 0.05, c))) for c in grid]
+                assert map_sweep(dets, 0.05, grid) == expected
+            else:  # nothing to average, at every threshold
+                with pytest.raises(ValidationError):
+                    map_sweep(dets, 0.05, grid)
+        assert map_sweep([], 0.05, []) == []
+
+    def test_sweep_raises_what_average_precision_raises(self):
+        dets = _dets([(1, 0, (50, 50), (50, 50), 0.5)])
+        bad_box = [Detection2D(1, 0, 0, (5, 5), (5, 5), 0.5, (0.0, 10.0))]
+        for args in ((dets, 0.0, [0.1]), (bad_box, 0.05, [0.7, 0.2])):
+            with pytest.raises(ValidationError) as want:
+                average_precision(args[0], args[1], min(args[2]))
+            with pytest.raises(ValidationError) as got:
+                map_sweep(*args)
+            assert str(got.value) == str(want.value)
+        # a prediction no threshold counts is never tested
+        assert map_sweep(bad_box, 0.05, [0.5, 0.9]) == [(0.5, 0.0), (0.9, 0.0)]
 
     def test_end_reflector_exclusion(self):
         ap = {r: 1.0 for r in range(1, 27)}

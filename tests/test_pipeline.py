@@ -283,6 +283,20 @@ class TestCli:
         assert str(config) in err and "[synth]" in err and "noise_sigma" in err
         assert not (tmp_path / "dataset").exists()
 
+    def test_non_finite_maps_value_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "tiny.ini"
+        for key, value in (("sigma_peak", "nan"), ("sigma_peak", "inf"),
+                           ("sigma_field", "nan"), ("sigma_field", "-inf"),
+                           ("min_peak_conf", "nan"), ("min_peak_conf", "inf")):
+            config.write_text(f"[synth]\nduration = 3\n\n[maps]\n{key} = {value}\n")
+            for command in ("synth", "infer"):
+                assert main([command, "--config", str(config), "--dataset",
+                             str(tmp_path / "dataset"),
+                             "--out", str(tmp_path / "o")]) == 2
+                err = capsys.readouterr().err
+                assert str(config) in err and f"[maps] {key}" in err, err
+        assert not (tmp_path / "dataset").exists()
+
     def test_eval_scores_only_the_listed_views(self, tmp_path):
         dataset, config = tmp_path / "dataset", tmp_path / "tiny.ini"
         config.write_text("[synth]\nduration = 4\nnoise_sigma_mm = 0\n")
