@@ -2,7 +2,7 @@
 
 from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
                    MultiViewRig, ReflectorId, ReflectorKind, backproject,
-                   ir_threshold, project, to_camera, to_global)
+                   project, to_camera, to_global)
 from .maps import (Annotation2D, ConfidenceMap, FlowField, InferenceParams,
                    MapSynthesisParams, ReflectorEstimate2D, extract_peaks,
                    fuse_confidence, greedy_inference, line_integral,
@@ -10,8 +10,8 @@ from .maps import (Annotation2D, ConfidenceMap, FlowField, InferenceParams,
                    synth_flow_field)
 from .filtering import FilterParams, apply_filters
 from .spatial import (OpticalFrame, OpticalPoint, Region, ViewObservation,
-                      find_regions, fuse_patch, fuse_strap,
-                      fuse_strap_single_view, observe, region_depth,
+                      find_regions_labeled, fuse_patch, fuse_strap,
+                      fuse_strap_single_view, observe_batch,
                       split_merged_region)
 from .kalman import KalmanParams, ReflectorTracker, kalman_step
 from .skeleton import (CalibrationConfig, Pose, SkeletonTemplate,

@@ -1,8 +1,8 @@
 """Pipeline configuration: one INI file with explicit defaults throughout.
 
 Every constant the underlying method leaves open (peak spread, field width,
-region size floor, confidence thresholds, filter noises, particle counts) is
-a named key here so runs are reproducible from the config file alone.
+region size floor, confidence thresholds, filter noises, calibration window)
+is a named key here so runs are reproducible from the config file alone.
 """
 
 from __future__ import annotations
@@ -71,10 +71,8 @@ _KEYS = (
     ("kalman", "meas_noise", "kalman", "meas_noise"),
     ("kalman", "init_pos_var", "kalman", "init_pos_var"),
     ("kalman", "init_vel_var", "kalman", "init_vel_var"),
-    ("calibration", "particle_count", "calibration", "particle_count"),
     ("calibration", "frame_window", "calibration", "frame_window"),
     ("calibration", "conf_min", "calibration", "conf_min"),
-    ("calibration", "gen_radius", "calibration", "gen_radius"),
     ("calibration", "rest_frames", "calibration", "rest_frames"),
     ("calibration", "min_excitation", "calibration", "min_excitation"),
     ("calibration", "rigid_pair_tol", "calibration", "rigid_pair_tol"),

@@ -1,4 +1,4 @@
-"""Camera geometry, frame containers, reflector taxonomy and IR thresholding.
+"""Camera geometry, frame containers and the reflector taxonomy.
 
 Conventions used everywhere downstream:
 
@@ -195,20 +195,6 @@ class IrMask:
     @property
     def width(self) -> int:
         return self.bits.shape[1]
-
-
-def ir_threshold(ir_image: np.ndarray, threshold: int) -> IrMask:
-    """Binary hard-thresholding of an IR intensity image.
-
-    A bit is set exactly where the intensity is >= threshold (inclusive
-    boundary, so behavior at the threshold value is deterministic).
-    """
-    img = np.asarray(ir_image)
-    if img.ndim != 2 or img.size == 0:
-        raise DimensionError("IR image must be a non-empty 2D image")
-    if threshold <= 0:
-        raise ValidationError("threshold must be positive")
-    return IrMask(img >= threshold)
 
 
 def backproject(pixel: tuple[float, float], depth_mm: float,

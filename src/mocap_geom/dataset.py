@@ -224,14 +224,18 @@ def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstim
 
 
 def write_optical(path: str | Path, frames: list[OpticalFrame]) -> None:
+    """One line per frame; ``"degraded": true`` appears only on degraded points."""
     lines = []
     for frame in frames:
-        doc = {"frame": frame.frame, "points": [
-            {"reflector": idx,
-             "xyz_m": [p.position[0], p.position[1], p.position[2]],
-             "confidence": p.confidence}
-            for idx, p in sorted(frame.points.items())]}
-        lines.append(_dump(doc))
+        points = []
+        for idx, p in sorted(frame.points.items()):
+            point = {"reflector": idx,
+                     "xyz_m": [p.position[0], p.position[1], p.position[2]],
+                     "confidence": p.confidence}
+            if p.degraded:
+                point["degraded"] = True
+            points.append(point)
+        lines.append(_dump({"frame": frame.frame, "points": points}))
     Path(path).write_text("\n".join(lines) + "\n" if lines else "")
 
 
@@ -245,7 +249,8 @@ def read_optical(path: str | Path) -> list[OpticalFrame]:
         for p in doc["points"]:
             frame.add(OpticalPoint(ReflectorId(int(p["reflector"])),
                                    np.array(p["xyz_m"], dtype=np.float64),
-                                   float(p["confidence"]), frame.frame))
+                                   float(p["confidence"]), frame.frame,
+                                   degraded=p.get("degraded") is True))
         out.append(frame)
     return out
 

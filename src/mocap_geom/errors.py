@@ -13,10 +13,6 @@ class InvalidDepthError(ValidationError):
     """A depth value required to be positive was zero or negative."""
 
 
-class NoDepthError(ValueError):
-    """No usable (nonzero) depth measurement was available."""
-
-
 class DegenerateMotionError(ValueError):
     """Two positions expected to differ coincide (stationary reflector)."""
 

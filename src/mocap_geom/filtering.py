@@ -56,12 +56,6 @@ def _on_large_component(est: ReflectorEstimate2D, labels: np.ndarray,
     return int(sizes[component]) >= b_min
 
 
-def validate_region(est: ReflectorEstimate2D, mask: IrMask, b_min: int) -> bool:
-    """Accept iff the estimate sits on a mask component of >= b_min pixels."""
-    labels, sizes = _component_sizes(mask)
-    return _on_large_component(est, labels, sizes, b_min)
-
-
 def _rank_key(est: ReflectorEstimate2D):
     # Descending confidence, then deterministic spatial/identity order.
     return (-est.e_total, est.position[1], est.position[0], est.reflector.index)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ class KalmanParams:
     meas_noise: float = 0.005
     init_pos_var: float = 1e-4
     init_vel_var: float = 1.0
+
+    def __post_init__(self):
+        for name in ("accel_noise", "meas_noise", "init_pos_var", "init_vel_var"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -108,12 +115,31 @@ def kalman_step(state: TrackState | None, measurement: OpticalPoint | None,
     return new_state, smoothed
 
 
+def _not_spd(p: np.ndarray) -> np.ndarray:
+    """Mask of the covariances in the stack ``p`` that are not SPD.
+
+    One stacked ``cholesky`` checks them all; only when it fails is each
+    covariance tested on its own.
+    """
+    try:
+        np.linalg.cholesky(p)
+        return np.zeros(len(p), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    lost = np.zeros(len(p), dtype=bool)
+    for j, cov in enumerate(p):
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            lost[j] = True
+    return lost
+
+
 class ReflectorTracker:
     """Owns one Kalman track per reflector across an optical-frame stream.
 
     The per-frame update is evaluated for all tracks at once with batched
-    matrix ops; per-track scalar :func:`kalman_step` is the fallback when a
-    batch member loses positive definiteness.
+    matrix ops; per track it equals :func:`kalman_step`.
     """
 
     def __init__(self, dt: float, params: KalmanParams = KalmanParams()):
@@ -124,35 +150,12 @@ class ReflectorTracker:
         self.states: dict[int, TrackState] = {}
 
     def step(self, frame: OpticalFrame) -> OpticalFrame:
-        """Smooth one frame; tracks without a measurement coast silently."""
-        snapshot = dict(self.states)
-        try:
-            return self._step_batched(frame)
-        except (NumericalError, np.linalg.LinAlgError):
-            self.states = snapshot
-            return self._step_scalar(frame)
+        """Smooth one frame; tracks without a measurement coast silently.
 
-    def _step_scalar(self, frame: OpticalFrame) -> OpticalFrame:
-        out = OpticalFrame(frame=frame.frame)
-        seen = set()
-        for idx in sorted(frame.points):
-            point = frame.points[idx]
-            seen.add(idx)
-            try:
-                state, smoothed = kalman_step(self.states.get(idx), point,
-                                              self.dt, self.params)
-            except NumericalError:
-                state, smoothed = kalman_step(None, point, self.dt, self.params)
-            self.states[idx] = state
-            if smoothed is not None:
-                out.add(smoothed)
-        for idx in list(self.states):
-            if idx not in seen:
-                state, _ = kalman_step(self.states[idx], None, self.dt, self.params)
-                self.states[idx] = state
-        return out
-
-    def _step_batched(self, frame: OpticalFrame) -> OpticalFrame:
+        A new track starts at its measurement.  A track whose covariance
+        leaves the SPD regime restarts at its measurement, or is dropped if
+        it has none this frame; the other tracks are unaffected.
+        """
         out = OpticalFrame(frame=frame.frame)
         F, Q, H, R = _matrices(self.dt, self.params)
         points = frame.points
@@ -161,37 +164,47 @@ class ReflectorTracker:
         coast_ids = [i for i in sorted(self.states) if i not in points]
         for idx in measured:
             if idx not in self.states:
-                state, smoothed = kalman_step(None, points[idx],
-                                              self.dt, self.params)
-                self.states[idx] = state
-                out.add(smoothed)
+                self.states[idx] = init_state(points[idx].position, self.params)
+                out.add(points[idx])
 
         batch = update_ids + coast_ids
-        if batch:
-            states = [self.states[i] for i in batch]
-            x = np.empty((len(batch), 6))
-            x[:, :3] = [s.position for s in states]
-            x[:, 3:] = [s.velocity for s in states]
-            p = np.array([s.covariance for s in states])
-            x = x @ F.T
-            p = F @ p @ F.T + Q
-            p = 0.5 * (p + np.transpose(p, (0, 2, 1)))
-            np.linalg.cholesky(p)  # SPD check for every track at once
-            n_up = len(update_ids)
-            if n_up:
-                z = np.array([points[i].position for i in update_ids])
-                innovation = z - x[:n_up, :3]
-                s = p[:n_up, :3, :3] + R
-                k = p[:n_up, :, :3] @ np.linalg.inv(s)
-                x[:n_up] += (k @ innovation[:, :, None])[:, :, 0]
-                p[:n_up] = (np.eye(6) - k @ H) @ p[:n_up]
-                p[:n_up] = 0.5 * (p[:n_up] + np.transpose(p[:n_up], (0, 2, 1)))
-                np.linalg.cholesky(p[:n_up])
-            # Rows of this step's fresh arrays; nothing updates them in place.
-            for j, idx in enumerate(batch):
+        if not batch:
+            return out
+        states = [self.states[i] for i in batch]
+        x = np.empty((len(batch), 6))
+        x[:, :3] = [s.position for s in states]
+        x[:, 3:] = [s.velocity for s in states]
+        p = np.array([s.covariance for s in states])
+        x = x @ F.T
+        p = F @ p @ F.T + Q
+        p = 0.5 * (p + np.transpose(p, (0, 2, 1)))
+        lost = _not_spd(p)
+        # A lost track restarts or is dropped below; an identity covariance
+        # keeps its row of the update finite (no singular innovation).
+        p[lost] = np.eye(6)
+        n_up = len(update_ids)
+        if n_up:
+            z = np.array([points[i].position for i in update_ids])
+            innovation = z - x[:n_up, :3]
+            s = p[:n_up, :3, :3] + R
+            k = p[:n_up, :, :3] @ np.linalg.inv(s)
+            x[:n_up] += (k @ innovation[:, :, None])[:, :, 0]
+            p[:n_up] = (np.eye(6) - k @ H) @ p[:n_up]
+            p[:n_up] = 0.5 * (p[:n_up] + np.transpose(p[:n_up], (0, 2, 1)))
+            lost[:n_up] |= _not_spd(p[:n_up])
+        # Rows of this step's fresh arrays; nothing updates them in place.
+        for j, idx in enumerate(batch):
+            if not lost[j]:
                 self.states[idx] = TrackState(x[j, :3], x[j, 3:], p[j])
-            for j, idx in enumerate(update_ids):
-                point = points[idx]
+            elif j < n_up:
+                self.states[idx] = init_state(points[idx].position, self.params)
+            else:
+                del self.states[idx]
+        for j, idx in enumerate(update_ids):
+            point = points[idx]
+            if lost[j]:
+                out.add(point)
+            else:
                 out.add(OpticalPoint(point.reflector, x[j, :3].copy(),
                                      point.confidence, point.frame,
                                      degraded=point.degraded))

@@ -292,7 +292,7 @@ def cmd_calibrate(optical_path: str | Path, out_template: str | Path,
                   ) -> tuple[Path, dict[str, BoneCalibration]]:
     frames = ds.read_optical(optical_path)
     template, report = calibrate_template(SkeletonTemplate.default(), frames,
-                                          config.calibration, seed=config.seed)
+                                          config.calibration)
     out = Path(out_template)
     out.parent.mkdir(parents=True, exist_ok=True)
     template.save(out)
@@ -443,5 +443,5 @@ def run_in_process(dataset_dir: str | Path, config: PipelineConfig,
     estimates = infer_dataset(reader, config, view_subset)
     optical = fuse_estimates(reader, estimates, config)
     template, _ = calibrate_template(SkeletonTemplate.default(), optical,
-                                     config.calibration, seed=config.seed)
+                                     config.calibration)
     return track(template, optical)

@@ -5,10 +5,11 @@ reduces each frame's optical points to per-joint targets (confidence-weighted
 centroids of the joint's reflector subset), places the root at the hips
 target, and solves each joint's rotation within its DoF budget so the
 template bone directions align with the parent-target -> child-target
-directions.  Calibration scales the template from the first batch, refines
-bone lengths with a particle rigidity search over a frame window, and records
-the rest geometry (reference target directions, root reflector cloud) that
-absorbs constant marker-to-joint offsets.
+directions.  Calibration scales the template from the first batch, sets each
+bone whose targets stay a rigid distance apart through the frame window's
+motion to the median of that distance, and records the rest geometry
+(reference target directions, root reflector cloud) that absorbs constant
+marker-to-joint offsets.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ _HINGE_AXES = {
     "left_knee": (1.0, 0.0, 0.0),
     "right_knee": (1.0, 0.0, 0.0),
 }
-
-
-def total_dofs() -> int:
-    return sum(j.dofs for j in JOINTS)
 
 
 @dataclass
@@ -345,23 +342,23 @@ def frame_targets(frame: OpticalFrame, conf_min: float = -1.0
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    particle_count: int = 500     # G
     frame_window: int = 90        # F
     conf_min: float = 0.6         # per-point confidence gate
-    gen_radius: float = 0.1      # particle generation ball radius, m
     rest_frames: int = 30         # batch used for scale and rest geometry
     min_excitation: float = 0.02  # required relative target motion, m
-    rigidity_spread: float = 2e-3  # rigidity-objective spread below which the
-                                   # window carries no particle signal, m
     rigid_pair_tol: float = 5e-3   # pair-distance std for the rigid path, m
 
     def __post_init__(self):
-        if self.particle_count < 1:
-            raise ValidationError("particle_count must be >= 1")
         if self.frame_window < 2:
             raise ValidationError("frame_window must be >= 2")
         if not (0.0 <= self.conf_min <= 1.0):
             raise ValidationError("conf_min must be in [0, 1]")
+        if self.rest_frames < 1:
+            raise ValidationError("rest_frames must be >= 1")
+        for name in ("min_excitation", "rigid_pair_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +399,17 @@ class BoneCalibration:
 
 def calibrate_bone(parent_targets: list[tuple[np.ndarray, float] | None],
                    child_targets: list[tuple[np.ndarray, float] | None],
-                   template_length: float,
-                   cfg: CalibrationConfig,
-                   rng: np.random.Generator) -> BoneCalibration:
+                   cfg: CalibrationConfig) -> BoneCalibration:
     """Bone length between a level pair from a window of joint targets.
 
-    G candidate particles are generated in a ball around the template's
-    child-joint placement (parent target plus template bone aimed at the
-    child target) and rigidly follow the pair's frame across the window.
-    The rigidity objective per particle is the mean absolute deviation of
-    the summed distances to both targets from the initial sum; the surviving
-    particle's parent distance is the bone length.  Windows with no angular
-    excitation leave the objective flat for every particle and are flagged
-    unconverged; a flat objective over a rigidly co-moving pair means the
-    pair distance itself is the length (targets mark the joints), which is
-    then read off directly.
+    The length is the median parent-to-child target distance over the
+    window's qualifying frames.  It is accepted (converged) only when the
+    targets move relative to each other by at least ``min_excitation`` and
+    their distance stays within ``rigid_pair_tol`` (standard deviation)
+    through that motion: such a pair rides both joints rigidly, so its
+    distance is the bone length.  A static window, or a pair whose distance
+    wanders because the targets do not ride the joints rigidly, is flagged
+    unconverged and the prior length stands.
 
     Raises CalibrationDeferred when fewer than 80% of the window's frames
     carry both targets above the confidence gate.
@@ -435,66 +428,18 @@ def calibrate_bone(parent_targets: list[tuple[np.ndarray, float] | None],
     if len(parents) < 0.8 * window:
         raise CalibrationDeferred(
             f"{len(parents)}/{window} qualifying frames (need >= 80%)")
-    parents = np.array(parents)
-    children = np.array(children)
-
-    disp = children - parents
+    disp = np.array(children) - np.array(parents)
     norms = np.linalg.norm(disp, axis=1)
     if norms[0] < 1e-9:
         raise ValidationError("coincident parent/child targets at window start")
     rel_motion = float(np.max(np.linalg.norm(disp - disp[0], axis=1)))
     rho_med = float(np.median(norms))
-
-    # Particle cloud around the aligned template child placement.
-    anchor0 = parents[0]
-    dir0 = disp[0] / norms[0]
-    seed_pos = anchor0 + template_length * dir0
-    offsets = _uniform_ball(cfg.particle_count, cfg.gen_radius, rng)
-    particles0 = seed_pos + offsets  # frame-0 global positions
-
     if rel_motion < cfg.min_excitation:
         return BoneCalibration(rho_med, False, "static window: no angular excitation")
-
-    # Pair frame per qualifying frame: anchored at the parent target,
-    # rotated by the minimal rotation of the pair direction.
-    local = particles0 - anchor0
-    d0_parent = np.linalg.norm(local, axis=1)
-    d0_child = np.linalg.norm(particles0 - children[0], axis=1)
-    d0_sum = d0_parent + d0_child
-
-    deviation = np.zeros(cfg.particle_count)
-    for f in range(len(parents)):
-        rot = minimal_rotation(dir0, disp[f] / norms[f])
-        pos_f = parents[f] + local @ rot.T
-        sum_f = (np.linalg.norm(pos_f - parents[f], axis=1)
-                 + np.linalg.norm(pos_f - children[f], axis=1))
-        deviation += np.abs(d0_sum - sum_f)
-    deviation /= len(parents)
-
-    if cfg.particle_count == 1:
-        return BoneCalibration(float(d0_parent[0]), True, "single particle")
-
-    # A pair whose mutual distance stays stable through angular motion marks
-    # both joints directly: the zero-deviation particle sits at the child
-    # joint with exactly the pair distance as its parent distance, so read
-    # that off rather than trusting noise-level differences between
-    # particles.  An unstable pair distance means the targets do not ride
-    # the joints rigidly; no particle is then length-identifying (the
-    # deviation ranking degenerates toward the ball edge), so the window is
-    # flagged unconverged and the prior length stands.
-    spread = float(deviation.max() - deviation.min())
-    if float(np.std(norms)) < cfg.rigid_pair_tol:
-        return BoneCalibration(rho_med, True,
-                               f"rigid pair (objective spread {spread:.4f} m)")
-    return BoneCalibration(rho_med, False,
-                           f"unstable pair distance (std {np.std(norms):.4f} m)")
-
-
-def _uniform_ball(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    pts = rng.standard_normal((n, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    r = radius * rng.random(n) ** (1.0 / 3.0)
-    return pts * r[:, None]
+    std = float(np.std(norms))
+    if std < cfg.rigid_pair_tol:
+        return BoneCalibration(rho_med, True, f"rigid pair (distance std {std:.4f} m)")
+    return BoneCalibration(rho_med, False, f"unstable pair distance (std {std:.4f} m)")
 
 
 def calibrate_template(template: SkeletonTemplate, frames: list[OpticalFrame],
@@ -504,7 +449,9 @@ def calibrate_template(template: SkeletonTemplate, frames: list[OpticalFrame],
 
     Bones are visited strictly in hierarchy-level order (L0 outward).  Bones
     whose window stays unconverged keep their coarse-scaled length.  Returns
-    the calibrated template and the per-bone calibration report.
+    the calibrated template and the per-bone calibration report.  ``seed``
+    is unused: calibration draws no random numbers.  It is accepted so that
+    existing callers keep working.
     """
     if not frames:
         raise CalibrationInputError("empty frame batch")
@@ -517,12 +464,10 @@ def calibrate_template(template: SkeletonTemplate, frames: list[OpticalFrame],
         for j in JOINTS
     }
     report: dict[str, BoneCalibration] = {}
-    rng = np.random.default_rng(seed)
     for j in sorted((j for j in JOINTS if j.parent is not None),
                     key=lambda j: (j.level, j.name)):
         try:
-            result = calibrate_bone(streams[j.parent], streams[j.name],
-                                    out.bone_length(j.name), cfg, rng)
+            result = calibrate_bone(streams[j.parent], streams[j.name], cfg)
         except (CalibrationDeferred, ValidationError) as exc:
             report[j.name] = BoneCalibration(out.bone_length(j.name), False, str(exc))
             continue

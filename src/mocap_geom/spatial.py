@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
                    ReflectorId, ReflectorKind)
-from .errors import NoDepthError, SplitFailure, ValidationError
+from .errors import SplitFailure, ValidationError
 from .maps import ReflectorEstimate2D
 
 _EIGHT = np.ones((3, 3), dtype=bool)
@@ -88,7 +88,13 @@ class OpticalFrame:
 
 
 def find_regions_labeled(mask: IrMask) -> tuple[list[Region], np.ndarray]:
-    """Regions plus the label image they came from (labels start at 1)."""
+    """Extract 8-connected components and trace their boundaries.
+
+    A contour pixel is a region pixel with at least one 8-neighbor outside
+    the region (image borders count as outside).  Regions are returned in
+    label order (row-major discovery), pixels in row-major scan order, with
+    the label image they came from (labels start at 1).
+    """
     labels = np.zeros(mask.bits.shape, dtype=np.int32)
     # Set pixels in row-major order; labeling runs on their bounding box.
     vs, us = np.divmod(np.flatnonzero(mask.bits), mask.width)
@@ -134,16 +140,6 @@ def find_regions_labeled(mask: IrMask) -> tuple[list[Region], np.ndarray]:
     return regions, labels
 
 
-def find_regions(mask: IrMask) -> list[Region]:
-    """Extract 8-connected components and trace their boundaries.
-
-    A contour pixel is a region pixel with at least one 8-neighbor outside
-    the region (image borders count as outside).  Regions are returned in
-    label order (row-major discovery), pixels in row-major scan order.
-    """
-    return find_regions_labeled(mask)[0]
-
-
 def _nonzero_medians(raw: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Lower-middle median of the nonzero values in each consecutive run.
 
@@ -162,21 +158,6 @@ def _nonzero_medians(raw: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     found = nonzero > 0
     medians[found] = keys[kth[found]] & 0xFFFF
     return medians
-
-
-def region_depth(contour: np.ndarray, depth: DepthFrame) -> int:
-    """Median of nonzero depths at the contour pixels, in millimeters.
-
-    Even-count medians take the lower middle value so the result is always a
-    measured integer.  Raises NoDepthError when every contour depth is zero.
-    """
-    if len(contour) == 0:
-        raise ValidationError("contour is empty")
-    d_mm = _nonzero_medians(depth.pixels[contour[:, 1], contour[:, 0]],
-                            np.array([len(contour)]))[0]
-    if d_mm == 0:
-        raise NoDepthError("all contour depths are zero")
-    return int(d_mm)
 
 
 def split_merged_region(region: Region, ests: list[ReflectorEstimate2D],
@@ -292,9 +273,17 @@ def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
                   depth: DepthFrame, intrinsics: CameraIntrinsics,
                   extrinsics: CameraExtrinsics,
                   view: int) -> list[ViewObservation | None]:
-    """:func:`observe` for many (estimate, region, contour, center_override)
-    items of one view at once; None marks an item whose contour depths are
-    all zero.
+    """Backproject validated estimates of one view into the global frame.
+
+    Each item is (estimate, region, contour, center_override).  The region's
+    central 2D point (pixel centroid, rounded) is backprojected at the median
+    of the nonzero contour depths; an even count takes the lower middle
+    value, so the depth is always a measured integer.  For straps, the
+    contour's 3D points give a least-squares plane whose unit normal,
+    oriented toward the camera, rides along for the cross-view fusion.
+    `contour` may be a sub-cluster of the region contour when a merged
+    region was split; `center_override` replaces the region centroid in
+    that case.  None marks an item whose contour depths are all zero.
 
     Contours are gathered in one pass, medians come from one sort, and the
     strap plane fits share one stacked ``eigh``; every number is rounded as
@@ -369,27 +358,6 @@ def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
                                    e_total=item[0].e_total,
                                    normal_global=normals_global[i]))
     return out
-
-
-def observe(est: ReflectorEstimate2D, region: Region, contour: np.ndarray,
-            depth: DepthFrame, intrinsics: CameraIntrinsics,
-            extrinsics: CameraExtrinsics, view: int,
-            center_override: tuple[float, float] | None = None) -> ViewObservation:
-    """Backproject one validated estimate into the global frame.
-
-    The region's central 2D point (pixel centroid, rounded) is backprojected
-    at the median contour depth.  For straps, the contour's 3D points give a
-    least-squares plane whose unit normal, oriented toward the camera, rides
-    along for the cross-view fusion.  `contour` may be a sub-cluster of the
-    region contour when a merged region was split; `center_override` replaces
-    the region centroid in that case.  Raises NoDepthError when every contour
-    depth is zero.
-    """
-    obs = observe_batch([(est, region, contour, center_override)], depth,
-                        intrinsics, extrinsics, view)[0]
-    if obs is None:
-        raise NoDepthError("all contour depths are zero")
-    return obs
 
 
 def fuse_patch(observations: list[ViewObservation], frame: int = 0) -> OpticalPoint:

@@ -21,8 +21,7 @@ import pytest
 from mocap_geom import dataset as ds
 from mocap_geom.config import PipelineConfig
 from mocap_geom.core import IrMask, ReflectorId
-from mocap_geom.filtering import (FilterParams, apply_filters,
-                                  validate_region)
+from mocap_geom.filtering import FilterParams, apply_filters
 from mocap_geom.maps import (ConfidenceMap, FlowField, MapSynthesisParams,
                              ReflectorEstimate2D, fuse_confidence,
                              line_integral, loss_fields, loss_maps,
@@ -35,8 +34,8 @@ from mocap_geom.skeleton import (CalibrationConfig, SkeletonTemplate,
                                  calibrate_bone, calibrate_template,
                                  joint_target, JOINT_BY_NAME, track)
 from mocap_geom.spatial import (OpticalFrame, OpticalPoint, ViewObservation,
-                                find_regions, fuse_patch, fuse_strap,
-                                fuse_strap_single_view, observe)
+                                find_regions_labeled, fuse_patch, fuse_strap,
+                                fuse_strap_single_view, observe_batch)
 from mocap_geom.synth import (MotionScript, SyntheticBody, animate,
                               default_rig, reflector_positions, render)
 
@@ -222,13 +221,15 @@ def _cylinder_scene(num_views):
         ann = [a for a in rv.annotations if a.reflector.index == 20]
         if not ann:
             continue
-        regions = find_regions(rv.mask)
+        regions = find_regions_labeled(rv.mask)[0]
         region = min(regions, key=lambda r: np.hypot(
             r.centroid[0] - ann[0].x_curr[0], r.centroid[1] - ann[0].x_curr[1]))
         intr, extr = rig[v]
         est = ReflectorEstimate2D(ReflectorId(20), ann[0].x_curr, 1.0, 0.0, 1.0, 0)
-        observations.append(observe(est, region, region.contour, rv.depth,
-                                    intr, extr, v))
+        obs = observe_batch([(est, region, region.contour, None)], rv.depth,
+                            intr, extr, v)[0]
+        assert obs is not None, f"view {v}: no depth on the strap contour"
+        observations.append(obs)
     return observations, samples[20].axis_point
 
 
@@ -279,17 +280,14 @@ def _target_streams(script, frames, joints):
 
 def test_criterion_4_calibration():
     start = time.perf_counter()
-    cfg = CalibrationConfig(particle_count=500, frame_window=90, gen_radius=0.1)
+    cfg = CalibrationConfig(frame_window=90)
     script = MotionScript("elbow-flexion", duration=105, rate=30.0)
     body, streams = _target_streams(script, range(15, 105),
                                     ("left_shoulder", "left_elbow", "left_wrist"))
     truths = {"left_elbow": body.template.bone_length("left_elbow"),
               "left_wrist": body.template.bone_length("left_wrist")}
-    rng = np.random.default_rng(4)
-    upper = calibrate_bone(streams["left_shoulder"], streams["left_elbow"],
-                           0.27, cfg, rng)
-    fore = calibrate_bone(streams["left_elbow"], streams["left_wrist"],
-                          0.24, cfg, rng)
+    upper = calibrate_bone(streams["left_shoulder"], streams["left_elbow"], cfg)
+    fore = calibrate_bone(streams["left_elbow"], streams["left_wrist"], cfg)
     ok = upper.converged and fore.converged
     err_upper = abs(upper.length - truths["left_elbow"]) / truths["left_elbow"]
     err_fore = abs(fore.length - truths["left_wrist"]) / truths["left_wrist"]
@@ -298,8 +296,7 @@ def test_criterion_4_calibration():
     static_script = MotionScript("rest", duration=90)
     _, static = _target_streams(static_script, range(90),
                                 ("left_elbow", "left_wrist"))
-    result = calibrate_bone(static["left_elbow"], static["left_wrist"],
-                            0.24, cfg, np.random.default_rng(5))
+    result = calibrate_bone(static["left_elbow"], static["left_wrist"], cfg)
     ok &= not result.converged
 
     elapsed = time.perf_counter() - start
@@ -378,7 +375,7 @@ def test_criterion_6_latency_and_scaling(e2e, tmp_path):
         optical = fuse_estimates(reader, estimates, cfg)
         fuse_s = min(fuse_s, time.perf_counter() - t0)
     template, _ = calibrate_template(SkeletonTemplate.default(), optical,
-                                     cfg.calibration, seed=cfg.seed)
+                                     cfg.calibration)
     track_s = np.inf
     for _ in range(2):
         t0 = time.perf_counter()
@@ -473,8 +470,9 @@ def test_criterion_7_filter_properties():
     bits5 = bits4.copy()
     bits5[6, 5] = True
     est = ReflectorEstimate2D(ReflectorId(1), (6.0, 5.0), 0.9, 0.0, 0.9, 0)
-    ok &= not validate_region(est, IrMask(bits4), b_min=5)
-    ok &= validate_region(est, IrMask(bits5), b_min=5)
+    b_min5 = FilterParams(b_min=5)
+    ok &= apply_filters([est], IrMask(bits4), b_min5) == []
+    ok &= apply_filters([est], IrMask(bits5), b_min5) == [est]
 
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0
@@ -504,8 +502,7 @@ def test_criterion_8_determinism(tmp_path):
     cfg.seed = 99
     cfg.synth.duration = 30
     cfg.synth.noise_sigma_mm = 3.0
-    cfg.calibration = CalibrationConfig(particle_count=100, frame_window=30,
-                                        rest_frames=10)
+    cfg.calibration = CalibrationConfig(frame_window=30, rest_frames=10)
     run_a = _run_chain(cfg, tmp_path / "a")
     run_b = _run_chain(cfg, tmp_path / "b")
     ok = set(run_a) == set(run_b)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, ReflectorId,
-                             ReflectorKind, all_reflectors, backproject,
-                             ir_threshold, load_rig, MultiViewRig, project,
+from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, IrMask,
+                             ReflectorId, ReflectorKind, all_reflectors,
+                             backproject, load_rig, MultiViewRig, project,
                              save_rig, strap_reflectors, patch_reflectors,
                              to_camera, to_global)
 from mocap_geom.errors import (DimensionError, InvalidDepthError,
@@ -43,39 +43,12 @@ class TestReflectorTaxonomy:
         assert ends == [13, 18, 22, 26]
 
 
-class TestIrThreshold:
-    def test_all_zero_image_gives_empty_mask(self):
-        mask = ir_threshold(np.zeros((10, 12), dtype=np.uint16), 100)
-        assert not mask.bits.any()
-
-    def test_boundary_is_inclusive(self):
-        img = np.zeros((4, 4), dtype=np.uint16)
-        img[1, 2] = 100
-        mask = ir_threshold(img, 100)
-        assert mask.bits[1, 2]
-        assert mask.bits.sum() == 1
-
-    def test_synthetic_disk_matches_pixelwise_oracle(self):
-        h, w = 60, 80
-        ys, xs = np.mgrid[:h, :w]
-        disk = ((xs - 40) ** 2 + (ys - 30) ** 2) <= 15 ** 2
-        img = np.where(disk, 65535, 0).astype(np.uint16)
-        mask = ir_threshold(img, 1000)
-        # oracle: plain pixel-wise comparison
-        expected = img >= 1000
-        assert np.array_equal(mask.bits, expected)
-        assert np.array_equal(mask.bits, disk)
-
-    def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(7)
-        img = rng.integers(0, 5000, size=(30, 30)).astype(np.uint16)
-        low = ir_threshold(img, 500).bits
-        high = ir_threshold(img, 2000).bits
-        assert not (high & ~low).any()
-
+class TestIrMask:
     def test_zero_sized_image_rejected(self):
         with pytest.raises(DimensionError):
-            ir_threshold(np.zeros((0, 5), dtype=np.uint16), 10)
+            IrMask(np.zeros((0, 5), dtype=bool))
+        with pytest.raises(DimensionError):
+            IrMask(np.zeros(5, dtype=bool))
 
 
 class TestBackprojection:

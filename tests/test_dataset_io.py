@@ -1,5 +1,6 @@
 """Round-trip and format-error tests for the on-disk artifact codecs."""
 
+import json
 import struct
 
 import numpy as np
@@ -223,6 +224,22 @@ class TestJsonlCodecs:
         assert np.array_equal(back[0].points[9].position,
                               frame.points[9].position)
         assert back[0].points[9].confidence == frame.points[9].confidence
+
+    def test_optical_round_trip_keeps_degraded(self, tmp_path):
+        frame = OpticalFrame(frame=2)
+        frame.add(OpticalPoint(ReflectorId(11), np.array([0.1, 0.2, 1.5]),
+                               0.8, 2, degraded=True))
+        frame.add(OpticalPoint(ReflectorId(4), np.array([0.0, 0.5, 1.0]),
+                               0.9, 2))
+        path = tmp_path / "optical.jsonl"
+        ds.write_optical(path, [frame])
+        points = json.loads(path.read_text())["points"]
+        # the flag is written only where it is set
+        assert [p.get("degraded") for p in points] == [None, True]
+        back = ds.read_optical(path)[0].points
+        assert back[11].degraded is True and back[4].degraded is False
+        ds.write_optical(tmp_path / "again.jsonl", ds.read_optical(path))
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
     def test_motion_round_trip(self, tmp_path):
         template = SkeletonTemplate.default()

@@ -4,8 +4,7 @@ import numpy as np
 
 from mocap_geom.core import IrMask, ReflectorId
 from mocap_geom.filtering import (FilterParams, apply_filters, confidence_cut,
-                                  dedupe_colocated, enforce_uniqueness,
-                                  validate_region)
+                                  dedupe_colocated, enforce_uniqueness)
 from mocap_geom.maps import ReflectorEstimate2D
 
 
@@ -22,14 +21,19 @@ def _mask_with_component(pixels, shape=(40, 40)):
     return IrMask(bits)
 
 
+def _region_rule_passes(est, mask, b_min):
+    """The region rule alone: one estimate through the chain, no confidence cut."""
+    return apply_filters([est], mask, FilterParams(b_min=b_min, c_min=0.0)) == [est]
+
+
 class TestValidateRegion:
     def test_five_pixel_component_accepted_at_bmin_five(self):
         mask = _mask_with_component([(10, 10), (11, 10), (12, 10), (10, 11), (11, 11)])
-        assert validate_region(_est(1, 11, 10, 0.9), mask, b_min=5)
+        assert _region_rule_passes(_est(1, 11, 10, 0.9), mask, b_min=5)
 
     def test_estimate_on_background_rejected(self):
         mask = _mask_with_component([(10, 10)])
-        assert not validate_region(_est(1, 25, 25, 0.9), mask, b_min=1)
+        assert not _region_rule_passes(_est(1, 25, 25, 0.9), mask, b_min=1)
 
     def test_four_pixel_component_rejected_flood_fill_oracle(self):
         pixels = [(10, 10), (11, 10), (10, 11), (11, 11)]
@@ -45,7 +49,7 @@ class TestValidateRegion:
             stack.extend((p[0] + du, p[1] + dv)
                          for du in (-1, 0, 1) for dv in (-1, 0, 1))
         assert len(seen) == 4
-        assert not validate_region(_est(1, 10, 10, 0.9), mask, b_min=5)
+        assert not _region_rule_passes(_est(1, 10, 10, 0.9), mask, b_min=5)
 
 
 class TestDedupeColocated:

@@ -104,3 +104,153 @@ class TestReflectorTracker:
                 raw_dev.append(np.linalg.norm(noisy - truth))
                 smooth_dev.append(np.linalg.norm(out.points[1].position - truth))
         assert np.mean(smooth_dev) < np.mean(raw_dev)
+
+
+def _random_stream(rng, frames=60, reflectors=12):
+    """Frames in which reflectors appear, drop out, coast and come back."""
+    present = rng.random(reflectors) < 0.5
+    pos = rng.normal(scale=0.5, size=(reflectors, 3)) + [0, 0, 1]
+    vel = rng.normal(scale=0.5, size=(reflectors, 3))
+    stream = []
+    for f in range(frames):
+        present ^= rng.random(reflectors) < 0.15
+        pos = pos + vel * DT
+        frame = OpticalFrame(frame=f)
+        for i in np.flatnonzero(present):
+            frame.add(OpticalPoint(ReflectorId(int(i) + 1),
+                                   pos[i] + rng.normal(scale=0.005, size=3),
+                                   float(rng.random()), f,
+                                   degraded=bool(rng.random() < 0.1)))
+        stream.append(frame)
+    return stream
+
+
+def _reference_step(states, frame, params):
+    """Tracker step built from kalman_step, one track at a time."""
+    out = {}
+    for idx in sorted(set(states) | set(frame.points)):
+        states[idx], smoothed = kalman_step(states.get(idx), frame.get(idx),
+                                            DT, params)
+        if smoothed is not None:
+            out[idx] = smoothed
+    return out
+
+
+class TestTrackerMatchesKalmanStep:
+    def test_per_track_on_random_streams(self):
+        rng = np.random.default_rng(31)
+        births = coasts = 0
+        gap = 0.0
+        for trial in range(20):
+            params = KalmanParams(accel_noise=float(rng.uniform(0.05, 5.0)),
+                                  meas_noise=float(rng.uniform(1e-3, 0.05)),
+                                  init_pos_var=float(rng.uniform(1e-6, 1e-2)),
+                                  init_vel_var=float(rng.uniform(0.01, 10.0)))
+            tracker = ReflectorTracker(DT, params)
+            states = {}
+            for frame in _random_stream(rng):
+                births += len(set(frame.points) - set(states))
+                coasts += len(set(states) - set(frame.points))
+                got = tracker.step(frame)
+                want = _reference_step(states, frame, params)
+                assert sorted(got.points) == sorted(want) == sorted(frame.points)
+                for idx, point in want.items():
+                    mine = got.points[idx]
+                    gap = max(gap, np.abs(mine.position - point.position).max())
+                    assert (mine.reflector, mine.confidence, mine.frame,
+                            mine.degraded) == (point.reflector, point.confidence,
+                                               point.frame, point.degraded)
+                assert sorted(tracker.states) == sorted(states)
+                for idx, state in states.items():
+                    mine = tracker.states[idx]
+                    gap = max(gap, np.abs(mine.position - state.position).max(),
+                              np.abs(mine.velocity - state.velocity).max(),
+                              np.abs(mine.covariance - state.covariance).max())
+        assert gap <= 1e-12
+        assert births > 150 and coasts > 1000
+
+
+class TestNonSpdReset:
+    """A covariance forced out of the SPD regime resets that track alone."""
+
+    STREAM = _random_stream(np.random.default_rng(5), frames=30, reflectors=10)
+
+    def _run(self, last, fault=None):
+        tracker = ReflectorTracker(DT)
+        for frame in self.STREAM[:last]:
+            tracker.step(frame)
+        if fault is not None:
+            tracker.states[fault].covariance = -np.eye(6)
+        return tracker, tracker.step(self.STREAM[last])
+
+    def _pick(self, measured):
+        """A frame and a track started before it, measured in it or not."""
+        for f in range(10, len(self.STREAM)):
+            started = set().union(*(s.points for s in self.STREAM[:f]))
+            for idx in sorted(started):
+                if (idx in self.STREAM[f].points) == measured:
+                    return f, idx
+        raise AssertionError("the stream has no such track")
+
+    def _assert_others_equal(self, f, idx, tracker, out):
+        clean_tracker, clean = self._run(f)
+        assert out.points.keys() == clean.points.keys()
+        for other, point in clean.points.items():
+            if other != idx:
+                np.testing.assert_array_equal(out.points[other].position,
+                                              point.position)
+        assert set(tracker.states) | {idx} == set(clean_tracker.states)
+        for other, state in clean_tracker.states.items():
+            if other != idx:
+                mine = tracker.states[other]
+                np.testing.assert_array_equal(mine.position, state.position)
+                np.testing.assert_array_equal(mine.velocity, state.velocity)
+                np.testing.assert_array_equal(mine.covariance, state.covariance)
+
+    def test_measured_track_restarts_at_its_measurement(self):
+        f, idx = self._pick(measured=True)
+        tracker, out = self._run(f, fault=idx)
+        point = self.STREAM[f].points[idx]
+        assert out.points[idx] is point
+        state = tracker.states[idx]
+        np.testing.assert_array_equal(state.position, point.position)
+        np.testing.assert_array_equal(state.velocity, np.zeros(3))
+        np.testing.assert_array_equal(
+            state.covariance, init_state(point.position, KalmanParams()).covariance)
+        self._assert_others_equal(f, idx, tracker, out)
+
+    def test_coasting_track_is_dropped(self):
+        f, idx = self._pick(measured=False)
+        tracker, out = self._run(f, fault=idx)
+        assert idx not in tracker.states
+        self._assert_others_equal(f, idx, tracker, out)
+
+    def test_exact_measurements_keep_every_covariance_spd(self):
+        # With meas_noise = 0 an update collapses the position variance, so
+        # most updates leave the SPD regime and restart their track.
+        tracker = ReflectorTracker(DT, KalmanParams(meas_noise=0.0))
+        restarts = births = updates = 0
+        for frame in self.STREAM:
+            births += len(set(frame.points) - set(tracker.states))
+            updates += len(set(frame.points) & set(tracker.states))
+            out = tracker.step(frame)
+            restarts += sum(out.points[i] is p for i, p in frame.points.items())
+            for state in tracker.states.values():
+                np.linalg.cholesky(state.covariance)  # raises if not SPD
+        assert restarts - births > 0.5 * updates
+
+    def test_singular_prediction_restarts_without_an_update(self):
+        # No process or measurement noise: a zero covariance predicts to a
+        # zero innovation covariance, which must not reach the update.
+        params = KalmanParams(accel_noise=0.0, meas_noise=0.0)
+        tracker = ReflectorTracker(DT, params)
+        for f, pos in enumerate(([0.0, 0.0, 1.0], [0.01, 0.0, 1.0])):
+            frame = OpticalFrame(frame=f)
+            frame.add(_point(pos, frame=f))
+            if f == 1:
+                tracker.states[1].covariance = np.zeros((6, 6))
+            out = tracker.step(frame)
+        assert out.points[1] is frame.points[1]
+        np.testing.assert_array_equal(tracker.states[1].covariance,
+                                      init_state(frame.points[1].position,
+                                                 params).covariance)

@@ -18,8 +18,7 @@ def small_config(duration=24, noise=0.0):
     cfg = PipelineConfig()
     cfg.synth.duration = duration
     cfg.synth.noise_sigma_mm = noise
-    cfg.calibration = type(cfg.calibration)(
-        particle_count=50, frame_window=duration, rest_frames=8)
+    cfg.calibration = type(cfg.calibration)(frame_window=duration, rest_frames=8)
     return cfg
 
 
@@ -240,8 +239,7 @@ class TestCli:
         dataset = tmp_path / "dataset"
         config = tmp_path / "tiny.ini"
         config.write_text("[synth]\nduration = 10\nnoise_sigma_mm = 0\n"
-                          "\n[calibration]\nparticle_count = 20\n"
-                          "frame_window = 10\nrest_frames = 4\n")
+                          "\n[calibration]\nframe_window = 10\nrest_frames = 4\n")
         assert main(["synth", "--config", str(config), "--dataset",
                      str(dataset), "--out", str(out)]) == 0
         assert main(["infer", "--config", str(config), "--dataset",
@@ -296,6 +294,28 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert str(config) in err and f"[maps] {key}" in err, err
         assert not (tmp_path / "dataset").exists()
+
+    def test_non_finite_kalman_and_calibration_values_exit_2(self, tmp_path,
+                                                             capsys):
+        config = tmp_path / "tiny.ini"
+        cases = [(section, key, value)
+                 for section, keys in (
+                     ("kalman", ("accel_noise", "meas_noise", "init_pos_var",
+                                 "init_vel_var")),
+                     ("calibration", ("min_excitation", "rigid_pair_tol")))
+                 for key in keys for value in ("nan", "inf", "-0.5")]
+        cases += [("calibration", "rest_frames", "0"),
+                  ("calibration", "rest_frames", "-3"),
+                  # keys of the former particle search are unknown keys now
+                  ("calibration", "particle_count", "500"),
+                  ("calibration", "gen_radius", "0.1")]
+        for section, key, value in cases:
+            config.write_text(f"[{section}]\n{key} = {value}\n")
+            assert main(["fuse", "--config", str(config), "--dataset",
+                         str(tmp_path / "dataset"),
+                         "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert f"{config}: [{section}] {key}" in err, err
 
     def test_eval_scores_only_the_listed_views(self, tmp_path):
         dataset, config = tmp_path / "dataset", tmp_path / "tiny.ini"

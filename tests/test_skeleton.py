@@ -11,7 +11,7 @@ from mocap_geom.skeleton import (JOINTS, JOINT_BY_NAME,
                                  calibrate_bone, coarse_scale, fit_pose_targets,
                                  joint_target, kabsch,
                                  matrix_from_quat, minimal_rotation,
-                                 quat_from_matrix, rotation_about, total_dofs,
+                                 quat_from_matrix, rotation_about,
                                  track)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 
@@ -43,7 +43,7 @@ def frame_from_points(points, frame=0):
 class TestTemplateStructure:
     def test_twenty_joints_forty_dofs(self):
         assert len(JOINTS) == 20
-        assert total_dofs() == 40
+        assert sum(j.dofs for j in JOINTS) == 40
 
     def test_hierarchy_levels_strictly_increase(self):
         for j in JOINTS:
@@ -269,19 +269,17 @@ def _flexion_streams(length=90, radius=0.26, swing=1.2, noise=0.0, seed=0):
 
 
 class TestCalibrateBone:
-    CFG = CalibrationConfig(particle_count=500, frame_window=90, gen_radius=0.1)
+    CFG = CalibrationConfig(frame_window=90)
 
     def test_elbow_flexion_recovers_forearm_length(self):
         parent, child = _flexion_streams(radius=0.26)
-        rng = np.random.default_rng(42)
-        result = calibrate_bone(parent, child, 0.24, self.CFG, rng)
+        result = calibrate_bone(parent, child, self.CFG)
         assert result.converged
         assert result.length == pytest.approx(0.26, rel=0.05)
 
     def test_recovery_with_measurement_noise(self):
         parent, child = _flexion_streams(radius=0.26, noise=0.002, seed=3)
-        rng = np.random.default_rng(42)
-        result = calibrate_bone(parent, child, 0.24, self.CFG, rng)
+        result = calibrate_bone(parent, child, self.CFG)
         assert result.converged
         assert result.length == pytest.approx(0.26, rel=0.05)
 
@@ -290,38 +288,50 @@ class TestCalibrateBone:
         wrist = (np.array([0.18, 0.0, -0.09]), 1.0)
         parent = [elbow] * 90
         child = [wrist] * 90
-        rng = np.random.default_rng(42)
-        result = calibrate_bone(parent, child, 0.24, self.CFG, rng)
+        result = calibrate_bone(parent, child, self.CFG)
         assert not result.converged
 
-    def test_single_particle_at_true_joint_returns_exact_distance(self):
-        parent, child = _flexion_streams(radius=0.26)
-        cfg = CalibrationConfig(particle_count=1, frame_window=90, gen_radius=0.0)
-        rng = np.random.default_rng(0)
-        # template length 0.26 seeds the lone particle exactly at the joint
-        result = calibrate_bone(parent, child, 0.26, cfg, rng)
+    def test_returns_median_pair_distance(self):
+        # Targets exactly at rigid joints: every pair distance is the bone
+        # length, so the median is exact.
+        for radius in (0.26, 0.3):
+            parent, child = _flexion_streams(radius=radius)
+            result = calibrate_bone(parent, child, self.CFG)
+            assert result.converged
+            assert result.length == pytest.approx(radius, abs=1e-12)
+        # With noise the length is the median of the qualifying frames'
+        # distances, whatever the pair does between them.
+        parent, child = _flexion_streams(radius=0.26, noise=0.002, seed=3)
+        parent[5] = (parent[5][0], 0.1)  # below the confidence gate
+        kept = [np.linalg.norm(c[0] - p[0]) for p, c in zip(parent, child)
+                if p[1] > self.CFG.conf_min]
+        result = calibrate_bone(parent, child, self.CFG)
         assert result.converged
-        assert result.length == pytest.approx(0.26, abs=1e-12)
+        assert result.length == pytest.approx(float(np.median(kept)), abs=1e-15)
+        assert len(kept) == 89
 
-    def test_rigidity_objective_zero_at_true_joint(self):
-        # Particle exactly at the rigid joint: deviation is identically zero,
-        # so the recovered length cannot move off the truth.
-        parent, child = _flexion_streams(radius=0.3)
-        cfg = CalibrationConfig(particle_count=1, frame_window=90, gen_radius=0.0)
-        result = calibrate_bone(parent, child, 0.3, cfg, np.random.default_rng(1))
-        assert result.length == pytest.approx(0.3, abs=1e-12)
+    def test_unstable_pair_distance_flagged_unconverged(self):
+        # The pair moves, but its distance alternates between 0.24 and 0.28 m:
+        # the targets do not ride the joints rigidly.
+        parent, child = _flexion_streams(radius=0.26)
+        child = [(p[0] + (0.24 + 0.04 * (f % 2)) / 0.26 * (c[0] - p[0]), 1.0)
+                 for f, (p, c) in enumerate(zip(parent, child))]
+        result = calibrate_bone(parent, child, self.CFG)
+        assert not result.converged
+        assert result.length == pytest.approx(0.26, abs=1e-12)
+        assert result.detail.startswith("unstable pair distance")
 
     def test_deferred_when_window_underfilled(self):
         parent, child = _flexion_streams()
         parent = [None if f % 2 else parent[f] for f in range(90)]
         with pytest.raises(CalibrationDeferred):
-            calibrate_bone(parent, child, 0.24, self.CFG, np.random.default_rng(0))
+            calibrate_bone(parent, child, self.CFG)
 
     def test_confidence_gate_counts_toward_deferral(self):
         parent, child = _flexion_streams()
         child = [(c[0], 0.2) for c in child]  # below the 0.6 gate
         with pytest.raises(CalibrationDeferred):
-            calibrate_bone(parent, child, 0.24, self.CFG, np.random.default_rng(0))
+            calibrate_bone(parent, child, self.CFG)
 
 
 class TestTrack:

@@ -6,13 +6,14 @@ import pytest
 from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, DepthFrame,
                              IrMask, ReflectorId, ReflectorKind, backproject,
                              to_global)
-from mocap_geom.errors import NoDepthError, SplitFailure, ValidationError
+from mocap_geom.errors import SplitFailure, ValidationError
 from mocap_geom.maps import ReflectorEstimate2D
-from mocap_geom.spatial import (OpticalFrame, OpticalPoint, ViewObservation,
-                                closest_points_on_normal_lines, find_regions,
+from mocap_geom.spatial import (OpticalFrame, OpticalPoint, Region,
+                                ViewObservation,
+                                closest_points_on_normal_lines,
                                 find_regions_labeled, fuse_patch, fuse_strap,
-                                fuse_strap_single_view, observe, observe_batch,
-                                region_depth, split_merged_region)
+                                fuse_strap_single_view, observe_batch,
+                                split_merged_region)
 
 INTR = CameraIntrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, width=320, height=240)
 
@@ -20,6 +21,12 @@ INTR = CameraIntrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, width=320, heigh
 def _est(idx, x, y, conf=0.9):
     return ReflectorEstimate2D(ReflectorId(idx), (float(x), float(y)),
                                conf, 0.0, conf, 0)
+
+
+def _observe_one(est, region, contour, depth, intr, extr, view, center=None):
+    """observe_batch on one item: its observation, or None without depth."""
+    return observe_batch([(est, region, contour, center)], depth, intr, extr,
+                         view)[0]
 
 
 def _obs(idx, point, conf=1.0, normal=None, view=0):
@@ -32,7 +39,7 @@ class TestFindRegions:
         bits = np.zeros((30, 30), dtype=bool)
         bits[5:8, 5:8] = True
         bits[20:23, 12:15] = True
-        regions = find_regions(IrMask(bits))
+        regions = find_regions_labeled(IrMask(bits))[0]
         assert len(regions) == 2
         assert sorted(r.size for r in regions) == [9, 9]
         for r in regions:
@@ -42,10 +49,10 @@ class TestFindRegions:
             assert all(tuple(c) in pix for c in r.contour)
 
     def test_empty_mask(self):
-        assert find_regions(IrMask(np.zeros((10, 10), dtype=bool))) == []
+        assert find_regions_labeled(IrMask(np.zeros((10, 10), dtype=bool)))[0] == []
 
     def test_full_mask_single_region(self):
-        regions = find_regions(IrMask(np.ones((8, 9), dtype=bool)))
+        regions = find_regions_labeled(IrMask(np.ones((8, 9), dtype=bool)))[0]
         assert len(regions) == 1
         assert regions[0].size == 72
         assert regions[0].bbox == (0, 0, 8, 7)
@@ -55,7 +62,7 @@ class TestFindRegions:
     def test_flood_fill_oracle_on_random_mask(self):
         rng = np.random.default_rng(3)
         bits = rng.random((20, 20)) < 0.3
-        regions = find_regions(IrMask(bits))
+        regions = find_regions_labeled(IrMask(bits))[0]
         assert sum(r.size for r in regions) == int(bits.sum())
         # oracle: 8-connected flood fill component count
         seen = np.zeros_like(bits)
@@ -118,26 +125,38 @@ class TestFindRegions:
                 assert region.bbox == (min(us), min(vs), max(us), max(vs))
 
 
+def _backprojected_depth_mm(contour, depth):
+    """Depth (mm) at which observe_batch backprojects a patch with this
+    contour, read back from a point on the optical axis; None without depth."""
+    contour = np.asarray(contour)
+    region = Region(pixels=contour, contour=contour, bbox=(0, 0, 0, 0))
+    obs = _observe_one(_est(1, 0, 0), region, contour, depth, INTR,
+                       CameraExtrinsics.identity(), 0, center=(INTR.cx, INTR.cy))
+    if obs is None:
+        return None
+    assert obs.point_global[0] == obs.point_global[1] == 0.0
+    return round(obs.point_global[2] * 1000.0)
+
+
 class TestRegionDepth:
     def test_median_skips_zeros(self):
         contour = np.array([[0, 0], [1, 0], [2, 0], [3, 0]])
         depth = DepthFrame(np.array([[1000, 1002, 0, 998]], dtype=np.uint16))
         # sort-nonzero oracle: {998, 1000, 1002} -> 1000
-        assert region_depth(contour, depth) == 1000
+        assert _backprojected_depth_mm(contour, depth) == 1000
 
     def test_single_value(self):
         depth = DepthFrame(np.full((4, 4), 1500, dtype=np.uint16))
-        assert region_depth(np.array([[1, 1]]), depth) == 1500
+        assert _backprojected_depth_mm(np.array([[1, 1]]), depth) == 1500
 
-    def test_all_zero_raises(self):
+    def test_all_zero_gives_no_observation(self):
         depth = DepthFrame(np.zeros((4, 4), dtype=np.uint16))
-        with pytest.raises(NoDepthError):
-            region_depth(np.array([[1, 1], [2, 2]]), depth)
+        assert _backprojected_depth_mm(np.array([[1, 1], [2, 2]]), depth) is None
 
     def test_even_count_takes_lower_middle(self):
         depth = DepthFrame(np.array([[100, 200, 300, 400]], dtype=np.uint16))
         contour = np.array([[0, 0], [1, 0], [2, 0], [3, 0]])
-        assert region_depth(contour, depth) == 200
+        assert _backprojected_depth_mm(contour, depth) == 200
 
 
 def _disk_pixels(cx, cy, r):
@@ -162,7 +181,7 @@ class TestSplitMergedRegion:
             bits[y, x] = True
             if depth[y, x] == 0:
                 depth[y, x] = 1500
-        regions = find_regions(IrMask(bits))
+        regions = find_regions_labeled(IrMask(bits))[0]
         assert len(regions) == 1
         return regions[0], DepthFrame(depth), set(left), set(right)
 
@@ -188,7 +207,7 @@ class TestSplitMergedRegion:
         for x, y in a + b + bridge:
             bits[y, x] = True
             depth[y, x] = 1000 if x < 40 else 2000
-        region = find_regions(IrMask(bits))[0]
+        region = find_regions_labeled(IrMask(bits))[0][0]
         ests = [_est(1, 20, 20), _est(2, 60, 20)]
         clusters = split_merged_region(region, ests, DepthFrame(depth))
         for p in clusters[0]:
@@ -201,7 +220,7 @@ class TestSplitMergedRegion:
         bits[5, 5] = True
         depth = np.zeros((10, 10), dtype=np.uint16)
         depth[5, 5] = 1000
-        region = find_regions(IrMask(bits))[0]
+        region = find_regions_labeled(IrMask(bits))[0][0]
         with pytest.raises(SplitFailure):
             split_merged_region(region, [_est(1, 5, 5), _est(2, 5, 6)],
                                 DepthFrame(depth))
@@ -223,27 +242,26 @@ class TestObserve:
             bits[y, x] = True
             depth[y, x] = 0
         # restore depth on the contour ring (the IR blob blooms past the hole)
-        region = find_regions(IrMask(bits))[0]
+        region = find_regions_labeled(IrMask(bits))[0][0]
         for u, v in region.contour:
             depth[v, u] = 1000
-        obs = observe(_est(1, 160, 120), region, region.contour,
-                      DepthFrame(depth), INTR, CameraExtrinsics.identity(), view=0)
+        obs = _observe_one(_est(1, 160, 120), region, region.contour,
+                           DepthFrame(depth), INTR, CameraExtrinsics.identity(), 0)
         np.testing.assert_allclose(obs.point_global, [0, 0, 1.0], atol=1e-6)
         assert obs.normal_global is None  # patches carry no normal
 
-    def test_zero_depth_region_propagates_error(self):
+    def test_zero_depth_region_gives_no_observation(self):
         bits = np.zeros((240, 320), dtype=bool)
         bits[100:110, 100:110] = True
-        region = find_regions(IrMask(bits))[0]
-        with pytest.raises(NoDepthError):
-            observe(_est(1, 105, 105), region, region.contour,
-                    DepthFrame(np.zeros((240, 320), dtype=np.uint16)),
-                    INTR, CameraExtrinsics.identity(), view=0)
+        region = find_regions_labeled(IrMask(bits))[0][0]
+        assert _observe_one(_est(1, 105, 105), region, region.contour,
+                            DepthFrame(np.zeros((240, 320), dtype=np.uint16)),
+                            INTR, CameraExtrinsics.identity(), 0) is None
 
 
 def _observe_reference(est, region, contour, depth, intr, extr,
                        center=None):
-    """One estimate, step by step as the docstring of observe states it."""
+    """One estimate, step by step as the docstring of observe_batch states it."""
     cvals = depth[contour[:, 1], contour[:, 0]].astype(float)
     nonzero = sorted(cvals[cvals > 0])
     if not nonzero:
@@ -288,7 +306,7 @@ class TestObserveBatch:
             depth = (900 + 2.0 * xs + rng.uniform(-1, 1) * ys
                      + rng.normal(0, 3, (240, 320))).astype(np.uint16)
             depth[rng.random((240, 320)) < 0.2] = 0
-            regions = find_regions(IrMask(bits))
+            regions = find_regions_labeled(IrMask(bits))[0]
             items = []
             for region in regions:
                 if rng.random() < 0.15:
@@ -310,9 +328,8 @@ class TestObserveBatch:
                 if ref is None:
                     assert obs is None
                     no_depth_seen += 1
-                    with pytest.raises(NoDepthError):
-                        observe(est, region, contour, frame, INTR, extr, 2,
-                                center_override=center)
+                    assert _observe_one(est, region, contour, frame, INTR,
+                                        extr, 2, center) is None
                     continue
                 assert obs.reflector == est.reflector and obs.view == 2
                 assert obs.e_total == est.e_total
@@ -323,8 +340,8 @@ class TestObserveBatch:
                     normals_seen += 1
                     np.testing.assert_allclose(obs.normal_global, ref[1],
                                                rtol=0, atol=1e-9)
-                single = observe(est, region, contour, frame, INTR, extr, 2,
-                                 center_override=center)
+                single = _observe_one(est, region, contour, frame, INTR, extr,
+                                      2, center)
                 np.testing.assert_array_equal(single.point_global,
                                               obs.point_global)
         assert normals_seen >= 20 and no_depth_seen >= 10
@@ -460,11 +477,11 @@ class TestMultiViewConsistency:
             for x, y in _disk_pixels(int(round(u)), int(round(v)), 4):
                 bits[y, x] = True
                 depth[y, x] = 0
-            region = find_regions(IrMask(bits))[0]
+            region = find_regions_labeled(IrMask(bits))[0][0]
             for cu, cv in region.contour:
                 depth[cv, cu] = wall_mm  # hole rim keeps wall depth
-            obs = observe(_est(1, u, v), region, region.contour,
-                          DepthFrame(depth), INTR, extr, view)
+            obs = _observe_one(_est(1, u, v), region, region.contour,
+                               DepthFrame(depth), INTR, extr, view)
             observations.append(obs.point_global)
         gap = np.linalg.norm(observations[0] - observations[1])
         assert gap <= 2e-3, f"views disagree by {gap * 1000:.2f} mm"

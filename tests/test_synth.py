@@ -11,7 +11,8 @@ from mocap_geom.core import MultiViewRig, ReflectorId, project, to_camera
 from mocap_geom.errors import ValidationError
 from mocap_geom.maps import Annotation2D, ReflectorEstimate2D
 from mocap_geom.skeleton import JOINT_BY_NAME, JOINTS, rotation_about
-from mocap_geom.spatial import find_regions, fuse_strap, fuse_strap_single_view, observe
+from mocap_geom.spatial import (find_regions_labeled, fuse_strap,
+                                fuse_strap_single_view, observe_batch)
 from mocap_geom.synth import (MOTION_NAMES, MotionScript, SyntheticBody, animate,
                               default_rig, reflector_positions, render)
 
@@ -154,7 +155,7 @@ class TestRender:
     def test_holes_have_measurable_contours(self):
         views = render(self.rig, self.body, self.pose)
         for rv in views:
-            regions = find_regions(rv.mask)
+            regions = find_regions_labeled(rv.mask)[0]
             assert regions
             with_depth = 0
             for region in regions:
@@ -166,7 +167,7 @@ class TestRender:
     def test_annotated_footprints_meet_minimum_size(self):
         views = render(self.rig, self.body, self.pose)
         for rv in views:
-            regions = find_regions(rv.mask)
+            regions = find_regions_labeled(rv.mask)[0]
             for a in rv.annotations:
                 ui = int(round(a.x_curr[0]))
                 vi = int(round(a.x_curr[1]))
@@ -374,14 +375,15 @@ class TestStrapGeometryThroughPipeline:
             ann = [a for a in rv.annotations if a.reflector.index == idx]
             if not ann:
                 continue
-            regions = find_regions(rv.mask)
+            regions = find_regions_labeled(rv.mask)[0]
             ui = int(round(ann[0].x_curr[0]))
             vi = int(round(ann[0].x_curr[1]))
             region = min(regions,
                          key=lambda r: np.hypot(r.centroid[0] - ui, r.centroid[1] - vi))
             intr, extr = rig[v]
             est = _est(idx, ann[0].x_curr[0], ann[0].x_curr[1], conf=1.0)
-            obs.append(observe(est, region, region.contour, rv.depth, intr, extr, v))
+            obs.append(observe_batch([(est, region, region.contour, None)], rv.depth,
+                                     intr, extr, v)[0])
         return obs
 
     def test_two_view_fusion_recovers_axis_point_within_5mm(self):
