@@ -291,14 +291,24 @@ class TestCalibrateBone:
         result = calibrate_bone(parent, child, self.CFG)
         assert not result.converged
 
-    def test_returns_median_pair_distance(self):
+    def test_single_particle_at_true_joint_returns_exact_distance(self):
         # Targets exactly at rigid joints: every pair distance is the bone
         # length, so the median is exact.
-        for radius in (0.26, 0.3):
-            parent, child = _flexion_streams(radius=radius)
-            result = calibrate_bone(parent, child, self.CFG)
-            assert result.converged
-            assert result.length == pytest.approx(radius, abs=1e-12)
+        parent, child = _flexion_streams(radius=0.26)
+        result = calibrate_bone(parent, child, self.CFG)
+        assert result.converged
+        assert result.length == pytest.approx(0.26, abs=1e-12)
+
+    def test_rigidity_objective_zero_at_true_joint(self):
+        # The pair distance never deviates at a rigid joint, so the recovered
+        # length cannot move off the truth.
+        parent, child = _flexion_streams(radius=0.3)
+        result = calibrate_bone(parent, child, self.CFG)
+        assert result.converged
+        assert result.length == pytest.approx(0.3, abs=1e-12)
+        assert result.detail.startswith("rigid")
+
+    def test_returns_median_pair_distance(self):
         # With noise the length is the median of the qualifying frames'
         # distances, whatever the pair does between them.
         parent, child = _flexion_streams(radius=0.26, noise=0.002, seed=3)
