@@ -10,9 +10,9 @@ from .maps import (Annotation2D, ConfidenceMap, FlowField, InferenceParams,
                    synth_flow_field)
 from .filtering import FilterParams, apply_filters
 from .spatial import (OpticalFrame, OpticalPoint, Region, ViewObservation,
-                      find_regions_labeled, fuse_patch, fuse_strap,
-                      fuse_strap_single_view, observe_batch,
-                      split_merged_region)
+                      find_regions_labeled, fuse_patch, fuse_reflector,
+                      fuse_strap, fuse_strap_single_view, observe_batch,
+                      observe_view, split_merged_region)
 from .kalman import KalmanParams, ReflectorTracker, kalman_step
 from .skeleton import (CalibrationConfig, Pose, SkeletonTemplate,
                        calibrate_bone, calibrate_template, coarse_scale,

@@ -61,7 +61,7 @@ _KEYS = (
     ("pipeline", "fps", None, "fps"),
     ("maps", "sigma_peak", "maps", "sigma_peak"),
     ("maps", "sigma_field", "maps", "sigma_field"),
-    ("maps", "samples", "maps", "samples"),
+    ("maps", "samples", "inference", "samples"),
     ("maps", "nms_window", "inference", "nms_window"),
     ("maps", "min_peak_conf", "inference", "min_peak_conf"),
     ("filter", "b_min", "filters", "b_min"),
@@ -153,9 +153,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 
     for name, value in groups.pop(None, {}).items():
         setattr(cfg, name, value)
-    # the line integral and the rendered take follow the top-level values
-    groups.setdefault("inference", {})["samples"] = groups.get(
-        "maps", {}).get("samples", cfg.maps.samples)
+    # the rendered take follows the top-level frame rate
     groups.setdefault("synth", {})["fps"] = cfg.fps
     for group, values in groups.items():
         try:

@@ -33,6 +33,7 @@ MAGIC_DEPTH = b"DMCD"
 MAGIC_MASK = b"DMCI"
 MAGIC_MAPS = b"DMCM"
 MAPS_VERSION = 2
+_JOINT_NAMES = sorted(j.name for j in JOINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +166,25 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _read_jsonl(path: str | Path, parse) -> list:
+    """``parse`` of each non-blank line's JSON document, in file order.
+
+    Bad JSON, a missing key or a value of the wrong type or range raises
+    FormatError naming the file and line.
+    """
+    out = []
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except KeyError as exc:
+            raise FormatError(f"{path}: line {n}: missing key {exc}") from exc
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise FormatError(f"{path}: line {n}: {exc}") from exc
+    return out
+
+
 def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> None:
     lines = []
     for f, anns in enumerate(per_frame):
@@ -178,11 +198,7 @@ def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> 
 
 
 def read_annotations(path: str | Path, view: int) -> dict[int, list[Annotation2D]]:
-    out: dict[int, list[Annotation2D]] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
+    def parse(doc):
         frame = int(doc["frame"])
         anns = []
         for a in doc["annotations"]:
@@ -191,8 +207,8 @@ def read_annotations(path: str | Path, view: int) -> dict[int, list[Annotation2D
                                      tuple(a["x_curr"]),
                                      None if prev is None else tuple(prev),
                                      frame, view))
-        out[frame] = anns
-    return out
+        return frame, anns
+    return dict(_read_jsonl(path, parse))
 
 
 def write_estimates(path: str | Path,
@@ -209,18 +225,14 @@ def write_estimates(path: str | Path,
 
 
 def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstimate2D]]]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
+    def parse(doc):
         frame, view = int(doc["frame"]), int(doc["view"])
         ests = [ReflectorEstimate2D(ReflectorId(int(e["reflector"])),
                                     tuple(e["position"]), float(e["e_s"]),
                                     float(e["e_l"]), float(e["e_total"]), frame)
                 for e in doc["estimates"]]
-        out.append((frame, view, ests))
-    return out
+        return frame, view, ests
+    return _read_jsonl(path, parse)
 
 
 def write_optical(path: str | Path, frames: list[OpticalFrame]) -> None:
@@ -240,19 +252,15 @@ def write_optical(path: str | Path, frames: list[OpticalFrame]) -> None:
 
 
 def read_optical(path: str | Path) -> list[OpticalFrame]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
+    def parse(doc):
         frame = OpticalFrame(frame=int(doc["frame"]))
         for p in doc["points"]:
             frame.add(OpticalPoint(ReflectorId(int(p["reflector"])),
                                    np.array(p["xyz_m"], dtype=np.float64),
                                    float(p["confidence"]), frame.frame,
                                    degraded=p.get("degraded") is True))
-        out.append(frame)
-    return out
+        return frame
+    return _read_jsonl(path, parse)
 
 
 def write_motion(path: str | Path, poses: list[Pose]) -> None:
@@ -268,19 +276,18 @@ def write_motion(path: str | Path, poses: list[Pose]) -> None:
 
 
 def read_motion(path: str | Path) -> list[Pose]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
+    def parse(doc):
         positions = {}
         rotations = {}
         for j in doc["joints"]:
             positions[j["id"]] = np.array(j["xyz_m"], dtype=np.float64)
             rotations[j["id"]] = matrix_from_quat(np.array(j["quat_wxyz"]))
-        out.append(Pose(int(doc["frame"]), positions, rotations,
-                        gap=bool(doc.get("gap", False))))
-    return out
+        if sorted(positions) != _JOINT_NAMES:
+            odd = sorted(set(positions) ^ set(_JOINT_NAMES))
+            raise ValueError(f"missing or unknown joints {odd}")
+        return Pose(int(doc["frame"]), positions, rotations,
+                    gap=bool(doc.get("gap", False)))
+    return _read_jsonl(path, parse)
 
 
 def write_motion_csv(path: str | Path, poses: list[Pose]) -> None:

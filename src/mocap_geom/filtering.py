@@ -11,14 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .core import IrMask
 from .errors import ValidationError
 from .maps import ReflectorEstimate2D
-
-# 8-connected structuring element shared with region extraction.
-_EIGHT = np.ones((3, 3), dtype=bool)
+from .spatial import find_regions_labeled
 
 
 @dataclass(frozen=True)
@@ -36,24 +33,21 @@ class FilterParams:
             raise ValidationError("c_min must be in [0, 1]")
 
 
-def _component_sizes(mask: IrMask) -> tuple[np.ndarray, np.ndarray]:
-    """Label the mask 8-connected; return (labels, size per label)."""
-    labels, n = ndimage.label(mask.bits, structure=_EIGHT)
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)
-    return labels, sizes
-
-
-def _on_large_component(est: ReflectorEstimate2D, labels: np.ndarray,
-                        sizes: np.ndarray, b_min: int) -> bool:
-    u = int(round(est.position[0]))
-    v = int(round(est.position[1]))
-    h, w = labels.shape
-    if not (0 <= u < w and 0 <= v < h):
-        raise ValidationError(f"estimate position {est.position} outside mask")
-    component = labels[v, u]
-    if component == 0:
-        return False
-    return int(sizes[component]) >= b_min
+def _on_large_region(ests: list[ReflectorEstimate2D], mask: IrMask,
+                    b_min: int) -> list[ReflectorEstimate2D]:
+    """Keep estimates whose rounded position lies on a mask region of at
+    least b_min pixels; a position off the mask raises ValidationError."""
+    regions, labels = find_regions_labeled(mask)
+    keep = []
+    for est in ests:
+        u = int(round(est.position[0]))
+        v = int(round(est.position[1]))
+        if not (0 <= u < mask.width and 0 <= v < mask.height):
+            raise ValidationError(f"estimate position {est.position} outside mask")
+        label = labels[v, u]
+        if label and regions[label - 1].size >= b_min:
+            keep.append(est)
+    return keep
 
 
 def _rank_key(est: ReflectorEstimate2D):
@@ -99,12 +93,10 @@ def confidence_cut(ests: list[ReflectorEstimate2D], c_min: float) -> list[Reflec
     return [e for e in ests if e.e_total > c_min]
 
 
-def apply_filters(ests: list[ReflectorEstimate2D], mask: IrMask | None,
+def apply_filters(ests: list[ReflectorEstimate2D], mask: IrMask,
                   params: FilterParams) -> list[ReflectorEstimate2D]:
-    """Full validity chain; mask=None skips region validation."""
-    if mask is not None:
-        labels, sizes = _component_sizes(mask)
-        ests = [e for e in ests if _on_large_component(e, labels, sizes, params.b_min)]
+    """Full validity chain."""
+    ests = _on_large_region(ests, mask, params.b_min)
     ests = dedupe_colocated(ests, params.colocate_dist)
     ests = enforce_uniqueness(ests)
     return confidence_cut(ests, params.c_min)

@@ -29,11 +29,10 @@ _PEAK_KERNELS = 4
 
 @dataclass(frozen=True)
 class MapSynthesisParams:
-    """Spread/width/resolution knobs for ground-truth synthesis."""
+    """Spread and width knobs for ground-truth synthesis."""
 
     sigma_peak: float = 7.0   # Gaussian spread of the belief peak, px
     sigma_field: float = 4.0  # half-width of the flow band, px
-    samples: int = 10         # sample count for the line integral
 
     def __post_init__(self):
         for key in ("sigma_peak", "sigma_field"):
@@ -42,8 +41,6 @@ class MapSynthesisParams:
             if not 0 < value < math.inf:
                 raise ValidationError(f"{key} must be finite and positive, "
                                       f"got {value}")
-        if self.samples < 2:
-            raise ValidationError("samples must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -52,11 +49,13 @@ class InferenceParams:
 
     nms_window: int = 5      # odd window for non-maximum suppression, px
     min_peak_conf: float = 0.1
-    samples: int = 10
+    samples: int = 10        # sample count for the line integral
 
     def __post_init__(self):
         if self.nms_window < 3 or self.nms_window % 2 == 0:
             raise ValidationError("nms_window must be odd and >= 3")
+        if self.samples < 2:
+            raise ValidationError("samples must be >= 2")
         if not math.isfinite(self.min_peak_conf):
             raise ValidationError("min_peak_conf must be finite, got "
                                   f"{self.min_peak_conf}")

@@ -8,15 +8,13 @@ result as calling the cores back to back in one process.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 from . import dataset as ds
 from .config import PipelineConfig
-from .core import ReflectorKind, save_rig
-from .errors import (CalibrationInputError, FormatError, SplitFailure,
-                     ValidationError)
+from .core import save_rig
+from .errors import FormatError, ValidationError
 from .filtering import apply_filters
 from .kalman import ReflectorTracker
 from .maps import (Annotation2D, ReflectorEstimate2D, greedy_inference,
@@ -26,10 +24,8 @@ from .metrics import (Detection2D, EvalReport, average_precision,
                       subject_bbox)
 from .skeleton import (BoneCalibration, Pose, SkeletonTemplate,
                        calibrate_template, track)
-from .spatial import (OpticalFrame, OpticalPoint, ViewObservation,
-                      find_regions_labeled, fuse_patch, fuse_strap,
-                      fuse_strap_single_view, observe_batch,
-                      split_merged_region)
+from .spatial import (OpticalFrame, ViewObservation, fuse_reflector,
+                      observe_view)
 from .synth import MotionScript, SyntheticBody, animate, default_rig, render
 
 # ---------------------------------------------------------------------------
@@ -167,47 +163,6 @@ def cmd_infer(dataset_dir: str | Path, out_path: str | Path,
 # fuse
 # ---------------------------------------------------------------------------
 
-def _observe_view(reader: ds.DatasetReader, view: int, frame: int,
-                  ests: list[ReflectorEstimate2D]) -> list[ViewObservation]:
-    """Per-view 3D observations: regions, merged-region splitting, mapping."""
-    if not ests:
-        return []
-    depth = reader.depth(view, frame)
-    mask = reader.mask(view, frame)
-    regions, labels = find_regions_labeled(mask)
-    if not regions:
-        return []
-    by_region: dict[int, list[ReflectorEstimate2D]] = {}
-    for e in ests:
-        u = int(round(e.position[0]))
-        v_px = int(round(e.position[1]))
-        if not (0 <= u < mask.width and 0 <= v_px < mask.height):
-            continue
-        lab = labels[v_px, u]
-        if lab == 0:
-            continue
-        by_region.setdefault(lab - 1, []).append(e)
-
-    items = []
-    for region_idx, assigned in sorted(by_region.items()):
-        region = regions[region_idx]
-        if len(assigned) == 1:
-            items.append((assigned[0], region, region.contour, None))
-            continue
-        assigned = sorted(assigned, key=lambda e: (-e.e_total,
-                                                   e.reflector.index))
-        try:
-            clusters = split_merged_region(region, assigned, depth)
-            items.extend((e, region, cluster, tuple(cluster.mean(axis=0)))
-                         for e, cluster in zip(assigned, clusters))
-        except SplitFailure:
-            items.append((assigned[0], region, region.contour, None))
-    intr, extr = reader.rig[view]
-    # Items whose contour depths are all zero give no observation.
-    return [obs for obs in observe_batch(items, depth, intr, extr, view)
-            if obs is not None]
-
-
 def fuse_estimates(reader: ds.DatasetReader,
                    estimates: list[tuple[int, int, list[ReflectorEstimate2D]]],
                    config: PipelineConfig) -> list[OpticalFrame]:
@@ -220,55 +175,17 @@ def fuse_estimates(reader: ds.DatasetReader,
     for f in range(reader.num_frames):
         observations: dict[int, list[ViewObservation]] = {}
         for view, ests in sorted(by_frame.get(f, {}).items()):
-            for obs in _observe_view(reader, view, f, ests):
+            if not ests:
+                continue
+            intr, extr = reader.rig[view]
+            for obs in observe_view(ests, reader.mask(view, f),
+                                    reader.depth(view, f), intr, extr, view):
                 observations.setdefault(obs.reflector.index, []).append(obs)
         frame = OpticalFrame(frame=f)
         for idx, obs in sorted(observations.items()):
-            point = _fuse_reflector(idx, obs, config, f)
-            if point is not None:
-                frame.add(point)
+            frame.add(fuse_reflector(obs, config.limb_radii.get(idx), f))
         frames.append(tracker.step(frame))
     return frames
-
-
-def _fuse_reflector(idx: int, obs: list[ViewObservation],
-                    config: PipelineConfig, frame: int) -> OpticalPoint | None:
-    kind = obs[0].reflector.kind
-    if kind is ReflectorKind.PATCH:
-        return fuse_patch(obs, frame)
-    radius = config.limb_radii.get(idx)
-    if radius is None:
-        raise CalibrationInputError(
-            f"strap {idx}: fusion needs a configured limb radius")
-    with_normals = [o for o in obs if o.normal_global is not None]
-    if len(with_normals) >= 2:
-        point = fuse_strap(obs, frame)
-        # The true axis point lies within one limb radius of the surface
-        # centroid; a normal-line intersection far outside that bound comes
-        # from inconsistent normals, so fall back to the bounded estimate.
-        surface = fuse_patch(obs, frame)
-        gap = point.position - surface.position
-        if math.sqrt(gap @ gap) <= 2.5 * radius:
-            return point
-        return _strap_offset_mean(with_normals, radius, frame)
-    if len(with_normals) == 1:
-        return fuse_strap_single_view(with_normals[0], radius, frame)
-    # no usable normals: degraded surface-point fusion
-    fallback = fuse_patch(obs, frame)
-    return OpticalPoint(fallback.reflector, fallback.position,
-                        fallback.confidence, frame, degraded=True)
-
-
-def _strap_offset_mean(with_normals: list[ViewObservation], radius: float,
-                       frame: int) -> OpticalPoint:
-    """Average of per-view radius-offset reconstructions (always bounded)."""
-    singles = [fuse_strap_single_view(o, radius, frame) for o in with_normals]
-    pts = np.array([s.position for s in singles])
-    conf = np.array([o.e_total for o in with_normals])
-    total = conf.sum()
-    position = (conf / total) @ pts if total > 0 else pts.mean(axis=0)
-    return OpticalPoint(with_normals[0].reflector, position,
-                        float(total / len(conf)), frame, degraded=True)
 
 
 def cmd_fuse(dataset_dir: str | Path, estimates_path: str | Path,
@@ -322,10 +239,13 @@ def cmd_track(optical_path: str | Path, template_path: str | Path,
 # eval
 # ---------------------------------------------------------------------------
 
+# c_min thresholds of the mAP sweep in eval_2d
+SWEEP_GRID = tuple(round(0.1 * k, 1) for k in range(10))
+
+
 def eval_2d(reader: ds.DatasetReader,
             estimates: list[tuple[int, int, list[ReflectorEstimate2D]]],
             config: PipelineConfig,
-            sweep_grid: list[float] | None = None,
             view_subset: list[int] | None = None) -> EvalReport:
     """AP/mAP of 2D estimates against the dataset annotations.
 
@@ -358,9 +278,7 @@ def eval_2d(reader: ds.DatasetReader,
                                                    exclude_end_reflectors=True)
     except ValidationError:
         report.map_no_end = None
-    if sweep_grid is None:
-        sweep_grid = [round(0.1 * k, 1) for k in range(0, 10)]
-    report.sweep = map_sweep(detections, config.eval_alpha, sweep_grid)
+    report.sweep = map_sweep(detections, config.eval_alpha, SWEEP_GRID)
     report.validate()
     return report
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (CalibrationDeferred, CalibrationInputError, TrackingGap,
                      ValidationError)
-from .spatial import OpticalFrame
+from .spatial import OpticalFrame, _weighted_centroid
 
 # ---------------------------------------------------------------------------
 # Template structure
@@ -319,14 +319,9 @@ def joint_target(frame: OpticalFrame, subset: tuple[int, ...],
             confs.append(p.confidence)
     if not pts:
         return None
-    pts_arr = np.array(pts)
     conf_arr = np.array(confs)
-    total = conf_arr.sum()
-    if total > 0:
-        pos = (conf_arr / total) @ pts_arr
-    else:
-        pos = pts_arr.mean(axis=0)
-    return pos, float(conf_arr.sum() / len(conf_arr))
+    return (_weighted_centroid(np.array(pts), conf_arr),
+            float(conf_arr.sum() / len(conf_arr)))
 
 
 def frame_targets(frame: OpticalFrame, conf_min: float = -1.0
@@ -587,11 +582,13 @@ def fit_pose_targets(template: SkeletonTemplate,
     solved within its DoF budget to align the reference target direction
     with the observed parent-position -> child-target direction.  Joints
     whose child targets are all missing inherit the previous pose's local
-    rotation (identity at the first frame).
+    rotation (identity at the first frame).  Without a root (no hips target
+    and no override) the previous pose is carried as a gap frame; with no
+    previous pose either, TrackingGap is raised.
     """
     if "hips" not in targets and root_override is None:
         if prev is None:
-            raise TrackingGap("no hips target and no previous pose")
+            raise TrackingGap(f"frame {frame}: no root target and no previous pose")
         return Pose(frame, {k: v.copy() for k, v in prev.positions.items()},
                     {k: v.copy() for k, v in prev.rotations.items()}, gap=True)
 
@@ -668,15 +665,8 @@ def _fit_rotation(template: SkeletonTemplate, name: str, position: np.ndarray,
 def fit_pose(template: SkeletonTemplate, frame: OpticalFrame,
              prev: Pose | None = None) -> Pose:
     """Fit one optical frame: root from the reflector cloud when recorded."""
-    targets = frame_targets(frame)
-    root_override = _root_from_cloud(template, frame)
-    if root_override is None and "hips" not in targets:
-        if prev is None:
-            raise TrackingGap(f"frame {frame.frame}: no root target")
-        return Pose(frame.frame,
-                    {k: v.copy() for k, v in prev.positions.items()},
-                    {k: v.copy() for k, v in prev.rotations.items()}, gap=True)
-    return fit_pose_targets(template, targets, prev, frame.frame, root_override)
+    return fit_pose_targets(template, frame_targets(frame), prev, frame.frame,
+                            _root_from_cloud(template, frame))
 
 
 def track(template: SkeletonTemplate, frames: list[OpticalFrame]) -> list[Pose]:
@@ -684,14 +674,6 @@ def track(template: SkeletonTemplate, frames: list[OpticalFrame]) -> list[Pose]:
     poses: list[Pose] = []
     prev: Pose | None = None
     for frame in frames:
-        try:
-            pose = fit_pose(template, frame, prev)
-        except TrackingGap:
-            if prev is None:
-                raise
-            pose = Pose(frame.frame,
-                        {k: v.copy() for k, v in prev.positions.items()},
-                        {k: v.copy() for k, v in prev.rotations.items()}, gap=True)
-        poses.append(pose)
-        prev = pose
+        prev = fit_pose(template, frame, prev)
+        poses.append(prev)
     return poses

@@ -1,16 +1,18 @@
 """2D regions to fused global 3D optical data.
 
 The per-view half turns validated estimates into observations: connected
-reflector regions, median contour depth, backprojection of the region
-center, and (for straps) a surface normal from a least-squares plane fit of
-the contour's 3D points.  The cross-view half fuses observations into one
-global point per reflector: confidence-weighted centroids for patches,
-closest points between inward normal lines for straps.
+reflector regions (the one mask labeling, which the filter's region rule
+reads too), median contour depth, backprojection of the region center, and
+(for straps) a surface normal from a least-squares plane fit of the
+contour's 3D points.  The cross-view half fuses observations into one global
+point per reflector: confidence-weighted centroids for patches, closest
+points between inward normal lines for straps, with bounded fallbacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
@@ -18,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
                    ReflectorId, ReflectorKind)
-from .errors import SplitFailure, ValidationError
+from .errors import CalibrationInputError, SplitFailure, ValidationError
 from .maps import ReflectorEstimate2D
 
 _EIGHT = np.ones((3, 3), dtype=bool)
@@ -360,6 +362,53 @@ def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
     return out
 
 
+def observe_view(ests: list[ReflectorEstimate2D], mask: IrMask,
+                 depth: DepthFrame, intrinsics: CameraIntrinsics,
+                 extrinsics: CameraExtrinsics,
+                 view: int) -> list[ViewObservation]:
+    """Observations of one frame-view's validated estimates.
+
+    Each estimate belongs to the mask region under its rounded position;
+    estimates on the background or off the frame are skipped.  A region
+    holding several estimates is split among them; when the split fails,
+    only the top-ranked one (highest e_total, then lowest reflector index)
+    is observed, on the whole region.  Estimates whose contour depths are
+    all zero give no observation.
+    """
+    regions, labels = find_regions_labeled(mask)
+    by_region: dict[int, list[ReflectorEstimate2D]] = {}
+    for e in ests:
+        u = int(round(e.position[0]))
+        v = int(round(e.position[1]))
+        if 0 <= u < mask.width and 0 <= v < mask.height and labels[v, u]:
+            by_region.setdefault(labels[v, u] - 1, []).append(e)
+
+    items = []
+    for region_idx, assigned in sorted(by_region.items()):
+        region = regions[region_idx]
+        if len(assigned) == 1:
+            items.append((assigned[0], region, region.contour, None))
+            continue
+        assigned = sorted(assigned, key=lambda e: (-e.e_total,
+                                                   e.reflector.index))
+        try:
+            clusters = split_merged_region(region, assigned, depth)
+            items.extend((e, region, cluster, tuple(cluster.mean(axis=0)))
+                         for e, cluster in zip(assigned, clusters))
+        except SplitFailure:
+            items.append((assigned[0], region, region.contour, None))
+    return [obs for obs in observe_batch(items, depth, intrinsics, extrinsics,
+                                         view)
+            if obs is not None]
+
+
+def _weighted_centroid(points: np.ndarray, conf: np.ndarray) -> np.ndarray:
+    """Rows of ``points`` weighted by ``conf`` normalized to sum 1 (a convex
+    combination); the plain mean when the weights do not sum above 0."""
+    total = conf.sum()
+    return (conf / total) @ points if total > 0 else points.mean(axis=0)
+
+
 def fuse_patch(observations: list[ViewObservation], frame: int = 0) -> OpticalPoint:
     """Confidence-weighted centroid of per-view points.
 
@@ -373,14 +422,10 @@ def fuse_patch(observations: list[ViewObservation], frame: int = 0) -> OpticalPo
     pts = np.array([o.point_global for o in observations])
     conf = np.array([o.e_total for o in observations])
     total = conf.sum()
-    if total > 0:
-        weights = conf / total
-        position = weights @ pts
-        confidence = float(total / len(conf))  # the mean, as conf.mean() rounds it
-    else:
-        position = pts.mean(axis=0)
-        confidence = 0.0
-    return OpticalPoint(observations[0].reflector, position, confidence, frame)
+    # the mean, as conf.mean() rounds it
+    confidence = float(total / len(conf)) if total > 0 else 0.0
+    return OpticalPoint(observations[0].reflector,
+                        _weighted_centroid(pts, conf), confidence, frame)
 
 
 def closest_points_on_normal_lines(p_i: np.ndarray, n_i: np.ndarray,
@@ -427,13 +472,9 @@ def fuse_strap(observations: list[ViewObservation], frame: int = 0) -> OpticalPo
             points.append((pi, oi.e_total))
             points.append((pj, oj.e_total))
     if not points:
-        fallback = fuse_patch(observations, frame)
-        return OpticalPoint(fallback.reflector, fallback.position,
-                            fallback.confidence, frame, degraded=True)
-    pts = np.array([p for p, _ in points])
-    conf = np.array([w for _, w in points])
-    total = conf.sum()
-    position = (conf / total) @ pts if total > 0 else pts.mean(axis=0)
+        return replace(fuse_patch(observations, frame), degraded=True)
+    position = _weighted_centroid(np.array([p for p, _ in points]),
+                                  np.array([w for _, w in points]))
     e_totals = np.array([o.e_total for o in observations])
     confidence = float(e_totals.sum() / len(e_totals))
     return OpticalPoint(observations[0].reflector, position, confidence, frame)
@@ -452,3 +493,38 @@ def fuse_strap_single_view(obs: ViewObservation, limb_radius: float,
         raise ValidationError("limb radius must be >= 0")
     position = obs.point_global - limb_radius * obs.normal_global
     return OpticalPoint(obs.reflector, position, obs.e_total, frame)
+
+
+def fuse_reflector(observations: list[ViewObservation],
+                   limb_radius: float | None, frame: int = 0) -> OpticalPoint:
+    """One reflector's global point from its per-view observations.
+
+    A patch is the confidence-weighted centroid (fuse_patch).  A strap with
+    >= 2 normals is the normal-line point (fuse_strap), unless that lies
+    more than 2.5 limb radii from the surface centroid; the true axis point
+    lies within one radius of it, so such a point comes from inconsistent
+    normals and the degraded mean of the per-view radius offsets replaces
+    it.  A strap with one normal is that view's radius offset; one with
+    none is the surface centroid, flagged degraded.  A strap without a limb
+    radius raises CalibrationInputError.
+    """
+    reflector = observations[0].reflector
+    if reflector.kind is ReflectorKind.PATCH:
+        return fuse_patch(observations, frame)
+    if limb_radius is None:
+        raise CalibrationInputError(
+            f"strap {reflector.index}: fusion needs a configured limb radius")
+    with_normals = [o for o in observations if o.normal_global is not None]
+    if len(with_normals) == 1:
+        return fuse_strap_single_view(with_normals[0], limb_radius, frame)
+    if not with_normals:
+        return replace(fuse_patch(observations, frame), degraded=True)
+    point = fuse_strap(observations, frame)
+    gap = point.position - fuse_patch(observations, frame).position
+    if math.sqrt(gap @ gap) <= 2.5 * limb_radius:
+        return point
+    offsets = np.array([fuse_strap_single_view(o, limb_radius, frame).position
+                        for o in with_normals])
+    conf = np.array([o.e_total for o in with_normals])
+    return OpticalPoint(reflector, _weighted_centroid(offsets, conf),
+                        float(conf.sum() / len(conf)), frame, degraded=True)

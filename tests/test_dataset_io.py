@@ -254,6 +254,80 @@ class TestJsonlCodecs:
                                       rest["left_knee"])
         np.testing.assert_allclose(back[0].rotations["left_knee"], rot, atol=1e-12)
 
+    @staticmethod
+    def _assert_format_errors(tmp_path, read, good, bad_lines):
+        """Each bad line after a good one raises FormatError naming the
+        file and line 2."""
+        path = tmp_path / "in.jsonl"
+        for bad in bad_lines:
+            path.write_text(good + "\n" + bad + "\n")
+            with pytest.raises(FormatError) as exc:
+                read(path)
+            assert str(path) in str(exc.value) and "line 2" in str(exc.value), bad
+
+    def test_malformed_annotations_are_format_errors(self, tmp_path):
+        good = ('{"annotations":[{"reflector":3,"x_curr":[1.0,2.0],'
+                '"x_prev":null}],"frame":0}')
+        self._assert_format_errors(
+            tmp_path, lambda p: ds.read_annotations(p, view=0), good,
+            [good.replace('"frame":0', '"frame":"zero"'),      # bad value
+             good.replace('"reflector":3', '"reflector":99'),  # no such id
+             good.replace('"x_curr":[1.0,2.0],', ''),           # missing key
+             good.replace('"x_prev":null', '"x_prev":4'),      # not a pair
+             good.replace('"annotations":[', '"annotations":[1,'),
+             '[1, 2]', '"annotations"',                        # not an object
+             good[:-1]])                                       # bad JSON
+
+    def test_malformed_estimates_are_format_errors(self, tmp_path):
+        good = ('{"estimates":[{"e_l":0.1,"e_s":0.9,"e_total":0.8,'
+                '"position":[10.0,20.0],"reflector":4}],"frame":2,"view":0}')
+        self._assert_format_errors(
+            tmp_path, ds.read_estimates, good,
+            [good.replace('"e_s":0.9', '"e_s":"high"'),
+             good.replace('"e_l":0.1,', ''),
+             good.replace('"view":0', '"view":null'),
+             good.replace('{"e_l"', '{"x":{"e_l"', 1) + '}',
+             '{"frame":2,'])
+
+    def test_malformed_optical_is_format_error(self, tmp_path):
+        good = ('{"frame":5,"points":[{"confidence":0.7,"reflector":9,'
+                '"xyz_m":[0.1,-1.5,2.25]}]}')
+        self._assert_format_errors(
+            tmp_path, ds.read_optical, good,
+            [good.replace('0.7', '"high"'),
+             good.replace('[0.1,-1.5,2.25]', '["a","b","c"]'),
+             good.replace('"reflector":9,', ''),
+             good.replace('"points":[', '"points":[1,'),
+             good.replace('}]}', '},' + good[21:-2] + ']}'),  # duplicate point
+             'nan nan'])
+
+    def test_malformed_motion_is_format_error(self, tmp_path):
+        template = SkeletonTemplate.default()
+        rest = template.rest_positions()
+        ds.write_motion(tmp_path / "good.jsonl",
+                        [Pose(0, rest, {k: np.eye(3) for k in rest})])
+        good = (tmp_path / "good.jsonl").read_text().strip()
+        self._assert_format_errors(
+            tmp_path, ds.read_motion, good,
+            [good.replace('"frame":0', '"frame":"first"'),
+             good.replace('"quat_wxyz":[1.0,0.0,0.0,0.0]', '"quat_wxyz":[1.0]', 1),
+             good.replace('"joints":', '"bones":'),
+             good.replace('"id":"left_elbow"', '"id":"left_elbow_2"'),
+             json.dumps({**json.loads(good),
+                         "joints": json.loads(good)["joints"][1:]}),
+             good.replace('"xyz_m":[', '"xyz_m":["x",', 1),
+             good + ","])
+
+    def test_calibrate_on_bad_optical_value_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "optical.jsonl").write_text(
+            '{"frame":0,"points":[{"confidence":"high","reflector":1,'
+            '"xyz_m":[0.0,0.0,1.0]}]}\n')
+        assert main(["calibrate", "--out", str(out)]) == 3
+        assert str(out / "optical.jsonl") in capsys.readouterr().err
+        assert not (out / "template.json").exists()
+
     def test_motion_csv_shape(self, tmp_path):
         template = SkeletonTemplate.default()
         rest = template.rest_positions()

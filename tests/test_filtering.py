@@ -1,8 +1,11 @@
 """Unit and randomized property tests for the 2D validity filter chain."""
 
 import numpy as np
+import pytest
+from scipy import ndimage
 
 from mocap_geom.core import IrMask, ReflectorId
+from mocap_geom.errors import ValidationError
 from mocap_geom.filtering import (FilterParams, apply_filters, confidence_cut,
                                   dedupe_colocated, enforce_uniqueness)
 from mocap_geom.maps import ReflectorEstimate2D
@@ -165,3 +168,85 @@ class TestFilterChainProperties:
         ests = [_est(1, 5, 5, 0.4), _est(2, 9, 9, 0.41)]
         out = confidence_cut(ests, 0.4)
         assert [e.reflector.index for e in out] == [2]
+
+
+def _full_frame_region_rule(est, mask, b_min):
+    """Reference region rule: one full-frame 8-connected labeling of the
+    mask, component size by bincount, looked up under the rounded position."""
+    labels, n = ndimage.label(mask.bits, structure=np.ones((3, 3), dtype=bool))
+    sizes = np.bincount(labels.ravel(), minlength=n + 1)
+    u = int(round(est.position[0]))
+    v = int(round(est.position[1]))
+    h, w = labels.shape
+    if not (0 <= u < w and 0 <= v < h):
+        raise ValidationError(f"estimate position {est.position} outside mask")
+    component = labels[v, u]
+    return component != 0 and int(sizes[component]) >= b_min
+
+
+def _random_mask(rng):
+    """Random blobs and speckle on a random frame size, edges included."""
+    h, w = int(rng.integers(1, 50)), int(rng.integers(1, 50))
+    bits = rng.random((h, w)) < rng.choice([0.0, 0.05, 0.3, 0.6, 1.0])
+    for _ in range(int(rng.integers(0, 6))):
+        v0, u0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        bits[v0:v0 + int(rng.integers(1, 8)), u0:u0 + int(rng.integers(1, 8))] = True
+    return IrMask(bits)
+
+
+def _probe_positions(rng, mask):
+    """Positions on components, beside them, on the background and on the
+    frame edges, some of them half a pixel off the pixel grid."""
+    h, w = mask.height, mask.width
+    on = np.argwhere(mask.bits)
+    off = np.argwhere(~mask.bits)
+    beside = np.argwhere(~mask.bits & ndimage.binary_dilation(
+        mask.bits, structure=np.ones((3, 3), dtype=bool)))
+    picks = []
+    for cells in (on, off, beside):
+        for v, u in cells[rng.integers(0, len(cells), 4)] if len(cells) else ():
+            picks.append((float(u), float(v)))
+    for _ in range(4):  # edges and corners
+        picks.append((float(rng.choice([0, w - 1])), float(rng.integers(0, h))))
+        picks.append((float(rng.integers(0, w)), float(rng.choice([0, h - 1]))))
+    jittered = [(u + rng.choice([-0.5, -0.4, 0.0, 0.4, 0.5]),
+                 v + rng.choice([-0.5, -0.4, 0.0, 0.4, 0.5])) for u, v in picks]
+    return picks + jittered
+
+
+class TestRegionRuleMatchesFullFrameLabeling:
+    def test_random_masks(self):
+        rng = np.random.default_rng(808)
+        checked = raised = 0
+        for _ in range(240):
+            mask = _random_mask(rng)
+            b_min = int(rng.integers(1, 12))
+            params = FilterParams(b_min=b_min, colocate_dist=0.0, c_min=0.0)
+            for u, v in _probe_positions(rng, mask):
+                est = _est(int(rng.integers(1, 27)), u, v, 0.5)
+                try:
+                    expected = [est] if _full_frame_region_rule(est, mask, b_min) else []
+                except ValidationError:
+                    with pytest.raises(ValidationError):
+                        apply_filters([est], mask, params)
+                    raised += 1
+                    continue
+                assert apply_filters([est], mask, params) == expected, (u, v)
+                checked += 1
+        assert checked > 5000 and raised > 100
+
+    def test_whole_lists_keep_the_reference_subset(self):
+        # one estimate per reflector, so only the region rule can drop one
+        rng = np.random.default_rng(809)
+        for _ in range(200):
+            mask = _random_mask(rng)
+            b_min = int(rng.integers(1, 12))
+            positions = [(u, v) for u, v in _probe_positions(rng, mask)
+                         if 0 <= round(u) < mask.width and 0 <= round(v) < mask.height]
+            ests = [_est(i + 1, u, v, 0.5)
+                    for i, (u, v) in enumerate(positions[:26])]
+            kept = apply_filters(ests, mask, FilterParams(b_min=b_min,
+                                                          colocate_dist=0.0,
+                                                          c_min=0.0))
+            assert kept == [e for e in ests
+                            if _full_frame_region_rule(e, mask, b_min)]

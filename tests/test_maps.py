@@ -16,7 +16,7 @@ from mocap_geom.maps import (ConfidenceMap, FlowField,
                              loss_fields, loss_maps, synth_confidence_map,
                              synth_flow_field, zero_flow_field)
 
-PARAMS = MapSynthesisParams(sigma_peak=7.0, sigma_field=4.0, samples=10)
+PARAMS = MapSynthesisParams(sigma_peak=7.0, sigma_field=4.0)
 
 
 class TestConfidenceMapSynthesis:

@@ -214,6 +214,14 @@ class TestConfig:
         assert cfg.calibration.rigid_pair_tol == 0.01
         assert cfg.kalman.accel_noise == PipelineConfig().kalman.accel_noise
 
+    def test_maps_samples_key_sets_the_line_integral_samples(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_text("[maps]\nsamples = 7\n")
+        assert load_config(path).inference.samples == 7
+        path.write_text("[maps]\nsamples = 1\n")
+        with pytest.raises(ValidationError, match=r"\[maps\] samples must be >= 2"):
+            load_config(path)
+
     def test_unknown_or_bad_entries_name_file_section_and_key(self, tmp_path):
         path = tmp_path / "config.ini"
         for text, names in (

@@ -379,3 +379,10 @@ class TestTrack:
         assert poses[1].gap
         np.testing.assert_allclose(poses[1].positions["left_knee"],
                                    poses[0].positions["left_knee"])
+
+    def test_first_frame_without_root_raises(self):
+        template = SkeletonTemplate.default()
+        frame = OpticalFrame(frame=0)
+        frame.add(OpticalPoint(ReflectorId(11), np.array([0.2, 0.0, 1.2]), 0.9, 0))
+        with pytest.raises(TrackingGap, match="frame 0"):
+            track(template, [frame, OpticalFrame(frame=1)])

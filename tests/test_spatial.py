@@ -6,14 +6,16 @@ import pytest
 from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, DepthFrame,
                              IrMask, ReflectorId, ReflectorKind, backproject,
                              to_global)
-from mocap_geom.errors import SplitFailure, ValidationError
+from mocap_geom.errors import (CalibrationInputError, SplitFailure,
+                               ValidationError)
 from mocap_geom.maps import ReflectorEstimate2D
 from mocap_geom.spatial import (OpticalFrame, OpticalPoint, Region,
                                 ViewObservation,
                                 closest_points_on_normal_lines,
-                                find_regions_labeled, fuse_patch, fuse_strap,
+                                find_regions_labeled, fuse_patch,
+                                fuse_reflector, fuse_strap,
                                 fuse_strap_single_view, observe_batch,
-                                split_merged_region)
+                                observe_view, split_merged_region)
 
 INTR = CameraIntrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, width=320, height=240)
 
@@ -349,6 +351,130 @@ class TestObserveBatch:
     def test_empty_batch(self):
         depth = DepthFrame(np.zeros((4, 4), dtype=np.uint16))
         assert observe_batch([], depth, INTR, CameraExtrinsics.identity(), 0) == []
+
+
+class TestObserveView:
+    EXTR = CameraExtrinsics.identity()
+
+    def test_skips_estimates_on_background_and_off_frame(self):
+        bits = np.zeros((240, 320), dtype=bool)
+        bits[50:56, 60:66] = True
+        bits[50:56, 314:320] = True  # where u = -3 would wrap to
+        bits[100:104, 200:210] = True
+        depth = DepthFrame(np.full((240, 320), 1200, dtype=np.uint16))
+        regions = find_regions_labeled(IrMask(bits))[0]
+        regions = [regions[0], regions[2]]
+        on_a, on_b = _est(1, 62.4, 52.6), _est(2, 205, 101)
+        ests = [_est(3, 150, 150), on_b, _est(4, -3, 52), on_a,
+                _est(5, 62, 240), _est(6, 319.6, 101)]
+        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR, 1)
+        # in region order, each as the one-item batch observes it
+        assert [o.reflector.index for o in got] == [1, 2]
+        for obs, est, region in zip(got, (on_a, on_b), regions):
+            ref = _observe_one(est, region, region.contour, depth, INTR,
+                               self.EXTR, 1)
+            assert obs.view == 1
+            np.testing.assert_array_equal(obs.point_global, ref.point_global)
+
+    def test_failed_split_falls_back_to_top_ranked_estimate(self):
+        bits = np.zeros((240, 320), dtype=bool)
+        bits[100:105, 100:105] = True
+        raw = np.zeros((240, 320), dtype=np.uint16)
+        raw[100, 102] = 1500  # one usable contour pixel for three estimates
+        depth = DepthFrame(raw)
+        region = find_regions_labeled(IrMask(bits))[0][0]
+        with pytest.raises(SplitFailure):
+            split_merged_region(region, [_est(1, 101, 101), _est(2, 103, 103)],
+                                depth)
+        # reflectors 3 and 2 tie on e_total; the lower index ranks first
+        ests = [_est(3, 101, 101, 0.9), _est(1, 102, 102, 0.7),
+                _est(2, 103, 103, 0.9)]
+        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR, 0)
+        assert [o.reflector.index for o in got] == [2]
+        ref = _observe_one(ests[2], region, region.contour, depth, INTR,
+                           self.EXTR, 0)
+        np.testing.assert_array_equal(got[0].point_global, ref.point_global)
+        assert got[0].e_total == 0.9
+
+    def test_merged_region_split_among_its_estimates(self):
+        region, depth, _, _ = TestSplitMergedRegion()._dumbbell()
+        bits = np.zeros(depth.pixels.shape, dtype=bool)
+        bits[region.pixels[:, 1], region.pixels[:, 0]] = True
+        ests = [_est(2, 43, 30, 0.8), _est(1, 30, 30, 0.9)]
+        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR, 0)
+        ranked = [ests[1], ests[0]]
+        clusters = split_merged_region(region, ranked, depth)
+        assert [o.reflector.index for o in got] == [1, 2]
+        for obs, est, cluster in zip(got, ranked, clusters):
+            ref = _observe_one(est, region, cluster, depth, INTR, self.EXTR,
+                               0, tuple(cluster.mean(axis=0)))
+            np.testing.assert_array_equal(obs.point_global, ref.point_global)
+
+    def test_no_estimates_or_empty_mask_give_nothing(self):
+        depth = DepthFrame(np.full((240, 320), 1000, dtype=np.uint16))
+        empty = IrMask(np.zeros((240, 320), dtype=bool))
+        assert observe_view([_est(1, 10, 10)], empty, depth, INTR,
+                            self.EXTR, 0) == []
+        assert observe_view([], IrMask(np.ones((240, 320), dtype=bool)),
+                            depth, INTR, self.EXTR, 0) == []
+
+
+class TestFuseReflector:
+    RADIUS = 0.03
+
+    def test_patch_is_the_weighted_centroid(self):
+        obs = [_obs(1, [0, 0, 1], 0.9), _obs(1, [0.1, 0, 1], 0.3, view=1)]
+        fused = fuse_reflector(obs, None, frame=3)
+        ref = fuse_patch(obs, 3)
+        np.testing.assert_array_equal(fused.position, ref.position)
+        assert fused.confidence == ref.confidence
+        assert fused.frame == 3 and not fused.degraded
+
+    def test_normal_line_point(self):
+        target = np.array([0.0, 0.0, 1.0])
+        obs = [_obs(11, target + [0, 0, -0.03], 0.9, normal=[0, 0, -1]),
+               _obs(11, target + [-0.03, 0, 0], 0.7, normal=[-1, 0, 0], view=1)]
+        fused = fuse_reflector(obs, self.RADIUS, frame=4)
+        ref = fuse_strap(obs, 4)
+        np.testing.assert_array_equal(fused.position, ref.position)
+        np.testing.assert_allclose(fused.position, target, atol=1e-12)
+        assert fused.confidence == ref.confidence and not fused.degraded
+
+    def test_far_normal_line_point_falls_back_to_offset_mean(self):
+        # nearly parallel normals meet about 2 m away from the surface
+        n2 = np.array([-0.01, 0.0, -1.0]) / np.hypot(0.01, 1.0)
+        obs = [_obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1]),
+               _obs(11, [0.02, 0, 1], 0.6, normal=n2, view=1),
+               _obs(11, [0.01, 0.01, 1], 0.5, view=2)]  # no normal
+        line = fuse_strap(obs, 0).position
+        assert np.linalg.norm(line - fuse_patch(obs).position) > 2.5 * self.RADIUS
+        fused = fuse_reflector(obs, self.RADIUS, frame=5)
+        offsets = [np.array([0, 0, 1]) + self.RADIUS * np.array([0, 0, 1]),
+                   np.array([0.02, 0, 1]) - self.RADIUS * n2]
+        expected = (0.9 * offsets[0] + 0.6 * offsets[1]) / 1.5
+        np.testing.assert_allclose(fused.position, expected, atol=1e-15)
+        assert fused.degraded and fused.frame == 5
+        assert fused.confidence == pytest.approx(0.75, abs=1e-15)
+
+    def test_single_view_normal_offsets_by_the_radius(self):
+        obs = [_obs(12, [0.2, 0, 1], 0.8, normal=[0, 0, -1]),
+               _obs(12, [0.3, 0, 1], 0.9, view=1)]
+        fused = fuse_reflector(obs, self.RADIUS, frame=2)
+        np.testing.assert_allclose(fused.position, [0.2, 0, 1.03], atol=1e-15)
+        assert fused.confidence == 0.8 and not fused.degraded
+
+    def test_no_normal_gives_degraded_surface_point(self):
+        obs = [_obs(16, [0, 0, 1], 0.9), _obs(16, [0.1, 0, 1], 0.3, view=1)]
+        fused = fuse_reflector(obs, self.RADIUS, frame=6)
+        surface = fuse_patch(obs, 6)
+        np.testing.assert_array_equal(fused.position, surface.position)
+        assert fused.confidence == surface.confidence
+        assert fused.degraded and fused.frame == 6
+
+    def test_strap_without_radius_rejected(self):
+        obs = [_obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1])]
+        with pytest.raises(CalibrationInputError, match="strap 11"):
+            fuse_reflector(obs, None)
 
 
 class TestFusePatch:
