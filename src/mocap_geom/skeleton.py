@@ -320,8 +320,9 @@ def joint_target(frame: OpticalFrame, subset: tuple[int, ...],
     if not pts:
         return None
     conf_arr = np.array(confs)
-    return (_weighted_centroid(np.array(pts), conf_arr),
-            float(conf_arr.sum() / len(conf_arr)))
+    total = conf_arr.sum()
+    return (_weighted_centroid(np.array(pts), conf_arr, total),
+            float(total / len(conf_arr)))
 
 
 def frame_targets(frame: OpticalFrame, conf_min: float = -1.0

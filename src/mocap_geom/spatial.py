@@ -402,10 +402,14 @@ def observe_view(ests: list[ReflectorEstimate2D], mask: IrMask,
             if obs is not None]
 
 
-def _weighted_centroid(points: np.ndarray, conf: np.ndarray) -> np.ndarray:
+def _weighted_centroid(points: np.ndarray, conf: np.ndarray,
+                       total: float) -> np.ndarray:
     """Rows of ``points`` weighted by ``conf`` normalized to sum 1 (a convex
-    combination); the plain mean when the weights do not sum above 0."""
-    total = conf.sum()
+    combination); the plain mean when the weights do not sum above 0.
+
+    ``total`` is ``conf.sum()``, which callers also need for their
+    confidence, so it is summed once.
+    """
     return (conf / total) @ points if total > 0 else points.mean(axis=0)
 
 
@@ -425,7 +429,7 @@ def fuse_patch(observations: list[ViewObservation], frame: int = 0) -> OpticalPo
     # the mean, as conf.mean() rounds it
     confidence = float(total / len(conf)) if total > 0 else 0.0
     return OpticalPoint(observations[0].reflector,
-                        _weighted_centroid(pts, conf), confidence, frame)
+                        _weighted_centroid(pts, conf, total), confidence, frame)
 
 
 def closest_points_on_normal_lines(p_i: np.ndarray, n_i: np.ndarray,
@@ -473,8 +477,9 @@ def fuse_strap(observations: list[ViewObservation], frame: int = 0) -> OpticalPo
             points.append((pj, oj.e_total))
     if not points:
         return replace(fuse_patch(observations, frame), degraded=True)
-    position = _weighted_centroid(np.array([p for p, _ in points]),
-                                  np.array([w for _, w in points]))
+    conf = np.array([w for _, w in points])
+    position = _weighted_centroid(np.array([p for p, _ in points]), conf,
+                                  conf.sum())
     e_totals = np.array([o.e_total for o in observations])
     confidence = float(e_totals.sum() / len(e_totals))
     return OpticalPoint(observations[0].reflector, position, confidence, frame)
@@ -526,5 +531,6 @@ def fuse_reflector(observations: list[ViewObservation],
     offsets = np.array([fuse_strap_single_view(o, limb_radius, frame).position
                         for o in with_normals])
     conf = np.array([o.e_total for o in with_normals])
-    return OpticalPoint(reflector, _weighted_centroid(offsets, conf),
-                        float(conf.sum() / len(conf)), frame, degraded=True)
+    total = conf.sum()
+    return OpticalPoint(reflector, _weighted_centroid(offsets, conf, total),
+                        float(total / len(conf)), frame, degraded=True)
