@@ -47,11 +47,22 @@ def write_depth(path: str | Path, frame: DepthFrame) -> None:
         fh.write(frame.pixels.astype("<u2").tobytes())
 
 
-def read_depth(path: str | Path) -> DepthFrame:
+def _read_frame_file(path: str | Path, magic: bytes) -> tuple[bytes, int, int]:
+    """The bytes and (w, h) header of a DMCD or DMCI file."""
     data = Path(path).read_bytes()
-    if data[:4] != MAGIC_DEPTH:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected DMCD")
+    if data[:4] != magic:
+        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected "
+                          f"{magic.decode()}")
+    if len(data) < 12:
+        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
     w, h = struct.unpack("<II", data[4:12])
+    if w == 0 or h == 0:
+        raise FormatError(f"{path}: empty {w}x{h} frame")
+    return data, w, h
+
+
+def read_depth(path: str | Path) -> DepthFrame:
+    data, w, h = _read_frame_file(path, MAGIC_DEPTH)
     expected = 12 + 2 * w * h
     if len(data) != expected:
         raise FormatError(f"{path}: size {len(data)} != expected {expected}")
@@ -68,10 +79,7 @@ def write_mask(path: str | Path, mask: IrMask) -> None:
 
 
 def read_mask(path: str | Path) -> IrMask:
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC_MASK:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected DMCI")
-    w, h = struct.unpack("<II", data[4:12])
+    data, w, h = _read_frame_file(path, MAGIC_MASK)
     n_bytes = (w * h + 7) // 8
     if len(data) != 12 + n_bytes:
         raise FormatError(f"{path}: size {len(data)} != expected {12 + n_bytes}")
@@ -123,7 +131,8 @@ def read_maps(path: str | Path) -> tuple[dict[ReflectorId, ConfidenceMap],
     version, w, h, count = struct.unpack("<IIII", data[4:20])
     off = 20
     if version == 1:
-        indices = list(range(1, count + 1))
+        # lazy: a corrupt count must reach the size check before any list
+        indices = range(1, count + 1)
     elif version == MAPS_VERSION:
         if len(data) < off + 4 * count:
             raise FormatError(f"{path}: truncated reflector id list")

@@ -61,23 +61,19 @@ def dedupe_colocated(ests: list[ReflectorEstimate2D],
 
     Greedy sweep in descending confidence: an estimate is removed when any
     higher-ranked estimate of a *different* reflector lies strictly closer
-    than colocate_dist, whether or not that one itself survived.
+    than colocate_dist, whether or not that one itself survived.  Every pair
+    is compared at once: row i of the distance matrix holds the estimate
+    ranked i against each one ranked above it (the strictly lower triangle).
     """
     ranked = sorted(ests, key=_rank_key)
-    keep = []
-    for i, est in enumerate(ranked):
-        suppressed = False
-        for other in ranked[:i]:
-            if other.reflector == est.reflector:
-                continue
-            d = np.hypot(other.position[0] - est.position[0],
-                         other.position[1] - est.position[1])
-            if d < colocate_dist:
-                suppressed = True
-                break
-        if not suppressed:
-            keep.append(est)
-    return keep
+    if len(ranked) < 2:
+        return ranked
+    pos = np.array([e.position for e in ranked], dtype=np.float64)
+    ids = np.array([e.reflector.index for e in ranked])
+    d = np.hypot(pos[None, :, 0] - pos[:, None, 0],
+                 pos[None, :, 1] - pos[:, None, 1])
+    close = np.tril((d < colocate_dist) & (ids[None, :] != ids[:, None]), k=-1)
+    return [est for est, hit in zip(ranked, close.any(axis=1)) if not hit]
 
 
 def enforce_uniqueness(ests: list[ReflectorEstimate2D]) -> list[ReflectorEstimate2D]:

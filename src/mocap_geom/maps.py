@@ -86,6 +86,12 @@ def _densify(window: np.ndarray, origin: tuple[int, int],
     return out
 
 
+def _check_confidence_range(vals: np.ndarray) -> None:
+    # written so that NaN, for which every comparison is False, fails
+    if vals.size and not (vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12):
+        raise ValidationError("confidence values must lie in [0, 1]")
+
+
 @dataclass
 class ConfidenceMap:
     """Per-reflector 2D belief image with values in [0, 1].
@@ -109,10 +115,23 @@ class ConfidenceMap:
             raise DimensionError("confidence map must be a 2D array")
         self.origin, self.size = _frame_window(vals.shape, self.origin,
                                                self.size, "confidence map")
-        # written so that NaN, for which every comparison is False, fails
-        if vals.size and not (vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12):
-            raise ValidationError("confidence values must lie in [0, 1]")
+        _check_confidence_range(vals)
         self.values = vals
+
+    @classmethod
+    def _of_checked_values(cls, reflector: ReflectorId, values: np.ndarray,
+                           origin: tuple[int, int],
+                           size: tuple[int, int]) -> ConfidenceMap:
+        """A map of float64 values already known to lie in [0, 1].
+
+        Only the window's place in the frame is checked: the values are not
+        scanned again (a synthesized map is a window of a checked kernel).
+        """
+        cmap = cls.__new__(cls)
+        cmap.reflector, cmap.values = reflector, values
+        cmap.origin, cmap.size = _frame_window(values.shape, origin, size,
+                                               "confidence map")
+        return cmap
 
     @property
     def height(self) -> int:
@@ -192,11 +211,13 @@ def _peak_kernel(sigma: float, fx: float, fy: float) -> np.ndarray:
     Row j and column k run over the integer offsets -r..r, with
     r = ceil(sigma * _PEAK_REACH) + 2, so element [r + j, r + k] is the
     value at pixel (ix + k, iy + j) of a peak centred at (ix + fx, iy + fy).
+    Its range is checked here, once, for every map sliced from it.
     """
     r = math.ceil(sigma * _PEAK_REACH) + 2
     ks = np.arange(-r, r + 1, dtype=np.float64)
     d2 = (ks[None, :] - fx) ** 2 + (ks[:, None] - fy) ** 2
     kernel = np.exp(-d2 / sigma ** 2)
+    _check_confidence_range(kernel)
     kernel.setflags(write=False)
     return kernel
 
@@ -226,9 +247,9 @@ def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
     ix, iy = math.floor(cx), math.floor(cy)
     kernel = _peak_kernel(params.sigma_peak, cx - ix, cy - iy)
     r = kernel.shape[0] // 2
-    return ConfidenceMap(reflector or ReflectorId(1),
-                         kernel[r + y0 - iy:r + y1 - iy, r + x0 - ix:r + x1 - ix],
-                         (y0, x0), (w, h))
+    return ConfidenceMap._of_checked_values(
+        reflector or ReflectorId(1),
+        kernel[r + y0 - iy:r + y1 - iy, r + x0 - ix:r + x1 - ix], (y0, x0), (w, h))
 
 
 def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
@@ -289,60 +310,118 @@ def extract_peaks(conf_map: ConfidenceMap, nms_window: int = 5,
 
     A peak must strictly exceed every other value inside the (odd) window
     centered on it, so plateaus yield no peaks.  Ties in score order break
-    by smaller row then smaller column.
+    by smaller row then smaller column.  The one-map case of
+    :func:`decode_peaks`.
     """
-    if nms_window < 3 or nms_window % 2 == 0:
-        raise ValidationError("nms_window must be odd and >= 3")
+    return decode_peaks([conf_map], nms_window, min_conf)[0]
+
+
+def _strong_box(conf_map: ConfidenceMap, min_conf: float):
+    """Frame (top, bottom, left, right) bounds of the pixels >= min_conf,
+    or None when there are none."""
     vals = conf_map.values
     (wr, wc), (w, h) = conf_map.origin, conf_map.size
     if min_conf <= 0 and vals.shape != (h, w):
         # the 0s outside the window are strong too
-        top, bottom, left, right = 0, h - 1, 0, w - 1
-    else:
-        if vals.size == 0:
-            return []
-        strong_rows = np.flatnonzero(vals.max(axis=1) >= min_conf)
-        if len(strong_rows) == 0:
-            return []
-        first, last = int(strong_rows[0]), int(strong_rows[-1])
-        strong_cols = np.flatnonzero(vals[first:last + 1].max(axis=0) >= min_conf)
-        top, bottom = wr + first, wr + last
-        left, right = wc + int(strong_cols[0]), wc + int(strong_cols[-1])
-    # Only pixels >= min_conf can be peaks, and a peak's window reaches
-    # nms_window // 2 past it, so the search runs on the bounding box of
-    # those pixels grown by that much and clipped to the frame: every value
-    # a candidate's window reads is inside the crop, which holds the stored
-    # values inside the window and 0 outside it.  The crop sits in a
-    # -inf border of that width, which stands for the pixels off the frame.
+        return 0, h - 1, 0, w - 1
+    if vals.size == 0:
+        return None
+    strong_rows = np.flatnonzero(vals.max(axis=1) >= min_conf)
+    if len(strong_rows) == 0:
+        return None
+    first, last = int(strong_rows[0]), int(strong_rows[-1])
+    strong_cols = np.flatnonzero(vals[first:last + 1].max(axis=0) >= min_conf)
+    return (wr + first, wr + last, wc + int(strong_cols[0]),
+            wc + int(strong_cols[-1]))
+
+
+# A stack of crops holds at most this many values (8 MiB of float64)
+# unless one crop alone is larger: maps whose strong pixels span the frame,
+# as with a non-positive min_conf, are decoded a few at a time.
+_STACK_VALUES = 1 << 20
+
+
+def decode_peaks(conf_maps: list[ConfidenceMap], nms_window: int = 5,
+                 min_conf: float = 0.1
+                 ) -> list[list[tuple[tuple[int, int], float]]]:
+    """:func:`extract_peaks` of every map, in order, decoded together.
+
+    Only pixels >= min_conf can be peaks, and a peak's window reaches
+    nms_window // 2 past it, so each map is searched on the bounding box of
+    those pixels grown by that much and clipped to its frame: every value a
+    candidate's window reads is inside that crop, which holds the stored
+    values inside the map's window and 0 outside it.  The crops sit in one
+    stack padded with -inf, which stands for the pixels off each frame, so
+    the window maxima and the strict-maximum test run once for all maps.
+    """
+    if nms_window < 3 or nms_window % 2 == 0:
+        raise ValidationError("nms_window must be odd and >= 3")
     half = nms_window // 2
-    r0, r1 = max(top - half, 0), min(bottom + half + 1, h)
-    c0, c1 = max(left - half, 0), min(right + half + 1, w)
-    rows, cols = r1 - r0, c1 - c0
-    padded = np.full((rows + 2 * half, cols + 2 * half), -np.inf)
-    crop = padded[half:half + rows, half:half + cols]
-    crop[...] = 0.0
-    i0, i1 = max(r0, wr), min(r1, wr + vals.shape[0])
-    j0, j1 = max(c0, wc), min(c1, wc + vals.shape[1])
-    if i0 < i1 and j0 < j1:
-        crop[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = \
-            vals[i0 - wr:i1 - wr, j0 - wc:j1 - wc]
+    out: list[list] = [[] for _ in conf_maps]
+    batch: list[tuple] = []
+    rows = cols = 0
+    for k, cmap in enumerate(conf_maps):
+        box = _strong_box(cmap, min_conf)
+        if box is None:
+            continue
+        top, bottom, left, right = box
+        w, h = cmap.size
+        r0, r1 = max(top - half, 0), min(bottom + half + 1, h)
+        c0, c1 = max(left - half, 0), min(right + half + 1, w)
+        grown = max(rows, r1 - r0), max(cols, c1 - c0)
+        if batch and (len(batch) + 1) * (grown[0] + 2 * half) * \
+                (grown[1] + 2 * half) > _STACK_VALUES:
+            _decode_stack(conf_maps, batch, rows, cols, nms_window, min_conf, out)
+            batch, grown = [], (r1 - r0, c1 - c0)
+        batch.append((k, r0, c0, r1 - r0, c1 - c0))
+        rows, cols = grown
+    if batch:
+        _decode_stack(conf_maps, batch, rows, cols, nms_window, min_conf, out)
+    return out
+
+
+def _decode_stack(conf_maps: list[ConfidenceMap], crops: list[tuple],
+                  rows: int, cols: int, nms_window: int, min_conf: float,
+                  out: list[list]) -> None:
+    """Append the peaks of each crop (map k, frame origin (r0, c0), shape)
+    to out[k]; rows x cols bounds every crop's shape."""
+    half = nms_window // 2
+    padded = np.full((len(crops), rows + 2 * half, cols + 2 * half), -np.inf)
+    stack = padded[:, half:half + rows, half:half + cols]
+    for n, (k, r0, c0, crop_rows, crop_cols) in enumerate(crops):
+        vals, (wr, wc) = conf_maps[k].values, conf_maps[k].origin
+        crop = stack[n, :crop_rows, :crop_cols]
+        i0, i1 = max(r0, wr), min(r0 + crop_rows, wr + vals.shape[0])
+        j0, j1 = max(c0, wc), min(c0 + crop_cols, wc + vals.shape[1])
+        if (i0, i1, j0, j1) != (r0, r0 + crop_rows, c0, c0 + crop_cols):
+            crop[...] = 0.0   # the crop reaches past the stored window
+        if i0 < i1 and j0 < j1:
+            crop[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = \
+                vals[i0 - wr:i1 - wr, j0 - wc:j1 - wc]
     # the window maximum, centre included: along rows, then along columns
-    row_max = np.maximum(padded[:, :cols], padded[:, 1:cols + 1])
+    row_max = np.maximum(padded[:, :, :cols], padded[:, :, 1:cols + 1])
     for k in range(2, nms_window):
-        np.maximum(row_max, padded[:, k:k + cols], out=row_max)
-    window_max = np.maximum(row_max[:rows], row_max[1:rows + 1])
+        np.maximum(row_max, padded[:, :, k:k + cols], out=row_max)
+    window_max = np.maximum(row_max[:, :rows], row_max[:, 1:rows + 1])
     for k in range(2, nms_window):
-        np.maximum(window_max, row_max[k:k + rows], out=window_max)
-    peaks = []
-    for i, j in zip(*np.nonzero((crop == window_max) & (crop >= min_conf))):
-        score = crop[i, j]
-        # the window of crop pixel (i, j) is padded[i:i + n, j:j + n]; a
-        # maximum that another pixel there ties is not strict
-        if np.count_nonzero(padded[i:i + nms_window, j:j + nms_window]
-                            == score) == 1:
-            peaks.append((-score, r0 + int(i), c0 + int(j)))
-    peaks.sort()
-    return [((col, row), float(-neg)) for neg, row, col in peaks]
+        np.maximum(window_max, row_max[:, k:k + rows], out=window_max)
+    n, i, j = np.nonzero((stack == window_max) & (stack >= min_conf))
+    # the window of stack pixel (n, i, j) is padded[n, i:i + w, j:j + w]; a
+    # maximum that another pixel there ties is not strict.  A -inf pixel
+    # past a smaller crop is never strict: its whole window is -inf.
+    width = cols + 2 * half
+    span = np.arange(nms_window)
+    corner = (n * (rows + 2 * half) + i) * width + j
+    windows = padded.ravel()[corner[:, None]
+                             + (span[:, None] * width + span).ravel()]
+    score = windows[:, half * nms_window + half]
+    strict = (windows == score[:, None]).sum(axis=1) == 1
+    n, i, j, score = n[strict], i[strict], j[strict], score[strict]
+    order = np.lexsort((j, i, -score, n))
+    for m, row, col, value in zip(n[order].tolist(), i[order].tolist(),
+                                  j[order].tolist(), score[order].tolist()):
+        k, r0, c0 = crops[m][:3]
+        out[k].append(((c0 + col, r0 + row), value))
 
 
 _ZERO_VECTOR = np.zeros(2)
@@ -417,8 +496,10 @@ def greedy_inference(maps: dict[ReflectorId, ConfidenceMap],
         raise ValidationError("maps and fields must cover the same reflectors")
     prev = prev or {}
     out: list[ReflectorEstimate2D] = []
-    for rid in sorted(maps):
-        peaks = extract_peaks(maps[rid], params.nms_window, params.min_peak_conf)
+    rids = sorted(maps)
+    decoded = decode_peaks([maps[rid] for rid in rids], params.nms_window,
+                           params.min_peak_conf)
+    for rid, peaks in zip(rids, decoded):
         if not peaks:
             continue
         best: ReflectorEstimate2D | None = None

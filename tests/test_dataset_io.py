@@ -10,9 +10,9 @@ from mocap_geom import dataset as ds
 from mocap_geom.cli import main
 from mocap_geom.core import DepthFrame, IrMask, ReflectorId
 from mocap_geom.errors import FormatError
-from mocap_geom.maps import (Annotation2D, MapSynthesisParams,
-                             ReflectorEstimate2D, synth_confidence_map,
-                             synth_flow_field)
+from mocap_geom.maps import (Annotation2D, ConfidenceMap, FlowField,
+                             MapSynthesisParams, ReflectorEstimate2D,
+                             synth_confidence_map, synth_flow_field)
 from mocap_geom.skeleton import Pose, SkeletonTemplate, rotation_about
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 
@@ -154,6 +154,140 @@ class TestBinaryFormats:
             ds.read_depth(path)
 
 
+def _random_depth(rng) -> DepthFrame:
+    h, w = (int(x) for x in rng.integers(1, 41, 2))
+    pixels = rng.integers(0, 65536, (h, w))
+    pixels[rng.random((h, w)) < 0.3] = 0   # holes
+    return DepthFrame(pixels.astype(np.uint16))
+
+
+def _random_mask(rng) -> IrMask:
+    h, w = (int(x) for x in rng.integers(1, 41, 2))   # odd sizes: w*h % 8 != 0
+    density = float(rng.choice([0.0, 0.01, 0.1, 0.5, 1.0]))
+    return IrMask(rng.random((h, w)) < density)
+
+
+def _random_maps(rng):
+    """Maps and fields of a random frame: 0-6 sparse ids (0 is an empty
+    frame), each a random window of values in [0, 1] and flow in [-1, 1]."""
+    w, h = (int(x) for x in rng.integers(1, 33, 2))
+    ids = sorted(int(i) for i in rng.choice(np.arange(1, 27),
+                                            int(rng.integers(0, 7)), False))
+    maps, fields = {}, {}
+    for i in ids:
+        rid = ReflectorId(i)
+        r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        rows, cols = int(rng.integers(0, h - r0 + 1)), int(rng.integers(0, w - c0 + 1))
+        maps[rid] = ConfidenceMap(rid, rng.random((rows, cols)), (r0, c0), (w, h))
+        fields[rid] = FlowField(rid, rng.uniform(-1, 1, (rows, cols, 2)),
+                                (r0, c0), (w, h))
+    return maps, fields
+
+
+def _corruptions(rng, good: bytes, magic: bytes, version_at: int | None):
+    """(kind, bytes) of damaged copies of a valid file."""
+    out = [("truncated", good[:int(k)])
+           for k in rng.integers(0, len(good), 3)]
+    out += [("truncated", good[:n]) for n in (0, 3, 4, 11) if n < len(good)]
+    out.append(("bad_magic", magic[::-1] + good[4:]))
+    out.append(("bad_magic", bytes(rng.integers(0, 256, 4, dtype=np.uint8))
+                + good[4:]))
+    out.append(("size_mismatch", good + bytes(int(rng.integers(1, 9)))))
+    if version_at is not None:
+        for version in (0, 3, 2 ** 32 - 1):
+            out.append(("bad_version", good[:version_at]
+                        + struct.pack("<I", version) + good[version_at + 4:]))
+    return out
+
+
+class TestCodecFuzz:
+    """Seeded round trips of every legal input; corrupt files are format
+    errors that name the file."""
+
+    @staticmethod
+    def _assert_rejected(path, data, read, kind):
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(path) in str(exc.value), kind
+
+    def test_depth(self, tmp_path):
+        rng = np.random.default_rng(101)
+        path = tmp_path / "depth_00000.bin"
+        for trial in range(150):
+            frame = _random_depth(rng)
+            ds.write_depth(path, frame)
+            good = path.read_bytes()
+            back = ds.read_depth(path)
+            assert back.pixels.dtype == np.uint16
+            assert np.array_equal(back.pixels, frame.pixels), trial
+            for kind, data in _corruptions(rng, good, b"DMCD", None):
+                self._assert_rejected(path, data, ds.read_depth, kind)
+            w, h = frame.width, frame.height
+            for size in ((w + 1, h), (w, h + 2)):
+                data = good[:4] + struct.pack("<II", *size) + good[12:]
+                self._assert_rejected(path, data, ds.read_depth, size)
+            for size in ((0, h), (w, 0)):   # empty, and no pixels follow
+                data = good[:4] + struct.pack("<II", *size)
+                self._assert_rejected(path, data, ds.read_depth, size)
+
+    def test_mask(self, tmp_path):
+        rng = np.random.default_rng(102)
+        path = tmp_path / "irmask_00000.bin"
+        odd = sparse = 0
+        for trial in range(150):
+            mask = _random_mask(rng)
+            ds.write_mask(path, mask)
+            good = path.read_bytes()
+            assert np.array_equal(ds.read_mask(path).bits, mask.bits), trial
+            odd += mask.bits.size % 8 != 0
+            sparse += 0 < mask.bits.mean() < 0.05
+            for kind, data in _corruptions(rng, good, b"DMCI", None):
+                self._assert_rejected(path, data, ds.read_mask, kind)
+            w, h = mask.width, mask.height
+            for size in ((w + 8, h), (w, h + 8)):
+                data = good[:4] + struct.pack("<II", *size) + good[12:]
+                self._assert_rejected(path, data, ds.read_mask, size)
+            for size in ((0, h), (w, 0)):   # empty, and no bits follow
+                data = good[:4] + struct.pack("<II", *size)
+                self._assert_rejected(path, data, ds.read_mask, size)
+        assert odd >= 100 and sparse >= 10
+
+    def test_maps(self, tmp_path):
+        rng = np.random.default_rng(103)
+        path = tmp_path / "maps_00000.dmcm"
+        empty = 0
+        for trial in range(150):
+            maps, fields = _random_maps(rng)
+            ds.write_maps(path, maps, fields)
+            good = path.read_bytes()
+            maps2, fields2 = ds.read_maps(path)
+            assert list(maps2) == sorted(maps) == list(fields2), trial
+            for rid in maps:
+                assert np.array_equal(maps2[rid].values,
+                                      maps[rid].dense().astype("<f4"))
+                assert np.array_equal(fields2[rid].vectors,
+                                      fields[rid].dense().astype("<f4"))
+            empty += not maps
+            for kind, data in _corruptions(rng, good, b"DMCM", 4):
+                self._assert_rejected(path, data, ds.read_maps, kind)
+            if maps:   # a header that disagrees with the planes
+                w, h = next(iter(maps.values())).size
+                for size in ((w + 1, h), (w, h + 1)):
+                    data = good[:8] + struct.pack("<II", *size) + good[16:]
+                    self._assert_rejected(path, data, ds.read_maps, size)
+        assert empty >= 10
+
+    def test_version_1_count_is_checked_before_use(self, tmp_path):
+        path = tmp_path / "maps_v1.dmcm"
+        for w, h, count in ((4, 3, 2 ** 32 - 1), (0, 0, 2 ** 32 - 1),
+                            (4, 3, 27), (0, 0, 1)):
+            data = b"DMCM" + struct.pack("<IIII", 1, w, h, count)
+            if count == 27:   # planes of the right size for 27 reflectors
+                data += bytes(3 * 4 * w * h * count)
+            self._assert_rejected(path, data, ds.read_maps, (w, h, count))
+
+
 class TestMapsThroughCli:
     @staticmethod
     def _one_frame_take(tmp_path):
@@ -188,6 +322,45 @@ class TestMapsThroughCli:
                      str(dataset), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert str(victim) in err and "8x6" in err and "320x240" in err
+
+    def test_confidence_above_one_exits_3_naming_it(self, tmp_path, capsys):
+        config, dataset, out = self._one_frame_take(tmp_path)
+        params, rid = MapSynthesisParams(), ReflectorId(3)
+        victim = dataset / "view_2" / "maps_00000.dmcm"
+        ds.write_maps(victim,
+                      {rid: synth_confidence_map((150, 100), (320, 240),
+                                                 params, rid)},
+                      {rid: FlowField(rid, np.zeros((240, 320, 2)))})
+        # the peak pixel of the one confidence plane, after header and id
+        data = bytearray(victim.read_bytes())
+        at = 24 + 4 * (100 * 320 + 150)
+        assert struct.unpack_from("<f", data, at) == (1.0,)
+        struct.pack_into("<f", data, at, 1.5)
+        victim.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--dataset",
+                     str(dataset), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(victim) in err and "[0, 1]" in err
+
+    def test_corrupt_depth_and_mask_exit_3_naming_them(self, tmp_path, capsys):
+        config, dataset, out = self._one_frame_take(tmp_path)
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out)]
+        assert main(["infer", *args]) == 0
+        rng = np.random.default_rng(104)
+        for command, name, magic in (("fuse", "depth_00000.bin", b"DMCD"),
+                                     ("infer", "irmask_00000.bin", b"DMCI")):
+            victim = dataset / "view_0" / name
+            good = victim.read_bytes()
+            cases = _corruptions(rng, good, magic, None)
+            cases.append(("empty", good[:4] + struct.pack("<II", 0, 240)))
+            for kind, data in cases:
+                victim.write_bytes(data)
+                capsys.readouterr()
+                assert main([command, *args]) == 3, (name, kind)
+                assert str(victim) in capsys.readouterr().err, (name, kind)
+            victim.write_bytes(good)
 
 
 class TestJsonlCodecs:

@@ -92,6 +92,69 @@ class TestDedupeColocated:
         assert len(dedupe_colocated(ests, 0.0)) == 2
 
 
+def _reference_dedupe(ests, colocate_dist):
+    """The greedy pair-loop sweep that dedupe_colocated replaced."""
+    ranked = sorted(ests, key=lambda e: (-e.e_total, e.position[1],
+                                         e.position[0], e.reflector.index))
+    keep = []
+    for i, est in enumerate(ranked):
+        suppressed = False
+        for other in ranked[:i]:
+            if other.reflector == est.reflector:
+                continue
+            d = np.hypot(other.position[0] - est.position[0],
+                         other.position[1] - est.position[1])
+            if d < colocate_dist:
+                suppressed = True
+                break
+        if not suppressed:
+            keep.append(est)
+    return keep
+
+
+class TestDedupeMatchesPairLoop:
+    def test_seeded_random_sets(self):
+        rng = np.random.default_rng(29)
+        # 3-4-5 offsets put pairs at exactly 5 px, the threshold below
+        offsets = [(0, 0), (3, 4), (-4, 3), (5, 0), (0, 3), (1, 1), (2, 0)]
+        at_threshold = same_reflector = duplicates = dropped = 0
+        for trial in range(1500):
+            n = int(rng.integers(0, 14))
+            base = rng.integers(0, 12, (max(n, 1), 2))
+            ests = []
+            for k in range(n):
+                dx, dy = offsets[int(rng.integers(0, len(offsets)))]
+                x, y = (float(v) for v in base[int(rng.integers(0, k + 1))])
+                if rng.random() < 0.3:   # off the pixel grid
+                    x += float(rng.choice([0.5, 0.25, 1e-9]))
+                idx = int(rng.integers(1, 5))   # few ids: many same-id pairs
+                conf = float(rng.choice([0.5, 0.9, rng.random()]))
+                ests.append(_est(idx, x + dx, y + dy, conf))
+            dist = float(rng.choice([0.0, 1.0, 3.0, 5.0, np.sqrt(2.0), np.inf]))
+            got = dedupe_colocated(ests, dist)
+            assert got == _reference_dedupe(ests, dist), trial
+            pairs = [(a, b) for i, a in enumerate(ests) for b in ests[:i]]
+            at_threshold += any(np.hypot(a.position[0] - b.position[0],
+                                         a.position[1] - b.position[1]) == dist
+                                for a, b in pairs)
+            same_reflector += any(a.reflector == b.reflector for a, b in pairs)
+            duplicates += any(a.position == b.position for a, b in pairs)
+            dropped += len(got) < len(ests)
+        assert at_threshold >= 100 and same_reflector >= 500
+        assert duplicates >= 300 and dropped >= 500
+
+    def test_zero_and_one_estimates(self):
+        assert dedupe_colocated([], 3.0) == []
+        one = [_est(7, 1.0, 2.0, 0.5)]
+        assert dedupe_colocated(one, 3.0) == one
+        assert dedupe_colocated(one, np.inf) == one
+
+    def test_exact_threshold_distance_is_kept(self):
+        a, b = _est(1, 10, 10, 0.9), _est(2, 13, 14, 0.5)   # 5 px apart
+        assert dedupe_colocated([b, a], 5.0) == [a, b]
+        assert dedupe_colocated([b, a], np.nextafter(5.0, np.inf)) == [a]
+
+
 class TestEnforceUniqueness:
     def test_duplicate_keeps_highest(self):
         out = enforce_uniqueness([_est(13, 10, 10, 0.7), _est(13, 30, 30, 0.6)])

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
 
+from mocap_geom import dataset as ds
+from mocap_geom import maps as maps_module
+from mocap_geom.config import PipelineConfig
 from mocap_geom.core import ReflectorId
 from mocap_geom.errors import (DegenerateMotionError, DimensionError,
                                ValidationError)
 from mocap_geom.maps import (ConfidenceMap, FlowField,
                              InferenceParams, MapSynthesisParams,
-                             ReflectorEstimate2D, extract_peaks,
+                             ReflectorEstimate2D, decode_peaks, extract_peaks,
                              fuse_confidence, greedy_inference, line_integral,
                              loss_fields, loss_maps, synth_confidence_map,
                              synth_flow_field, zero_flow_field)
+from mocap_geom.pipeline import _maps_from_annotations, cmd_synth
 
 PARAMS = MapSynthesisParams(sigma_peak=7.0, sigma_field=4.0)
 
@@ -638,3 +642,220 @@ class TestLosses:
         b = ConfidenceMap(ReflectorId(1), np.zeros((6, 5)))
         with pytest.raises(DimensionError):
             loss_maps([a], [b])
+
+
+class TestRangeCheck:
+    """Maps from outside are scanned; a kernel window was checked with its kernel."""
+
+    def test_values_outside_zero_one_rejected_in_windows_too(self):
+        for bad in (np.nan, 1.5, -0.1):
+            vals = np.zeros((6, 5))
+            vals[2, 3] = 0.9
+            vals[4, 1] = bad
+            with pytest.raises(ValidationError):
+                ConfidenceMap(ReflectorId(2), vals)
+            with pytest.raises(ValidationError):
+                ConfidenceMap(ReflectorId(2), vals, (7, 11), (40, 30))
+
+    def test_kernel_window_is_not_scanned_again(self, monkeypatch):
+        scans = []
+        real = maps_module._check_confidence_range
+        monkeypatch.setattr(maps_module, "_check_confidence_range",
+                            lambda vals: scans.append(vals.shape) or real(vals))
+        params = MapSynthesisParams(sigma_peak=3.25)  # a kernel no other test builds
+        maps_module._peak_kernel.cache_clear()
+        first = synth_confidence_map((30, 20), (64, 48), params)
+        side = 2 * (int(np.ceil(3.25 * maps_module._PEAK_REACH)) + 2) + 1
+        assert scans == [(side, side)]  # the kernel, once
+        for x, y in ((0, 0), (63, 47), (10, 40), (55, 3)):
+            m = synth_confidence_map((x, y), (64, 48), params)
+            assert m.dense()[y, x] == 1.0
+            assert np.shares_memory(m.values, first.values)
+        assert scans == [(side, side)]
+        # the constructor of every other map still scans
+        ConfidenceMap(ReflectorId(1), first.dense())
+        assert scans[-1] == (48, 64)
+
+    def test_kernel_window_skips_the_constructor_check(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a kernel window was checked again")
+        m = synth_confidence_map((12, 9), (40, 30), PARAMS)
+        monkeypatch.setattr(ConfidenceMap, "__post_init__", refuse)
+        again = synth_confidence_map((12, 9), (40, 30), PARAMS)
+        assert (again.origin, again.size) == (m.origin, m.size)
+        assert again.values.tobytes() == m.values.tobytes()
+        assert again.values.dtype == np.float64 and again.reflector == ReflectorId(1)
+
+
+def _reference_extract_peaks(conf_map, nms_window=5, min_conf=0.1):
+    """The one-map decoder that decode_peaks replaced, kept as its reference."""
+    if nms_window < 3 or nms_window % 2 == 0:
+        raise ValidationError("nms_window must be odd and >= 3")
+    vals = conf_map.values
+    (wr, wc), (w, h) = conf_map.origin, conf_map.size
+    if min_conf <= 0 and vals.shape != (h, w):
+        top, bottom, left, right = 0, h - 1, 0, w - 1
+    else:
+        if vals.size == 0:
+            return []
+        strong_rows = np.flatnonzero(vals.max(axis=1) >= min_conf)
+        if len(strong_rows) == 0:
+            return []
+        first, last = int(strong_rows[0]), int(strong_rows[-1])
+        strong_cols = np.flatnonzero(vals[first:last + 1].max(axis=0) >= min_conf)
+        top, bottom = wr + first, wr + last
+        left, right = wc + int(strong_cols[0]), wc + int(strong_cols[-1])
+    half = nms_window // 2
+    r0, r1 = max(top - half, 0), min(bottom + half + 1, h)
+    c0, c1 = max(left - half, 0), min(right + half + 1, w)
+    rows, cols = r1 - r0, c1 - c0
+    padded = np.full((rows + 2 * half, cols + 2 * half), -np.inf)
+    crop = padded[half:half + rows, half:half + cols]
+    crop[...] = 0.0
+    i0, i1 = max(r0, wr), min(r1, wr + vals.shape[0])
+    j0, j1 = max(c0, wc), min(c1, wc + vals.shape[1])
+    if i0 < i1 and j0 < j1:
+        crop[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = \
+            vals[i0 - wr:i1 - wr, j0 - wc:j1 - wc]
+    row_max = np.maximum(padded[:, :cols], padded[:, 1:cols + 1])
+    for k in range(2, nms_window):
+        np.maximum(row_max, padded[:, k:k + cols], out=row_max)
+    window_max = np.maximum(row_max[:rows], row_max[1:rows + 1])
+    for k in range(2, nms_window):
+        np.maximum(window_max, row_max[k:k + rows], out=window_max)
+    peaks = []
+    for i, j in zip(*np.nonzero((crop == window_max) & (crop >= min_conf))):
+        score = crop[i, j]
+        if np.count_nonzero(padded[i:i + nms_window, j:j + nms_window]
+                            == score) == 1:
+            peaks.append((-score, r0 + int(i), c0 + int(j)))
+    peaks.sort()
+    return [((col, row), float(-neg)) for neg, row, col in peaks]
+
+
+def _random_map_list(rng, w, h):
+    """0-7 maps of one w x h frame: random windows (clipped, empty, away
+    from the origin, whole-frame) holding bumps, plateaus and ties on a
+    background of 0s and tiny negatives."""
+    out = []
+    for _ in range(int(rng.integers(0, 8))):
+        (r0, c0), rows, cols = _random_window(rng, w, h)
+        ys, xs = np.mgrid[0:rows, 0:cols]
+        # a background of 0s and tiny negatives (legal down to -1e-12)
+        vals = np.where(rng.random((rows, cols)) < 0.5, 0.0,
+                        -1e-12 * rng.random((rows, cols)))
+        for _ in range(int(rng.integers(0, 4))):
+            cx, cy = rng.uniform(-2, [cols + 1, rows + 1])
+            vals = np.maximum(vals, float(rng.uniform(0.0, 1.0)) * np.exp(
+                -((xs - cx) ** 2 + (ys - cy) ** 2)
+                / float(rng.uniform(0.6, 5.0)) ** 2))
+        kind = int(rng.integers(0, 4))
+        if kind == 1:  # quantized values: plateaus and equal maxima
+            vals = np.round(vals, 1)
+        elif kind == 2 and vals.size:  # a tie placed next to the maximum
+            i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            di, dj = (int(x) for x in rng.integers(-3, 4, 2))
+            if 0 <= i + di < rows and 0 <= j + dj < cols:
+                vals[i + di, j + dj] = vals[i, j]
+        elif kind == 3 and vals.size:  # strong pixels on the window edge
+            vals[int(rng.choice([0, rows - 1])), :] = float(rng.uniform(0.2, 1))
+        out.append(ConfidenceMap(ReflectorId(int(rng.integers(1, 27))), vals,
+                                 (r0, c0), (w, h)))
+    return out
+
+
+class TestDecodePeaks:
+    """decode_peaks of a map list equals the one-map reference, map by map."""
+
+    @staticmethod
+    def _check(rng, trials):
+        counts = dict(peaks=0, ties=0, clipped=0, empty=0, shifted=0,
+                      nonpositive=0)
+        for trial in range(trials):
+            w, h = (int(x) for x in rng.integers(1, 48, 2))
+            conf_maps = _random_map_list(rng, w, h)
+            nms_window = (3, 5, 7)[trial % 3]
+            min_conf = [0.0, -0.25, 0.1, float(rng.uniform(0.05, 0.9))][trial % 4]
+            got = decode_peaks(conf_maps, nms_window, min_conf)
+            want = [_reference_extract_peaks(m, nms_window, min_conf)
+                    for m in conf_maps]
+            assert got == want, trial
+            for m, peaks in zip(conf_maps, got):
+                assert extract_peaks(m, nms_window, min_conf) == peaks
+                assert all(type(x) is int and type(y) is int
+                           and type(v) is float for (x, y), v in peaks)
+                vals = m.values
+                counts["peaks"] += len(peaks)
+                counts["ties"] += vals.size > 0 and \
+                    np.count_nonzero(vals == vals.max()) > 1
+                counts["clipped"] += 0 < vals.size < w * h and (
+                    m.origin[0] == 0 or m.origin[1] == 0
+                    or m.origin[0] + vals.shape[0] == h
+                    or m.origin[1] + vals.shape[1] == w)
+                counts["empty"] += vals.size == 0
+                counts["shifted"] += m.origin[0] > 0 and m.origin[1] > 0
+                counts["nonpositive"] += min_conf <= 0
+        return counts
+
+    def test_matches_the_one_map_reference_on_random_lists(self):
+        counts = self._check(np.random.default_rng(61), 900)
+        assert counts["peaks"] >= 1500 and counts["ties"] >= 300
+        assert counts["clipped"] >= 300 and counts["empty"] >= 200
+        assert counts["shifted"] >= 300 and counts["nonpositive"] >= 800
+
+    def test_stacks_split_under_a_small_budget(self, monkeypatch):
+        # a budget a few crops fill, so most lists decode in several stacks
+        monkeypatch.setattr(maps_module, "_STACK_VALUES", 600)
+        counts = self._check(np.random.default_rng(67), 300)
+        assert counts["peaks"] >= 400
+
+    def test_oracle_maps_of_a_frame(self):
+        rng = np.random.default_rng(71)
+        for sigma in (1.5, 7.0):
+            params = MapSynthesisParams(sigma_peak=sigma)
+            conf_maps = [synth_confidence_map(
+                (int(rng.integers(0, 320)), int(rng.integers(0, 240))),
+                (320, 240), params, ReflectorId(i)) for i in range(1, 27)]
+            for nms_window in (3, 5, 7):
+                want = [_reference_extract_peaks(m, nms_window, 0.1)
+                        for m in conf_maps]
+                assert decode_peaks(conf_maps, nms_window, 0.1) == want
+                assert all(len(p) == 1 and p[0][1] == 1.0 for p in want)
+
+    def test_empty_list_and_bad_window(self):
+        assert decode_peaks([], 5, 0.1) == []
+        m = synth_confidence_map((5, 5), (16, 12), PARAMS)
+        for bad in (1, 2, 4):
+            with pytest.raises(ValidationError):
+                decode_peaks([m], bad, 0.1)
+            with pytest.raises(ValidationError):
+                extract_peaks(m, bad, 0.1)
+
+    def test_greedy_inference_unchanged_on_a_seeded_take(self, tmp_path,
+                                                         monkeypatch):
+        cfg = PipelineConfig()
+        cfg.seed = 5
+        cfg.synth.duration = 40   # the motion starts after 30 rest frames
+        cfg.synth.num_views = 2
+        reader = ds.DatasetReader(cmd_synth(cfg, tmp_path / "dataset"))
+
+        def reference(conf_maps, nms_window=5, min_conf=0.1):
+            return [_reference_extract_peaks(m, nms_window, min_conf)
+                    for m in conf_maps]
+
+        moved = 0
+        for v in range(reader.num_views):
+            intr, _ = reader.rig[v]
+            anns = reader.annotations(v)
+            prev = {}
+            for f in range(reader.num_frames):
+                maps, fields = _maps_from_annotations(
+                    anns.get(f, []), (intr.width, intr.height), cfg)
+                got = greedy_inference(maps, fields, prev, cfg.inference, f)
+                with monkeypatch.context() as patch:
+                    patch.setattr(maps_module, "decode_peaks", reference)
+                    want = greedy_inference(maps, fields, prev, cfg.inference, f)
+                assert got == want, (v, f)
+                moved += sum(e.e_l > 0 for e in got)
+                prev = {e.reflector: e for e in got}
+        assert moved >= 50   # the flow score is exercised, not only peaks
