@@ -8,6 +8,7 @@ is a named key here so runs are reproducible from the config file alone.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -36,6 +37,14 @@ class SynthConfig:
     rig_radius: float = 2.3
     rig_height: float = 1.0
     write_maps: bool = False
+
+    def __post_init__(self):
+        if not self.noise_sigma_mm >= 0:
+            raise ValidationError("noise_sigma_mm must be >= 0, got "
+                                  f"{self.noise_sigma_mm}")
+        if not self.body_scale > 0:
+            raise ValidationError("body_scale must be positive, got "
+                                  f"{self.body_scale}")
 
 
 @dataclass
@@ -90,6 +99,8 @@ _KEYS = (
     ("eval", "alpha", None, "eval_alpha"),
     ("eval", "a3d_cm", None, "eval_a3d_cm"),
 )
+# Top-level keys that must be positive.
+_POSITIVE = {("pipeline", "fps"), ("eval", "alpha"), ("eval", "a3d_cm")}
 _BY_SECTION: dict[str, dict[str, tuple[str | None, str]]] = {}
 _SECTION_OF = {}  # parameter group -> its section
 for _section, _key, _group, _name in _KEYS:
@@ -98,15 +109,18 @@ for _section, _key, _group, _name in _KEYS:
 
 
 def _value(raw: str, like, where: str):
-    """``raw`` as a value of the type of ``like``."""
+    """``raw`` as a value of the type of ``like``; a float must be finite."""
     if isinstance(like, bool):
         if raw.lower() in ("1", "true", "yes", "on", "0", "false", "no", "off"):
             return raw.lower() in ("1", "true", "yes", "on")
         raise ValidationError(f"{where}: not a boolean: {raw!r}")
     try:
-        return type(like)(raw)
+        value = type(like)(raw)
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{where}: must be finite, got {raw!r}")
+    return value
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -143,13 +157,19 @@ def load_config(path: str | Path | None) -> PipelineConfig:
                         and int(idx) in DEFAULT_LIMB_RADII):
                     raise ValidationError(f"{where}: unknown key, expected "
                                           "radius_<strap reflector id>")
-                cfg.limb_radii[int(idx)] = _value(raw, 0.0, where)
+                radius = _value(raw, 0.0, where)
+                if radius < 0:
+                    raise ValidationError(f"{where}: must be >= 0, got {raw!r}")
+                cfg.limb_radii[int(idx)] = radius
                 continue
             if key not in _BY_SECTION[section]:
                 raise ValidationError(f"{where}: unknown key")
             group, name = _BY_SECTION[section][key]
             like = getattr(cfg if group is None else getattr(cfg, group), name)
-            groups.setdefault(group, {})[name] = _value(raw, like, where)
+            value = _value(raw, like, where)
+            if (section, key) in _POSITIVE and value <= 0:
+                raise ValidationError(f"{where}: must be positive, got {raw!r}")
+            groups.setdefault(group, {})[name] = value
 
     for name, value in groups.pop(None, {}).items():
         setattr(cfg, name, value)

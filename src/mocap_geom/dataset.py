@@ -41,10 +41,17 @@ _JOINT_NAMES = sorted(j.name for j in JOINTS)
 # ---------------------------------------------------------------------------
 
 def write_depth(path: str | Path, frame: DepthFrame) -> None:
+    _write_frame_file(path, MAGIC_DEPTH, frame.width, frame.height,
+                      frame.pixels.astype("<u2").tobytes())
+
+
+def _write_frame_file(path: str | Path, magic: bytes, w: int, h: int,
+                      payload: bytes) -> None:
+    """A DMCD or DMCI file: magic, (w, h) header, then the payload."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC_DEPTH)
-        fh.write(struct.pack("<II", frame.width, frame.height))
-        fh.write(frame.pixels.astype("<u2").tobytes())
+        fh.write(magic)
+        fh.write(struct.pack("<II", w, h))
+        fh.write(payload)
 
 
 def _read_frame_file(path: str | Path, magic: bytes) -> tuple[bytes, int, int]:
@@ -71,11 +78,8 @@ def read_depth(path: str | Path) -> DepthFrame:
 
 
 def write_mask(path: str | Path, mask: IrMask) -> None:
-    packed = np.packbits(mask.bits.reshape(-1))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_MASK)
-        fh.write(struct.pack("<II", mask.width, mask.height))
-        fh.write(packed.tobytes())
+    _write_frame_file(path, MAGIC_MASK, mask.width, mask.height,
+                      np.packbits(mask.bits.reshape(-1)).tobytes())
 
 
 def read_mask(path: str | Path) -> IrMask:
@@ -171,8 +175,11 @@ def read_maps(path: str | Path) -> tuple[dict[ReflectorId, ConfidenceMap],
 # JSONL codecs
 # ---------------------------------------------------------------------------
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _write_jsonl(path: str | Path, docs) -> None:
+    """One compact, key-sorted JSON document per line; no lines, no bytes."""
+    lines = [json.dumps(doc, sort_keys=True, separators=(",", ":"))
+             for doc in docs]
+    Path(path).write_text("\n".join(lines) + "\n" if lines else "")
 
 
 def _read_jsonl(path: str | Path, parse) -> list:
@@ -195,15 +202,12 @@ def _read_jsonl(path: str | Path, parse) -> list:
 
 
 def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> None:
-    lines = []
-    for f, anns in enumerate(per_frame):
-        doc = {"frame": f, "annotations": [
-            {"reflector": a.reflector.index,
-             "x_curr": [a.x_curr[0], a.x_curr[1]],
-             "x_prev": None if a.x_prev is None else [a.x_prev[0], a.x_prev[1]]}
-            for a in sorted(anns, key=lambda a: a.reflector.index)]}
-        lines.append(_dump(doc))
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "")
+    _write_jsonl(path, ({"frame": f, "annotations": [
+        {"reflector": a.reflector.index,
+         "x_curr": [a.x_curr[0], a.x_curr[1]],
+         "x_prev": None if a.x_prev is None else [a.x_prev[0], a.x_prev[1]]}
+        for a in sorted(anns, key=lambda a: a.reflector.index)]}
+        for f, anns in enumerate(per_frame)))
 
 
 def read_annotations(path: str | Path, view: int) -> dict[int, list[Annotation2D]]:
@@ -222,15 +226,12 @@ def read_annotations(path: str | Path, view: int) -> dict[int, list[Annotation2D
 
 def write_estimates(path: str | Path,
                     per_frame_view: list[tuple[int, int, list[ReflectorEstimate2D]]]) -> None:
-    lines = []
-    for frame, view, ests in per_frame_view:
-        doc = {"frame": frame, "view": view, "estimates": [
-            {"reflector": e.reflector.index,
-             "position": [e.position[0], e.position[1]],
-             "e_s": e.e_s, "e_l": e.e_l, "e_total": e.e_total}
-            for e in sorted(ests, key=lambda e: e.reflector.index)]}
-        lines.append(_dump(doc))
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "")
+    _write_jsonl(path, ({"frame": frame, "view": view, "estimates": [
+        {"reflector": e.reflector.index,
+         "position": [e.position[0], e.position[1]],
+         "e_s": e.e_s, "e_l": e.e_l, "e_total": e.e_total}
+        for e in sorted(ests, key=lambda e: e.reflector.index)]}
+        for frame, view, ests in per_frame_view))
 
 
 def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstimate2D]]]:
@@ -246,7 +247,7 @@ def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstim
 
 def write_optical(path: str | Path, frames: list[OpticalFrame]) -> None:
     """One line per frame; ``"degraded": true`` appears only on degraded points."""
-    lines = []
+    docs = []
     for frame in frames:
         points = []
         for idx, p in sorted(frame.points.items()):
@@ -256,8 +257,8 @@ def write_optical(path: str | Path, frames: list[OpticalFrame]) -> None:
             if p.degraded:
                 point["degraded"] = True
             points.append(point)
-        lines.append(_dump({"frame": frame.frame, "points": points}))
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "")
+        docs.append({"frame": frame.frame, "points": points})
+    _write_jsonl(path, docs)
 
 
 def read_optical(path: str | Path) -> list[OpticalFrame]:
@@ -273,15 +274,11 @@ def read_optical(path: str | Path) -> list[OpticalFrame]:
 
 
 def write_motion(path: str | Path, poses: list[Pose]) -> None:
-    lines = []
-    for pose in poses:
-        doc = {"frame": pose.frame, "gap": pose.gap, "joints": [
-            {"id": j.name,
-             "xyz_m": [float(x) for x in pose.positions[j.name]],
-             "quat_wxyz": [float(x) for x in pose.quaternion(j.name)]}
-            for j in JOINTS]}
-        lines.append(_dump(doc))
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "")
+    _write_jsonl(path, ({"frame": pose.frame, "gap": pose.gap, "joints": [
+        {"id": j.name,
+         "xyz_m": [float(x) for x in pose.positions[j.name]],
+         "quat_wxyz": [float(x) for x in pose.quaternion(j.name)]}
+        for j in JOINTS]} for pose in poses))
 
 
 def read_motion(path: str | Path) -> list[Pose]:

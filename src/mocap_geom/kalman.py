@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,14 +57,8 @@ def init_state(measurement: np.ndarray, params: KalmanParams) -> TrackState:
 
 
 # Transition/noise matrices depend only on (dt, params); cache them.
-_MATRIX_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _matrices(dt: float, params: KalmanParams):
-    key = (dt, params.accel_noise, params.meas_noise)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
     F = np.eye(6)
     F[:3, 3:] = dt * np.eye(3)
     q = params.accel_noise ** 2
@@ -75,7 +70,6 @@ def _matrices(dt: float, params: KalmanParams):
     H = np.zeros((3, 6))
     H[:, :3] = np.eye(3)
     R = params.meas_noise ** 2 * np.eye(3)
-    _MATRIX_CACHE[key] = (F, Q, H, R)
     return F, Q, H, R
 
 

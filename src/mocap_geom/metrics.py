@@ -77,26 +77,38 @@ class Detection2D:
     bbox: tuple[float, float] = (100.0, 100.0)
 
 
+def _correct_confidences(detections: list[Detection2D], alpha: float,
+                         lowest: float
+                         ) -> tuple[dict[int, int], dict[int, list[float]]]:
+    """Ground-truth count and correct-prediction confidences per reflector.
+
+    Records without ground truth are ignored (the convention in the module
+    docstring); each prediction with confidence above ``lowest`` is tested
+    once.
+    """
+    total: dict[int, int] = {}
+    hits: dict[int, list[float]] = {}
+    for det in detections:
+        if det.gt is None:
+            continue
+        total[det.reflector] = total.get(det.reflector, 0) + 1
+        if det.pred is None or det.confidence <= lowest:
+            continue
+        params = Pck2dParams(alpha, det.bbox[0], det.bbox[1])
+        if pck2d_correct(det.pred, det.gt, params):
+            hits.setdefault(det.reflector, []).append(det.confidence)
+    return total, hits
+
+
 def average_precision(detections: list[Detection2D], alpha: float,
                       c_min: float) -> dict[int, float]:
     """Per-reflector AP at one confidence threshold.
 
     Each detection record carries at most one ground truth and at most one
-    prediction for (reflector, frame, view).  Records without ground truth
-    are ignored (the convention in the module docstring).
+    prediction for (reflector, frame, view).
     """
-    correct: dict[int, int] = {}
-    total: dict[int, int] = {}
-    for det in detections:
-        if det.gt is None:
-            continue
-        total[det.reflector] = total.get(det.reflector, 0) + 1
-        if det.pred is None or det.confidence <= c_min:
-            continue
-        params = Pck2dParams(alpha, det.bbox[0], det.bbox[1])
-        if pck2d_correct(det.pred, det.gt, params):
-            correct[det.reflector] = correct.get(det.reflector, 0) + 1
-    return {r: correct.get(r, 0) / total[r] for r in sorted(total)}
+    total, hits = _correct_confidences(detections, alpha, c_min)
+    return {r: len(hits.get(r, ())) / total[r] for r in sorted(total)}
 
 
 def mean_average_precision(ap: dict[int, float],
@@ -119,18 +131,8 @@ def map_sweep(detections: list[Detection2D], alpha: float,
     if len(thresholds) == 0:
         return []
     grid = np.asarray(thresholds, dtype=np.float64)
-    lowest = grid.min()  # NaN if the grid holds one; nothing is <= NaN
-    total: dict[int, int] = {}
-    hits: dict[int, list[float]] = {}  # confidences of correct predictions
-    for det in detections:
-        if det.gt is None:
-            continue
-        total[det.reflector] = total.get(det.reflector, 0) + 1
-        if det.pred is None or det.confidence <= lowest:
-            continue
-        params = Pck2dParams(alpha, det.bbox[0], det.bbox[1])
-        if pck2d_correct(det.pred, det.gt, params):
-            hits.setdefault(det.reflector, []).append(det.confidence)
+    # grid.min() is NaN if the grid holds one; no confidence is <= NaN
+    total, hits = _correct_confidences(detections, alpha, grid.min())
     # counted[r][k]: correct predictions of r that thresholds[k] does not
     # skip (skipped: confidence <= c_min, as in average_precision)
     counted = {r: np.count_nonzero(

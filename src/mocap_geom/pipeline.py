@@ -89,15 +89,13 @@ def _maps_from_annotations(anns: list[Annotation2D], dims: tuple[int, int],
         center = (round(a.x_curr[0]), round(a.x_curr[1]))
         maps[a.reflector] = synth_confidence_map(center, dims, config.maps,
                                                  a.reflector)
-        if a.x_prev is None:
+        prev = (center if a.x_prev is None
+                else (round(a.x_prev[0]), round(a.x_prev[1])))
+        if prev == center:
             fields[a.reflector] = zero_flow_field(dims, a.reflector)
         else:
-            prev = (round(a.x_prev[0]), round(a.x_prev[1]))
-            if prev == center:
-                fields[a.reflector] = zero_flow_field(dims, a.reflector)
-            else:
-                fields[a.reflector] = synth_flow_field(prev, center, dims,
-                                                       config.maps, a.reflector)
+            fields[a.reflector] = synth_flow_field(prev, center, dims,
+                                                   config.maps, a.reflector)
     return maps, fields
 
 
@@ -329,17 +327,10 @@ def cmd_eval(dataset_dir: str | Path, config: PipelineConfig,
             raise ValidationError(f"{dataset_dir}: gt_motion.jsonl missing")
         pred = ds.read_motion(motion_path)
         report3d = eval_3d(pred, gt, config)
-        if report is None:
-            report = report3d
-        else:
-            report.joint_mae_cm = report3d.joint_mae_cm
-            report.joint_rmse_cm = report3d.joint_rmse_cm
-            report.total_mae_cm = report3d.total_mae_cm
-            report.total_rmse_cm = report3d.total_rmse_cm
-            report.pck3d_total = report3d.pck3d_total
-            report.a3d_cm = report3d.a3d_cm
-            report.matched_frames = report3d.matched_frames
-            report.unmatched_frames += report3d.unmatched_frames
+        if report is not None:
+            report3d.ap, report3d.map_total = report.ap, report.map_total
+            report3d.map_no_end, report3d.sweep = report.map_no_end, report.sweep
+        report = report3d
     if report is None:
         raise ValidationError("nothing to evaluate: pass estimates and/or motion")
     out = Path(out_json)

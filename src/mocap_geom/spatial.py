@@ -39,7 +39,6 @@ class Region:
 
     pixels: np.ndarray   # (n, 2) int arrays of (u, v)
     contour: np.ndarray  # (m, 2) boundary subset, row-major order
-    bbox: tuple[int, int, int, int]  # (u_min, v_min, u_max, v_max) inclusive
 
     @property
     def size(self) -> int:
@@ -126,19 +125,12 @@ def find_regions_labeled(mask: IrMask) -> tuple[list[Region], np.ndarray]:
     ends = np.cumsum(np.bincount(owner, minlength=count + 1)[1:])
     c_ends = np.cumsum(np.bincount(owner[on_boundary],
                                    minlength=count + 1)[1:]).tolist()
-    starts = np.concatenate([[0], ends[:-1]])
-    u_min = np.minimum.reduceat(pixels[:, 0], starts).tolist()
-    u_max = np.maximum.reduceat(pixels[:, 0], starts).tolist()
-    # Rows ascend within a run, so its first and last pixels bound v.
-    v_min = pixels[starts, 1].tolist()
-    v_max = pixels[ends - 1, 1].tolist()
     regions = []
-    c_start = 0
-    for s, e, c_end, bbox in zip(starts.tolist(), ends.tolist(), c_ends,
-                                 zip(u_min, v_min, u_max, v_max)):
-        regions.append(Region(pixels=pixels[s:e],
-                              contour=contour[c_start:c_end], bbox=bbox))
-        c_start = c_end
+    start = c_start = 0
+    for end, c_end in zip(ends.tolist(), c_ends):
+        regions.append(Region(pixels=pixels[start:end],
+                              contour=contour[c_start:c_end]))
+        start, c_start = end, c_end
     return regions, labels
 
 

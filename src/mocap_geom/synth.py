@@ -153,12 +153,6 @@ class SyntheticBody:
             radii = {name: r * scale for name, r in radii.items()}
         return cls(template=template, capsule_radii=radii)
 
-    def strap_radius(self, idx: int) -> float:
-        return self.capsule_radii[self.strap_sites[idx].capsule]
-
-    def limb_radii(self) -> dict[int, float]:
-        return {idx: self.strap_radius(idx) for idx in self.strap_sites}
-
 
 # ---------------------------------------------------------------------------
 # Motion scripts

@@ -1,6 +1,7 @@
 """Round-trip and format-error tests for the on-disk artifact codecs."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -13,7 +14,8 @@ from mocap_geom.errors import FormatError
 from mocap_geom.maps import (Annotation2D, ConfidenceMap, FlowField,
                              MapSynthesisParams, ReflectorEstimate2D,
                              synth_confidence_map, synth_flow_field)
-from mocap_geom.skeleton import Pose, SkeletonTemplate, rotation_about
+from mocap_geom.skeleton import (JOINTS, Pose, SkeletonTemplate,
+                                 matrix_from_quat, rotation_about)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 
 
@@ -361,6 +363,148 @@ class TestMapsThroughCli:
                 assert main([command, *args]) == 3, (name, kind)
                 assert str(victim) in capsys.readouterr().err, (name, kind)
             victim.write_bytes(good)
+
+
+def _random_floats(rng, n: int) -> list[float]:
+    """Floats over many magnitudes, both signs, with zeros, -0.0, short
+    decimals and extreme exponents among them."""
+    special = [0.0, -0.0, 1.0, 0.1, 1 / 3, 1e-300, 1e300, 2.0 ** -40]
+    out = rng.normal(0.0, 10.0 ** rng.integers(-6, 7, n).astype(float))
+    for k in np.flatnonzero(rng.random(n) < 0.2):
+        out[k] = special[int(rng.integers(len(special)))]
+    return [float(x) for x in out]
+
+
+def _random_ids(rng) -> list[ReflectorId]:
+    """0-6 distinct reflector ids in random order (written sorted)."""
+    return [ReflectorId(int(i)) for i in
+            rng.choice(np.arange(1, 27), int(rng.integers(0, 7)), False)]
+
+
+def _random_annotations(rng) -> list[list[Annotation2D]]:
+    per_frame = []
+    for f in range(int(rng.integers(0, 5))):
+        anns = []
+        for rid in _random_ids(rng):
+            x = _random_floats(rng, 4)
+            prev = None if rng.random() < 0.3 else (x[2], x[3])
+            anns.append(Annotation2D(rid, (x[0], x[1]), prev, f, 0))
+        per_frame.append(anns)
+    return per_frame
+
+
+def _random_estimates(rng):
+    entries = []
+    for f in range(int(rng.integers(0, 4))):
+        for v in range(int(rng.integers(1, 4))):
+            ests = []
+            for rid in _random_ids(rng):
+                x = _random_floats(rng, 5)
+                ests.append(ReflectorEstimate2D(rid, (x[0], x[1]), x[2], x[3],
+                                                x[4], f))
+            entries.append((f, v, ests))
+    return entries
+
+
+def _random_optical(rng) -> list[OpticalFrame]:
+    frames = []
+    for f in range(int(rng.integers(0, 5))):
+        frame = OpticalFrame(frame=f)
+        for rid in _random_ids(rng):
+            x = _random_floats(rng, 4)
+            frame.add(OpticalPoint(rid, np.array(x[:3]), x[3], f,
+                                   degraded=bool(rng.random() < 0.3)))
+        frames.append(frame)
+    return frames
+
+
+def _random_motion(rng) -> list[Pose]:
+    return [Pose(f, {j.name: np.array(_random_floats(rng, 3)) for j in JOINTS},
+                 {j.name: matrix_from_quat(rng.normal(size=4)) for j in JOINTS},
+                 gap=bool(rng.random() < 0.3))
+            for f in range(int(rng.integers(0, 4)))]
+
+
+def _without_quaternions(text: str) -> tuple[str, np.ndarray]:
+    """Motion JSONL with every quat_wxyz emptied, and the quaternions."""
+    quats = [float(x) for q in re.findall(r'"quat_wxyz":\[([^]]*)\]', text)
+             for x in q.split(",")]
+    return (re.sub(r'"quat_wxyz":\[[^]]*\]', '"quat_wxyz":[]', text),
+            np.array(quats))
+
+
+class TestJsonlFuzz:
+    """Seeded round trips of every JSONL codec: write -> read -> write is
+    byte for byte; a truncated or garbled line is a FormatError naming the
+    file and that line."""
+
+    CODECS = {
+        "annotations": (_random_annotations, ds.write_annotations,
+                        lambda p: list(ds.read_annotations(p, view=0).values())),
+        "estimates": (_random_estimates, ds.write_estimates, ds.read_estimates),
+        "optical": (_random_optical, ds.write_optical, ds.read_optical),
+        "motion": (_random_motion, ds.write_motion, ds.read_motion),
+    }
+
+    @staticmethod
+    def _garbled(rng, lines: list[str], k: int) -> list[tuple[str, str]]:
+        """(kind, file text) with line k (1-based) damaged so that no
+        reader can accept it."""
+        line = lines[k - 1]
+        cut = int(rng.integers(1, len(line)))
+        at = int(rng.integers(0, len(line) + 1))
+        damaged = {
+            # a proper prefix of a JSON object is never a JSON document
+            "truncated_file": lines[:k - 1] + [line[:cut]],
+            "truncated_line": lines[:k - 1] + [line[:cut]] + lines[k:],
+            # the lines hold no escapes, so an odd count of quotes is bad
+            "stray_quote": lines[:k - 1] + [line[:at] + '"' + line[at:]]
+                           + lines[k:],
+            "missing_key": lines[:k - 1]
+                           + [line.replace('"frame":', '"frames":', 1)]
+                           + lines[k:],
+            "null_value": lines[:k - 1]
+                          + [re.sub(r'"frame":-?\d+', '"frame":null', line, 1)]
+                          + lines[k:],
+        }
+        return [(kind, "\n".join(text) + "\n")
+                for kind, text in damaged.items()]
+
+    @pytest.mark.parametrize("codec", sorted(CODECS))
+    def test_round_trip_and_damage(self, tmp_path, codec):
+        make, write, read = self.CODECS[codec]
+        rng = np.random.default_rng(104 + sorted(self.CODECS).index(codec))
+        path, again = tmp_path / "in.jsonl", tmp_path / "again.jsonl"
+        empty_files = empty_lines = 0
+        for trial in range(120):
+            data = make(rng)
+            write(path, data)
+            write(again, read(path))
+            first, second = path.read_text(), again.read_text()
+            if codec == "motion":
+                # quaternion -> matrix -> quaternion may move the last
+                # bits of a unit quaternion's components: a few ulp of 1
+                first, q1 = _without_quaternions(first)
+                second, q2 = _without_quaternions(second)
+                np.testing.assert_allclose(q2, q1, rtol=0,
+                                           atol=8 * np.finfo(float).eps)
+            assert second == first, trial
+            lines = path.read_text().splitlines()
+            empty_files += not lines
+            empty_lines += sum('[]' in line for line in lines)
+            if not lines:
+                assert path.read_bytes() == b""
+                continue
+            k = int(rng.integers(1, len(lines) + 1))
+            for kind, text in self._garbled(rng, lines, k):
+                path.write_text(text)
+                with pytest.raises(FormatError) as exc:
+                    read(path)
+                message = str(exc.value)
+                assert message.startswith(f"{path}: line {k}: "), (kind, message)
+        assert empty_files >= 5
+        if codec != "motion":
+            assert empty_lines >= 10
 
 
 class TestJsonlCodecs:

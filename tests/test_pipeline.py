@@ -12,6 +12,7 @@ from mocap_geom.errors import ValidationError
 from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
                                  cmd_synth, cmd_track, infer_dataset,
                                  run_in_process)
+from mocap_geom.skeleton import Pose
 
 
 def small_config(duration=24, noise=0.0):
@@ -27,6 +28,19 @@ def small_dataset(tmp_path_factory):
     cfg = small_config()
     root = tmp_path_factory.mktemp("ds")
     return cmd_synth(cfg, root / "dataset"), cfg
+
+
+@pytest.fixture(scope="module")
+def small_run(small_dataset, tmp_path_factory):
+    """The dataset, its config and a directory holding estimates.jsonl
+    and motion.jsonl from the file chain."""
+    root, cfg = small_dataset
+    out = tmp_path_factory.mktemp("run")
+    est_path = cmd_infer(root, out / "estimates.jsonl", cfg)
+    opt_path = cmd_fuse(root, est_path, out / "optical.jsonl", cfg)
+    tpl_path, _ = cmd_calibrate(opt_path, out / "template.json", cfg)
+    cmd_track(opt_path, tpl_path, out / "motion.jsonl")
+    return root, cfg, out
 
 
 class TestCmdSynth:
@@ -153,14 +167,10 @@ class TestComposition:
             for name in pf.positions:
                 assert np.array_equal(pf.positions[name], pm.positions[name]), name
 
-    def test_eval_outputs(self, small_dataset, tmp_path):
-        root, cfg = small_dataset
-        est_path = cmd_infer(root, tmp_path / "estimates.jsonl", cfg)
-        opt_path = cmd_fuse(root, est_path, tmp_path / "optical.jsonl", cfg)
-        tpl_path, _ = cmd_calibrate(opt_path, tmp_path / "template.json", cfg)
-        cmd_track(opt_path, tpl_path, tmp_path / "motion.jsonl")
-        report = cmd_eval(root, cfg, estimates_path=est_path,
-                          motion_path=tmp_path / "motion.jsonl",
+    def test_eval_outputs(self, small_run, tmp_path):
+        root, cfg, run = small_run
+        report = cmd_eval(root, cfg, estimates_path=run / "estimates.jsonl",
+                          motion_path=run / "motion.jsonl",
                           out_json=tmp_path / "eval.json",
                           out_csv=tmp_path / "eval.csv")
         doc = json.loads((tmp_path / "eval.json").read_text())
@@ -168,6 +178,41 @@ class TestComposition:
         assert doc["total_mae_cm"] < 5.0
         assert report.pck3d_total == 1.0
         assert "c_min" in (tmp_path / "eval.csv").read_text()
+
+    def test_eval_of_both_inputs_holds_each_inputs_report(self, small_run,
+                                                         tmp_path):
+        root, cfg, run = small_run
+        # one tracked frame without ground truth, so the motion report
+        # counts an unmatched frame
+        poses = ds.read_motion(run / "motion.jsonl")
+        extra = poses[-1]
+        poses.append(Pose(cfg.synth.duration + 5, extra.positions,
+                          extra.rotations))
+        ds.write_motion(tmp_path / "motion.jsonl", poses)
+        inputs = {"2d": {"estimates_path": run / "estimates.jsonl"},
+                  "3d": {"motion_path": tmp_path / "motion.jsonl"}}
+        inputs["both"] = {**inputs["2d"], **inputs["3d"]}
+        docs, csvs = {}, {}
+        for name, paths in inputs.items():
+            cmd_eval(root, cfg, **paths, out_json=tmp_path / f"{name}.json",
+                     out_csv=tmp_path / f"{name}.csv")
+            docs[name] = json.loads((tmp_path / f"{name}.json").read_text())
+            csvs[name] = (tmp_path / f"{name}.csv").read_text().splitlines()
+        fields_2d = ("convention", "ap_per_reflector", "map_total",
+                     "map_without_end_reflectors", "sweep")
+        fields_3d = ("joint_mae_cm", "joint_rmse_cm", "total_mae_cm",
+                     "total_rmse_cm", "pck3d_total", "a3d_cm",
+                     "matched_frames", "unmatched_frames")
+        assert set(docs["both"]) == set(fields_2d + fields_3d)
+        for key in fields_2d:
+            assert docs["both"][key] == docs["2d"][key], key
+        for key in fields_3d:
+            assert docs["both"][key] == docs["3d"][key], key
+        assert docs["3d"]["unmatched_frames"] == 1
+        assert docs["2d"]["unmatched_frames"] == 0
+        assert docs["both"]["ap_per_reflector"] and docs["both"]["joint_mae_cm"]
+        # the CSV stacks the 2D tables on the 3D ones under one header row
+        assert csvs["both"] == csvs["2d"] + csvs["3d"][1:]
 
 
 class TestConfig:
@@ -324,6 +369,32 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 2
             err = capsys.readouterr().err
             assert f"{config}: [{section}] {key}" in err, err
+
+    def test_non_finite_or_out_of_range_values_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "tiny.ini"
+        cases = [("pipeline", "fps", v) for v in ("0", "-30", "nan", "inf")]
+        cases += [("filter", "colocate_dist", v) for v in ("nan", "inf")]
+        cases += [("eval", "alpha", v) for v in ("nan", "inf", "0")]
+        cases += [("eval", "a3d_cm", v) for v in ("nan", "inf", "-1")]
+        cases += [("synth", "noise_sigma_mm", v) for v in ("nan", "-1")]
+        cases += [("synth", "rig_height", "nan"), ("synth", "focal_px", "inf")]
+        cases += [("synth", "body_scale", v) for v in ("nan", "inf", "0")]
+        cases += [("straps", "radius_11", v) for v in ("nan", "-0.5", "inf")]
+        for section, key, value in cases:
+            config.write_text(f"[{section}]\n{key} = {value}\n")
+            for command in ("synth", "fuse"):
+                assert main([command, "--config", str(config), "--dataset",
+                             str(tmp_path / "dataset"),
+                             "--out", str(tmp_path / "o")]) == 2
+                err = capsys.readouterr().err
+                assert f"{config}: [{section}] {key}" in err, err
+                assert "Traceback" not in err
+        assert not (tmp_path / "dataset").exists()
+        # the bounds themselves are legal: a zero-radius strap, no noise
+        config.write_text("[straps]\nradius_16 = 0\n\n[synth]\n"
+                          "noise_sigma_mm = 0\n")
+        cfg = load_config(config)
+        assert cfg.limb_radii[16] == 0.0 and cfg.synth.noise_sigma_mm == 0.0
 
     def test_eval_scores_only_the_listed_views(self, tmp_path):
         dataset, config = tmp_path / "dataset", tmp_path / "tiny.ini"

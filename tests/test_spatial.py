@@ -57,7 +57,6 @@ class TestFindRegions:
         regions = find_regions_labeled(IrMask(np.ones((8, 9), dtype=bool)))[0]
         assert len(regions) == 1
         assert regions[0].size == 72
-        assert regions[0].bbox == (0, 0, 8, 7)
         # boundary ring of an 8x9 image
         assert len(regions[0].contour) == 2 * 9 + 2 * 8 - 4
 
@@ -122,16 +121,13 @@ class TestFindRegions:
                            or not bits[y - 1:y + 2, x - 1:x + 2].all()]
                 assert [tuple(p) for p in region.pixels.tolist()] == pixels
                 assert [tuple(p) for p in region.contour.tolist()] == contour
-                us = [x for x, _ in pixels]
-                vs = [y for _, y in pixels]
-                assert region.bbox == (min(us), min(vs), max(us), max(vs))
 
 
 def _backprojected_depth_mm(contour, depth):
     """Depth (mm) at which observe_batch backprojects a patch with this
     contour, read back from a point on the optical axis; None without depth."""
     contour = np.asarray(contour)
-    region = Region(pixels=contour, contour=contour, bbox=(0, 0, 0, 0))
+    region = Region(pixels=contour, contour=contour)
     obs = _observe_one(_est(1, 0, 0), region, contour, depth, INTR,
                        CameraExtrinsics.identity(), 0, center=(INTR.cx, INTR.cy))
     if obs is None:

@@ -171,9 +171,10 @@ class TestRender:
             for a in rv.annotations:
                 ui = int(round(a.x_curr[0]))
                 vi = int(round(a.x_curr[1]))
+                # regions whose pixel extent, grown by one, holds (ui, vi)
                 containing = [r for r in regions
-                              if r.bbox[0] - 1 <= ui <= r.bbox[2] + 1
-                              and r.bbox[1] - 1 <= vi <= r.bbox[3] + 1]
+                              if (r.pixels.min(axis=0) - 1 <= (ui, vi)).all()
+                              and ((ui, vi) <= r.pixels.max(axis=0) + 1).all()]
                 assert containing
                 assert max(r.size for r in containing) >= 5
 
