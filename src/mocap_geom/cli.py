@@ -60,6 +60,8 @@ def run(argv: list[str] | None = None) -> int:
 
     config = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError(f"--seed {args.seed}: must be >= 0")
         config.seed = args.seed
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from .filtering import FilterParams
 from .kalman import KalmanParams
 from .maps import InferenceParams, MapSynthesisParams
 from .skeleton import CalibrationConfig
-from .synth import STRAP_SITES, CAPSULE_RADII
+from .synth import CAPSULE_RADII, MOTION_NAMES, STRAP_SITES
 
 DEFAULT_LIMB_RADII = {idx: CAPSULE_RADII[site.capsule]
                       for idx, site in STRAP_SITES.items()}
@@ -39,12 +39,20 @@ class SynthConfig:
     write_maps: bool = False
 
     def __post_init__(self):
-        if not self.noise_sigma_mm >= 0:
-            raise ValidationError("noise_sigma_mm must be >= 0, got "
-                                  f"{self.noise_sigma_mm}")
-        if not self.body_scale > 0:
-            raise ValidationError("body_scale must be positive, got "
-                                  f"{self.body_scale}")
+        for name, ok, bound in (
+                ("motion", self.motion in MOTION_NAMES,
+                 f"one of {', '.join(MOTION_NAMES)}"),
+                ("noise_sigma_mm", self.noise_sigma_mm >= 0, ">= 0"),
+                ("body_scale", self.body_scale > 0, "positive"),
+                ("duration", self.duration >= 1, ">= 1"),
+                ("num_views", self.num_views >= 1, ">= 1"),
+                ("image_width", self.image_width >= 1, ">= 1"),
+                ("image_height", self.image_height >= 1, ">= 1"),
+                ("focal_px", self.focal_px > 0, "positive"),
+                ("rig_radius", self.rig_radius > 0, "positive")):
+            if not ok:
+                raise ValidationError(f"{name} must be {bound}, got "
+                                      f"{getattr(self, name)}")
 
 
 @dataclass
@@ -99,8 +107,9 @@ _KEYS = (
     ("eval", "alpha", None, "eval_alpha"),
     ("eval", "a3d_cm", None, "eval_a3d_cm"),
 )
-# Top-level keys that must be positive.
+# Top-level keys that must be positive, and those that must be >= 0.
 _POSITIVE = {("pipeline", "fps"), ("eval", "alpha"), ("eval", "a3d_cm")}
+_NON_NEGATIVE = {("pipeline", "seed")}
 _BY_SECTION: dict[str, dict[str, tuple[str | None, str]]] = {}
 _SECTION_OF = {}  # parameter group -> its section
 for _section, _key, _group, _name in _KEYS:
@@ -169,6 +178,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
             value = _value(raw, like, where)
             if (section, key) in _POSITIVE and value <= 0:
                 raise ValidationError(f"{where}: must be positive, got {raw!r}")
+            if (section, key) in _NON_NEGATIVE and value < 0:
+                raise ValidationError(f"{where}: must be >= 0, got {raw!r}")
             groups.setdefault(group, {})[name] = value
 
     for name, value in groups.pop(None, {}).items():

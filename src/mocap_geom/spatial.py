@@ -88,6 +88,19 @@ class OpticalFrame:
         return self.points.get(reflector_index)
 
 
+def interior_pixels(bits: np.ndarray) -> np.ndarray:
+    """Set pixels whose whole 3x3 neighborhood is set, off past the border.
+
+    The 3x3 binary erosion with an off border, done as row then column
+    passes.
+    """
+    h, w = bits.shape
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = bits
+    rows3 = padded[:-2] & padded[1:-1] & padded[2:]
+    return rows3[:, :-2] & rows3[:, 1:-1] & rows3[:, 2:]
+
+
 def find_regions_labeled(mask: IrMask) -> tuple[list[Region], np.ndarray]:
     """Extract 8-connected components and trace their boundaries.
 
@@ -108,12 +121,8 @@ def find_regions_labeled(mask: IrMask) -> tuple[list[Region], np.ndarray]:
     labels[window] = sub_labels
     # Distinct 8-connected components are never 8-adjacent, so a boundary
     # pixel is simply a set pixel with a zero 8-neighbor (or image border):
-    # one that survives no 3x3 erosion, done as row then column passes.
-    h, w = sub_mask.shape
-    padded = np.zeros((h + 2, w + 2), dtype=bool)
-    padded[1:-1, 1:-1] = sub_mask
-    rows3 = padded[:-2] & padded[1:-1] & padded[2:]
-    interior = rows3[:, :-2] & rows3[:, 1:-1] & rows3[:, 2:]
+    # one that survives no 3x3 erosion.
+    interior = interior_pixels(sub_mask)
     # One grouped pass: a stable sort by label makes each region one
     # contiguous run of pixels, still in row-major order.
     owner = sub_labels[vs - r0, us - c0]

@@ -9,6 +9,7 @@ output is a pure function of (body, script, rig, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
 from .errors import ValidationError
 from .maps import Annotation2D
 from .skeleton import JOINTS, JOINT_BY_NAME, Pose, SkeletonTemplate, rotation_about
+from .spatial import interior_pixels
 
 # ---------------------------------------------------------------------------
 # Body definition
@@ -337,31 +339,45 @@ def reflector_positions(body: SyntheticBody, pose: Pose) -> dict[int, ReflectorS
 # ---------------------------------------------------------------------------
 
 _FACING_COS = 0.8    # surface must face the camera this strongly to reflect
-_HOLE_ERODE = np.ones((3, 3), dtype=bool)
+
+
+def _sphere_window(intr: CameraIntrinsics, center: np.ndarray,
+                   radius: float) -> tuple[int, int, int, int]:
+    """Image rows and columns [v0, v1) x [u0, u1) holding a sphere's image.
+
+    For center c with c_z > radius r, the rays x = p z touching the sphere
+    in the x-z plane have p = (c_x c_z -+ r sqrt(c_x^2 + c_z^2 - r^2)) /
+    (c_z^2 - r^2), and likewise in y-z; every hit pixel lies between them.
+    The window adds a 2 px guard and is clipped to the image.
+    """
+    x, y, z = center.tolist()
+    denom = z * z - radius * radius
+    bounds = []
+    for c, f, c0, size in ((y, intr.fy, intr.cy, intr.height),
+                           (x, intr.fx, intr.cx, intr.width)):
+        half = radius * math.sqrt(c * c + denom)
+        bounds += [max(math.floor((c * z - half) / denom * f + c0) - 2, 0),
+                   min(math.ceil((c * z + half) / denom * f + c0) + 3, size)]
+    return tuple(bounds)
 
 
 def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
-                  radius: float) -> tuple[slice, slice, np.ndarray, np.ndarray] | None:
-    """Ray-cast one capsule (camera space); returns bbox slices, z, axial s.
+                  radius: float) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray] | None:
+    """Ray-cast one capsule (camera space); returns box slices, z, axial s.
 
     Rays go through pixel centers with direction ((u-cx)/fx, (v-cy)/fy, 1),
-    so the ray parameter equals the camera z of the hit.  Returns None when
-    the capsule is entirely behind the camera or off-image.
+    so the ray parameter equals the camera z of the hit.  The capsule's
+    image is the convex hull of its end-sphere images, so the box bounding
+    both end windows holds every hit; each cap is solved on its own window
+    only.  Returns None when the capsule is too close to or behind the
+    camera, or has no hit in the image.
     """
     z_near = min(a[2], b[2]) - radius
     if z_near <= 0.05:
         return None
-    # conservative projected bbox
-    us, vs = [], []
-    for end in (a, b):
-        margin = radius * max(intr.fx, intr.fy) / max(end[2] - radius, 0.05) + 2
-        u, v, _ = project(end, intr)
-        us += [u - margin, u + margin]
-        vs += [v - margin, v + margin]
-    u0 = max(int(np.floor(min(us))), 0)
-    u1 = min(int(np.ceil(max(us))) + 1, intr.width)
-    v0 = max(int(np.floor(min(vs))), 0)
-    v1 = min(int(np.ceil(max(vs))) + 1, intr.height)
+    wa, wb = _sphere_window(intr, a, radius), _sphere_window(intr, b, radius)
+    v0, v1 = min(wa[0], wb[0]), max(wa[1], wb[1])
+    u0, u1 = min(wa[2], wb[2]), max(wa[3], wb[3])
     if u0 >= u1 or v0 >= v1:
         return None
 
@@ -382,30 +398,33 @@ def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
     beta = 2.0 * (d_perp @ q)
     gamma = q @ q - radius * radius
     disc = beta ** 2 - 4.0 * alpha * gamma
-    z = np.full(d.shape[:2], np.inf)
-    s_axial = np.zeros(d.shape[:2])
     ok = (disc >= 0) & (alpha > 1e-12)
     sqrt_disc = np.sqrt(np.where(ok, disc, 0.0))
     t_cyl = np.where(ok, (-beta - sqrt_disc) / np.where(ok, 2.0 * alpha, 1.0), -1.0)
     s = (t_cyl * d_par) - (a @ w)
     on_segment = ok & (t_cyl > 0.05) & (s >= 0.0) & (s <= length)
-    z = np.where(on_segment, t_cyl, z)
-    s_axial = np.where(on_segment, s, s_axial)
+    z = np.where(on_segment, t_cyl, np.inf)
+    s_axial = np.where(on_segment, s, 0.0)
 
-    # spherical caps
-    aq = np.einsum("...i,...i", d, d)
-    for center, s_cap in ((a, 0.0), (b, length)):
-        bq = -2.0 * (d @ center)
+    # spherical caps, each on its end window within the box
+    for center, s_cap, (ev0, ev1, eu0, eu1) in ((a, 0.0, wa), (b, length, wb)):
+        if ev0 >= ev1 or eu0 >= eu1:
+            continue
+        win = (slice(ev0 - v0, ev1 - v0), slice(eu0 - u0, eu1 - u0))
+        dc = d[win]
+        aq = np.einsum("...i,...i", dc, dc)
+        bq = -2.0 * (dc @ center)
         cq = center @ center - radius * radius
         disc_c = bq ** 2 - 4.0 * aq * cq
         okc = disc_c >= 0
         t_cap = np.where(okc, (-bq - np.sqrt(np.where(okc, disc_c, 0.0))) / (2.0 * aq), np.inf)
-        better = okc & (t_cap > 0.05) & (t_cap < z)
-        z = np.where(better, t_cap, z)
-        s_axial = np.where(better, s_cap, s_axial)
+        z_win = z[win]
+        better = okc & (t_cap > 0.05) & (t_cap < z_win)
+        np.copyto(z_win, t_cap, where=better)
+        np.copyto(s_axial[win], s_cap, where=better)
     if not np.isfinite(z).any():
         return None
-    return (slice(v0, v1), slice(u0, u1)), d, z, s_axial
+    return (slice(v0, v1), slice(u0, u1)), z, s_axial
 
 
 @dataclass
@@ -447,13 +466,13 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
             hit = _capsule_hits(intr, a, b, body.capsule_radii[name])
             if hit is None:
                 continue
-            (sv, su), _, z, s_ax = hit
+            (sv, su), z, s_ax = hit
             boxes[bi] = (sv, su)
             sub_z = zbuf[sv, su]
             better = z < sub_z
-            zbuf[sv, su] = np.where(better, z, sub_z)
-            owner[sv, su] = np.where(better, bi, owner[sv, su])
-            axial[sv, su] = np.where(better, s_ax, axial[sv, su])
+            np.copyto(sub_z, z, where=better)
+            np.copyto(owner[sv, su], bi, where=better)
+            np.copyto(axial[sv, su], s_ax, where=better)
 
         body_pixels = np.isfinite(zbuf)
         depth_mm = np.zeros((intr.height, intr.width), dtype=np.float64)
@@ -472,9 +491,7 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
             # with an off border erodes the whole frame
             win, pixels, surface_pt = footprint
             mask[win] |= pixels
-            hole = ndimage.binary_erosion(pixels, structure=_HOLE_ERODE,
-                                          border_value=0)
-            depth_mm[win][hole] = 0.0
+            depth_mm[win][interior_pixels(pixels)] = 0.0
             # suppress the annotation unless the footprint forms a blob big
             # enough to survive the downstream validity rule
             if _largest_component(pixels) >= 5:
@@ -514,6 +531,9 @@ def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
         bi = bones.index(bone_name)
         if bi not in boxes:
             return None
+        surface_pt = sample.surface_point_toward(cam_pos)
+        if not _point_visible(surface_pt, intr, extr, zbuf):
+            return None
         win = boxes[bi]
         sub_axial = axial[win]
         length = np.linalg.norm(body.template.bone_vectors[bone_name])
@@ -544,9 +564,6 @@ def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
             return None
         pixels = np.zeros_like(band)
         pixels[vs[facing], us[facing]] = True
-        surface_pt = sample.surface_point_toward(cam_pos)
-        if not _point_visible(surface_pt, intr, extr, zbuf):
-            return None
         return win, pixels, surface_pt
 
     # patch: disk around the projected center on nearby body surface
@@ -569,8 +586,8 @@ def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
     u_hi = min(int(u0 + r_px) + 2, intr.width)
     v_lo = max(int(v0 - r_px) - 1, 0)
     v_hi = min(int(v0 + r_px) + 2, intr.height)
-    uu, vv = np.meshgrid(np.arange(u_lo, u_hi), np.arange(v_lo, v_hi))
-    disk = (uu - u0) ** 2 + (vv - v0) ** 2 <= r_px ** 2
+    disk = ((np.arange(u_lo, u_hi) - u0) ** 2
+            + ((np.arange(v_lo, v_hi) - v0) ** 2)[:, None] <= r_px ** 2)
     win = (slice(v_lo, v_hi), slice(u_lo, u_hi))
     pixels = disk & (np.abs(zbuf[win] - pt_cam[2]) < 0.08)
     if not pixels.any():

@@ -379,6 +379,10 @@ class TestCli:
         cases += [("synth", "noise_sigma_mm", v) for v in ("nan", "-1")]
         cases += [("synth", "rig_height", "nan"), ("synth", "focal_px", "inf")]
         cases += [("synth", "body_scale", v) for v in ("nan", "inf", "0")]
+        cases += [("synth", "duration", "0"), ("synth", "num_views", "0"),
+                  ("synth", "image_width", "0"), ("synth", "image_height", "-3"),
+                  ("synth", "focal_px", "-1"), ("synth", "rig_radius", "0"),
+                  ("synth", "motion", "walk"), ("pipeline", "seed", "-1")]
         cases += [("straps", "radius_11", v) for v in ("nan", "-0.5", "inf")]
         for section, key, value in cases:
             config.write_text(f"[{section}]\n{key} = {value}\n")
@@ -395,6 +399,15 @@ class TestCli:
                           "noise_sigma_mm = 0\n")
         cfg = load_config(config)
         assert cfg.limb_radii[16] == 0.0 and cfg.synth.noise_sigma_mm == 0.0
+
+    def test_negative_seed_option_exits_2_before_writing(self, tmp_path, capsys):
+        dataset, out = tmp_path / "dataset", tmp_path / "o"
+        for command in ("synth", "infer"):
+            assert main([command, "--seed", "-1", "--dataset", str(dataset),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "--seed -1" in err and "Traceback" not in err, err
+        assert not dataset.exists() and not out.exists()
 
     def test_eval_scores_only_the_listed_views(self, tmp_path):
         dataset, config = tmp_path / "dataset", tmp_path / "tiny.ini"

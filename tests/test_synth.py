@@ -7,10 +7,11 @@ import pytest
 from scipy import ndimage
 
 from mocap_geom import synth
-from mocap_geom.core import MultiViewRig, ReflectorId, project, to_camera
+from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, MultiViewRig,
+                             ReflectorId, project, to_camera)
 from mocap_geom.errors import ValidationError
 from mocap_geom.maps import Annotation2D, ReflectorEstimate2D
-from mocap_geom.skeleton import JOINT_BY_NAME, JOINTS, rotation_about
+from mocap_geom.skeleton import JOINT_BY_NAME, JOINTS, Pose, rotation_about
 from mocap_geom.spatial import (find_regions_labeled, fuse_strap,
                                 fuse_strap_single_view, observe_batch)
 from mocap_geom.synth import (MOTION_NAMES, MotionScript, SyntheticBody, animate,
@@ -238,10 +239,51 @@ def _full_frame_footprint(sample, body, intr, extr, zbuf, owner, axial, bones):
     return pixels, sample.axis_point
 
 
-def _full_frame_render(rig, body, pose, noise_sigma_mm, seed, frame, seen):
-    """Reference for `render`: full-frame footprints, erosions and labels.
+def _full_frame_capsule(intr, a, b, radius):
+    """Reference capsule ray cast over every pixel: z and axial s, or None.
 
-    `seen` counts the cases worth covering: capsule boxes clipped at the
+    The same per-pixel arithmetic as the renderer, with no box: a capsule
+    within 5 cm of the camera plane is skipped, as the renderer does.
+    """
+    if min(a[2], b[2]) - radius <= 0.05:
+        return None
+    d = np.empty((intr.height, intr.width, 3))
+    d[..., 0] = (np.arange(intr.width) - intr.cx) / intr.fx
+    d[..., 1] = ((np.arange(intr.height) - intr.cy) / intr.fy)[:, None]
+    d[..., 2] = 1.0
+    length = np.linalg.norm(b - a)
+    w = (b - a) / length if length > 1e-12 else np.array([0.0, 0.0, 1.0])
+    d_par = d @ w
+    d_perp = d - d_par[..., None] * w[None, None, :]
+    q = -a + (a @ w) * w
+    alpha = np.einsum("...i,...i", d_perp, d_perp)
+    beta = 2.0 * (d_perp @ q)
+    disc = beta ** 2 - 4.0 * alpha * (q @ q - radius * radius)
+    ok = (disc >= 0) & (alpha > 1e-12)
+    t_cyl = np.where(ok, (-beta - np.sqrt(np.where(ok, disc, 0.0)))
+                     / np.where(ok, 2.0 * alpha, 1.0), -1.0)
+    s = (t_cyl * d_par) - (a @ w)
+    on_segment = ok & (t_cyl > 0.05) & (s >= 0.0) & (s <= length)
+    z = np.where(on_segment, t_cyl, np.inf)
+    s_axial = np.where(on_segment, s, 0.0)
+    aq = np.einsum("...i,...i", d, d)
+    for center, s_cap in ((a, 0.0), (b, length)):
+        bq = -2.0 * (d @ center)
+        disc_c = bq ** 2 - 4.0 * aq * (center @ center - radius * radius)
+        okc = disc_c >= 0
+        t_cap = np.where(okc, (-bq - np.sqrt(np.where(okc, disc_c, 0.0)))
+                         / (2.0 * aq), np.inf)
+        better = okc & (t_cap > 0.05) & (t_cap < z)
+        z = np.where(better, t_cap, z)
+        s_axial = np.where(better, s_cap, s_axial)
+    return z, s_axial
+
+
+def _full_frame_render(rig, body, pose, noise_sigma_mm, seed, frame, seen):
+    """Reference for `render`: full-frame ray casts, footprints, erosions
+    and labels.
+
+    `seen` counts the cases worth covering: capsules whose image meets the
     image border and strap-carrying bones with no hit in a view.
     """
     samples = reflector_positions(body, pose)
@@ -257,22 +299,18 @@ def _full_frame_render(rig, body, pose, noise_sigma_mm, seed, frame, seen):
         for bi, name in enumerate(bones):
             a = to_camera(pose.positions[JOINT_BY_NAME[name].parent], extr)
             b = to_camera(pose.positions[name], extr)
-            hit = synth._capsule_hits(intr, a, b, body.capsule_radii[name])
-            if hit is None:
+            hit = _full_frame_capsule(intr, a, b, body.capsule_radii[name])
+            if hit is None or not np.isfinite(hit[0]).any():
                 seen["strap bone without hit"] += name in carriers
                 continue
-            (sv, su), d, z, s_ax = hit
-            uu, vv = np.meshgrid(np.arange(su.start, su.stop),
-                                 np.arange(sv.start, sv.stop))
-            assert np.array_equal(d, np.stack([(uu - intr.cx) / intr.fx,
-                                               (vv - intr.cy) / intr.fy,
-                                               np.ones(uu.shape)], axis=-1))
-            seen["clipped box"] += (sv.start == 0 or su.start == 0
-                                    or sv.stop == intr.height or su.stop == intr.width)
-            better = z < zbuf[sv, su]
-            zbuf[sv, su] = np.where(better, z, zbuf[sv, su])
-            owner[sv, su] = np.where(better, bi, owner[sv, su])
-            axial[sv, su] = np.where(better, s_ax, axial[sv, su])
+            z, s_ax = hit
+            hits = np.isfinite(z)
+            seen["capsule at border"] += bool(hits[0].any() or hits[-1].any()
+                                              or hits[:, 0].any() or hits[:, -1].any())
+            better = z < zbuf
+            zbuf = np.where(better, z, zbuf)
+            owner = np.where(better, bi, owner)
+            axial = np.where(better, s_ax, axial)
         body_pixels = np.isfinite(zbuf)
         depth_mm = np.where(body_pixels, zbuf * 1000.0, 0.0)
         mask = np.zeros(shape, dtype=bool)
@@ -311,7 +349,7 @@ class TestRenderMatchesFullFrameReference:
         that push it against every border.
         """
         rng = np.random.default_rng(2024)
-        seen = {"clipped box": 0, "strap bone without hit": 0}
+        seen = {"capsule at border": 0, "strap bone without hit": 0}
         annotated = 0
         for trial in range(40):
             body = SyntheticBody.default(scale=float(rng.uniform(0.8, 1.25)))
@@ -345,6 +383,33 @@ class TestRenderMatchesFullFrameReference:
                 annotated += len(anns)
         assert annotated > 0
         assert all(count > 0 for count in seen.values()), seen
+
+    def test_off_axis_capsule_is_not_clipped(self):
+        """A capsule seen far off axis renders every one of its hit pixels.
+
+        The neck capsule's ends sit above the image, so its silhouette
+        reaches further down than a sphere seen on axis would: a margin of
+        r f / (z - r) around each projected end stops at row 3 and misses
+        the hits in rows 4 and 5.
+        """
+        intr = CameraIntrinsics(fx=129.055, fy=127.376, cx=141.372, cy=143.729,
+                                width=148, height=163)
+        rig = MultiViewRig(((intr, CameraExtrinsics(np.eye(3), np.zeros(3))),))
+        body = SyntheticBody.default()
+        body.capsule_radii["neck"] = 0.09879
+        # every other joint behind the camera, so no other capsule renders
+        positions = {j.name: np.array([0.1 * k, 0.0, -2.0 - 0.1 * k])
+                     for k, j in enumerate(JOINTS)}
+        positions["spinebase"] = np.array([0.0, -0.9439, 0.7368])
+        positions["neck"] = np.array([0.0, -1.1208, 0.6795])
+        pose = Pose(0, positions, {j.name: np.eye(3) for j in JOINTS})
+        seen = {"capsule at border": 0, "strap bone without hit": 0}
+        [(depth, mask, anns)] = _full_frame_render(rig, body, pose, 0.0, 0, 0, seen)
+        assert (depth[4:6] > 0).any()
+        [rv] = render(rig, body, pose)
+        assert rv.depth.pixels.tobytes() == depth.tobytes()
+        assert np.array_equal(rv.mask.bits, mask)
+        assert rv.annotations == anns
 
 
 class TestStrapGeometryThroughPipeline:
