@@ -4,10 +4,9 @@ from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
                    MultiViewRig, ReflectorId, ReflectorKind, backproject,
                    project, to_camera, to_global)
 from .maps import (Annotation2D, ConfidenceMap, FlowField, InferenceParams,
-                   MapSynthesisParams, ReflectorEstimate2D, extract_peaks,
-                   fuse_confidence, greedy_inference, line_integral,
-                   loss_fields, loss_maps, synth_confidence_map,
-                   synth_flow_field)
+                   MapSynthesisParams, ReflectorEstimate2D, fuse_confidence,
+                   greedy_inference, line_integral, loss_fields, loss_maps,
+                   synth_confidence_map, synth_flow_field)
 from .filtering import FilterParams, apply_filters
 from .spatial import (OpticalFrame, OpticalPoint, Region, ViewObservation,
                       find_regions_labeled, fuse_patch, fuse_reflector,

@@ -31,35 +31,36 @@ class ReflectorKind(Enum):
     PATCH = "patch"
 
 
-# Identity -> (kind, body-part label).  Straps ring the limbs; patches sit on
-# one-sided body parts (head, torso, hands, feet).  10 straps + 16 patches.
-_REFLECTOR_TABLE: dict[int, tuple[ReflectorKind, str]] = {
-    1: (ReflectorKind.PATCH, "pelvis_front"),
-    2: (ReflectorKind.PATCH, "chest_left"),
-    3: (ReflectorKind.PATCH, "chest_right"),
-    4: (ReflectorKind.PATCH, "head_front_left"),
-    5: (ReflectorKind.PATCH, "head_front_right"),
-    6: (ReflectorKind.PATCH, "head_back"),
-    7: (ReflectorKind.PATCH, "upper_back"),
-    8: (ReflectorKind.PATCH, "pelvis_back"),
-    9: (ReflectorKind.PATCH, "left_shoulder_front"),
-    10: (ReflectorKind.PATCH, "left_shoulder_back"),
-    11: (ReflectorKind.STRAP, "left_elbow"),
-    12: (ReflectorKind.STRAP, "left_wrist"),
-    13: (ReflectorKind.PATCH, "left_hand"),
-    14: (ReflectorKind.PATCH, "right_shoulder_back"),
-    15: (ReflectorKind.PATCH, "right_shoulder_front"),
-    16: (ReflectorKind.STRAP, "right_elbow"),
-    17: (ReflectorKind.STRAP, "right_wrist"),
-    18: (ReflectorKind.PATCH, "right_hand"),
-    19: (ReflectorKind.STRAP, "left_hip"),
-    20: (ReflectorKind.STRAP, "left_knee"),
-    21: (ReflectorKind.STRAP, "left_ankle"),
-    22: (ReflectorKind.PATCH, "left_foot"),
-    23: (ReflectorKind.STRAP, "right_hip"),
-    24: (ReflectorKind.STRAP, "right_knee"),
-    25: (ReflectorKind.STRAP, "right_ankle"),
-    26: (ReflectorKind.PATCH, "right_foot"),
+# Identity -> kind, with each reflector's placement as a comment.  Straps
+# ring the limbs; patches sit on one-sided body parts (head, torso, hands,
+# feet).  10 straps + 16 patches.
+_REFLECTOR_TABLE: dict[int, ReflectorKind] = {
+    1: ReflectorKind.PATCH,  # pelvis_front
+    2: ReflectorKind.PATCH,  # chest_left
+    3: ReflectorKind.PATCH,  # chest_right
+    4: ReflectorKind.PATCH,  # head_front_left
+    5: ReflectorKind.PATCH,  # head_front_right
+    6: ReflectorKind.PATCH,  # head_back
+    7: ReflectorKind.PATCH,  # upper_back
+    8: ReflectorKind.PATCH,  # pelvis_back
+    9: ReflectorKind.PATCH,  # left_shoulder_front
+    10: ReflectorKind.PATCH,  # left_shoulder_back
+    11: ReflectorKind.STRAP,  # left_elbow
+    12: ReflectorKind.STRAP,  # left_wrist
+    13: ReflectorKind.PATCH,  # left_hand
+    14: ReflectorKind.PATCH,  # right_shoulder_back
+    15: ReflectorKind.PATCH,  # right_shoulder_front
+    16: ReflectorKind.STRAP,  # right_elbow
+    17: ReflectorKind.STRAP,  # right_wrist
+    18: ReflectorKind.PATCH,  # right_hand
+    19: ReflectorKind.STRAP,  # left_hip
+    20: ReflectorKind.STRAP,  # left_knee
+    21: ReflectorKind.STRAP,  # left_ankle
+    22: ReflectorKind.PATCH,  # left_foot
+    23: ReflectorKind.STRAP,  # right_hip
+    24: ReflectorKind.STRAP,  # right_knee
+    25: ReflectorKind.STRAP,  # right_ankle
+    26: ReflectorKind.PATCH,  # right_foot
 }
 
 
@@ -75,11 +76,7 @@ class ReflectorId:
 
     @property
     def kind(self) -> ReflectorKind:
-        return _REFLECTOR_TABLE[self.index][0]
-
-    @property
-    def body_part(self) -> str:
-        return _REFLECTOR_TABLE[self.index][1]
+        return _REFLECTOR_TABLE[self.index]
 
     @property
     def is_end_reflector(self) -> bool:

@@ -210,7 +210,7 @@ def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> 
         for f, anns in enumerate(per_frame)))
 
 
-def read_annotations(path: str | Path, view: int) -> dict[int, list[Annotation2D]]:
+def read_annotations(path: str | Path) -> dict[int, list[Annotation2D]]:
     def parse(doc):
         frame = int(doc["frame"])
         anns = []
@@ -218,8 +218,7 @@ def read_annotations(path: str | Path, view: int) -> dict[int, list[Annotation2D
             prev = a.get("x_prev")
             anns.append(Annotation2D(ReflectorId(int(a["reflector"])),
                                      tuple(a["x_curr"]),
-                                     None if prev is None else tuple(prev),
-                                     frame, view))
+                                     None if prev is None else tuple(prev)))
         return frame, anns
     return dict(_read_jsonl(path, parse))
 
@@ -239,7 +238,7 @@ def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstim
         frame, view = int(doc["frame"]), int(doc["view"])
         ests = [ReflectorEstimate2D(ReflectorId(int(e["reflector"])),
                                     tuple(e["position"]), float(e["e_s"]),
-                                    float(e["e_l"]), float(e["e_total"]), frame)
+                                    float(e["e_l"]), float(e["e_total"]))
                 for e in doc["estimates"]]
         return frame, view, ests
     return _read_jsonl(path, parse)
@@ -354,7 +353,7 @@ class DatasetReader:
         path = self.view_dirs[view] / "annotations.jsonl"
         if not path.exists():
             return {}
-        return read_annotations(path, view)
+        return read_annotations(path)
 
     def gt_motion(self) -> list[Pose] | None:
         path = self.root / "gt_motion.jsonl"

@@ -188,8 +188,6 @@ class Annotation2D:
     reflector: ReflectorId
     x_curr: tuple[float, float]
     x_prev: tuple[float, float] | None
-    frame: int
-    view: int
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,6 @@ class ReflectorEstimate2D:
     e_s: float          # confidence-map score
     e_l: float          # flow-consistency score (0 when undefined)
     e_total: float      # fused score
-    frame: int
 
 
 @functools.lru_cache(maxsize=_PEAK_KERNELS)
@@ -304,18 +301,6 @@ def zero_flow_field(dims: tuple[int, int],
                      dims)
 
 
-def extract_peaks(conf_map: ConfidenceMap, nms_window: int = 5,
-                  min_conf: float = 0.1) -> list[tuple[tuple[int, int], float]]:
-    """Strict local maxima above min_conf, sorted by score descending.
-
-    A peak must strictly exceed every other value inside the (odd) window
-    centered on it, so plateaus yield no peaks.  Ties in score order break
-    by smaller row then smaller column.  The one-map case of
-    :func:`decode_peaks`.
-    """
-    return decode_peaks([conf_map], nms_window, min_conf)[0]
-
-
 def _strong_box(conf_map: ConfidenceMap, min_conf: float):
     """Frame (top, bottom, left, right) bounds of the pixels >= min_conf,
     or None when there are none."""
@@ -344,7 +329,11 @@ _STACK_VALUES = 1 << 20
 def decode_peaks(conf_maps: list[ConfidenceMap], nms_window: int = 5,
                  min_conf: float = 0.1
                  ) -> list[list[tuple[tuple[int, int], float]]]:
-    """:func:`extract_peaks` of every map, in order, decoded together.
+    """Each map's strict local maxima >= min_conf, by score descending.
+
+    One peak list per map, in order.  A peak must strictly exceed every
+    other value inside the (odd) window centred on it, so plateaus yield no
+    peaks.  Ties in score order break by smaller row then smaller column.
 
     Only pixels >= min_conf can be peaks, and a peak's window reaches
     nms_window // 2 past it, so each map is searched on the bounding box of
@@ -482,8 +471,7 @@ def fuse_confidence(e_s: float, e_l: float) -> float:
 def greedy_inference(maps: dict[ReflectorId, ConfidenceMap],
                      fields: dict[ReflectorId, FlowField],
                      prev: dict[ReflectorId, ReflectorEstimate2D] | None,
-                     params: InferenceParams,
-                     frame: int = 0) -> list[ReflectorEstimate2D]:
+                     params: InferenceParams) -> list[ReflectorEstimate2D]:
     """Select at most one estimate per reflector by fused confidence.
 
     Candidate peaks come from each reflector's map; each candidate's flow
@@ -510,7 +498,7 @@ def greedy_inference(maps: dict[ReflectorId, ConfidenceMap],
                                     params.samples)
                 e_l = min(max(raw, 0.0), 1.0)
             cand = ReflectorEstimate2D(rid, (float(px), float(py)), e_s, e_l,
-                                       fuse_confidence(e_s, e_l), frame)
+                                       fuse_confidence(e_s, e_l))
             if best is None or (cand.e_total, -cand.position[1], -cand.position[0]) > \
                     (best.e_total, -best.position[1], -best.position[0]):
                 best = cand
@@ -519,25 +507,23 @@ def greedy_inference(maps: dict[ReflectorId, ConfidenceMap],
     return out
 
 
-def loss_maps(pred: list[ConfidenceMap], truth: list[ConfidenceMap]) -> float:
-    """Sum of squared per-pixel residuals over all reflector maps."""
+def _squared_residual(pred: list, truth: list, what: str) -> float:
+    """Sum of squared per-pixel residuals of paired maps or fields."""
     if len(pred) != len(truth):
         raise DimensionError("prediction/truth reflector counts differ")
     total = 0.0
     for p, t in zip(pred, truth):
         if p.size != t.size:
-            raise DimensionError("map dimensions differ")
+            raise DimensionError(f"{what} dimensions differ")
         total += float(np.sum((p.dense() - t.dense()) ** 2))
     return total
+
+
+def loss_maps(pred: list[ConfidenceMap], truth: list[ConfidenceMap]) -> float:
+    """Sum of squared per-pixel residuals over all reflector maps."""
+    return _squared_residual(pred, truth, "map")
 
 
 def loss_fields(pred: list[FlowField], truth: list[FlowField]) -> float:
     """Sum of squared per-pixel 2-vector residuals over all flow fields."""
-    if len(pred) != len(truth):
-        raise DimensionError("prediction/truth reflector counts differ")
-    total = 0.0
-    for p, t in zip(pred, truth):
-        if p.size != t.size:
-            raise DimensionError("field dimensions differ")
-        total += float(np.sum((p.dense() - t.dense()) ** 2))
-    return total
+    return _squared_residual(pred, truth, "field")

@@ -69,8 +69,6 @@ class Detection2D:
     """One prediction/ground-truth pairing unit for AP counting."""
 
     reflector: int
-    frame: int
-    view: int
     gt: tuple[float, float] | None
     pred: tuple[float, float] | None
     confidence: float = 0.0
@@ -173,7 +171,11 @@ def mae_rmse(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class EvalReport:
-    """Aggregated evaluation, serializable as JSON and CSV tables."""
+    """Aggregated evaluation, serializable as JSON and CSV tables.
+
+    ``matched_frames`` counts matched joint samples: frames x scored joints.
+    ``unmatched_frames`` counts predicted frames without ground truth.
+    """
 
     ap: dict[int, float] = field(default_factory=dict)
     map_total: float | None = None
@@ -251,20 +253,19 @@ class EvalReport:
 
 def evaluate_motion(pred_joints: dict[str, np.ndarray],
                     gt_joints: dict[str, np.ndarray],
-                    a3d_cm: float = 20.0,
-                    joint_names: tuple[str, ...] = EVAL_JOINT_NAMES) -> EvalReport:
+                    a3d_cm: float = 20.0) -> EvalReport:
     """Per-joint and total 3D metrics over matched frame arrays.
 
     Both inputs map joint name -> (frames, 3) arrays already matched by frame
-    index; un-shared joints are skipped and counted as unmatched.
+    index, and both must hold every joint of EVAL_JOINT_NAMES.
     """
     report = EvalReport(a3d_cm=a3d_cm)
     all_pred = []
     all_gt = []
-    for name in joint_names:
+    for name in EVAL_JOINT_NAMES:
         if name not in pred_joints or name not in gt_joints:
-            report.unmatched_frames += 1
-            continue
+            raise ValidationError(f"joint {name} missing from prediction "
+                                  "or ground truth")
         p = np.asarray(pred_joints[name], dtype=np.float64)
         g = np.asarray(gt_joints[name], dtype=np.float64)
         if p.shape != g.shape:
@@ -274,8 +275,6 @@ def evaluate_motion(pred_joints: dict[str, np.ndarray],
         report.joint_rmse_cm[name] = rmse
         all_pred.append(p)
         all_gt.append(g)
-    if not all_pred:
-        raise ValidationError("no joints in common")
     stacked_p = np.concatenate(all_pred)
     stacked_g = np.concatenate(all_gt)
     report.total_mae_cm, report.total_rmse_cm = mae_rmse(stacked_p, stacked_g)

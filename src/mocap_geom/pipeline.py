@@ -64,7 +64,7 @@ def cmd_synth(config: PipelineConfig, out_dir: str | Path) -> Path:
             anns = []
             for a in rv.annotations:
                 prev = prev_positions[v].get(a.reflector.index)
-                anns.append(Annotation2D(a.reflector, a.x_curr, prev, f, v))
+                anns.append(Annotation2D(a.reflector, a.x_curr, prev))
             per_view_annotations[v].append(anns)
             prev_positions[v] = {a.reflector.index: a.x_curr for a in rv.annotations}
             if sc.write_maps:
@@ -137,8 +137,7 @@ def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
             else:
                 anns = annotations.get(f, [])
                 maps, fields = _maps_from_annotations(anns, dims, config)
-            ests = greedy_inference(maps, fields, prev_retained,
-                                    config.inference, frame=f)
+            ests = greedy_inference(maps, fields, prev_retained, config.inference)
             ests = apply_filters(ests, reader.mask(v, f), config.filters)
             prev_retained = {e.reflector: e for e in ests}
             out.append((f, v, ests))
@@ -177,7 +176,7 @@ def fuse_estimates(reader: ds.DatasetReader,
                 continue
             intr, extr = reader.rig[view]
             for obs in observe_view(ests, reader.mask(view, f),
-                                    reader.depth(view, f), intr, extr, view):
+                                    reader.depth(view, f), intr, extr):
                 observations.setdefault(obs.reflector.index, []).append(obs)
         frame = OpticalFrame(frame=f)
         for idx, obs in sorted(observations.items()):
@@ -262,7 +261,7 @@ def eval_2d(reader: ds.DatasetReader,
             for a in anns:
                 pred = pred_by_r.get(a.reflector.index)
                 detections.append(Detection2D(
-                    a.reflector.index, f, v, a.x_curr,
+                    a.reflector.index, a.x_curr,
                     None if pred is None else pred.position,
                     0.0 if pred is None else pred.e_total, bbox))
     if not detections:
@@ -304,7 +303,7 @@ def eval_3d(pred_poses: list[Pose], gt_poses: list[Pose],
     report = evaluate_motion(motion_joint_arrays(matched_pred, EVAL_JOINT_NAMES),
                              motion_joint_arrays(matched_gt, EVAL_JOINT_NAMES),
                              a3d_cm=config.eval_a3d_cm)
-    report.unmatched_frames += unmatched
+    report.unmatched_frames = unmatched
     return report
 
 
@@ -340,17 +339,3 @@ def cmd_eval(dataset_dir: str | Path, config: PipelineConfig,
         report.save_csv(out_csv)
     return report
 
-
-# ---------------------------------------------------------------------------
-# single-process composition
-# ---------------------------------------------------------------------------
-
-def run_in_process(dataset_dir: str | Path, config: PipelineConfig,
-                   view_subset: list[int] | None = None) -> list[Pose]:
-    """infer -> fuse -> calibrate -> track without intermediate files."""
-    reader = ds.DatasetReader(dataset_dir)
-    estimates = infer_dataset(reader, config, view_subset)
-    optical = fuse_estimates(reader, estimates, config)
-    template, _ = calibrate_template(SkeletonTemplate.default(), optical,
-                                     config.calibration)
-    return track(template, optical)

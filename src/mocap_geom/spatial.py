@@ -44,18 +44,12 @@ class Region:
     def size(self) -> int:
         return len(self.pixels)
 
-    @property
-    def centroid(self) -> tuple[float, float]:
-        c = self.pixels.mean(axis=0)
-        return float(c[0]), float(c[1])
-
 
 @dataclass(frozen=True)
 class ViewObservation:
     """One reflector seen from one view, mapped to the global frame."""
 
     reflector: ReflectorId
-    view: int
     point_global: np.ndarray
     e_total: float
     normal_global: np.ndarray | None = None  # unit, oriented toward the camera
@@ -274,8 +268,7 @@ def _rotate_rows(rotation: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
                                     tuple[float, float] | None]],
                   depth: DepthFrame, intrinsics: CameraIntrinsics,
-                  extrinsics: CameraExtrinsics,
-                  view: int) -> list[ViewObservation | None]:
+                  extrinsics: CameraExtrinsics) -> list[ViewObservation | None]:
     """Backproject validated estimates of one view into the global frame.
 
     Each item is (estimate, region, contour, center_override).  The region's
@@ -356,7 +349,7 @@ def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
         if not has_depth[i]:
             out.append(None)
             continue
-        out.append(ViewObservation(reflector=item[0].reflector, view=view,
+        out.append(ViewObservation(reflector=item[0].reflector,
                                    point_global=points_global[i],
                                    e_total=item[0].e_total,
                                    normal_global=normals_global[i]))
@@ -365,8 +358,7 @@ def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
 
 def observe_view(ests: list[ReflectorEstimate2D], mask: IrMask,
                  depth: DepthFrame, intrinsics: CameraIntrinsics,
-                 extrinsics: CameraExtrinsics,
-                 view: int) -> list[ViewObservation]:
+                 extrinsics: CameraExtrinsics) -> list[ViewObservation]:
     """Observations of one frame-view's validated estimates.
 
     Each estimate belongs to the mask region under its rounded position;
@@ -398,8 +390,7 @@ def observe_view(ests: list[ReflectorEstimate2D], mask: IrMask,
                          for e, cluster in zip(assigned, clusters))
         except SplitFailure:
             items.append((assigned[0], region, region.contour, None))
-    return [obs for obs in observe_batch(items, depth, intrinsics, extrinsics,
-                                         view)
+    return [obs for obs in observe_batch(items, depth, intrinsics, extrinsics)
             if obs is not None]
 
 

@@ -435,8 +435,7 @@ class RenderedView:
 
 
 def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
-           noise_sigma_mm: float = 0.0, seed: int = 0,
-           frame: int = 0, view_subset: list[int] | None = None
+           noise_sigma_mm: float = 0.0, seed: int = 0, frame: int = 0
            ) -> list[RenderedView]:
     """Render all views of one pose: depth with holes, IR mask, annotations.
 
@@ -447,9 +446,8 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
     quantized to millimeters, seeded per (seed, view, frame).
     """
     samples = reflector_positions(body, pose)
-    views = range(len(rig)) if view_subset is None else view_subset
     out = []
-    for v in views:
+    for v in range(len(rig)):
         intr, extr = rig[v]
         cam_pos = extr.translation
 
@@ -497,7 +495,7 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
             if _largest_component(pixels) >= 5:
                 u, v_pix, _ = project(to_camera(surface_pt, extr), intr)
                 annotations.append(Annotation2D(ReflectorId(idx), (u, v_pix),
-                                                None, frame, v))
+                                                None))
 
         if noise_sigma_mm > 0:
             rng = np.random.default_rng([seed, v, frame])

@@ -173,7 +173,7 @@ def test_criterion_2_brute_force_equivalence():
                 else:
                     pred = (gt[0] + rng.uniform(-10, 10), gt[1] + rng.uniform(-10, 10))
                     conf = float(rng.random())
-                dets.append(Detection2D(r, f, 0, gt, pred, conf, (100, 100)))
+                dets.append(Detection2D(r, gt, pred, conf, (100, 100)))
                 truth[(r, f)] = (gt, pred, conf)
         c_min = float(rng.uniform(0.1, 0.8))
         ap = average_precision(dets, 0.05, c_min)
@@ -191,7 +191,7 @@ def test_criterion_2_brute_force_equivalence():
         n = int(rng.integers(1, 6))
         pts = rng.normal(size=(n, 3))
         conf = rng.random(n)
-        obs = [ViewObservation(rid, i, pts[i], float(conf[i])) for i in range(n)]
+        obs = [ViewObservation(rid, pts[i], float(conf[i])) for i in range(n)]
         fused = fuse_patch(obs)
         expected = sum((conf[i] / conf.sum()) * pts[i] for i in range(n))
         assert np.max(np.abs(fused.position - expected)) <= 1e-9
@@ -223,11 +223,11 @@ def _cylinder_scene(num_views):
             continue
         regions = find_regions_labeled(rv.mask)[0]
         region = min(regions, key=lambda r: np.hypot(
-            r.centroid[0] - ann[0].x_curr[0], r.centroid[1] - ann[0].x_curr[1]))
+            *(r.pixels.mean(axis=0) - ann[0].x_curr)))
         intr, extr = rig[v]
-        est = ReflectorEstimate2D(ReflectorId(20), ann[0].x_curr, 1.0, 0.0, 1.0, 0)
+        est = ReflectorEstimate2D(ReflectorId(20), ann[0].x_curr, 1.0, 0.0, 1.0)
         obs = observe_batch([(est, region, region.contour, None)], rv.depth,
-                            intr, extr, v)[0]
+                            intr, extr)[0]
         assert obs is not None, f"view {v}: no depth on the strap contour"
         observations.append(obs)
     return observations, samples[20].axis_point
@@ -248,9 +248,9 @@ def test_criterion_3_strap_geometry():
 
     # parallel normals: documented fallback, flagged degraded
     rid = ReflectorId(20)
-    par = [ViewObservation(rid, 0, np.array([0.0, 0.0, 1.0]), 1.0,
+    par = [ViewObservation(rid, np.array([0.0, 0.0, 1.0]), 1.0,
                            np.array([0.0, 0.0, -1.0])),
-           ViewObservation(rid, 1, np.array([0.1, 0.0, 1.0]), 1.0,
+           ViewObservation(rid, np.array([0.1, 0.0, 1.0]), 1.0,
                            np.array([0.0, 0.0, -1.0]))]
     ok &= fuse_strap(par).degraded
 
@@ -450,7 +450,7 @@ def test_criterion_7_filter_properties():
                     painted += 1
             ests.append(ReflectorEstimate2D(ReflectorId(idx), (float(x), float(y)),
                                             float(rng.random()), 0.0,
-                                            float(rng.random()), 0))
+                                            float(rng.random())))
         mask = IrMask(bits)
         once = apply_filters(ests, mask, params)
         ok &= apply_filters(once, mask, params) == once      # idempotent
@@ -469,7 +469,7 @@ def test_criterion_7_filter_properties():
     bits4[5, 5:9] = True
     bits5 = bits4.copy()
     bits5[6, 5] = True
-    est = ReflectorEstimate2D(ReflectorId(1), (6.0, 5.0), 0.9, 0.0, 0.9, 0)
+    est = ReflectorEstimate2D(ReflectorId(1), (6.0, 5.0), 0.9, 0.0, 0.9)
     b_min5 = FilterParams(b_min=5)
     ok &= apply_filters([est], IrMask(bits4), b_min5) == []
     ok &= apply_filters([est], IrMask(bits5), b_min5) == [est]

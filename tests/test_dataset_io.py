@@ -383,12 +383,12 @@ def _random_ids(rng) -> list[ReflectorId]:
 
 def _random_annotations(rng) -> list[list[Annotation2D]]:
     per_frame = []
-    for f in range(int(rng.integers(0, 5))):
+    for _ in range(int(rng.integers(0, 5))):
         anns = []
         for rid in _random_ids(rng):
             x = _random_floats(rng, 4)
             prev = None if rng.random() < 0.3 else (x[2], x[3])
-            anns.append(Annotation2D(rid, (x[0], x[1]), prev, f, 0))
+            anns.append(Annotation2D(rid, (x[0], x[1]), prev))
         per_frame.append(anns)
     return per_frame
 
@@ -401,7 +401,7 @@ def _random_estimates(rng):
             for rid in _random_ids(rng):
                 x = _random_floats(rng, 5)
                 ests.append(ReflectorEstimate2D(rid, (x[0], x[1]), x[2], x[3],
-                                                x[4], f))
+                                                x[4]))
             entries.append((f, v, ests))
     return entries
 
@@ -440,7 +440,7 @@ class TestJsonlFuzz:
 
     CODECS = {
         "annotations": (_random_annotations, ds.write_annotations,
-                        lambda p: list(ds.read_annotations(p, view=0).values())),
+                        lambda p: list(ds.read_annotations(p).values())),
         "estimates": (_random_estimates, ds.write_estimates, ds.read_estimates),
         "optical": (_random_optical, ds.write_optical, ds.read_optical),
         "motion": (_random_motion, ds.write_motion, ds.read_motion),
@@ -510,20 +510,20 @@ class TestJsonlFuzz:
 class TestJsonlCodecs:
     def test_annotations_round_trip(self, tmp_path):
         per_frame = [
-            [Annotation2D(ReflectorId(3), (10.25, 20.5), None, 0, 1)],
-            [Annotation2D(ReflectorId(3), (11.75, 21.0), (10.25, 20.5), 1, 1),
-             Annotation2D(ReflectorId(7), (40.0, 41.0), None, 1, 1)],
+            [Annotation2D(ReflectorId(3), (10.25, 20.5), None)],
+            [Annotation2D(ReflectorId(3), (11.75, 21.0), (10.25, 20.5)),
+             Annotation2D(ReflectorId(7), (40.0, 41.0), None)],
         ]
         path = tmp_path / "annotations.jsonl"
         ds.write_annotations(path, per_frame)
-        back = ds.read_annotations(path, view=1)
+        back = ds.read_annotations(path)
         assert back[1][0].x_prev == (10.25, 20.5)
         assert back[1][1].reflector.index == 7
         assert back[0][0].x_prev is None
 
     def test_estimates_round_trip_exact_floats(self, tmp_path):
         ests = [ReflectorEstimate2D(ReflectorId(4), (10.123456789012, 20.0),
-                                    0.987654321, 0.1, 0.99, 2)]
+                                    0.987654321, 0.1, 0.99)]
         path = tmp_path / "est.jsonl"
         ds.write_estimates(path, [(2, 0, ests)])
         back = ds.read_estimates(path)
@@ -586,7 +586,7 @@ class TestJsonlCodecs:
         good = ('{"annotations":[{"reflector":3,"x_curr":[1.0,2.0],'
                 '"x_prev":null}],"frame":0}')
         self._assert_format_errors(
-            tmp_path, lambda p: ds.read_annotations(p, view=0), good,
+            tmp_path, ds.read_annotations, good,
             [good.replace('"frame":0', '"frame":"zero"'),      # bad value
              good.replace('"reflector":3', '"reflector":99'),  # no such id
              good.replace('"x_curr":[1.0,2.0],', ''),           # missing key

@@ -14,7 +14,7 @@ from mocap_geom.maps import ReflectorEstimate2D
 def _est(idx, x, y, e_total, e_s=None):
     e_s = e_total if e_s is None else e_s
     return ReflectorEstimate2D(ReflectorId(idx), (float(x), float(y)),
-                               e_s, 0.0, e_total, 0)
+                               e_s, 0.0, e_total)
 
 
 def _mask_with_component(pixels, shape=(40, 40)):

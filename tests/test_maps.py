@@ -14,7 +14,7 @@ from mocap_geom.errors import (DegenerateMotionError, DimensionError,
                                ValidationError)
 from mocap_geom.maps import (ConfidenceMap, FlowField,
                              InferenceParams, MapSynthesisParams,
-                             ReflectorEstimate2D, decode_peaks, extract_peaks,
+                             ReflectorEstimate2D, decode_peaks,
                              fuse_confidence, greedy_inference, line_integral,
                              loss_fields, loss_maps, synth_confidence_map,
                              synth_flow_field, zero_flow_field)
@@ -247,9 +247,11 @@ class TestConfidenceMapValidation:
 
 
 class TestExtractPeaks:
+    """One map decoded alone: ``decode_peaks([m], ...)[0]``."""
+
     def test_single_peak_at_synthesis_center(self):
         m = synth_confidence_map((33, 21), (64, 48), PARAMS)
-        peaks = extract_peaks(m, nms_window=5, min_conf=0.1)
+        peaks = decode_peaks([m], nms_window=5, min_conf=0.1)[0]
         assert len(peaks) == 1
         assert peaks[0][0] == (33, 21)
         assert peaks[0][1] == 1.0
@@ -258,7 +260,7 @@ class TestExtractPeaks:
         a = synth_confidence_map((20, 30), (128, 96), PARAMS).dense()
         b = synth_confidence_map((70, 30), (128, 96), PARAMS).dense()
         m = ConfidenceMap(ReflectorId(1), np.maximum(a, 0.8 * b))
-        peaks = extract_peaks(m, nms_window=5, min_conf=0.1)
+        peaks = decode_peaks([m], nms_window=5, min_conf=0.1)[0]
         assert [p[0] for p in peaks] == [(20, 30), (70, 30)]
         assert peaks[0][1] == 1.0
         assert peaks[1][1] == pytest.approx(0.8)
@@ -277,12 +279,12 @@ class TestExtractPeaks:
             vals = np.zeros((9, 11))
             vals[4, 5] = vals[4 + dr, 5 + dc] = 0.8
             m = ConfidenceMap(ReflectorId(1), vals, (3, 6), (30, 20))
-            assert extract_peaks(m, 5, 0.1) == [], (dr, dc)
+            assert decode_peaks([m], 5, 0.1)[0] == [], (dr, dc)
             # one pixel farther apart, each is alone in its window
             far = np.zeros((9, 11))
             far[4, 5] = far[4 + dr + np.sign(dr), 5 + dc + np.sign(dc)] = 0.8
             m = ConfidenceMap(ReflectorId(1), far, (3, 6), (30, 20))
-            got = extract_peaks(m, 5, 0.1)
+            got = decode_peaks([m], 5, 0.1)[0]
             expected = sorted([(11, 7), (11 + dc + np.sign(dc), 7 + dr + np.sign(dr))],
                               key=lambda p: (p[1], p[0]))
             assert got == [(p, 0.8) for p in expected], (dr, dc)
@@ -293,21 +295,21 @@ class TestExtractPeaks:
                      (w - 1, h - 1)):
             m = synth_confidence_map((x, y), (w, h),
                                      MapSynthesisParams(sigma_peak=2.0))
-            assert extract_peaks(m, 5, 0.1) == [((x, y), 1.0)]
+            assert decode_peaks([m], 5, 0.1)[0] == [((x, y), 1.0)]
             # a tie one pixel inside the frame suppresses it
             vals = m.dense()
             vals[y + (1 if y == 0 else -1), x] = 1.0
-            got = extract_peaks(ConfidenceMap(ReflectorId(1), vals), 5, 0.1)
+            got = decode_peaks([ConfidenceMap(ReflectorId(1), vals)], 5, 0.1)[0]
             assert got == [] == self._full_frame_peaks(vals, 5, 0.1)
         # a window that ends at the frame edge, with its peak on that edge
         vals = np.zeros((3, 4))
         vals[1, 3] = 0.7
         m = ConfidenceMap(ReflectorId(1), vals, (4, 12), (w, h))
-        assert extract_peaks(m, 3, 0.1) == [((15, 5), 0.7)]
+        assert decode_peaks([m], 3, 0.1)[0] == [((15, 5), 0.7)]
 
     def test_uniform_zero_map_has_no_peaks(self):
         m = ConfidenceMap(ReflectorId(1), np.zeros((32, 32)))
-        assert extract_peaks(m, 5, 0.1) == []
+        assert decode_peaks([m], 5, 0.1)[0] == []
 
     @staticmethod
     def _full_frame_peaks(vals, nms_window, min_conf):
@@ -351,7 +353,7 @@ class TestExtractPeaks:
             elif kind == 3:  # nothing reaches the threshold
                 vals = vals * (0.999 * min_conf)
             m = ConfidenceMap(ReflectorId(1), vals)
-            got = extract_peaks(m, nms_window, min_conf)
+            got = decode_peaks([m], nms_window, min_conf)[0]
             assert got == self._full_frame_peaks(m.values, nms_window, min_conf)
             border_peaks += any(x in (0, w - 1) or y in (0, h - 1)
                                 for (x, y), _ in got)
@@ -429,12 +431,12 @@ class TestWindowedMaps:
                     i, j = int(rng.integers(0, rows)), int(rng.choice([0, cols - 1]))
                 vals[i, j] = float(rng.uniform(0.5, 1.0))
             m = ConfidenceMap(ReflectorId(1), vals, (r0, c0), (w, h))
-            got = extract_peaks(m, nms_window, min_conf)
+            got = decode_peaks([m], nms_window, min_conf)[0]
             dense = m.dense()
             assert got == TestExtractPeaks._full_frame_peaks(dense, nms_window,
                                                             min_conf)
-            assert got == extract_peaks(ConfidenceMap(ReflectorId(1), dense),
-                                        nms_window, min_conf)
+            assert got == decode_peaks([ConfidenceMap(ReflectorId(1), dense)],
+                                       nms_window, min_conf)[0]
             # a peak on a window edge that has frame pixels beyond it
             edge_peaks += any(
                 r0 <= y < r0 + rows and c0 <= x < c0 + cols
@@ -591,8 +593,8 @@ class TestGreedyInference:
         weak = synth_confidence_map((40, 30), dims, PARAMS).dense() * 0.55
         maps = {rid: ConfidenceMap(rid, np.maximum(strong, weak))}
         fields = {rid: synth_flow_field((30, 30), (40, 30), dims, PARAMS, rid)}
-        prev = {rid: ReflectorEstimate2D(rid, (30.0, 30.0), 1.0, 0.0, 1.0, 0)}
-        ests = greedy_inference(maps, fields, prev, InferenceParams(), frame=1)
+        prev = {rid: ReflectorEstimate2D(rid, (30.0, 30.0), 1.0, 0.0, 1.0)}
+        ests = greedy_inference(maps, fields, prev, InferenceParams())
         assert len(ests) == 1
         est = ests[0]
         # 0.55 + 0.45 * 1.0 = 1.0 beats 0.7 + 0.3 * 0 = 0.7
@@ -640,8 +642,15 @@ class TestLosses:
     def test_dimension_mismatch_rejected(self):
         a = ConfidenceMap(ReflectorId(1), np.zeros((5, 5)))
         b = ConfidenceMap(ReflectorId(1), np.zeros((6, 5)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="map dimensions"):
             loss_maps([a], [b])
+        f = FlowField(ReflectorId(1), np.zeros((5, 5, 2)))
+        g = FlowField(ReflectorId(1), np.zeros((5, 6, 2)))
+        with pytest.raises(DimensionError, match="field dimensions"):
+            loss_fields([f], [g])
+        for loss, item in ((loss_maps, a), (loss_fields, f)):
+            with pytest.raises(DimensionError, match="reflector counts"):
+                loss([item, item], [item])
 
 
 class TestRangeCheck:
@@ -781,7 +790,7 @@ class TestDecodePeaks:
                     for m in conf_maps]
             assert got == want, trial
             for m, peaks in zip(conf_maps, got):
-                assert extract_peaks(m, nms_window, min_conf) == peaks
+                assert decode_peaks([m], nms_window, min_conf)[0] == peaks
                 assert all(type(x) is int and type(y) is int
                            and type(v) is float for (x, y), v in peaks)
                 vals = m.values
@@ -828,8 +837,6 @@ class TestDecodePeaks:
         for bad in (1, 2, 4):
             with pytest.raises(ValidationError):
                 decode_peaks([m], bad, 0.1)
-            with pytest.raises(ValidationError):
-                extract_peaks(m, bad, 0.1)
 
     def test_greedy_inference_unchanged_on_a_seeded_take(self, tmp_path,
                                                          monkeypatch):
@@ -851,10 +858,10 @@ class TestDecodePeaks:
             for f in range(reader.num_frames):
                 maps, fields = _maps_from_annotations(
                     anns.get(f, []), (intr.width, intr.height), cfg)
-                got = greedy_inference(maps, fields, prev, cfg.inference, f)
+                got = greedy_inference(maps, fields, prev, cfg.inference)
                 with monkeypatch.context() as patch:
                     patch.setattr(maps_module, "decode_peaks", reference)
-                    want = greedy_inference(maps, fields, prev, cfg.inference, f)
+                    want = greedy_inference(maps, fields, prev, cfg.inference)
                 assert got == want, (v, f)
                 moved += sum(e.e_l > 0 for e in got)
                 prev = {e.reflector: e for e in got}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mocap_geom.errors import ValidationError
-from mocap_geom.metrics import (Detection2D, Pck2dParams,
+from mocap_geom.metrics import (EVAL_JOINT_NAMES, Detection2D, Pck2dParams,
                                 average_precision, evaluate_motion, map_sweep,
                                 mae_rmse, mean_average_precision, pck2d_correct,
                                 pck3d, subject_bbox)
@@ -31,21 +31,21 @@ class TestPck2d:
 
 def _dets(entries):
     out = []
-    for reflector, frame, gt, pred, conf in entries:
-        out.append(Detection2D(reflector, frame, 0, gt, pred, conf, (100, 100)))
+    for reflector, gt, pred, conf in entries:
+        out.append(Detection2D(reflector, gt, pred, conf, (100, 100)))
     return out
 
 
 class TestAveragePrecision:
     def test_perfect_predictions(self):
-        dets = _dets([(r, f, (50, 50), (50, 50), 0.95)
+        dets = _dets([(r, (50, 50), (50, 50), 0.95)
                       for r in (1, 2, 3) for f in range(4)])
         ap = average_precision(dets, alpha=0.05, c_min=0.4)
         assert ap == {1: 1.0, 2: 1.0, 3: 1.0}
         assert mean_average_precision(ap) == 1.0
 
     def test_threshold_above_one_rejects_everything(self):
-        dets = _dets([(1, 0, (50, 50), (50, 50), 1.0)])
+        dets = _dets([(1, (50, 50), (50, 50), 1.0)])
         ap = average_precision(dets, alpha=0.05, c_min=1.01)
         assert ap == {1: 0.0}
 
@@ -64,13 +64,13 @@ class TestAveragePrecision:
                 else:
                     pred = (gt[0] + rng.uniform(8, 30), gt[1])
                     conf = float(rng.uniform(0.3, 1.0))
-                entries.append((r, f, gt, pred, conf))
+                entries.append((r, gt, pred, conf))
         dets = _dets(entries)
         alpha, c_min = 0.05, 0.4
         ap = average_precision(dets, alpha, c_min)
         for r in (1, 2, 3):
             correct = incorrect = missed = 0
-            for (rr, f, gt, pred, conf) in entries:
+            for (rr, gt, pred, conf) in entries:
                 if rr != r:
                     continue
                 if pred is None or conf <= c_min:
@@ -84,7 +84,7 @@ class TestAveragePrecision:
     def test_threshold_only_changes_counting(self):
         # the set of CORRECT predictions is threshold-independent; raising
         # c_min can only turn counted predictions into misses
-        dets = _dets([(1, f, (50, 50), (50 + f, 50), 0.2 + 0.15 * f)
+        dets = _dets([(1, (50, 50), (50 + f, 50), 0.2 + 0.15 * f)
                       for f in range(5)])
         prev = None
         for c_min in (0.0, 0.2, 0.4, 0.6, 0.9):
@@ -94,7 +94,7 @@ class TestAveragePrecision:
             prev = ap
 
     def test_sweep_shape(self):
-        dets = _dets([(1, 0, (50, 50), (50, 50), 0.5)])
+        dets = _dets([(1, (50, 50), (50, 50), 0.5)])
         curve = map_sweep(dets, 0.05, [0.1, 0.4, 0.7])
         assert [c for c, _ in curve] == [0.1, 0.4, 0.7]
         assert curve[0][1] == 1.0 and curve[2][1] == 0.0
@@ -111,8 +111,8 @@ class TestAveragePrecision:
                 # quantized confidences land on the thresholds themselves
                 conf = float(np.round(rng.random(), 1)) if rng.random() < 0.5 \
                     else float(rng.random())
-                dets.append(Detection2D(int(rng.integers(1, 6)), 0, 0, gt, pred,
-                                        conf, tuple(rng.uniform(50, 150, 2))))
+                dets.append(Detection2D(int(rng.integers(1, 6)), gt, pred, conf,
+                                        tuple(rng.uniform(50, 150, 2))))
             # unsorted grids with duplicates, and the empty grid
             grid = [float(x) for x in np.round(
                 rng.uniform(-0.1, 1.0, int(rng.integers(0, 8))), 1)]
@@ -126,8 +126,8 @@ class TestAveragePrecision:
         assert map_sweep([], 0.05, []) == []
 
     def test_sweep_raises_what_average_precision_raises(self):
-        dets = _dets([(1, 0, (50, 50), (50, 50), 0.5)])
-        bad_box = [Detection2D(1, 0, 0, (5, 5), (5, 5), 0.5, (0.0, 10.0))]
+        dets = _dets([(1, (50, 50), (50, 50), 0.5)])
+        bad_box = [Detection2D(1, (5, 5), (5, 5), 0.5, (0.0, 10.0))]
         for args in ((dets, 0.0, [0.1]), (bad_box, 0.05, [0.7, 0.2])):
             with pytest.raises(ValidationError) as want:
                 average_precision(args[0], args[1], min(args[2]))
@@ -184,12 +184,14 @@ class TestMetrics3D:
 class TestEvaluateMotion:
     def test_report_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        gt = {name: rng.normal(size=(20, 3))
-              for name in ("left_knee", "right_knee", "left_hip", "right_hip")}
+        gt = {name: rng.normal(size=(20, 3)) for name in EVAL_JOINT_NAMES}
         pred = {name: arr + rng.normal(scale=0.01, size=arr.shape)
                 for name, arr in gt.items()}
         report = evaluate_motion(pred, gt, a3d_cm=20.0)
         assert set(report.joint_mae_cm) == set(gt)
+        # matched joint samples: frames x scored joints
+        assert report.matched_frames == 20 * len(EVAL_JOINT_NAMES)
+        assert report.unmatched_frames == 0
         assert report.pck3d_total == 1.0
         assert report.total_rmse_cm >= report.total_mae_cm
         report.save_json(tmp_path / "report.json")
@@ -197,3 +199,11 @@ class TestEvaluateMotion:
         assert (tmp_path / "report.json").exists()
         text = (tmp_path / "report.csv").read_text()
         assert "mae_cm" in text and "left_knee" in text
+
+    def test_missing_joint_is_an_error_naming_it(self):
+        gt = {name: np.zeros((5, 3)) for name in EVAL_JOINT_NAMES}
+        for missing in ("left_elbow", "right_ankle"):
+            partial = {k: v for k, v in gt.items() if k != missing}
+            for pred, truth in ((partial, gt), (gt, partial)):
+                with pytest.raises(ValidationError, match=missing):
+                    evaluate_motion(pred, truth)

@@ -10,9 +10,10 @@ from mocap_geom.cli import main
 from mocap_geom.config import PipelineConfig, load_config, write_default_config
 from mocap_geom.errors import ValidationError
 from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
-                                 cmd_synth, cmd_track, infer_dataset,
-                                 run_in_process)
-from mocap_geom.skeleton import Pose
+                                 cmd_synth, cmd_track, fuse_estimates,
+                                 infer_dataset)
+from mocap_geom.skeleton import (Pose, SkeletonTemplate, calibrate_template,
+                                 track)
 
 
 def small_config(duration=24, noise=0.0):
@@ -161,7 +162,12 @@ class TestComposition:
         opt_path = cmd_fuse(root, est_path, tmp_path / "optical.jsonl", cfg)
         tpl_path, _ = cmd_calibrate(opt_path, tmp_path / "template.json", cfg)
         poses_files = cmd_track(opt_path, tpl_path, tmp_path / "motion.jsonl")
-        poses_mem = run_in_process(root, cfg)
+        # the cores back to back, no intermediate files
+        reader = ds.DatasetReader(root)
+        optical = fuse_estimates(reader, infer_dataset(reader, cfg), cfg)
+        template, _ = calibrate_template(SkeletonTemplate.default(), optical,
+                                         cfg.calibration)
+        poses_mem = track(template, optical)
         assert len(poses_files) == len(poses_mem)
         for pf, pm in zip(poses_files, poses_mem):
             for name in pf.positions:

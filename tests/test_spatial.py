@@ -22,17 +22,16 @@ INTR = CameraIntrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, width=320, heigh
 
 def _est(idx, x, y, conf=0.9):
     return ReflectorEstimate2D(ReflectorId(idx), (float(x), float(y)),
-                               conf, 0.0, conf, 0)
+                               conf, 0.0, conf)
 
 
-def _observe_one(est, region, contour, depth, intr, extr, view, center=None):
+def _observe_one(est, region, contour, depth, intr, extr, center=None):
     """observe_batch on one item: its observation, or None without depth."""
-    return observe_batch([(est, region, contour, center)], depth, intr, extr,
-                         view)[0]
+    return observe_batch([(est, region, contour, center)], depth, intr, extr)[0]
 
 
-def _obs(idx, point, conf=1.0, normal=None, view=0):
-    return ViewObservation(ReflectorId(idx), view, np.asarray(point, dtype=float),
+def _obs(idx, point, conf=1.0, normal=None):
+    return ViewObservation(ReflectorId(idx), np.asarray(point, dtype=float),
                            conf, None if normal is None else np.asarray(normal, dtype=float))
 
 
@@ -129,7 +128,7 @@ def _backprojected_depth_mm(contour, depth):
     contour = np.asarray(contour)
     region = Region(pixels=contour, contour=contour)
     obs = _observe_one(_est(1, 0, 0), region, contour, depth, INTR,
-                       CameraExtrinsics.identity(), 0, center=(INTR.cx, INTR.cy))
+                       CameraExtrinsics.identity(), center=(INTR.cx, INTR.cy))
     if obs is None:
         return None
     assert obs.point_global[0] == obs.point_global[1] == 0.0
@@ -244,7 +243,7 @@ class TestObserve:
         for u, v in region.contour:
             depth[v, u] = 1000
         obs = _observe_one(_est(1, 160, 120), region, region.contour,
-                           DepthFrame(depth), INTR, CameraExtrinsics.identity(), 0)
+                           DepthFrame(depth), INTR, CameraExtrinsics.identity())
         np.testing.assert_allclose(obs.point_global, [0, 0, 1.0], atol=1e-6)
         assert obs.normal_global is None  # patches carry no normal
 
@@ -254,7 +253,7 @@ class TestObserve:
         region = find_regions_labeled(IrMask(bits))[0][0]
         assert _observe_one(_est(1, 105, 105), region, region.contour,
                             DepthFrame(np.zeros((240, 320), dtype=np.uint16)),
-                            INTR, CameraExtrinsics.identity(), 0) is None
+                            INTR, CameraExtrinsics.identity()) is None
 
 
 def _observe_reference(est, region, contour, depth, intr, extr,
@@ -318,7 +317,7 @@ class TestObserveBatch:
                 else:
                     items.append((est, region, region.contour, None))
             frame = DepthFrame(depth)
-            got = observe_batch(items, frame, INTR, extr, view=2)
+            got = observe_batch(items, frame, INTR, extr)
             assert len(got) == len(items)
             for (est, region, contour, center), obs in zip(items, got):
                 ref = _observe_reference(est, region, contour, depth, INTR,
@@ -327,9 +326,9 @@ class TestObserveBatch:
                     assert obs is None
                     no_depth_seen += 1
                     assert _observe_one(est, region, contour, frame, INTR,
-                                        extr, 2, center) is None
+                                        extr, center) is None
                     continue
-                assert obs.reflector == est.reflector and obs.view == 2
+                assert obs.reflector == est.reflector
                 assert obs.e_total == est.e_total
                 np.testing.assert_allclose(obs.point_global, ref[0],
                                            rtol=0, atol=1e-12)
@@ -339,14 +338,14 @@ class TestObserveBatch:
                     np.testing.assert_allclose(obs.normal_global, ref[1],
                                                rtol=0, atol=1e-9)
                 single = _observe_one(est, region, contour, frame, INTR, extr,
-                                      2, center)
+                                      center)
                 np.testing.assert_array_equal(single.point_global,
                                               obs.point_global)
         assert normals_seen >= 20 and no_depth_seen >= 10
 
     def test_empty_batch(self):
         depth = DepthFrame(np.zeros((4, 4), dtype=np.uint16))
-        assert observe_batch([], depth, INTR, CameraExtrinsics.identity(), 0) == []
+        assert observe_batch([], depth, INTR, CameraExtrinsics.identity()) == []
 
 
 class TestObserveView:
@@ -363,13 +362,12 @@ class TestObserveView:
         on_a, on_b = _est(1, 62.4, 52.6), _est(2, 205, 101)
         ests = [_est(3, 150, 150), on_b, _est(4, -3, 52), on_a,
                 _est(5, 62, 240), _est(6, 319.6, 101)]
-        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR, 1)
+        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
         # in region order, each as the one-item batch observes it
         assert [o.reflector.index for o in got] == [1, 2]
         for obs, est, region in zip(got, (on_a, on_b), regions):
             ref = _observe_one(est, region, region.contour, depth, INTR,
-                               self.EXTR, 1)
-            assert obs.view == 1
+                               self.EXTR)
             np.testing.assert_array_equal(obs.point_global, ref.point_global)
 
     def test_failed_split_falls_back_to_top_ranked_estimate(self):
@@ -385,10 +383,10 @@ class TestObserveView:
         # reflectors 3 and 2 tie on e_total; the lower index ranks first
         ests = [_est(3, 101, 101, 0.9), _est(1, 102, 102, 0.7),
                 _est(2, 103, 103, 0.9)]
-        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR, 0)
+        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
         assert [o.reflector.index for o in got] == [2]
         ref = _observe_one(ests[2], region, region.contour, depth, INTR,
-                           self.EXTR, 0)
+                           self.EXTR)
         np.testing.assert_array_equal(got[0].point_global, ref.point_global)
         assert got[0].e_total == 0.9
 
@@ -397,29 +395,29 @@ class TestObserveView:
         bits = np.zeros(depth.pixels.shape, dtype=bool)
         bits[region.pixels[:, 1], region.pixels[:, 0]] = True
         ests = [_est(2, 43, 30, 0.8), _est(1, 30, 30, 0.9)]
-        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR, 0)
+        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
         ranked = [ests[1], ests[0]]
         clusters = split_merged_region(region, ranked, depth)
         assert [o.reflector.index for o in got] == [1, 2]
         for obs, est, cluster in zip(got, ranked, clusters):
             ref = _observe_one(est, region, cluster, depth, INTR, self.EXTR,
-                               0, tuple(cluster.mean(axis=0)))
+                               tuple(cluster.mean(axis=0)))
             np.testing.assert_array_equal(obs.point_global, ref.point_global)
 
     def test_no_estimates_or_empty_mask_give_nothing(self):
         depth = DepthFrame(np.full((240, 320), 1000, dtype=np.uint16))
         empty = IrMask(np.zeros((240, 320), dtype=bool))
         assert observe_view([_est(1, 10, 10)], empty, depth, INTR,
-                            self.EXTR, 0) == []
+                            self.EXTR) == []
         assert observe_view([], IrMask(np.ones((240, 320), dtype=bool)),
-                            depth, INTR, self.EXTR, 0) == []
+                            depth, INTR, self.EXTR) == []
 
 
 class TestFuseReflector:
     RADIUS = 0.03
 
     def test_patch_is_the_weighted_centroid(self):
-        obs = [_obs(1, [0, 0, 1], 0.9), _obs(1, [0.1, 0, 1], 0.3, view=1)]
+        obs = [_obs(1, [0, 0, 1], 0.9), _obs(1, [0.1, 0, 1], 0.3)]
         fused = fuse_reflector(obs, None, frame=3)
         ref = fuse_patch(obs, 3)
         np.testing.assert_array_equal(fused.position, ref.position)
@@ -429,7 +427,7 @@ class TestFuseReflector:
     def test_normal_line_point(self):
         target = np.array([0.0, 0.0, 1.0])
         obs = [_obs(11, target + [0, 0, -0.03], 0.9, normal=[0, 0, -1]),
-               _obs(11, target + [-0.03, 0, 0], 0.7, normal=[-1, 0, 0], view=1)]
+               _obs(11, target + [-0.03, 0, 0], 0.7, normal=[-1, 0, 0])]
         fused = fuse_reflector(obs, self.RADIUS, frame=4)
         ref = fuse_strap(obs, 4)
         np.testing.assert_array_equal(fused.position, ref.position)
@@ -440,8 +438,8 @@ class TestFuseReflector:
         # nearly parallel normals meet about 2 m away from the surface
         n2 = np.array([-0.01, 0.0, -1.0]) / np.hypot(0.01, 1.0)
         obs = [_obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1]),
-               _obs(11, [0.02, 0, 1], 0.6, normal=n2, view=1),
-               _obs(11, [0.01, 0.01, 1], 0.5, view=2)]  # no normal
+               _obs(11, [0.02, 0, 1], 0.6, normal=n2),
+               _obs(11, [0.01, 0.01, 1], 0.5)]  # no normal
         line = fuse_strap(obs, 0).position
         assert np.linalg.norm(line - fuse_patch(obs).position) > 2.5 * self.RADIUS
         fused = fuse_reflector(obs, self.RADIUS, frame=5)
@@ -454,13 +452,13 @@ class TestFuseReflector:
 
     def test_single_view_normal_offsets_by_the_radius(self):
         obs = [_obs(12, [0.2, 0, 1], 0.8, normal=[0, 0, -1]),
-               _obs(12, [0.3, 0, 1], 0.9, view=1)]
+               _obs(12, [0.3, 0, 1], 0.9)]
         fused = fuse_reflector(obs, self.RADIUS, frame=2)
         np.testing.assert_allclose(fused.position, [0.2, 0, 1.03], atol=1e-15)
         assert fused.confidence == 0.8 and not fused.degraded
 
     def test_no_normal_gives_degraded_surface_point(self):
-        obs = [_obs(16, [0, 0, 1], 0.9), _obs(16, [0.1, 0, 1], 0.3, view=1)]
+        obs = [_obs(16, [0, 0, 1], 0.9), _obs(16, [0.1, 0, 1], 0.3)]
         fused = fuse_reflector(obs, self.RADIUS, frame=6)
         surface = fuse_patch(obs, 6)
         np.testing.assert_array_equal(fused.position, surface.position)
@@ -475,27 +473,27 @@ class TestFuseReflector:
 
 class TestFusePatch:
     def test_equal_confidences_give_centroid(self):
-        obs = [_obs(1, [0, 0, 1], 0.5), _obs(1, [1, 0, 1], 0.5, view=1)]
+        obs = [_obs(1, [0, 0, 1], 0.5), _obs(1, [1, 0, 1], 0.5)]
         fused = fuse_patch(obs)
         np.testing.assert_allclose(fused.position, [0.5, 0, 1])
         assert fused.confidence == pytest.approx(0.5)
 
     def test_zero_weight_view_ignored(self):
-        obs = [_obs(1, [1, 2, 3], 1.0), _obs(1, [9, 9, 9], 0.0, view=1)]
+        obs = [_obs(1, [1, 2, 3], 1.0), _obs(1, [9, 9, 9], 0.0)]
         fused = fuse_patch(obs)
         np.testing.assert_allclose(fused.position, [1, 2, 3])
 
     def test_matches_scalar_expansion_oracle(self):
         pts = np.array([[0.1, 0.2, 1.0], [0.4, -0.1, 1.2], [-0.2, 0.3, 0.9]])
         conf = np.array([0.9, 0.6, 0.3])
-        obs = [_obs(1, p, c, view=i) for i, (p, c) in enumerate(zip(pts, conf))]
+        obs = [_obs(1, p, c) for p, c in zip(pts, conf)]
         fused = fuse_patch(obs)
         expected = sum((conf[i] / conf.sum()) * pts[i] for i in range(3))
         np.testing.assert_allclose(fused.position, expected, atol=1e-12)
         assert fused.confidence == pytest.approx(conf.mean())
 
     def test_all_zero_confidence_falls_back_to_centroid(self):
-        obs = [_obs(1, [0, 0, 0], 0.0), _obs(1, [2, 0, 0], 0.0, view=1)]
+        obs = [_obs(1, [0, 0, 0], 0.0), _obs(1, [2, 0, 0], 0.0)]
         fused = fuse_patch(obs)
         np.testing.assert_allclose(fused.position, [1, 0, 0])
         assert fused.confidence == 0.0
@@ -505,13 +503,12 @@ class TestFusePatch:
         for _ in range(50):
             pts = rng.normal(size=(4, 3))
             conf = rng.random(4)
-            obs = [_obs(1, p, c, view=i) for i, (p, c) in enumerate(zip(pts, conf))]
+            obs = [_obs(1, p, c) for p, c in zip(pts, conf)]
             fused = fuse_patch(obs).position
             lo = pts.min(axis=0) - 1e-12
             hi = pts.max(axis=0) + 1e-12
             assert np.all(fused >= lo) and np.all(fused <= hi)
-            scaled = [_obs(1, p, 3.7 * c, view=i)
-                      for i, (p, c) in enumerate(zip(pts, conf))]
+            scaled = [_obs(1, p, 3.7 * c) for p, c in zip(pts, conf)]
             np.testing.assert_allclose(fuse_patch(scaled).position, fused, atol=1e-12)
 
 
@@ -521,7 +518,7 @@ class TestStrapFusion:
         p1 = target + 0.03 * np.array([0.0, 0.0, -1.0])
         p2 = target + 0.03 * np.array([-1.0, 0.0, 0.0])
         obs = [_obs(11, p1, 1.0, normal=[0, 0, -1]),
-               _obs(11, p2, 1.0, normal=[-1, 0, 0], view=1)]
+               _obs(11, p2, 1.0, normal=[-1, 0, 0])]
         fused = fuse_strap(obs)
         np.testing.assert_allclose(fused.position, target, atol=1e-12)
         assert not fused.degraded
@@ -540,7 +537,7 @@ class TestStrapFusion:
 
     def test_parallel_normals_fall_back_degraded(self):
         obs = [_obs(11, [0, 0, 1], 1.0, normal=[0, 0, -1]),
-               _obs(11, [0.1, 0, 1], 1.0, normal=[0, 0, -1], view=1)]
+               _obs(11, [0.1, 0, 1], 1.0, normal=[0, 0, -1])]
         fused = fuse_strap(obs)
         assert fused.degraded
         np.testing.assert_allclose(fused.position, [0.05, 0, 1], atol=1e-12)
@@ -589,7 +586,7 @@ class TestMultiViewConsistency:
         patch_global = np.array([1.5 * 37 / 365.0, 1.5 * 12 / 365.0, wall_z])
 
         observations = []
-        for view, extr in enumerate((extr_a, extr_b)):
+        for extr in (extr_a, extr_b):
             depth = np.zeros((240, 320), dtype=np.uint16)
             cam_pt = to_camera(patch_global, extr)
             wall_mm = int(round(cam_pt[2] * 1000))
@@ -603,7 +600,7 @@ class TestMultiViewConsistency:
             for cu, cv in region.contour:
                 depth[cv, cu] = wall_mm  # hole rim keeps wall depth
             obs = _observe_one(_est(1, u, v), region, region.contour,
-                               DepthFrame(depth), INTR, extr, view)
+                               DepthFrame(depth), INTR, extr)
             observations.append(obs.point_global)
         gap = np.linalg.norm(observations[0] - observations[1])
         assert gap <= 2e-3, f"views disagree by {gap * 1000:.2f} mm"

@@ -20,7 +20,7 @@ from mocap_geom.synth import (MOTION_NAMES, MotionScript, SyntheticBody, animate
 
 def _est(idx, x, y, conf=0.9):
     return ReflectorEstimate2D(ReflectorId(idx), (float(x), float(y)),
-                               conf, 0.0, conf, 0)
+                               conf, 0.0, conf)
 
 
 class TestAnimate:
@@ -186,10 +186,6 @@ class TestRender:
             assert np.array_equal(ra.depth.pixels, rb.depth.pixels)
             assert np.array_equal(ra.mask.bits, rb.mask.bits)
 
-    def test_view_subset(self):
-        views = render(self.rig, self.body, self.pose, view_subset=[1])
-        assert len(views) == 1
-
 
 def _full_frame_footprint(sample, body, intr, extr, zbuf, owner, axial, bones):
     """Reference footprint: every test on the whole (h, w) frame."""
@@ -328,7 +324,7 @@ def _full_frame_render(rig, body, pose, noise_sigma_mm, seed, frame, seen):
             if np.bincount(labels.ravel())[1:].max() >= 5:
                 u, v_pix, _ = project(to_camera(surface_pt, extr), intr)
                 annotations.append(Annotation2D(ReflectorId(idx), (u, v_pix),
-                                                None, frame, v))
+                                                None))
         if noise_sigma_mm > 0:
             rng = np.random.default_rng([seed, v, frame])
             noisy = body_pixels & (depth_mm > 0)
@@ -444,12 +440,12 @@ class TestStrapGeometryThroughPipeline:
             regions = find_regions_labeled(rv.mask)[0]
             ui = int(round(ann[0].x_curr[0]))
             vi = int(round(ann[0].x_curr[1]))
-            region = min(regions,
-                         key=lambda r: np.hypot(r.centroid[0] - ui, r.centroid[1] - vi))
+            region = min(regions, key=lambda r: np.hypot(
+                *(r.pixels.mean(axis=0) - (ui, vi))))
             intr, extr = rig[v]
             est = _est(idx, ann[0].x_curr[0], ann[0].x_curr[1], conf=1.0)
             obs.append(observe_batch([(est, region, region.contour, None)], rv.depth,
-                                     intr, extr, v)[0])
+                                     intr, extr)[0])
         return obs
 
     def test_two_view_fusion_recovers_axis_point_within_5mm(self):
