@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, InvalidDepthError, ValidationError
+from .errors import (DimensionError, FormatError, InvalidDepthError,
+                     ValidationError)
 
 NUM_REFLECTORS = 26
 
@@ -107,8 +108,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValidationError("focal lengths must be positive")
+        # written so that NaN, for which every comparison is False, fails
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValidationError("focal lengths must be finite and positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValidationError("principal point must lie inside the image")
 
@@ -129,6 +131,8 @@ class CameraExtrinsics:
             raise ValidationError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:
             raise ValidationError("rotation determinant must be +1 within 1e-9")
+        if not np.isfinite(tr).all():
+            raise ValidationError("translation must be finite")
 
     @classmethod
     def identity(cls) -> "CameraExtrinsics":
@@ -273,4 +277,18 @@ def save_rig(rig: MultiViewRig, path: str | Path) -> None:
 
 
 def load_rig(path: str | Path) -> MultiViewRig:
-    return rig_from_dict(json.loads(Path(path).read_text()))
+    return parse_json(Path(path).read_text(), rig_from_dict, str(path))
+
+
+def parse_json(text: str, parse, where: str):
+    """``parse`` of the JSON document ``text``.
+
+    Bad JSON, a missing key or a value of the wrong type, shape or range
+    raises FormatError starting with ``where``, the file (and line).
+    """
+    try:
+        return parse(json.loads(text))
+    except KeyError as exc:
+        raise FormatError(f"{where}: missing key {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DepthFrame, IrMask, MultiViewRig, ReflectorId, load_rig
+from .core import (DepthFrame, IrMask, MultiViewRig, ReflectorId, load_rig,
+                   parse_json)
 from .errors import FormatError, ValidationError
 from .maps import Annotation2D, ConfidenceMap, FlowField, ReflectorEstimate2D
 from .skeleton import JOINTS, Pose, matrix_from_quat
@@ -188,17 +189,9 @@ def _read_jsonl(path: str | Path, parse) -> list:
     Bad JSON, a missing key or a value of the wrong type or range raises
     FormatError naming the file and line.
     """
-    out = []
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(parse(json.loads(line)))
-        except KeyError as exc:
-            raise FormatError(f"{path}: line {n}: missing key {exc}") from exc
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise FormatError(f"{path}: line {n}: {exc}") from exc
-    return out
+    return [parse_json(line, parse, f"{path}: line {n}")
+            for n, line in enumerate(Path(path).read_text().splitlines(), start=1)
+            if line.strip()]
 
 
 def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> None:
@@ -282,16 +275,16 @@ def write_motion(path: str | Path, poses: list[Pose]) -> None:
 
 def read_motion(path: str | Path) -> list[Pose]:
     def parse(doc):
-        positions = {}
-        rotations = {}
+        positions, rotations, quats = {}, {}, {}
         for j in doc["joints"]:
             positions[j["id"]] = np.array(j["xyz_m"], dtype=np.float64)
-            rotations[j["id"]] = matrix_from_quat(np.array(j["quat_wxyz"]))
+            quats[j["id"]] = np.array(j["quat_wxyz"], dtype=np.float64)
+            rotations[j["id"]] = matrix_from_quat(quats[j["id"]])
         if sorted(positions) != _JOINT_NAMES:
             odd = sorted(set(positions) ^ set(_JOINT_NAMES))
             raise ValueError(f"missing or unknown joints {odd}")
         return Pose(int(doc["frame"]), positions, rotations,
-                    gap=bool(doc.get("gap", False)))
+                    gap=bool(doc.get("gap", False)), quaternions=quats)
     return _read_jsonl(path, parse)
 
 

@@ -118,19 +118,26 @@ class ConfidenceMap:
         _check_confidence_range(vals)
         self.values = vals
 
+    # (values, (sigma, fx, fy), row, col) of a window of a peak kernel: the
+    # window, its kernel's key and the kernel row and column of values[0, 0]
+    _kernel = None
+
     @classmethod
     def _of_checked_values(cls, reflector: ReflectorId, values: np.ndarray,
-                           origin: tuple[int, int],
-                           size: tuple[int, int]) -> ConfidenceMap:
+                           origin: tuple[int, int], size: tuple[int, int],
+                           kernel: tuple | None = None) -> ConfidenceMap:
         """A map of float64 values already known to lie in [0, 1].
 
         Only the window's place in the frame is checked: the values are not
         scanned again (a synthesized map is a window of a checked kernel).
+        ``kernel`` is ``((sigma, fx, fy), row, col)`` for such a window.
         """
         cmap = cls.__new__(cls)
         cmap.reflector, cmap.values = reflector, values
         cmap.origin, cmap.size = _frame_window(values.shape, origin, size,
                                                "confidence map")
+        if kernel is not None:
+            cmap._kernel = (values,) + kernel
         return cmap
 
     @property
@@ -242,11 +249,14 @@ def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
     x0, x1 = max(math.floor(cx - reach), 0), min(math.ceil(cx + reach) + 1, w)
     y0, y1 = max(math.floor(cy - reach), 0), min(math.ceil(cy + reach) + 1, h)
     ix, iy = math.floor(cx), math.floor(cy)
-    kernel = _peak_kernel(params.sigma_peak, cx - ix, cy - iy)
+    key = (params.sigma_peak, cx - ix, cy - iy)
+    kernel = _peak_kernel(*key)
     r = kernel.shape[0] // 2
+    row, col = r + y0 - iy, r + x0 - ix   # kernel element of frame (y0, x0)
     return ConfidenceMap._of_checked_values(
         reflector or ReflectorId(1),
-        kernel[r + y0 - iy:r + y1 - iy, r + x0 - ix:r + x1 - ix], (y0, x0), (w, h))
+        kernel[row:row + y1 - y0, col:col + x1 - x0], (y0, x0), (w, h),
+        (key, row, col))
 
 
 def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
@@ -320,6 +330,53 @@ def _strong_box(conf_map: ConfidenceMap, min_conf: float):
             wc + int(strong_cols[-1]))
 
 
+@functools.lru_cache(maxsize=_PEAK_KERNELS)
+def _kernel_peaks(sigma: float, fx: float, fy: float, nms_window: int,
+                  min_conf: float):
+    """(grown box, peaks) of the whole kernel of (sigma, fx, fy) decoded as
+    one dense map, or None when no kernel value reaches min_conf.
+
+    The grown box is the kernel (top, bottom, left, right) bounds of its
+    pixels >= min_conf, grown by nms_window // 2 and not clipped: every
+    value the kernel's peak search reads.
+    """
+    kernel = _peak_kernel(sigma, fx, fy)
+    side = kernel.shape[0]
+    whole = ConfidenceMap._of_checked_values(ReflectorId(1), kernel, (0, 0),
+                                             (side, side))
+    box = _strong_box(whole, min_conf)
+    if box is None:
+        return None
+    half = nms_window // 2
+    top, bottom, left, right = box
+    return ((top - half, bottom + half, left - half, right + half),
+            tuple(decode_peaks([whole], nms_window, min_conf)[0]))
+
+
+def _peaks_from_kernel(cmap: ConfidenceMap, nms_window: int, min_conf: float):
+    """The peaks of a kernel window, translated from its kernel's, or None
+    when the map is no kernel window or its window cuts its kernel's grown
+    box.
+
+    When the window holds the grown box, the map's own pixels >= min_conf
+    are the kernel's, shifted, and their grown box holds the kernel's
+    values: decode_peaks would find the kernel's peaks, shifted, with the
+    same scores in the same order.
+    """
+    if cmap._kernel is None or cmap._kernel[0] is not cmap.values:
+        return None
+    values, key, row, col = cmap._kernel
+    memo = _kernel_peaks(*key, nms_window, min_conf)
+    if memo is None:
+        return None
+    (top, bottom, left, right), peaks = memo
+    rows, cols = values.shape
+    if top < row or bottom >= row + rows or left < col or right >= col + cols:
+        return None
+    dr, dc = cmap.origin[0] - row, cmap.origin[1] - col
+    return [((x + dc, y + dr), score) for (x, y), score in peaks]
+
+
 # A stack of crops holds at most this many values (8 MiB of float64)
 # unless one crop alone is larger: maps whose strong pixels span the frame,
 # as with a non-positive min_conf, are decoded a few at a time.
@@ -342,6 +399,10 @@ def decode_peaks(conf_maps: list[ConfidenceMap], nms_window: int = 5,
     values inside the map's window and 0 outside it.  The crops sit in one
     stack padded with -inf, which stands for the pixels off each frame, so
     the window maxima and the strict-maximum test run once for all maps.
+
+    A synthesized map is a window of a peak kernel: the kernel is decoded
+    once per (nms_window, min_conf), and each window that holds the
+    kernel's grown box takes its peaks from there, translated.
     """
     if nms_window < 3 or nms_window % 2 == 0:
         raise ValidationError("nms_window must be odd and >= 3")
@@ -350,6 +411,10 @@ def decode_peaks(conf_maps: list[ConfidenceMap], nms_window: int = 5,
     batch: list[tuple] = []
     rows = cols = 0
     for k, cmap in enumerate(conf_maps):
+        peaks = _peaks_from_kernel(cmap, nms_window, min_conf)
+        if peaks is not None:
+            out[k] = peaks
+            continue
         box = _strong_box(cmap, min_conf)
         if box is None:
             continue

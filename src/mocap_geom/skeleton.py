@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import parse_json
 from .errors import (CalibrationDeferred, CalibrationInputError, TrackingGap,
                      ValidationError)
 from .spatial import OpticalFrame, _weighted_centroid
@@ -184,11 +185,19 @@ class SkeletonTemplate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SkeletonTemplate":
+        """The template of a :meth:`to_dict` document; ValueError when a
+        non-root joint has no bone or a vector is not 3 finite numbers."""
+        bones = {k: _vector3(v, f"bone {k}") for k, v in doc["bones"].items()}
+        if sorted(bones) != _BONE_NAMES:
+            odd = sorted(set(bones) ^ set(_BONE_NAMES))
+            raise ValueError(f"missing or unknown bones {odd}")
         return cls(
-            bone_vectors={k: np.array(v) for k, v in doc["bones"].items()},
-            reference_dirs={k: np.array(v) for k, v in doc.get("reference_dirs", {}).items()},
+            bone_vectors=bones,
+            reference_dirs={k: _vector3(v, f"reference_dirs {k}")
+                            for k, v in doc.get("reference_dirs", {}).items()},
             root_locals=None if "root_locals" not in doc else
-            {int(k): np.array(v) for k, v in doc["root_locals"].items()},
+            {int(k): _vector3(v, f"root_locals {k}")
+             for k, v in doc["root_locals"].items()},
             scale=float(doc.get("scale", 1.0)),
         )
 
@@ -197,7 +206,18 @@ class SkeletonTemplate:
 
     @classmethod
     def load(cls, path: str | Path) -> "SkeletonTemplate":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Raises FormatError naming the file when it is not a template."""
+        return parse_json(Path(path).read_text(), cls.from_dict, str(path))
+
+
+_BONE_NAMES = sorted(j.name for j in JOINTS if j.parent is not None)
+
+
+def _vector3(value, what: str) -> np.ndarray:
+    vec = np.array(value, dtype=np.float64)
+    if vec.shape != (3,) or not np.isfinite(vec).all():
+        raise ValueError(f"{what} must be 3 finite numbers, got {value!r}")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +318,13 @@ class Pose:
     positions: dict[str, np.ndarray]
     rotations: dict[str, np.ndarray]  # 3x3 global orientation per joint
     gap: bool = False  # the root was missing; pose carried from previous
+    # the (w, x, y, z) each rotation was read from, kept so that a pose read
+    # from motion.jsonl writes its quaternions back unchanged; None: derive
+    quaternions: dict[str, np.ndarray] | None = None
 
     def quaternion(self, name: str) -> np.ndarray:
+        if self.quaternions is not None:
+            return self.quaternions[name]
         return quat_from_matrix(self.rotations[name])
 
 

@@ -331,6 +331,68 @@ class TestCli:
         assert main(["infer", "--config", str(config), "--dataset",
                      str(dataset), "--out", str(out)]) == 3
 
+    def test_bad_template_exits_3_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "optical.jsonl").write_text("")   # no frames: a legal input
+        template = out / "template.json"
+        doc = SkeletonTemplate.default().to_dict()
+        no_knee = json.loads(json.dumps(doc))
+        del no_knee["bones"]["left_knee"]
+        short_bone = json.loads(json.dumps(doc))
+        short_bone["bones"]["neck"] = [0.0, 0.3]
+        extra_bone = json.loads(json.dumps(doc))
+        extra_bone["bones"]["hips"] = [0.0, 0.0, 0.0]
+        bad_dir = json.loads(json.dumps(doc))
+        bad_dir["reference_dirs"] = {"neck": "up"}
+        for name, text in (("not json", "not json"), ("no bones", '{"bad": 1}'),
+                           ("bones not a map", '{"bones": [1, 2]}'),
+                           ("no left_knee", json.dumps(no_knee)),
+                           ("2-vector bone", json.dumps(short_bone)),
+                           ("root bone", json.dumps(extra_bone)),
+                           ("string direction", json.dumps(bad_dir)),
+                           ("null root locals",
+                            json.dumps({**doc, "root_locals": {"1": None}}))):
+            template.write_text(text)
+            assert main(["track", "--out", str(out)]) == 3, name
+            err = capsys.readouterr().err
+            assert err.startswith(f"format error: {template}: "), (name, err)
+            assert "Traceback" not in err
+        template.write_text(json.dumps(doc))
+        assert main(["track", "--out", str(out)]) == 0
+
+    def test_bad_calibration_exits_3_naming_it(self, tmp_path, capsys):
+        dataset, out = tmp_path / "dataset", tmp_path / "o"
+        config = tmp_path / "tiny.ini"
+        config.write_text("[synth]\nduration = 2\n")
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out)]
+        assert main(["synth", *args]) == 0
+        calibration = dataset / "calibration.json"
+        doc = json.loads(calibration.read_text())
+
+        def camera_with(section, key, value):
+            bad = json.loads(json.dumps(doc))
+            bad["cameras"][0][section][key] = value
+            return json.dumps(bad)
+
+        for name, text in (
+                ("empty", "{}"), ("not json", "nope"),
+                ("no cameras", '{"cameras": []}'),
+                ("cameras not a list", '{"cameras": 3}'),
+                ("no intrinsics", '{"cameras": [{"extrinsics": {}}]}'),
+                ("8 rotation values",
+                 camera_with("extrinsics", "rotation", [1.0] * 8)),
+                ("string focal length", camera_with("intrinsics", "fx", "500")),
+                ("NaN focal length", camera_with("intrinsics", "fx", float("nan"))),
+                ("2-vector translation",
+                 camera_with("extrinsics", "translation", [0.0, 1.0]))):
+            calibration.write_text(text)
+            assert main(["infer", *args]) == 3, name
+            err = capsys.readouterr().err
+            assert err.startswith(f"format error: {calibration}: "), (name, err)
+            assert "Traceback" not in err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "tiny.ini"
         config.write_text("[synth]\nduration = 3\nnoise_sigma = 0\n")
