@@ -11,6 +11,7 @@ Conventions used everywhere downstream:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -273,7 +274,7 @@ def rig_from_dict(doc: dict) -> MultiViewRig:
 
 
 def save_rig(rig: MultiViewRig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(rig_to_dict(rig), indent=2, sort_keys=True) + "\n")
+    write_json(path, rig_to_dict(rig))
 
 
 def load_rig(path: str | Path) -> MultiViewRig:
@@ -290,5 +291,27 @@ def parse_json(text: str, parse, where: str):
         return parse(json.loads(text))
     except KeyError as exc:
         raise FormatError(f"{where}: missing key {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write the JSON document ``doc``: indented, key-sorted, one final
+    newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def finite_vector(value, n: int, what: str):
+    """``value`` itself when it is a sequence of n finite numbers;
+    ValueError naming ``what`` when it is anything else.
+
+    Checked in Python, without numpy: the JSONL readers call it for every
+    vector and score they read.
+    """
+    try:
+        if len(value) == n and all(map(math.isfinite, value)):
+            return value
+    except (TypeError, OverflowError):   # not numbers, or ints past float
+        pass
+    raise ValueError(f"{what} must be {n} finite "
+                     f"number{'s' if n > 1 else ''}, got {value!r}")

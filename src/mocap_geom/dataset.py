@@ -18,13 +18,14 @@ eagerly and byte-identical round-trips are guaranteed.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .core import (DepthFrame, IrMask, MultiViewRig, ReflectorId, load_rig,
-                   parse_json)
+from .core import (DepthFrame, IrMask, MultiViewRig, ReflectorId,
+                   finite_vector, load_rig, parse_json)
 from .errors import FormatError, ValidationError
 from .maps import Annotation2D, ConfidenceMap, FlowField, ReflectorEstimate2D
 from .skeleton import JOINTS, Pose, matrix_from_quat
@@ -186,8 +187,9 @@ def _write_jsonl(path: str | Path, docs) -> None:
 def _read_jsonl(path: str | Path, parse) -> list:
     """``parse`` of each non-blank line's JSON document, in file order.
 
-    Bad JSON, a missing key or a value of the wrong type or range raises
-    FormatError naming the file and line.
+    Bad JSON, a missing key or a value of the wrong type, size or range
+    (such as a number that is not finite) raises FormatError naming the
+    file and line.
     """
     return [parse_json(line, parse, f"{path}: line {n}")
             for n, line in enumerate(Path(path).read_text().splitlines(), start=1)
@@ -209,9 +211,10 @@ def read_annotations(path: str | Path) -> dict[int, list[Annotation2D]]:
         anns = []
         for a in doc["annotations"]:
             prev = a.get("x_prev")
-            anns.append(Annotation2D(ReflectorId(int(a["reflector"])),
-                                     tuple(a["x_curr"]),
-                                     None if prev is None else tuple(prev)))
+            anns.append(Annotation2D(
+                ReflectorId(int(a["reflector"])),
+                tuple(finite_vector(a["x_curr"], 2, "x_curr")),
+                None if prev is None else tuple(finite_vector(prev, 2, "x_prev"))))
         return frame, anns
     return dict(_read_jsonl(path, parse))
 
@@ -229,9 +232,11 @@ def write_estimates(path: str | Path,
 def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstimate2D]]]:
     def parse(doc):
         frame, view = int(doc["frame"]), int(doc["view"])
-        ests = [ReflectorEstimate2D(ReflectorId(int(e["reflector"])),
-                                    tuple(e["position"]), float(e["e_s"]),
-                                    float(e["e_l"]), float(e["e_total"]))
+        ests = [ReflectorEstimate2D(
+                    ReflectorId(int(e["reflector"])),
+                    tuple(finite_vector(e["position"], 2, "position")),
+                    *map(float, finite_vector([e["e_s"], e["e_l"], e["e_total"]],
+                                              3, "e_s, e_l, e_total")))
                 for e in doc["estimates"]]
         return frame, view, ests
     return _read_jsonl(path, parse)
@@ -257,9 +262,11 @@ def read_optical(path: str | Path) -> list[OpticalFrame]:
     def parse(doc):
         frame = OpticalFrame(frame=int(doc["frame"]))
         for p in doc["points"]:
+            confidence, = finite_vector([p["confidence"]], 1, "confidence")
             frame.add(OpticalPoint(ReflectorId(int(p["reflector"])),
-                                   np.array(p["xyz_m"], dtype=np.float64),
-                                   float(p["confidence"]), frame.frame,
+                                   np.array(finite_vector(p["xyz_m"], 3, "xyz_m"),
+                                            dtype=np.float64),
+                                   float(confidence), frame.frame,
                                    degraded=p.get("degraded") is True))
         return frame
     return _read_jsonl(path, parse)
@@ -277,9 +284,17 @@ def read_motion(path: str | Path) -> list[Pose]:
     def parse(doc):
         positions, rotations, quats = {}, {}, {}
         for j in doc["joints"]:
-            positions[j["id"]] = np.array(j["xyz_m"], dtype=np.float64)
-            quats[j["id"]] = np.array(j["quat_wxyz"], dtype=np.float64)
-            rotations[j["id"]] = matrix_from_quat(quats[j["id"]])
+            name = j["id"]
+            positions[name] = np.array(
+                finite_vector(j["xyz_m"], 3, f"{name} xyz_m"), dtype=np.float64)
+            quat = np.array(finite_vector(j["quat_wxyz"], 4, f"{name} quat_wxyz"),
+                            dtype=np.float64)
+            # matrix_from_quat divides by the norm: a squared norm that is 0
+            # or overflows gives no rotation
+            if not 0 < sum(x * x for x in quat.tolist()) < math.inf:
+                raise ValueError(f"{name} quat_wxyz {j['quat_wxyz']!r} has no "
+                                 "finite, non-zero norm")
+            quats[name], rotations[name] = quat, matrix_from_quat(quat)
         if sorted(positions) != _JOINT_NAMES:
             odd = sorted(set(positions) ^ set(_JOINT_NAMES))
             raise ValueError(f"missing or unknown joints {odd}")

@@ -13,10 +13,6 @@ class InvalidDepthError(ValidationError):
     """A depth value required to be positive was zero or negative."""
 
 
-class DegenerateMotionError(ValueError):
-    """Two positions expected to differ coincide (stationary reflector)."""
-
-
 class SplitFailure(ValueError):
     """A merged region could not be split into the requested clusters."""
 

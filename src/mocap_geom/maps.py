@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ReflectorId
-from .errors import DegenerateMotionError, DimensionError, ValidationError
+from .errors import DimensionError, ValidationError
 
 # exp(-d2 / sigma^2) < 2**-150, which rounds to 0 in float32, once
 # d > sigma * sqrt(150 ln 2).
@@ -266,31 +266,32 @@ def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
 
     Support: points p with 0 <= v.(p - x_prev) <= d and |v_perp.(p - x_prev)|
     <= sigma_field, where v is the unit displacement and d its magnitude.
-    Raises DegenerateMotionError for zero displacement; callers substitute a
-    zero field for stationary reflectors (see :func:`zero_flow_field`).
+    A stationary reflector (d = 0) has no direction and so an all-zero
+    field, stored as an empty window.
     """
     w, h = dims
+    empty = (reflector or ReflectorId(1), np.zeros((0, 0, 2)), (0, 0), (w, h))
+    if tuple(x_prev) == tuple(x_curr):   # stationary: skip the array arithmetic
+        return FlowField(*empty)
     prev = np.asarray(x_prev, dtype=np.float64)
     curr = np.asarray(x_curr, dtype=np.float64)
     disp = curr - prev
     dist = float(np.linalg.norm(disp))
-    if dist == 0.0:
-        raise DegenerateMotionError("x_prev equals x_curr")
-    v = disp / dist
-    v_perp = np.array([-v[1], v[0]])
 
     # The support lies within sigma_field of the segment, so the field
     # stores only the segment's bounding box grown by sigma_field (plus a
     # 1 px guard band against rounding in along/across), clipped to the
-    # image; a band that misses the image is an empty window.
+    # image; a band that misses the image is an empty window, and so is a
+    # displacement whose norm underflows to 0.
     grow = params.sigma_field + 1.0
     lo = np.minimum(prev, curr) - grow
     hi = np.maximum(prev, curr) + grow
     x0, x1 = max(math.floor(lo[0]), 0), min(math.ceil(hi[0]) + 1, w)
     y0, y1 = max(math.floor(lo[1]), 0), min(math.ceil(hi[1]) + 1, h)
-    if x0 >= x1 or y0 >= y1:
-        return FlowField(reflector or ReflectorId(1), np.zeros((0, 0, 2)),
-                         (0, 0), (w, h))
+    if dist == 0.0 or x0 >= x1 or y0 >= y1:
+        return FlowField(*empty)
+    v = disp / dist
+    v_perp = np.array([-v[1], v[0]])
     xs = np.arange(x0, x1, dtype=np.float64)
     ys = np.arange(y0, y1, dtype=np.float64)
     rel_x = xs[None, :] - prev[0]
@@ -302,13 +303,6 @@ def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
     vectors = np.zeros((y1 - y0, x1 - x0, 2))
     vectors[support] = v
     return FlowField(reflector or ReflectorId(1), vectors, (y0, x0), (w, h))
-
-
-def zero_flow_field(dims: tuple[int, int],
-                    reflector: ReflectorId | None = None) -> FlowField:
-    """All-zero field, an empty window: the truth for a stationary reflector."""
-    return FlowField(reflector or ReflectorId(1), np.zeros((0, 0, 2)), (0, 0),
-                     dims)
 
 
 def _strong_box(conf_map: ConfidenceMap, min_conf: float):
@@ -350,7 +344,7 @@ def _kernel_peaks(sigma: float, fx: float, fy: float, nms_window: int,
     half = nms_window // 2
     top, bottom, left, right = box
     return ((top - half, bottom + half, left - half, right + half),
-            tuple(decode_peaks([whole], nms_window, min_conf)[0]))
+            tuple(_search_peaks(whole, nms_window, min_conf)))
 
 
 def _peaks_from_kernel(cmap: ConfidenceMap, nms_window: int, min_conf: float):
@@ -377,12 +371,6 @@ def _peaks_from_kernel(cmap: ConfidenceMap, nms_window: int, min_conf: float):
     return [((x + dc, y + dr), score) for (x, y), score in peaks]
 
 
-# A stack of crops holds at most this many values (8 MiB of float64)
-# unless one crop alone is larger: maps whose strong pixels span the frame,
-# as with a non-positive min_conf, are decoded a few at a time.
-_STACK_VALUES = 1 << 20
-
-
 def decode_peaks(conf_maps: list[ConfidenceMap], nms_window: int = 5,
                  min_conf: float = 0.1
                  ) -> list[list[tuple[tuple[int, int], float]]]:
@@ -392,90 +380,70 @@ def decode_peaks(conf_maps: list[ConfidenceMap], nms_window: int = 5,
     other value inside the (odd) window centred on it, so plateaus yield no
     peaks.  Ties in score order break by smaller row then smaller column.
 
-    Only pixels >= min_conf can be peaks, and a peak's window reaches
-    nms_window // 2 past it, so each map is searched on the bounding box of
-    those pixels grown by that much and clipped to its frame: every value a
-    candidate's window reads is inside that crop, which holds the stored
-    values inside the map's window and 0 outside it.  The crops sit in one
-    stack padded with -inf, which stands for the pixels off each frame, so
-    the window maxima and the strict-maximum test run once for all maps.
-
     A synthesized map is a window of a peak kernel: the kernel is decoded
     once per (nms_window, min_conf), and each window that holds the
-    kernel's grown box takes its peaks from there, translated.
+    kernel's grown box takes its peaks from there, translated.  Any other
+    map is searched on its own crop (:func:`_search_peaks`).
     """
     if nms_window < 3 or nms_window % 2 == 0:
         raise ValidationError("nms_window must be odd and >= 3")
-    half = nms_window // 2
-    out: list[list] = [[] for _ in conf_maps]
-    batch: list[tuple] = []
-    rows = cols = 0
-    for k, cmap in enumerate(conf_maps):
+    out = []
+    for cmap in conf_maps:
         peaks = _peaks_from_kernel(cmap, nms_window, min_conf)
-        if peaks is not None:
-            out[k] = peaks
-            continue
-        box = _strong_box(cmap, min_conf)
-        if box is None:
-            continue
-        top, bottom, left, right = box
-        w, h = cmap.size
-        r0, r1 = max(top - half, 0), min(bottom + half + 1, h)
-        c0, c1 = max(left - half, 0), min(right + half + 1, w)
-        grown = max(rows, r1 - r0), max(cols, c1 - c0)
-        if batch and (len(batch) + 1) * (grown[0] + 2 * half) * \
-                (grown[1] + 2 * half) > _STACK_VALUES:
-            _decode_stack(conf_maps, batch, rows, cols, nms_window, min_conf, out)
-            batch, grown = [], (r1 - r0, c1 - c0)
-        batch.append((k, r0, c0, r1 - r0, c1 - c0))
-        rows, cols = grown
-    if batch:
-        _decode_stack(conf_maps, batch, rows, cols, nms_window, min_conf, out)
+        out.append(_search_peaks(cmap, nms_window, min_conf)
+                   if peaks is None else peaks)
     return out
 
 
-def _decode_stack(conf_maps: list[ConfidenceMap], crops: list[tuple],
-                  rows: int, cols: int, nms_window: int, min_conf: float,
-                  out: list[list]) -> None:
-    """Append the peaks of each crop (map k, frame origin (r0, c0), shape)
-    to out[k]; rows x cols bounds every crop's shape."""
+def _search_peaks(cmap: ConfidenceMap, nms_window: int, min_conf: float):
+    """The peaks of one map, as :func:`decode_peaks` defines them.
+
+    Only pixels >= min_conf can be peaks, and a peak's window reaches
+    nms_window // 2 past it, so the map is searched on the bounding box of
+    those pixels grown by that much and clipped to its frame: every value a
+    candidate's window reads is inside that crop, which holds the stored
+    values inside the map's window and 0 outside it.  The crop is padded
+    with -inf, which stands for the pixels off the frame.
+    """
+    box = _strong_box(cmap, min_conf)
+    if box is None:
+        return []
     half = nms_window // 2
-    padded = np.full((len(crops), rows + 2 * half, cols + 2 * half), -np.inf)
-    stack = padded[:, half:half + rows, half:half + cols]
-    for n, (k, r0, c0, crop_rows, crop_cols) in enumerate(crops):
-        vals, (wr, wc) = conf_maps[k].values, conf_maps[k].origin
-        crop = stack[n, :crop_rows, :crop_cols]
-        i0, i1 = max(r0, wr), min(r0 + crop_rows, wr + vals.shape[0])
-        j0, j1 = max(c0, wc), min(c0 + crop_cols, wc + vals.shape[1])
-        if (i0, i1, j0, j1) != (r0, r0 + crop_rows, c0, c0 + crop_cols):
-            crop[...] = 0.0   # the crop reaches past the stored window
-        if i0 < i1 and j0 < j1:
-            crop[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = \
-                vals[i0 - wr:i1 - wr, j0 - wc:j1 - wc]
+    top, bottom, left, right = box
+    vals, (wr, wc), (w, h) = cmap.values, cmap.origin, cmap.size
+    r0, r1 = max(top - half, 0), min(bottom + half + 1, h)
+    c0, c1 = max(left - half, 0), min(right + half + 1, w)
+    rows, cols = r1 - r0, c1 - c0
+    padded = np.full((rows + 2 * half, cols + 2 * half), -np.inf)
+    crop = padded[half:half + rows, half:half + cols]
+    i0, i1 = max(r0, wr), min(r1, wr + vals.shape[0])
+    j0, j1 = max(c0, wc), min(c1, wc + vals.shape[1])
+    if (i0, i1, j0, j1) != (r0, r1, c0, c1):
+        crop[...] = 0.0   # the crop reaches past the stored window
+    if i0 < i1 and j0 < j1:
+        crop[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = \
+            vals[i0 - wr:i1 - wr, j0 - wc:j1 - wc]
     # the window maximum, centre included: along rows, then along columns
-    row_max = np.maximum(padded[:, :, :cols], padded[:, :, 1:cols + 1])
+    row_max = np.maximum(padded[:, :cols], padded[:, 1:cols + 1])
     for k in range(2, nms_window):
-        np.maximum(row_max, padded[:, :, k:k + cols], out=row_max)
-    window_max = np.maximum(row_max[:, :rows], row_max[:, 1:rows + 1])
+        np.maximum(row_max, padded[:, k:k + cols], out=row_max)
+    window_max = np.maximum(row_max[:rows], row_max[1:rows + 1])
     for k in range(2, nms_window):
-        np.maximum(window_max, row_max[:, k:k + rows], out=window_max)
-    n, i, j = np.nonzero((stack == window_max) & (stack >= min_conf))
-    # the window of stack pixel (n, i, j) is padded[n, i:i + w, j:j + w]; a
-    # maximum that another pixel there ties is not strict.  A -inf pixel
-    # past a smaller crop is never strict: its whole window is -inf.
+        np.maximum(window_max, row_max[k:k + rows], out=window_max)
+    i, j = np.nonzero((crop == window_max) & (crop >= min_conf))
+    # the window of crop pixel (i, j) is padded[i:i + nms_window, j:j +
+    # nms_window]; a maximum that another pixel there ties is not strict
     width = cols + 2 * half
     span = np.arange(nms_window)
-    corner = (n * (rows + 2 * half) + i) * width + j
-    windows = padded.ravel()[corner[:, None]
+    windows = padded.ravel()[(i * width + j)[:, None]
                              + (span[:, None] * width + span).ravel()]
     score = windows[:, half * nms_window + half]
     strict = (windows == score[:, None]).sum(axis=1) == 1
-    n, i, j, score = n[strict], i[strict], j[strict], score[strict]
-    order = np.lexsort((j, i, -score, n))
-    for m, row, col, value in zip(n[order].tolist(), i[order].tolist(),
-                                  j[order].tolist(), score[order].tolist()):
-        k, r0, c0 = crops[m][:3]
-        out[k].append(((c0 + col, r0 + row), value))
+    i, j, score = i[strict], j[strict], score[strict]
+    order = np.lexsort((j, i, -score))
+    return [((c0 + col, r0 + row), value)
+            for row, col, value in zip(i[order].tolist(), j[order].tolist(),
+                                       score[order].tolist())]
 
 
 _ZERO_VECTOR = np.zeros(2)

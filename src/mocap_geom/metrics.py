@@ -12,13 +12,12 @@ counted.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import END_REFLECTORS, NUM_REFLECTORS
+from .core import END_REFLECTORS, NUM_REFLECTORS, write_json
 from .errors import ValidationError
 
 AP_CONVENTION = ("AP = correct / (correct + incorrect + missed) per reflector, "
@@ -216,7 +215,7 @@ class EvalReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     def save_csv(self, path: str | Path) -> None:
         """Three stacked tables: AP per reflector, mAP, per-joint errors."""

@@ -7,18 +7,17 @@ result as calling the cores back to back in one process.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 from . import dataset as ds
 from .config import PipelineConfig
-from .core import save_rig
+from .core import save_rig, write_json
 from .errors import FormatError, ValidationError
 from .filtering import apply_filters
 from .kalman import ReflectorTracker
 from .maps import (Annotation2D, ReflectorEstimate2D, greedy_inference,
-                   synth_confidence_map, synth_flow_field, zero_flow_field)
+                   synth_confidence_map, synth_flow_field)
 from .metrics import (Detection2D, EvalReport, average_precision,
                       evaluate_motion, map_sweep, mean_average_precision,
                       subject_bbox)
@@ -91,11 +90,8 @@ def _maps_from_annotations(anns: list[Annotation2D], dims: tuple[int, int],
                                                  a.reflector)
         prev = (center if a.x_prev is None
                 else (round(a.x_prev[0]), round(a.x_prev[1])))
-        if prev == center:
-            fields[a.reflector] = zero_flow_field(dims, a.reflector)
-        else:
-            fields[a.reflector] = synth_flow_field(prev, center, dims,
-                                                   config.maps, a.reflector)
+        fields[a.reflector] = synth_flow_field(prev, center, dims, config.maps,
+                                               a.reflector)
     return maps, fields
 
 
@@ -214,7 +210,7 @@ def cmd_calibrate(optical_path: str | Path, out_template: str | Path,
         doc = {name: {"length": r.length, "converged": r.converged,
                       "detail": r.detail}
                for name, r in sorted(report.items())}
-        Path(report_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(report_path, doc)
     return out, report
 
 

@@ -14,14 +14,13 @@ marker-to-joint offsets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import parse_json
+from .core import finite_vector, parse_json, write_json
 from .errors import (CalibrationDeferred, CalibrationInputError, TrackingGap,
                      ValidationError)
 from .spatial import OpticalFrame, _weighted_centroid
@@ -187,22 +186,25 @@ class SkeletonTemplate:
     def from_dict(cls, doc: dict) -> "SkeletonTemplate":
         """The template of a :meth:`to_dict` document; ValueError when a
         non-root joint has no bone or a vector is not 3 finite numbers."""
-        bones = {k: _vector3(v, f"bone {k}") for k, v in doc["bones"].items()}
+        def vec3(value, what):
+            return np.array(finite_vector(value, 3, what), dtype=np.float64)
+
+        bones = {k: vec3(v, f"bone {k}") for k, v in doc["bones"].items()}
         if sorted(bones) != _BONE_NAMES:
             odd = sorted(set(bones) ^ set(_BONE_NAMES))
             raise ValueError(f"missing or unknown bones {odd}")
         return cls(
             bone_vectors=bones,
-            reference_dirs={k: _vector3(v, f"reference_dirs {k}")
+            reference_dirs={k: vec3(v, f"reference_dirs {k}")
                             for k, v in doc.get("reference_dirs", {}).items()},
             root_locals=None if "root_locals" not in doc else
-            {int(k): _vector3(v, f"root_locals {k}")
+            {int(k): vec3(v, f"root_locals {k}")
              for k, v in doc["root_locals"].items()},
             scale=float(doc.get("scale", 1.0)),
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "SkeletonTemplate":
@@ -211,13 +213,6 @@ class SkeletonTemplate:
 
 
 _BONE_NAMES = sorted(j.name for j in JOINTS if j.parent is not None)
-
-
-def _vector3(value, what: str) -> np.ndarray:
-    vec = np.array(value, dtype=np.float64)
-    if vec.shape != (3,) or not np.isfinite(vec).all():
-        raise ValueError(f"{what} must be 3 finite numbers, got {value!r}")
-    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,13 @@ class TestJsonlFuzz:
                           + [re.sub(r'"frame":-?\d+', '"frame":null', line, 1)]
                           + lines[k:],
         }
+        # every number the readers take must be finite; the keys and joint
+        # names hold no digits, so each match is one whole number
+        numbers = list(re.finditer(r"-?\d+(\.\d+)?([eE][-+]?\d+)?", line))
+        number = numbers[int(rng.integers(len(numbers)))]
+        token = ("NaN", "Infinity", "-Infinity")[int(rng.integers(3))]
+        damaged["non_finite"] = (lines[:k - 1] + [
+            line[:number.start()] + token + line[number.end():]] + lines[k:])
         return [(kind, "\n".join(text) + "\n")
                 for kind, text in damaged.items()]
 
@@ -578,7 +585,11 @@ class TestJsonlCodecs:
              good.replace('"x_prev":null', '"x_prev":4'),      # not a pair
              good.replace('"annotations":[', '"annotations":[1,'),
              '[1, 2]', '"annotations"',                        # not an object
-             good[:-1]])                                       # bad JSON
+             good[:-1],                                        # bad JSON
+             good.replace('[1.0,2.0]', '[NaN,2.0]'),           # not finite
+             good.replace('[1.0,2.0]', '[1.0]'),               # not a pair
+             good.replace('"x_prev":null', '"x_prev":[1.0,2.0,3.0]'),
+             good.replace('"frame":0', '"frame":1e999')])      # overflows int
 
     def test_malformed_estimates_are_format_errors(self, tmp_path):
         good = ('{"estimates":[{"e_l":0.1,"e_s":0.9,"e_total":0.8,'
@@ -589,7 +600,12 @@ class TestJsonlCodecs:
              good.replace('"e_l":0.1,', ''),
              good.replace('"view":0', '"view":null'),
              good.replace('{"e_l"', '{"x":{"e_l"', 1) + '}',
-             '{"frame":2,'])
+             '{"frame":2,',
+             good.replace('[10.0,20.0]', '[NaN,20.0]'),
+             good.replace('[10.0,20.0]', '[10.0]'),
+             good.replace('"e_s":0.9', '"e_s":NaN'),
+             good.replace('"e_total":0.8', '"e_total":-Infinity'),
+             good.replace('"frame":2', '"frame":1e999')])
 
     def test_malformed_optical_is_format_error(self, tmp_path):
         good = ('{"frame":5,"points":[{"confidence":0.7,"reflector":9,'
@@ -601,7 +617,11 @@ class TestJsonlCodecs:
              good.replace('"reflector":9,', ''),
              good.replace('"points":[', '"points":[1,'),
              good.replace('}]}', '},' + good[21:-2] + ']}'),  # duplicate point
-             'nan nan'])
+             'nan nan',
+             good.replace('[0.1,-1.5,2.25]', '[0.1,NaN,2.25]'),
+             good.replace('[0.1,-1.5,2.25]', '[0.1,-1.5]'),
+             good.replace('0.7', 'Infinity'),
+             good.replace('"frame":5', '"frame":1e999')])
 
     def test_malformed_motion_is_format_error(self, tmp_path):
         template = SkeletonTemplate.default()
@@ -618,17 +638,58 @@ class TestJsonlCodecs:
              json.dumps({**json.loads(good),
                          "joints": json.loads(good)["joints"][1:]}),
              good.replace('"xyz_m":[', '"xyz_m":["x",', 1),
-             good + ","])
+             good + ",",
+             good.replace('"quat_wxyz":[1.0,0.0,0.0,0.0]',
+                          '"quat_wxyz":[0.0,0.0,0.0,0.0]', 1),
+             good.replace('"quat_wxyz":[1.0,0.0,0.0,0.0]',
+                          '"quat_wxyz":[NaN,0.0,0.0,0.0]', 1),
+             # a norm that overflows or underflows is no norm either
+             good.replace('"quat_wxyz":[1.0,0.0,0.0,0.0]',
+                          '"quat_wxyz":[1e200,0.0,0.0,0.0]', 1),
+             good.replace('"quat_wxyz":[1.0,0.0,0.0,0.0]',
+                          '"quat_wxyz":[1e-200,0.0,0.0,0.0]', 1),
+             re.sub(r'"xyz_m":\[([^,]*),([^,]*),[^\]]*\]',
+                    r'"xyz_m":[\1,\2]', good, 1),
+             good.replace('"frame":0', '"frame":1e999')])
 
     def test_calibrate_on_bad_optical_value_exits_3(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
-        (out / "optical.jsonl").write_text(
-            '{"frame":0,"points":[{"confidence":"high","reflector":1,'
-            '"xyz_m":[0.0,0.0,1.0]}]}\n')
-        assert main(["calibrate", "--out", str(out)]) == 3
-        assert str(out / "optical.jsonl") in capsys.readouterr().err
-        assert not (out / "template.json").exists()
+        good = ('{"frame":0,"points":[{"confidence":0.5,"reflector":1,'
+                '"xyz_m":[0.0,0.0,1.0]}]}')
+        for bad in (good.replace('0.5', '"high"'),
+                    good.replace('[0.0,0.0,1.0]', '[NaN,NaN,NaN]'),
+                    good.replace('[0.0,0.0,1.0]', '[0.0,Infinity,1.0]'),
+                    good.replace('[0.0,0.0,1.0]', '[0.0,0.0]'),
+                    good.replace('0.5', 'NaN'),
+                    good.replace('"frame":0', '"frame":1e999')):
+            (out / "optical.jsonl").write_text(bad + "\n")
+            assert main(["calibrate", "--out", str(out)]) == 3, bad
+            err = capsys.readouterr().err
+            assert f"{out / 'optical.jsonl'}: line 1: " in err, (bad, err)
+            assert not (out / "template.json").exists()
+
+    def test_fuse_on_bad_estimate_exits_3(self, tmp_path, capsys):
+        dataset, out = tmp_path / "dataset", tmp_path / "run"
+        config = tmp_path / "tiny.ini"
+        config.write_text("[synth]\nduration = 2\nnum_views = 1\n")
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out)]
+        assert main(["synth", *args]) == 0
+        good = ('{"estimates":[{"e_l":0.0,"e_s":0.9,"e_total":0.9,'
+                '"position":[40.0,30.0],"reflector":4}],"frame":0,"view":0}')
+        estimates = out / "estimates.jsonl"
+        for bad in (good.replace('[40.0,30.0]', '[NaN,30.0]'),
+                    good.replace('[40.0,30.0]', '[5.0]'),
+                    good.replace('"e_s":0.9', '"e_s":Infinity'),
+                    good.replace('"frame":0', '"frame":1e999')):
+            estimates.write_text(good + "\n" + bad + "\n")
+            assert main(["fuse", *args]) == 3, bad
+            err = capsys.readouterr().err
+            assert f"{estimates}: line 2: " in err, (bad, err)
+            assert not (out / "optical.jsonl").exists()
+        estimates.write_text(good + "\n")
+        assert main(["fuse", *args]) == 0
 
     def test_motion_csv_shape(self, tmp_path):
         template = SkeletonTemplate.default()

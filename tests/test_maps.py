@@ -10,14 +10,13 @@ from mocap_geom import dataset as ds
 from mocap_geom import maps as maps_module
 from mocap_geom.config import PipelineConfig
 from mocap_geom.core import ReflectorId
-from mocap_geom.errors import (DegenerateMotionError, DimensionError,
-                               ValidationError)
+from mocap_geom.errors import DimensionError, ValidationError
 from mocap_geom.maps import (ConfidenceMap, FlowField,
                              InferenceParams, MapSynthesisParams,
                              ReflectorEstimate2D, decode_peaks,
                              fuse_confidence, greedy_inference, line_integral,
                              loss_fields, loss_maps, synth_confidence_map,
-                             synth_flow_field, zero_flow_field)
+                             synth_flow_field)
 from mocap_geom.pipeline import _maps_from_annotations, cmd_synth
 
 PARAMS = MapSynthesisParams(sigma_peak=7.0, sigma_field=4.0)
@@ -174,12 +173,10 @@ class TestFlowFieldSynthesis:
             norms = np.linalg.norm(f[support], axis=1)
             assert np.all(np.abs(norms - 1.0) < 1e-6)
 
-    def test_degenerate_motion_raises(self):
-        with pytest.raises(DegenerateMotionError):
-            synth_flow_field((5, 5), (5, 5), (20, 20), PARAMS)
-
-    def test_zero_field_substitute(self):
-        f = zero_flow_field((20, 10))
+    def test_zero_displacement_is_the_empty_window(self):
+        f = synth_flow_field((5, 5), (5, 5), (20, 10), PARAMS, ReflectorId(4))
+        assert f.vectors.shape == (0, 0, 2) and f.size == (20, 10)
+        assert f.reflector == ReflectorId(4)
         assert f.dense().shape == (10, 20, 2)
         assert not f.dense().any()
 
@@ -401,7 +398,7 @@ class TestWindowedMaps:
         assert m.size == (320, 240) and m.dense().shape == (240, 320)
         f = synth_flow_field((100, 50), (110, 56), (320, 240), PARAMS)
         assert f.vectors.shape == (17, 21, 2) and f.origin == (45, 95)
-        z = zero_flow_field((320, 240))
+        z = synth_flow_field((100, 50), (100, 50), (320, 240), PARAMS)
         assert z.vectors.shape == (0, 0, 2) and z.size == (320, 240)
         off = synth_flow_field((-40, -40), (-20, -30), (320, 240), PARAMS)
         assert off.vectors.size == 0 and not off.dense().any()
@@ -496,10 +493,11 @@ class TestWindowedMaps:
         b = ConfidenceMap(ReflectorId(1), a.dense())
         assert loss_maps([a], [b]) == 0.0
         f = synth_flow_field((10, 10), (20, 14), (64, 48), PARAMS)
-        z = zero_flow_field((64, 48))
+        z = synth_flow_field((10, 10), (10, 10), (64, 48), PARAMS)
         assert loss_fields([f], [z]) == float(np.sum(f.dense() ** 2)) > 0
         with pytest.raises(DimensionError):
-            loss_fields([f], [zero_flow_field((64, 47))])
+            loss_fields([f], [synth_flow_field((10, 10), (10, 10),
+                                                (64, 47), PARAMS)])
 
 
 class TestLineIntegral:
@@ -529,7 +527,7 @@ class TestLineIntegral:
         assert line_integral(f, r_prev, r_curr, samples=10) == pytest.approx(total / 10)
 
     def test_zero_length_segment(self):
-        f = zero_flow_field((20, 20))
+        f = synth_flow_field((5, 5), (5, 5), (20, 20), PARAMS)
         assert line_integral(f, (5, 5), (5, 5)) == 0.0
 
     def test_reversal_invariance(self):
@@ -573,7 +571,7 @@ def _single_peak_setup(dims=(64, 48)):
         cy = 4 + (idx * 7) % (dims[1] - 8)
         m = synth_confidence_map((cx, cy), dims, PARAMS)
         maps[rid] = ConfidenceMap(rid, m.dense())
-        fields[rid] = zero_flow_field(dims, rid)
+        fields[rid] = synth_flow_field((cx, cy), (cx, cy), dims, PARAMS, rid)
     return maps, fields
 
 
@@ -812,24 +810,30 @@ class TestDecodePeaks:
         assert counts["clipped"] >= 300 and counts["empty"] >= 200
         assert counts["shifted"] >= 300 and counts["nonpositive"] >= 800
 
-    def test_stacks_split_under_a_small_budget(self, monkeypatch):
-        # a budget a few crops fill, so most lists decode in several stacks
-        monkeypatch.setattr(maps_module, "_STACK_VALUES", 600)
-        counts = self._check(np.random.default_rng(67), 300)
-        assert counts["peaks"] >= 400
-
     def test_oracle_maps_of_a_frame(self):
+        """26 oracle maps of a 320 x 240 frame each have one peak, 1.0 at
+        its centre, and so have their dense copies; at min_conf <= 0 every
+        map is searched on a crop of the whole frame."""
         rng = np.random.default_rng(71)
-        for sigma in (1.5, 7.0):
+        # one non-positive min_conf per sigma: a whole-frame search per map
+        for sigma, flat in ((1.5, 0.0), (7.0, -0.25)):
             params = MapSynthesisParams(sigma_peak=sigma)
-            conf_maps = [synth_confidence_map(
-                (int(rng.integers(0, 320)), int(rng.integers(0, 240))),
-                (320, 240), params, ReflectorId(i)) for i in range(1, 27)]
-            for nms_window in (3, 5, 7):
-                want = [_reference_extract_peaks(m, nms_window, 0.1)
-                        for m in conf_maps]
-                assert decode_peaks(conf_maps, nms_window, 0.1) == want
-                assert all(len(p) == 1 and p[0][1] == 1.0 for p in want)
+            centres = [(int(rng.integers(0, 320)), int(rng.integers(0, 240)))
+                       for _ in range(26)]
+            conf_maps = [synth_confidence_map(c, (320, 240), params,
+                                              ReflectorId(i))
+                         for i, c in enumerate(centres, start=1)]
+            dense_maps = [ConfidenceMap(m.reflector, m.dense())
+                          for m in conf_maps]
+            want = [[(c, 1.0)] for c in centres]
+            for nms_window, min_conf in ((3, 0.1), (5, 0.1), (7, 0.1),
+                                         (5, flat)):
+                where = (sigma, nms_window, min_conf)
+                if min_conf > 0:
+                    assert [_reference_extract_peaks(m, nms_window, min_conf)
+                            for m in conf_maps] == want, where
+                assert decode_peaks(conf_maps, nms_window, min_conf) == want, where
+                assert decode_peaks(dense_maps, nms_window, min_conf) == want, where
 
     def test_kernel_windows_at_every_border_distance(self, monkeypatch):
         """A synthesized map takes its kernel's memoized peaks exactly when

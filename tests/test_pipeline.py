@@ -107,13 +107,14 @@ class TestInfer:
         # when maps_{f}.dmcm exists it is used instead of the annotations
         root, cfg = small_dataset
         reader = ds.DatasetReader(root)
-        from mocap_geom.maps import synth_confidence_map, zero_flow_field
+        from mocap_geom.maps import synth_confidence_map, synth_flow_field
         from mocap_geom.core import ReflectorId
         intr, _ = reader.rig[0]
         dims = (intr.width, intr.height)
         rid = ReflectorId(1)
         maps = {rid: synth_confidence_map((50, 60), dims, cfg.maps, rid)}
-        fields = {rid: zero_flow_field(dims, rid)}
+        fields = {rid: synth_flow_field((50, 60), (50, 60), dims, cfg.maps,
+                                        rid)}
         target = reader.maps_path(0, 0)
         try:
             ds.write_maps(target, maps, fields)
