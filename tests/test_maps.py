@@ -180,6 +180,13 @@ class TestFlowFieldSynthesis:
         assert f.dense().shape == (10, 20, 2)
         assert not f.dense().any()
 
+    def test_underflowing_displacement_is_the_empty_window(self):
+        # distinct endpoints whose displacement norm underflows to 0 have
+        # no direction either; they must not divide by zero
+        f = synth_flow_field((0.0, 5.0), (1e-200, 5.0), (20, 10), PARAMS)
+        assert f.vectors.shape == (0, 0, 2) and f.size == (20, 10)
+        assert not f.dense().any()
+
     def test_windowed_matches_full_frame_reference(self):
         rng = np.random.default_rng(29)
         off_image = 0
