@@ -301,6 +301,18 @@ def write_json(path: str | Path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def json_int(value, what: str) -> int:
+    """``value`` itself when it is a JSON integer; ValueError naming
+    ``what`` when it is anything else, such as 1.5, 1.0, "1" or true.
+
+    Checked in Python, as :func:`finite_vector` is: the JSONL readers call
+    it for every frame, view and reflector id they read.
+    """
+    if type(value) is int:   # bool is a subclass of int, not int itself
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def finite_vector(value, n: int, what: str):
     """``value`` itself when it is a sequence of n finite numbers;
     ValueError naming ``what`` when it is anything else.

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DepthFrame, IrMask, MultiViewRig, ReflectorId,
-                   finite_vector, load_rig, parse_json)
+                   finite_vector, json_int, load_rig, parse_json)
 from .errors import FormatError, ValidationError
 from .maps import Annotation2D, ConfidenceMap, FlowField, ReflectorEstimate2D
 from .skeleton import JOINTS, Pose, matrix_from_quat
@@ -207,12 +207,12 @@ def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> 
 
 def read_annotations(path: str | Path) -> dict[int, list[Annotation2D]]:
     def parse(doc):
-        frame = int(doc["frame"])
+        frame = json_int(doc["frame"], "frame")
         anns = []
         for a in doc["annotations"]:
             prev = a.get("x_prev")
             anns.append(Annotation2D(
-                ReflectorId(int(a["reflector"])),
+                ReflectorId(json_int(a["reflector"], "reflector")),
                 tuple(finite_vector(a["x_curr"], 2, "x_curr")),
                 None if prev is None else tuple(finite_vector(prev, 2, "x_prev"))))
         return frame, anns
@@ -231,9 +231,10 @@ def write_estimates(path: str | Path,
 
 def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstimate2D]]]:
     def parse(doc):
-        frame, view = int(doc["frame"]), int(doc["view"])
+        frame = json_int(doc["frame"], "frame")
+        view = json_int(doc["view"], "view")
         ests = [ReflectorEstimate2D(
-                    ReflectorId(int(e["reflector"])),
+                    ReflectorId(json_int(e["reflector"], "reflector")),
                     tuple(finite_vector(e["position"], 2, "position")),
                     *map(float, finite_vector([e["e_s"], e["e_l"], e["e_total"]],
                                               3, "e_s, e_l, e_total")))
@@ -260,10 +261,11 @@ def write_optical(path: str | Path, frames: list[OpticalFrame]) -> None:
 
 def read_optical(path: str | Path) -> list[OpticalFrame]:
     def parse(doc):
-        frame = OpticalFrame(frame=int(doc["frame"]))
+        frame = OpticalFrame(frame=json_int(doc["frame"], "frame"))
         for p in doc["points"]:
+            rid = ReflectorId(json_int(p["reflector"], "reflector"))
             confidence, = finite_vector([p["confidence"]], 1, "confidence")
-            frame.add(OpticalPoint(ReflectorId(int(p["reflector"])),
+            frame.add(OpticalPoint(rid,
                                    np.array(finite_vector(p["xyz_m"], 3, "xyz_m"),
                                             dtype=np.float64),
                                    float(confidence), frame.frame,
@@ -298,7 +300,7 @@ def read_motion(path: str | Path) -> list[Pose]:
         if sorted(positions) != _JOINT_NAMES:
             odd = sorted(set(positions) ^ set(_JOINT_NAMES))
             raise ValueError(f"missing or unknown joints {odd}")
-        return Pose(int(doc["frame"]), positions, rotations,
+        return Pose(json_int(doc["frame"], "frame"), positions, rotations,
                     gap=bool(doc.get("gap", False)), quaternions=quats)
     return _read_jsonl(path, parse)
 

@@ -185,9 +185,14 @@ class SkeletonTemplate:
     @classmethod
     def from_dict(cls, doc: dict) -> "SkeletonTemplate":
         """The template of a :meth:`to_dict` document; ValueError when a
-        non-root joint has no bone or a vector is not 3 finite numbers."""
+        non-root joint has no bone, a vector is not 3 finite numbers or
+        ``scale`` is not a finite, positive number."""
         def vec3(value, what):
             return np.array(finite_vector(value, 3, what), dtype=np.float64)
+
+        scale, = finite_vector([doc.get("scale", 1.0)], 1, "scale")
+        if not scale > 0:
+            raise ValueError(f"scale must be positive, got {scale!r}")
 
         bones = {k: vec3(v, f"bone {k}") for k, v in doc["bones"].items()}
         if sorted(bones) != _BONE_NAMES:
@@ -200,7 +205,7 @@ class SkeletonTemplate:
             root_locals=None if "root_locals" not in doc else
             {int(k): vec3(v, f"root_locals {k}")
              for k, v in doc["root_locals"].items()},
-            scale=float(doc.get("scale", 1.0)),
+            scale=float(scale),
         )
 
     def save(self, path: str | Path) -> None:

@@ -9,6 +9,7 @@ output is a pure function of (body, script, rig, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
 from .errors import ValidationError
 from .maps import Annotation2D
 from .skeleton import JOINTS, JOINT_BY_NAME, Pose, SkeletonTemplate, rotation_about
-from .spatial import interior_pixels
+from .spatial import _EIGHT, _rotate_rows, interior_pixels
 
 # ---------------------------------------------------------------------------
 # Body definition
@@ -339,6 +340,7 @@ def reflector_positions(body: SyntheticBody, pose: Pose) -> dict[int, ReflectorS
 # ---------------------------------------------------------------------------
 
 _FACING_COS = 0.8    # surface must face the camera this strongly to reflect
+_RAY_GRIDS = 4       # ray grids kept, one per set of intrinsics
 
 
 def _sphere_window(intr: CameraIntrinsics, center: np.ndarray,
@@ -361,6 +363,21 @@ def _sphere_window(intr: CameraIntrinsics, center: np.ndarray,
     return tuple(bounds)
 
 
+@functools.lru_cache(maxsize=_RAY_GRIDS)
+def _rays(intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ray grid of an image: the (H, W, 3) directions
+    ((u-cx)/fx, (v-cy)/fy, 1) through every pixel center and their (H, W)
+    squared norms.  Every ray cast and footprint slices it."""
+    d = np.empty((intr.height, intr.width, 3))
+    d[..., 0] = (np.arange(intr.width) - intr.cx) / intr.fx
+    d[..., 1] = ((np.arange(intr.height) - intr.cy) / intr.fy)[:, None]
+    d[..., 2] = 1.0
+    norms = np.einsum("...i,...i", d, d)
+    d.flags.writeable = norms.flags.writeable = False
+    return d, norms
+
+
+@np.errstate(invalid="ignore", divide="ignore")
 def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
                   radius: float) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray] | None:
     """Ray-cast one capsule (camera space); returns box slices, z, axial s.
@@ -369,8 +386,10 @@ def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
     so the ray parameter equals the camera z of the hit.  The capsule's
     image is the convex hull of its end-sphere images, so the box bounding
     both end windows holds every hit; each cap is solved on its own window
-    only.  Returns None when the capsule is too close to or behind the
-    camera, or has no hit in the image.
+    only.  A root is NaN where its discriminant is negative, and every
+    comparison with NaN is False, so no root is masked before the tests.
+    Returns None when the capsule is too close to or behind the camera, or
+    has no hit in the image.
     """
     z_near = min(a[2], b[2]) - radius
     if z_near <= 0.05:
@@ -380,11 +399,8 @@ def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
     u0, u1 = min(wa[2], wb[2]), max(wa[3], wb[3])
     if u0 >= u1 or v0 >= v1:
         return None
-
-    d = np.empty((v1 - v0, u1 - u0, 3))
-    d[..., 0] = (np.arange(u0, u1) - intr.cx) / intr.fx
-    d[..., 1] = ((np.arange(v0, v1) - intr.cy) / intr.fy)[:, None]
-    d[..., 2] = 1.0
+    rays, norms = _rays(intr)
+    d = rays[v0:v1, u0:u1]
 
     seg = b - a
     length = np.linalg.norm(seg)
@@ -393,16 +409,15 @@ def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
     # infinite cylinder part
     d_par = d @ w
     d_perp = d - d_par[..., None] * w[None, None, :]
-    q = -a + (a @ w) * w  # (ray origin - a) with axial part removed
+    aw = a @ w
+    q = -a + aw * w  # (ray origin - a) with axial part removed
     alpha = np.einsum("...i,...i", d_perp, d_perp)
     beta = 2.0 * (d_perp @ q)
     gamma = q @ q - radius * radius
-    disc = beta ** 2 - 4.0 * alpha * gamma
-    ok = (disc >= 0) & (alpha > 1e-12)
-    sqrt_disc = np.sqrt(np.where(ok, disc, 0.0))
-    t_cyl = np.where(ok, (-beta - sqrt_disc) / np.where(ok, 2.0 * alpha, 1.0), -1.0)
-    s = (t_cyl * d_par) - (a @ w)
-    on_segment = ok & (t_cyl > 0.05) & (s >= 0.0) & (s <= length)
+    disc = beta ** 2 - alpha * (4.0 * gamma)
+    t_cyl = (-beta - np.sqrt(disc)) / (2.0 * alpha)
+    s = (t_cyl * d_par) - aw
+    on_segment = (alpha > 1e-12) & (t_cyl > 0.05) & (s >= 0.0) & (s <= length)
     z = np.where(on_segment, t_cyl, np.inf)
     s_axial = np.where(on_segment, s, 0.0)
 
@@ -411,15 +426,13 @@ def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
         if ev0 >= ev1 or eu0 >= eu1:
             continue
         win = (slice(ev0 - v0, ev1 - v0), slice(eu0 - u0, eu1 - u0))
-        dc = d[win]
-        aq = np.einsum("...i,...i", dc, dc)
-        bq = -2.0 * (dc @ center)
+        aq = norms[ev0:ev1, eu0:eu1]
+        bq = -2.0 * (d[win] @ center)
         cq = center @ center - radius * radius
-        disc_c = bq ** 2 - 4.0 * aq * cq
-        okc = disc_c >= 0
-        t_cap = np.where(okc, (-bq - np.sqrt(np.where(okc, disc_c, 0.0))) / (2.0 * aq), np.inf)
+        disc_c = bq ** 2 - aq * (4.0 * cq)
+        t_cap = (-bq - np.sqrt(disc_c)) / (2.0 * aq)
         z_win = z[win]
-        better = okc & (t_cap > 0.05) & (t_cap < z_win)
+        better = (t_cap > 0.05) & (t_cap < z_win)
         np.copyto(z_win, t_cap, where=better)
         np.copyto(s_axial[win], s_cap, where=better)
     if not np.isfinite(z).any():
@@ -446,6 +459,9 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
     quantized to millimeters, seeded per (seed, view, frame).
     """
     samples = reflector_positions(body, pose)
+    bones = [j.name for j in JOINTS if j.parent is not None]
+    names = list(pose.positions)
+    points = np.array([pose.positions[name] for name in names])
     out = []
     for v in range(len(rig)):
         intr, extr = rig[v]
@@ -455,9 +471,9 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
         zbuf = np.full((intr.height, intr.width), np.inf)
         owner = np.full((intr.height, intr.width), -1, dtype=np.int32)
         axial = np.zeros((intr.height, intr.width))
-        bones = [j.name for j in JOINTS if j.parent is not None]
         boxes: dict[int, tuple[slice, slice]] = {}
-        cam_points = {name: to_camera(pose.positions[name], extr) for name in pose.positions}
+        cam_points = dict(zip(names, _rotate_rows(extr.rotation.T,
+                                                  points - extr.translation)))
         for bi, name in enumerate(bones):
             a = cam_points[JOINT_BY_NAME[name].parent]
             b = cam_points[name]
@@ -472,13 +488,19 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
             np.copyto(owner[sv, su], bi, where=better)
             np.copyto(axial[sv, su], s_ax, where=better)
 
-        body_pixels = np.isfinite(zbuf)
+        # every body pixel lies in the box bounding the capsule boxes; in
+        # row-major order its pixels come in the full frame's order
+        rows, cols = zip(*boxes.values()) if boxes else ([slice(0, 0)],) * 2
+        body_box = (slice(min(s.start for s in rows), max(s.stop for s in rows)),
+                    slice(min(s.start for s in cols), max(s.stop for s in cols)))
+        body_z = zbuf[body_box]
+        body_pixels = np.isfinite(body_z)
         depth_mm = np.zeros((intr.height, intr.width), dtype=np.float64)
-        depth_mm[body_pixels] = zbuf[body_pixels] * 1000.0
+        body_mm = depth_mm[body_box]
+        body_mm[body_pixels] = body_z[body_pixels] * 1000.0
 
         mask = np.zeros((intr.height, intr.width), dtype=bool)
-        annotations: list[Annotation2D] = []
-
+        drawn = []
         for idx in sorted(samples):
             sample = samples[idx]
             footprint = _reflector_footprint(sample, body, intr, extr, cam_pos,
@@ -490,20 +512,25 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
             win, pixels, surface_pt = footprint
             mask[win] |= pixels
             depth_mm[win][interior_pixels(pixels)] = 0.0
-            # suppress the annotation unless the footprint forms a blob big
-            # enough to survive the downstream validity rule
-            if _largest_component(pixels) >= 5:
+            drawn.append((idx, pixels, surface_pt))
+        # suppress an annotation unless its footprint forms a blob big
+        # enough to survive the downstream validity rule
+        annotations: list[Annotation2D] = []
+        for (idx, _, surface_pt), size in zip(
+                drawn, _largest_components([pixels for _, pixels, _ in drawn])):
+            if size >= 5:
                 u, v_pix, _ = project(to_camera(surface_pt, extr), intr)
                 annotations.append(Annotation2D(ReflectorId(idx), (u, v_pix),
                                                 None))
 
         if noise_sigma_mm > 0:
             rng = np.random.default_rng([seed, v, frame])
-            noisy = body_pixels & (depth_mm > 0)
-            depth_mm[noisy] += rng.normal(scale=noise_sigma_mm, size=int(noisy.sum()))
+            noisy = body_pixels & (body_mm > 0)
+            body_mm[noisy] += rng.normal(scale=noise_sigma_mm, size=int(noisy.sum()))
         depth_u16 = np.zeros((intr.height, intr.width), dtype=np.uint16)
-        valid = depth_mm > 0.5
-        depth_u16[valid] = np.clip(np.rint(depth_mm[valid]), 1, 65535).astype(np.uint16)
+        valid = body_mm > 0.5
+        depth_u16[body_box][valid] = np.clip(np.rint(body_mm[valid]), 1,
+                                             65535).astype(np.uint16)
 
         out.append(RenderedView(DepthFrame(depth_u16), IrMask(mask), annotations))
     return out
@@ -544,9 +571,7 @@ def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
         # facing test on the band's surface points, in image coordinates
         vs, us = np.nonzero(band)
         zs = zbuf[win][vs, us]
-        dirs = np.stack([(us + win[1].start - intr.cx) / intr.fx,
-                         (vs + win[0].start - intr.cy) / intr.fy,
-                         np.ones_like(us, dtype=np.float64)], axis=-1)
+        dirs = _rays(intr)[0][win][vs, us]
         hits_cam = dirs * zs[:, None]
         axis_cam = extr.rotation.T @ sample.ring_axis
         center_cam = to_camera(sample.axis_point, extr)
@@ -593,12 +618,27 @@ def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
     return win, pixels, sample.axis_point
 
 
-def _largest_component(pixels: np.ndarray) -> int:
-    """Size of the biggest 8-connected blob in a footprint window."""
-    labels, n = ndimage.label(pixels, structure=np.ones((3, 3), dtype=bool))
-    if n == 0:
-        return 0
-    return int(np.bincount(labels.ravel())[1:].max())
+def _largest_components(windows: list[np.ndarray]) -> list[int]:
+    """Size of the biggest 8-connected blob in each footprint window.
+
+    One labeling for all: the windows are stacked one under another, each
+    followed by an off row so no blob reaches the next.  Labels grow in
+    raster order, so each window's blobs hold the labels above the
+    previous window's highest and up to its own.
+    """
+    if not windows:
+        return []
+    starts = np.cumsum([0] + [len(w) + 1 for w in windows])
+    stack = np.zeros((starts[-1], max(w.shape[1] for w in windows)), dtype=bool)
+    for r0, w in zip(starts.tolist(), windows):
+        stack[r0:r0 + w.shape[0], :w.shape[1]] = w
+    labels, _ = ndimage.label(stack, structure=_EIGHT)
+    sizes = np.bincount(labels.ravel())
+    # each window's highest label, or the one before it when it has none
+    tops = np.maximum.accumulate(
+        np.maximum.reduceat(labels.max(axis=1), starts[:-1])).tolist()
+    return [int(sizes[lo + 1:hi + 1].max(initial=0))
+            for lo, hi in zip([0] + tops[:-1], tops)]
 
 
 def _point_visible(point: np.ndarray, intr: CameraIntrinsics,

@@ -466,6 +466,14 @@ class TestJsonlFuzz:
         token = ("NaN", "Infinity", "-Infinity")[int(rng.integers(3))]
         damaged["non_finite"] = (lines[:k - 1] + [
             line[:number.start()] + token + line[number.end():]] + lines[k:])
+        # every frame, view and reflector id must be a JSON integer; picked
+        # from the draws above so the stream of later trials stays the same
+        ids = list(re.finditer(r'"(frame|view|reflector)":(-?\d+)', line))
+        an_id = ids[at % len(ids)]
+        value = an_id.group(2)
+        not_int = (f"{value}.5", f"{value}.0", f'"{value}"', "true")[cut % 4]
+        damaged["non_integer_id"] = (lines[:k - 1] + [
+            line[:an_id.start(2)] + not_int + line[an_id.end(2):]] + lines[k:])
         return [(kind, "\n".join(text) + "\n")
                 for kind, text in damaged.items()]
 

@@ -353,7 +353,10 @@ class TestCli:
                            ("root bone", json.dumps(extra_bone)),
                            ("string direction", json.dumps(bad_dir)),
                            ("null root locals",
-                            json.dumps({**doc, "root_locals": {"1": None}}))):
+                            json.dumps({**doc, "root_locals": {"1": None}})),
+                           *((f"scale {scale!r}", json.dumps({**doc, "scale": scale}))
+                             for scale in (float("nan"), float("inf"),
+                                           float("-inf"), 0, -0.0, -1.5, "2"))):
             template.write_text(text)
             assert main(["track", "--out", str(out)]) == 3, name
             err = capsys.readouterr().err

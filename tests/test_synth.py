@@ -187,6 +187,81 @@ class TestRender:
             assert np.array_equal(ra.mask.bits, rb.mask.bits)
 
 
+class TestRayGrid:
+    INTR = CameraIntrinsics(fx=251.5, fy=233.25, cx=70.3, cy=41.7,
+                            width=97, height=64)
+
+    def test_read_only(self):
+        rays, norms = synth._rays(self.INTR)
+        assert rays.shape == (64, 97, 3) and norms.shape == (64, 97)
+        for array in (rays, norms):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_equals_the_per_block_formula(self):
+        """Every block of the grid holds the bits a block computed on its
+        own would: fx != fy and a principal point between pixels."""
+        intr = self.INTR
+        rays, norms = synth._rays(intr)
+        for v0, v1, u0, u1 in ((0, 64, 0, 97), (5, 33, 17, 80), (63, 64, 96, 97),
+                               (0, 1, 40, 41)):
+            d = np.empty((v1 - v0, u1 - u0, 3))
+            d[..., 0] = (np.arange(u0, u1) - intr.cx) / intr.fx
+            d[..., 1] = ((np.arange(v0, v1) - intr.cy) / intr.fy)[:, None]
+            d[..., 2] = 1.0
+            assert rays[v0:v1, u0:u1].tobytes() == d.tobytes()
+            assert (norms[v0:v1, u0:u1].tobytes()
+                    == np.einsum("...i,...i", d, d).tobytes())
+
+    def test_render_is_the_same_after_cache_clear(self):
+        body = SyntheticBody.default()
+        rig = default_rig(num_views=2)
+        pose = animate(body, MotionScript("squat-armraise", duration=90), 70)
+        first = render(rig, body, pose, noise_sigma_mm=3.0, seed=5, frame=70)
+        synth._rays.cache_clear()
+        assert synth._rays.cache_info().currsize == 0
+        again = render(rig, body, pose, noise_sigma_mm=3.0, seed=5, frame=70)
+        assert synth._rays.cache_info().currsize == 1
+        for a, b in zip(first, again):
+            assert a.depth.pixels.tobytes() == b.depth.pixels.tobytes()
+            assert np.array_equal(a.mask.bits, b.mask.bits)
+            assert a.annotations == b.annotations
+        assert any(rv.annotations for rv in first)
+
+
+class TestLargestComponents:
+    @staticmethod
+    def _alone(pixels):
+        """Reference: the biggest blob of one window labeled on its own."""
+        labels, n = ndimage.label(pixels, structure=np.ones((3, 3)))
+        return int(np.bincount(labels.ravel())[1:].max()) if n else 0
+
+    def test_matches_one_labeling_per_window(self):
+        """Seeded windows of 1-11 rows and columns, each empty, full (one
+        blob touching every edge) or random; neighbours differ in width."""
+        assert synth._largest_components([]) == []
+        fixed = [np.ones((1, 1), bool), np.zeros((1, 1), bool),
+                 np.array([[True, False, True, True]]), np.ones((1, 7), bool),
+                 np.zeros((3, 2), bool), np.ones((4, 9), bool)]
+        assert (synth._largest_components(fixed)
+                == [1, 0, 2, 7, 0, 36] == [self._alone(w) for w in fixed])
+        rng = np.random.default_rng(1515)
+        for trial in range(300):
+            windows = []
+            for _ in range(int(rng.integers(1, 9))):
+                shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+                kind = int(rng.integers(4))
+                if kind == 0:
+                    windows.append(np.zeros(shape, bool))
+                elif kind == 1:
+                    windows.append(np.ones(shape, bool))
+                else:
+                    windows.append(rng.random(shape) < rng.uniform(0.2, 0.8))
+            assert (synth._largest_components(windows)
+                    == [self._alone(w) for w in windows]), trial
+
+
 def _full_frame_footprint(sample, body, intr, extr, zbuf, owner, axial, bones):
     """Reference footprint: every test on the whole (h, w) frame."""
     cam_pos = extr.translation
