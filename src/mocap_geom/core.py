@@ -80,21 +80,9 @@ class ReflectorId:
     def kind(self) -> ReflectorKind:
         return _REFLECTOR_TABLE[self.index]
 
-    @property
-    def is_end_reflector(self) -> bool:
-        return self.index in END_REFLECTORS
-
 
 def all_reflectors() -> list[ReflectorId]:
     return [ReflectorId(i) for i in range(1, NUM_REFLECTORS + 1)]
-
-
-def strap_reflectors() -> list[ReflectorId]:
-    return [r for r in all_reflectors() if r.kind is ReflectorKind.STRAP]
-
-
-def patch_reflectors() -> list[ReflectorId]:
-    return [r for r in all_reflectors() if r.kind is ReflectorKind.PATCH]
 
 
 @dataclass(frozen=True)

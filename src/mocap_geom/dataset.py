@@ -28,7 +28,7 @@ from .core import (DepthFrame, IrMask, MultiViewRig, ReflectorId,
                    finite_vector, json_int, load_rig, parse_json)
 from .errors import FormatError, ValidationError
 from .maps import Annotation2D, ConfidenceMap, FlowField, ReflectorEstimate2D
-from .skeleton import JOINTS, Pose, matrix_from_quat
+from .skeleton import JOINTS, Pose
 from .spatial import OpticalFrame, OpticalPoint
 
 MAGIC_DEPTH = b"DMCD"
@@ -284,24 +284,27 @@ def write_motion(path: str | Path, poses: list[Pose]) -> None:
 
 def read_motion(path: str | Path) -> list[Pose]:
     def parse(doc):
-        positions, rotations, quats = {}, {}, {}
+        positions, quats = {}, {}
         for j in doc["joints"]:
             name = j["id"]
             positions[name] = np.array(
                 finite_vector(j["xyz_m"], 3, f"{name} xyz_m"), dtype=np.float64)
             quat = np.array(finite_vector(j["quat_wxyz"], 4, f"{name} quat_wxyz"),
                             dtype=np.float64)
-            # matrix_from_quat divides by the norm: a squared norm that is 0
-            # or overflows gives no rotation
+            # a quaternion names an orientation only once normalized, which
+            # a squared norm of 0 or one that overflows does not allow
             if not 0 < sum(x * x for x in quat.tolist()) < math.inf:
                 raise ValueError(f"{name} quat_wxyz {j['quat_wxyz']!r} has no "
                                  "finite, non-zero norm")
-            quats[name], rotations[name] = quat, matrix_from_quat(quat)
+            quats[name] = quat
         if sorted(positions) != _JOINT_NAMES:
             odd = sorted(set(positions) ^ set(_JOINT_NAMES))
             raise ValueError(f"missing or unknown joints {odd}")
-        return Pose(json_int(doc["frame"], "frame"), positions, rotations,
-                    gap=bool(doc.get("gap", False)), quaternions=quats)
+        gap = doc.get("gap", False)
+        if not isinstance(gap, bool):
+            raise ValueError(f"gap {gap!r} is not true or false")
+        return Pose(json_int(doc["frame"], "frame"), positions, {}, gap=gap,
+                    quaternions=quats)
     return _read_jsonl(path, parse)
 
 

@@ -18,9 +18,9 @@ from .filtering import apply_filters
 from .kalman import ReflectorTracker
 from .maps import (Annotation2D, ReflectorEstimate2D, greedy_inference,
                    synth_confidence_map, synth_flow_field)
-from .metrics import (Detection2D, EvalReport, average_precision,
-                      evaluate_motion, map_sweep, mean_average_precision,
-                      subject_bbox)
+from .metrics import (EVAL_JOINT_NAMES, Detection2D, EvalReport,
+                      average_precision, evaluate_motion, map_sweep,
+                      mean_average_precision, subject_bbox)
 from .skeleton import (BoneCalibration, Pose, SkeletonTemplate,
                        calibrate_template, track)
 from .spatial import (OpticalFrame, ViewObservation, fuse_reflector,
@@ -295,7 +295,6 @@ def eval_3d(pred_poses: list[Pose], gt_poses: list[Pose],
     if not matched_pred:
         raise ValidationError("no frames in common with ground truth")
     matched_gt = [gt_by_frame[p.frame] for p in matched_pred]
-    from .metrics import EVAL_JOINT_NAMES
     report = evaluate_motion(motion_joint_arrays(matched_pred, EVAL_JOINT_NAMES),
                              motion_joint_arrays(matched_gt, EVAL_JOINT_NAMES),
                              a3d_cm=config.eval_a3d_cm)

@@ -312,20 +312,26 @@ def matrix_from_quat(q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Pose:
-    """Global joint positions and orientations for one frame."""
+    """Global joint positions and orientations for one frame.
+
+    A fitted pose holds a rotation matrix per joint; its quaternions are
+    derived from them on first use.  A pose read from ``motion.jsonl``
+    holds the positions and the quaternions of the file and no rotation
+    matrices, so write -> read -> write reproduces the file byte for byte.
+    """
 
     frame: int
     positions: dict[str, np.ndarray]
-    rotations: dict[str, np.ndarray]  # 3x3 global orientation per joint
+    rotations: dict[str, np.ndarray]  # 3x3 global orientation; empty when read
     gap: bool = False  # the root was missing; pose carried from previous
-    # the (w, x, y, z) each rotation was read from, kept so that a pose read
-    # from motion.jsonl writes its quaternions back unchanged; None: derive
-    quaternions: dict[str, np.ndarray] | None = None
+    # (w, x, y, z) per joint: read from the file, or cached by quaternion()
+    quaternions: dict[str, np.ndarray] = field(default_factory=dict)
 
     def quaternion(self, name: str) -> np.ndarray:
-        if self.quaternions is not None:
-            return self.quaternions[name]
-        return quat_from_matrix(self.rotations[name])
+        q = self.quaternions.get(name)
+        if q is None:
+            q = self.quaternions[name] = quat_from_matrix(self.rotations[name])
+        return q
 
 
 def joint_target(frame: OpticalFrame, subset: tuple[int, ...],

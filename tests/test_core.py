@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, IrMask,
-                             ReflectorId, ReflectorKind, all_reflectors,
-                             backproject, load_rig, MultiViewRig, project,
-                             save_rig, strap_reflectors, patch_reflectors,
+from mocap_geom.core import (END_REFLECTORS, CameraExtrinsics,
+                             CameraIntrinsics, IrMask, ReflectorId,
+                             ReflectorKind, all_reflectors, backproject,
+                             load_rig, MultiViewRig, project, save_rig,
                              to_camera, to_global)
 from mocap_geom.errors import (DimensionError, InvalidDepthError,
                                ValidationError)
@@ -21,8 +21,9 @@ class TestReflectorTaxonomy:
         assert len(all_reflectors()) == 26
 
     def test_ten_straps_sixteen_patches(self):
-        assert len(strap_reflectors()) == 10
-        assert len(patch_reflectors()) == 16
+        kinds = [r.kind for r in all_reflectors()]
+        assert kinds.count(ReflectorKind.STRAP) == 10
+        assert kinds.count(ReflectorKind.PATCH) == 16
 
     def test_limbs_are_straps_extremities_are_patches(self):
         for idx in (11, 12, 16, 17, 19, 20, 21, 23, 24, 25):
@@ -39,7 +40,7 @@ class TestReflectorTaxonomy:
             ReflectorId(27)
 
     def test_end_reflectors(self):
-        ends = [r.index for r in all_reflectors() if r.is_end_reflector]
+        ends = [r.index for r in all_reflectors() if r.index in END_REFLECTORS]
         assert ends == [13, 18, 22, 26]
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mocap_geom import dataset as ds
+from mocap_geom import skeleton
 from mocap_geom.cli import main
 from mocap_geom.core import DepthFrame, IrMask, ReflectorId
 from mocap_geom.errors import FormatError
@@ -15,7 +16,8 @@ from mocap_geom.maps import (Annotation2D, ConfidenceMap, FlowField,
                              MapSynthesisParams, ReflectorEstimate2D,
                              synth_confidence_map, synth_flow_field)
 from mocap_geom.skeleton import (JOINTS, Pose, SkeletonTemplate,
-                                 matrix_from_quat, rotation_about)
+                                 matrix_from_quat, quat_from_matrix,
+                                 rotation_about)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 
 
@@ -569,7 +571,30 @@ class TestJsonlCodecs:
         back = ds.read_motion(path)
         np.testing.assert_array_equal(back[0].positions["left_knee"],
                                       rest["left_knee"])
-        np.testing.assert_allclose(back[0].rotations["left_knee"], rot, atol=1e-12)
+        np.testing.assert_array_equal(back[0].quaternion("left_knee"),
+                                      quat_from_matrix(rot))
+
+    def test_read_motion_keeps_the_file_quaternions_and_no_matrix(
+            self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return matrix_from_quat(q)
+        monkeypatch.setattr(skeleton, "matrix_from_quat", counted)
+        monkeypatch.setattr(ds, "matrix_from_quat", counted, raising=False)
+        rng = np.random.default_rng(16)
+        quats = {j.name: rng.normal(size=4).tolist() for j in JOINTS}
+        quats["head"] = [-0.0, 1 / 3, 1e-300, 2.0 ** -40]
+        quats["neck"] = [0.1, -0.0, 0.0, 1e150]   # far from unit norm
+        path = tmp_path / "motion.jsonl"
+        path.write_text(json.dumps({"frame": 3, "gap": True, "joints": [
+            {"id": name, "xyz_m": [0.0, 1.0, 2.0], "quat_wxyz": q}
+            for name, q in quats.items()]}) + "\n")
+        pose, = ds.read_motion(path)
+        assert calls == [] and pose.rotations == {} and pose.gap is True
+        for name, q in quats.items():
+            assert pose.quaternion(name).tobytes() == np.array(q).tobytes(), name
 
     @staticmethod
     def _assert_format_errors(tmp_path, read, good, bad_lines):
@@ -658,7 +683,30 @@ class TestJsonlCodecs:
                           '"quat_wxyz":[1e-200,0.0,0.0,0.0]', 1),
              re.sub(r'"xyz_m":\[([^,]*),([^,]*),[^\]]*\]',
                     r'"xyz_m":[\1,\2]', good, 1),
-             good.replace('"frame":0', '"frame":1e999')])
+             good.replace('"frame":0', '"frame":1e999'),
+             # gap is a JSON boolean: a truthy or falsy other value is damage
+             *(good.replace('"gap":false', f'"gap":{value}')
+               for value in ('"no"', "0", "1", "null"))])
+
+    def test_eval_on_bad_motion_gap_exits_3(self, tmp_path, capsys):
+        dataset, out = tmp_path / "dataset", tmp_path / "run"
+        config = tmp_path / "tiny.ini"
+        config.write_text("[synth]\nduration = 2\nnum_views = 1\n")
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out)]
+        assert main(["synth", *args]) == 0
+        first, second = (dataset / "gt_motion.jsonl").read_text().splitlines()
+        motion = out / "motion.jsonl"
+        motion.write_text(first + "\n"
+                          + second.replace('"gap":false', '"gap":"no"') + "\n")
+        capsys.readouterr()
+        assert main(["eval", *args]) == 3
+        assert f"{motion}: line 2: " in capsys.readouterr().err
+        # a line without gap reads as no gap
+        motion.write_text(first + "\n"
+                          + second.replace('"gap":false,', '') + "\n")
+        assert main(["eval", *args]) == 0
+        assert json.loads((out / "eval.json").read_text())["pck3d_total"] == 1.0
 
     def test_calibrate_on_bad_optical_value_exits_3(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from mocap_geom import dataset as ds
+from mocap_geom import skeleton
 from mocap_geom.cli import main
 from mocap_geom.config import PipelineConfig, load_config, write_default_config
 from mocap_geom.errors import ValidationError
 from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
                                  cmd_synth, cmd_track, fuse_estimates,
                                  infer_dataset)
-from mocap_geom.skeleton import (Pose, SkeletonTemplate, calibrate_template,
-                                 track)
+from mocap_geom.skeleton import (JOINTS, Pose, SkeletonTemplate,
+                                 calibrate_template, quat_from_matrix, track)
 
 
 def small_config(duration=24, noise=0.0):
@@ -174,6 +175,22 @@ class TestComposition:
             for name in pf.positions:
                 assert np.array_equal(pf.positions[name], pm.positions[name]), name
 
+    def test_track_derives_each_quaternion_once(self, small_run, tmp_path,
+                                                monkeypatch):
+        root, cfg, run = small_run
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return quat_from_matrix(m)
+        monkeypatch.setattr(skeleton, "quat_from_matrix", counted)
+        poses = cmd_track(run / "optical.jsonl", run / "template.json",
+                          tmp_path / "motion.jsonl", tmp_path / "motion.csv")
+        assert len(poses) == cfg.synth.duration
+        assert len(calls) == len(poses) * len(JOINTS)
+        assert ((tmp_path / "motion.jsonl").read_bytes()
+                == (run / "motion.jsonl").read_bytes())
+
     def test_eval_outputs(self, small_run, tmp_path):
         root, cfg, run = small_run
         report = cmd_eval(root, cfg, estimates_path=run / "estimates.jsonl",
@@ -193,8 +210,8 @@ class TestComposition:
         # counts an unmatched frame
         poses = ds.read_motion(run / "motion.jsonl")
         extra = poses[-1]
-        poses.append(Pose(cfg.synth.duration + 5, extra.positions,
-                          extra.rotations))
+        poses.append(Pose(cfg.synth.duration + 5, extra.positions, {},
+                          quaternions=extra.quaternions))
         ds.write_motion(tmp_path / "motion.jsonl", poses)
         inputs = {"2d": {"estimates_path": run / "estimates.jsonl"},
                   "3d": {"motion_path": tmp_path / "motion.jsonl"}}
