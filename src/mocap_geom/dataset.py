@@ -287,6 +287,8 @@ def read_motion(path: str | Path) -> list[Pose]:
         positions, quats = {}, {}
         for j in doc["joints"]:
             name = j["id"]
+            if name in positions:
+                raise ValueError(f"joint {name!r} repeated")
             positions[name] = np.array(
                 finite_vector(j["xyz_m"], 3, f"{name} xyz_m"), dtype=np.float64)
             quat = np.array(finite_vector(j["quat_wxyz"], 4, f"{name} quat_wxyz"),

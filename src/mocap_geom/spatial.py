@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import linear_sum_assignment
 
 from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
                    ReflectorId, ReflectorKind)
@@ -195,7 +194,9 @@ def split_merged_region(region: Region, ests: list[ReflectorEstimate2D],
             if sel.any():
                 centers[k] = feats[sel].mean(axis=0)
 
-    # Bijective cluster -> estimate matching on 2D centroid distance.
+    # Bijective cluster -> estimate matching on 2D centroid distance; the
+    # import is here because no other stage needs scipy.optimize
+    from scipy.optimize import linear_sum_assignment
     cost = np.zeros((n, n))
     for k in range(n):
         sel = assignment == k

@@ -457,61 +457,77 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
     so region contours keep measurable depth.  Self-occluded reflectors are
     omitted from the annotations.  Depth noise is additive Gaussian,
     quantized to millimeters, seeded per (seed, view, frame).
+
+    Every capsule hit lies in the body box, the box bounding the capsule
+    boxes of a view, so the z-buffer and the footprints work on that box
+    only; the image outside it holds no surface.
     """
     samples = reflector_positions(body, pose)
     bones = [j.name for j in JOINTS if j.parent is not None]
+    bone_index = {name: bi for bi, name in enumerate(bones)}
+    # (reflector, carrying bone, axial band center, bone length) per strap
+    straps = []
+    for idx, site in sorted(body.strap_sites.items()):
+        length = np.linalg.norm(body.template.bone_vectors[site.capsule])
+        straps.append((idx, bone_index[site.capsule], length - site.offset, length))
     names = list(pose.positions)
     points = np.array([pose.positions[name] for name in names])
     out = []
     for v in range(len(rig)):
         intr, extr = rig[v]
-        cam_pos = extr.translation
-
-        # capsule z-buffer, remembering per-pixel winner for strap banding
-        zbuf = np.full((intr.height, intr.width), np.inf)
-        owner = np.full((intr.height, intr.width), -1, dtype=np.int32)
-        axial = np.zeros((intr.height, intr.width))
-        boxes: dict[int, tuple[slice, slice]] = {}
         cam_points = dict(zip(names, _rotate_rows(extr.rotation.T,
                                                   points - extr.translation)))
+        hits = []
         for bi, name in enumerate(bones):
-            a = cam_points[JOINT_BY_NAME[name].parent]
-            b = cam_points[name]
-            hit = _capsule_hits(intr, a, b, body.capsule_radii[name])
-            if hit is None:
-                continue
-            (sv, su), z, s_ax = hit
-            boxes[bi] = (sv, su)
-            sub_z = zbuf[sv, su]
+            hit = _capsule_hits(intr, cam_points[JOINT_BY_NAME[name].parent],
+                                cam_points[name], body.capsule_radii[name])
+            if hit is not None:
+                hits.append((bi, hit))
+
+        # capsule z-buffer on the body box, remembering per-pixel winner
+        # for strap banding; `boxes` holds each capsule's box within it.
+        # In row-major order the box's pixels come in the full frame's
+        # order, so the noise draws land where a full-frame render puts them
+        rows, cols = (zip(*[box for _, (box, _, _) in hits]) if hits
+                      else ([slice(0, 0)],) * 2)
+        origin = (min(s.start for s in rows), min(s.start for s in cols))
+        v0, u0 = origin
+        body_box = (slice(v0, max(s.stop for s in rows)),
+                    slice(u0, max(s.stop for s in cols)))
+        shape = (body_box[0].stop - v0, body_box[1].stop - u0)
+        zbuf = np.full(shape, np.inf)
+        owner = np.full(shape, -1, dtype=np.int32)
+        axial = np.zeros(shape)
+        boxes: dict[int, tuple[slice, slice]] = {}
+        for bi, ((sv, su), z, s_ax) in hits:
+            win = boxes[bi] = (slice(sv.start - v0, sv.stop - v0),
+                               slice(su.start - u0, su.stop - u0))
+            sub_z = zbuf[win]
             better = z < sub_z
             np.copyto(sub_z, z, where=better)
-            np.copyto(owner[sv, su], bi, where=better)
-            np.copyto(axial[sv, su], s_ax, where=better)
+            np.copyto(owner[win], bi, where=better)
+            np.copyto(axial[win], s_ax, where=better)
+        body_pixels = np.isfinite(zbuf)
+        body_mm = np.zeros(shape)
+        body_mm[body_pixels] = zbuf[body_pixels] * 1000.0
 
-        # every body pixel lies in the box bounding the capsule boxes; in
-        # row-major order its pixels come in the full frame's order
-        rows, cols = zip(*boxes.values()) if boxes else ([slice(0, 0)],) * 2
-        body_box = (slice(min(s.start for s in rows), max(s.stop for s in rows)),
-                    slice(min(s.start for s in cols), max(s.stop for s in cols)))
-        body_z = zbuf[body_box]
-        body_pixels = np.isfinite(body_z)
-        depth_mm = np.zeros((intr.height, intr.width), dtype=np.float64)
-        body_mm = depth_mm[body_box]
-        body_mm[body_pixels] = body_z[body_pixels] * 1000.0
-
+        footprints = _strap_footprints(samples, straps, intr, extr, zbuf,
+                                       owner, axial, boxes, origin)
+        for idx, sample in samples.items():
+            if sample.ring_axis is None:
+                footprint = _patch_footprint(sample, body, intr, extr, zbuf,
+                                             origin)
+                if footprint is not None:
+                    footprints[idx] = footprint
         mask = np.zeros((intr.height, intr.width), dtype=bool)
+        body_mask = mask[body_box]
         drawn = []
-        for idx in sorted(samples):
-            sample = samples[idx]
-            footprint = _reflector_footprint(sample, body, intr, extr, cam_pos,
-                                             zbuf, owner, axial, bones, boxes)
-            if footprint is None:
-                continue
+        for idx in sorted(footprints):
             # the footprint is off outside its window, so eroding the window
             # with an off border erodes the whole frame
-            win, pixels, surface_pt = footprint
-            mask[win] |= pixels
-            depth_mm[win][interior_pixels(pixels)] = 0.0
+            win, pixels, surface_pt = footprints[idx]
+            body_mask[win] |= pixels
+            body_mm[win][interior_pixels(pixels)] = 0.0
             drawn.append((idx, pixels, surface_pt))
         # suppress an annotation unless its footprint forms a blob big
         # enough to survive the downstream validity rule
@@ -536,62 +552,90 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
     return out
 
 
-def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
-                         intr: CameraIntrinsics, extr: CameraExtrinsics,
-                         cam_pos: np.ndarray, zbuf: np.ndarray,
-                         owner: np.ndarray, axial: np.ndarray,
-                         bones: list[str], boxes: dict[int, tuple[slice, slice]]
-                         ) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray] | None:
-    """Visible footprint of one reflector and its annotated surface point.
+def _strap_footprints(samples: dict[int, ReflectorSample],
+                      straps: list[tuple[int, int, float, float]],
+                      intr: CameraIntrinsics, extr: CameraExtrinsics,
+                      zbuf: np.ndarray, owner: np.ndarray, axial: np.ndarray,
+                      boxes: dict[int, tuple[slice, slice]],
+                      origin: tuple[int, int]
+                      ) -> dict[int, tuple[tuple[slice, slice], np.ndarray, np.ndarray]]:
+    """Visible strap footprints of one view and their annotated surface points.
 
-    Returns the footprint's image window, its pixels within that window
-    (every pixel outside the window is off) and the surface point.
+    A strap's band is the pixels of its carrying capsule within the tape's
+    axial band, on the tube only (cap hits carry non-radial normals); its
+    footprint is the part of the band facing the camera.  One facing test
+    runs on the bands of all straps, except the projection onto each ring
+    axis: that stays one matrix-vector product per strap, which rounds
+    unlike a row-wise dot.  Returns {reflector: (window within the body box,
+    pixels within that window, surface point)}; every pixel outside the
+    window is off.
     """
-    idx = sample.reflector.index
-    if sample.ring_axis is not None:
-        # strap: pixels of the carrying capsule within the axial band and
-        # facing the camera; the capsule owns pixels only inside its box
-        site = body.strap_sites[idx]
-        bone_name = site.capsule
-        bi = bones.index(bone_name)
+    bands = []
+    for idx, bi, s_center, length in straps:
+        # the capsule owns pixels only inside its box
         if bi not in boxes:
-            return None
-        surface_pt = sample.surface_point_toward(cam_pos)
-        if not _point_visible(surface_pt, intr, extr, zbuf):
-            return None
+            continue
+        sample = samples[idx]
+        surface_pt = sample.surface_point_toward(extr.translation)
+        if not _point_visible(surface_pt, intr, extr, zbuf, origin=origin):
+            continue
         win = boxes[bi]
         sub_axial = axial[win]
-        length = np.linalg.norm(body.template.bone_vectors[bone_name])
-        s_center = length - site.offset
-        # tube hits only: cap hits carry non-radial normals
         band = ((owner[win] == bi) & (np.abs(sub_axial - s_center) <= sample.band_half)
                 & (sub_axial > 1e-9) & (sub_axial < length - 1e-9))
-        if not band.any():
-            return None
-        # facing test on the band's surface points, in image coordinates
         vs, us = np.nonzero(band)
-        zs = zbuf[win][vs, us]
-        dirs = _rays(intr)[0][win][vs, us]
-        hits_cam = dirs * zs[:, None]
-        axis_cam = extr.rotation.T @ sample.ring_axis
-        center_cam = to_camera(sample.axis_point, extr)
-        rel = hits_cam - center_cam
-        rad = rel - (rel @ axis_cam)[:, None] * axis_cam
-        rad_norm = np.linalg.norm(rad, axis=1)
-        ok_norm = rad_norm > 1e-9
-        surf_normal = np.zeros_like(rad)
-        surf_normal[ok_norm] = rad[ok_norm] / rad_norm[ok_norm, None]
-        view_dir = -hits_cam / np.linalg.norm(hits_cam, axis=1, keepdims=True)
-        facing = np.einsum("ij,ij->i", surf_normal, view_dir) >= _FACING_COS
-        if not facing.any():
-            return None
-        pixels = np.zeros_like(band)
-        pixels[vs[facing], us[facing]] = True
-        return win, pixels, surface_pt
+        if len(vs):
+            bands.append((idx, win, band.shape, vs, us, surface_pt))
+    if not bands:
+        return {}
 
-    # patch: disk around the projected center on nearby body surface
+    # the facing test on every band's surface points, in image coordinates;
+    # `segment` holds each point's band
+    box_v = np.concatenate([vs + win[0].start for _, win, _, vs, _, _ in bands])
+    box_u = np.concatenate([us + win[1].start for _, win, _, _, us, _ in bands])
+    hits_cam = (_rays(intr)[0][box_v + origin[0], box_u + origin[1]]
+                * zbuf[box_v, box_u][:, None])
+    picked = [samples[band[0]] for band in bands]
+    axes_cam = _rotate_rows(extr.rotation.T, np.array([s.ring_axis for s in picked]))
+    centers_cam = _rotate_rows(extr.rotation.T, np.array([s.axis_point for s in picked])
+                               - extr.translation)
+    counts = [len(band[3]) for band in bands]
+    ends = np.cumsum(counts)[:-1]
+    segment = np.repeat(np.arange(len(bands)), counts)
+    rel = hits_cam - centers_cam[segment]
+    along = np.concatenate([part @ axis for part, axis
+                            in zip(np.split(rel, ends), axes_cam)])
+    rad = rel - along[:, None] * axes_cam[segment]
+    rad_norm = np.linalg.norm(rad, axis=1)
+    ok_norm = rad_norm > 1e-9
+    surf_normal = np.zeros_like(rad)
+    surf_normal[ok_norm] = rad[ok_norm] / rad_norm[ok_norm, None]
+    view_dir = -hits_cam / np.linalg.norm(hits_cam, axis=1, keepdims=True)
+    facing = np.einsum("ij,ij->i", surf_normal, view_dir) >= _FACING_COS
+
+    out = {}
+    for (idx, win, shape, vs, us, surface_pt), face in zip(
+            bands, np.split(facing, ends)):
+        if face.any():
+            pixels = np.zeros(shape, dtype=bool)
+            pixels[vs[face], us[face]] = True
+            out[idx] = win, pixels, surface_pt
+    return out
+
+
+def _patch_footprint(sample: ReflectorSample, body: SyntheticBody,
+                     intr: CameraIntrinsics, extr: CameraExtrinsics,
+                     zbuf: np.ndarray, origin: tuple[int, int]
+                     ) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray] | None:
+    """Visible footprint of one patch and its annotated surface point.
+
+    The footprint is a disk around the projected center on nearby body
+    surface.  Returns the disk's window, clipped to the body box and given
+    within it, its pixels within that window (every pixel outside the
+    window is off) and the patch point.
+    """
     normal = sample.surface_normal
-    to_cam_dir = cam_pos - sample.axis_point
+    to_cam_dir = extr.translation - sample.axis_point
     dist = np.linalg.norm(to_cam_dir)
     if normal @ (to_cam_dir / dist) < 0.25:
         return None  # facing away
@@ -601,17 +645,19 @@ def _reflector_footprint(sample: ReflectorSample, body: SyntheticBody,
     u0, v0, _ = project(pt_cam, intr)
     if not (0 <= u0 < intr.width and 0 <= v0 < intr.height):
         return None
-    if not _point_visible(sample.axis_point, intr, extr, zbuf, tol=0.05):
+    if not _point_visible(sample.axis_point, intr, extr, zbuf, tol=0.05,
+                          origin=origin):
         return None
-    site = body.patch_sites[idx]
-    r_px = site.radius * intr.fx / pt_cam[2]
-    u_lo = max(int(u0 - r_px) - 1, 0)
-    u_hi = min(int(u0 + r_px) + 2, intr.width)
-    v_lo = max(int(v0 - r_px) - 1, 0)
-    v_hi = min(int(v0 + r_px) + 2, intr.height)
+    r_px = body.patch_sites[sample.reflector.index].radius * intr.fx / pt_cam[2]
+    # zbuf is inf past the body box, so no disk pixel there is on
+    bv, bu = origin
+    u_lo = max(int(u0 - r_px) - 1, bu)
+    u_hi = min(int(u0 + r_px) + 2, bu + zbuf.shape[1])
+    v_lo = max(int(v0 - r_px) - 1, bv)
+    v_hi = min(int(v0 + r_px) + 2, bv + zbuf.shape[0])
     disk = ((np.arange(u_lo, u_hi) - u0) ** 2
             + ((np.arange(v_lo, v_hi) - v0) ** 2)[:, None] <= r_px ** 2)
-    win = (slice(v_lo, v_hi), slice(u_lo, u_hi))
+    win = (slice(v_lo - bv, v_hi - bv), slice(u_lo - bu, u_hi - bu))
     pixels = disk & (np.abs(zbuf[win] - pt_cam[2]) < 0.08)
     if not pixels.any():
         return None
@@ -643,14 +689,18 @@ def _largest_components(windows: list[np.ndarray]) -> list[int]:
 
 def _point_visible(point: np.ndarray, intr: CameraIntrinsics,
                    extr: CameraExtrinsics, zbuf: np.ndarray,
-                   tol: float = 0.03) -> bool:
-    """True when nothing in the z-buffer occludes the point."""
+                   tol: float = 0.03, origin: tuple[int, int] = (0, 0)) -> bool:
+    """True when nothing in the z-buffer occludes the point.
+
+    `zbuf` covers the image rows and columns from `origin` (row, column)
+    on; no surface lies outside it.
+    """
     cam = to_camera(point, extr)
     if cam[2] <= 0.05:
         return False
     u, v, _ = project(cam, intr)
-    ui, vi = int(round(u)), int(round(v))
-    if not (0 <= ui < intr.width and 0 <= vi < intr.height):
+    vi, ui = int(round(v)) - origin[0], int(round(u)) - origin[1]
+    if not (0 <= vi < zbuf.shape[0] and 0 <= ui < zbuf.shape[1]):
         return False
     z = zbuf[vi, ui]
     if not np.isfinite(z):

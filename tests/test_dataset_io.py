@@ -476,6 +476,19 @@ class TestJsonlFuzz:
         not_int = (f"{value}.5", f"{value}.0", f'"{value}"', "true")[cut % 4]
         damaged["non_integer_id"] = (lines[:k - 1] + [
             line[:an_id.start(2)] + not_int + line[an_id.end(2):]] + lines[k:])
+        # a motion line's gap must be a JSON boolean and no joint may come
+        # twice; picked from the same draws
+        gap = re.search(r'"gap":(true|false)', line)
+        if gap:
+            not_bool = ("0", "1", "null", '"no"')[at % 4]
+            damaged["non_boolean_gap"] = (lines[:k - 1] + [
+                line[:gap.start(1)] + not_bool + line[gap.end(1):]] + lines[k:])
+            # joint objects hold no braces of their own
+            joints = list(re.finditer(r'\{"id":[^}]*\}', line))
+            joint = joints[cut % len(joints)]
+            damaged["repeated_joint"] = (lines[:k - 1] + [
+                line[:joint.end()] + "," + joint.group() + line[joint.end():]]
+                + lines[k:])
         return [(kind, "\n".join(text) + "\n")
                 for kind, text in damaged.items()]
 
@@ -668,6 +681,8 @@ class TestJsonlCodecs:
              good.replace('"quat_wxyz":[1.0,0.0,0.0,0.0]', '"quat_wxyz":[1.0]', 1),
              good.replace('"joints":', '"bones":'),
              good.replace('"id":"left_elbow"', '"id":"left_elbow_2"'),
+             # a second left_elbow must not silently replace the first
+             re.sub(r'(\{"id":"left_elbow"[^}]*\})', r'\1,\1', good),
              json.dumps({**json.loads(good),
                          "joints": json.loads(good)["joints"][1:]}),
              good.replace('"xyz_m":[', '"xyz_m":["x",', 1),

@@ -2,9 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mocap_geom
 from mocap_geom import dataset as ds
 from mocap_geom import skeleton
 from mocap_geom.cli import main
@@ -329,6 +335,17 @@ class TestCli:
                      str(dataset), "--out", str(out)]) == 0
         assert (out / "motion.csv").exists()
         assert (out / "eval.json").exists()
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        """Only the merged-region split needs scipy.optimize, so starting
+        the CLI does not pay for importing it."""
+        src = str(Path(mocap_geom.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, mocap_geom.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert loaded.stdout.strip() == "[]", loaded.stdout
 
     def test_missing_dataset_is_validation_error(self, tmp_path):
         assert main(["infer", "--dataset", str(tmp_path / "nope"),

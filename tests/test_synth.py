@@ -179,6 +179,23 @@ class TestRender:
                 assert containing
                 assert max(r.size for r in containing) >= 5
 
+    def test_view_seeing_no_capsule_renders_nothing(self):
+        """A camera turned away from the body has an empty body box: zero
+        depth, an empty mask and no annotations, with or without noise."""
+        intr, extr = self.rig[0]
+        away = CameraExtrinsics(extr.rotation * [-1.0, 1.0, -1.0],  # turn about "down"
+                                extr.translation)
+        rig = MultiViewRig((self.rig[0], (intr, away)))
+        for noise in (0.0, 3.0):
+            seen, blind = render(rig, self.body, self.pose, noise_sigma_mm=noise,
+                                 seed=3)
+            assert seen.annotations and seen.depth.pixels.any()
+            assert blind.depth.pixels.shape == (intr.height, intr.width)
+            assert not blind.depth.pixels.any()
+            assert blind.mask.bits.shape == (intr.height, intr.width)
+            assert not blind.mask.bits.any()
+            assert blind.annotations == []
+
     def test_determinism_with_seed(self):
         a = render(self.rig, self.body, self.pose, noise_sigma_mm=3.0, seed=7)
         b = render(self.rig, self.body, self.pose, noise_sigma_mm=3.0, seed=7)
