@@ -11,7 +11,7 @@ from .filtering import FilterParams, apply_filters
 from .spatial import (OpticalFrame, OpticalPoint, Region, ViewObservation,
                       find_regions_labeled, fuse_patch, fuse_reflector,
                       fuse_strap, fuse_strap_single_view, observe_batch,
-                      observe_view, split_merged_region)
+                      observe_frame, split_merged_region)
 from .kalman import KalmanParams, ReflectorTracker, kalman_step
 from .skeleton import (CalibrationConfig, Pose, SkeletonTemplate,
                        calibrate_bone, calibrate_template, coarse_scale,

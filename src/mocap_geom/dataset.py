@@ -184,16 +184,24 @@ def _write_jsonl(path: str | Path, docs) -> None:
     Path(path).write_text("\n".join(lines) + "\n" if lines else "")
 
 
-def _read_jsonl(path: str | Path, parse) -> list:
+def _read_jsonl(path: str | Path, parse, key) -> list:
     """``parse`` of each non-blank line's JSON document, in file order.
 
     Bad JSON, a missing key or a value of the wrong type, size or range
     (such as a number that is not finite) raises FormatError naming the
-    file and line.
+    file and line, and so does a record whose ``key`` (such as "frame 3")
+    an earlier line already holds.
     """
-    return [parse_json(line, parse, f"{path}: line {n}")
-            for n, line in enumerate(Path(path).read_text().splitlines(), start=1)
-            if line.strip()]
+    records, seen = [], set()
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line.strip():
+            record = parse_json(line, parse, f"{path}: line {n}")
+            k = key(record)
+            if k in seen:
+                raise FormatError(f"{path}: line {n}: repeated {k}")
+            seen.add(k)
+            records.append(record)
+    return records
 
 
 def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> None:
@@ -216,7 +224,7 @@ def read_annotations(path: str | Path) -> dict[int, list[Annotation2D]]:
                 tuple(finite_vector(a["x_curr"], 2, "x_curr")),
                 None if prev is None else tuple(finite_vector(prev, 2, "x_prev"))))
         return frame, anns
-    return dict(_read_jsonl(path, parse))
+    return dict(_read_jsonl(path, parse, lambda r: f"frame {r[0]}"))
 
 
 def write_estimates(path: str | Path,
@@ -233,6 +241,8 @@ def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstim
     def parse(doc):
         frame = json_int(doc["frame"], "frame")
         view = json_int(doc["view"], "view")
+        if frame < 0 or view < 0:
+            raise ValueError(f"frame {frame}, view {view}: must be >= 0")
         ests = [ReflectorEstimate2D(
                     ReflectorId(json_int(e["reflector"], "reflector")),
                     tuple(finite_vector(e["position"], 2, "position")),
@@ -240,7 +250,7 @@ def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstim
                                               3, "e_s, e_l, e_total")))
                 for e in doc["estimates"]]
         return frame, view, ests
-    return _read_jsonl(path, parse)
+    return _read_jsonl(path, parse, lambda r: f"frame {r[0]}, view {r[1]}")
 
 
 def write_optical(path: str | Path, frames: list[OpticalFrame]) -> None:
@@ -271,7 +281,7 @@ def read_optical(path: str | Path) -> list[OpticalFrame]:
                                    float(confidence), frame.frame,
                                    degraded=p.get("degraded") is True))
         return frame
-    return _read_jsonl(path, parse)
+    return _read_jsonl(path, parse, lambda r: f"frame {r.frame}")
 
 
 def write_motion(path: str | Path, poses: list[Pose]) -> None:
@@ -307,7 +317,7 @@ def read_motion(path: str | Path) -> list[Pose]:
             raise ValueError(f"gap {gap!r} is not true or false")
         return Pose(json_int(doc["frame"], "frame"), positions, {}, gap=gap,
                     quaternions=quats)
-    return _read_jsonl(path, parse)
+    return _read_jsonl(path, parse, lambda r: f"frame {r.frame}")
 
 
 def write_motion_csv(path: str | Path, poses: list[Pose]) -> None:

@@ -24,7 +24,7 @@ from .metrics import (EVAL_JOINT_NAMES, Detection2D, EvalReport,
 from .skeleton import (BoneCalibration, Pose, SkeletonTemplate,
                        calibrate_template, track)
 from .spatial import (OpticalFrame, ViewObservation, fuse_reflector,
-                      observe_view)
+                      observe_frame)
 from .synth import MotionScript, SyntheticBody, animate, default_rig, render
 
 # ---------------------------------------------------------------------------
@@ -166,13 +166,12 @@ def fuse_estimates(reader: ds.DatasetReader,
     tracker = ReflectorTracker(dt=1.0 / config.fps, params=config.kalman)
     frames = []
     for f in range(reader.num_frames):
+        views = [(ests, reader.mask(view, f), reader.depth(view, f),
+                  *reader.rig[view])
+                 for view, ests in sorted(by_frame.get(f, {}).items()) if ests]
         observations: dict[int, list[ViewObservation]] = {}
-        for view, ests in sorted(by_frame.get(f, {}).items()):
-            if not ests:
-                continue
-            intr, extr = reader.rig[view]
-            for obs in observe_view(ests, reader.mask(view, f),
-                                    reader.depth(view, f), intr, extr):
+        for view_obs in observe_frame(views):
+            for obs in view_obs:
                 observations.setdefault(obs.reflector.index, []).append(obs)
         frame = OpticalFrame(frame=f)
         for idx, obs in sorted(observations.items()):
@@ -185,6 +184,12 @@ def cmd_fuse(dataset_dir: str | Path, estimates_path: str | Path,
              out_path: str | Path, config: PipelineConfig) -> Path:
     reader = ds.DatasetReader(dataset_dir)
     estimates = ds.read_estimates(estimates_path)
+    for frame, view, _ in estimates:
+        if frame >= reader.num_frames or view >= reader.num_views:
+            raise ValidationError(
+                f"{estimates_path}: frame {frame}, view {view} lies outside "
+                f"the dataset's {reader.num_frames} frames and "
+                f"{reader.num_views} views")
     frames = fuse_estimates(reader, estimates, config)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)

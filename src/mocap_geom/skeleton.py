@@ -297,15 +297,6 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
     return q if q[0] >= 0 else -q
 
 
-def matrix_from_quat(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
-
-
 # ---------------------------------------------------------------------------
 # Pose and target reduction
 # ---------------------------------------------------------------------------

@@ -242,12 +242,13 @@ def _plane_normals(points: np.ndarray, lengths: np.ndarray) -> list[np.ndarray |
 
 
 def _backproject_all(u: np.ndarray, v: np.ndarray, z: np.ndarray,
-                     intrinsics: CameraIntrinsics) -> np.ndarray:
+                     pinholes: np.ndarray) -> np.ndarray:
     """Pixels (u, v) at depths z (meters) in camera space, one row each,
-    rounded as ``core.backproject`` rounds them."""
+    rounded as ``core.backproject`` rounds them; row i of ``pinholes``
+    holds the (fx, fy, cx, cy) of pixel i's camera."""
     points = np.empty((len(z), 3))
-    points[:, 0] = (u - intrinsics.cx) * z / intrinsics.fx
-    points[:, 1] = (v - intrinsics.cy) * z / intrinsics.fy
+    points[:, 0] = (u - pinholes[:, 2]) * z / pinholes[:, 0]
+    points[:, 1] = (v - pinholes[:, 3]) * z / pinholes[:, 1]
     points[:, 2] = z
     return points
 
@@ -261,38 +262,63 @@ def _stacked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _rotate_rows(rotation: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``rotation @ vectors[i]`` for every row, rounded as that product is."""
-    return (rotation @ vectors[:, :, None])[:, :, 0]
+def _rotate_rows(rotations: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``rotations[i] @ vectors[i]`` for every row, rounded as that product
+    is; one 3x3 ``rotations`` rotates every row."""
+    return (rotations @ vectors[:, :, None])[:, :, 0]
 
 
-def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
-                                    tuple[float, float] | None]],
-                  depth: DepthFrame, intrinsics: CameraIntrinsics,
-                  extrinsics: CameraExtrinsics) -> list[ViewObservation | None]:
-    """Backproject validated estimates of one view into the global frame.
+# One item of a view: (estimate, region, contour, center_override).
+ObserveItem = tuple[ReflectorEstimate2D, Region, np.ndarray,
+                    tuple[float, float] | None]
 
-    Each item is (estimate, region, contour, center_override).  The region's
-    central 2D point (pixel centroid, rounded) is backprojected at the median
-    of the nonzero contour depths; an even count takes the lower middle
-    value, so the depth is always a measured integer.  For straps, the
-    contour's 3D points give a least-squares plane whose unit normal,
+
+def observe_batch(views: list[tuple[list[ObserveItem], DepthFrame,
+                                    CameraIntrinsics, CameraExtrinsics]]
+                  ) -> list[list[ViewObservation | None]]:
+    """Backproject the validated estimates of one multi-view frame into the
+    global frame.
+
+    ``views`` holds (items, depth, intrinsics, extrinsics) for each view;
+    every item is observed with its own view's depth frame and camera.  The
+    region's central 2D point (pixel centroid, rounded) is backprojected at
+    the median of the nonzero contour depths; an even count takes the lower
+    middle value, so the depth is always a measured integer.  For straps,
+    the contour's 3D points give a least-squares plane whose unit normal,
     oriented toward the camera, rides along for the cross-view fusion.
     `contour` may be a sub-cluster of the region contour when a merged
     region was split; `center_override` replaces the region centroid in
-    that case.  None marks an item whose contour depths are all zero.
+    that case.  The result holds one list per view, one entry per item in
+    the items' order; None marks an item whose contour depths are all zero.
 
-    Contours are gathered in one pass, medians come from one sort, and the
-    strap plane fits share one stacked ``eigh``; every number is rounded as
-    the one-item computation rounds it.
+    The whole frame is one batch: contours are gathered once per view,
+    medians come from one sort, and the strap plane fits share one stacked
+    ``eigh``; every number is rounded as the one-item computation rounds
+    it.
     """
+    counts = [len(view[0]) for view in views]
+    items = [item for view in views for item in view[0]]
     n = len(items)
     if n == 0:
-        return []
+        return [[] for _ in views]
+    item_view = np.repeat(np.arange(len(views)), counts)
+    pinholes = np.array([(intr.fx, intr.fy, intr.cx, intr.cy)
+                         for _, _, intr, _ in views], dtype=np.float64)[item_view]
+    limits = np.array([(intr.width - 1, intr.height - 1)
+                       for _, _, intr, _ in views])[item_view]
+    rotations = np.array([extr.rotation for *_, extr in views])[item_view]
+    translations = np.array([extr.translation for *_, extr in views])[item_view]
     lengths = np.array([len(item[2]) for item in items])
     owner = np.repeat(np.arange(n), lengths)
-    contours = np.concatenate([item[2] for item in items]).reshape(-1, 2)
-    raw = depth.pixels[contours[:, 1], contours[:, 0]]
+    contours, raws = [], []
+    for view_items, depth, _, _ in views:
+        if view_items:
+            view_contours = np.concatenate(
+                [item[2] for item in view_items]).reshape(-1, 2)
+            contours.append(view_contours)
+            raws.append(depth.pixels[view_contours[:, 1], view_contours[:, 0]])
+    contours = np.concatenate(contours)
+    raw = np.concatenate(raws)
     cvals = raw.astype(np.float64)
     d_mm = _nonzero_medians(raw, lengths)
     has_depth = d_mm > 0
@@ -310,11 +336,10 @@ def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
         if item[3] is not None:
             centers[i] = item[3]
     pixel = np.rint(centers).astype(np.int64)
-    u = np.minimum(np.maximum(pixel[:, 0], 0), intrinsics.width - 1)
-    v = np.minimum(np.maximum(pixel[:, 1], 0), intrinsics.height - 1)
-    points_cam = _backproject_all(u, v, d_mm / 1000.0, intrinsics)
-    points_global = (_rotate_rows(extrinsics.rotation, points_cam)
-                     + extrinsics.translation)
+    u = np.minimum(np.maximum(pixel[:, 0], 0), limits[:, 0])
+    v = np.minimum(np.maximum(pixel[:, 1], 0), limits[:, 1])
+    points_cam = _backproject_all(u, v, d_mm / 1000.0, pinholes)
+    points_global = _rotate_rows(rotations, points_cam) + translations
 
     # Strap normals: contour samples hugging the silhouette read the surface
     # at grazing incidence; trim depths far from the region median first.
@@ -326,7 +351,7 @@ def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
         is_strap[straps] = True
         ok = (cvals > 0) & (np.abs(cvals - d_mm[owner]) <= 40.0) & is_strap[owner]
         pts3d = _backproject_all(contours[ok, 0], contours[ok, 1],
-                                 cvals[ok] / 1000.0, intrinsics)
+                                 cvals[ok] / 1000.0, pinholes[owner[ok]])
         fitted = [(i, nrm) for i, nrm in enumerate(
                       _plane_normals(pts3d, np.bincount(owner[ok], minlength=n)))
                   if nrm is not None]
@@ -340,34 +365,29 @@ def observe_batch(items: list[tuple[ReflectorEstimate2D, Region, np.ndarray,
             # far off the reverse viewing ray is fit noise.
             view_dirs = -cams / np.sqrt(_stacked_dot(cams, cams))[:, None]
             facing = _stacked_dot(normals, view_dirs) >= 0.55
-            rotated = _rotate_rows(extrinsics.rotation, normals)
+            rotated = _rotate_rows(rotations[idx], normals)
             for k, i in enumerate(idx):
                 if facing[k]:
                     normals_global[i] = rotated[k]
 
-    out: list[ViewObservation | None] = []
-    for i, item in enumerate(items):
-        if not has_depth[i]:
-            out.append(None)
-            continue
-        out.append(ViewObservation(reflector=item[0].reflector,
-                                   point_global=points_global[i],
-                                   e_total=item[0].e_total,
-                                   normal_global=normals_global[i]))
-    return out
+    out = [ViewObservation(reflector=item[0].reflector,
+                           point_global=points_global[i],
+                           e_total=item[0].e_total,
+                           normal_global=normals_global[i])
+           if has_depth[i] else None for i, item in enumerate(items)]
+    ends = np.cumsum(counts).tolist()
+    return [out[end - count:end] for count, end in zip(counts, ends)]
 
 
-def observe_view(ests: list[ReflectorEstimate2D], mask: IrMask,
-                 depth: DepthFrame, intrinsics: CameraIntrinsics,
-                 extrinsics: CameraExtrinsics) -> list[ViewObservation]:
-    """Observations of one frame-view's validated estimates.
+def _view_items(ests: list[ReflectorEstimate2D], mask: IrMask,
+                depth: DepthFrame) -> list[ObserveItem]:
+    """The observe_batch items of one frame-view's validated estimates.
 
     Each estimate belongs to the mask region under its rounded position;
     estimates on the background or off the frame are skipped.  A region
     holding several estimates is split among them; when the split fails,
     only the top-ranked one (highest e_total, then lowest reflector index)
-    is observed, on the whole region.  Estimates whose contour depths are
-    all zero give no observation.
+    is kept, on the whole region.
     """
     regions, labels = find_regions_labeled(mask)
     by_region: dict[int, list[ReflectorEstimate2D]] = {}
@@ -391,8 +411,25 @@ def observe_view(ests: list[ReflectorEstimate2D], mask: IrMask,
                          for e, cluster in zip(assigned, clusters))
         except SplitFailure:
             items.append((assigned[0], region, region.contour, None))
-    return [obs for obs in observe_batch(items, depth, intrinsics, extrinsics)
-            if obs is not None]
+    return items
+
+
+def observe_frame(views: list[tuple[list[ReflectorEstimate2D], IrMask,
+                                    DepthFrame, CameraIntrinsics,
+                                    CameraExtrinsics]]
+                  ) -> list[list[ViewObservation]]:
+    """Observations of one multi-view frame's validated estimates, one list
+    per view of (estimates, mask, depth, intrinsics, extrinsics).
+
+    Each view is labeled and its merged regions split on its own (see
+    ``_view_items``); then every view's items are observed in one
+    ``observe_batch``.  Estimates whose contour depths are all zero give no
+    observation.
+    """
+    batch = [(_view_items(ests, mask, depth), depth, intr, extr)
+             for ests, mask, depth, intr, extr in views]
+    return [[obs for obs in view if obs is not None]
+            for view in observe_batch(batch)]
 
 
 def _weighted_centroid(points: np.ndarray, conf: np.ndarray,

@@ -226,8 +226,8 @@ def _cylinder_scene(num_views):
             *(r.pixels.mean(axis=0) - ann[0].x_curr)))
         intr, extr = rig[v]
         est = ReflectorEstimate2D(ReflectorId(20), ann[0].x_curr, 1.0, 0.0, 1.0)
-        obs = observe_batch([(est, region, region.contour, None)], rv.depth,
-                            intr, extr)[0]
+        obs = observe_batch([([(est, region, region.contour, None)],
+                              rv.depth, intr, extr)])[0][0]
         assert obs is not None, f"view {v}: no depth on the strap contour"
         observations.append(obs)
     return observations, samples[20].axis_point

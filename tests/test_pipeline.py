@@ -12,7 +12,7 @@ import pytest
 
 import mocap_geom
 from mocap_geom import dataset as ds
-from mocap_geom import skeleton
+from mocap_geom import skeleton, spatial
 from mocap_geom.cli import main
 from mocap_geom.config import PipelineConfig, load_config, write_default_config
 from mocap_geom.errors import ValidationError
@@ -196,6 +196,29 @@ class TestComposition:
         assert len(calls) == len(poses) * len(JOINTS)
         assert ((tmp_path / "motion.jsonl").read_bytes()
                 == (run / "motion.jsonl").read_bytes())
+
+    def test_fuse_observes_each_frame_in_one_batch(self, small_run,
+                                                   monkeypatch):
+        root, cfg, run = small_run
+        reader = ds.DatasetReader(root)
+        estimates = ds.read_estimates(run / "estimates.jsonl")
+        batches = []
+        original = spatial.observe_batch
+
+        def counted(views):
+            batches.append(len(views))
+            return original(views)
+        monkeypatch.setattr(spatial, "observe_batch", counted)
+        frames = fuse_estimates(reader, estimates, cfg)
+        # one call per frame, over every view that has estimates
+        with_estimates = [0] * reader.num_frames
+        for f, _, ests in estimates:
+            with_estimates[f] += bool(ests)
+        assert batches == with_estimates
+        assert min(batches) == reader.num_views
+        monkeypatch.undo()
+        again = fuse_estimates(reader, estimates, cfg)
+        assert [sorted(f.points) for f in frames] == [sorted(f.points) for f in again]
 
     def test_eval_outputs(self, small_run, tmp_path):
         root, cfg, run = small_run
@@ -540,6 +563,34 @@ class TestCli:
         for bad in ("3", "0,-1", "x"):  # outside the 3-view take, not a list
             assert main(["eval", "--config", str(config), "--dataset",
                          str(dataset), "--out", str(run_02), "--views", bad]) == 2
+
+    def test_fuse_rejects_estimates_outside_the_dataset(self, tmp_path,
+                                                         capsys):
+        dataset, out = tmp_path / "dataset", tmp_path / "o"
+        config = tmp_path / "tiny.ini"
+        config.write_text("[synth]\nduration = 2\nnoise_sigma_mm = 0\n")
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out)]
+        assert main(["synth", *args]) == 0
+        assert main(["infer", *args]) == 0
+        estimates = out / "estimates.jsonl"
+        lines = estimates.read_text().splitlines()
+        first = json.loads(lines[0])
+        for key, value, code in (("view", -1, 3), ("frame", -1, 3),
+                                 ("view", 7, 2), ("frame", 99, 2)):
+            estimates.write_text("\n".join(
+                [json.dumps({**first, key: value})] + lines[1:]) + "\n")
+            capsys.readouterr()
+            assert main(["fuse", *args]) == code, (key, value)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and str(estimates) in err, err
+            if code == 3:
+                assert f"{estimates}: line 1: " in err, err
+            else:
+                frame = value if key == "frame" else first["frame"]
+                view = value if key == "view" else first["view"]
+                assert f"frame {frame}, view {view}" in err, err
+            assert not (out / "optical.jsonl").exists()
 
     def test_init_config(self, tmp_path):
         target = tmp_path / "cfg.ini"

@@ -9,11 +9,20 @@ from mocap_geom.errors import (CalibrationDeferred, CalibrationInputError,
 from mocap_geom.skeleton import (JOINTS, JOINT_BY_NAME,
                                  CalibrationConfig, SkeletonTemplate,
                                  calibrate_bone, coarse_scale, fit_pose_targets,
-                                 joint_target, kabsch,
-                                 matrix_from_quat, minimal_rotation,
+                                 joint_target, kabsch, minimal_rotation,
                                  quat_from_matrix, rotation_about,
                                  track)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
+
+
+def matrix_from_quat(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix of the quaternion (w, x, y, z), normalized first."""
+    w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def pose_template(template, local_rotations, root_pos=np.zeros(3)):

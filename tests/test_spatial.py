@@ -15,7 +15,7 @@ from mocap_geom.spatial import (OpticalFrame, OpticalPoint, Region,
                                 find_regions_labeled, fuse_patch,
                                 fuse_reflector, fuse_strap,
                                 fuse_strap_single_view, observe_batch,
-                                observe_view, split_merged_region)
+                                observe_frame, split_merged_region)
 
 INTR = CameraIntrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, width=320, height=240)
 
@@ -27,7 +27,13 @@ def _est(idx, x, y, conf=0.9):
 
 def _observe_one(est, region, contour, depth, intr, extr, center=None):
     """observe_batch on one item: its observation, or None without depth."""
-    return observe_batch([(est, region, contour, center)], depth, intr, extr)[0]
+    return observe_batch([([(est, region, contour, center)], depth, intr,
+                           extr)])[0][0]
+
+
+def _observe_view(ests, mask, depth, intr, extr):
+    """observe_frame on one view: that view's observations."""
+    return observe_frame([(ests, mask, depth, intr, extr)])[0]
 
 
 def _obs(idx, point, conf=1.0, normal=None):
@@ -317,7 +323,7 @@ class TestObserveBatch:
                 else:
                     items.append((est, region, region.contour, None))
             frame = DepthFrame(depth)
-            got = observe_batch(items, frame, INTR, extr)
+            got, = observe_batch([(items, frame, INTR, extr)])
             assert len(got) == len(items)
             for (est, region, contour, center), obs in zip(items, got):
                 ref = _observe_reference(est, region, contour, depth, INTR,
@@ -343,9 +349,84 @@ class TestObserveBatch:
                                               obs.point_global)
         assert normals_seen >= 20 and no_depth_seen >= 10
 
+    @staticmethod
+    def _random_view(rng, n_blobs):
+        """Items, depth and a camera of one random view: fx != fy, an
+        off-centre principal point, any rotation; some contours without
+        depth and some split sub-contours with a centre override."""
+        w, h = int(rng.integers(120, 321)), int(rng.integers(90, 241))
+        intr = CameraIntrinsics(fx=float(rng.uniform(200, 500)),
+                                fy=float(rng.uniform(200, 500)),
+                                cx=float(rng.uniform(0.3, 0.7) * w),
+                                cy=float(rng.uniform(0.3, 0.7) * h),
+                                width=w, height=h)
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        extr = CameraExtrinsics(q, rng.normal(0, 2, 3))
+        bits = np.zeros((h, w), dtype=bool)
+        for _ in range(n_blobs):
+            x, y = int(rng.integers(0, w - 4)), int(rng.integers(0, h - 4))
+            bits[y:y + int(rng.integers(1, 9)), x:x + int(rng.integers(1, 9))] = True
+        ys, xs = np.mgrid[0:h, 0:w]
+        depth = (900 + 2.0 * xs + rng.uniform(-1, 1) * ys
+                 + rng.normal(0, 3, (h, w))).astype(np.uint16)
+        depth[rng.random((h, w)) < 0.2] = 0
+        items = []
+        for region in find_regions_labeled(IrMask(bits))[0]:
+            if rng.random() < 0.15:
+                depth[region.contour[:, 1], region.contour[:, 0]] = 0
+            est = _est(int(rng.choice([11, 12, 16, 19, 20, 1, 2, 9])),
+                       *region.pixels.mean(axis=0))
+            if rng.random() < 0.3 and len(region.contour) >= 2:
+                part = region.contour[int(rng.integers(2))::2]
+                items.append((est, region, part, tuple(part.mean(axis=0))))
+            else:
+                items.append((est, region, region.contour, None))
+        return items, DepthFrame(depth), intr, extr
+
+    def test_frame_batch_equals_each_views_own_batch(self):
+        """Every view of a frame batch reads its own depth and camera: each
+        observation equals the one-view batch's bit for bit."""
+        rng = np.random.default_rng(31)
+        seen = dict.fromkeys(("normal", "no_depth", "override", "empty_view",
+                              "views_4"), 0)
+        for _ in range(60):
+            n_views = int(rng.integers(1, 5))
+            views = [self._random_view(rng, int(rng.integers(0, 10)))
+                     for _ in range(n_views)]
+            got = observe_batch(views)
+            assert len(got) == n_views
+            seen["views_4"] += n_views == 4
+            for view, frame_obs in zip(views, got):
+                single, = observe_batch([view])
+                assert len(frame_obs) == len(single) == len(view[0])
+                seen["empty_view"] += not view[0]
+                seen["override"] += sum(item[3] is not None for item in view[0])
+                for item, a, b in zip(view[0], frame_obs, single):
+                    assert (a is None) == (b is None)
+                    if a is None:
+                        seen["no_depth"] += 1
+                        continue
+                    assert a.reflector == b.reflector and a.e_total == b.e_total
+                    assert a.point_global.tobytes() == b.point_global.tobytes()
+                    # and R @ p + t of the view's own camera rounds alike
+                    est, region, contour, center = item
+                    ref = _observe_reference(est, region, contour,
+                                             view[1].pixels, *view[2:], center)
+                    assert a.point_global.tobytes() == ref[0].tobytes()
+                    assert (a.normal_global is None) == (b.normal_global is None)
+                    if a.normal_global is not None:
+                        seen["normal"] += 1
+                        assert (a.normal_global.tobytes()
+                                == b.normal_global.tobytes())
+        assert min(seen.values()) >= 5, seen
+
     def test_empty_batch(self):
         depth = DepthFrame(np.zeros((4, 4), dtype=np.uint16))
-        assert observe_batch([], depth, INTR, CameraExtrinsics.identity()) == []
+        assert observe_batch([]) == []
+        assert observe_batch([([], depth, INTR, CameraExtrinsics.identity())]) == [[]]
 
 
 class TestObserveView:
@@ -362,7 +443,7 @@ class TestObserveView:
         on_a, on_b = _est(1, 62.4, 52.6), _est(2, 205, 101)
         ests = [_est(3, 150, 150), on_b, _est(4, -3, 52), on_a,
                 _est(5, 62, 240), _est(6, 319.6, 101)]
-        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
+        got = _observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
         # in region order, each as the one-item batch observes it
         assert [o.reflector.index for o in got] == [1, 2]
         for obs, est, region in zip(got, (on_a, on_b), regions):
@@ -383,7 +464,7 @@ class TestObserveView:
         # reflectors 3 and 2 tie on e_total; the lower index ranks first
         ests = [_est(3, 101, 101, 0.9), _est(1, 102, 102, 0.7),
                 _est(2, 103, 103, 0.9)]
-        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
+        got = _observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
         assert [o.reflector.index for o in got] == [2]
         ref = _observe_one(ests[2], region, region.contour, depth, INTR,
                            self.EXTR)
@@ -395,7 +476,7 @@ class TestObserveView:
         bits = np.zeros(depth.pixels.shape, dtype=bool)
         bits[region.pixels[:, 1], region.pixels[:, 0]] = True
         ests = [_est(2, 43, 30, 0.8), _est(1, 30, 30, 0.9)]
-        got = observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
+        got = _observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
         ranked = [ests[1], ests[0]]
         clusters = split_merged_region(region, ranked, depth)
         assert [o.reflector.index for o in got] == [1, 2]
@@ -407,10 +488,10 @@ class TestObserveView:
     def test_no_estimates_or_empty_mask_give_nothing(self):
         depth = DepthFrame(np.full((240, 320), 1000, dtype=np.uint16))
         empty = IrMask(np.zeros((240, 320), dtype=bool))
-        assert observe_view([_est(1, 10, 10)], empty, depth, INTR,
-                            self.EXTR) == []
-        assert observe_view([], IrMask(np.ones((240, 320), dtype=bool)),
-                            depth, INTR, self.EXTR) == []
+        assert _observe_view([_est(1, 10, 10)], empty, depth, INTR,
+                             self.EXTR) == []
+        assert _observe_view([], IrMask(np.ones((240, 320), dtype=bool)),
+                             depth, INTR, self.EXTR) == []
 
 
 class TestFuseReflector:

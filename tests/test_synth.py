@@ -536,8 +536,8 @@ class TestStrapGeometryThroughPipeline:
                 *(r.pixels.mean(axis=0) - (ui, vi))))
             intr, extr = rig[v]
             est = _est(idx, ann[0].x_curr[0], ann[0].x_curr[1], conf=1.0)
-            obs.append(observe_batch([(est, region, region.contour, None)], rv.depth,
-                                     intr, extr)[0])
+            obs.append(observe_batch([([(est, region, region.contour, None)],
+                                       rv.depth, intr, extr)])[0][0])
         return obs
 
     def test_two_view_fusion_recovers_axis_point_within_5mm(self):
