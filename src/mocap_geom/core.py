@@ -81,10 +81,6 @@ class ReflectorId:
         return _REFLECTOR_TABLE[self.index]
 
 
-def all_reflectors() -> list[ReflectorId]:
-    return [ReflectorId(i) for i in range(1, NUM_REFLECTORS + 1)]
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Distortion-free pinhole intrinsics in pixels."""
@@ -122,10 +118,6 @@ class CameraExtrinsics:
             raise ValidationError("rotation determinant must be +1 within 1e-9")
         if not np.isfinite(tr).all():
             raise ValidationError("translation must be finite")
-
-    @classmethod
-    def identity(cls) -> "CameraExtrinsics":
-        return cls(np.eye(3), np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -187,25 +179,6 @@ class IrMask:
         return self.bits.shape[1]
 
 
-def backproject(pixel: tuple[float, float], depth_mm: float,
-                intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Map a pixel plus depth to camera-space meters.
-
-    Returns ((u - cx) * z / fx, (v - cy) * z / fy, z) with z = depth/1000.
-    """
-    if depth_mm <= 0:
-        raise InvalidDepthError(f"depth must be positive, got {depth_mm}")
-    u, v = pixel
-    if not (0 <= u < intrinsics.width and 0 <= v < intrinsics.height):
-        raise ValidationError(f"pixel {pixel} outside image bounds")
-    z = depth_mm / 1000.0
-    return np.array([
-        (u - intrinsics.cx) * z / intrinsics.fx,
-        (v - intrinsics.cy) * z / intrinsics.fy,
-        z,
-    ])
-
-
 def project(point_cam: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[float, float, float]:
     """Forward pinhole projection; returns (u, v, depth_mm)."""
     x, y, z = np.asarray(point_cam, dtype=np.float64)
@@ -216,13 +189,8 @@ def project(point_cam: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[float,
     return u, v, z * 1000.0
 
 
-def to_global(point_cam: np.ndarray, extrinsics: CameraExtrinsics) -> np.ndarray:
-    """Apply the camera-to-global rigid transform."""
-    return extrinsics.rotation @ np.asarray(point_cam, dtype=np.float64) + extrinsics.translation
-
-
 def to_camera(point_global: np.ndarray, extrinsics: CameraExtrinsics) -> np.ndarray:
-    """Inverse of :func:`to_global`."""
+    """Global point to camera space: the inverse of ``R @ p + t``."""
     return extrinsics.rotation.T @ (np.asarray(point_global, dtype=np.float64)
                                     - extrinsics.translation)
 

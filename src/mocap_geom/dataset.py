@@ -340,7 +340,8 @@ def write_motion_csv(path: str | Path, poses: list[Pose]) -> None:
 # ---------------------------------------------------------------------------
 
 class DatasetReader:
-    """Lazy access to one capture directory; validates the dense frame index."""
+    """Lazy access to one capture directory; validates the dense frame index
+    and the size of each frame or map file it reads against its view."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -366,13 +367,40 @@ class DatasetReader:
         return len(self.rig)
 
     def depth(self, view: int, frame: int) -> DepthFrame:
-        return read_depth(self.view_dirs[view] / f"depth_{frame:05d}.bin")
+        path = self.view_dirs[view] / f"depth_{frame:05d}.bin"
+        depth = read_depth(path)
+        self._check_size(path, view, depth.width, depth.height)
+        return depth
 
     def mask(self, view: int, frame: int) -> IrMask:
-        return read_mask(self.view_dirs[view] / f"irmask_{frame:05d}.bin")
+        path = self.view_dirs[view] / f"irmask_{frame:05d}.bin"
+        mask = read_mask(path)
+        self._check_size(path, view, mask.width, mask.height)
+        return mask
 
     def maps_path(self, view: int, frame: int) -> Path:
         return self.view_dirs[view] / f"maps_{frame:05d}.dmcm"
+
+    def maps(self, view: int, frame: int
+             ) -> tuple[dict[ReflectorId, ConfidenceMap],
+                        dict[ReflectorId, FlowField]] | None:
+        """The maps and fields of ``maps_{frame}.dmcm``, None without one."""
+        path = self.maps_path(view, frame)
+        if not path.exists():
+            return None
+        maps, fields = read_maps(path)
+        # one w x h covers every plane of the file
+        first = next(iter(maps.values()), None)
+        if first is not None:
+            self._check_size(path, view, first.width, first.height)
+        return maps, fields
+
+    def _check_size(self, path: Path, view: int, w: int, h: int) -> None:
+        """FormatError naming ``path`` unless w x h is the view's image size."""
+        intr = self.rig[view][0]
+        if (w, h) != (intr.width, intr.height):
+            raise FormatError(f"{path}: {w}x{h} frame, view {view} is "
+                              f"{intr.width}x{intr.height}")
 
     def annotations(self, view: int) -> dict[int, list[Annotation2D]]:
         path = self.view_dirs[view] / "annotations.jsonl"

@@ -13,7 +13,7 @@ import numpy as np
 from . import dataset as ds
 from .config import PipelineConfig
 from .core import save_rig, write_json
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .filtering import apply_filters
 from .kalman import ReflectorTracker
 from .maps import (Annotation2D, ReflectorEstimate2D, greedy_inference,
@@ -122,17 +122,8 @@ def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
         annotations = reader.annotations(v)
         prev_retained: dict = {}
         for f in range(reader.num_frames):
-            maps_path = reader.maps_path(v, f)
-            if maps_path.exists():
-                maps, fields = ds.read_maps(maps_path)
-                # one w x h covers every plane of the file
-                first = next(iter(maps.values()), None)
-                if first is not None and (first.width, first.height) != dims:
-                    raise FormatError(f"{maps_path}: maps are {first.width}x"
-                                      f"{first.height}, view {v} is {dims[0]}x{dims[1]}")
-            else:
-                anns = annotations.get(f, [])
-                maps, fields = _maps_from_annotations(anns, dims, config)
+            maps, fields = reader.maps(v, f) or _maps_from_annotations(
+                annotations.get(f, []), dims, config)
             ests = greedy_inference(maps, fields, prev_retained, config.inference)
             ests = apply_filters(ests, reader.mask(v, f), config.filters)
             prev_retained = {e.reflector: e for e in ests}
@@ -155,6 +146,31 @@ def cmd_infer(dataset_dir: str | Path, out_path: str | Path,
 # ---------------------------------------------------------------------------
 # fuse
 # ---------------------------------------------------------------------------
+
+def _read_dataset_estimates(reader: ds.DatasetReader, path: str | Path
+                            ) -> list[tuple[int, int, list[ReflectorEstimate2D]]]:
+    """The estimates of ``path``, each checked to lie in the dataset.
+
+    A frame or view the dataset lacks, or a position whose rounded pixel
+    (rounded as the filter rounds it) lies off its view's image, raises
+    ValidationError naming the file, frame, view and reflector.
+    """
+    estimates = ds.read_estimates(path)
+    for frame, view, ests in estimates:
+        if not (0 <= frame < reader.num_frames and 0 <= view < reader.num_views):
+            raise ValidationError(
+                f"{path}: frame {frame}, view {view} lies outside the "
+                f"dataset's {reader.num_frames} frames and {reader.num_views} views")
+        intr = reader.rig[view][0]
+        for e in ests:
+            u, v = round(e.position[0]), round(e.position[1])
+            if not (0 <= u < intr.width and 0 <= v < intr.height):
+                raise ValidationError(
+                    f"{path}: frame {frame}, view {view}, reflector "
+                    f"{e.reflector.index}: position {e.position} lies off the "
+                    f"{intr.width}x{intr.height} image")
+    return estimates
+
 
 def fuse_estimates(reader: ds.DatasetReader,
                    estimates: list[tuple[int, int, list[ReflectorEstimate2D]]],
@@ -183,13 +199,7 @@ def fuse_estimates(reader: ds.DatasetReader,
 def cmd_fuse(dataset_dir: str | Path, estimates_path: str | Path,
              out_path: str | Path, config: PipelineConfig) -> Path:
     reader = ds.DatasetReader(dataset_dir)
-    estimates = ds.read_estimates(estimates_path)
-    for frame, view, _ in estimates:
-        if frame >= reader.num_frames or view >= reader.num_views:
-            raise ValidationError(
-                f"{estimates_path}: frame {frame}, view {view} lies outside "
-                f"the dataset's {reader.num_frames} frames and "
-                f"{reader.num_views} views")
+    estimates = _read_dataset_estimates(reader, estimates_path)
     frames = fuse_estimates(reader, estimates, config)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -318,7 +328,7 @@ def cmd_eval(dataset_dir: str | Path, config: PipelineConfig,
     reader = ds.DatasetReader(dataset_dir)
     report = None
     if estimates_path is not None:
-        estimates = ds.read_estimates(estimates_path)
+        estimates = _read_dataset_estimates(reader, estimates_path)
         report = eval_2d(reader, estimates, config, view_subset=view_subset)
     if motion_path is not None:
         gt = reader.gt_motion()

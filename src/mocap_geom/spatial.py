@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
                    ReflectorId, ReflectorKind)
@@ -110,6 +109,9 @@ def find_regions_labeled(mask: IrMask) -> tuple[list[Region], np.ndarray]:
     r0, c0 = int(vs[0]), int(us.min())
     window = (slice(r0, int(vs[-1]) + 1), slice(c0, int(us.max()) + 1))
     sub_mask = mask.bits[window]
+    # scipy is imported where it is used, so that the commands that label
+    # no mask (calibrate, track, eval) never load it
+    from scipy import ndimage
     sub_labels, count = ndimage.label(sub_mask, structure=_EIGHT)
     labels[window] = sub_labels
     # Distinct 8-connected components are never 8-adjacent, so a boundary
@@ -243,8 +245,8 @@ def _plane_normals(points: np.ndarray, lengths: np.ndarray) -> list[np.ndarray |
 
 def _backproject_all(u: np.ndarray, v: np.ndarray, z: np.ndarray,
                      pinholes: np.ndarray) -> np.ndarray:
-    """Pixels (u, v) at depths z (meters) in camera space, one row each,
-    rounded as ``core.backproject`` rounds them; row i of ``pinholes``
+    """Pixels (u, v) at depths z (meters) in camera space, one row each:
+    ((u - cx) * z / fx, (v - cy) * z / fy, z), where row i of ``pinholes``
     holds the (fx, fy, cx, cy) of pixel i's camera."""
     points = np.empty((len(z), 3))
     points[:, 0] = (u - pinholes[:, 2]) * z / pinholes[:, 0]

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
                    MultiViewRig, ReflectorId, project, to_camera)
@@ -678,6 +677,7 @@ def _largest_components(windows: list[np.ndarray]) -> list[int]:
     stack = np.zeros((starts[-1], max(w.shape[1] for w in windows)), dtype=bool)
     for r0, w in zip(starts.tolist(), windows):
         stack[r0:r0 + w.shape[0], :w.shape[1]] = w
+    from scipy import ndimage   # imported on use, as in spatial
     labels, _ = ndimage.label(stack, structure=_EIGHT)
     sizes = np.bincount(labels.ravel())
     # each window's highest label, or the one before it when it has none

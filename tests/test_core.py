@@ -3,13 +3,47 @@
 import numpy as np
 import pytest
 
-from mocap_geom.core import (END_REFLECTORS, CameraExtrinsics,
-                             CameraIntrinsics, IrMask, ReflectorId,
-                             ReflectorKind, all_reflectors, backproject,
-                             load_rig, MultiViewRig, project, save_rig,
-                             to_camera, to_global)
+from mocap_geom.core import (END_REFLECTORS, NUM_REFLECTORS,
+                             CameraExtrinsics, CameraIntrinsics, IrMask,
+                             ReflectorId, ReflectorKind, load_rig,
+                             MultiViewRig, project, save_rig, to_camera)
 from mocap_geom.errors import (DimensionError, InvalidDepthError,
                                ValidationError)
+
+
+# Helpers only the tests use: one-point references of what spatial computes
+# for whole rows of points, and two fixtures.
+
+def all_reflectors() -> list[ReflectorId]:
+    return [ReflectorId(i) for i in range(1, NUM_REFLECTORS + 1)]
+
+
+def identity_extrinsics() -> CameraExtrinsics:
+    return CameraExtrinsics(np.eye(3), np.zeros(3))
+
+
+def backproject(pixel: tuple[float, float], depth_mm: float,
+                intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Map a pixel plus depth to camera-space meters.
+
+    Returns ((u - cx) * z / fx, (v - cy) * z / fy, z) with z = depth/1000.
+    """
+    if depth_mm <= 0:
+        raise InvalidDepthError(f"depth must be positive, got {depth_mm}")
+    u, v = pixel
+    if not (0 <= u < intrinsics.width and 0 <= v < intrinsics.height):
+        raise ValidationError(f"pixel {pixel} outside image bounds")
+    z = depth_mm / 1000.0
+    return np.array([
+        (u - intrinsics.cx) * z / intrinsics.fx,
+        (v - intrinsics.cy) * z / intrinsics.fy,
+        z,
+    ])
+
+
+def to_global(point_cam: np.ndarray, extrinsics: CameraExtrinsics) -> np.ndarray:
+    """Apply the camera-to-global rigid transform."""
+    return extrinsics.rotation @ np.asarray(point_cam, dtype=np.float64) + extrinsics.translation
 
 
 def _intrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, w=320, h=240):
@@ -83,7 +117,7 @@ class TestBackprojection:
 class TestExtrinsics:
     def test_identity_leaves_point_unchanged(self):
         p = np.array([0.3, -0.2, 1.5])
-        np.testing.assert_allclose(to_global(p, CameraExtrinsics.identity()), p)
+        np.testing.assert_allclose(to_global(p, identity_extrinsics()), p)
 
     def test_pure_translation(self):
         t = np.array([1.0, 2.0, 3.0])
@@ -131,7 +165,7 @@ class TestCalibrationFile:
     def test_round_trip(self, tmp_path):
         rot = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
         rig = MultiViewRig((
-            (_intrinsics(), CameraExtrinsics.identity()),
+            (_intrinsics(), identity_extrinsics()),
             (_intrinsics(fx=400.0), CameraExtrinsics(rot, np.array([1, 2, 3.0]))),
         ))
         path = tmp_path / "calibration.json"

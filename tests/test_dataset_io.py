@@ -366,6 +366,31 @@ class TestMapsThroughCli:
                 assert str(victim) in capsys.readouterr().err, (name, kind)
             victim.write_bytes(good)
 
+    def test_frames_of_another_size_exit_3_naming_them(self, tmp_path, capsys):
+        config, dataset, out = self._one_frame_take(tmp_path)
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out)]
+        assert main(["infer", *args]) == 0
+        depth = dataset / "view_1" / "depth_00000.bin"
+        mask = dataset / "view_2" / "irmask_00000.bin"
+        bits = ds.read_mask(mask).bits
+        wide = np.zeros((300, 400), dtype=bool)
+        wide[:240, :320] = bits
+        for victim, write, frame, commands in (
+                (depth, ds.write_depth,
+                 DepthFrame(ds.read_depth(depth).pixels[:100, :120]), ("fuse",)),
+                (mask, ds.write_mask, IrMask(bits[:100, :120]), ("infer", "fuse")),
+                (mask, ds.write_mask, IrMask(wide), ("infer", "fuse"))):
+            good = victim.read_bytes()
+            write(victim, frame)
+            for command in commands:
+                capsys.readouterr()
+                assert main([command, *args]) == 3, (victim, command)
+                err = capsys.readouterr().err
+                assert (f"{victim}: {frame.width}x{frame.height} frame, view "
+                        in err and "is 320x240" in err), err
+            victim.write_bytes(good)
+
 
 def _random_floats(rng, n: int) -> list[float]:
     """Floats over many magnitudes, both signs, with zeros, -0.0, short

@@ -592,6 +592,72 @@ class TestCli:
                 assert f"frame {frame}, view {view}" in err, err
             assert not (out / "optical.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["fuse", "eval"])
+    def test_estimates_off_the_dataset_exit_2_naming_them(self, tmp_path,
+                                                          capsys, command):
+        dataset, out = tmp_path / "dataset", tmp_path / "o"
+        config = tmp_path / "tiny.ini"
+        config.write_text("[synth]\nduration = 2\nnoise_sigma_mm = 0\n")
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out)]
+        assert main(["synth", *args]) == 0
+        assert main(["infer", *args]) == 0
+        estimates = out / "estimates.jsonl"
+        lines = estimates.read_text().splitlines()
+        first = json.loads(lines[0])
+        off_image = {**first["estimates"][0], "position": [900.0, -50.0]}
+        reflector = off_image["reflector"]
+        for bad, where in (
+                (lines + [json.dumps({**first, "view": 7})],
+                 f"frame {first['frame']}, view 7 lies outside"),
+                ([json.dumps({**first, "estimates": [off_image]})] + lines[1:],
+                 f"frame {first['frame']}, view {first['view']}, "
+                 f"reflector {reflector}: position (900.0, -50.0) lies off")):
+            estimates.write_text("\n".join(bad) + "\n")
+            capsys.readouterr()
+            assert main([command, *args]) == 2, where
+            err = capsys.readouterr().err
+            assert f"{estimates}: {where}" in err, err
+            assert not (out / "optical.jsonl").exists()
+            assert not (out / "eval.json").exists()
+
+    @staticmethod
+    def _loaded_modules(code: str, prefix: str) -> list[str]:
+        """Modules starting with ``prefix`` after ``code`` runs in a fresh
+        interpreter that imports this checkout's package."""
+        src = str(Path(mocap_geom.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", f"import json, sys\n{code}\n"
+             "print(json.dumps(sorted(m for m in sys.modules "
+             f"if m.startswith({prefix!r}))))"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True, timeout=120)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_import_of_the_cli_loads_no_scipy(self):
+        assert self._loaded_modules("import mocap_geom.cli", "scipy") == []
+
+    def test_import_of_the_package_loads_no_submodule(self):
+        assert self._loaded_modules("import mocap_geom", "mocap_geom.") == []
+
+    def test_only_commands_that_label_masks_load_scipy_ndimage(self, tmp_path):
+        dataset, out = tmp_path / "dataset", tmp_path / "run"
+        config = tmp_path / "tiny.ini"
+        config.write_text("[synth]\nduration = 10\nnoise_sigma_mm = 0\n"
+                          "\n[calibration]\nframe_window = 10\nrest_frames = 4\n")
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out)]
+        assert main(["synth", *args]) == 0
+        for command, labels in (("infer", True), ("fuse", True),
+                                ("calibrate", False), ("track", False),
+                                ("eval", False), ("init-config", False)):
+            argv = (["init-config", "--out", str(tmp_path / "cfg.ini")]
+                    if command == "init-config" else [command, *args])
+            loaded = self._loaded_modules(
+                f"from mocap_geom.cli import main\nassert main({argv!r}) == 0",
+                "scipy.ndimage")
+            assert bool(loaded) is labels, (command, loaded)
+
     def test_init_config(self, tmp_path):
         target = tmp_path / "cfg.ini"
         assert main(["init-config", "--out", str(target)]) == 0

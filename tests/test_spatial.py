@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, DepthFrame,
-                             IrMask, ReflectorId, ReflectorKind, backproject,
-                             to_global)
+                             IrMask, ReflectorId, ReflectorKind)
 from mocap_geom.errors import (CalibrationInputError, SplitFailure,
                                ValidationError)
 from mocap_geom.maps import ReflectorEstimate2D
@@ -16,6 +15,7 @@ from mocap_geom.spatial import (OpticalFrame, OpticalPoint, Region,
                                 fuse_reflector, fuse_strap,
                                 fuse_strap_single_view, observe_batch,
                                 observe_frame, split_merged_region)
+from test_core import backproject, identity_extrinsics, to_global
 
 INTR = CameraIntrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, width=320, height=240)
 
@@ -134,7 +134,7 @@ def _backprojected_depth_mm(contour, depth):
     contour = np.asarray(contour)
     region = Region(pixels=contour, contour=contour)
     obs = _observe_one(_est(1, 0, 0), region, contour, depth, INTR,
-                       CameraExtrinsics.identity(), center=(INTR.cx, INTR.cy))
+                       identity_extrinsics(), center=(INTR.cx, INTR.cy))
     if obs is None:
         return None
     assert obs.point_global[0] == obs.point_global[1] == 0.0
@@ -249,7 +249,7 @@ class TestObserve:
         for u, v in region.contour:
             depth[v, u] = 1000
         obs = _observe_one(_est(1, 160, 120), region, region.contour,
-                           DepthFrame(depth), INTR, CameraExtrinsics.identity())
+                           DepthFrame(depth), INTR, identity_extrinsics())
         np.testing.assert_allclose(obs.point_global, [0, 0, 1.0], atol=1e-6)
         assert obs.normal_global is None  # patches carry no normal
 
@@ -259,7 +259,7 @@ class TestObserve:
         region = find_regions_labeled(IrMask(bits))[0][0]
         assert _observe_one(_est(1, 105, 105), region, region.contour,
                             DepthFrame(np.zeros((240, 320), dtype=np.uint16)),
-                            INTR, CameraExtrinsics.identity()) is None
+                            INTR, identity_extrinsics()) is None
 
 
 def _observe_reference(est, region, contour, depth, intr, extr,
@@ -426,11 +426,11 @@ class TestObserveBatch:
     def test_empty_batch(self):
         depth = DepthFrame(np.zeros((4, 4), dtype=np.uint16))
         assert observe_batch([]) == []
-        assert observe_batch([([], depth, INTR, CameraExtrinsics.identity())]) == [[]]
+        assert observe_batch([([], depth, INTR, identity_extrinsics())]) == [[]]
 
 
 class TestObserveView:
-    EXTR = CameraExtrinsics.identity()
+    EXTR = identity_extrinsics()
 
     def test_skips_estimates_on_background_and_off_frame(self):
         bits = np.zeros((240, 320), dtype=bool)
@@ -660,7 +660,7 @@ class TestMultiViewConsistency:
         from mocap_geom.core import to_camera, project
 
         wall_z = 1.5  # meters in front of camera A
-        extr_a = CameraExtrinsics.identity()
+        extr_a = identity_extrinsics()
         # camera B translated sideways, same orientation; baseline chosen so
         # the patch center projects onto exact pixel centers in both views
         extr_b = CameraExtrinsics(np.eye(3), np.array([0.3, 0.0, 0.0]))
