@@ -213,17 +213,43 @@ def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> 
         for f, anns in enumerate(per_frame)))
 
 
-def read_annotations(path: str | Path) -> dict[int, list[Annotation2D]]:
+def _unique_reflectors(items, what: str):
+    """``items`` unchanged; ValueError when two of them (annotations or
+    estimates of one record) name the same reflector."""
+    seen = set()
+    for item in items:
+        if item.reflector.index in seen:
+            raise ValueError(f"{what} of reflector {item.reflector.index} repeated")
+        seen.add(item.reflector.index)
+    return items
+
+
+def read_annotations(path: str | Path, num_frames: int | None = None,
+                     size: tuple[int, int] | None = None
+                     ) -> dict[int, list[Annotation2D]]:
+    """The annotations of each frame.  Given ``num_frames``, a frame outside
+    0..num_frames-1 is a FormatError naming the file and line; given the
+    image ``size`` (w, h), so is an ``x_curr`` whose rounded pixel (rounded
+    as the oracle maps round it) lies off the image."""
     def parse(doc):
         frame = json_int(doc["frame"], "frame")
+        if num_frames is not None and not 0 <= frame < num_frames:
+            raise ValueError(f"frame {frame} lies outside the dataset's "
+                             f"{num_frames} frames")
         anns = []
         for a in doc["annotations"]:
             prev = a.get("x_prev")
-            anns.append(Annotation2D(
+            ann = Annotation2D(
                 ReflectorId(json_int(a["reflector"], "reflector")),
                 tuple(finite_vector(a["x_curr"], 2, "x_curr")),
-                None if prev is None else tuple(finite_vector(prev, 2, "x_prev"))))
-        return frame, anns
+                None if prev is None else tuple(finite_vector(prev, 2, "x_prev")))
+            if size is not None and not (0 <= round(ann.x_curr[0]) < size[0]
+                                         and 0 <= round(ann.x_curr[1]) < size[1]):
+                raise ValueError(f"reflector {ann.reflector.index}: x_curr "
+                                 f"{list(ann.x_curr)} lies off the "
+                                 f"{size[0]}x{size[1]} image")
+            anns.append(ann)
+        return frame, _unique_reflectors(anns, "annotation")
     return dict(_read_jsonl(path, parse, lambda r: f"frame {r[0]}"))
 
 
@@ -249,7 +275,7 @@ def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstim
                     *map(float, finite_vector([e["e_s"], e["e_l"], e["e_total"]],
                                               3, "e_s, e_l, e_total")))
                 for e in doc["estimates"]]
-        return frame, view, ests
+        return frame, view, _unique_reflectors(ests, "estimate")
     return _read_jsonl(path, parse, lambda r: f"frame {r[0]}, view {r[1]}")
 
 
@@ -403,10 +429,13 @@ class DatasetReader:
                               f"{intr.width}x{intr.height}")
 
     def annotations(self, view: int) -> dict[int, list[Annotation2D]]:
+        """The view's annotations, each of a frame of the dataset and on
+        the view's image (a FormatError naming the line otherwise)."""
         path = self.view_dirs[view] / "annotations.jsonl"
         if not path.exists():
             return {}
-        return read_annotations(path)
+        intr = self.rig[view][0]
+        return read_annotations(path, self.num_frames, (intr.width, intr.height))
 
     def gt_motion(self) -> list[Pose] | None:
         path = self.root / "gt_motion.jsonl"

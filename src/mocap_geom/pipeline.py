@@ -23,7 +23,7 @@ from .metrics import (EVAL_JOINT_NAMES, Detection2D, EvalReport,
                       mean_average_precision, subject_bbox)
 from .skeleton import (BoneCalibration, Pose, SkeletonTemplate,
                        calibrate_template, track)
-from .spatial import (OpticalFrame, ViewObservation, fuse_reflector,
+from .spatial import (OpticalFrame, ViewObservation, fuse_groups,
                       observe_frame)
 from .synth import MotionScript, SyntheticBody, animate, default_rig, render
 
@@ -175,12 +175,17 @@ def _read_dataset_estimates(reader: ds.DatasetReader, path: str | Path
 def fuse_estimates(reader: ds.DatasetReader,
                    estimates: list[tuple[int, int, list[ReflectorEstimate2D]]],
                    config: PipelineConfig) -> list[OpticalFrame]:
-    """Cross-view fusion into Kalman-smoothed optical frames."""
+    """Cross-view fusion into Kalman-smoothed optical frames.
+
+    The take is observed frame by frame, one ``observe_frame`` holding one
+    frame's masks and depths; then every (frame, reflector) group of the
+    take is fused in one ``fuse_groups`` pass, each group in view order;
+    then the tracker steps over the fused frames.
+    """
     by_frame: dict[int, dict[int, list[ReflectorEstimate2D]]] = {}
     for frame, view, ests in estimates:
         by_frame.setdefault(frame, {})[view] = ests
-    tracker = ReflectorTracker(dt=1.0 / config.fps, params=config.kalman)
-    frames = []
+    groups = []
     for f in range(reader.num_frames):
         views = [(ests, reader.mask(view, f), reader.depth(view, f),
                   *reader.rig[view])
@@ -189,11 +194,13 @@ def fuse_estimates(reader: ds.DatasetReader,
         for view_obs in observe_frame(views):
             for obs in view_obs:
                 observations.setdefault(obs.reflector.index, []).append(obs)
-        frame = OpticalFrame(frame=f)
-        for idx, obs in sorted(observations.items()):
-            frame.add(fuse_reflector(obs, config.limb_radii.get(idx), f))
-        frames.append(tracker.step(frame))
-    return frames
+        groups.extend((f, obs, config.limb_radii.get(idx))
+                      for idx, obs in sorted(observations.items()))
+    frames = [OpticalFrame(frame=f) for f in range(reader.num_frames)]
+    for point in fuse_groups(groups):
+        frames[point.frame].add(point)
+    tracker = ReflectorTracker(dt=1.0 / config.fps, params=config.kalman)
+    return [tracker.step(frame) for frame in frames]
 
 
 def cmd_fuse(dataset_dir: str | Path, estimates_path: str | Path,

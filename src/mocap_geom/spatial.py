@@ -11,7 +11,6 @@ points between inward normal lines for straps, with bounded fallbacks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -445,6 +444,103 @@ def _weighted_centroid(points: np.ndarray, conf: np.ndarray,
     return (conf / total) @ points if total > 0 else points.mean(axis=0)
 
 
+# Fusion works on groups: the observations of one reflector in one frame, in
+# view order.  The rows of a group sit one after another in flat arrays,
+# ``sizes[g]`` rows from ``starts[g]``.
+
+def _group_centroids(points: np.ndarray, conf: np.ndarray, starts: np.ndarray,
+                     sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_weighted_centroid`` of the rows of each group, and the group's
+    ``conf`` total, rounded as the one-group expressions round them.
+
+    The groups of one size form one (groups, size) block.  Its totals come
+    from ``.sum(axis=1)``, which sums each row as ``ndarray.sum`` sums one
+    group: pairwise from 8 terms up, where an in-order sum (``bincount``,
+    ``add.reduceat``) rounds differently.  Its weighted sums are one stacked
+    matmul, one BLAS product per group, as in ``_stacked_dot``.
+    """
+    positions = np.empty((len(sizes), 3))
+    totals = np.empty(len(sizes))
+    for k in np.unique(sizes).tolist():
+        sel = np.flatnonzero(sizes == k)
+        rows = starts[sel, None] + np.arange(k)
+        block_conf, block_points = conf[rows], points[rows]
+        total = block_conf.sum(axis=1)
+        totals[sel] = total
+        weighted = total > 0
+        positions[sel[weighted]] = (
+            (block_conf[weighted] / total[weighted, None])[:, None, :]
+            @ block_points[weighted])[:, 0]
+        if not weighted.all():
+            positions[sel[~weighted]] = block_points[~weighted].mean(axis=1)
+    return positions, totals
+
+
+def _closest_points(p_i: np.ndarray, n_i: np.ndarray, p_j: np.ndarray,
+                    n_j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``closest_points_on_normal_lines`` of every row of the line pairs."""
+    diff = p_i - p_j
+    b = _stacked_dot(n_i, n_j)
+    c = _stacked_dot(n_i, diff)
+    d = 1.0 - b * b
+    f = _stacked_dot(n_j, diff)
+    q_i, q_j = p_i.copy(), p_j.copy()
+    ok = ~(d < PARALLEL_EPS)
+    b, c, f, d_ok = b[ok], c[ok], f[ok], d[ok]
+    q_i[ok] += ((b * f - c) / d_ok)[:, None] * n_i[ok]
+    q_j[ok] += ((f - c * b) / d_ok)[:, None] * n_j[ok]
+    return q_i, q_j, d
+
+
+def closest_points_on_normal_lines(p_i: np.ndarray, n_i: np.ndarray,
+                                   p_j: np.ndarray, n_j: np.ndarray
+                                   ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Closest points between two normal lines plus the denominator 1 - b^2.
+
+    With b = n_i.n_j, c = n_i.(p_i - p_j), d = 1 - b^2, f = n_j.(p_i - p_j):
+    s = (b f - c) / d and t = (f - c b) / d give the closest points
+    p_i + s n_i and p_j + t n_j; a pair with d < PARALLEL_EPS (which callers
+    must check) gives p_i and p_j.
+    """
+    q_i, q_j, d = _closest_points(*(np.asarray(x, dtype=np.float64)[None]
+                                    for x in (p_i, n_i, p_j, n_j)))
+    return q_i[0], q_j[0], float(d[0])
+
+
+def _normal_line_points(points: np.ndarray, normals: np.ndarray,
+                        conf: np.ndarray, starts: np.ndarray,
+                        sizes: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weighted points of fuse_strap for groups of rows with normals.
+
+    Each pair (a, b), a < b in view order, of a group's normal lines gives
+    its two closest points, weighted by the confidences of views a and b;
+    a near-parallel pair gives none.  Returns the points and their weights,
+    each group's points consecutive and in pair order, and the number of
+    points of each group.
+    """
+    firsts, seconds, owners = [], [], []
+    for m in np.unique(sizes).tolist():
+        sel = np.flatnonzero(sizes == m)
+        a, b = np.triu_indices(m, 1)
+        firsts.append((starts[sel, None] + a).ravel())
+        seconds.append((starts[sel, None] + b).ravel())
+        owners.append(np.repeat(sel, len(a)))
+    i, j, owner = (np.concatenate(x) for x in (firsts, seconds, owners))
+    order = np.lexsort((j, i))  # group by group, pairs in (a, b) order
+    i, j, owner = i[order], j[order], owner[order]
+    q_i, q_j, d = _closest_points(points[i], normals[i], points[j], normals[j])
+    keep = ~(d < PARALLEL_EPS)
+    line = np.stack([q_i[keep], q_j[keep]], axis=1).reshape(-1, 3)
+    weights = np.stack([conf[i[keep]], conf[j[keep]]], axis=1).ravel()
+    return line, weights, 2 * np.bincount(owner[keep], minlength=len(sizes))
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """First row of each group of ``sizes`` consecutive rows."""
+    return np.cumsum(sizes) - sizes
+
+
 def fuse_patch(observations: list[ViewObservation], frame: int = 0) -> OpticalPoint:
     """Confidence-weighted centroid of per-view points.
 
@@ -455,33 +551,14 @@ def fuse_patch(observations: list[ViewObservation], frame: int = 0) -> OpticalPo
     """
     if not observations:
         raise ValidationError("fuse_patch needs at least one observation")
-    pts = np.array([o.point_global for o in observations])
-    conf = np.array([o.e_total for o in observations])
-    total = conf.sum()
+    sizes = np.array([len(observations)])
+    (position,), (total,) = _group_centroids(
+        np.array([o.point_global for o in observations], dtype=np.float64),
+        np.array([o.e_total for o in observations], dtype=np.float64),
+        _starts(sizes), sizes)
     # the mean, as conf.mean() rounds it
-    confidence = float(total / len(conf)) if total > 0 else 0.0
-    return OpticalPoint(observations[0].reflector,
-                        _weighted_centroid(pts, conf, total), confidence, frame)
-
-
-def closest_points_on_normal_lines(p_i: np.ndarray, n_i: np.ndarray,
-                                   p_j: np.ndarray, n_j: np.ndarray
-                                   ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closest points between two normal lines plus the denominator 1 - b^2.
-
-    With b = n_i.n_j, c = n_i.(p_i - p_j), d = 1 - b^2, f = n_j.(p_i - p_j):
-    s = (b f - c) / d and t = (f - c b) / d give the closest points
-    p_i + s n_i and p_j + t n_j.  Callers must check d against PARALLEL_EPS.
-    """
-    b = float(n_i @ n_j)
-    c = float(n_i @ (p_i - p_j))
-    d = 1.0 - b * b
-    f = float(n_j @ (p_i - p_j))
-    if d < PARALLEL_EPS:
-        return p_i, p_j, d
-    s = (b * f - c) / d
-    t = (f - c * b) / d
-    return p_i + s * n_i, p_j + t * n_j, d
+    confidence = float(total / len(observations)) if total > 0 else 0.0
+    return OpticalPoint(observations[0].reflector, position, confidence, frame)
 
 
 def fuse_strap(observations: list[ViewObservation], frame: int = 0) -> OpticalPoint:
@@ -496,22 +573,15 @@ def fuse_strap(observations: list[ViewObservation], frame: int = 0) -> OpticalPo
     with_normals = [o for o in observations if o.normal_global is not None]
     if len(with_normals) < 2:
         raise ValidationError("fuse_strap needs >= 2 observations with normals")
-    points = []
-    weights = []
-    for a in range(len(with_normals)):
-        for b in range(a + 1, len(with_normals)):
-            oi, oj = with_normals[a], with_normals[b]
-            pi, pj, d = closest_points_on_normal_lines(
-                oi.point_global, oi.normal_global, oj.point_global, oj.normal_global)
-            if d < PARALLEL_EPS:
-                continue
-            points.append((pi, oi.e_total))
-            points.append((pj, oj.e_total))
-    if not points:
+    sizes = np.array([len(with_normals)])
+    line, weights, counts = _normal_line_points(
+        np.array([o.point_global for o in with_normals], dtype=np.float64),
+        np.array([o.normal_global for o in with_normals], dtype=np.float64),
+        np.array([o.e_total for o in with_normals], dtype=np.float64),
+        _starts(sizes), sizes)
+    if not counts[0]:
         return replace(fuse_patch(observations, frame), degraded=True)
-    conf = np.array([w for _, w in points])
-    position = _weighted_centroid(np.array([p for p, _ in points]), conf,
-                                  conf.sum())
+    (position,), _ = _group_centroids(line, weights, _starts(counts), counts)
     e_totals = np.array([o.e_total for o in observations])
     confidence = float(e_totals.sum() / len(e_totals))
     return OpticalPoint(observations[0].reflector, position, confidence, frame)
@@ -532,6 +602,111 @@ def fuse_strap_single_view(obs: ViewObservation, limb_radius: float,
     return OpticalPoint(obs.reflector, position, obs.e_total, frame)
 
 
+# One fusion group: (frame, one reflector's observations in view order, the
+# limb radius of a strap or None).
+FuseGroup = tuple[int, list[ViewObservation], float | None]
+
+
+def fuse_groups(groups: list[FuseGroup]) -> list[OpticalPoint]:
+    """``fuse_reflector`` of every group, in one array pass.
+
+    Each group keeps its view order and every sum is rounded as the
+    one-group expression rounds it, so each point equals the one-group
+    result bit for bit.  The groups with two or more normals share one pass
+    over their normal-line pairs, and the centroids of each kind share one
+    ``_group_centroids``.  The first group (in the groups' order) that is a
+    strap without a limb radius raises CalibrationInputError; the first
+    that is a strap with a normal and a negative radius, ValidationError.
+    """
+    if not groups:
+        return []
+    observations = [o for _, group, _ in groups for o in group]
+    sizes = np.array([len(group) for _, group, _ in groups])
+    if not sizes.all():
+        raise ValidationError("fusion needs at least one observation per group")
+    reflectors = [group[0].reflector for _, group, _ in groups]
+    is_strap = np.array([r.kind is ReflectorKind.STRAP for r in reflectors])
+    no_radius = np.array([radius is None for *_, radius in groups])
+    radii = np.array([0.0 if radius is None else radius
+                      for *_, radius in groups], dtype=np.float64)
+    n = len(groups)
+    starts = _starts(sizes)
+    owner = np.repeat(np.arange(n), sizes)
+    points = np.array([o.point_global for o in observations], dtype=np.float64)
+    conf = np.array([o.e_total for o in observations], dtype=np.float64)
+    # rows with a normal, ascending, so each group's rows stay consecutive
+    rows = np.array([i for i, o in enumerate(observations)
+                     if o.normal_global is not None], dtype=np.int64)
+    normals = np.array([observations[i].normal_global for i in rows.tolist()],
+                       dtype=np.float64).reshape(-1, 3)
+    normal_owner = owner[rows]
+    normal_counts = np.bincount(normal_owner, minlength=n)
+
+    bad = is_strap & (no_radius | ((radii < 0) & (normal_counts > 0)))
+    if bad.any():
+        g = int(np.flatnonzero(bad)[0])
+        if no_radius[g]:
+            raise CalibrationInputError(f"strap {reflectors[g].index}: "
+                                        "fusion needs a configured limb radius")
+        raise ValidationError("limb radius must be >= 0")
+
+    positions = np.empty((n, 3))
+    totals = np.empty(n)
+    confidences = np.empty(n)
+    degraded = is_strap & (normal_counts == 0)
+    # Patches and straps without a normal are the surface centroid, which
+    # the gap test of straps with more normals reads too.
+    single = is_strap & (normal_counts == 1)
+    surface = np.flatnonzero(~single)
+    positions[surface], totals[surface] = _group_centroids(
+        points, conf, starts[surface], sizes[surface])
+    confidences[surface] = np.where(totals[surface] > 0,
+                                    totals[surface] / sizes[surface], 0.0)
+
+    # A strap with one normal: that view's point offset by the radius.
+    one = single[normal_owner]
+    at = normal_owner[one]
+    positions[at] = points[rows[one]] - radii[at, None] * normals[one]
+    confidences[at] = conf[rows[one]]
+
+    multi = np.flatnonzero(is_strap & (normal_counts >= 2))
+    if len(multi):
+        # the rows with normals of these groups, group by group
+        sel = is_strap[normal_owner] & (normal_counts[normal_owner] >= 2)
+        m_points, m_normals = points[rows[sel]], normals[sel]
+        m_conf, m_sizes = conf[rows[sel]], normal_counts[multi]
+        line, weights, counts = _normal_line_points(
+            m_points, m_normals, m_conf, _starts(m_sizes), m_sizes)
+        # The normal-line point, or the degraded surface centroid where
+        # every pair is near-parallel; either faces the gap test.
+        lined = counts > 0
+        candidate = positions[multi]
+        candidate[lined] = _group_centroids(
+            line, weights, _starts(counts)[lined], counts[lined])[0]
+        gap = candidate - positions[multi]
+        far = ~(np.sqrt(_stacked_dot(gap, gap)) <= 2.5 * radii[multi])
+        positions[multi] = candidate
+        confidences[multi[lined]] = totals[multi[lined]] / sizes[multi[lined]]
+        degraded[multi[~lined]] = True
+        if far.any():
+            # the confidence-weighted mean of the per-view radius offsets
+            m_owner = np.repeat(multi, m_sizes)
+            far_rows = np.repeat(far, m_sizes)
+            offsets = (m_points[far_rows] - radii[m_owner[far_rows], None]
+                       * m_normals[far_rows])
+            far_sizes = m_sizes[far]
+            far_points, far_totals = _group_centroids(
+                offsets, m_conf[far_rows], _starts(far_sizes), far_sizes)
+            positions[multi[far]] = far_points
+            confidences[multi[far]] = far_totals / far_sizes
+            degraded[multi[far]] = True
+
+    return [OpticalPoint(reflector, position, confidence, frame, degraded=flag)
+            for reflector, position, confidence, (frame, _, _), flag
+            in zip(reflectors, positions, confidences.tolist(), groups,
+                   degraded.tolist())]
+
+
 def fuse_reflector(observations: list[ViewObservation],
                    limb_radius: float | None, frame: int = 0) -> OpticalPoint:
     """One reflector's global point from its per-view observations.
@@ -543,26 +718,7 @@ def fuse_reflector(observations: list[ViewObservation],
     normals and the degraded mean of the per-view radius offsets replaces
     it.  A strap with one normal is that view's radius offset; one with
     none is the surface centroid, flagged degraded.  A strap without a limb
-    radius raises CalibrationInputError.
+    radius raises CalibrationInputError.  This is the one-group case of
+    ``fuse_groups``.
     """
-    reflector = observations[0].reflector
-    if reflector.kind is ReflectorKind.PATCH:
-        return fuse_patch(observations, frame)
-    if limb_radius is None:
-        raise CalibrationInputError(
-            f"strap {reflector.index}: fusion needs a configured limb radius")
-    with_normals = [o for o in observations if o.normal_global is not None]
-    if len(with_normals) == 1:
-        return fuse_strap_single_view(with_normals[0], limb_radius, frame)
-    if not with_normals:
-        return replace(fuse_patch(observations, frame), degraded=True)
-    point = fuse_strap(observations, frame)
-    gap = point.position - fuse_patch(observations, frame).position
-    if math.sqrt(gap @ gap) <= 2.5 * limb_radius:
-        return point
-    offsets = np.array([fuse_strap_single_view(o, limb_radius, frame).position
-                        for o in with_normals])
-    conf = np.array([o.e_total for o in with_normals])
-    total = conf.sum()
-    return OpticalPoint(reflector, _weighted_centroid(offsets, conf, total),
-                        float(total / len(conf)), frame, degraded=True)
+    return fuse_groups([(frame, observations, limb_radius)])[0]

@@ -507,6 +507,15 @@ class TestJsonlFuzz:
             damaged["repeated_frame"] = (lines[:k - 1]
                                          + [lines[(at + cut) % (k - 1)]]
                                          + lines[k:])
+        # no reflector may come twice in one record: one of the line's
+        # reflector objects (which hold no braces of their own) is repeated,
+        # picked from the same draws
+        reflectors = list(re.finditer(r'\{[^{}]*"reflector":[^{}]*\}', line))
+        if reflectors:
+            item = reflectors[(at + cut) % len(reflectors)]
+            damaged["repeated_reflector"] = (lines[:k - 1] + [
+                line[:item.end()] + "," + item.group() + line[item.end():]]
+                + lines[k:])
         # a motion line's gap must be a JSON boolean and no joint may come
         # twice; picked from the same draws
         gap = re.search(r'"gap":(true|false)', line)

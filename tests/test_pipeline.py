@@ -16,11 +16,13 @@ from mocap_geom import skeleton, spatial
 from mocap_geom.cli import main
 from mocap_geom.config import PipelineConfig, load_config, write_default_config
 from mocap_geom.errors import ValidationError
+from mocap_geom.kalman import ReflectorTracker
 from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
                                  cmd_synth, cmd_track, fuse_estimates,
                                  infer_dataset)
 from mocap_geom.skeleton import (JOINTS, Pose, SkeletonTemplate,
                                  calibrate_template, quat_from_matrix, track)
+from test_spatial import _reference_fuse_reflector
 
 
 def small_config(duration=24, noise=0.0):
@@ -219,6 +221,46 @@ class TestComposition:
         monkeypatch.undo()
         again = fuse_estimates(reader, estimates, cfg)
         assert [sorted(f.points) for f in frames] == [sorted(f.points) for f in again]
+
+    def test_fused_take_equals_the_per_reflector_reference(self, tmp_path):
+        # A 4-view take that moves: at 10 frames/s the 1 s rest lead-in
+        # ends at frame 10, and only later frames are fused.
+        cfg = PipelineConfig(seed=11)
+        cfg.synth.duration = 22
+        cfg.synth.fps = 10.0
+        cfg.synth.num_views = 4
+        reader = ds.DatasetReader(cmd_synth(cfg, tmp_path / "dataset"))
+        estimates = [e for e in infer_dataset(reader, cfg) if e[0] >= 10]
+        got = fuse_estimates(reader, estimates, cfg)
+
+        # the per-frame loop of per-reflector fusions that fuse_groups replaced
+        by_frame = {}
+        for f, view, ests in estimates:
+            by_frame.setdefault(f, {})[view] = ests
+        tracker = ReflectorTracker(dt=1.0 / cfg.fps, params=cfg.kalman)
+        want, normal_counts = [], []
+        for f in range(reader.num_frames):
+            views = [(ests, reader.mask(view, f), reader.depth(view, f),
+                      *reader.rig[view])
+                     for view, ests in sorted(by_frame.get(f, {}).items())]
+            observations = {}
+            for view_obs in spatial.observe_frame(views):
+                for obs in view_obs:
+                    observations.setdefault(obs.reflector.index, []).append(obs)
+            frame = spatial.OpticalFrame(frame=f)
+            for idx, obs in sorted(observations.items()):
+                frame.add(_reference_fuse_reflector(obs, cfg.limb_radii.get(idx), f))
+                if idx in cfg.limb_radii:
+                    normal_counts.append(sum(o.normal_global is not None
+                                             for o in obs))
+            want.append(tracker.step(frame))
+        # straps with one normal and with two and three normal lines
+        assert {1, 2, 3} <= set(normal_counts)
+        assert all(len(f.points) >= 20 for f in got[10:])
+        ds.write_optical(tmp_path / "got.jsonl", got)
+        ds.write_optical(tmp_path / "want.jsonl", want)
+        assert ((tmp_path / "got.jsonl").read_bytes()
+                == (tmp_path / "want.jsonl").read_bytes())
 
     def test_eval_outputs(self, small_run, tmp_path):
         root, cfg, run = small_run
@@ -564,8 +606,9 @@ class TestCli:
             assert main(["eval", "--config", str(config), "--dataset",
                          str(dataset), "--out", str(run_02), "--views", bad]) == 2
 
-    def test_fuse_rejects_estimates_outside_the_dataset(self, tmp_path,
-                                                         capsys):
+    @staticmethod
+    def _tiny_run(tmp_path) -> tuple[Path, Path, list[str]]:
+        """A synthesized and inferred 2-frame take: (dataset, out, args)."""
         dataset, out = tmp_path / "dataset", tmp_path / "o"
         config = tmp_path / "tiny.ini"
         config.write_text("[synth]\nduration = 2\nnoise_sigma_mm = 0\n")
@@ -573,6 +616,11 @@ class TestCli:
                 "--out", str(out)]
         assert main(["synth", *args]) == 0
         assert main(["infer", *args]) == 0
+        return dataset, out, args
+
+    def test_fuse_rejects_estimates_outside_the_dataset(self, tmp_path,
+                                                         capsys):
+        _, out, args = self._tiny_run(tmp_path)
         estimates = out / "estimates.jsonl"
         lines = estimates.read_text().splitlines()
         first = json.loads(lines[0])
@@ -595,13 +643,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["fuse", "eval"])
     def test_estimates_off_the_dataset_exit_2_naming_them(self, tmp_path,
                                                           capsys, command):
-        dataset, out = tmp_path / "dataset", tmp_path / "o"
-        config = tmp_path / "tiny.ini"
-        config.write_text("[synth]\nduration = 2\nnoise_sigma_mm = 0\n")
-        args = ["--config", str(config), "--dataset", str(dataset),
-                "--out", str(out)]
-        assert main(["synth", *args]) == 0
-        assert main(["infer", *args]) == 0
+        _, out, args = self._tiny_run(tmp_path)
         estimates = out / "estimates.jsonl"
         lines = estimates.read_text().splitlines()
         first = json.loads(lines[0])
@@ -619,6 +661,55 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"{estimates}: {where}" in err, err
             assert not (out / "optical.jsonl").exists()
+            assert not (out / "eval.json").exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "eval"])
+    def test_repeated_estimate_exits_3_naming_the_line(self, tmp_path, capsys,
+                                                       command):
+        _, out, args = self._tiny_run(tmp_path)
+        estimates = out / "estimates.jsonl"
+        lines = estimates.read_text().splitlines()
+        first = json.loads(lines[0])
+        e = first["estimates"][0]
+        moved = {**e, "position": [e["position"][0] + 1.0, e["position"][1]]}
+        estimates.write_text("\n".join(
+            [json.dumps({**first, "estimates": first["estimates"] + [moved]})]
+            + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main([command, *args]) == 3
+        err = capsys.readouterr().err
+        assert (f"{estimates}: line 1: estimate of reflector {e['reflector']} "
+                "repeated") in err, err
+        assert not (out / "optical.jsonl").exists()
+        assert not (out / "eval.json").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_bad_annotations_exit_3_naming_the_line(self, tmp_path, capsys,
+                                                    command):
+        dataset, out, args = self._tiny_run(tmp_path)
+        estimates = (out / "estimates.jsonl").read_bytes()
+        path = dataset / "view_1" / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        first = json.loads(lines[0])
+        anns = first["annotations"]
+        off_image = {**anns[0], "x_curr": [400.0, 10.0]}
+        for bad, where in (
+                (lines + [json.dumps({**first, "frame": 99})],
+                 "line 3: frame 99 lies outside the dataset's 2 frames"),
+                ([json.dumps({**first, "annotations": [off_image] + anns[1:]})]
+                 + lines[1:],
+                 f"line 1: reflector {anns[0]['reflector']}: x_curr "
+                 "[400.0, 10.0] lies off the 320x240 image"),
+                ([json.dumps({**first, "annotations": anns + [anns[0]]})]
+                 + lines[1:],
+                 f"line 1: annotation of reflector {anns[0]['reflector']} "
+                 "repeated")):
+            path.write_text("\n".join(bad) + "\n")
+            capsys.readouterr()
+            assert main([command, *args]) == 3, where
+            err = capsys.readouterr().err
+            assert f"{path}: {where}" in err, err
+            assert (out / "estimates.jsonl").read_bytes() == estimates
             assert not (out / "eval.json").exists()
 
     @staticmethod

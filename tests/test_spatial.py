@@ -1,5 +1,7 @@
 """Unit tests for region extraction, depth mapping and 3D fusion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,11 @@ from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, DepthFrame,
 from mocap_geom.errors import (CalibrationInputError, SplitFailure,
                                ValidationError)
 from mocap_geom.maps import ReflectorEstimate2D
-from mocap_geom.spatial import (OpticalFrame, OpticalPoint, Region,
+from mocap_geom.spatial import (PARALLEL_EPS, OpticalFrame, OpticalPoint, Region,
                                 ViewObservation,
                                 closest_points_on_normal_lines,
                                 find_regions_labeled, fuse_patch,
-                                fuse_reflector, fuse_strap,
+                                fuse_groups, fuse_reflector, fuse_strap,
                                 fuse_strap_single_view, observe_batch,
                                 observe_frame, split_merged_region)
 from test_core import backproject, identity_extrinsics, to_global
@@ -492,6 +494,200 @@ class TestObserveView:
                              self.EXTR) == []
         assert _observe_view([], IrMask(np.ones((240, 320), dtype=bool)),
                              depth, INTR, self.EXTR) == []
+
+
+# The fusion of one reflector at a time, as it was before fuse_groups: the
+# bit-equality reference of the take pass.
+
+def _reference_weighted_centroid(points, conf, total):
+    return (conf / total) @ points if total > 0 else points.mean(axis=0)
+
+
+def _reference_fuse_patch(observations, frame=0):
+    pts = np.array([o.point_global for o in observations])
+    conf = np.array([o.e_total for o in observations])
+    total = conf.sum()
+    confidence = float(total / len(conf)) if total > 0 else 0.0
+    return OpticalPoint(observations[0].reflector,
+                        _reference_weighted_centroid(pts, conf, total),
+                        confidence, frame)
+
+
+def _reference_closest_points(p_i, n_i, p_j, n_j):
+    b = float(n_i @ n_j)
+    c = float(n_i @ (p_i - p_j))
+    d = 1.0 - b * b
+    f = float(n_j @ (p_i - p_j))
+    if d < PARALLEL_EPS:
+        return p_i, p_j, d
+    s = (b * f - c) / d
+    t = (f - c * b) / d
+    return p_i + s * n_i, p_j + t * n_j, d
+
+
+def _reference_fuse_strap(observations, frame=0):
+    with_normals = [o for o in observations if o.normal_global is not None]
+    points = []
+    for a in range(len(with_normals)):
+        for b in range(a + 1, len(with_normals)):
+            oi, oj = with_normals[a], with_normals[b]
+            pi, pj, d = _reference_closest_points(
+                oi.point_global, oi.normal_global, oj.point_global,
+                oj.normal_global)
+            if d < PARALLEL_EPS:
+                continue
+            points.append((pi, oi.e_total))
+            points.append((pj, oj.e_total))
+    if not points:
+        return replace(_reference_fuse_patch(observations, frame), degraded=True)
+    conf = np.array([w for _, w in points])
+    position = _reference_weighted_centroid(np.array([p for p, _ in points]),
+                                            conf, conf.sum())
+    e_totals = np.array([o.e_total for o in observations])
+    return OpticalPoint(observations[0].reflector, position,
+                        float(e_totals.sum() / len(e_totals)), frame)
+
+
+def _reference_single_view(obs, limb_radius, frame=0):
+    return OpticalPoint(obs.reflector,
+                        obs.point_global - limb_radius * obs.normal_global,
+                        obs.e_total, frame)
+
+
+def _reference_fuse_reflector(observations, limb_radius, frame=0):
+    reflector = observations[0].reflector
+    if reflector.kind is ReflectorKind.PATCH:
+        return _reference_fuse_patch(observations, frame)
+    with_normals = [o for o in observations if o.normal_global is not None]
+    if len(with_normals) == 1:
+        return _reference_single_view(with_normals[0], limb_radius, frame)
+    if not with_normals:
+        return replace(_reference_fuse_patch(observations, frame), degraded=True)
+    point = _reference_fuse_strap(observations, frame)
+    gap = point.position - _reference_fuse_patch(observations, frame).position
+    if np.sqrt(gap @ gap) <= 2.5 * limb_radius:
+        return point
+    offsets = np.array([_reference_single_view(o, limb_radius, frame).position
+                        for o in with_normals])
+    conf = np.array([o.e_total for o in with_normals])
+    total = conf.sum()
+    return OpticalPoint(reflector, _reference_weighted_centroid(offsets, conf, total),
+                        float(total / len(conf)), frame, degraded=True)
+
+
+def _assert_same_point(got, want):
+    """Equal points, position bytes included (so 0.0 differs from -0.0)."""
+    assert got.position.tobytes() == want.position.tobytes(), (got, want)
+    assert (got.reflector, got.confidence, got.frame, got.degraded) == \
+        (want.reflector, want.confidence, want.frame, want.degraded)
+
+
+def _unit(v):
+    return v / np.sqrt(v @ v)
+
+
+def _random_group(rng, radius):
+    """One seeded (frame, observations, radius) group of 1-5 views.
+
+    Straps get 0, 1 or several normals: all facing one axis point (a
+    normal-line point near the surface), random, or near-parallel (a point
+    far more than 2.5 radii off); some pairs are parallel or antiparallel.
+    Confidences are random, zero, all zero or all equal.
+    """
+    k = int(rng.integers(1, 6))
+    strap = rng.random() < 0.7
+    idx = int(rng.choice([11, 12, 16, 19, 25] if strap else [1, 2, 13, 22]))
+    axis_point = rng.normal(0.0, 0.5, 3) + [0.0, 0.0, 2.0]
+    outward = np.array([_unit(rng.normal(size=3)) for _ in range(k)])
+    points = axis_point + radius * outward + rng.normal(0.0, 0.002, (k, 3))
+    conf = rng.random(k)
+    style = rng.integers(5)
+    if style == 0:
+        conf[rng.integers(k)] = 0.0
+    elif style == 1:
+        conf[:] = 0.0
+    elif style == 2:
+        conf[:] = rng.choice([0.5, 1.0 / 3.0, 0.7])
+    normals = [None] * k
+    if strap:
+        n_normals = int(rng.integers(0, k + 1))
+        with_normal = sorted(rng.choice(k, n_normals, replace=False).tolist())
+        style = rng.integers(3)
+        base = _unit(rng.normal(size=3))
+        for v in with_normal:
+            normals[v] = (outward[v] if style == 0 else
+                          _unit(rng.normal(size=3)) if style == 1 else
+                          _unit(base + rng.normal(0.0, 0.05, 3)))
+        if len(with_normal) >= 2 and rng.random() < 0.3:
+            # a parallel or antiparallel pair
+            a, b = with_normal[:2]
+            normals[b] = normals[a] * rng.choice([1.0, -1.0])
+    obs = [ViewObservation(ReflectorId(idx), points[v], float(conf[v]),
+                           None if normals[v] is None else np.array(normals[v]))
+           for v in range(k)]
+    return int(rng.integers(0, 300)), obs, radius if strap else None
+
+
+class TestFuseGroups:
+    RADIUS = 0.04
+
+    def test_equals_the_per_reflector_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        groups = [_random_group(rng, self.RADIUS) for _ in range(600)]
+        fused = fuse_groups(groups)
+        assert len(fused) == len(groups)
+        branches = {}
+        for (frame, obs, radius), got in zip(groups, fused):
+            want = _reference_fuse_reflector(obs, radius, frame)
+            _assert_same_point(got, want)
+            # the one-group public functions are the same arithmetic
+            _assert_same_point(fuse_reflector(obs, radius, frame), want)
+            _assert_same_point(fuse_patch(obs, frame),
+                               _reference_fuse_patch(obs, frame))
+            with_normals = [o for o in obs if o.normal_global is not None]
+            if len(with_normals) >= 2:
+                _assert_same_point(fuse_strap(obs, frame),
+                                   _reference_fuse_strap(obs, frame))
+            if with_normals and radius is not None:
+                _assert_same_point(
+                    fuse_strap_single_view(with_normals[0], radius, frame),
+                    _reference_single_view(with_normals[0], radius, frame))
+            kind = ("patch" if radius is None else
+                    f"strap, {min(len(with_normals), 2)} normals")
+            if len(with_normals) >= 2:
+                line = _reference_fuse_strap(obs, frame)
+                gap = line.position - _reference_fuse_patch(obs).position
+                kind += (", parallel" if line.degraded else
+                         ", far" if np.sqrt(gap @ gap) > 2.5 * radius
+                         else ", near")
+                # from 8 line points on, numpy sums pairwise
+                if not line.degraded and len(with_normals) >= 4:
+                    kind += ", 8+ points"
+            branches[kind] = branches.get(kind, 0) + 1
+        assert set(branches) >= {
+            "patch", "strap, 0 normals", "strap, 1 normals",
+            "strap, 2 normals, parallel", "strap, 2 normals, far",
+            "strap, 2 normals, near", "strap, 2 normals, far, 8+ points",
+            "strap, 2 normals, near, 8+ points"}, branches
+        assert min(branches.values()) >= 5, branches
+        sizes = {len(obs) for _, obs, _ in groups}
+        assert sizes == {1, 2, 3, 4, 5}
+        assert any(not any(o.e_total for o in obs) for _, obs, _ in groups)
+
+    def test_first_bad_group_names_its_error(self):
+        patch = (0, [_obs(1, [0, 0, 1], 0.9)], None)
+        no_radius = (1, [_obs(16, [0, 0, 1], 0.9)], None)
+        negative = (2, [_obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1])], -0.01)
+        # a strap without a normal never reads its radius
+        unread = (3, [_obs(12, [0, 0, 1], 0.9)], -0.01)
+        assert fuse_groups([patch, unread])[1].degraded
+        with pytest.raises(CalibrationInputError, match="strap 16"):
+            fuse_groups([patch, no_radius, negative])
+        with pytest.raises(ValidationError, match="limb radius"):
+            fuse_groups([patch, negative, no_radius])
+        with pytest.raises(ValidationError, match="at least one observation"):
+            fuse_groups([patch, (4, [], None)])
+        assert fuse_groups([]) == []
 
 
 class TestFuseReflector:
