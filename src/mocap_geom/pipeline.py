@@ -23,8 +23,8 @@ from .metrics import (EVAL_JOINT_NAMES, Detection2D, EvalReport,
                       mean_average_precision, subject_bbox)
 from .skeleton import (BoneCalibration, Pose, SkeletonTemplate,
                        calibrate_template, track)
-from .spatial import (OpticalFrame, ViewObservation, fuse_groups,
-                      observe_frame)
+from .spatial import (OpticalFrame, fuse_observations, gather_view,
+                      observe_rows)
 from .synth import MotionScript, SyntheticBody, animate, default_rig, render
 
 # ---------------------------------------------------------------------------
@@ -177,27 +177,23 @@ def fuse_estimates(reader: ds.DatasetReader,
                    config: PipelineConfig) -> list[OpticalFrame]:
     """Cross-view fusion into Kalman-smoothed optical frames.
 
-    The take is observed frame by frame, one ``observe_frame`` holding one
-    frame's masks and depths; then every (frame, reflector) group of the
-    take is fused in one ``fuse_groups`` pass, each group in view order;
-    then the tracker steps over the fused frames.
+    Each frame-view with estimates is read and gathered on its own
+    (``gather_view``: labeling, region assignment, merged-region splits),
+    so no mask or depth frame outlives its gather; then the whole take is
+    observed in one ``observe_rows`` pass and every (frame, reflector)
+    group is fused in one ``fuse_observations`` pass, each group in view
+    order; then the tracker steps over the fused frames.
     """
     by_frame: dict[int, dict[int, list[ReflectorEstimate2D]]] = {}
     for frame, view, ests in estimates:
         by_frame.setdefault(frame, {})[view] = ests
-    groups = []
-    for f in range(reader.num_frames):
-        views = [(ests, reader.mask(view, f), reader.depth(view, f),
-                  *reader.rig[view])
-                 for view, ests in sorted(by_frame.get(f, {}).items()) if ests]
-        observations: dict[int, list[ViewObservation]] = {}
-        for view_obs in observe_frame(views):
-            for obs in view_obs:
-                observations.setdefault(obs.reflector.index, []).append(obs)
-        groups.extend((f, obs, config.limb_radii.get(idx))
-                      for idx, obs in sorted(observations.items()))
+    rows = [gather_view(ests, reader.mask(view, f), reader.depth(view, f),
+                        f, view)
+            for f in range(reader.num_frames)
+            for view, ests in sorted(by_frame.get(f, {}).items()) if ests]
     frames = [OpticalFrame(frame=f) for f in range(reader.num_frames)]
-    for point in fuse_groups(groups):
+    for point in fuse_observations(observe_rows(rows, reader.rig.cameras),
+                                   config.limb_radii):
         frames[point.frame].add(point)
     tracker = ReflectorTracker(dt=1.0 / config.fps, params=config.kalman)
     return [tracker.step(frame) for frame in frames]

@@ -1,17 +1,24 @@
 """2D regions to fused global 3D optical data.
 
-The per-view half turns validated estimates into observations: connected
-reflector regions (the one mask labeling, which the filter's region rule
-reads too), median contour depth, backprojection of the region center, and
-(for straps) a surface normal from a least-squares plane fit of the
-contour's 3D points.  The cross-view half fuses observations into one global
-point per reflector: confidence-weighted centroids for patches, closest
+The per-view half turns validated estimates into observations.  Each
+frame-view is gathered on its own (``gather_view``): connected reflector
+regions (the one mask labeling, which the filter's region rule reads too),
+each estimate's region, merged regions split among their estimates, and
+the contour depths, so that its images can go.  One ``observe_rows`` pass
+then observes every gathered item of a take: median contour depth,
+backprojection of the region center, and (for straps) a surface normal from
+a least-squares plane fit of the contour's 3D points.  The cross-view half
+fuses the observations of each reflector in each frame into one global
+point (``fuse_observations`` on observed rows, ``fuse_groups`` on
+ViewObservation groups): confidence-weighted centroids for patches, closest
 points between inward normal lines for straps, with bounded fallbacks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -195,9 +202,7 @@ def split_merged_region(region: Region, ests: list[ReflectorEstimate2D],
             if sel.any():
                 centers[k] = feats[sel].mean(axis=0)
 
-    # Bijective cluster -> estimate matching on 2D centroid distance; the
-    # import is here because no other stage needs scipy.optimize
-    from scipy.optimize import linear_sum_assignment
+    # Bijective cluster -> estimate matching on 2D centroid distance
     cost = np.zeros((n, n))
     for k in range(n):
         sel = assignment == k
@@ -205,41 +210,62 @@ def split_merged_region(region: Region, ests: list[ReflectorEstimate2D],
         for j, e in enumerate(ests):
             cost[k, j] = np.hypot(centroid[0] - e.position[0],
                                   centroid[1] - e.position[1])
-    rows, cols = linear_sum_assignment(cost)
+    if n == 2:
+        cols = _pair_assignment(cost)
+    else:
+        # the import is here because no other stage needs scipy.optimize
+        from scipy.optimize import linear_sum_assignment
+        cols = linear_sum_assignment(cost)[1].tolist()
     clusters: list[np.ndarray] = [np.empty((0, 2), dtype=int)] * n
-    for k, j in zip(rows, cols):
+    for k, j in enumerate(cols):
         clusters[j] = pts[assignment == k]
     return clusters
 
 
-def _plane_normals(points: np.ndarray, lengths: np.ndarray) -> list[np.ndarray | None]:
-    """Unit normal of the least-squares plane of each consecutive run of
-    `points` (`lengths[i]` rows in run i), None where degenerate.
+def _pair_assignment(cost: np.ndarray) -> tuple[int, int]:
+    """The columns of rows 0 and 1 that ``linear_sum_assignment`` picks for
+    a 2x2 cost matrix, ties and rounding included.
+
+    Its shortest augmenting path gives row 0 the first minimum of its row.
+    Row 1 takes the other, free column, unless it costs strictly less in
+    row 0's column and the path that moves row 0 to the free column,
+    summed in scipy's order, costs strictly less than the free column;
+    then the two rows swap.
+    """
+    c = cost.tolist()
+    j, free = (0, 1) if c[0][0] <= c[0][1] else (1, 0)
+    if c[1][j] < c[1][free] and (c[1][j] + c[0][free]) - c[0][j] < c[1][free]:
+        return free, j
+    return j, free
+
+
+def _plane_normals(points: np.ndarray, lengths: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals of the least-squares planes of the consecutive runs of
+    `points` (`lengths[i]` rows in run i): the runs that have one, and
+    their normals.  A run of fewer than 3 or of collinear points has none.
 
     Run means are sequential sums, as ``run.mean(axis=0)`` is; the 3x3
     scatter matrices are decomposed in one stacked ``eigh``.
     """
     n = len(lengths)
-    out: list[np.ndarray | None] = [None] * n
     fit = np.flatnonzero(lengths >= 3)
     if len(fit) == 0:
-        return out
+        return fit, np.empty((0, 3))
     owner = np.repeat(np.arange(n), lengths)
     cells = (3 * owner[:, None] + np.arange(3)).ravel()
     means = (np.bincount(cells, points.ravel(), 3 * n).reshape(n, 3)
              / np.maximum(lengths, 1)[:, None])
     centered = points - means[owner]
-    ends = np.cumsum(lengths)
+    ends = np.cumsum(lengths).tolist()
     scatter = np.empty((len(fit), 3, 3))
     for k, i in enumerate(fit.tolist()):
-        run = centered[ends[i] - lengths[i]:ends[i]]
+        run = centered[ends[i] - int(lengths[i]):ends[i]]
         scatter[k] = run.T @ run
     # Eigenvector of each scatter with the least variance.
     evals, evecs = np.linalg.eigh(scatter)
-    for k, i in enumerate(fit.tolist()):
-        if not evals[k, 1] < 1e-18:  # collinear points: no unique plane
-            out[i] = evecs[k, :, 0]
-    return out
+    planar = ~(evals[:, 1] < 1e-18)  # collinear points: no unique plane
+    return fit[planar], evecs[planar, :, 0]
 
 
 def _backproject_all(u: np.ndarray, v: np.ndarray, z: np.ndarray,
@@ -274,68 +300,119 @@ ObserveItem = tuple[ReflectorEstimate2D, Region, np.ndarray,
                     tuple[float, float] | None]
 
 
-def observe_batch(views: list[tuple[list[ObserveItem], DepthFrame,
-                                    CameraIntrinsics, CameraExtrinsics]]
-                  ) -> list[list[ViewObservation | None]]:
-    """Backproject the validated estimates of one multi-view frame into the
-    global frame.
+@dataclass
+class ViewRows:
+    """What observation reads of one frame-view's items, item after item.
 
-    ``views`` holds (items, depth, intrinsics, extrinsics) for each view;
-    every item is observed with its own view's depth frame and camera.  The
-    region's central 2D point (pixel centroid, rounded) is backprojected at
-    the median of the nonzero contour depths; an even count takes the lower
-    middle value, so the depth is always a measured integer.  For straps,
-    the contour's 3D points give a least-squares plane whose unit normal,
-    oriented toward the camera, rides along for the cross-view fusion.
-    `contour` may be a sub-cluster of the region contour when a merged
-    region was split; `center_override` replaces the region centroid in
-    that case.  The result holds one list per view, one entry per item in
-    the items' order; None marks an item whose contour depths are all zero.
-
-    The whole frame is one batch: contours are gathered once per view,
-    medians come from one sort, and the strap plane fits share one stacked
-    ``eigh``; every number is rounded as the one-item computation rounds
-    it.
+    It is gathered while the view's depth frame is at hand, so that the
+    depth, mask and label image can go before the take is observed: each
+    item's reflector, e_total and contour pixels with the raw depths under
+    them, its center override, and the region pixels of each item without
+    one.
     """
-    counts = [len(view[0]) for view in views]
-    items = [item for view in views for item in view[0]]
-    n = len(items)
+
+    frame: int
+    view: int
+    reflectors: list[ReflectorId]
+    e_totals: list[float]
+    lengths: list[int]     # contour pixels of each item
+    contours: np.ndarray   # (m, 2) (u, v) of every item's contour
+    raw: np.ndarray        # (m,) uint16 depths under them
+    overrides: list[tuple[float, float] | None]
+    pixels: list[np.ndarray]  # region pixels of the items without override
+
+
+def _gather(items: list[ObserveItem], depth: DepthFrame, frame: int,
+            view: int) -> ViewRows:
+    """The rows of one frame-view's items, reading ``depth`` once."""
+    if items:
+        contours = np.concatenate([item[2] for item in items]).reshape(-1, 2)
+    else:
+        contours = np.empty((0, 2), dtype=np.int64)
+    return ViewRows(frame, view, [item[0].reflector for item in items],
+                    [item[0].e_total for item in items],
+                    [len(item[2]) for item in items], contours,
+                    depth.pixels[contours[:, 1], contours[:, 0]],
+                    [item[3] for item in items],
+                    [item[1].pixels for item in items if item[3] is None])
+
+
+@dataclass
+class Observations:
+    """Observed items in their gathered order, one row each.
+
+    A row whose contour depths are all zero has no depth and its point
+    means nothing; a row without a normal has a zero normal.
+    """
+
+    frames: np.ndarray      # (n,) frame of each row
+    reflectors: list[ReflectorId]
+    e_totals: list[float]
+    points: np.ndarray      # (n, 3) global points
+    normals: np.ndarray     # (n, 3) global unit normals, toward the camera
+    has_normal: np.ndarray  # (n,) bool
+    has_depth: np.ndarray   # (n,) bool
+
+
+def observe_rows(rows: list[ViewRows],
+                 cameras: Sequence[tuple[CameraIntrinsics, CameraExtrinsics]]
+                 ) -> Observations:
+    """Backproject gathered items into the global frame, all in one pass.
+
+    The items of each row are observed with its view's camera,
+    ``cameras[row.view]``.  The region's central 2D point (pixel centroid,
+    rounded) is backprojected at the median of the nonzero contour depths;
+    an even count takes the lower middle value, so the depth is always a
+    measured integer.  For straps, the contour's 3D points give a
+    least-squares plane whose unit normal, oriented toward the camera,
+    rides along for the cross-view fusion when it faces the camera.  A
+    center override replaces the region centroid: the contour is then a
+    sub-cluster of a split merged region.
+
+    Medians come from one sort, centroids from one ``bincount`` per axis,
+    and the strap plane fits share one stacked ``eigh``; every number is
+    rounded as the one-item computation rounds it, so no row depends on the
+    rows it is observed with.
+    """
+    counts = [len(row.reflectors) for row in rows]
+    reflectors = [r for row in rows for r in row.reflectors]
+    e_totals = [e for row in rows for e in row.e_totals]
+    n = len(reflectors)
+    frames = np.repeat(np.array([row.frame for row in rows], dtype=np.int64),
+                       counts)
+    points_global, normals = np.empty((n, 3)), np.zeros((n, 3))
+    has_normal = np.zeros(n, dtype=bool)
     if n == 0:
-        return [[] for _ in views]
-    item_view = np.repeat(np.arange(len(views)), counts)
+        return Observations(frames, reflectors, e_totals, points_global,
+                            normals, has_normal, has_normal.copy())
+    item_view = np.repeat(np.array([row.view for row in rows]), counts)
     pinholes = np.array([(intr.fx, intr.fy, intr.cx, intr.cy)
-                         for _, _, intr, _ in views], dtype=np.float64)[item_view]
+                         for intr, _ in cameras], dtype=np.float64)[item_view]
     limits = np.array([(intr.width - 1, intr.height - 1)
-                       for _, _, intr, _ in views])[item_view]
-    rotations = np.array([extr.rotation for *_, extr in views])[item_view]
-    translations = np.array([extr.translation for *_, extr in views])[item_view]
-    lengths = np.array([len(item[2]) for item in items])
+                       for intr, _ in cameras])[item_view]
+    rotations = np.array([extr.rotation for _, extr in cameras])[item_view]
+    translations = np.array([extr.translation for _, extr in cameras])[item_view]
+    lengths = np.array([length for row in rows for length in row.lengths])
     owner = np.repeat(np.arange(n), lengths)
-    contours, raws = [], []
-    for view_items, depth, _, _ in views:
-        if view_items:
-            view_contours = np.concatenate(
-                [item[2] for item in view_items]).reshape(-1, 2)
-            contours.append(view_contours)
-            raws.append(depth.pixels[view_contours[:, 1], view_contours[:, 0]])
-    contours = np.concatenate(contours)
-    raw = np.concatenate(raws)
+    contours = np.concatenate([row.contours for row in rows])
+    raw = np.concatenate([row.raw for row in rows])
     cvals = raw.astype(np.float64)
     d_mm = _nonzero_medians(raw, lengths)
     has_depth = d_mm > 0
 
     # Central point: pixel centroid (exact integer sums) unless overridden.
     centers = np.empty((n, 2))
-    plain = [i for i, item in enumerate(items) if item[3] is None]
-    if plain:
-        sizes = np.array([items[i][1].size for i in plain])
-        px = np.concatenate([items[i][1].pixels for i in plain])
-        px_owner = np.repeat(np.arange(len(plain)), sizes)
-        centers[plain, 0] = np.bincount(px_owner, px[:, 0], len(plain)) / sizes
-        centers[plain, 1] = np.bincount(px_owner, px[:, 1], len(plain)) / sizes
-    for i, item in enumerate(items):
-        if item[3] is not None:
-            centers[i] = item[3]
+    overrides = [o for row in rows for o in row.overrides]
+    plain = np.array([o is None for o in overrides])
+    pixels = [p for row in rows for p in row.pixels]
+    if pixels:
+        sizes = np.array([len(p) for p in pixels])
+        px = np.concatenate(pixels)
+        px_owner = np.repeat(np.arange(len(pixels)), sizes)
+        centers[plain, 0] = np.bincount(px_owner, px[:, 0], len(pixels)) / sizes
+        centers[plain, 1] = np.bincount(px_owner, px[:, 1], len(pixels)) / sizes
+    if not plain.all():
+        centers[~plain] = [o for o in overrides if o is not None]
     pixel = np.rint(centers).astype(np.int64)
     u = np.minimum(np.maximum(pixel[:, 0], 0), limits[:, 0])
     v = np.minimum(np.maximum(pixel[:, 1], 0), limits[:, 1])
@@ -344,40 +421,51 @@ def observe_batch(views: list[tuple[list[ObserveItem], DepthFrame,
 
     # Strap normals: contour samples hugging the silhouette read the surface
     # at grazing incidence; trim depths far from the region median first.
-    straps = [i for i, item in enumerate(items)
-              if has_depth[i] and item[0].reflector.kind is ReflectorKind.STRAP]
-    normals_global: list[np.ndarray | None] = [None] * n
-    if straps:
-        is_strap = np.zeros(n, dtype=bool)
-        is_strap[straps] = True
-        ok = (cvals > 0) & (np.abs(cvals - d_mm[owner]) <= 40.0) & is_strap[owner]
+    straps = has_depth & np.array([r.kind is ReflectorKind.STRAP
+                                   for r in reflectors])
+    if straps.any():
+        ok = (cvals > 0) & (np.abs(cvals - d_mm[owner]) <= 40.0) & straps[owner]
         pts3d = _backproject_all(contours[ok, 0], contours[ok, 1],
                                  cvals[ok] / 1000.0, pinholes[owner[ok]])
-        fitted = [(i, nrm) for i, nrm in enumerate(
-                      _plane_normals(pts3d, np.bincount(owner[ok], minlength=n)))
-                  if nrm is not None]
-        if fitted:
-            idx = [i for i, _ in fitted]
-            normals = np.array([nrm for _, nrm in fitted])
+        idx, fitted = _plane_normals(pts3d, np.bincount(owner[ok], minlength=n))
+        if len(idx):
             cams = points_cam[idx]
             # Orient toward the camera (origin of camera space).
-            normals[_stacked_dot(normals, cams) > 0] *= -1.0
+            fitted[_stacked_dot(fitted, cams) > 0] *= -1.0
             # A surface the sensor detected must face it; a fitted normal
             # far off the reverse viewing ray is fit noise.
             view_dirs = -cams / np.sqrt(_stacked_dot(cams, cams))[:, None]
-            facing = _stacked_dot(normals, view_dirs) >= 0.55
-            rotated = _rotate_rows(rotations[idx], normals)
-            for k, i in enumerate(idx):
-                if facing[k]:
-                    normals_global[i] = rotated[k]
+            facing = _stacked_dot(fitted, view_dirs) >= 0.55
+            idx = idx[facing]
+            normals[idx] = _rotate_rows(rotations[idx], fitted[facing])
+            has_normal[idx] = True
+    return Observations(frames, reflectors, e_totals, points_global, normals,
+                        has_normal, has_depth)
 
-    out = [ViewObservation(reflector=item[0].reflector,
-                           point_global=points_global[i],
-                           e_total=item[0].e_total,
-                           normal_global=normals_global[i])
-           if has_depth[i] else None for i, item in enumerate(items)]
-    ends = np.cumsum(counts).tolist()
-    return [out[end - count:end] for count, end in zip(counts, ends)]
+
+def observe_batch(views: list[tuple[list[ObserveItem], DepthFrame,
+                                    CameraIntrinsics, CameraExtrinsics]]
+                  ) -> list[list[ViewObservation | None]]:
+    """Backproject the given items of one multi-view frame into the global
+    frame: ``observe_rows`` on one batch.
+
+    ``views`` holds (items, depth, intrinsics, extrinsics) for each view;
+    every item is observed with its own view's depth frame and camera.
+    `contour` may be a sub-cluster of the region contour when a merged
+    region was split; `center_override` replaces the region centroid in
+    that case.  The result holds one list per view, one entry per item in
+    the items' order; None marks an item whose contour depths are all zero.
+    """
+    rows = [_gather(items, depth, 0, v)
+            for v, (items, depth, _, _) in enumerate(views)]
+    obs = observe_rows(rows, [(intr, extr) for *_, intr, extr in views])
+    normals = [normal if has else None
+               for normal, has in zip(obs.normals, obs.has_normal.tolist())]
+    out = iter([ViewObservation(reflector, point, e_total, normal) if ok else None
+                for reflector, point, e_total, normal, ok
+                in zip(obs.reflectors, obs.points, obs.e_totals, normals,
+                       obs.has_depth.tolist())])
+    return [list(islice(out, len(row.reflectors))) for row in rows]
 
 
 def _view_items(ests: list[ReflectorEstimate2D], mask: IrMask,
@@ -413,6 +501,17 @@ def _view_items(ests: list[ReflectorEstimate2D], mask: IrMask,
         except SplitFailure:
             items.append((assigned[0], region, region.contour, None))
     return items
+
+
+def gather_view(ests: list[ReflectorEstimate2D], mask: IrMask,
+                depth: DepthFrame, frame: int, view: int) -> ViewRows:
+    """The rows of one frame-view's validated estimates, for observe_rows.
+
+    The mask is labeled and its merged regions split as in
+    ``observe_frame`` (see ``_view_items``); nothing returned refers to the
+    mask or the depth frame, so both can go once it returns.
+    """
+    return _gather(_view_items(ests, mask, depth), depth, frame, view)
 
 
 def observe_frame(views: list[tuple[list[ReflectorEstimate2D], IrMask,
@@ -624,21 +723,68 @@ def fuse_groups(groups: list[FuseGroup]) -> list[OpticalPoint]:
     sizes = np.array([len(group) for _, group, _ in groups])
     if not sizes.all():
         raise ValidationError("fusion needs at least one observation per group")
+    # rows with a normal, ascending, so each group's rows stay consecutive
+    rows = [i for i, o in enumerate(observations) if o.normal_global is not None]
     reflectors = [group[0].reflector for _, group, _ in groups]
+    return _fuse_rows(
+        np.array([o.point_global for o in observations], dtype=np.float64),
+        np.array([o.e_total for o in observations], dtype=np.float64),
+        sizes, np.array(rows, dtype=np.int64),
+        np.array([observations[i].normal_global for i in rows],
+                 dtype=np.float64).reshape(-1, 3),
+        reflectors, [radius for *_, radius in groups],
+        [frame for frame, _, _ in groups])
+
+
+def fuse_observations(observations: Observations,
+                      limb_radii: Mapping[int, float]) -> list[OpticalPoint]:
+    """One point per (frame, reflector) of the observed rows, in (frame,
+    reflector) order.
+
+    The rows with depth of one reflector in one frame form its fusion
+    group; a stable sort keeps them in their gathered (view) order, so each
+    point equals ``fuse_groups``' point of that group.  A strap's limb
+    radius comes from ``limb_radii`` by reflector index.
+    """
+    keep = np.flatnonzero(observations.has_depth)
+    if len(keep) == 0:
+        return []
+    index = np.array([r.index for r in observations.reflectors])[keep]
+    key = observations.frames[keep] * (int(index.max()) + 1) + index
+    order = np.argsort(key, kind="stable")
+    rows = keep[order]
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    firsts = rows[starts]
+    reflectors = [observations.reflectors[i] for i in firsts.tolist()]
+    with_normal = observations.has_normal[rows]
+    return _fuse_rows(
+        observations.points[rows],
+        np.array(observations.e_totals, dtype=np.float64)[rows],
+        np.diff(starts, append=len(rows)), np.flatnonzero(with_normal),
+        observations.normals[rows[with_normal]], reflectors,
+        [limb_radii.get(r.index) for r in reflectors],
+        observations.frames[firsts].tolist())
+
+
+def _fuse_rows(points: np.ndarray, conf: np.ndarray, sizes: np.ndarray,
+               rows: np.ndarray, normals: np.ndarray,
+               reflectors: list[ReflectorId], limb_radii: list[float | None],
+               frames: list[int]) -> list[OpticalPoint]:
+    """The points of groups of observation rows, as ``fuse_groups`` fuses
+    and checks them.
+
+    Group g is ``sizes[g]`` consecutive rows of ``points`` and ``conf``,
+    of reflector ``reflectors[g]`` in frame ``frames[g]``, with limb radius
+    ``limb_radii[g]`` (None where none is configured).  ``rows`` lists the
+    rows with a normal, ascending, and ``normals`` their normals.
+    """
     is_strap = np.array([r.kind is ReflectorKind.STRAP for r in reflectors])
-    no_radius = np.array([radius is None for *_, radius in groups])
+    no_radius = np.array([radius is None for radius in limb_radii])
     radii = np.array([0.0 if radius is None else radius
-                      for *_, radius in groups], dtype=np.float64)
-    n = len(groups)
+                      for radius in limb_radii], dtype=np.float64)
+    n = len(sizes)
     starts = _starts(sizes)
     owner = np.repeat(np.arange(n), sizes)
-    points = np.array([o.point_global for o in observations], dtype=np.float64)
-    conf = np.array([o.e_total for o in observations], dtype=np.float64)
-    # rows with a normal, ascending, so each group's rows stay consecutive
-    rows = np.array([i for i, o in enumerate(observations)
-                     if o.normal_global is not None], dtype=np.int64)
-    normals = np.array([observations[i].normal_global for i in rows.tolist()],
-                       dtype=np.float64).reshape(-1, 3)
     normal_owner = owner[rows]
     normal_counts = np.bincount(normal_owner, minlength=n)
 
@@ -702,8 +848,8 @@ def fuse_groups(groups: list[FuseGroup]) -> list[OpticalPoint]:
             degraded[multi[far]] = True
 
     return [OpticalPoint(reflector, position, confidence, frame, degraded=flag)
-            for reflector, position, confidence, (frame, _, _), flag
-            in zip(reflectors, positions, confidences.tolist(), groups,
+            for reflector, position, confidence, frame, flag
+            in zip(reflectors, positions, confidences.tolist(), frames,
                    degraded.tolist())]
 
 

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  The end-to-end dataset (criterion 5) is built once
-per session and shared with the latency measurements (criterion 6).
+per session and shared with the latency measurements (criterion 6) and a
+check of its merged-region splits.
 
 Criterion 6 times its view-count scaling loop interleaved: each rotated
 view subset runs N = 1..4 back to back, in ascending and descending order
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from mocap_geom import dataset as ds
+from mocap_geom import spatial
 from mocap_geom.config import PipelineConfig
 from mocap_geom.core import IrMask, ReflectorId
 from mocap_geom.filtering import FilterParams, apply_filters
@@ -423,6 +425,31 @@ def test_criterion_6_latency_and_scaling(e2e, tmp_path):
     ok &= r2 > 0.99
     _report(6, ok, f"fuse+track {per_frame_ms:.2f} ms per 3-view frame, "
                    f"view-count fit R^2 = {r2:.4f} over {[f'{t:.2f}' for t in times]}")
+
+
+def test_every_e2e_split_assigns_as_linear_sum_assignment(e2e, monkeypatch):
+    """Every merged region of the end-to-end take holds two estimates, and
+    the split's cluster-to-estimate bijection, made without scipy.optimize,
+    is the one linear_sum_assignment picks."""
+    from scipy.optimize import linear_sum_assignment
+    pair, split = spatial._pair_assignment, spatial.split_merged_region
+    costs, sizes = [], []
+
+    def recorded(cost):
+        costs.append(cost.copy())
+        return pair(cost)
+
+    def counted(region, ests, depth):
+        sizes.append(len(ests))
+        return split(region, ests, depth)
+    monkeypatch.setattr(spatial, "_pair_assignment", recorded)
+    monkeypatch.setattr(spatial, "split_merged_region", counted)
+    fuse_estimates(ds.DatasetReader(e2e["root"]),
+                   ds.read_estimates(e2e["work"] / "estimates.jsonl"),
+                   e2e["cfg"])
+    assert len(costs) >= 300 and set(sizes) == {2}
+    for cost in costs:
+        assert pair(cost) == tuple(linear_sum_assignment(cost)[1].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,17 +14,19 @@ import pytest
 
 import mocap_geom
 from mocap_geom import dataset as ds
-from mocap_geom import skeleton, spatial
+from mocap_geom import pipeline, skeleton, spatial
 from mocap_geom.cli import main
 from mocap_geom.config import PipelineConfig, load_config, write_default_config
+from mocap_geom.core import DepthFrame, ReflectorId
 from mocap_geom.errors import ValidationError
 from mocap_geom.kalman import ReflectorTracker
+from mocap_geom.maps import ReflectorEstimate2D
 from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
                                  cmd_synth, cmd_track, fuse_estimates,
                                  infer_dataset)
 from mocap_geom.skeleton import (JOINTS, Pose, SkeletonTemplate,
                                  calibrate_template, quat_from_matrix, track)
-from test_spatial import _reference_fuse_reflector
+from test_spatial import _reference_fuse_reflector, _reference_observe_frame
 
 
 def small_config(duration=24, noise=0.0):
@@ -31,6 +35,57 @@ def small_config(duration=24, noise=0.0):
     cfg.synth.noise_sigma_mm = noise
     cfg.calibration = type(cfg.calibration)(frame_window=duration, rest_frames=8)
     return cfg
+
+
+class _WatchedReader(ds.DatasetReader):
+    """A dataset reader that keeps a weak reference to every mask and depth
+    frame it reads, and notes each read made while one read for another
+    frame-view was still alive."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.reads = []
+        self.alive_at_read = []
+
+    def _watch(self, key, image):
+        self.alive_at_read.extend((other, key) for other, ref in self.reads
+                                  if other != key and ref() is not None)
+        self.reads.append((key, weakref.ref(image)))
+        return image
+
+    def mask(self, view, frame):
+        return self._watch((frame, view), super().mask(view, frame))
+
+    def depth(self, view, frame):
+        return self._watch((frame, view), super().depth(view, frame))
+
+
+def _reference_fuse_estimates(reader, estimates, cfg):
+    """fuse_estimates as it was before the take pass: each frame observed
+    by the per-frame reference, each of its reflectors fused on its own,
+    then the tracker step.  Also returns the normal count of each strap
+    group."""
+    by_frame = {}
+    for f, view, ests in estimates:
+        by_frame.setdefault(f, {})[view] = ests
+    tracker = ReflectorTracker(dt=1.0 / cfg.fps, params=cfg.kalman)
+    frames, normal_counts = [], []
+    for f in range(reader.num_frames):
+        views = [(ests, reader.mask(view, f), reader.depth(view, f),
+                  *reader.rig[view])
+                 for view, ests in sorted(by_frame.get(f, {}).items())]
+        observations = {}
+        for view_obs in _reference_observe_frame(views):
+            for obs in view_obs:
+                observations.setdefault(obs.reflector.index, []).append(obs)
+        frame = spatial.OpticalFrame(frame=f)
+        for idx, obs in sorted(observations.items()):
+            frame.add(_reference_fuse_reflector(obs, cfg.limb_radii.get(idx), f))
+            if idx in cfg.limb_radii:
+                normal_counts.append(sum(o.normal_global is not None
+                                         for o in obs))
+        frames.append(tracker.step(frame))
+    return frames, normal_counts
 
 
 @pytest.fixture(scope="module")
@@ -199,25 +254,25 @@ class TestComposition:
         assert ((tmp_path / "motion.jsonl").read_bytes()
                 == (run / "motion.jsonl").read_bytes())
 
-    def test_fuse_observes_each_frame_in_one_batch(self, small_run,
-                                                   monkeypatch):
+    def test_fuse_observes_the_take_in_one_pass(self, small_run, monkeypatch):
         root, cfg, run = small_run
-        reader = ds.DatasetReader(root)
+        reader = _WatchedReader(root)
         estimates = ds.read_estimates(run / "estimates.jsonl")
-        batches = []
-        original = spatial.observe_batch
+        passes = []
+        original = pipeline.observe_rows
 
-        def counted(views):
-            batches.append(len(views))
-            return original(views)
-        monkeypatch.setattr(spatial, "observe_batch", counted)
+        def counted(rows, cameras):
+            passes.append([(row.frame, row.view) for row in rows])
+            return original(rows, cameras)
+        monkeypatch.setattr(pipeline, "observe_rows", counted)
         frames = fuse_estimates(reader, estimates, cfg)
-        # one call per frame, over every view that has estimates
-        with_estimates = [0] * reader.num_frames
-        for f, _, ests in estimates:
-            with_estimates[f] += bool(ests)
-        assert batches == with_estimates
-        assert min(batches) == reader.num_views
+        # one pass over every frame-view that has estimates, in take order
+        assert passes == [[(f, v) for f, v, ests in estimates if ests]]
+        assert len(passes[0]) == reader.num_frames * reader.num_views
+        # no mask or depth frame outlives the gather of its frame-view
+        assert len(reader.reads) == 2 * len(passes[0])
+        assert reader.alive_at_read == []
+        assert all(ref() is None for _, ref in reader.reads)
         monkeypatch.undo()
         again = fuse_estimates(reader, estimates, cfg)
         assert [sorted(f.points) for f in frames] == [sorted(f.points) for f in again]
@@ -232,31 +287,63 @@ class TestComposition:
         reader = ds.DatasetReader(cmd_synth(cfg, tmp_path / "dataset"))
         estimates = [e for e in infer_dataset(reader, cfg) if e[0] >= 10]
         got = fuse_estimates(reader, estimates, cfg)
-
-        # the per-frame loop of per-reflector fusions that fuse_groups replaced
-        by_frame = {}
-        for f, view, ests in estimates:
-            by_frame.setdefault(f, {})[view] = ests
-        tracker = ReflectorTracker(dt=1.0 / cfg.fps, params=cfg.kalman)
-        want, normal_counts = [], []
-        for f in range(reader.num_frames):
-            views = [(ests, reader.mask(view, f), reader.depth(view, f),
-                      *reader.rig[view])
-                     for view, ests in sorted(by_frame.get(f, {}).items())]
-            observations = {}
-            for view_obs in spatial.observe_frame(views):
-                for obs in view_obs:
-                    observations.setdefault(obs.reflector.index, []).append(obs)
-            frame = spatial.OpticalFrame(frame=f)
-            for idx, obs in sorted(observations.items()):
-                frame.add(_reference_fuse_reflector(obs, cfg.limb_radii.get(idx), f))
-                if idx in cfg.limb_radii:
-                    normal_counts.append(sum(o.normal_global is not None
-                                             for o in obs))
-            want.append(tracker.step(frame))
+        want, normal_counts = _reference_fuse_estimates(reader, estimates, cfg)
         # straps with one normal and with two and three normal lines
         assert {1, 2, 3} <= set(normal_counts)
         assert all(len(f.points) >= 20 for f in got[10:])
+        ds.write_optical(tmp_path / "got.jsonl", got)
+        ds.write_optical(tmp_path / "want.jsonl", want)
+        assert ((tmp_path / "got.jsonl").read_bytes()
+                == (tmp_path / "want.jsonl").read_bytes())
+
+    def test_take_pass_equals_the_per_frame_reference(self, tmp_path,
+                                                      monkeypatch):
+        # A 3-view take that moves from frame 5 on (1 s of rest at 5
+        # frames/s), where limbs cross and merged regions are split.
+        cfg = PipelineConfig(seed=1)
+        cfg.synth.duration = 12
+        cfg.synth.fps = 5.0
+        root = cmd_synth(cfg, tmp_path / "dataset")
+        reader = ds.DatasetReader(root)
+        estimates = infer_dataset(reader, cfg)
+        by_fv = {(f, v): list(ests) for f, v, ests in estimates}
+        # frame 9: a view without estimates; frame 7: none in any view
+        by_fv[9, 1] = []
+        for v in range(reader.num_views):
+            by_fv[7, v] = []
+        # frame 8, view 0: a reflector of no region (on the background) ...
+        regions, labels = spatial.find_regions_labeled(reader.mask(0, 8))
+        taken = {e.reflector.index for e in by_fv[8, 0]}
+        spare = min(set(range(1, 27)) - taken)
+        assert labels[0, 0] == 0
+        by_fv[8, 0].append(ReflectorEstimate2D(ReflectorId(spare), (0.0, 0.0),
+                                               0.8, 0.0, 0.8))
+        # ... and one, alone in its region, whose contour depths are all zero
+        def label(e):
+            return labels[round(e.position[1]), round(e.position[0])]
+        shared = Counter(label(e) for e in by_fv[8, 0])
+        lone = next(e for e in by_fv[8, 0] if label(e) and shared[label(e)] == 1)
+        region = regions[label(lone) - 1]
+        depth = reader.depth(0, 8).pixels.copy()
+        depth[region.contour[:, 1], region.contour[:, 0]] = 0
+        ds.write_depth(root / "view_0" / "depth_00008.bin", DepthFrame(depth))
+        estimates = [(f, v, ests) for (f, v), ests in sorted(by_fv.items())]
+
+        splits = []
+        split = spatial.split_merged_region
+
+        def counted(region, ests, depth):
+            splits.append(len(ests))
+            return split(region, ests, depth)
+        monkeypatch.setattr(spatial, "split_merged_region", counted)
+        got = fuse_estimates(reader, estimates, cfg)
+        assert splits
+        monkeypatch.undo()
+        want, _ = _reference_fuse_estimates(reader, estimates, cfg)
+        view_0, = _reference_observe_frame([(by_fv[8, 0], reader.mask(0, 8),
+                                             reader.depth(0, 8), *reader.rig[0])])
+        assert lone.reflector not in {o.reflector for o in view_0}
+        assert not got[7].points and len(got[8].points) >= 20
         ds.write_optical(tmp_path / "got.jsonl", got)
         ds.write_optical(tmp_path / "want.jsonl", want)
         assert ((tmp_path / "got.jsonl").read_bytes()
@@ -748,6 +835,30 @@ class TestCli:
                 f"from mocap_geom.cli import main\nassert main({argv!r}) == 0",
                 "scipy.ndimage")
             assert bool(loaded) is labels, (command, loaded)
+
+    def test_fuse_splits_two_estimate_regions_without_scipy_optimize(
+            self, tmp_path):
+        # at 4 frames/s the 1 s rest lead-in ends at frame 4; later frames
+        # hold merged regions of two estimates each
+        dataset, out = tmp_path / "dataset", tmp_path / "run"
+        config = tmp_path / "moving.ini"
+        config.write_text("[pipeline]\nfps = 4\n\n[synth]\nduration = 8\n")
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out), "--seed", "1"]
+        assert main(["synth", *args]) == 0
+        assert main(["infer", *args]) == 0
+        loaded = self._loaded_modules(
+            "from mocap_geom import spatial\n"
+            "from mocap_geom.cli import main\n"
+            "split, sizes = spatial.split_merged_region, []\n"
+            "def counted(region, ests, depth):\n"
+            "    sizes.append(len(ests))\n"
+            "    return split(region, ests, depth)\n"
+            "spatial.split_merged_region = counted\n"
+            f"assert main({['fuse', *args]!r}) == 0\n"
+            "assert sizes and set(sizes) == {2}, sizes",
+            "scipy.optimize")
+        assert loaded == []
 
     def test_init_config(self, tmp_path):
         target = tmp_path / "cfg.ini"

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mocap_geom import spatial
 from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, DepthFrame,
                              IrMask, ReflectorId, ReflectorKind)
 from mocap_geom.errors import (CalibrationInputError, SplitFailure,
@@ -238,6 +239,46 @@ class TestSplitMergedRegion:
         assert not (sets[0] & sets[1])
         assert len(sets[0]) > 0 and len(sets[1]) > 0
 
+    def test_three_estimates_split_among_three_disks(self):
+        bits = np.zeros((40, 90), dtype=bool)
+        depth = np.zeros((40, 90), dtype=np.uint16)
+        disks = [set(_disk_pixels(x, 20, 6)) for x in (20, 31, 42)]
+        for k, disk in enumerate(disks):
+            for x, y in disk:
+                bits[y, x] = True
+                depth[y, x] = depth[y, x] or 1000 + 400 * k
+        region = find_regions_labeled(IrMask(bits))[0][0]
+        # the estimates in another order than the disks
+        ests = [_est(2, 31, 20), _est(3, 42, 20), _est(1, 20, 20)]
+        clusters = split_merged_region(region, ests, DepthFrame(depth))
+        for cluster, disk in zip(clusters, (disks[1], disks[2], disks[0])):
+            got = {tuple(p) for p in cluster.tolist()}
+            assert got and len(got & disk) / len(got) >= 0.9
+
+    def test_pair_assignment_matches_linear_sum_assignment(self):
+        """The two-estimate bijection picks scipy's columns: on small
+        integer costs full of ties, on float costs whose two assignment
+        sums tie or differ by one ulp, and on random costs."""
+        from scipy.optimize import linear_sum_assignment
+        rng = np.random.default_rng(41)
+        ties = ulps = 0
+        for t in range(20000):
+            if t % 3 == 0:
+                cost = rng.integers(0, 4, (2, 2)).astype(np.float64)
+            else:
+                cost = rng.random((2, 2)) * 100
+                if t % 3 == 1:
+                    # the swapped sum next to the identity's
+                    near = np.nextafter(cost[0, 0] + cost[1, 1],
+                                        rng.choice([-np.inf, np.inf]))
+                    cost[1, 0] = near - cost[0, 1]
+            kept, swapped = cost[0, 0] + cost[1, 1], cost[0, 1] + cost[1, 0]
+            ties += kept == swapped
+            ulps += np.nextafter(min(kept, swapped), np.inf) == max(kept, swapped)
+            want = tuple(linear_sum_assignment(cost)[1].tolist())
+            assert spatial._pair_assignment(cost) == want, cost
+        assert ties > 1000 and ulps > 5000, (ties, ulps)
+
 
 class TestObserve:
     def test_flat_patch_on_optical_axis(self):
@@ -292,6 +333,125 @@ def _observe_reference(est, region, contour, depth, intr, extr,
                 if normal @ (-point_cam / np.linalg.norm(point_cam)) >= 0.55:
                     normal_global = extr.rotation @ normal
     return to_global(point_cam, extr), normal_global
+
+
+# observe_batch and observe_frame as they were before the take pass, one
+# frame per call: the bit-equality reference of the gather and observe_rows.
+
+def _reference_plane_normals(points, lengths):
+    n = len(lengths)
+    out = [None] * n
+    fit = np.flatnonzero(lengths >= 3)
+    if len(fit) == 0:
+        return out
+    owner = np.repeat(np.arange(n), lengths)
+    cells = (3 * owner[:, None] + np.arange(3)).ravel()
+    means = (np.bincount(cells, points.ravel(), 3 * n).reshape(n, 3)
+             / np.maximum(lengths, 1)[:, None])
+    centered = points - means[owner]
+    ends = np.cumsum(lengths)
+    scatter = np.empty((len(fit), 3, 3))
+    for k, i in enumerate(fit.tolist()):
+        run = centered[ends[i] - lengths[i]:ends[i]]
+        scatter[k] = run.T @ run
+    evals, evecs = np.linalg.eigh(scatter)
+    for k, i in enumerate(fit.tolist()):
+        if not evals[k, 1] < 1e-18:
+            out[i] = evecs[k, :, 0]
+    return out
+
+
+def _reference_observe_batch(views):
+    counts = [len(view[0]) for view in views]
+    items = [item for view in views for item in view[0]]
+    n = len(items)
+    if n == 0:
+        return [[] for _ in views]
+    item_view = np.repeat(np.arange(len(views)), counts)
+    pinholes = np.array([(intr.fx, intr.fy, intr.cx, intr.cy)
+                         for _, _, intr, _ in views], dtype=np.float64)[item_view]
+    limits = np.array([(intr.width - 1, intr.height - 1)
+                       for _, _, intr, _ in views])[item_view]
+    rotations = np.array([extr.rotation for *_, extr in views])[item_view]
+    translations = np.array([extr.translation for *_, extr in views])[item_view]
+    lengths = np.array([len(item[2]) for item in items])
+    owner = np.repeat(np.arange(n), lengths)
+    contours, raws = [], []
+    for view_items, depth, _, _ in views:
+        if view_items:
+            view_contours = np.concatenate(
+                [item[2] for item in view_items]).reshape(-1, 2)
+            contours.append(view_contours)
+            raws.append(depth.pixels[view_contours[:, 1], view_contours[:, 0]])
+    contours = np.concatenate(contours)
+    raw = np.concatenate(raws)
+    cvals = raw.astype(np.float64)
+    d_mm = spatial._nonzero_medians(raw, lengths)
+    has_depth = d_mm > 0
+    centers = np.empty((n, 2))
+    plain = [i for i, item in enumerate(items) if item[3] is None]
+    if plain:
+        sizes = np.array([items[i][1].size for i in plain])
+        px = np.concatenate([items[i][1].pixels for i in plain])
+        px_owner = np.repeat(np.arange(len(plain)), sizes)
+        centers[plain, 0] = np.bincount(px_owner, px[:, 0], len(plain)) / sizes
+        centers[plain, 1] = np.bincount(px_owner, px[:, 1], len(plain)) / sizes
+    for i, item in enumerate(items):
+        if item[3] is not None:
+            centers[i] = item[3]
+    pixel = np.rint(centers).astype(np.int64)
+    u = np.minimum(np.maximum(pixel[:, 0], 0), limits[:, 0])
+    v = np.minimum(np.maximum(pixel[:, 1], 0), limits[:, 1])
+    points_cam = spatial._backproject_all(u, v, d_mm / 1000.0, pinholes)
+    points_global = spatial._rotate_rows(rotations, points_cam) + translations
+    straps = [i for i, item in enumerate(items)
+              if has_depth[i] and item[0].reflector.kind is ReflectorKind.STRAP]
+    normals_global = [None] * n
+    if straps:
+        is_strap = np.zeros(n, dtype=bool)
+        is_strap[straps] = True
+        ok = (cvals > 0) & (np.abs(cvals - d_mm[owner]) <= 40.0) & is_strap[owner]
+        pts3d = spatial._backproject_all(contours[ok, 0], contours[ok, 1],
+                                         cvals[ok] / 1000.0, pinholes[owner[ok]])
+        fitted = [(i, nrm) for i, nrm in enumerate(_reference_plane_normals(
+                      pts3d, np.bincount(owner[ok], minlength=n)))
+                  if nrm is not None]
+        if fitted:
+            idx = [i for i, _ in fitted]
+            normals = np.array([nrm for _, nrm in fitted])
+            cams = points_cam[idx]
+            normals[spatial._stacked_dot(normals, cams) > 0] *= -1.0
+            view_dirs = -cams / np.sqrt(spatial._stacked_dot(cams, cams))[:, None]
+            facing = spatial._stacked_dot(normals, view_dirs) >= 0.55
+            rotated = spatial._rotate_rows(rotations[idx], normals)
+            for k, i in enumerate(idx):
+                if facing[k]:
+                    normals_global[i] = rotated[k]
+    out = [ViewObservation(reflector=item[0].reflector,
+                           point_global=points_global[i],
+                           e_total=item[0].e_total,
+                           normal_global=normals_global[i])
+           if has_depth[i] else None for i, item in enumerate(items)]
+    ends = np.cumsum(counts).tolist()
+    return [out[end - count:end] for count, end in zip(counts, ends)]
+
+
+def _reference_observe_frame(views):
+    batch = [(spatial._view_items(ests, mask, depth), depth, intr, extr)
+             for ests, mask, depth, intr, extr in views]
+    return [[obs for obs in view if obs is not None]
+            for view in _reference_observe_batch(batch)]
+
+
+def _same_observation(a, b):
+    """Equal ViewObservations (or both None), bit for bit."""
+    if a is None or b is None:
+        return a is b
+    return (a.reflector == b.reflector and a.e_total == b.e_total
+            and a.point_global.tobytes() == b.point_global.tobytes()
+            and (a.normal_global is None) == (b.normal_global is None)
+            and (a.normal_global is None
+                 or a.normal_global.tobytes() == b.normal_global.tobytes()))
 
 
 class TestObserveBatch:
@@ -400,6 +560,11 @@ class TestObserveBatch:
                      for _ in range(n_views)]
             got = observe_batch(views)
             assert len(got) == n_views
+            # the frame as the per-frame reference observes it
+            want = _reference_observe_batch(views)
+            assert [len(v) for v in got] == [len(v) for v in want]
+            assert all(_same_observation(a, b) for view_got, view_want
+                       in zip(got, want) for a, b in zip(view_got, view_want))
             seen["views_4"] += n_views == 4
             for view, frame_obs in zip(views, got):
                 single, = observe_batch([view])
