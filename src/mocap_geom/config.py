@@ -147,9 +147,12 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise ValidationError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                              f"{exc.start})") from None
     if parser.defaults():
         raise ValidationError(f"{path}: [DEFAULT] {next(iter(parser.defaults()))}: "
                               "unknown key")

@@ -234,7 +234,22 @@ def save_rig(rig: MultiViewRig, path: str | Path) -> None:
 
 
 def load_rig(path: str | Path) -> MultiViewRig:
-    return parse_json(Path(path).read_text(), rig_from_dict, str(path))
+    return parse_json(read_text(path), rig_from_dict, str(path))
+
+
+def read_text(path: str | Path) -> str:
+    """The text of ``path`` decoded as UTF-8.
+
+    A byte that is not UTF-8 raises FormatError naming the file and the
+    line that holds it, counted as ``str.splitlines`` counts lines.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason} "
+                          f"at byte {exc.start})") from None
 
 
 def parse_json(text: str, parse, where: str):

@@ -20,22 +20,27 @@ from __future__ import annotations
 import json
 import math
 import struct
+from functools import partial
+from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .core import (DepthFrame, IrMask, MultiViewRig, ReflectorId,
-                   finite_vector, json_int, load_rig, parse_json)
+from .core import (NUM_REFLECTORS, DepthFrame, IrMask, MultiViewRig,
+                   ReflectorId, finite_vector, json_int, load_rig, parse_json,
+                   read_text)
 from .errors import FormatError, ValidationError
 from .maps import Annotation2D, ConfidenceMap, FlowField, ReflectorEstimate2D
-from .skeleton import JOINTS, Pose
+from .skeleton import JOINTS, Pose, derive_quaternions
 from .spatial import OpticalFrame, OpticalPoint
 
 MAGIC_DEPTH = b"DMCD"
 MAGIC_MASK = b"DMCI"
 MAGIC_MAPS = b"DMCM"
 MAPS_VERSION = 2
-_JOINT_NAMES = sorted(j.name for j in JOINTS)
+_JOINT_ORDER = [j.name for j in JOINTS]
+_JOINT_NAMES = sorted(_JOINT_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +181,42 @@ def read_maps(path: str | Path) -> tuple[dict[ReflectorId, ConfidenceMap],
 # ---------------------------------------------------------------------------
 # JSONL codecs
 # ---------------------------------------------------------------------------
+#
+# A writer fills one %s template per line, with the keys in sorted order, so
+# that each line is byte for byte json.dumps(doc, sort_keys=True,
+# separators=(",", ":")).  A reader makes one json.loads per line and checks
+# each value where it takes it, with the messages of json_int and
+# finite_vector.
 
-def _write_jsonl(path: str | Path, docs) -> None:
-    """One compact, key-sorted JSON document per line; no lines, no bytes."""
-    lines = [json.dumps(doc, sort_keys=True, separators=(",", ":"))
-             for doc in docs]
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "")
+_REFLECTORS = {i: ReflectorId(i) for i in range(1, NUM_REFLECTORS + 1)}
+_BY_REFLECTOR = attrgetter("reflector.index")
+_JSON = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _json_values(values: list) -> list:
+    """``values`` for the %s slots of a template, each of them written as
+    json.dumps writes it: %s writes a finite float or an int the same way,
+    and json.dumps itself writes a file that holds any other value."""
+    kinds = set(map(type, values))
+    if np.float64 in kinds:
+        # json.dumps writes a numpy float64 as the float it holds
+        values = [float(v) if type(v) is np.float64 else v for v in values]
+        kinds = kinds - {np.float64} | {float}
+    if kinds <= {float, int}:
+        try:
+            if isfinite(sum(values, 0.0)):
+                return values
+        except OverflowError:   # an int past the float range
+            pass
+    return [_JSON(v) for v in values]
+
+
+def _write_jsonl(path: str | Path, lines: list[str], values: list) -> None:
+    """The %s templates ``lines`` filled with ``values``, one per line; no
+    lines, no bytes."""
+    text = ("\n".join(lines) % tuple(_json_values(values)) + "\n"
+            if lines else "")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _read_jsonl(path: str | Path, parse, key) -> list:
@@ -193,7 +228,7 @@ def _read_jsonl(path: str | Path, parse, key) -> list:
     an earlier line already holds.
     """
     records, seen = [], set()
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, line in enumerate(read_text(path).splitlines(), start=1):
         if line.strip():
             record = parse_json(line, parse, f"{path}: line {n}")
             k = key(record)
@@ -204,13 +239,28 @@ def _read_jsonl(path: str | Path, parse, key) -> list:
     return records
 
 
-def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> None:
-    _write_jsonl(path, ({"frame": f, "annotations": [
-        {"reflector": a.reflector.index,
-         "x_curr": [a.x_curr[0], a.x_curr[1]],
-         "x_prev": None if a.x_prev is None else [a.x_prev[0], a.x_prev[1]]}
-        for a in sorted(anns, key=lambda a: a.reflector.index)]}
-        for f, anns in enumerate(per_frame)))
+def _finite(value, n: int, what: str):
+    """``value`` when finite_vector accepts it, its ValueError otherwise.
+
+    A JSON value of n items whose sum from 0.0 is finite passes at once:
+    that sum is finite only when every item is a finite number (an int past
+    the float range overflows on the way, and a string, or an object's
+    string key, fails).  finite_vector decides the rest: other sizes, and
+    sums that overflow on finite items.
+    """
+    try:
+        if len(value) == n and isfinite(sum(value, 0.0)):
+            return value
+    except (TypeError, OverflowError):
+        pass
+    return finite_vector(value, n, what)
+
+
+def _reflector(value) -> ReflectorId:
+    """The shared id of a JSON reflector index; the ValueError of json_int
+    or ReflectorId for any other value."""
+    rid = _REFLECTORS.get(value) if type(value) is int else None
+    return rid if rid is not None else ReflectorId(json_int(value, "reflector"))
 
 
 def _unique_reflectors(items, what: str):
@@ -222,6 +272,25 @@ def _unique_reflectors(items, what: str):
             raise ValueError(f"{what} of reflector {item.reflector.index} repeated")
         seen.add(item.reflector.index)
     return items
+
+
+_ANNOTATION = '{"reflector":%s,"x_curr":[%s,%s],"x_prev":'
+
+
+def write_annotations(path: str | Path, per_frame: list[list[Annotation2D]]) -> None:
+    lines, values = [], []
+    for f, anns in enumerate(per_frame):
+        items = []
+        for a in sorted(anns, key=_BY_REFLECTOR):
+            values += (a.reflector.index, a.x_curr[0], a.x_curr[1])
+            if a.x_prev is None:
+                items.append(_ANNOTATION + "null}")
+            else:
+                items.append(_ANNOTATION + "[%s,%s]}")
+                values += (a.x_prev[0], a.x_prev[1])
+        lines.append('{"annotations":[' + ",".join(items) + '],"frame":%s}')
+        values.append(f)
+    _write_jsonl(path, lines, values)
 
 
 def read_annotations(path: str | Path, num_frames: int | None = None,
@@ -239,28 +308,35 @@ def read_annotations(path: str | Path, num_frames: int | None = None,
         anns = []
         for a in doc["annotations"]:
             prev = a.get("x_prev")
-            ann = Annotation2D(
-                ReflectorId(json_int(a["reflector"], "reflector")),
-                tuple(finite_vector(a["x_curr"], 2, "x_curr")),
-                None if prev is None else tuple(finite_vector(prev, 2, "x_prev")))
-            if size is not None and not (0 <= round(ann.x_curr[0]) < size[0]
-                                         and 0 <= round(ann.x_curr[1]) < size[1]):
-                raise ValueError(f"reflector {ann.reflector.index}: x_curr "
-                                 f"{list(ann.x_curr)} lies off the "
-                                 f"{size[0]}x{size[1]} image")
-            anns.append(ann)
+            rid = _reflector(a["reflector"])
+            x_curr = _finite(a["x_curr"], 2, "x_curr")
+            if prev is not None:
+                prev = tuple(_finite(prev, 2, "x_prev"))
+            u, v = x_curr
+            if size is not None and not (0 <= round(u) < size[0]
+                                         and 0 <= round(v) < size[1]):
+                raise ValueError(f"reflector {rid.index}: x_curr {x_curr} "
+                                 f"lies off the {size[0]}x{size[1]} image")
+            anns.append(Annotation2D(rid, (u, v), prev))
         return frame, _unique_reflectors(anns, "annotation")
     return dict(_read_jsonl(path, parse, lambda r: f"frame {r[0]}"))
 
 
+_ESTIMATE = ('{"e_l":%s,"e_s":%s,"e_total":%s,"position":[%s,%s],'
+             '"reflector":%s}')
+
+
 def write_estimates(path: str | Path,
                     per_frame_view: list[tuple[int, int, list[ReflectorEstimate2D]]]) -> None:
-    _write_jsonl(path, ({"frame": frame, "view": view, "estimates": [
-        {"reflector": e.reflector.index,
-         "position": [e.position[0], e.position[1]],
-         "e_s": e.e_s, "e_l": e.e_l, "e_total": e.e_total}
-        for e in sorted(ests, key=lambda e: e.reflector.index)]}
-        for frame, view, ests in per_frame_view))
+    lines, values = [], []
+    for frame, view, ests in per_frame_view:
+        for e in sorted(ests, key=_BY_REFLECTOR):
+            values += (e.e_l, e.e_s, e.e_total, e.position[0], e.position[1],
+                       e.reflector.index)
+        lines.append('{"estimates":[' + ",".join([_ESTIMATE] * len(ests))
+                     + '],"frame":%s,"view":%s}')
+        values += (frame, view)
+    _write_jsonl(path, lines, values)
 
 
 def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstimate2D]]]:
@@ -269,81 +345,135 @@ def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstim
         view = json_int(doc["view"], "view")
         if frame < 0 or view < 0:
             raise ValueError(f"frame {frame}, view {view}: must be >= 0")
-        ests = [ReflectorEstimate2D(
-                    ReflectorId(json_int(e["reflector"], "reflector")),
-                    tuple(finite_vector(e["position"], 2, "position")),
-                    *map(float, finite_vector([e["e_s"], e["e_l"], e["e_total"]],
-                                              3, "e_s, e_l, e_total")))
-                for e in doc["estimates"]]
+        ests = []
+        for e in doc["estimates"]:
+            rid = _reflector(e["reflector"])
+            position = tuple(_finite(e["position"], 2, "position"))
+            scores = [e["e_s"], e["e_l"], e["e_total"]]
+            e_s, e_l, e_total = scores
+            if not (type(e_s) is type(e_l) is type(e_total) is float
+                    and isfinite(e_s + e_l + e_total)):
+                e_s, e_l, e_total = map(float, finite_vector(
+                    scores, 3, "e_s, e_l, e_total"))
+            ests.append(ReflectorEstimate2D(rid, position, e_s, e_l, e_total))
         return frame, view, _unique_reflectors(ests, "estimate")
     return _read_jsonl(path, parse, lambda r: f"frame {r[0]}, view {r[1]}")
 
 
+_POINT = '{"confidence":%s,"reflector":%s,"xyz_m":[%s,%s,%s]}'
+_DEGRADED_POINT = ('{"confidence":%s,"degraded":true,"reflector":%s,'
+                   '"xyz_m":[%s,%s,%s]}')
+
+
 def write_optical(path: str | Path, frames: list[OpticalFrame]) -> None:
-    """One line per frame; ``"degraded": true`` appears only on degraded points."""
-    docs = []
+    """One line per frame; ``"degraded": true`` appears only on degraded
+    points.  Each position is a float64 3-vector, as OpticalPoint holds it."""
+    lines, values = [], []
     for frame in frames:
+        values.append(frame.frame)
         points = []
         for idx, p in sorted(frame.points.items()):
-            point = {"reflector": idx,
-                     "xyz_m": [p.position[0], p.position[1], p.position[2]],
-                     "confidence": p.confidence}
-            if p.degraded:
-                point["degraded"] = True
-            points.append(point)
-        docs.append({"frame": frame.frame, "points": points})
-    _write_jsonl(path, docs)
+            points.append(_DEGRADED_POINT if p.degraded else _POINT)
+            values += (p.confidence, idx)
+            values += p.position.tolist()
+        lines.append('{"frame":%s,"points":[' + ",".join(points) + "]}")
+    _write_jsonl(path, lines, values)
 
 
 def read_optical(path: str | Path) -> list[OpticalFrame]:
+    """The optical frames of ``path``; the positions of the file are the
+    rows of one float array."""
+    coords = []
+
     def parse(doc):
-        frame = OpticalFrame(frame=json_int(doc["frame"], "frame"))
+        frame = json_int(doc["frame"], "frame")
+        points = {}
         for p in doc["points"]:
-            rid = ReflectorId(json_int(p["reflector"], "reflector"))
-            confidence, = finite_vector([p["confidence"]], 1, "confidence")
-            frame.add(OpticalPoint(rid,
-                                   np.array(finite_vector(p["xyz_m"], 3, "xyz_m"),
-                                            dtype=np.float64),
-                                   float(confidence), frame.frame,
-                                   degraded=p.get("degraded") is True))
-        return frame
-    return _read_jsonl(path, parse, lambda r: f"frame {r.frame}")
+            rid = _reflector(p["reflector"])
+            confidence = p["confidence"]
+            if not (type(confidence) is float and isfinite(confidence)):
+                confidence, = finite_vector([confidence], 1, "confidence")
+                confidence = float(confidence)
+            coords.append(_finite(p["xyz_m"], 3, "xyz_m"))
+            if rid.index in points:
+                raise ValidationError(f"duplicate reflector {rid.index}")
+            points[rid.index] = (rid, confidence, p.get("degraded") is True)
+        return frame, points
+    records = _read_jsonl(path, parse, lambda r: f"frame {r[0]}")
+    rows = iter(np.array(coords, dtype=np.float64).reshape(-1, 3))
+    return [OpticalFrame(frame, {
+        idx: OpticalPoint(rid, next(rows), confidence, frame, degraded)
+        for idx, (rid, confidence, degraded) in points.items()})
+        for frame, points in records]
+
+
+_MOTION_JOINTS = ",".join(
+    '{"id":' + json.dumps(name) + ',"quat_wxyz":[%s,%s,%s,%s],"xyz_m":[%s,%s,%s]}'
+    for name in _JOINT_ORDER)
+_MOTION_CELLS = 7 * len(_JOINT_ORDER)   # xyz and wxyz of every joint
+
+
+def _motion_arrays(poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """The (frames, joints, 3) positions and (frames, joints, 4)
+    quaternions of ``poses`` in JOINTS order, as float64; the quaternions
+    the poses lack are derived in one pass and cached on them."""
+    derive_quaternions(poses)
+    n = (len(poses), len(_JOINT_ORDER))
+    xyz = np.array([[pose.positions[name] for name in _JOINT_ORDER]
+                    for pose in poses], dtype=np.float64).reshape(*n, 3)
+    quats = np.array([[pose.quaternions[name] for name in _JOINT_ORDER]
+                      for pose in poses], dtype=np.float64).reshape(*n, 4)
+    return xyz, quats
 
 
 def write_motion(path: str | Path, poses: list[Pose]) -> None:
-    _write_jsonl(path, ({"frame": pose.frame, "gap": pose.gap, "joints": [
-        {"id": j.name,
-         "xyz_m": [float(x) for x in pose.positions[j.name]],
-         "quat_wxyz": [float(x) for x in pose.quaternion(j.name)]}
-        for j in JOINTS]} for pose in poses))
+    xyz, quats = _motion_arrays(poses)
+    rows = np.concatenate([quats, xyz], axis=2).reshape(len(poses), _MOTION_CELLS)
+    lines, values = [], []
+    for pose, row in zip(poses, rows.tolist()):
+        lines.append('{"frame":%s,"gap":' + _JSON(pose.gap).replace("%", "%%")
+                     + ',"joints":[' + _MOTION_JOINTS + "]}")
+        values.append(pose.frame)
+        values += row
+    _write_jsonl(path, lines, values)
 
 
 def read_motion(path: str | Path) -> list[Pose]:
+    """The poses of ``path``, with the file's positions and quaternions
+    (no rotation matrices); each kind is the rows of one float array."""
+    positions, quats = [], []
+
     def parse(doc):
-        positions, quats = {}, {}
+        names = {}   # a dict, so that the error texts below stay the same
         for j in doc["joints"]:
             name = j["id"]
-            if name in positions:
+            if name in names:
                 raise ValueError(f"joint {name!r} repeated")
-            positions[name] = np.array(
-                finite_vector(j["xyz_m"], 3, f"{name} xyz_m"), dtype=np.float64)
-            quat = np.array(finite_vector(j["quat_wxyz"], 4, f"{name} quat_wxyz"),
-                            dtype=np.float64)
+            positions.append(_finite(j["xyz_m"], 3, f"{name} xyz_m"))
+            names[name] = None
+            quat = _finite(j["quat_wxyz"], 4, f"{name} quat_wxyz")
+            w, x, y, z = quat
+            if not type(w) is type(x) is type(y) is type(z) is float:
+                w, x, y, z = map(float, quat)
             # a quaternion names an orientation only once normalized, which
             # a squared norm of 0 or one that overflows does not allow
-            if not 0 < sum(x * x for x in quat.tolist()) < math.inf:
-                raise ValueError(f"{name} quat_wxyz {j['quat_wxyz']!r} has no "
-                                 "finite, non-zero norm")
-            quats[name] = quat
-        if sorted(positions) != _JOINT_NAMES:
-            odd = sorted(set(positions) ^ set(_JOINT_NAMES))
+            if not 0 < w * w + x * x + y * y + z * z < math.inf:
+                raise ValueError(f"{name} quat_wxyz {quat!r} has no finite, "
+                                 "non-zero norm")
+            quats.append(quat)
+        if sorted(names) != _JOINT_NAMES:
+            odd = sorted(set(names) ^ set(_JOINT_NAMES))
             raise ValueError(f"missing or unknown joints {odd}")
         gap = doc.get("gap", False)
         if not isinstance(gap, bool):
             raise ValueError(f"gap {gap!r} is not true or false")
-        return Pose(json_int(doc["frame"], "frame"), positions, {}, gap=gap,
-                    quaternions=quats)
-    return _read_jsonl(path, parse, lambda r: f"frame {r.frame}")
+        return json_int(doc["frame"], "frame"), gap, names
+    records = _read_jsonl(path, parse, lambda r: f"frame {r[0]}")
+    xyz_rows = iter(np.array(positions, dtype=np.float64).reshape(-1, 3))
+    quat_rows = iter(np.array(quats, dtype=np.float64).reshape(-1, 4))
+    return [Pose(frame, {name: next(xyz_rows) for name in names}, {}, gap=gap,
+                 quaternions={name: next(quat_rows) for name in names})
+            for frame, gap, names in records]
 
 
 def write_motion_csv(path: str | Path, poses: list[Pose]) -> None:
@@ -351,14 +481,12 @@ def write_motion_csv(path: str | Path, poses: list[Pose]) -> None:
     header = ["frame"]
     for j in JOINTS:
         header += [f"{j.name}_{c}" for c in ("x", "y", "z", "qw", "qx", "qy", "qz")]
+    xyz, quats = _motion_arrays(poses)
+    cells = np.concatenate([xyz, quats], axis=2).reshape(len(poses), _MOTION_CELLS)
     rows = [",".join(header)]
-    for pose in poses:
-        cells = [str(pose.frame)]
-        for j in JOINTS:
-            cells += [repr(float(x)) for x in pose.positions[j.name]]
-            cells += [repr(float(x)) for x in pose.quaternion(j.name)]
-        rows.append(",".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n")
+    rows += [str(pose.frame) + "," + ",".join(map(repr, row))
+             for pose, row in zip(poses, cells.tolist())]
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from .core import IrMask
 from .errors import ValidationError
 from .maps import ReflectorEstimate2D
-from .spatial import find_regions_labeled
+from .spatial import _label_at, find_regions_labeled
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,14 @@ def _on_large_region(ests: list[ReflectorEstimate2D], mask: IrMask,
                     b_min: int) -> list[ReflectorEstimate2D]:
     """Keep estimates whose rounded position lies on a mask region of at
     least b_min pixels; a position off the mask raises ValidationError."""
-    regions, labels = find_regions_labeled(mask)
+    regions, labels, origin = find_regions_labeled(mask)
     keep = []
     for est in ests:
         u = int(round(est.position[0]))
         v = int(round(est.position[1]))
         if not (0 <= u < mask.width and 0 <= v < mask.height):
             raise ValidationError(f"estimate position {est.position} outside mask")
-        label = labels[v, u]
+        label = _label_at(labels, origin, u, v)
         if label and regions[label - 1].size >= b_min:
             keep.append(est)
     return keep

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import finite_vector, parse_json, write_json
+from .core import finite_vector, parse_json, read_text, write_json
 from .errors import (CalibrationDeferred, CalibrationInputError, TrackingGap,
                      ValidationError)
 from .spatial import OpticalFrame, _weighted_centroid
@@ -214,7 +214,7 @@ class SkeletonTemplate:
     @classmethod
     def load(cls, path: str | Path) -> "SkeletonTemplate":
         """Raises FormatError naming the file when it is not a template."""
-        return parse_json(Path(path).read_text(), cls.from_dict, str(path))
+        return parse_json(read_text(path), cls.from_dict, str(path))
 
 
 _BONE_NAMES = sorted(j.name for j in JOINTS if j.parent is not None)
@@ -275,26 +275,45 @@ def kabsch(refs: np.ndarray, obs: np.ndarray,
 
 
 def quat_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) from a rotation matrix."""
-    t = np.trace(m)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s, (m[2, 1] - m[1, 2]) / s,
-                      (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s])
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array([(m[2, 1] - m[1, 2]) / s, 0.25 * s,
-                      (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s])
-    elif m[1, 1] > m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array([(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s,
-                      0.25 * s, (m[1, 2] + m[2, 1]) / s])
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array([(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
-                      (m[1, 2] + m[2, 1]) / s, 0.25 * s])
-    q = q / np.linalg.norm(q)
-    return q if q[0] >= 0 else -q
+    """Unit quaternion (w, x, y, z) from a rotation matrix: the one-matrix
+    case of :func:`quats_from_matrices`."""
+    return quats_from_matrices(np.asarray(m)[None])[0]
+
+
+def quats_from_matrices(ms: np.ndarray) -> np.ndarray:
+    """Unit quaternions (w, x, y, z) of a stack of rotation matrices, one
+    row per (3, 3) matrix.
+
+    Each matrix takes the first branch that holds: trace > 0, then
+    m00 > m11 and m00 > m22, then m11 > m22, else the m22 branch.  The
+    branch's own component is s / 4, with s = 2 sqrt(its radicand), and
+    the other three are differences or sums of off-diagonal pairs over s.
+    Every row is rounded as a matrix on its own is: the trace sums the
+    diagonal in order, and the norm is one BLAS dot product per row, as
+    ``np.linalg.norm`` takes it.  The sign makes w >= 0.
+    """
+    ms = np.asarray(ms)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (
+        [ms[:, i, j] for j in range(3)] for i in range(3))
+    t = m00 + m11 + m22
+    d21, d02, d10 = m21 - m12, m02 - m20, m10 - m01
+    s01, s02, s12 = m01 + m10, m02 + m20, m12 + m21
+    zero = np.zeros_like(t)
+    # row k of the last two axes: branch k's numerators, its own one 0
+    numerators = np.stack([np.stack(r, axis=1) for r in (
+        (zero, d21, d02, d10), (d21, zero, s01, s02),
+        (d02, s01, zero, s12), (d10, s02, s12, zero))], axis=1)
+    radicands = np.stack([t + 1.0, 1.0 + m00 - m11 - m22,
+                          1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11],
+                         axis=1)
+    branch = np.select([t > 0, (m00 > m11) & (m00 > m22), m11 > m22],
+                       [0, 1, 2], 3)
+    rows = np.arange(len(ms))
+    s = np.sqrt(radicands[rows, branch]) * 2.0
+    q = numerators[rows, branch] / s[:, None]
+    q[rows, branch] = 0.25 * s
+    q = q / np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])[:, None]
+    return np.where(q[:, :1] >= 0, q, -q)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +342,19 @@ class Pose:
         if q is None:
             q = self.quaternions[name] = quat_from_matrix(self.rotations[name])
         return q
+
+
+def derive_quaternions(poses: list[Pose]) -> None:
+    """Cache the quaternion of every joint of every pose that lacks one,
+    all derived in one :func:`quats_from_matrices` pass; ``quaternion``
+    then returns them, as if it had derived each one itself."""
+    missing = [(pose, j.name) for pose in poses for j in JOINTS
+               if pose.quaternions.get(j.name) is None]
+    if missing:
+        quats = quats_from_matrices(
+            np.array([pose.rotations[name] for pose, name in missing]))
+        for (pose, name), q in zip(missing, quats):
+            pose.quaternions[name] = q
 
 
 def joint_target(frame: OpticalFrame, subset: tuple[int, ...],

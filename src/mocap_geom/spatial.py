@@ -99,27 +99,28 @@ def interior_pixels(bits: np.ndarray) -> np.ndarray:
     return rows3[:, :-2] & rows3[:, 1:-1] & rows3[:, 2:]
 
 
-def find_regions_labeled(mask: IrMask) -> tuple[list[Region], np.ndarray]:
+def find_regions_labeled(mask: IrMask
+                         ) -> tuple[list[Region], np.ndarray, tuple[int, int]]:
     """Extract 8-connected components and trace their boundaries.
 
     A contour pixel is a region pixel with at least one 8-neighbor outside
     the region (image borders count as outside).  Regions are returned in
     label order (row-major discovery), pixels in row-major scan order, with
-    the label image they came from (labels start at 1).
+    the labels they came from (starting at 1) on the bounding window of the
+    set pixels and that window's origin (row, col): pixel (u, v) has label
+    ``labels[v - row, u - col]`` inside the window and none outside it (see
+    ``_label_at``).  A mask without set pixels has an empty window.
     """
-    labels = np.zeros(mask.bits.shape, dtype=np.int32)
     # Set pixels in row-major order; labeling runs on their bounding box.
     vs, us = np.divmod(np.flatnonzero(mask.bits), mask.width)
     if len(vs) == 0:
-        return [], labels
+        return [], np.zeros((0, 0), dtype=np.int32), (0, 0)
     r0, c0 = int(vs[0]), int(us.min())
-    window = (slice(r0, int(vs[-1]) + 1), slice(c0, int(us.max()) + 1))
-    sub_mask = mask.bits[window]
+    sub_mask = mask.bits[r0:int(vs[-1]) + 1, c0:int(us.max()) + 1]
     # scipy is imported where it is used, so that the commands that label
     # no mask (calibrate, track, eval) never load it
     from scipy import ndimage
     sub_labels, count = ndimage.label(sub_mask, structure=_EIGHT)
-    labels[window] = sub_labels
     # Distinct 8-connected components are never 8-adjacent, so a boundary
     # pixel is simply a set pixel with a zero 8-neighbor (or image border):
     # one that survives no 3x3 erosion.
@@ -141,7 +142,16 @@ def find_regions_labeled(mask: IrMask) -> tuple[list[Region], np.ndarray]:
         regions.append(Region(pixels=pixels[start:end],
                               contour=contour[c_start:c_end]))
         start, c_start = end, c_end
-    return regions, labels
+    return regions, sub_labels, (r0, c0)
+
+
+def _label_at(labels: np.ndarray, origin: tuple[int, int], u: int,
+              v: int) -> int:
+    """The label of pixel (u, v) in a ``find_regions_labeled`` window at
+    ``origin``; 0 (background) outside the window."""
+    row, col = v - origin[0], u - origin[1]
+    h, w = labels.shape
+    return int(labels[row, col]) if 0 <= row < h and 0 <= col < w else 0
 
 
 def _nonzero_medians(raw: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -305,10 +315,10 @@ class ViewRows:
     """What observation reads of one frame-view's items, item after item.
 
     It is gathered while the view's depth frame is at hand, so that the
-    depth, mask and label image can go before the take is observed: each
-    item's reflector, e_total and contour pixels with the raw depths under
-    them, its center override, and the region pixels of each item without
-    one.
+    depth, mask and labels can go before the take is observed: each item's
+    reflector, e_total and contour pixels with the raw depths under them,
+    its center override, and for each item without one the exact integer
+    sums of its region's pixel coordinates and the region's size.
     """
 
     frame: int
@@ -319,7 +329,8 @@ class ViewRows:
     contours: np.ndarray   # (m, 2) (u, v) of every item's contour
     raw: np.ndarray        # (m,) uint16 depths under them
     overrides: list[tuple[float, float] | None]
-    pixels: list[np.ndarray]  # region pixels of the items without override
+    pixel_sums: np.ndarray  # (k, 2) int sums (u, v) of the items without override
+    sizes: np.ndarray       # (k,) their regions' pixel counts
 
 
 def _gather(items: list[ObserveItem], depth: DepthFrame, frame: int,
@@ -329,12 +340,18 @@ def _gather(items: list[ObserveItem], depth: DepthFrame, frame: int,
         contours = np.concatenate([item[2] for item in items]).reshape(-1, 2)
     else:
         contours = np.empty((0, 2), dtype=np.int64)
+    plain = [item[1].pixels for item in items if item[3] is None]
+    sizes = np.array([len(p) for p in plain], dtype=np.int64)
+    if plain:
+        pixel_sums = np.add.reduceat(np.concatenate(plain),
+                                     np.cumsum(sizes) - sizes, axis=0)
+    else:
+        pixel_sums = np.empty((0, 2), dtype=np.int64)
     return ViewRows(frame, view, [item[0].reflector for item in items],
                     [item[0].e_total for item in items],
                     [len(item[2]) for item in items], contours,
                     depth.pixels[contours[:, 1], contours[:, 0]],
-                    [item[3] for item in items],
-                    [item[1].pixels for item in items if item[3] is None])
+                    [item[3] for item in items], pixel_sums, sizes)
 
 
 @dataclass
@@ -369,10 +386,10 @@ def observe_rows(rows: list[ViewRows],
     center override replaces the region centroid: the contour is then a
     sub-cluster of a split merged region.
 
-    Medians come from one sort, centroids from one ``bincount`` per axis,
-    and the strap plane fits share one stacked ``eigh``; every number is
-    rounded as the one-item computation rounds it, so no row depends on the
-    rows it is observed with.
+    Medians come from one sort, centroids from the exact pixel sums of the
+    gather, and the strap plane fits share one stacked ``eigh``; every
+    number is rounded as the one-item computation rounds it, so no row
+    depends on the rows it is observed with.
     """
     counts = [len(row.reflectors) for row in rows]
     reflectors = [r for row in rows for r in row.reflectors]
@@ -404,13 +421,10 @@ def observe_rows(rows: list[ViewRows],
     centers = np.empty((n, 2))
     overrides = [o for row in rows for o in row.overrides]
     plain = np.array([o is None for o in overrides])
-    pixels = [p for row in rows for p in row.pixels]
-    if pixels:
-        sizes = np.array([len(p) for p in pixels])
-        px = np.concatenate(pixels)
-        px_owner = np.repeat(np.arange(len(pixels)), sizes)
-        centers[plain, 0] = np.bincount(px_owner, px[:, 0], len(pixels)) / sizes
-        centers[plain, 1] = np.bincount(px_owner, px[:, 1], len(pixels)) / sizes
+    if plain.any():
+        sizes = np.concatenate([row.sizes for row in rows])
+        centers[plain] = (np.concatenate([row.pixel_sums for row in rows])
+                          / sizes[:, None])
     if not plain.all():
         centers[~plain] = [o for o in overrides if o is not None]
     pixel = np.rint(centers).astype(np.int64)
@@ -478,13 +492,13 @@ def _view_items(ests: list[ReflectorEstimate2D], mask: IrMask,
     only the top-ranked one (highest e_total, then lowest reflector index)
     is kept, on the whole region.
     """
-    regions, labels = find_regions_labeled(mask)
+    regions, labels, origin = find_regions_labeled(mask)
     by_region: dict[int, list[ReflectorEstimate2D]] = {}
     for e in ests:
-        u = int(round(e.position[0]))
-        v = int(round(e.position[1]))
-        if 0 <= u < mask.width and 0 <= v < mask.height and labels[v, u]:
-            by_region.setdefault(labels[v, u] - 1, []).append(e)
+        label = _label_at(labels, origin, int(round(e.position[0])),
+                         int(round(e.position[1])))
+        if label:
+            by_region.setdefault(label - 1, []).append(e)
 
     items = []
     for region_idx, assigned in sorted(by_region.items()):

@@ -1,6 +1,8 @@
 """Round-trip and format-error tests for the on-disk artifact codecs."""
 
+import copy
 import json
+import math
 import re
 import struct
 
@@ -10,7 +12,8 @@ import pytest
 from mocap_geom import dataset as ds
 from mocap_geom import skeleton
 from mocap_geom.cli import main
-from mocap_geom.core import DepthFrame, IrMask, ReflectorId
+from mocap_geom.core import (DepthFrame, IrMask, ReflectorId, finite_vector,
+                             json_int, parse_json)
 from mocap_geom.errors import FormatError
 from mocap_geom.maps import (Annotation2D, ConfidenceMap, FlowField,
                              MapSynthesisParams, ReflectorEstimate2D,
@@ -806,3 +809,460 @@ class TestJsonlCodecs:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
         assert len(lines[0].split(",")) == 1 + 20 * 7
+
+
+# Reference codecs: one json.dumps per line for the writers, and readers
+# that check each value through json_int and finite_vector and build every
+# vector on its own.  The codecs of `dataset` must write the same bytes and
+# read the same records, or fail with the same message on the same line.
+
+def _reference_write_jsonl(path, docs):
+    lines = [json.dumps(doc, sort_keys=True, separators=(",", ":"))
+             for doc in docs]
+    path.write_text("\n".join(lines) + "\n" if lines else "")
+
+
+def _reference_write_annotations(path, per_frame):
+    _reference_write_jsonl(path, ({"frame": f, "annotations": [
+        {"reflector": a.reflector.index,
+         "x_curr": [a.x_curr[0], a.x_curr[1]],
+         "x_prev": None if a.x_prev is None else [a.x_prev[0], a.x_prev[1]]}
+        for a in sorted(anns, key=lambda a: a.reflector.index)]}
+        for f, anns in enumerate(per_frame)))
+
+
+def _reference_write_estimates(path, per_frame_view):
+    _reference_write_jsonl(path, ({"frame": frame, "view": view, "estimates": [
+        {"reflector": e.reflector.index,
+         "position": [e.position[0], e.position[1]],
+         "e_s": e.e_s, "e_l": e.e_l, "e_total": e.e_total}
+        for e in sorted(ests, key=lambda e: e.reflector.index)]}
+        for frame, view, ests in per_frame_view))
+
+
+def _reference_write_optical(path, frames):
+    docs = []
+    for frame in frames:
+        points = []
+        for idx, p in sorted(frame.points.items()):
+            point = {"reflector": idx,
+                     "xyz_m": [p.position[0], p.position[1], p.position[2]],
+                     "confidence": p.confidence}
+            if p.degraded:
+                point["degraded"] = True
+            points.append(point)
+        docs.append({"frame": frame.frame, "points": points})
+    _reference_write_jsonl(path, docs)
+
+
+def _reference_quaternion(pose, name):
+    q = pose.quaternions.get(name)
+    return q if q is not None else quat_from_matrix(pose.rotations[name])
+
+
+def _reference_write_motion(path, poses):
+    _reference_write_jsonl(path, ({"frame": pose.frame, "gap": pose.gap, "joints": [
+        {"id": j.name,
+         "xyz_m": [float(x) for x in pose.positions[j.name]],
+         "quat_wxyz": [float(x) for x in _reference_quaternion(pose, j.name)]}
+        for j in JOINTS]} for pose in poses))
+
+
+def _reference_write_motion_csv(path, poses):
+    header = ["frame"]
+    for j in JOINTS:
+        header += [f"{j.name}_{c}" for c in ("x", "y", "z", "qw", "qx", "qy", "qz")]
+    rows = [",".join(header)]
+    for pose in poses:
+        cells = [str(pose.frame)]
+        for j in JOINTS:
+            cells += [repr(float(x)) for x in pose.positions[j.name]]
+            cells += [repr(float(x)) for x in _reference_quaternion(pose, j.name)]
+        rows.append(",".join(cells))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def _reference_read_jsonl(path, parse, key):
+    records, seen = [], set()
+    for n, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.strip():
+            record = parse_json(line, parse, f"{path}: line {n}")
+            k = key(record)
+            if k in seen:
+                raise FormatError(f"{path}: line {n}: repeated {k}")
+            seen.add(k)
+            records.append(record)
+    return records
+
+
+def _reference_unique_reflectors(items, what):
+    seen = set()
+    for item in items:
+        if item.reflector.index in seen:
+            raise ValueError(f"{what} of reflector {item.reflector.index} repeated")
+        seen.add(item.reflector.index)
+    return items
+
+
+def _reference_read_annotations(path, num_frames=None, size=None):
+    def parse(doc):
+        frame = json_int(doc["frame"], "frame")
+        if num_frames is not None and not 0 <= frame < num_frames:
+            raise ValueError(f"frame {frame} lies outside the dataset's "
+                             f"{num_frames} frames")
+        anns = []
+        for a in doc["annotations"]:
+            prev = a.get("x_prev")
+            ann = Annotation2D(
+                ReflectorId(json_int(a["reflector"], "reflector")),
+                tuple(finite_vector(a["x_curr"], 2, "x_curr")),
+                None if prev is None else tuple(finite_vector(prev, 2, "x_prev")))
+            if size is not None and not (0 <= round(ann.x_curr[0]) < size[0]
+                                         and 0 <= round(ann.x_curr[1]) < size[1]):
+                raise ValueError(f"reflector {ann.reflector.index}: x_curr "
+                                 f"{list(ann.x_curr)} lies off the "
+                                 f"{size[0]}x{size[1]} image")
+            anns.append(ann)
+        return frame, _reference_unique_reflectors(anns, "annotation")
+    return dict(_reference_read_jsonl(path, parse, lambda r: f"frame {r[0]}"))
+
+
+def _reference_read_estimates(path):
+    def parse(doc):
+        frame = json_int(doc["frame"], "frame")
+        view = json_int(doc["view"], "view")
+        if frame < 0 or view < 0:
+            raise ValueError(f"frame {frame}, view {view}: must be >= 0")
+        ests = [ReflectorEstimate2D(
+                    ReflectorId(json_int(e["reflector"], "reflector")),
+                    tuple(finite_vector(e["position"], 2, "position")),
+                    *map(float, finite_vector([e["e_s"], e["e_l"], e["e_total"]],
+                                              3, "e_s, e_l, e_total")))
+                for e in doc["estimates"]]
+        return frame, view, _reference_unique_reflectors(ests, "estimate")
+    return _reference_read_jsonl(path, parse,
+                                 lambda r: f"frame {r[0]}, view {r[1]}")
+
+
+def _reference_read_optical(path):
+    def parse(doc):
+        frame = OpticalFrame(frame=json_int(doc["frame"], "frame"))
+        for p in doc["points"]:
+            rid = ReflectorId(json_int(p["reflector"], "reflector"))
+            confidence, = finite_vector([p["confidence"]], 1, "confidence")
+            frame.add(OpticalPoint(rid,
+                                   np.array(finite_vector(p["xyz_m"], 3, "xyz_m"),
+                                            dtype=np.float64),
+                                   float(confidence), frame.frame,
+                                   degraded=p.get("degraded") is True))
+        return frame
+    return _reference_read_jsonl(path, parse, lambda r: f"frame {r.frame}")
+
+
+def _reference_read_motion(path):
+    names = sorted(j.name for j in JOINTS)
+
+    def parse(doc):
+        positions, quats = {}, {}
+        for j in doc["joints"]:
+            name = j["id"]
+            if name in positions:
+                raise ValueError(f"joint {name!r} repeated")
+            positions[name] = np.array(
+                finite_vector(j["xyz_m"], 3, f"{name} xyz_m"), dtype=np.float64)
+            quat = np.array(finite_vector(j["quat_wxyz"], 4, f"{name} quat_wxyz"),
+                            dtype=np.float64)
+            if not 0 < sum(x * x for x in quat.tolist()) < math.inf:
+                raise ValueError(f"{name} quat_wxyz {j['quat_wxyz']!r} has no "
+                                 "finite, non-zero norm")
+            quats[name] = quat
+        if sorted(positions) != names:
+            odd = sorted(set(positions) ^ set(names))
+            raise ValueError(f"missing or unknown joints {odd}")
+        gap = doc.get("gap", False)
+        if not isinstance(gap, bool):
+            raise ValueError(f"gap {gap!r} is not true or false")
+        return Pose(json_int(doc["frame"], "frame"), positions, {}, gap=gap,
+                    quaternions=quats)
+    return _reference_read_jsonl(path, parse, lambda r: f"frame {r.frame}")
+
+
+def _records(value):
+    """A codec's records as nested plain values, numbers as their bytes,
+    so that equal records compare equal and -0.0 differs from 0.0."""
+    if isinstance(value, dict):
+        return {k: _records(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [type(value).__name__, *map(_records, value)]
+    if isinstance(value, np.ndarray):
+        return ["array", str(value.dtype), value.shape, value.tobytes()]
+    if isinstance(value, (Annotation2D, ReflectorEstimate2D, OpticalFrame,
+                          OpticalPoint, Pose)):
+        return [type(value).__name__, _records(vars(value))]
+    if isinstance(value, float):
+        return ["float", struct.pack("<d", value)]
+    return [type(value).__name__, value]
+
+
+class TestJsonlReferences:
+    """Each codec against its reference: the same bytes from every writer,
+    and from every reader the same records or the same FormatError."""
+
+    WRITERS = {
+        "annotations": (ds.write_annotations, _reference_write_annotations),
+        "estimates": (ds.write_estimates, _reference_write_estimates),
+        "optical": (ds.write_optical, _reference_write_optical),
+        "motion": (ds.write_motion, _reference_write_motion),
+        "motion_csv": (ds.write_motion_csv, _reference_write_motion_csv),
+    }
+    READERS = {
+        "annotations": (ds.read_annotations, _reference_read_annotations),
+        "estimates": (ds.read_estimates, _reference_read_estimates),
+        "optical": (ds.read_optical, _reference_read_optical),
+        "motion": (ds.read_motion, _reference_read_motion),
+    }
+    MAKERS = {"annotations": _random_annotations,
+              "estimates": _random_estimates, "optical": _random_optical,
+              "motion": _random_motion, "motion_csv": _random_motion}
+
+    def _assert_writes_alike(self, tmp_path, kind, data):
+        write, reference = self.WRITERS[kind]
+        # the reference derives no quaternion the writer may have cached
+        expected = copy.deepcopy(data)
+        write(tmp_path / "got", data)
+        reference(tmp_path / "want", expected)
+        got = (tmp_path / "got").read_bytes()
+        assert got == (tmp_path / "want").read_bytes(), (kind, got[:300])
+
+    def _assert_reads_alike(self, path, kind, **options):
+        read, reference = self.READERS[kind]
+        try:
+            want = _records(reference(path, **options))
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                read(path, **options)
+            assert str(got.value) == str(exc)
+        else:
+            assert _records(read(path, **options)) == want
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_writers_on_seeded_records(self, tmp_path, kind):
+        rng = np.random.default_rng(2200 + sorted(self.WRITERS).index(kind))
+        for _ in range(60):
+            self._assert_writes_alike(tmp_path, kind, self.MAKERS[kind](rng))
+
+    def test_writers_on_hand_made_values(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        # every kind of number a writer may meet, each next to others
+        odd = [-0.0, 5e-324, 1e16, np.float64(0.1), np.float64(-0.0), 3, True,
+               False, nan, inf, -inf, np.float64(nan), 1e308, 10 ** 400]
+        pairs = list(zip(odd, odd[1:]))
+        r4, r11, r26 = (ReflectorId(i) for i in (4, 11, 26))
+        annotations = [[], [Annotation2D(r4, (3, 4), None)]] + [
+            [Annotation2D(r26, (x, y), (y, x)),
+             Annotation2D(r11, (np.float64(2.5), 7), None)]
+            for x, y in pairs]
+        estimates = [(0, 0, [])] + [
+            (f, 1, [ReflectorEstimate2D(r26, (x, y), y, x, x),
+                    ReflectorEstimate2D(r4, (y, 3), True, y, np.float64(0.5))])
+            for f, (x, y) in enumerate(pairs)]
+        # positions and quaternions are float arrays
+        floats = [x for x in odd if isinstance(x, float)]
+        optical = [OpticalFrame(frame=0)]
+        poses = []
+        for f, (x, y) in enumerate(zip(odd, floats * 2)):
+            frame = OpticalFrame(frame=f + 1)
+            frame.add(OpticalPoint(r4, np.array([y, -0.0, 1e16]), x, f + 1,
+                                   degraded=True))
+            frame.add(OpticalPoint(r11, np.array([5e-324, y, 0.5]), y, f + 1))
+            optical.append(frame)
+            poses.append(Pose(f, {j.name: np.array([y, -0.0, 5e-324])
+                                  for j in JOINTS}, {}, gap=f % 2 == 0,
+                              quaternions={j.name: np.array([y, 1e16, -0.0, 1.0])
+                                           for j in JOINTS}))
+        # and a pose whose quaternions the writers derive
+        half_turn = np.diag([1.0, -1.0, -1.0])
+        poses.append(Pose(99, {j.name: np.zeros(3) for j in JOINTS},
+                          {j.name: half_turn if k % 2 else np.eye(3)
+                           for k, j in enumerate(JOINTS)}))
+        for kind, data in (("annotations", annotations),
+                           ("estimates", estimates), ("optical", optical),
+                           ("motion", poses), ("motion_csv", poses)):
+            for part in (data, [], data[:1], data[-1:]):
+                self._assert_writes_alike(tmp_path, kind, part)
+        # each value alone among plain floats and ints
+        for x in odd:
+            self._assert_writes_alike(tmp_path, "annotations", [[
+                Annotation2D(r4, (x, 1.5), (2, 0.25))]])
+            self._assert_writes_alike(tmp_path, "estimates", [(0, 3, [
+                ReflectorEstimate2D(r4, (1.5, 2), 0.25, x, 0.5)])])
+            self._assert_writes_alike(tmp_path, "optical", [OpticalFrame(
+                frame=2, points={4: OpticalPoint(r4, np.array([1.5, 2.0, 0.5]),
+                                                 x, 2)})])
+
+    def test_writers_reject_what_json_rejects(self, tmp_path):
+        est = ReflectorEstimate2D(ReflectorId(3), (1.0, 2.0),
+                                  np.float32(0.5), 0.1, 0.2)
+        with pytest.raises(TypeError, match="float32"):
+            _reference_write_estimates(tmp_path / "want", [(0, 0, [est])])
+        with pytest.raises(TypeError, match="float32"):
+            ds.write_estimates(tmp_path / "got", [(0, 0, [est])])
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_readers_on_round_trips_and_every_damage(self, tmp_path, kind):
+        make, write, _ = TestJsonlFuzz.CODECS[kind]
+        rng = np.random.default_rng(2210 + sorted(self.READERS).index(kind))
+        path = tmp_path / "in.jsonl"
+        kinds = set()
+        for _ in range(60):
+            write(path, make(rng))
+            self._assert_reads_alike(path, kind)
+            lines = path.read_text().splitlines()
+            if not lines:
+                continue
+            k = int(rng.integers(1, len(lines) + 1))
+            for damage, text in TestJsonlFuzz._garbled(rng, lines, k):
+                kinds.add(damage)
+                path.write_text(text)
+                self._assert_reads_alike(path, kind)
+        assert {"truncated_file", "stray_quote", "non_finite",
+                "non_integer_id", "repeated_frame"} <= kinds
+
+    @staticmethod
+    def _odd_vectors(n: int) -> list[str]:
+        """JSON values for a vector of n numbers that readers accept or
+        reject: ints, bools, sums that overflow on finite or cancelling
+        ints past the float range, and wrong sizes or containers."""
+        big, pad = str(10 ** 400), ",0" * (n - 2)
+        return [f"[3,4{pad}]", f"[true,false{pad}]", f"[1e308,1e308{pad}]",
+                f"[-0.0,5e-324{pad}]", f"[{big},1{pad}]", f"[{big},-{big}{pad}]",
+                f"[NaN,1{pad}]", f"[1,[2]{pad}]", f"[1,2{pad},3]", "[]",
+                "{" + ",".join(f'"{c}":1' for c in "abcd"[:n]) + "}",
+                '"' + "abcd"[:n] + '"', "null", "7"]
+
+    def test_readers_on_odd_values(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        good = {
+            "annotations": ('{"annotations":[{"reflector":3,"x_curr":[1.0,2.0],'
+                            '"x_prev":null}],"frame":0}',
+                            ("x_curr", "x_prev"), ()),
+            "estimates": ('{"estimates":[{"e_l":0.1,"e_s":0.9,"e_total":0.8,'
+                          '"position":[10.0,20.0],"reflector":4}],"frame":2,'
+                          '"view":0}', ("position",), ("e_s", "e_total")),
+            "optical": ('{"frame":5,"points":[{"confidence":0.7,"reflector":9,'
+                        '"xyz_m":[0.1,-1.5,2.25]}]}', ("xyz_m",),
+                        ("confidence",)),
+        }
+        scalars = ("true", "7", "1e308", "-0.0", "5e-324", '"x"', "[1]",
+                   "null", "NaN", "-Infinity", str(10 ** 400), "{}")
+        lines = []
+        for kind, (line, vectors, numbers) in good.items():
+            n = 3 if kind == "optical" else 2
+            lines += [(kind, re.sub(rf'"{field}":(null|\[[^\]]*\])',
+                                    f'"{field}":{value}', line))
+                      for field in vectors for value in self._odd_vectors(n)]
+            lines += [(kind, re.sub(rf'"{field}":[^,}}]*', f'"{field}":{value}',
+                                    line))
+                      for field in numbers for value in scalars]
+            lines += [(kind, line.replace('"reflector":', f'"reflector":{r},"_":'))
+                      for r in ("true", "3.0", "0", "27", '"3"', "null")]
+        lines.append(("estimates", good["estimates"][0].replace(
+            '"e_l":0.1,"e_s":0.9', '"e_l":1e308,"e_s":1e308')))
+        for kind, line in lines:
+            path.write_text(good[kind][0] + "\n" + line + "\n")
+            self._assert_reads_alike(path, kind)
+        # an annotation off the image, also by rounding
+        for x_curr in ("[19.4,3]", "[19.5,3]", "[-0.5,3]", "[-0.6,3]",
+                       "[1e308,3]", "[3,true]"):
+            path.write_text(good["annotations"][0].replace("[1.0,2.0]", x_curr)
+                            + "\n")
+            self._assert_reads_alike(path, "annotations", num_frames=1,
+                                     size=(20, 30))
+        ds.write_motion(path, [Pose(0, {j.name: np.zeros(3) for j in JOINTS},
+                                    {j.name: np.eye(3) for j in JOINTS})])
+        line = path.read_text().strip()
+        motion = [re.sub(r'"quat_wxyz":\[[^\]]*\]', f'"quat_wxyz":{quat}',
+                         line, 1) for quat in self._odd_vectors(4)
+                  + [f"[{10 ** 200},0,0,0]", "[1e200,0,0,0]", "[1e-200,0,0,0]",
+                     "[0,0,0,0]", "[1e154,1e154,0,0]"]]
+        motion += [line.replace('"id":"hips"', f'"id":{name}')
+                   for name in ("5", "[1]", "null", '"left_knee"')]
+        motion += [re.sub(r'"id":"[a-z_]*"', '"id":5', line)]
+        for text in motion:
+            path.write_text(text + "\n")
+            self._assert_reads_alike(path, "motion")
+
+    def test_a_record_that_straddles_two_lines_is_rejected(self, tmp_path):
+        est = ('{"e_l":0.1,"e_s":0.9,"e_total":0.8,"position":[10.0,20.0],'
+               '"reflector":%d}')
+        first = '{"estimates":[' + est % 4 + '],"frame":0,"view":0}'
+        path = tmp_path / "estimates.jsonl"
+        # joined into one JSON array, the two lines parse as two records
+        path.write_text(first + ',{"estimates":[' + est % 4 + ",\n"
+                        + est % 5 + '],"frame":1,"view":0}\n')
+        assert len(json.loads("[" + path.read_text() + "]")) == 2
+        with pytest.raises(FormatError) as exc:
+            ds.read_estimates(path)
+        assert str(exc.value).startswith(f"{path}: line 1: ")
+        self._assert_reads_alike(path, "estimates")
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in an input file is a format error naming
+    the file (and for JSONL the line), or for the config a validation
+    error; never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def take(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("utf8")
+        dataset, out = root / "dataset", root / "run"
+        config = root / "tiny.ini"
+        config.write_text("[synth]\nduration = 3\nnoise_sigma_mm = 0\n")
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(out)]
+        for command in ("synth", "infer", "fuse", "calibrate", "track"):
+            assert main([command, *args]) == 0, command
+        return dataset, out, args
+
+    @pytest.mark.parametrize("command, victim, line", [
+        ("fuse", "run/estimates.jsonl", 2),
+        ("calibrate", "run/optical.jsonl", 2),
+        ("infer", "dataset/view_0/annotations.jsonl", 1),
+        ("track", "run/template.json", 3),
+        ("eval", "run/motion.jsonl", 2),
+        ("infer", "dataset/calibration.json", 4)])
+    def test_artifact_exits_3_naming_file_and_line(self, take, capsys,
+                                                    command, victim, line):
+        dataset, out, args = take
+        victim = dataset.parent / victim
+        good = victim.read_bytes()
+        lines = good.split(b"\n")
+        lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][5:]
+        victim.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        try:
+            assert main([command, *args]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"format error: {victim}: line {line}: "
+                                  "not UTF-8 text"), err
+        finally:
+            victim.write_bytes(good)
+        assert main([command, *args]) == 0
+
+    def test_the_line_of_the_first_bad_byte(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        for data, line in ((b"\xff", 1), (b"ab\xffcd\n", 1), (b"ab\n\xff", 2),
+                           (b"a\r\nb\xff", 2), (b"\n\n\xfe\n", 3),
+                           (b"a\rb\n\xe2\x82", 3), (b"\xc3\xa9\n\xc3", 2)):
+            path.write_bytes(data)
+            with pytest.raises(FormatError) as exc:
+                ds.read_estimates(path)
+            assert str(exc.value).startswith(f"{path}: line {line}: not UTF-8"), data
+
+    def test_config_exits_2_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(b"[synth]\nmotion = squat\xff\n")
+        assert main(["synth", "--config", str(config), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: not UTF-8 text"), err

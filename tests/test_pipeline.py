@@ -25,7 +25,7 @@ from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
                                  cmd_synth, cmd_track, fuse_estimates,
                                  infer_dataset)
 from mocap_geom.skeleton import (JOINTS, Pose, SkeletonTemplate,
-                                 calibrate_template, quat_from_matrix, track)
+                                 calibrate_template, track)
 from test_spatial import _reference_fuse_reflector, _reference_observe_frame
 
 
@@ -242,15 +242,18 @@ class TestComposition:
                                                 monkeypatch):
         root, cfg, run = small_run
         calls = []
+        stacked = skeleton.quats_from_matrices
 
-        def counted(m):
-            calls.append(m)
-            return quat_from_matrix(m)
-        monkeypatch.setattr(skeleton, "quat_from_matrix", counted)
+        def counted(ms):
+            calls.append(len(ms))
+            return stacked(ms)
+        monkeypatch.setattr(skeleton, "quats_from_matrices", counted)
         poses = cmd_track(run / "optical.jsonl", run / "template.json",
                           tmp_path / "motion.jsonl", tmp_path / "motion.csv")
         assert len(poses) == cfg.synth.duration
-        assert len(calls) == len(poses) * len(JOINTS)
+        # one stacked pass derives every joint of every frame, and the CSV
+        # writer reuses them
+        assert calls == [len(poses) * len(JOINTS)]
         assert ((tmp_path / "motion.jsonl").read_bytes()
                 == (run / "motion.jsonl").read_bytes())
 
@@ -312,15 +315,16 @@ class TestComposition:
         for v in range(reader.num_views):
             by_fv[7, v] = []
         # frame 8, view 0: a reflector of no region (on the background) ...
-        regions, labels = spatial.find_regions_labeled(reader.mask(0, 8))
+        regions, labels, origin = spatial.find_regions_labeled(reader.mask(0, 8))
         taken = {e.reflector.index for e in by_fv[8, 0]}
         spare = min(set(range(1, 27)) - taken)
-        assert labels[0, 0] == 0
+        assert spatial._label_at(labels, origin, 0, 0) == 0
         by_fv[8, 0].append(ReflectorEstimate2D(ReflectorId(spare), (0.0, 0.0),
                                                0.8, 0.0, 0.8))
         # ... and one, alone in its region, whose contour depths are all zero
         def label(e):
-            return labels[round(e.position[1]), round(e.position[0])]
+            return spatial._label_at(labels, origin, round(e.position[0]),
+                                     round(e.position[1]))
         shared = Counter(label(e) for e in by_fv[8, 0])
         lone = next(e for e in by_fv[8, 0] if label(e) and shared[label(e)] == 1)
         region = regions[label(lone) - 1]

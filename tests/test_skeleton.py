@@ -10,8 +10,8 @@ from mocap_geom.skeleton import (JOINTS, JOINT_BY_NAME,
                                  CalibrationConfig, SkeletonTemplate,
                                  calibrate_bone, coarse_scale, fit_pose_targets,
                                  joint_target, kabsch, minimal_rotation,
-                                 quat_from_matrix, rotation_about,
-                                 track)
+                                 quat_from_matrix, quats_from_matrices,
+                                 rotation_about, track)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 
 
@@ -23,6 +23,30 @@ def matrix_from_quat(q: np.ndarray) -> np.ndarray:
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
         [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
     ])
+
+
+def _reference_quat_from_matrix(m: np.ndarray) -> np.ndarray:
+    """The one-matrix derivation that quats_from_matrices must match bit
+    for bit: the branch of the largest of trace and diagonal."""
+    t = np.trace(m)
+    if t > 0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array([0.25 * s, (m[2, 1] - m[1, 2]) / s,
+                      (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s])
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = np.array([(m[2, 1] - m[1, 2]) / s, 0.25 * s,
+                      (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s])
+    elif m[1, 1] > m[2, 2]:
+        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = np.array([(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s,
+                      0.25 * s, (m[1, 2] + m[2, 1]) / s])
+    else:
+        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = np.array([(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
+                      (m[1, 2] + m[2, 1]) / s, 0.25 * s])
+    q = q / np.linalg.norm(q)
+    return q if q[0] >= 0 else -q
 
 
 def pose_template(template, local_rotations, root_pos=np.zeros(3)):
@@ -102,6 +126,35 @@ class TestRotationHelpers:
             r = rotation_about(axis, rng.uniform(-np.pi, np.pi))
             np.testing.assert_allclose(matrix_from_quat(quat_from_matrix(r)), r,
                                        atol=1e-12)
+
+    def test_stacked_quaternions_equal_the_one_matrix_reference(self):
+        rng = np.random.default_rng(22)
+        # random axes at any angle, and near a half turn, where the trace
+        # is below 0 and the diagonal picks the branch
+        angles = [rng.uniform(0, 2 * np.pi) if k % 3 else
+                  np.pi + rng.normal() * 10.0 ** -rng.integers(1, 16)
+                  for k in range(3000)]
+        rotations = [rotation_about(rng.normal(size=3), a) for a in angles]
+        # ties: a zero trace, equal diagonal entries, exact half turns
+        third = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        rotations += [np.eye(3), third, third.T, np.diag([1.0, -1.0, -1.0]),
+                      np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
+        rotations += [rotation_about(axis, np.pi) for axis in
+                      ([1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, -1, 0])]
+        ms = np.array(rotations)
+        d = ms[:, [0, 1, 2], [0, 1, 2]]
+        t = np.trace(ms, axis1=1, axis2=2)
+        branch = np.select([t > 0, (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2]),
+                            d[:, 1] > d[:, 2]], [0, 1, 2], 3)
+        assert (np.bincount(branch, minlength=4) > 100).all()
+        ties = ~(t > 0) & ((d[:, 0] == d[:, 1]) | (d[:, 0] == d[:, 2])
+                           | (d[:, 1] == d[:, 2]))
+        assert ties.sum() >= 5 and (t == 0).sum() >= 2
+        want = np.array([_reference_quat_from_matrix(m) for m in ms])
+        got = quats_from_matrices(ms)
+        assert got.tobytes() == want.tobytes()
+        one = np.array([quat_from_matrix(m) for m in ms])
+        assert one.tobytes() == want.tobytes()
 
     def test_kabsch_recovers_rotation(self):
         rng = np.random.default_rng(7)

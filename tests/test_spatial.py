@@ -12,7 +12,7 @@ from mocap_geom.errors import (CalibrationInputError, SplitFailure,
                                ValidationError)
 from mocap_geom.maps import ReflectorEstimate2D
 from mocap_geom.spatial import (PARALLEL_EPS, OpticalFrame, OpticalPoint, Region,
-                                ViewObservation,
+                                ViewObservation, _label_at,
                                 closest_points_on_normal_lines,
                                 find_regions_labeled, fuse_patch,
                                 fuse_groups, fuse_reflector, fuse_strap,
@@ -101,7 +101,7 @@ class TestFindRegions:
             if rng.random() < 0.3:  # blank margins exercise the windowing
                 bits[:int(rng.integers(0, h + 1))] = False
                 bits[:, int(rng.integers(0, w + 1)):] = False
-            regions, labels = find_regions_labeled(IrMask(bits))
+            regions, labels, origin = find_regions_labeled(IrMask(bits))
             # reference labels: 8-connected flood fill, numbered in the
             # row-major order of each component's first pixel
             ref = np.zeros((h, w), dtype=int)
@@ -119,7 +119,18 @@ class TestFindRegions:
                             ref[y, x] = count
                             stack.extend((x + du, y + dv) for du in (-1, 0, 1)
                                          for dv in (-1, 0, 1))
-            np.testing.assert_array_equal(labels, ref)
+            # the labels cover the bounding window of the set pixels; every
+            # pixel reads its label through it, 0 outside it
+            if bits.any():
+                vs, us = np.nonzero(bits)
+                assert origin == (vs.min(), us.min())
+                assert labels.shape == (vs.max() - vs.min() + 1,
+                                        us.max() - us.min() + 1)
+            else:
+                assert labels.size == 0
+            np.testing.assert_array_equal(
+                [[_label_at(labels, origin, x, y) for x in range(w)]
+                 for y in range(h)], ref)
             assert len(regions) == count
             for k, region in enumerate(regions, start=1):
                 pixels = [(x, y) for y in range(h) for x in range(w)
