@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from functools import partial
 from math import isfinite
@@ -507,14 +508,19 @@ class DatasetReader:
         for d in self.view_dirs:
             if not d.is_dir():
                 raise ValidationError(f"{d}: view directory missing")
-        counts = {len(list(d.glob("depth_*.bin"))) for d in self.view_dirs}
+        # one listing per view: the depth files it holds
+        listed = [{name for name in os.listdir(d)
+                   if name.startswith("depth_") and name.endswith(".bin")}
+                  for d in self.view_dirs]
+        counts = {len(names) for names in listed}
         if len(counts) != 1:
             raise ValidationError("views disagree on frame count")
         self.num_frames = counts.pop()
-        for v, d in enumerate(self.view_dirs):
-            for f in range(self.num_frames):
-                if not (d / f"depth_{f:05d}.bin").exists():
-                    raise ValidationError(f"view {v}: frame {f} missing (sparse index)")
+        expected = [f"depth_{f:05d}.bin" for f in range(self.num_frames)]
+        for v, names in enumerate(listed):
+            if not names.issuperset(expected):
+                f = next(f for f, name in enumerate(expected) if name not in names)
+                raise ValidationError(f"view {v}: frame {f} missing (sparse index)")
 
     @property
     def num_views(self) -> int:

@@ -32,8 +32,16 @@ from .synth import MotionScript, SyntheticBody, animate, default_rig, render
 # ---------------------------------------------------------------------------
 
 def cmd_synth(config: PipelineConfig, out_dir: str | Path) -> Path:
-    """Generate a synthetic dataset: frames, masks, annotations, ground truth."""
+    """Generate a synthetic dataset: frames, masks, annotations, ground truth.
+
+    The target must be new or an empty directory: a take written over an
+    older one would leave its extra frames and map files in place, and the
+    readers would take them for part of the new take.
+    """
     out = Path(out_dir)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ValidationError(f"{out}: exists and is not an empty directory; "
+                              "synth writes a take only into a new or empty one")
     out.mkdir(parents=True, exist_ok=True)
     sc = config.synth
     body = SyntheticBody.default(scale=sc.body_scale)

@@ -377,66 +377,153 @@ def _rays(intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(invalid="ignore", divide="ignore")
-def _capsule_hits(intr: CameraIntrinsics, a: np.ndarray, b: np.ndarray,
-                  radius: float) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray] | None:
-    """Ray-cast one capsule (camera space); returns box slices, z, axial s.
+def _cast_capsules(intr: CameraIntrinsics,
+                   segments: list[tuple[np.ndarray, np.ndarray, float]]
+                   ) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray,
+                              np.ndarray, dict[int, tuple[slice, slice]]]:
+    """Ray-cast the capsules (a, b, radius) of one view, in bone order.
 
     Rays go through pixel centers with direction ((u-cx)/fx, (v-cy)/fy, 1),
-    so the ray parameter equals the camera z of the hit.  The capsule's
-    image is the convex hull of its end-sphere images, so the box bounding
-    both end windows holds every hit; each cap is solved on its own window
-    only.  A root is NaN where its discriminant is negative, and every
-    comparison with NaN is False, so no root is masked before the tests.
-    Returns None when the capsule is too close to or behind the camera, or
-    has no hit in the image.
+    so the ray parameter equals the camera z of the hit.  A capsule's image
+    is the convex hull of its end-sphere images, so the box bounding both
+    end windows holds every hit.  The rays of all boxes lie in one flat
+    buffer, box after box, row-major, and the cylinder and both caps are
+    solved once over it.  A cap is solved on the whole box: outside its end
+    window, which has a 2 px guard, no ray meets that sphere.  A root is
+    NaN where its discriminant is negative, and every comparison with NaN
+    is False, so no root is masked before the tests.
+
+    Each dot product with a capsule's own vector stays one matrix-vector
+    product over that capsule's rays, which rounds each pixel as the
+    product on its box does; an elementwise sum, an einsum or a stacked
+    product would not.  (A box one pixel wide rounds otherwise, but lies
+    wholly in the 2 px guard of both windows and so holds no hit.)
+
+    A capsule too close to or behind the camera, with an empty box or with
+    no hit is left out.  The others are merged, in bone order, into the
+    body box bounding their boxes: the nearer hit wins, the first capsule
+    a tie.  Returns the body box and, on it, the z-buffer (inf where no
+    capsule is hit), the winning bone (-1 there), the axial position of
+    each hit and each hit bone's box within the body box.
     """
-    z_near = min(a[2], b[2]) - radius
-    if z_near <= 0.05:
-        return None
-    wa, wb = _sphere_window(intr, a, radius), _sphere_window(intr, b, radius)
-    v0, v1 = min(wa[0], wb[0]), max(wa[1], wb[1])
-    u0, u1 = min(wa[2], wb[2]), max(wa[3], wb[3])
-    if u0 >= u1 or v0 >= v1:
-        return None
     rays, norms = _rays(intr)
-    d = rays[v0:v1, u0:u1]
-
-    seg = b - a
-    length = np.linalg.norm(seg)
-    w = seg / length if length > 1e-12 else np.array([0.0, 0.0, 1.0])
-
-    # infinite cylinder part
-    d_par = d @ w
-    d_perp = d - d_par[..., None] * w[None, None, :]
-    aw = a @ w
-    q = -a + aw * w  # (ray origin - a) with axial part removed
-    alpha = np.einsum("...i,...i", d_perp, d_perp)
-    beta = 2.0 * (d_perp @ q)
-    gamma = q @ q - radius * radius
-    disc = beta ** 2 - alpha * (4.0 * gamma)
-    t_cyl = (-beta - np.sqrt(disc)) / (2.0 * alpha)
-    s = (t_cyl * d_par) - aw
-    on_segment = (alpha > 1e-12) & (t_cyl > 0.05) & (s >= 0.0) & (s <= length)
-    z = np.where(on_segment, t_cyl, np.inf)
-    s_axial = np.where(on_segment, s, 0.0)
-
-    # spherical caps, each on its end window within the box
-    for center, s_cap, (ev0, ev1, eu0, eu1) in ((a, 0.0, wa), (b, length, wb)):
-        if ev0 >= ev1 or eu0 >= eu1:
+    cast = []   # (bone, (a, b), radius, box) per capsule cast
+    for bi, (a, b, radius) in enumerate(segments):
+        if min(a[2], b[2]) - radius <= 0.05:
             continue
-        win = (slice(ev0 - v0, ev1 - v0), slice(eu0 - u0, eu1 - u0))
-        aq = norms[ev0:ev1, eu0:eu1]
-        bq = -2.0 * (d[win] @ center)
-        cq = center @ center - radius * radius
-        disc_c = bq ** 2 - aq * (4.0 * cq)
-        t_cap = (-bq - np.sqrt(disc_c)) / (2.0 * aq)
-        z_win = z[win]
-        better = (t_cap > 0.05) & (t_cap < z_win)
-        np.copyto(z_win, t_cap, where=better)
-        np.copyto(s_axial[win], s_cap, where=better)
-    if not np.isfinite(z).any():
-        return None
-    return (slice(v0, v1), slice(u0, u1)), z, s_axial
+        wa, wb = _sphere_window(intr, a, radius), _sphere_window(intr, b, radius)
+        v0, v1 = min(wa[0], wb[0]), max(wa[1], wb[1])
+        u0, u1 = min(wa[2], wb[2]), max(wa[3], wb[3])
+        if u0 < u1 and v0 < v1:
+            cast.append((bi, (a, b), radius, (slice(v0, v1), slice(u0, u1))))
+    shapes = [(sv.stop - sv.start, su.stop - su.start) for *_, (sv, su) in cast]
+    counts = [h * w for h, w in shapes]
+    starts = np.cumsum([0] + counts).tolist()
+    parts = [slice(lo, hi) for lo, hi in zip(starts, starts[1:])]
+    n = starts[-1]
+
+    def spread(values) -> np.ndarray:
+        """One value per capsule, repeated over its pixels."""
+        return np.repeat(np.array(values, dtype=float), counts)
+
+    # each capsule's rays and their products with its axis w
+    d = np.empty((n, 3))
+    d_par = np.empty(n)
+    axes, lengths, aws, qs, gammas4 = [], [], [], [], []
+    for (_, (a, b), radius, box), shape, part in zip(cast, shapes, parts):
+        np.copyto(d[part].reshape(shape + (3,)), rays[box])
+        seg = b - a
+        length = np.linalg.norm(seg)
+        w = seg / length if length > 1e-12 else np.array([0.0, 0.0, 1.0])
+        np.matmul(d[part], w, out=d_par[part])
+        aw = a @ w
+        q = -a + aw * w  # (ray origin - a) with axial part removed
+        axes.append(w)
+        lengths.append(length)
+        aws.append(aw)
+        qs.append(q)
+        gammas4.append(4.0 * (q @ q - radius * radius))
+
+    # infinite cylinder part; d becomes each ray's part across the axis
+    axes = np.reshape(axes, (-1, 3))
+    for i in range(3):
+        w_i = spread(axes[:, i])
+        w_i *= d_par
+        d[:, i] -= w_i
+    alpha = np.einsum("...i,...i", d, d)
+    beta = np.empty(n)
+    for q, part in zip(qs, parts):
+        np.matmul(d[part], q, out=beta[part])
+    beta *= 2.0
+    # d is spent: its memory holds three planes from here on
+    z, aq, bq = d.reshape(3, n)
+    np.multiply(beta, beta, out=z)
+    disc_term = spread(gammas4)
+    disc_term *= alpha
+    z -= disc_term
+    np.sqrt(z, out=z)
+    np.negative(beta, out=beta)
+    beta -= z
+    np.divide(beta, np.add(alpha, alpha, out=aq), out=z)   # t of the cylinder
+    s_axial = d_par
+    s_axial *= z
+    s_axial -= spread(aws)
+    length_px = spread(lengths)
+    on_segment = alpha > 1e-12
+    on_segment &= z > 0.05
+    on_segment &= s_axial >= 0.0
+    on_segment &= s_axial <= length_px
+    off = np.logical_not(on_segment, out=on_segment)
+    np.copyto(z, np.inf, where=off)
+    np.copyto(s_axial, 0.0, where=off)
+
+    # spherical caps, the rays' squared norms in aq and twice them in alpha
+    for (*_, box), shape, part in zip(cast, shapes, parts):
+        np.copyto(aq[part].reshape(shape), norms[box])
+    aq2 = np.add(aq, aq, out=alpha)
+    disc = beta
+    for end, s_cap in ((0, 0.0), (1, length_px)):   # the cap at a, then at b
+        for (_, ends, _, box), shape, part in zip(cast, shapes, parts):
+            np.matmul(rays[box], ends[end], out=bq[part].reshape(shape))
+        bq *= -2.0
+        disc_term = spread([4.0 * (ends[end] @ ends[end] - radius * radius)
+                            for _, ends, radius, _ in cast])
+        disc_term *= aq
+        np.multiply(bq, bq, out=disc)
+        disc -= disc_term
+        np.sqrt(disc, out=disc)
+        np.negative(bq, out=bq)
+        bq -= disc
+        t_cap = np.divide(bq, aq2, out=bq)
+        better = t_cap > 0.05
+        better &= t_cap < z
+        np.copyto(z, t_cap, where=better)
+        np.copyto(s_axial, s_cap, where=better)
+
+    # the z-buffer of the capsules with a hit, on their body box
+    hit = np.logical_or.reduceat(np.isfinite(z), starts[:-1]) if cast else []
+    kept = [k for k, any_hit in enumerate(hit) if any_hit]
+    boxes = [cast[k][3] for k in kept] or [(slice(0, 0), slice(0, 0))]
+    v0 = min(sv.start for sv, _ in boxes)
+    u0 = min(su.start for _, su in boxes)
+    body_box = (slice(v0, max(sv.stop for sv, _ in boxes)),
+                slice(u0, max(su.stop for _, su in boxes)))
+    shape = (body_box[0].stop - v0, body_box[1].stop - u0)
+    zbuf = np.full(shape, np.inf)
+    owner = np.full(shape, -1, dtype=np.int32)
+    axial = np.zeros(shape)
+    hit_boxes: dict[int, tuple[slice, slice]] = {}
+    for k in kept:
+        bi, *_, (sv, su) = cast[k]
+        win = hit_boxes[bi] = (slice(sv.start - v0, sv.stop - v0),
+                               slice(su.start - u0, su.stop - u0))
+        sub_z = zbuf[win]
+        z_k = z[parts[k]].reshape(shapes[k])
+        better = z_k < sub_z
+        np.copyto(sub_z, z_k, where=better)
+        np.copyto(owner[win], bi, where=better)
+        np.copyto(axial[win], s_axial[parts[k]].reshape(shapes[k]), where=better)
+    return body_box, zbuf, owner, axial, hit_boxes
 
 
 @dataclass
@@ -476,36 +563,13 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
         intr, extr = rig[v]
         cam_points = dict(zip(names, _rotate_rows(extr.rotation.T,
                                                   points - extr.translation)))
-        hits = []
-        for bi, name in enumerate(bones):
-            hit = _capsule_hits(intr, cam_points[JOINT_BY_NAME[name].parent],
-                                cam_points[name], body.capsule_radii[name])
-            if hit is not None:
-                hits.append((bi, hit))
-
-        # capsule z-buffer on the body box, remembering per-pixel winner
-        # for strap banding; `boxes` holds each capsule's box within it.
-        # In row-major order the box's pixels come in the full frame's
+        body_box, zbuf, owner, axial, boxes = _cast_capsules(
+            intr, [(cam_points[JOINT_BY_NAME[name].parent], cam_points[name],
+                    body.capsule_radii[name]) for name in bones])
+        # in row-major order the body box's pixels come in the full frame's
         # order, so the noise draws land where a full-frame render puts them
-        rows, cols = (zip(*[box for _, (box, _, _) in hits]) if hits
-                      else ([slice(0, 0)],) * 2)
-        origin = (min(s.start for s in rows), min(s.start for s in cols))
-        v0, u0 = origin
-        body_box = (slice(v0, max(s.stop for s in rows)),
-                    slice(u0, max(s.stop for s in cols)))
-        shape = (body_box[0].stop - v0, body_box[1].stop - u0)
-        zbuf = np.full(shape, np.inf)
-        owner = np.full(shape, -1, dtype=np.int32)
-        axial = np.zeros(shape)
-        boxes: dict[int, tuple[slice, slice]] = {}
-        for bi, ((sv, su), z, s_ax) in hits:
-            win = boxes[bi] = (slice(sv.start - v0, sv.stop - v0),
-                               slice(su.start - u0, su.stop - u0))
-            sub_z = zbuf[win]
-            better = z < sub_z
-            np.copyto(sub_z, z, where=better)
-            np.copyto(owner[win], bi, where=better)
-            np.copyto(axial[win], s_ax, where=better)
+        origin = (body_box[0].start, body_box[1].start)
+        shape = zbuf.shape
         body_pixels = np.isfinite(zbuf)
         body_mm = np.zeros(shape)
         body_mm[body_pixels] = zbuf[body_pixels] * 1000.0

@@ -13,14 +13,15 @@ from mocap_geom import dataset as ds
 from mocap_geom import skeleton
 from mocap_geom.cli import main
 from mocap_geom.core import (DepthFrame, IrMask, ReflectorId, finite_vector,
-                             json_int, parse_json)
-from mocap_geom.errors import FormatError
+                             json_int, parse_json, save_rig)
+from mocap_geom.errors import FormatError, ValidationError
 from mocap_geom.maps import (Annotation2D, ConfidenceMap, FlowField,
                              MapSynthesisParams, ReflectorEstimate2D,
                              synth_confidence_map, synth_flow_field)
 from mocap_geom.skeleton import (JOINTS, Pose, SkeletonTemplate,
                                  quat_from_matrix, rotation_about)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
+from mocap_geom.synth import default_rig
 from test_skeleton import matrix_from_quat
 
 
@@ -58,6 +59,58 @@ def corrupt_maps_files(tmp_path) -> dict[str, bytes]:
         "nan_flow": with_value(flow + 4 * 10, float("nan")),
         "inf_flow": with_value(len(planes) - 4, float("-inf")),
     }
+
+
+class TestDatasetReaderIndex:
+    """The frame index is the depth files of each view: dense from 0 and
+    equally long in every view."""
+
+    @staticmethod
+    def _take(root, *views):
+        """A dataset whose view v holds the named files (empty ones: the
+        index reads names only)."""
+        root.mkdir(exist_ok=True)
+        save_rig(default_rig(num_views=len(views)), root / "calibration.json")
+        for v, names in enumerate(views):
+            (root / f"view_{v}").mkdir()
+            for name in names:
+                (root / f"view_{v}" / name).write_bytes(b"")
+        return root
+
+    @staticmethod
+    def _depth(*frames):
+        return [f"depth_{f:05d}.bin" for f in frames]
+
+    def test_dense_index(self, tmp_path):
+        others = ["irmask_00000.bin", "maps_00007.dmcm", "annotations.jsonl"]
+        reader = ds.DatasetReader(self._take(tmp_path, self._depth(0, 1, 2) + others,
+                                             self._depth(2, 1, 0)))
+        assert reader.num_frames == 3 and reader.num_views == 2
+
+    def test_stray_depth_file(self, tmp_path):
+        """A stray ``depth_x.bin`` counts as a frame: beside the frames of
+        the other view it is a count mismatch, in every view a missing last
+        frame."""
+        with pytest.raises(ValidationError, match="views disagree on frame count"):
+            ds.DatasetReader(self._take(tmp_path / "one", self._depth(0, 1, 2)
+                                        + ["depth_x.bin"], self._depth(0, 1, 2)))
+        with pytest.raises(ValidationError,
+                           match=r"^view 0: frame 3 missing \(sparse index\)$"):
+            ds.DatasetReader(self._take(tmp_path / "both",
+                                        *[self._depth(0, 1, 2) + ["depth_x.bin"]] * 2))
+
+    def test_gap_in_the_frame_index(self, tmp_path):
+        """The error names the first view with a gap and its first missing
+        frame."""
+        for name, views, message in (
+                ("first", (self._depth(0, 2, 4, 5, 6), self._depth(0, 1, 2, 3, 4)),
+                 "view 0: frame 1 missing"),
+                ("second", (self._depth(0, 1, 2, 3), self._depth(0, 1, 3, 4)),
+                 "view 1: frame 2 missing"),
+                ("both", (self._depth(1, 2), self._depth(0, 2)),
+                 "view 0: frame 0 missing")):
+            with pytest.raises(ValidationError, match=f"^{message} \\(sparse index\\)$"):
+                ds.DatasetReader(self._take(tmp_path / name, *views))
 
 
 class TestBinaryFormats:

@@ -671,6 +671,54 @@ class TestCli:
             assert "--seed -1" in err and "Traceback" not in err, err
         assert not dataset.exists() and not out.exists()
 
+    @staticmethod
+    def _tree(root: Path) -> dict[str, bytes]:
+        return {str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def _synth_refused_over(self, tmp_path, capsys, older: str, newer: str):
+        """Synthesize the `older` take, then the `newer` one into the same
+        directory: exit 2 naming it, no traceback, the older take kept."""
+        dataset, config = tmp_path / "dataset", tmp_path / "take.ini"
+        config.write_text(older)
+        args = ["--config", str(config), "--dataset", str(dataset),
+                "--out", str(tmp_path / "o")]
+        assert main(["synth", *args]) == 0
+        before = self._tree(dataset)
+        capsys.readouterr()
+        config.write_text(newer)
+        assert main(["synth", *args]) == 2
+        err = capsys.readouterr().err
+        assert str(dataset) in err and "not an empty directory" in err, err
+        assert "Traceback" not in err
+        assert self._tree(dataset) == before
+        return before
+
+    def test_synth_refuses_a_directory_holding_more_frames(self, tmp_path,
+                                                           capsys):
+        # 3 frames over 6 would leave frames 3-5 for infer and fuse to read
+        before = self._synth_refused_over(
+            tmp_path, capsys, "[synth]\nduration = 6\nnoise_sigma_mm = 0\n",
+            "[synth]\nduration = 3\nnoise_sigma_mm = 0\n")
+        assert "view_0/depth_00005.bin" in before
+
+    def test_synth_refuses_a_directory_holding_maps(self, tmp_path, capsys):
+        # a rest take over this one would leave its maps for infer to read
+        # in place of the oracle maps
+        before = self._synth_refused_over(
+            tmp_path, capsys,
+            "[synth]\nduration = 2\nmotion = jumping-jack\nwrite_maps = true\n",
+            "[synth]\nduration = 2\nmotion = rest\n")
+        assert "view_0/maps_00001.dmcm" in before
+
+    def test_synth_writes_into_an_empty_directory(self, tmp_path):
+        dataset, config = tmp_path / "dataset", tmp_path / "tiny.ini"
+        dataset.mkdir()
+        config.write_text("[synth]\nduration = 2\n")
+        assert main(["synth", "--config", str(config), "--dataset",
+                     str(dataset), "--out", str(tmp_path / "o")]) == 0
+        assert ds.DatasetReader(dataset).num_frames == 2
+
     def test_eval_scores_only_the_listed_views(self, tmp_path):
         dataset, config = tmp_path / "dataset", tmp_path / "tiny.ini"
         config.write_text("[synth]\nduration = 4\nnoise_sigma_mm = 0\n")

@@ -367,6 +367,33 @@ def _full_frame_capsule(intr, a, b, radius):
     return z, s_axial
 
 
+def _full_frame_zbuffer(intr, segments):
+    """Reference z-buffer of one view: each capsule (a, b, radius) cast on
+    the whole frame and merged in bone order, the nearer hit winning and
+    the first capsule a tie.
+
+    Returns the z-buffer, the winning bone, the axial position and each
+    bone's hit pixels (None for a bone with no hit).
+    """
+    shape = (intr.height, intr.width)
+    zbuf = np.full(shape, np.inf)
+    owner = np.full(shape, -1, dtype=np.int32)
+    axial = np.zeros(shape)
+    hit_pixels = []
+    for bi, (a, b, radius) in enumerate(segments):
+        hit = _full_frame_capsule(intr, a, b, radius)
+        if hit is None or not np.isfinite(hit[0]).any():
+            hit_pixels.append(None)
+            continue
+        z, s_ax = hit
+        hit_pixels.append(np.isfinite(z))
+        better = z < zbuf
+        zbuf = np.where(better, z, zbuf)
+        owner = np.where(better, bi, owner)
+        axial = np.where(better, s_ax, axial)
+    return zbuf, owner, axial, hit_pixels
+
+
 def _full_frame_render(rig, body, pose, noise_sigma_mm, seed, frame, seen):
     """Reference for `render`: full-frame ray casts, footprints, erosions
     and labels.
@@ -381,24 +408,17 @@ def _full_frame_render(rig, body, pose, noise_sigma_mm, seed, frame, seen):
     for v in range(len(rig)):
         intr, extr = rig[v]
         shape = (intr.height, intr.width)
-        zbuf = np.full(shape, np.inf)
-        owner = np.full(shape, -1, dtype=np.int32)
-        axial = np.zeros(shape)
-        for bi, name in enumerate(bones):
-            a = to_camera(pose.positions[JOINT_BY_NAME[name].parent], extr)
-            b = to_camera(pose.positions[name], extr)
-            hit = _full_frame_capsule(intr, a, b, body.capsule_radii[name])
-            if hit is None or not np.isfinite(hit[0]).any():
+        zbuf, owner, axial, hit_pixels = _full_frame_zbuffer(intr, [
+            (to_camera(pose.positions[JOINT_BY_NAME[name].parent], extr),
+             to_camera(pose.positions[name], extr), body.capsule_radii[name])
+            for name in bones])
+        for name, hits in zip(bones, hit_pixels):
+            if hits is None:
                 seen["strap bone without hit"] += name in carriers
-                continue
-            z, s_ax = hit
-            hits = np.isfinite(z)
-            seen["capsule at border"] += bool(hits[0].any() or hits[-1].any()
-                                              or hits[:, 0].any() or hits[:, -1].any())
-            better = z < zbuf
-            zbuf = np.where(better, z, zbuf)
-            owner = np.where(better, bi, owner)
-            axial = np.where(better, s_ax, axial)
+            else:
+                seen["capsule at border"] += bool(
+                    hits[0].any() or hits[-1].any() or hits[:, 0].any()
+                    or hits[:, -1].any())
         body_pixels = np.isfinite(zbuf)
         depth_mm = np.where(body_pixels, zbuf * 1000.0, 0.0)
         mask = np.zeros(shape, dtype=bool)
@@ -428,35 +448,40 @@ def _full_frame_render(rig, body, pose, noise_sigma_mm, seed, frame, seen):
     return out
 
 
+def _random_take(rng, max_views):
+    """A random motion, frame, body scale and rig of 1 to `max_views`
+    views: image sizes, rigs close enough that the body leaves the image
+    and principal points that push it against every border.  Returns
+    (body, pose, frame, rig)."""
+    body = SyntheticBody.default(scale=float(rng.uniform(0.8, 1.25)))
+    script = MotionScript(str(rng.choice(MOTION_NAMES)), duration=120,
+                          lead_in=float(rng.uniform(0.0, 1.0)))
+    frame = int(rng.integers(0, 120))
+    pose = animate(body, script, frame)
+    rig = default_rig(num_views=int(rng.integers(1, max_views + 1)),
+                      radius=float(rng.uniform(0.9, 2.6)),
+                      height=float(rng.uniform(0.4, 1.6)),
+                      width=int(rng.integers(80, 321)),
+                      height_px=int(rng.integers(60, 241)),
+                      focal=float(rng.uniform(120.0, 320.0)),
+                      target_height=float(rng.uniform(0.5, 1.3)))
+    rig = MultiViewRig(tuple(
+        (dataclasses.replace(intr, fy=intr.fx * float(rng.uniform(0.9, 1.1)),
+                             cx=intr.width * float(rng.uniform(0.02, 0.98)),
+                             cy=intr.height * float(rng.uniform(0.02, 0.98))),
+         extr) for intr, extr in rig.cameras))
+    return body, pose, frame, rig
+
+
 class TestRenderMatchesFullFrameReference:
     def test_random_takes(self):
-        """Windowed footprints render exactly as full-frame ones.
-
-        Random motions, frames, 1-4 views, body scales, image sizes, rigs
-        close enough that the body leaves the image and principal points
-        that push it against every border.
-        """
+        """Windowed footprints render exactly as full-frame ones, on random
+        takes of 1-4 views."""
         rng = np.random.default_rng(2024)
         seen = {"capsule at border": 0, "strap bone without hit": 0}
         annotated = 0
         for trial in range(40):
-            body = SyntheticBody.default(scale=float(rng.uniform(0.8, 1.25)))
-            script = MotionScript(str(rng.choice(MOTION_NAMES)), duration=120,
-                                  lead_in=float(rng.uniform(0.0, 1.0)))
-            frame = int(rng.integers(0, 120))
-            pose = animate(body, script, frame)
-            rig = default_rig(num_views=int(rng.integers(1, 5)),
-                              radius=float(rng.uniform(0.9, 2.6)),
-                              height=float(rng.uniform(0.4, 1.6)),
-                              width=int(rng.integers(80, 321)),
-                              height_px=int(rng.integers(60, 241)),
-                              focal=float(rng.uniform(120.0, 320.0)),
-                              target_height=float(rng.uniform(0.5, 1.3)))
-            rig = MultiViewRig(tuple(
-                (dataclasses.replace(intr, fy=intr.fx * float(rng.uniform(0.9, 1.1)),
-                                     cx=intr.width * float(rng.uniform(0.02, 0.98)),
-                                     cy=intr.height * float(rng.uniform(0.02, 0.98))),
-                 extr) for intr, extr in rig.cameras))
+            body, pose, frame, rig = _random_take(rng, max_views=4)
             noise = float(rng.choice([0.0, 3.0]))
             seed = int(rng.integers(0, 1000))
             views = render(rig, body, pose, noise_sigma_mm=noise, seed=seed,
@@ -498,6 +523,100 @@ class TestRenderMatchesFullFrameReference:
         assert rv.depth.pixels.tobytes() == depth.tobytes()
         assert np.array_equal(rv.mask.bits, mask)
         assert rv.annotations == anns
+
+
+def _box_of(intr, a, b, radius):
+    """Image rows and columns bounding both end windows of a capsule."""
+    wa, wb = synth._sphere_window(intr, a, radius), synth._sphere_window(intr, b, radius)
+    return (slice(min(wa[0], wb[0]), max(wa[1], wb[1])),
+            slice(min(wa[2], wb[2]), max(wa[3], wb[3])))
+
+
+def _assert_cast_matches_reference(intr, segments, where):
+    """`_cast_capsules` gives the reference z-buffer, owner and axial
+    position bit for bit on its body box, and no capsule is hit outside
+    it.  Each bone with a hit, and no other, has a box: the box bounding
+    its end windows, holding every hit pixel.  Returns the cast."""
+    cast = synth._cast_capsules(intr, segments)
+    body_box, zbuf, owner, axial, boxes = cast
+    ref_z, ref_owner, ref_axial, hit_pixels = _full_frame_zbuffer(intr, segments)
+    hit = {bi: _box_of(intr, *segments[bi])
+           for bi, pixels in enumerate(hit_pixels) if pixels is not None}
+    assert sorted(boxes) == sorted(hit), where
+    if hit:
+        assert body_box == (slice(min(sv.start for sv, _ in hit.values()),
+                                  max(sv.stop for sv, _ in hit.values())),
+                            slice(min(su.start for _, su in hit.values()),
+                                  max(su.stop for _, su in hit.values()))), where
+    else:
+        assert body_box == (slice(0, 0), slice(0, 0)), where
+    v0, u0 = body_box[0].start, body_box[1].start
+    for bi, (sv, su) in hit.items():
+        assert boxes[bi] == (slice(sv.start - v0, sv.stop - v0),
+                             slice(su.start - u0, su.stop - u0)), where
+        outside_box = hit_pixels[bi].copy()
+        outside_box[sv, su] = False
+        assert not outside_box.any(), where
+    for got, ref in ((zbuf, ref_z), (owner, ref_owner), (axial, ref_axial)):
+        assert got.shape == ref[body_box].shape and got.dtype == ref.dtype, where
+        assert got.tobytes() == ref[body_box].tobytes(), where
+    off_body = np.ones(ref_z.shape, dtype=bool)
+    off_body[body_box] = False
+    assert np.isinf(ref_z[off_body]).all(), where
+    return cast
+
+
+class TestCastMatchesFullFrameReference:
+    """The one-pass capsule cast of a view against the full-frame cast of
+    each capsule, bit for bit."""
+
+    def test_random_takes(self):
+        rng = np.random.default_rng(4096)
+        bones = [j.name for j in JOINTS if j.parent is not None]
+        views = 0
+        for trial in range(16):
+            body, pose, _, rig = _random_take(rng, max_views=6)
+            for v in range(len(rig)):
+                intr, extr = rig[v]
+                segments = [(to_camera(pose.positions[JOINT_BY_NAME[name].parent], extr),
+                             to_camera(pose.positions[name], extr),
+                             body.capsule_radii[name]) for name in bones]
+                _assert_cast_matches_reference(intr, segments, f"trial {trial}, view {v}")
+                views += 1
+        assert views > 40
+
+    def test_hand_built_views(self):
+        """Skipped capsules between hit ones keep the bone numbering; ties
+        go to the first capsule; a zero-length capsule (w = (0, 0, 1)) is a
+        sphere."""
+        intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=40.3, cy=30.6,
+                                width=80, height=60)
+        vec = np.array
+        hit = (vec([-0.2, 0.0, 2.0]), vec([0.2, 0.0, 2.0]), 0.1)
+        behind = (vec([0.0, 0.0, -1.0]), vec([0.0, 0.1, -1.5]), 0.1)
+        crossing = (vec([0.0, -0.2, 1.8]), vec([0.0, 0.2, 2.2]), 0.08)
+        off_image = (vec([5.0, 0.0, 2.0]), vec([5.5, 0.0, 2.0]), 0.1)
+        point = vec([0.25, 0.15, 1.5])
+        zero_length = (point, point.copy(), 0.05)
+        between_rays = (vec([0.0013, 0.0017, 2.0]), vec([0.0023, 0.0017, 2.0]),
+                        1e-5)
+        # the thin capsule's box is not empty, yet no ray meets it; the
+        # off-image capsule's box is empty
+        rows, cols = _box_of(intr, *between_rays)
+        assert rows.start < rows.stop and cols.start < cols.stop
+        assert synth._cast_capsules(intr, [between_rays])[4] == {}
+        rows, cols = _box_of(intr, *off_image)
+        assert cols.start >= cols.stop
+        segments = [hit, behind, crossing, hit, off_image, zero_length,
+                    between_rays]
+        body_box, zbuf, owner, axial, boxes = _assert_cast_matches_reference(
+            intr, segments, "hand-built view")
+        assert sorted(boxes) == [0, 2, 3, 5]
+        assert set(np.unique(owner)) == {-1, 0, 2, 5}   # capsule 3 ties 0 and loses
+        assert (axial[owner == 5] == 0.0).all()
+        body_box, zbuf, owner, axial, boxes = _assert_cast_matches_reference(
+            intr, [behind, off_image, between_rays], "view with no hit")
+        assert zbuf.shape == owner.shape == axial.shape == (0, 0) and boxes == {}
 
 
 class TestStrapGeometryThroughPipeline:
