@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IrMask
 from .errors import ValidationError
 from .maps import ReflectorEstimate2D
-from .spatial import _label_at, find_regions_labeled
+from .spatial import MaskRegions
 
 
 @dataclass(frozen=True)
@@ -33,21 +32,21 @@ class FilterParams:
             raise ValidationError("c_min must be in [0, 1]")
 
 
-def _on_large_region(ests: list[ReflectorEstimate2D], mask: IrMask,
-                    b_min: int) -> list[ReflectorEstimate2D]:
+def _on_large_region(ests: list[ReflectorEstimate2D], regions: MaskRegions,
+                     b_min: int) -> list[ReflectorEstimate2D]:
     """Keep estimates whose rounded position lies on a mask region of at
     least b_min pixels; a position off the mask raises ValidationError."""
-    regions, labels, origin = find_regions_labeled(mask)
-    keep = []
+    us, vs = [], []
     for est in ests:
         u = int(round(est.position[0]))
         v = int(round(est.position[1]))
-        if not (0 <= u < mask.width and 0 <= v < mask.height):
+        if not (0 <= u < regions.width and 0 <= v < regions.height):
             raise ValidationError(f"estimate position {est.position} outside mask")
-        label = _label_at(labels, origin, u, v)
-        if label and regions[label - 1].size >= b_min:
-            keep.append(est)
-    return keep
+        us.append(u)
+        vs.append(v)
+    sizes = regions.sizes.tolist()
+    return [est for est, label in zip(ests, regions.at(us, vs).tolist())
+            if label >= 0 and sizes[label] >= b_min]
 
 
 def _rank_key(est: ReflectorEstimate2D):
@@ -89,10 +88,11 @@ def confidence_cut(ests: list[ReflectorEstimate2D], c_min: float) -> list[Reflec
     return [e for e in ests if e.e_total > c_min]
 
 
-def apply_filters(ests: list[ReflectorEstimate2D], mask: IrMask,
+def apply_filters(ests: list[ReflectorEstimate2D], regions: MaskRegions,
                   params: FilterParams) -> list[ReflectorEstimate2D]:
-    """Full validity chain."""
-    ests = _on_large_region(ests, mask, params.b_min)
+    """Full validity chain on one frame-view's estimates and the regions of
+    its mask (``spatial.label_masks``)."""
+    ests = _on_large_region(ests, regions, params.b_min)
     ests = dedupe_colocated(ests, params.colocate_dist)
     ests = enforce_uniqueness(ests)
     return confidence_cut(ests, params.c_min)

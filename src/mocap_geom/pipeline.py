@@ -7,6 +7,7 @@ result as calling the cores back to back in one process.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from .metrics import (EVAL_JOINT_NAMES, Detection2D, EvalReport,
                       mean_average_precision, subject_bbox)
 from .skeleton import (BoneCalibration, Pose, SkeletonTemplate,
                        calibrate_template, track)
-from .spatial import (OpticalFrame, fuse_observations, gather_view,
+from .spatial import (MaskPixels, MaskRegions, OpticalFrame,
+                      fuse_observations, gather_view, label_masks,
                       observe_rows)
 from .synth import MotionScript, SyntheticBody, animate, default_rig, render
 
@@ -113,6 +115,26 @@ def _views(reader: ds.DatasetReader, view_subset: list[int] | None) -> list[int]
     return sorted(set(view_subset))
 
 
+# Masks per label_masks pass: from about 16 on, a pass pays numpy's per-call
+# overhead once for the batch, and a batch this small keeps its temporaries
+# small.
+MASKS_PER_LABEL_PASS = 32
+
+
+def _labeled_masks(reader: ds.DatasetReader,
+                   frame_views: list[tuple[int, int]]
+                   ) -> Iterator[tuple[tuple[int, int], MaskRegions]]:
+    """Each (frame, view) pair with the regions of its mask, in order.
+
+    The masks are read and labeled ``MASKS_PER_LABEL_PASS`` at a time, and
+    only their set pixels are kept until they are labeled.
+    """
+    for first in range(0, len(frame_views), MASKS_PER_LABEL_PASS):
+        batch = frame_views[first:first + MASKS_PER_LABEL_PASS]
+        yield from zip(batch, label_masks(
+            [MaskPixels.of(reader.mask(view, f)) for f, view in batch]))
+
+
 def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
                   view_subset: list[int] | None = None
                   ) -> list[tuple[int, int, list[ReflectorEstimate2D]]]:
@@ -121,7 +143,9 @@ def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
     Per view, maps come from maps_{f}.dmcm when present (the external
     predictor plug point) and are synthesized from the annotations otherwise
     (oracle mode).  The temporal chain feeds each frame's retained estimates
-    into the next frame's flow scoring for the same view.
+    into the next frame's flow scoring for the same view.  The filter's
+    region rule reads each mask's regions, labeled a batch of frames at a
+    time (``_labeled_masks``).
     """
     out = []
     for v in _views(reader, view_subset):
@@ -129,11 +153,12 @@ def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
         dims = (intr.width, intr.height)
         annotations = reader.annotations(v)
         prev_retained: dict = {}
-        for f in range(reader.num_frames):
+        for (f, _), regions in _labeled_masks(
+                reader, [(f, v) for f in range(reader.num_frames)]):
             maps, fields = reader.maps(v, f) or _maps_from_annotations(
                 annotations.get(f, []), dims, config)
             ests = greedy_inference(maps, fields, prev_retained, config.inference)
-            ests = apply_filters(ests, reader.mask(v, f), config.filters)
+            ests = apply_filters(ests, regions, config.filters)
             prev_retained = {e.reflector: e for e in ests}
             out.append((f, v, ests))
     out.sort(key=lambda item: (item[0], item[1]))
@@ -185,20 +210,22 @@ def fuse_estimates(reader: ds.DatasetReader,
                    config: PipelineConfig) -> list[OpticalFrame]:
     """Cross-view fusion into Kalman-smoothed optical frames.
 
-    Each frame-view with estimates is read and gathered on its own
-    (``gather_view``: labeling, region assignment, merged-region splits),
-    so no mask or depth frame outlives its gather; then the whole take is
-    observed in one ``observe_rows`` pass and every (frame, reflector)
-    group is fused in one ``fuse_observations`` pass, each group in view
-    order; then the tracker steps over the fused frames.
+    The masks of the frame-views with estimates are labeled a batch at a
+    time (``_labeled_masks``), keeping only their set pixels.  Each of
+    those frame-views is then gathered on its own (``gather_view``: region
+    assignment, merged-region splits), so no depth frame outlives its
+    gather; then the whole take is observed in one ``observe_rows`` pass
+    and every (frame, reflector) group is fused in one
+    ``fuse_observations`` pass, each group in view order; then the tracker
+    steps over the fused frames.
     """
     by_frame: dict[int, dict[int, list[ReflectorEstimate2D]]] = {}
     for frame, view, ests in estimates:
         by_frame.setdefault(frame, {})[view] = ests
-    rows = [gather_view(ests, reader.mask(view, f), reader.depth(view, f),
-                        f, view)
-            for f in range(reader.num_frames)
-            for view, ests in sorted(by_frame.get(f, {}).items()) if ests]
+    todo = {(f, view): ests for f in range(reader.num_frames)
+            for view, ests in sorted(by_frame.get(f, {}).items()) if ests}
+    rows = [gather_view(todo[f, view], regions, reader.depth(view, f), f, view)
+            for (f, view), regions in _labeled_masks(reader, list(todo))]
     frames = [OpticalFrame(frame=f) for f in range(reader.num_frames)]
     for point in fuse_observations(observe_rows(rows, reader.rig.cameras),
                                    config.limb_radii):

@@ -63,6 +63,15 @@ JOINTS: tuple[JointDef, ...] = (
 
 JOINT_BY_NAME = {j.name: j for j in JOINTS}
 
+# Bones whose parent and child targets share reflectors, with the shared
+# ones: both targets are centroids of those reflectors, so they move
+# together and their distance measures no bone.
+SHARED_REFLECTORS: dict[str, tuple[int, ...]] = {
+    j.name: tuple(sorted(set(j.subset) & set(JOINT_BY_NAME[j.parent].subset)))
+    for j in JOINTS
+    if j.parent is not None and set(j.subset) & set(JOINT_BY_NAME[j.parent].subset)
+}
+
 # Default rest pose: standing, arms down, z up / y forward / x to the
 # subject's left; root at the origin.  Positions in meters.
 _REST_POSITIONS = {
@@ -498,7 +507,9 @@ def calibrate_template(template: SkeletonTemplate, frames: list[OpticalFrame],
     """Full calibration: coarse scale, per-bone refinement, rest geometry.
 
     Bones are visited strictly in hierarchy-level order (L0 outward).  Bones
-    whose window stays unconverged keep their coarse-scaled length.  Returns
+    whose window stays unconverged keep their coarse-scaled length, and so
+    do the bones whose parent and child share reflectors
+    (``SHARED_REFLECTORS``), which are not measured at all.  Returns
     the calibrated template and the per-bone calibration report.  ``seed``
     is unused: calibration draws no random numbers.  It is accepted so that
     existing callers keep working.
@@ -516,6 +527,13 @@ def calibrate_template(template: SkeletonTemplate, frames: list[OpticalFrame],
     report: dict[str, BoneCalibration] = {}
     for j in sorted((j for j in JOINTS if j.parent is not None),
                     key=lambda j: (j.level, j.name)):
+        shared = SHARED_REFLECTORS.get(j.name)
+        if shared:
+            report[j.name] = BoneCalibration(
+                out.bone_length(j.name), False,
+                f"shares reflectors {', '.join(map(str, shared))} with "
+                f"{j.parent}: no bone to measure")
+            continue
         try:
             result = calibrate_bone(streams[j.parent], streams[j.name], cfg)
         except (CalibrationDeferred, ValidationError) as exc:

@@ -1,13 +1,15 @@
 """2D regions to fused global 3D optical data.
 
-The per-view half turns validated estimates into observations.  Each
-frame-view is gathered on its own (``gather_view``): connected reflector
-regions (the one mask labeling, which the filter's region rule reads too),
-each estimate's region, merged regions split among their estimates, and
-the contour depths, so that its images can go.  One ``observe_rows`` pass
-then observes every gathered item of a take: median contour depth,
-backprojection of the region center, and (for straps) a surface normal from
-a least-squares plane fit of the contour's 3D points.  The cross-view half
+The per-view half turns validated estimates into observations.  The
+connected reflector regions of a batch of masks come from one
+``label_masks`` pass over their set pixels; the filter's region rule reads
+the same regions.  Each frame-view is then gathered on its own
+(``gather_view``): each estimate's region, merged regions split among
+their estimates, and the contour depths, so that its depth frame can go.
+One ``observe_rows`` pass then observes every gathered item of a take:
+median contour depth, backprojection of the region center, and (for
+straps) a surface normal from a least-squares plane fit of the contour's
+3D points.  The cross-view half
 fuses the observations of each reflector in each frame into one global
 point (``fuse_observations`` on observed rows, ``fuse_groups`` on
 ViewObservation groups): confidence-weighted centroids for patches, closest
@@ -26,8 +28,6 @@ from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
                    ReflectorId, ReflectorKind)
 from .errors import CalibrationInputError, SplitFailure, ValidationError
 from .maps import ReflectorEstimate2D
-
-_EIGHT = np.ones((3, 3), dtype=bool)
 
 # Feature scale balancing depth millimeters against pixel coordinates when
 # clustering merged-region contours.
@@ -86,72 +86,176 @@ class OpticalFrame:
         return self.points.get(reflector_index)
 
 
-def interior_pixels(bits: np.ndarray) -> np.ndarray:
-    """Set pixels whose whole 3x3 neighborhood is set, off past the border.
+@dataclass(frozen=True)
+class MaskPixels:
+    """The set pixels of one mask: its sorted flat indices v * width + u."""
 
-    The 3x3 binary erosion with an off border, done as row then column
-    passes.
+    flat: np.ndarray
+    width: int
+    height: int
+
+    @classmethod
+    def of(cls, mask: IrMask) -> MaskPixels:
+        return cls(np.flatnonzero(mask.bits), mask.width, mask.height)
+
+
+@dataclass(frozen=True)
+class MaskRegions:
+    """The 8-connected regions of one mask (``label_masks``).
+
+    Regions are numbered from 0 in the row-major order of their first
+    pixel, as ``ndimage.label`` numbers them from 1.  ``pixels`` holds every
+    set pixel as (u, v), region after region and row-major within each;
+    region k is ``pixels[ends[k - 1]:ends[k]]``.  ``contour`` holds the
+    pixels with at least one 8-neighbor outside the region (image borders
+    count as outside) in the same order, ``contour_ends`` their run ends.
+    ``sizes`` and ``pixel_sums`` hold each region's pixel count and the
+    exact sums of its (u, v).
     """
-    h, w = bits.shape
-    padded = np.zeros((h + 2, w + 2), dtype=bool)
-    padded[1:-1, 1:-1] = bits
-    rows3 = padded[:-2] & padded[1:-1] & padded[2:]
-    return rows3[:, :-2] & rows3[:, 1:-1] & rows3[:, 2:]
+
+    width: int
+    height: int
+    flat: np.ndarray          # (n,) sorted flat indices of the set pixels
+    label: np.ndarray         # (n,) region of each of them
+    pixels: np.ndarray        # (n, 2) grouped by region
+    ends: np.ndarray          # (r,) end of each region's run of pixels
+    contour: np.ndarray       # (m, 2) grouped by region
+    contour_ends: np.ndarray  # (r,)
+    sizes: np.ndarray         # (r,)
+    pixel_sums: np.ndarray    # (r, 2)
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def at(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """The region under each pixel (us[i], vs[i]); -1 on the background
+        and off the image, so that no position wraps into another row."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        inside = (us >= 0) & (us < self.width) & (vs >= 0) & (vs < self.height)
+        flat = vs * self.width + us
+        if len(self.flat) == 0:
+            return np.full(flat.shape, -1, dtype=np.int64)
+        j = np.minimum(np.searchsorted(self.flat, flat), len(self.flat) - 1)
+        hit = inside & (self.flat[j] == flat)
+        return np.where(hit, self.label[j], -1)
+
+    def region(self, k: int) -> Region:
+        start = int(self.ends[k - 1]) if k else 0
+        c_start = int(self.contour_ends[k - 1]) if k else 0
+        return Region(pixels=self.pixels[start:int(self.ends[k])],
+                      contour=self.contour[c_start:int(self.contour_ends[k])])
+
+    def regions(self) -> list[Region]:
+        return [self.region(k) for k in range(len(self))]
 
 
-def find_regions_labeled(mask: IrMask
-                         ) -> tuple[list[Region], np.ndarray, tuple[int, int]]:
-    """Extract 8-connected components and trace their boundaries.
+def label_masks(masks: Sequence[MaskPixels]) -> list[MaskRegions]:
+    """Label the 8-connected regions of a batch of masks in one pass.
 
-    A contour pixel is a region pixel with at least one 8-neighbor outside
-    the region (image borders count as outside).  Regions are returned in
-    label order (row-major discovery), pixels in row-major scan order, with
-    the labels they came from (starting at 1) on the bounding window of the
-    set pixels and that window's origin (row, col): pixel (u, v) has label
-    ``labels[v - row, u - col]`` inside the window and none outside it (see
-    ``_label_at``).  A mask without set pixels has an empty window.
+    Only the set pixels are touched.  Each becomes a key on a padded grid
+    of stride ``max width + 2``, mask under mask with an off row between
+    them, so that a neighbor is a key at a fixed offset and none wraps
+    into the next row or mask.  East neighbors are adjacent keys, and they
+    chain the pixels into runs; one ``searchsorted`` finds the south
+    neighbor, or failing it the south-west and south-east ones.  A pixel
+    is inside its region when its row has both neighbors and the rows
+    above and below have all three; every other pixel is on the contour.
+
+    The runs are joined by a union-find over the links to the row below
+    (the hooking and pointer jumping of Shiloach & Vishkin 1982): each
+    round hooks the larger root of every link that still joins two trees
+    under the smaller one, then flattens the trees.  A root is the least
+    run of its tree, so each region's root holds its first raster pixel,
+    and regions, pixels and contours come out in ``ndimage.label``'s
+    order.
     """
-    # Set pixels in row-major order; labeling runs on their bounding box.
-    vs, us = np.divmod(np.flatnonzero(mask.bits), mask.width)
-    if len(vs) == 0:
-        return [], np.zeros((0, 0), dtype=np.int32), (0, 0)
-    r0, c0 = int(vs[0]), int(us.min())
-    sub_mask = mask.bits[r0:int(vs[-1]) + 1, c0:int(us.max()) + 1]
-    # scipy is imported where it is used, so that the commands that label
-    # no mask (calibrate, track, eval) never load it
-    from scipy import ndimage
-    sub_labels, count = ndimage.label(sub_mask, structure=_EIGHT)
-    # Distinct 8-connected components are never 8-adjacent, so a boundary
-    # pixel is simply a set pixel with a zero 8-neighbor (or image border):
-    # one that survives no 3x3 erosion.
-    interior = interior_pixels(sub_mask)
-    # One grouped pass: a stable sort by label makes each region one
-    # contiguous run of pixels, still in row-major order.
-    owner = sub_labels[vs - r0, us - c0]
-    order = np.argsort(owner, kind="stable")
-    owner = owner[order]
+    counts = np.array([len(m.flat) for m in masks], dtype=np.int64)
+    n = int(counts.sum())
+    if n == 0:
+        none, no_pixels = np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64)
+        return [MaskRegions(m.width, m.height, m.flat, none, no_pixels, none,
+                            no_pixels, none, none, no_pixels) for m in masks]
+    widths = np.array([m.width for m in masks], dtype=np.int64)
+    stride = int(widths.max()) + 2
+    # padded row of mask i's row 0; the rows before and after it stay off
+    first_rows = np.cumsum([1] + [m.height + 1 for m in masks[:-1]])
+    vs, us = np.divmod(np.concatenate([m.flat for m in masks]),
+                       np.repeat(widths, counts))
+    keys = (vs + np.repeat(first_rows, counts)) * stride + us + 1
+
+    east = keys[1:] == keys[:-1] + 1
+    has_w = np.concatenate([[False], east])
+    # both row neighbors set; one off entry past the end
+    inner = np.append(has_w & np.append(east, False), False)
+    below = keys + stride
+    j = np.searchsorted(keys, below)
+    padded = np.append(keys, -1)
+    has_s = padded[j] == below
+    has_sw = ~has_s & (keys[j - 1] == below - 1)
+    has_se = ~has_s & (padded[j] == below + 1)
+    full_above = np.zeros(n + 1, dtype=bool)
+    full_above[j[has_s]] = inner[:n][has_s]
+    on_contour = ~(inner[:n] & has_s & inner[j] & full_above[:n])
+
+    run_first = np.flatnonzero(~has_w)
+    run_of = np.cumsum(~has_w) - 1
+    down = has_s | has_se
+    a = run_of[np.concatenate([np.flatnonzero(down), np.flatnonzero(has_sw)])]
+    b = run_of[np.concatenate([j[down], j[has_sw] - 1])]
+    parent = np.arange(len(run_first))
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    is_root = parent == np.arange(len(run_first))
+    seen = np.cumsum(is_root)
+    run_region = seen[parent] - 1
+    region = run_region[run_of]
+    n_regions = int(seen[-1])
+
+    # one stable sort of the runs groups the pixels by region, each run's
+    # pixels staying in raster order
+    run_order = np.argsort(run_region, kind="stable")
+    lengths = np.diff(np.append(run_first, n))[run_order]
+    order = np.arange(n) + np.repeat(
+        run_first[run_order] - (np.cumsum(lengths) - lengths), lengths)
     pixels = np.column_stack([us[order], vs[order]])
-    on_boundary = ~interior[pixels[:, 1] - r0, pixels[:, 0] - c0]
-    contour = pixels[on_boundary]
-    ends = np.cumsum(np.bincount(owner, minlength=count + 1)[1:])
-    c_ends = np.cumsum(np.bincount(owner[on_boundary],
-                                   minlength=count + 1)[1:]).tolist()
-    regions = []
-    start = c_start = 0
-    for end, c_end in zip(ends.tolist(), c_ends):
-        regions.append(Region(pixels=pixels[start:end],
-                              contour=contour[c_start:c_end]))
-        start, c_start = end, c_end
-    return regions, sub_labels, (r0, c0)
+    contour = pixels[on_contour[order]]
+    sizes = np.bincount(region, minlength=n_regions)
+    ends = np.cumsum(sizes)
+    contour_ends = np.cumsum(np.bincount(region[on_contour],
+                                         minlength=n_regions))
+    pixel_sums = np.add.reduceat(pixels, ends - sizes, axis=0)
+
+    p_ends = np.cumsum(counts)
+    r_ends = np.searchsorted(run_first[is_root], p_ends)
+    c_ends = np.append(0, contour_ends)[r_ends]
+    out = []
+    p0 = r0 = c0 = 0
+    for m, p1, r1, c1 in zip(masks, p_ends.tolist(), r_ends.tolist(),
+                             c_ends.tolist()):
+        out.append(MaskRegions(
+            m.width, m.height, m.flat, region[p0:p1] - r0, pixels[p0:p1],
+            ends[r0:r1] - p0, contour[c0:c1], contour_ends[r0:r1] - c0,
+            sizes[r0:r1], pixel_sums[r0:r1]))
+        p0, r0, c0 = p1, r1, c1
+    return out
 
 
-def _label_at(labels: np.ndarray, origin: tuple[int, int], u: int,
-              v: int) -> int:
-    """The label of pixel (u, v) in a ``find_regions_labeled`` window at
-    ``origin``; 0 (background) outside the window."""
-    row, col = v - origin[0], u - origin[1]
-    h, w = labels.shape
-    return int(labels[row, col]) if 0 <= row < h and 0 <= col < w else 0
+def find_regions_labeled(mask: IrMask) -> MaskRegions:
+    """The regions of one mask: ``label_masks`` on a batch of one.
+
+    A stage labels its masks in batches; this is for one-off use.
+    """
+    return label_masks([MaskPixels.of(mask)])[0]
 
 
 def _nonzero_medians(raw: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -333,13 +437,26 @@ class ViewRows:
     sizes: np.ndarray       # (k,) their regions' pixel counts
 
 
+def _view_rows(ests: list[ReflectorEstimate2D], contours: list[np.ndarray],
+               overrides: list[tuple[float, float] | None],
+               pixel_sums: np.ndarray, sizes: np.ndarray, depth: DepthFrame,
+               frame: int, view: int) -> ViewRows:
+    """The rows of one frame-view's items, reading ``depth`` once: each
+    estimate with its contour and center override, and the pixel sums and
+    sizes of the regions of the items without one."""
+    if contours:
+        joined = np.concatenate(contours).reshape(-1, 2)
+    else:
+        joined = np.empty((0, 2), dtype=np.int64)
+    return ViewRows(frame, view, [e.reflector for e in ests],
+                    [e.e_total for e in ests], [len(c) for c in contours],
+                    joined, depth.pixels[joined[:, 1], joined[:, 0]],
+                    overrides, pixel_sums, sizes)
+
+
 def _gather(items: list[ObserveItem], depth: DepthFrame, frame: int,
             view: int) -> ViewRows:
-    """The rows of one frame-view's items, reading ``depth`` once."""
-    if items:
-        contours = np.concatenate([item[2] for item in items]).reshape(-1, 2)
-    else:
-        contours = np.empty((0, 2), dtype=np.int64)
+    """The rows of one frame-view's observe_batch items."""
     plain = [item[1].pixels for item in items if item[3] is None]
     sizes = np.array([len(p) for p in plain], dtype=np.int64)
     if plain:
@@ -347,11 +464,10 @@ def _gather(items: list[ObserveItem], depth: DepthFrame, frame: int,
                                      np.cumsum(sizes) - sizes, axis=0)
     else:
         pixel_sums = np.empty((0, 2), dtype=np.int64)
-    return ViewRows(frame, view, [item[0].reflector for item in items],
-                    [item[0].e_total for item in items],
-                    [len(item[2]) for item in items], contours,
-                    depth.pixels[contours[:, 1], contours[:, 0]],
-                    [item[3] for item in items], pixel_sums, sizes)
+    return _view_rows([item[0] for item in items],
+                      [item[2] for item in items],
+                      [item[3] for item in items], pixel_sums, sizes, depth,
+                      frame, view)
 
 
 @dataclass
@@ -457,6 +573,19 @@ def observe_rows(rows: list[ViewRows],
                         has_normal, has_depth)
 
 
+def _view_observations(rows: list[ViewRows], obs: Observations
+                       ) -> list[list[ViewObservation | None]]:
+    """``obs`` of ``rows`` as one list per row, one entry per item; None
+    marks an item whose contour depths are all zero."""
+    normals = [normal if has else None
+               for normal, has in zip(obs.normals, obs.has_normal.tolist())]
+    out = iter([ViewObservation(reflector, point, e_total, normal) if ok else None
+                for reflector, point, e_total, normal, ok
+                in zip(obs.reflectors, obs.points, obs.e_totals, normals,
+                       obs.has_depth.tolist())])
+    return [list(islice(out, len(row.reflectors))) for row in rows]
+
+
 def observe_batch(views: list[tuple[list[ObserveItem], DepthFrame,
                                     CameraIntrinsics, CameraExtrinsics]]
                   ) -> list[list[ViewObservation | None]]:
@@ -472,60 +601,53 @@ def observe_batch(views: list[tuple[list[ObserveItem], DepthFrame,
     """
     rows = [_gather(items, depth, 0, v)
             for v, (items, depth, _, _) in enumerate(views)]
-    obs = observe_rows(rows, [(intr, extr) for *_, intr, extr in views])
-    normals = [normal if has else None
-               for normal, has in zip(obs.normals, obs.has_normal.tolist())]
-    out = iter([ViewObservation(reflector, point, e_total, normal) if ok else None
-                for reflector, point, e_total, normal, ok
-                in zip(obs.reflectors, obs.points, obs.e_totals, normals,
-                       obs.has_depth.tolist())])
-    return [list(islice(out, len(row.reflectors))) for row in rows]
+    return _view_observations(
+        rows, observe_rows(rows, [(intr, extr) for *_, intr, extr in views]))
 
 
-def _view_items(ests: list[ReflectorEstimate2D], mask: IrMask,
-                depth: DepthFrame) -> list[ObserveItem]:
-    """The observe_batch items of one frame-view's validated estimates.
-
-    Each estimate belongs to the mask region under its rounded position;
-    estimates on the background or off the frame are skipped.  A region
-    holding several estimates is split among them; when the split fails,
-    only the top-ranked one (highest e_total, then lowest reflector index)
-    is kept, on the whole region.
-    """
-    regions, labels, origin = find_regions_labeled(mask)
-    by_region: dict[int, list[ReflectorEstimate2D]] = {}
-    for e in ests:
-        label = _label_at(labels, origin, int(round(e.position[0])),
-                         int(round(e.position[1])))
-        if label:
-            by_region.setdefault(label - 1, []).append(e)
-
-    items = []
-    for region_idx, assigned in sorted(by_region.items()):
-        region = regions[region_idx]
-        if len(assigned) == 1:
-            items.append((assigned[0], region, region.contour, None))
-            continue
-        assigned = sorted(assigned, key=lambda e: (-e.e_total,
-                                                   e.reflector.index))
-        try:
-            clusters = split_merged_region(region, assigned, depth)
-            items.extend((e, region, cluster, tuple(cluster.mean(axis=0)))
-                         for e, cluster in zip(assigned, clusters))
-        except SplitFailure:
-            items.append((assigned[0], region, region.contour, None))
-    return items
-
-
-def gather_view(ests: list[ReflectorEstimate2D], mask: IrMask,
+def gather_view(ests: list[ReflectorEstimate2D], regions: MaskRegions,
                 depth: DepthFrame, frame: int, view: int) -> ViewRows:
     """The rows of one frame-view's validated estimates, for observe_rows.
 
-    The mask is labeled and its merged regions split as in
-    ``observe_frame`` (see ``_view_items``); nothing returned refers to the
-    mask or the depth frame, so both can go once it returns.
+    ``regions`` are the regions of the frame-view's mask, labeled in a
+    batch by ``label_masks``.  Each estimate belongs to the region under
+    its rounded position; estimates on the background or off the frame are
+    skipped.  A region holding several estimates is split among them, and
+    each of its parts is centered on its own mean pixel; when the split
+    fails, only the top-ranked one (highest e_total, then lowest reflector
+    index) is kept, on the whole region.  The other items read their
+    region's contour, pixel sums and size from the batch's arrays.  Nothing
+    returned refers to the depth frame, so it can go once this returns.
     """
-    return _gather(_view_items(ests, mask, depth), depth, frame, view)
+    labels = regions.at([round(e.position[0]) for e in ests],
+                        [round(e.position[1]) for e in ests])
+    by_region: dict[int, list[ReflectorEstimate2D]] = {}
+    for e, label in zip(ests, labels.tolist()):
+        if label >= 0:
+            by_region.setdefault(label, []).append(e)
+
+    kept, contours, overrides, plain = [], [], [], []
+    c_ends = [0, *regions.contour_ends.tolist()]
+    for label, assigned in sorted(by_region.items()):
+        if len(assigned) > 1:
+            assigned = sorted(assigned, key=lambda e: (-e.e_total,
+                                                       e.reflector.index))
+            try:
+                clusters = split_merged_region(regions.region(label),
+                                               assigned, depth)
+            except SplitFailure:
+                pass
+            else:
+                kept.extend(assigned)
+                contours.extend(clusters)
+                overrides.extend(tuple(c.mean(axis=0)) for c in clusters)
+                continue
+        kept.append(assigned[0])
+        contours.append(regions.contour[c_ends[label]:c_ends[label + 1]])
+        overrides.append(None)
+        plain.append(label)
+    return _view_rows(kept, contours, overrides, regions.pixel_sums[plain],
+                      regions.sizes[plain], depth, frame, view)
 
 
 def observe_frame(views: list[tuple[list[ReflectorEstimate2D], IrMask,
@@ -535,15 +657,18 @@ def observe_frame(views: list[tuple[list[ReflectorEstimate2D], IrMask,
     """Observations of one multi-view frame's validated estimates, one list
     per view of (estimates, mask, depth, intrinsics, extrinsics).
 
-    Each view is labeled and its merged regions split on its own (see
-    ``_view_items``); then every view's items are observed in one
-    ``observe_batch``.  Estimates whose contour depths are all zero give no
-    observation.
+    The frame's masks are labeled in one ``label_masks`` pass, each view is
+    gathered on its own (``gather_view``), and every view's rows are
+    observed in one ``observe_rows`` pass.  Estimates whose contour depths
+    are all zero give no observation.
     """
-    batch = [(_view_items(ests, mask, depth), depth, intr, extr)
-             for ests, mask, depth, intr, extr in views]
-    return [[obs for obs in view if obs is not None]
-            for view in observe_batch(batch)]
+    labeled = label_masks([MaskPixels.of(mask) for _, mask, *_ in views])
+    rows = [gather_view(ests, regions, depth, 0, v)
+            for v, ((ests, _, depth, _, _), regions)
+            in enumerate(zip(views, labeled))]
+    obs = observe_rows(rows, [(intr, extr) for *_, intr, extr in views])
+    return [[o for o in view if o is not None]
+            for view in _view_observations(rows, obs)]
 
 
 def _weighted_centroid(points: np.ndarray, conf: np.ndarray,

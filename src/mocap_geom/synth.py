@@ -20,7 +20,7 @@ from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
 from .errors import ValidationError
 from .maps import Annotation2D
 from .skeleton import JOINTS, JOINT_BY_NAME, Pose, SkeletonTemplate, rotation_about
-from .spatial import _EIGHT, _rotate_rows, interior_pixels
+from .spatial import _rotate_rows
 
 # ---------------------------------------------------------------------------
 # Body definition
@@ -727,6 +727,22 @@ def _patch_footprint(sample: ReflectorSample, body: SyntheticBody,
     return win, pixels, sample.axis_point
 
 
+_EIGHT = np.ones((3, 3), dtype=bool)
+
+
+def interior_pixels(bits: np.ndarray) -> np.ndarray:
+    """Set pixels whose whole 3x3 neighborhood is set, off past the border.
+
+    The 3x3 binary erosion with an off border, done as row then column
+    passes.
+    """
+    h, w = bits.shape
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = bits
+    rows3 = padded[:-2] & padded[1:-1] & padded[2:]
+    return rows3[:, :-2] & rows3[:, 1:-1] & rows3[:, 2:]
+
+
 def _largest_components(windows: list[np.ndarray]) -> list[int]:
     """Size of the biggest 8-connected blob in each footprint window.
 
@@ -741,7 +757,7 @@ def _largest_components(windows: list[np.ndarray]) -> list[int]:
     stack = np.zeros((starts[-1], max(w.shape[1] for w in windows)), dtype=bool)
     for r0, w in zip(starts.tolist(), windows):
         stack[r0:r0 + w.shape[0], :w.shape[1]] = w
-    from scipy import ndimage   # imported on use, as in spatial
+    from scipy import ndimage   # imported on use: no other command needs it
     labels, _ = ndimage.label(stack, structure=_EIGHT)
     sizes = np.bincount(labels.ravel())
     # each window's highest label, or the one before it when it has none

@@ -223,7 +223,7 @@ def _cylinder_scene(num_views):
         ann = [a for a in rv.annotations if a.reflector.index == 20]
         if not ann:
             continue
-        regions = find_regions_labeled(rv.mask)[0]
+        regions = find_regions_labeled(rv.mask).regions()
         region = min(regions, key=lambda r: np.hypot(
             *(r.pixels.mean(axis=0) - ann[0].x_curr)))
         intr, extr = rig[v]
@@ -478,9 +478,9 @@ def test_criterion_7_filter_properties():
             ests.append(ReflectorEstimate2D(ReflectorId(idx), (float(x), float(y)),
                                             float(rng.random()), 0.0,
                                             float(rng.random())))
-        mask = IrMask(bits)
-        once = apply_filters(ests, mask, params)
-        ok &= apply_filters(once, mask, params) == once      # idempotent
+        regions = find_regions_labeled(IrMask(bits))
+        once = apply_filters(ests, regions, params)
+        ok &= apply_filters(once, regions, params) == once   # idempotent
         ok &= len(once) <= len(ests)
         ok &= all(e in ests for e in once)                   # pure subset
         ok &= len({e.reflector.index for e in once}) == len(once)  # unique
@@ -498,8 +498,8 @@ def test_criterion_7_filter_properties():
     bits5[6, 5] = True
     est = ReflectorEstimate2D(ReflectorId(1), (6.0, 5.0), 0.9, 0.0, 0.9)
     b_min5 = FilterParams(b_min=5)
-    ok &= apply_filters([est], IrMask(bits4), b_min5) == []
-    ok &= apply_filters([est], IrMask(bits5), b_min5) == [est]
+    ok &= apply_filters([est], find_regions_labeled(IrMask(bits4)), b_min5) == []
+    ok &= apply_filters([est], find_regions_labeled(IrMask(bits5)), b_min5) == [est]
 
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0

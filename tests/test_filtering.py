@@ -9,6 +9,7 @@ from mocap_geom.errors import ValidationError
 from mocap_geom.filtering import (FilterParams, apply_filters, confidence_cut,
                                   dedupe_colocated, enforce_uniqueness)
 from mocap_geom.maps import ReflectorEstimate2D
+from mocap_geom.spatial import MaskPixels, find_regions_labeled, label_masks
 
 
 def _est(idx, x, y, e_total, e_s=None):
@@ -26,13 +27,25 @@ def _mask_with_component(pixels, shape=(40, 40)):
 
 def _region_rule_passes(est, mask, b_min):
     """The region rule alone: one estimate through the chain, no confidence cut."""
-    return apply_filters([est], mask, FilterParams(b_min=b_min, c_min=0.0)) == [est]
+    return apply_filters([est], find_regions_labeled(mask), FilterParams(b_min=b_min, c_min=0.0)) == [est]
 
 
 class TestValidateRegion:
     def test_five_pixel_component_accepted_at_bmin_five(self):
         mask = _mask_with_component([(10, 10), (11, 10), (12, 10), (10, 11), (11, 11)])
         assert _region_rule_passes(_est(1, 11, 10, 0.9), mask, b_min=5)
+
+    def test_positions_just_off_the_mask_raise(self):
+        # on a full mask the flat index of (W, v) is that of (0, v + 1), and
+        # (u, H) lies in the next mask of the batch: each must raise, not
+        # land on a pixel of the next row or mask
+        full = MaskPixels.of(IrMask(np.ones((6, 9), dtype=bool)))
+        regions = label_masks([full, full])[0]
+        for u, v in ((-2, 3), (-1, 3), (9, 3), (10, 3), (4, -1), (4, 6)):
+            with pytest.raises(ValidationError):
+                apply_filters([_est(1, u, v, 0.9)], regions, FilterParams(b_min=1))
+        assert apply_filters([_est(1, 8, 5, 0.9)], regions,
+                             FilterParams(b_min=1)) == [_est(1, 8, 5, 0.9)]
 
     def test_estimate_on_background_rejected(self):
         mask = _mask_with_component([(10, 10)])
@@ -211,8 +224,8 @@ class TestFilterChainProperties:
         params = FilterParams(b_min=5, colocate_dist=3.0, c_min=0.4)
         for _ in range(300):
             ests, mask = _random_instance(rng)
-            once = apply_filters(ests, mask, params)
-            twice = apply_filters(once, mask, params)
+            once = apply_filters(ests, find_regions_labeled(mask), params)
+            twice = apply_filters(once, find_regions_labeled(mask), params)
             assert once == twice
             assert len(once) <= len(ests)
             assert all(e in ests for e in once)
@@ -223,7 +236,7 @@ class TestFilterChainProperties:
         for _ in range(100):
             ests, mask = _random_instance(rng, mask_all=True)
             unique = enforce_uniqueness(ests)
-            kept = apply_filters(ests, mask, params)
+            kept = apply_filters(ests, find_regions_labeled(mask), params)
             # only uniqueness and the (vacuous at 0) confidence cut may drop
             assert len(kept) == len([e for e in unique if e.e_total > 0.0])
 
@@ -291,10 +304,10 @@ class TestRegionRuleMatchesFullFrameLabeling:
                     expected = [est] if _full_frame_region_rule(est, mask, b_min) else []
                 except ValidationError:
                     with pytest.raises(ValidationError):
-                        apply_filters([est], mask, params)
+                        apply_filters([est], find_regions_labeled(mask), params)
                     raised += 1
                     continue
-                assert apply_filters([est], mask, params) == expected, (u, v)
+                assert apply_filters([est], find_regions_labeled(mask), params) == expected, (u, v)
                 checked += 1
         assert checked > 5000 and raised > 100
 
@@ -308,7 +321,7 @@ class TestRegionRuleMatchesFullFrameLabeling:
                          if 0 <= round(u) < mask.width and 0 <= round(v) < mask.height]
             ests = [_est(i + 1, u, v, 0.5)
                     for i, (u, v) in enumerate(positions[:26])]
-            kept = apply_filters(ests, mask, FilterParams(b_min=b_min,
+            kept = apply_filters(ests, find_regions_labeled(mask), FilterParams(b_min=b_min,
                                                           colocate_dist=0.0,
                                                           c_min=0.0))
             assert kept == [e for e in ests

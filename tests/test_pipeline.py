@@ -315,19 +315,20 @@ class TestComposition:
         for v in range(reader.num_views):
             by_fv[7, v] = []
         # frame 8, view 0: a reflector of no region (on the background) ...
-        regions, labels, origin = spatial.find_regions_labeled(reader.mask(0, 8))
+        labeled = spatial.find_regions_labeled(reader.mask(0, 8))
         taken = {e.reflector.index for e in by_fv[8, 0]}
         spare = min(set(range(1, 27)) - taken)
-        assert spatial._label_at(labels, origin, 0, 0) == 0
+        assert labeled.at([0], [0])[0] == -1
         by_fv[8, 0].append(ReflectorEstimate2D(ReflectorId(spare), (0.0, 0.0),
                                                0.8, 0.0, 0.8))
         # ... and one, alone in its region, whose contour depths are all zero
         def label(e):
-            return spatial._label_at(labels, origin, round(e.position[0]),
-                                     round(e.position[1]))
+            return int(labeled.at([round(e.position[0])],
+                                  [round(e.position[1])])[0])
         shared = Counter(label(e) for e in by_fv[8, 0])
-        lone = next(e for e in by_fv[8, 0] if label(e) and shared[label(e)] == 1)
-        region = regions[label(lone) - 1]
+        lone = next(e for e in by_fv[8, 0]
+                    if label(e) >= 0 and shared[label(e)] == 1)
+        region = labeled.region(label(lone))
         depth = reader.depth(0, 8).pixels.copy()
         depth[region.contour[:, 1], region.contour[:, 0]] = 0
         ds.write_depth(root / "view_0" / "depth_00008.bin", DepthFrame(depth))
@@ -870,23 +871,23 @@ class TestCli:
     def test_import_of_the_package_loads_no_submodule(self):
         assert self._loaded_modules("import mocap_geom", "mocap_geom.") == []
 
-    def test_only_commands_that_label_masks_load_scipy_ndimage(self, tmp_path):
+    def test_only_synth_loads_scipy_ndimage(self, tmp_path):
+        # infer and fuse label their masks without scipy; synth's blob-size
+        # rule is the one scipy.ndimage user
         dataset, out = tmp_path / "dataset", tmp_path / "run"
         config = tmp_path / "tiny.ini"
         config.write_text("[synth]\nduration = 10\nnoise_sigma_mm = 0\n"
                           "\n[calibration]\nframe_window = 10\nrest_frames = 4\n")
         args = ["--config", str(config), "--dataset", str(dataset),
                 "--out", str(out)]
-        assert main(["synth", *args]) == 0
-        for command, labels in (("infer", True), ("fuse", True),
-                                ("calibrate", False), ("track", False),
-                                ("eval", False), ("init-config", False)):
+        for command in ("synth", "infer", "fuse", "calibrate", "track",
+                        "eval", "init-config"):
             argv = (["init-config", "--out", str(tmp_path / "cfg.ini")]
                     if command == "init-config" else [command, *args])
             loaded = self._loaded_modules(
                 f"from mocap_geom.cli import main\nassert main({argv!r}) == 0",
                 "scipy.ndimage")
-            assert bool(loaded) is labels, (command, loaded)
+            assert bool(loaded) is (command == "synth"), (command, loaded)
 
     def test_fuse_splits_two_estimate_regions_without_scipy_optimize(
             self, tmp_path):

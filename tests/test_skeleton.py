@@ -6,9 +6,10 @@ import pytest
 from mocap_geom.core import ReflectorId
 from mocap_geom.errors import (CalibrationDeferred, CalibrationInputError,
                                TrackingGap)
-from mocap_geom.skeleton import (JOINTS, JOINT_BY_NAME,
+from mocap_geom.skeleton import (JOINTS, JOINT_BY_NAME, SHARED_REFLECTORS,
                                  CalibrationConfig, SkeletonTemplate,
-                                 calibrate_bone, coarse_scale, fit_pose_targets,
+                                 calibrate_bone, calibrate_template,
+                                 coarse_scale, fit_pose_targets,
                                  joint_target, kabsch, minimal_rotation,
                                  quat_from_matrix, quats_from_matrices,
                                  rotation_about, track)
@@ -404,6 +405,48 @@ class TestCalibrateBone:
         child = [(c[0], 0.2) for c in child]  # below the 0.6 gate
         with pytest.raises(CalibrationDeferred):
             calibrate_bone(parent, child, self.CFG)
+
+
+class TestSharedReflectors:
+    def test_overlapping_subsets_found_at_import(self):
+        assert SHARED_REFLECTORS == {"spinebase": (1, 8), "left_hip": (19,),
+                                     "right_hip": (23,)}
+
+    def test_bones_of_shared_reflectors_keep_their_prior(self):
+        # The spinebase target (centroid of 1 and 8) circles the hips target
+        # (centroid of 1, 8, 19 and 23) at 15 mm: the pair moves by 3 cm and
+        # its distance holds, so calibrate_bone takes it for a 15 mm bone.
+        # Noise-free axis points make the targets coincide and 2 mm noise
+        # reads static, so the case is built by hand.
+        template = SkeletonTemplate.default()
+        rest = template.rest_positions()
+        spine = np.array([0.0, 0.0, 0.05])
+        frames = []
+        for f in range(90):
+            theta = np.pi * f / 89
+            d = 0.015 * np.array([np.cos(theta), np.sin(theta), 0.0])
+            frames.append(frame_from_points({
+                1: spine + [0.0, 0.11, 0.0], 8: spine - [0.0, 0.11, 0.0],
+                19: spine - 2 * d + [0.1, 0.0, 0.0],
+                23: spine - 2 * d - [0.1, 0.0, 0.0],
+                21: rest["left_ankle"], 25: rest["right_ankle"]}, frame=f))
+        cfg = CalibrationConfig()
+        streams = {name: [joint_target(fr, JOINT_BY_NAME[name].subset,
+                                       cfg.conf_min) for fr in frames]
+                   for name in ("hips", "spinebase")}
+        collapse = calibrate_bone(streams["hips"], streams["spinebase"], cfg)
+        assert collapse.converged
+        assert collapse.length == pytest.approx(0.015)
+
+        out, report = calibrate_template(template, frames, cfg)
+        scale = coarse_scale(template, frames, cfg)
+        for name, shared in (("spinebase", "1, 8"), ("left_hip", "19"),
+                             ("right_hip", "23")):
+            assert not report[name].converged
+            assert report[name].length == pytest.approx(
+                scale * template.bone_length(name), rel=1e-12)
+            assert out.bone_length(name) == report[name].length
+            assert f"shares reflectors {shared} with hips" in report[name].detail
 
 
 class TestTrack:

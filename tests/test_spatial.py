@@ -11,13 +11,15 @@ from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, DepthFrame,
 from mocap_geom.errors import (CalibrationInputError, SplitFailure,
                                ValidationError)
 from mocap_geom.maps import ReflectorEstimate2D
-from mocap_geom.spatial import (PARALLEL_EPS, OpticalFrame, OpticalPoint, Region,
-                                ViewObservation, _label_at,
+from mocap_geom.spatial import (PARALLEL_EPS, MaskPixels, OpticalFrame,
+                                OpticalPoint, Region, ViewObservation,
                                 closest_points_on_normal_lines,
                                 find_regions_labeled, fuse_patch,
                                 fuse_groups, fuse_reflector, fuse_strap,
-                                fuse_strap_single_view, observe_batch,
-                                observe_frame, split_merged_region)
+                                fuse_strap_single_view, gather_view,
+                                label_masks, observe_batch, observe_frame,
+                                split_merged_region)
+from mocap_geom.synth import interior_pixels
 from test_core import backproject, identity_extrinsics, to_global
 
 INTR = CameraIntrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, width=320, height=240)
@@ -39,6 +41,47 @@ def _observe_view(ests, mask, depth, intr, extr):
     return observe_frame([(ests, mask, depth, intr, extr)])[0]
 
 
+# The region step as it was before the batch labeler: one scipy.ndimage
+# labeling per mask, on the bounding window of its set pixels.  It is the
+# bit-for-bit reference of label_masks and of the estimate lookup.
+
+def _reference_find_regions_labeled(mask):
+    """(regions, labels, origin): the regions in label order, and the labels
+    (from 1) on the set pixels' bounding window at origin (row, col)."""
+    from scipy import ndimage
+    vs, us = np.divmod(np.flatnonzero(mask.bits), mask.width)
+    if len(vs) == 0:
+        return [], np.zeros((0, 0), dtype=np.int32), (0, 0)
+    r0, c0 = int(vs[0]), int(us.min())
+    sub_mask = mask.bits[r0:int(vs[-1]) + 1, c0:int(us.max()) + 1]
+    sub_labels, count = ndimage.label(sub_mask,
+                                      structure=np.ones((3, 3), dtype=bool))
+    interior = interior_pixels(sub_mask)
+    owner = sub_labels[vs - r0, us - c0]
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    pixels = np.column_stack([us[order], vs[order]])
+    on_boundary = ~interior[pixels[:, 1] - r0, pixels[:, 0] - c0]
+    contour = pixels[on_boundary]
+    ends = np.cumsum(np.bincount(owner, minlength=count + 1)[1:])
+    c_ends = np.cumsum(np.bincount(owner[on_boundary],
+                                   minlength=count + 1)[1:]).tolist()
+    regions = []
+    start = c_start = 0
+    for end, c_end in zip(ends.tolist(), c_ends):
+        regions.append(Region(pixels=pixels[start:end],
+                              contour=contour[c_start:c_end]))
+        start, c_start = end, c_end
+    return regions, sub_labels, (r0, c0)
+
+
+def _reference_label_at(labels, origin, u, v):
+    """The label of pixel (u, v) in a reference window; 0 outside it."""
+    row, col = v - origin[0], u - origin[1]
+    h, w = labels.shape
+    return int(labels[row, col]) if 0 <= row < h and 0 <= col < w else 0
+
+
 def _obs(idx, point, conf=1.0, normal=None):
     return ViewObservation(ReflectorId(idx), np.asarray(point, dtype=float),
                            conf, None if normal is None else np.asarray(normal, dtype=float))
@@ -49,7 +92,7 @@ class TestFindRegions:
         bits = np.zeros((30, 30), dtype=bool)
         bits[5:8, 5:8] = True
         bits[20:23, 12:15] = True
-        regions = find_regions_labeled(IrMask(bits))[0]
+        regions = find_regions_labeled(IrMask(bits)).regions()
         assert len(regions) == 2
         assert sorted(r.size for r in regions) == [9, 9]
         for r in regions:
@@ -59,10 +102,10 @@ class TestFindRegions:
             assert all(tuple(c) in pix for c in r.contour)
 
     def test_empty_mask(self):
-        assert find_regions_labeled(IrMask(np.zeros((10, 10), dtype=bool)))[0] == []
+        assert find_regions_labeled(IrMask(np.zeros((10, 10), dtype=bool))).regions() == []
 
     def test_full_mask_single_region(self):
-        regions = find_regions_labeled(IrMask(np.ones((8, 9), dtype=bool)))[0]
+        regions = find_regions_labeled(IrMask(np.ones((8, 9), dtype=bool))).regions()
         assert len(regions) == 1
         assert regions[0].size == 72
         # boundary ring of an 8x9 image
@@ -71,7 +114,7 @@ class TestFindRegions:
     def test_flood_fill_oracle_on_random_mask(self):
         rng = np.random.default_rng(3)
         bits = rng.random((20, 20)) < 0.3
-        regions = find_regions_labeled(IrMask(bits))[0]
+        regions = find_regions_labeled(IrMask(bits)).regions()
         assert sum(r.size for r in regions) == int(bits.sum())
         # oracle: 8-connected flood fill component count
         seen = np.zeros_like(bits)
@@ -98,10 +141,11 @@ class TestFindRegions:
         for _ in range(300):
             h, w = (int(x) for x in rng.integers(1, 30, 2))
             bits = rng.random((h, w)) < rng.uniform(0.05, 0.7)
-            if rng.random() < 0.3:  # blank margins exercise the windowing
+            if rng.random() < 0.3:  # blank margins: empty rows and columns
                 bits[:int(rng.integers(0, h + 1))] = False
                 bits[:, int(rng.integers(0, w + 1)):] = False
-            regions, labels, origin = find_regions_labeled(IrMask(bits))
+            labeled = find_regions_labeled(IrMask(bits))
+            regions = labeled.regions()
             # reference labels: 8-connected flood fill, numbered in the
             # row-major order of each component's first pixel
             ref = np.zeros((h, w), dtype=int)
@@ -119,18 +163,11 @@ class TestFindRegions:
                             ref[y, x] = count
                             stack.extend((x + du, y + dv) for du in (-1, 0, 1)
                                          for dv in (-1, 0, 1))
-            # the labels cover the bounding window of the set pixels; every
-            # pixel reads its label through it, 0 outside it
-            if bits.any():
-                vs, us = np.nonzero(bits)
-                assert origin == (vs.min(), us.min())
-                assert labels.shape == (vs.max() - vs.min() + 1,
-                                        us.max() - us.min() + 1)
-            else:
-                assert labels.size == 0
+            # every pixel reads its region (from 0) through the lookup,
+            # -1 on the background
+            vs, us = np.mgrid[:h, :w]
             np.testing.assert_array_equal(
-                [[_label_at(labels, origin, x, y) for x in range(w)]
-                 for y in range(h)], ref)
+                labeled.at(us.ravel(), vs.ravel()).reshape(h, w), ref - 1)
             assert len(regions) == count
             for k, region in enumerate(regions, start=1):
                 pixels = [(x, y) for y in range(h) for x in range(w)
@@ -140,6 +177,94 @@ class TestFindRegions:
                            or not bits[y - 1:y + 2, x - 1:x + 2].all()]
                 assert [tuple(p) for p in region.pixels.tolist()] == pixels
                 assert [tuple(p) for p in region.contour.tolist()] == contour
+
+
+def _labeler_masks():
+    """Seeded masks for the bit-for-bit labeler tests."""
+    rng = np.random.default_rng(2024)
+    masks = [rng.random((int(h), int(w))) < density
+             for density in (0.02, 0.1, 0.3, 0.5, 0.7, 0.95)
+             for h, w in rng.integers(1, 40, (25, 2))]
+    masks += [np.zeros((240, 320), dtype=bool), np.ones((240, 320), dtype=bool),
+              np.ones((1, 1), dtype=bool), np.ones((1, 7), dtype=bool),
+              np.ones((7, 1), dtype=bool)]
+    # regions on all four borders and in all four corners
+    border = np.zeros((12, 15), dtype=bool)
+    border[0, 4:7] = border[-1, 6:11] = border[3:8, 0] = border[2:9, -1] = True
+    border[0, 0] = border[0, -1] = border[-1, 0] = border[-1, -1] = True
+    masks.append(border)
+    # regions joined by corners alone: a checkerboard is one region
+    masks.append(np.indices((9, 11)).sum(axis=0) % 2 == 0)
+    anti = np.zeros((10, 10), dtype=bool)
+    anti[np.arange(10), 9 - np.arange(10)] = True
+    masks.append(anti)
+    # a vertical serpentine: each bar joins its neighbor at the top or the
+    # bottom, so the union takes more than one round
+    serpentine = np.zeros((40, 61), dtype=bool)
+    serpentine[1:-1, ::2] = True
+    serpentine[0, 2::4] = serpentine[0, 3::4] = True
+    serpentine[-1, 0::4] = serpentine[-1, 1::4] = True
+    masks.append(serpentine)
+    masks.append(rng.random((240, 320)) < 0.6)
+    return masks
+
+
+def _assert_same_regions(got, bits):
+    """``got`` (a MaskRegions) equals the ndimage reference of ``bits`` bit
+    for bit, the lookup included, also just off the image."""
+    ref, labels, origin = _reference_find_regions_labeled(IrMask(bits))
+    assert (got.width, got.height) == (bits.shape[1], bits.shape[0])
+    assert len(got) == len(ref)
+    for k, want in enumerate(ref):
+        region = got.region(k)
+        np.testing.assert_array_equal(region.pixels, want.pixels)
+        np.testing.assert_array_equal(region.contour, want.contour)
+        assert got.sizes[k] == len(want.pixels)
+        np.testing.assert_array_equal(got.pixel_sums[k], want.pixels.sum(axis=0))
+    h, w = bits.shape
+    framed = np.zeros((h + 4, w + 4), dtype=np.int64)
+    lh, lw = labels.shape
+    framed[2 + origin[0]:2 + origin[0] + lh, 2 + origin[1]:2 + origin[1] + lw] = labels
+    vs, us = np.mgrid[-2:h + 2, -2:w + 2]
+    np.testing.assert_array_equal(
+        got.at(us.ravel(), vs.ravel()).reshape(us.shape), framed - 1)
+
+
+class TestLabelMasks:
+    def test_one_mask_at_a_time_matches_the_ndimage_reference(self):
+        for bits in _labeler_masks():
+            _assert_same_regions(find_regions_labeled(IrMask(bits)), bits)
+
+    def test_every_batch_size_matches_the_ndimage_reference(self):
+        # masks of different sizes, with empty ones mixed in, in batches of
+        # 1 ... N; no region may leak into the next mask of its batch
+        masks = _labeler_masks()[:40]
+        for k in range(0, len(masks), 5):
+            masks.insert(k, np.zeros((int(k % 7) + 1, 30), dtype=bool))
+        pixels = [MaskPixels.of(IrMask(bits)) for bits in masks]
+        for size in range(1, len(masks) + 1):
+            for first in range(0, len(masks), size):
+                got = label_masks(pixels[first:first + size])
+                assert len(got) == len(masks[first:first + size])
+                for regions, bits in zip(got, masks[first:first + size]):
+                    _assert_same_regions(regions, bits)
+        assert label_masks([]) == []
+
+    def test_positions_just_off_the_image_find_no_region(self):
+        # on a full mask the flat index of (W, v) is that of (0, v + 1), and
+        # (u, H) lies in the next mask of a batch
+        h, w = 6, 9
+        full = MaskPixels.of(IrMask(np.ones((h, w), dtype=bool)))
+        for regions in label_masks([full, full]):
+            off = [(-2, 3), (-1, 3), (w, 3), (w + 1, 3), (4, -1), (4, h),
+                   (w, h - 1), (-1, 0)]
+            assert regions.at(*zip(*off)).tolist() == [-1] * len(off)
+            assert regions.at([0, w - 1], [0, h - 1]).tolist() == [0, 0]
+            # fusion skips such an estimate, and keeps the one on the mask
+            depth = DepthFrame(np.full((h, w), 1000, dtype=np.uint16))
+            ests = [_est(k + 1, u, v) for k, (u, v) in enumerate(off)]
+            row = gather_view(ests + [_est(26, 4, 3)], regions, depth, 0, 0)
+            assert [r.index for r in row.reflectors] == [26]
 
 
 def _backprojected_depth_mm(contour, depth):
@@ -198,7 +323,7 @@ class TestSplitMergedRegion:
             bits[y, x] = True
             if depth[y, x] == 0:
                 depth[y, x] = 1500
-        regions = find_regions_labeled(IrMask(bits))[0]
+        regions = find_regions_labeled(IrMask(bits)).regions()
         assert len(regions) == 1
         return regions[0], DepthFrame(depth), set(left), set(right)
 
@@ -224,7 +349,7 @@ class TestSplitMergedRegion:
         for x, y in a + b + bridge:
             bits[y, x] = True
             depth[y, x] = 1000 if x < 40 else 2000
-        region = find_regions_labeled(IrMask(bits))[0][0]
+        region = find_regions_labeled(IrMask(bits)).region(0)
         ests = [_est(1, 20, 20), _est(2, 60, 20)]
         clusters = split_merged_region(region, ests, DepthFrame(depth))
         for p in clusters[0]:
@@ -237,7 +362,7 @@ class TestSplitMergedRegion:
         bits[5, 5] = True
         depth = np.zeros((10, 10), dtype=np.uint16)
         depth[5, 5] = 1000
-        region = find_regions_labeled(IrMask(bits))[0][0]
+        region = find_regions_labeled(IrMask(bits)).region(0)
         with pytest.raises(SplitFailure):
             split_merged_region(region, [_est(1, 5, 5), _est(2, 5, 6)],
                                 DepthFrame(depth))
@@ -258,7 +383,7 @@ class TestSplitMergedRegion:
             for x, y in disk:
                 bits[y, x] = True
                 depth[y, x] = depth[y, x] or 1000 + 400 * k
-        region = find_regions_labeled(IrMask(bits))[0][0]
+        region = find_regions_labeled(IrMask(bits)).region(0)
         # the estimates in another order than the disks
         ests = [_est(2, 31, 20), _est(3, 42, 20), _est(1, 20, 20)]
         clusters = split_merged_region(region, ests, DepthFrame(depth))
@@ -299,7 +424,7 @@ class TestObserve:
             bits[y, x] = True
             depth[y, x] = 0
         # restore depth on the contour ring (the IR blob blooms past the hole)
-        region = find_regions_labeled(IrMask(bits))[0][0]
+        region = find_regions_labeled(IrMask(bits)).region(0)
         for u, v in region.contour:
             depth[v, u] = 1000
         obs = _observe_one(_est(1, 160, 120), region, region.contour,
@@ -310,7 +435,7 @@ class TestObserve:
     def test_zero_depth_region_gives_no_observation(self):
         bits = np.zeros((240, 320), dtype=bool)
         bits[100:110, 100:110] = True
-        region = find_regions_labeled(IrMask(bits))[0][0]
+        region = find_regions_labeled(IrMask(bits)).region(0)
         assert _observe_one(_est(1, 105, 105), region, region.contour,
                             DepthFrame(np.zeros((240, 320), dtype=np.uint16)),
                             INTR, identity_extrinsics()) is None
@@ -447,8 +572,35 @@ def _reference_observe_batch(views):
     return [out[end - count:end] for count, end in zip(counts, ends)]
 
 
+def _reference_view_items(ests, mask, depth):
+    """One view's observe_batch items, each estimate looked up in the
+    reference labeling of its mask."""
+    regions, labels, origin = _reference_find_regions_labeled(mask)
+    by_region = {}
+    for e in ests:
+        label = _reference_label_at(labels, origin, int(round(e.position[0])),
+                                    int(round(e.position[1])))
+        if label:
+            by_region.setdefault(label - 1, []).append(e)
+    items = []
+    for region_idx, assigned in sorted(by_region.items()):
+        region = regions[region_idx]
+        if len(assigned) == 1:
+            items.append((assigned[0], region, region.contour, None))
+            continue
+        assigned = sorted(assigned, key=lambda e: (-e.e_total,
+                                                   e.reflector.index))
+        try:
+            clusters = spatial.split_merged_region(region, assigned, depth)
+            items.extend((e, region, cluster, tuple(cluster.mean(axis=0)))
+                         for e, cluster in zip(assigned, clusters))
+        except SplitFailure:
+            items.append((assigned[0], region, region.contour, None))
+    return items
+
+
 def _reference_observe_frame(views):
-    batch = [(spatial._view_items(ests, mask, depth), depth, intr, extr)
+    batch = [(_reference_view_items(ests, mask, depth), depth, intr, extr)
              for ests, mask, depth, intr, extr in views]
     return [[obs for obs in view if obs is not None]
             for view in _reference_observe_batch(batch)]
@@ -482,7 +634,7 @@ class TestObserveBatch:
             depth = (900 + 2.0 * xs + rng.uniform(-1, 1) * ys
                      + rng.normal(0, 3, (240, 320))).astype(np.uint16)
             depth[rng.random((240, 320)) < 0.2] = 0
-            regions = find_regions_labeled(IrMask(bits))[0]
+            regions = find_regions_labeled(IrMask(bits)).regions()
             items = []
             for region in regions:
                 if rng.random() < 0.15:
@@ -547,7 +699,7 @@ class TestObserveBatch:
                  + rng.normal(0, 3, (h, w))).astype(np.uint16)
         depth[rng.random((h, w)) < 0.2] = 0
         items = []
-        for region in find_regions_labeled(IrMask(bits))[0]:
+        for region in find_regions_labeled(IrMask(bits)).regions():
             if rng.random() < 0.15:
                 depth[region.contour[:, 1], region.contour[:, 0]] = 0
             est = _est(int(rng.choice([11, 12, 16, 19, 20, 1, 2, 9])),
@@ -616,7 +768,7 @@ class TestObserveView:
         bits[50:56, 314:320] = True  # where u = -3 would wrap to
         bits[100:104, 200:210] = True
         depth = DepthFrame(np.full((240, 320), 1200, dtype=np.uint16))
-        regions = find_regions_labeled(IrMask(bits))[0]
+        regions = find_regions_labeled(IrMask(bits)).regions()
         regions = [regions[0], regions[2]]
         on_a, on_b = _est(1, 62.4, 52.6), _est(2, 205, 101)
         ests = [_est(3, 150, 150), on_b, _est(4, -3, 52), on_a,
@@ -635,7 +787,7 @@ class TestObserveView:
         raw = np.zeros((240, 320), dtype=np.uint16)
         raw[100, 102] = 1500  # one usable contour pixel for three estimates
         depth = DepthFrame(raw)
-        region = find_regions_labeled(IrMask(bits))[0][0]
+        region = find_regions_labeled(IrMask(bits)).region(0)
         with pytest.raises(SplitFailure):
             split_merged_region(region, [_est(1, 101, 101), _est(2, 103, 103)],
                                 depth)
@@ -1049,7 +1201,7 @@ class TestMultiViewConsistency:
             for x, y in _disk_pixels(int(round(u)), int(round(v)), 4):
                 bits[y, x] = True
                 depth[y, x] = 0
-            region = find_regions_labeled(IrMask(bits))[0][0]
+            region = find_regions_labeled(IrMask(bits)).region(0)
             for cu, cv in region.contour:
                 depth[cv, cu] = wall_mm  # hole rim keeps wall depth
             obs = _observe_one(_est(1, u, v), region, region.contour,

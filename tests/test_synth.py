@@ -156,7 +156,7 @@ class TestRender:
     def test_holes_have_measurable_contours(self):
         views = render(self.rig, self.body, self.pose)
         for rv in views:
-            regions = find_regions_labeled(rv.mask)[0]
+            regions = find_regions_labeled(rv.mask).regions()
             assert regions
             with_depth = 0
             for region in regions:
@@ -168,7 +168,7 @@ class TestRender:
     def test_annotated_footprints_meet_minimum_size(self):
         views = render(self.rig, self.body, self.pose)
         for rv in views:
-            regions = find_regions_labeled(rv.mask)[0]
+            regions = find_regions_labeled(rv.mask).regions()
             for a in rv.annotations:
                 ui = int(round(a.x_curr[0]))
                 vi = int(round(a.x_curr[1]))
@@ -648,7 +648,7 @@ class TestStrapGeometryThroughPipeline:
             ann = [a for a in rv.annotations if a.reflector.index == idx]
             if not ann:
                 continue
-            regions = find_regions_labeled(rv.mask)[0]
+            regions = find_regions_labeled(rv.mask).regions()
             ui = int(round(ann[0].x_curr[0]))
             vi = int(round(ann[0].x_curr[1]))
             region = min(regions, key=lambda r: np.hypot(
