@@ -359,8 +359,10 @@ def _plane_normals(points: np.ndarray, lengths: np.ndarray
     `points` (`lengths[i]` rows in run i): the runs that have one, and
     their normals.  A run of fewer than 3 or of collinear points has none.
 
-    Run means are sequential sums, as ``run.mean(axis=0)`` is; the 3x3
-    scatter matrices are decomposed in one stacked ``eigh``.
+    Run means are sequential sums, as ``run.mean(axis=0)`` is.  The 3x3
+    scatter matrices ``run.T @ run`` of the runs of one length are formed
+    in one stacked product, which rounds each as the product on its own
+    run does, and all are decomposed in one stacked ``eigh``.
     """
     n = len(lengths)
     fit = np.flatnonzero(lengths >= 3)
@@ -371,11 +373,13 @@ def _plane_normals(points: np.ndarray, lengths: np.ndarray
     means = (np.bincount(cells, points.ravel(), 3 * n).reshape(n, 3)
              / np.maximum(lengths, 1)[:, None])
     centered = points - means[owner]
-    ends = np.cumsum(lengths).tolist()
+    fit_lengths = lengths[fit]
+    firsts = (np.cumsum(lengths) - lengths)[fit]
     scatter = np.empty((len(fit), 3, 3))
-    for k, i in enumerate(fit.tolist()):
-        run = centered[ends[i] - int(lengths[i]):ends[i]]
-        scatter[k] = run.T @ run
+    for length in np.unique(fit_lengths).tolist():
+        same = np.flatnonzero(fit_lengths == length)
+        runs = centered[firsts[same, None] + np.arange(length)]
+        scatter[same] = runs.transpose(0, 2, 1) @ runs
     # Eigenvector of each scatter with the least variance.
     evals, evecs = np.linalg.eigh(scatter)
     planar = ~(evals[:, 1] < 1e-18)  # collinear points: no unique plane

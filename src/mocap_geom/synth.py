@@ -10,17 +10,17 @@ output is a pure function of (body, script, rig, seed).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
-                   MultiViewRig, ReflectorId, project, to_camera)
+                   MultiViewRig, ReflectorId)
 from .errors import ValidationError
 from .maps import Annotation2D
 from .skeleton import JOINTS, JOINT_BY_NAME, Pose, SkeletonTemplate, rotation_about
-from .spatial import _rotate_rows
+from .spatial import MaskPixels, _rotate_rows, _stacked_dot, label_masks
 
 # ---------------------------------------------------------------------------
 # Body definition
@@ -342,31 +342,44 @@ _FACING_COS = 0.8    # surface must face the camera this strongly to reflect
 _RAY_GRIDS = 4       # ray grids kept, one per set of intrinsics
 
 
-def _sphere_window(intr: CameraIntrinsics, center: np.ndarray,
-                   radius: float) -> tuple[int, int, int, int]:
-    """Image rows and columns [v0, v1) x [u0, u1) holding a sphere's image.
+def _sphere_windows(centers: np.ndarray, radii: np.ndarray,
+                    cams: np.ndarray) -> np.ndarray:
+    """Image rows and columns [v0, v1) x [u0, u1) holding each sphere's
+    image: one row (v0, v1, u0, u1) per sphere.  ``cams`` holds the
+    camera's (fx, fy, cx, cy, width, height), once or once per sphere.
 
     For center c with c_z > radius r, the rays x = p z touching the sphere
     in the x-z plane have p = (c_x c_z -+ r sqrt(c_x^2 + c_z^2 - r^2)) /
     (c_z^2 - r^2), and likewise in y-z; every hit pixel lies between them.
-    The window adds a 2 px guard and is clipped to the image.
+    The window adds a 2 px guard.  Every bound is clipped to the image in
+    floating point before the cast, so no extreme bound overflows it, and a
+    NaN bound (a degenerate sphere) clips to 0.
     """
-    x, y, z = center.tolist()
-    denom = z * z - radius * radius
+    x, y, z = centers.T
+    fx, fy, cx, cy, width, height = cams.T
+    denom = z * z - radii * radii
     bounds = []
-    for c, f, c0, size in ((y, intr.fy, intr.cy, intr.height),
-                           (x, intr.fx, intr.cx, intr.width)):
-        half = radius * math.sqrt(c * c + denom)
-        bounds += [max(math.floor((c * z - half) / denom * f + c0) - 2, 0),
-                   min(math.ceil((c * z + half) / denom * f + c0) + 3, size)]
-    return tuple(bounds)
+    for c, f, c0, size in ((y, fy, cy, height), (x, fx, cx, width)):
+        half = radii * np.sqrt(c * c + denom)
+        bounds += [np.fmin(np.fmax(np.floor((c * z - half) / denom * f + c0) - 2, 0),
+                           size),
+                   np.fmin(np.fmax(np.ceil((c * z + half) / denom * f + c0) + 3, 0),
+                           size)]
+    return np.column_stack(bounds).astype(np.int64)
+
+
+def _pinhole(intr: CameraIntrinsics) -> np.ndarray:
+    """(fx, fy, cx, cy, width, height) of a camera."""
+    return np.array([intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height],
+                    dtype=float)
 
 
 @functools.lru_cache(maxsize=_RAY_GRIDS)
 def _rays(intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ray grid of an image: the (H, W, 3) directions
     ((u-cx)/fx, (v-cy)/fy, 1) through every pixel center and their (H, W)
-    squared norms.  Every ray cast and footprint slices it."""
+    squared norms.  Every ray cast slices it, and the footprint pass
+    computes the same directions at its band pixels."""
     d = np.empty((intr.height, intr.width, 3))
     d[..., 0] = (np.arange(intr.width) - intr.cx) / intr.fx
     d[..., 1] = ((np.arange(intr.height) - intr.cy) / intr.fy)[:, None]
@@ -386,9 +399,10 @@ def _cast_capsules(intr: CameraIntrinsics,
     Rays go through pixel centers with direction ((u-cx)/fx, (v-cy)/fy, 1),
     so the ray parameter equals the camera z of the hit.  A capsule's image
     is the convex hull of its end-sphere images, so the box bounding both
-    end windows holds every hit.  The rays of all boxes lie in one flat
-    buffer, box after box, row-major, and the cylinder and both caps are
-    solved once over it.  A cap is solved on the whole box: outside its end
+    end windows holds every hit; the end windows of every capsule in front
+    of the camera come from one ``_sphere_windows`` call.  The rays of all
+    boxes lie in one flat buffer, box after box, row-major, and the
+    cylinder and both caps are solved once over it.  A cap is solved on the whole box: outside its end
     window, which has a 2 px guard, no ray meets that sphere.  A root is
     NaN where its discriminant is negative, and every comparison with NaN
     is False, so no root is masked before the tests.
@@ -407,15 +421,17 @@ def _cast_capsules(intr: CameraIntrinsics,
     each hit and each hit bone's box within the body box.
     """
     rays, norms = _rays(intr)
-    cast = []   # (bone, (a, b), radius, box) per capsule cast
-    for bi, (a, b, radius) in enumerate(segments):
-        if min(a[2], b[2]) - radius <= 0.05:
-            continue
-        wa, wb = _sphere_window(intr, a, radius), _sphere_window(intr, b, radius)
-        v0, v1 = min(wa[0], wb[0]), max(wa[1], wb[1])
-        u0, u1 = min(wa[2], wb[2]), max(wa[3], wb[3])
-        if u0 < u1 and v0 < v1:
-            cast.append((bi, (a, b), radius, (slice(v0, v1), slice(u0, u1))))
+    ends = np.array([(a, b) for a, b, _ in segments], dtype=float).reshape(-1, 2, 3)
+    radii = np.array([radius for *_, radius in segments], dtype=float)
+    front = np.flatnonzero(ends[:, :, 2].min(axis=1) - radii > 0.05)
+    windows = _sphere_windows(ends[front].reshape(-1, 3), np.repeat(radii[front], 2),
+                              _pinhole(intr)).reshape(-1, 2, 4)
+    lo, hi = windows.min(axis=1), windows.max(axis=1)
+    cast = [(bi, segments[bi][:2], segments[bi][2], (slice(v0, v1), slice(u0, u1)))
+            for bi, v0, v1, u0, u1 in zip(front.tolist(), lo[:, 0].tolist(),
+                                          hi[:, 1].tolist(), lo[:, 2].tolist(),
+                                          hi[:, 3].tolist())
+            if u0 < u1 and v0 < v1]   # (bone, (a, b), radius, box) per capsule
     shapes = [(sv.stop - sv.start, su.stop - su.start) for *_, (sv, su) in cast]
     counts = [h * w for h, w in shapes]
     starts = np.cumsum([0] + counts).tolist()
@@ -546,61 +562,33 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
 
     Every capsule hit lies in the body box, the box bounding the capsule
     boxes of a view, so the z-buffer and the footprints work on that box
-    only; the image outside it holds no surface.
+    only; the image outside it holds no surface.  The capsules are cast
+    view by view, and the footprints of all views found in one pass.
     """
-    samples = reflector_positions(body, pose)
     bones = [j.name for j in JOINTS if j.parent is not None]
-    bone_index = {name: bi for bi, name in enumerate(bones)}
-    # (reflector, carrying bone, axial band center, bone length) per strap
-    straps = []
-    for idx, site in sorted(body.strap_sites.items()):
-        length = np.linalg.norm(body.template.bone_vectors[site.capsule])
-        straps.append((idx, bone_index[site.capsule], length - site.offset, length))
+    reflectors = _Reflectors.of(body, pose, {name: bi for bi, name in enumerate(bones)})
     names = list(pose.positions)
     points = np.array([pose.positions[name] for name in names])
-    out = []
-    for v in range(len(rig)):
-        intr, extr = rig[v]
+    casts = []
+    for intr, extr in rig.cameras:
         cam_points = dict(zip(names, _rotate_rows(extr.rotation.T,
                                                   points - extr.translation)))
-        body_box, zbuf, owner, axial, boxes = _cast_capsules(
+        casts.append(_cast_capsules(
             intr, [(cam_points[JOINT_BY_NAME[name].parent], cam_points[name],
-                    body.capsule_radii[name]) for name in bones])
+                    body.capsule_radii[name]) for name in bones]))
+    out = []
+    for v, ((intr, _), (body_box, zbuf, *_), found) in enumerate(zip(
+            rig.cameras, casts, _footprints(reflectors, rig, casts))):
         # in row-major order the body box's pixels come in the full frame's
         # order, so the noise draws land where a full-frame render puts them
-        origin = (body_box[0].start, body_box[1].start)
-        shape = zbuf.shape
         body_pixels = np.isfinite(zbuf)
-        body_mm = np.zeros(shape)
+        body_mm = np.zeros(zbuf.shape)
         body_mm[body_pixels] = zbuf[body_pixels] * 1000.0
-
-        footprints = _strap_footprints(samples, straps, intr, extr, zbuf,
-                                       owner, axial, boxes, origin)
-        for idx, sample in samples.items():
-            if sample.ring_axis is None:
-                footprint = _patch_footprint(sample, body, intr, extr, zbuf,
-                                             origin)
-                if footprint is not None:
-                    footprints[idx] = footprint
+        body_mm.ravel()[found.pixels[found.interior]] = 0.0
+        body_mask = np.zeros(zbuf.shape, dtype=bool)
+        body_mask.ravel()[found.pixels] = True
         mask = np.zeros((intr.height, intr.width), dtype=bool)
-        body_mask = mask[body_box]
-        drawn = []
-        for idx in sorted(footprints):
-            # the footprint is off outside its window, so eroding the window
-            # with an off border erodes the whole frame
-            win, pixels, surface_pt = footprints[idx]
-            body_mask[win] |= pixels
-            body_mm[win][interior_pixels(pixels)] = 0.0
-            drawn.append((idx, pixels, surface_pt))
-        # suppress an annotation unless its footprint forms a blob big
-        # enough to survive the downstream validity rule
-        annotations: list[Annotation2D] = []
-        for (idx, _, surface_pt), size in zip(
-                drawn, _largest_components([pixels for _, pixels, _ in drawn])):
-            if size >= 5:
-                u, v_pix, _ = project(to_camera(surface_pt, extr), intr)
-                annotations.append(Annotation2D(ReflectorId(idx), (u, v_pix),
-                                                None))
+        mask[body_box] = body_mask
 
         if noise_sigma_mm > 0:
             rng = np.random.default_rng([seed, v, frame])
@@ -611,123 +599,309 @@ def render(rig: MultiViewRig, body: SyntheticBody, pose: Pose,
         depth_u16[body_box][valid] = np.clip(np.rint(body_mm[valid]), 1,
                                              65535).astype(np.uint16)
 
-        out.append(RenderedView(DepthFrame(depth_u16), IrMask(mask), annotations))
+        out.append(RenderedView(DepthFrame(depth_u16), IrMask(mask),
+                                found.annotations))
     return out
 
 
-def _strap_footprints(samples: dict[int, ReflectorSample],
-                      straps: list[tuple[int, int, float, float]],
-                      intr: CameraIntrinsics, extr: CameraExtrinsics,
-                      zbuf: np.ndarray, owner: np.ndarray, axial: np.ndarray,
-                      boxes: dict[int, tuple[slice, slice]],
-                      origin: tuple[int, int]
-                      ) -> dict[int, tuple[tuple[slice, slice], np.ndarray, np.ndarray]]:
-    """Visible strap footprints of one view and their annotated surface points.
+class _Reflectors(NamedTuple):
+    """The reflectors of one pose as rows: the straps, then the patches,
+    each in reflector order.  ``render`` builds it once for all views."""
 
-    A strap's band is the pixels of its carrying capsule within the tape's
-    axial band, on the tube only (cap hits carry non-radial normals); its
-    footprint is the part of the band facing the camera.  One facing test
-    runs on the bands of all straps, except the projection onto each ring
-    axis: that stays one matrix-vector product per strap, which rounds
-    unlike a row-wise dot.  Returns {reflector: (window within the body box,
-    pixels within that window, surface point)}; every pixel outside the
-    window is off.
+    ids: list[int]           # reflector of each row
+    points: np.ndarray       # (s + p, 3) strap axis points, then patch points
+    tols: np.ndarray         # (s + p,) z-buffer tolerance of each point
+    bones: np.ndarray        # (s,) each strap's carrying bone
+    s_centers: np.ndarray    # (s,) axial position of its band's center
+    s_ends: np.ndarray       # (s,) its bone's length less 1e-9
+    band_halves: np.ndarray  # (s,)
+    ring_axes: np.ndarray    # (s, 3)
+    ring_radii: np.ndarray   # (s,)
+    band_ends: np.ndarray    # (2 s, 3) ends of the bands' axial stretches
+    normals: np.ndarray      # (p, 3) patch normals
+    radii: np.ndarray        # (p,) patch radii
+
+    @classmethod
+    def of(cls, body: SyntheticBody, pose: Pose,
+           bone_index: dict[str, int]) -> _Reflectors:
+        samples = reflector_positions(body, pose)
+        straps = sorted(body.strap_sites.items())
+        patches = sorted(body.patch_sites.items())
+        lengths = [np.linalg.norm(body.template.bone_vectors[site.capsule])
+                   for _, site in straps]
+        rings = [samples[idx] for idx, _ in straps]
+        stickers = [samples[idx] for idx, _ in patches]
+        # a band is the stretch of its capsule from s_center - band_half to
+        # s_center + band_half along the axis from the proximal joint
+        starts = np.array([pose.positions[JOINT_BY_NAME[site.capsule].parent]
+                           for _, site in straps]).reshape(-1, 3)
+        axes = np.array([x.ring_axis for x in rings]).reshape(-1, 3)
+        s_centers = np.array([length - site.offset
+                              for length, (_, site) in zip(lengths, straps)])
+        band_halves = np.array([x.band_half for x in rings])
+        return cls(
+            [idx for idx, _ in straps + patches],
+            np.array([x.axis_point for x in rings + stickers]).reshape(-1, 3),
+            np.repeat([0.03, 0.05], [len(straps), len(patches)]),
+            np.array([bone_index[site.capsule] for _, site in straps], dtype=np.int64),
+            s_centers,
+            np.array([length - 1e-9 for length in lengths]),
+            band_halves,
+            axes,
+            np.array([x.ring_radius for x in rings]),
+            np.concatenate([starts + (s_centers - band_halves)[:, None] * axes,
+                            starts + (s_centers + band_halves)[:, None] * axes]),
+            np.array([x.surface_normal for x in stickers]).reshape(-1, 3),
+            np.array([site.radius for _, site in patches]))
+
+
+class _Footprints(NamedTuple):
+    """The reflector footprints of one view (``_footprints``): the straps',
+    then the patches', each in reflector order.  Footprint k covers the
+    body-box pixels ``pixels[ends[k - 1]:ends[k]]`` (flat indices,
+    row-major) within its window of the body box."""
+
+    ids: list[int]
+    windows: np.ndarray      # (k, 4) rows and columns v0, v1, u0, u1
+    points: np.ndarray       # (k, 3) annotated surface point of each
+    pixels: np.ndarray       # (n,)
+    ends: np.ndarray         # (k,)
+    interior: np.ndarray     # (n,) whose 3x3 neighborhood is in the footprint
+    largest: np.ndarray      # (k,) size of the biggest 8-connected blob
+    annotations: list[Annotation2D]
+
+
+_NO_FOOTPRINTS = _Footprints([], np.empty((0, 4), dtype=np.int64), np.empty((0, 3)),
+                             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                             np.empty(0, dtype=bool), np.empty(0, dtype=np.int64), [])
+
+_LOWER = np.array([True, False, True, False])   # v0, u0 of a window row
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def _footprints(refl: _Reflectors, rig: MultiViewRig,
+                casts: list[tuple]) -> list[_Footprints]:
+    """Every visible reflector footprint of every view of one pose, in one
+    array pass.  ``casts`` holds each view's ``_cast_capsules`` result.
+
+    Points.  A strap's annotated point is its ring's surface point toward
+    the camera, a patch's its own point.  All points of all views are
+    projected at once, and each is visible when it lies more than 5 cm in
+    front of the camera and the view's z-buffer at its nearest pixel is
+    finite and no nearer than the point less 3 cm (strap) or 5 cm (patch).
+    A patch must also face the camera (cos >= 0.25) and project onto the
+    image.
+
+    Windows.  A visible strap whose bone has a box looks for its band in
+    that box cut to the box bounding the end-sphere windows of the band's
+    stretch of the capsule, which holds that stretch's image as a capsule's
+    box holds the capsule's.  A patch's
+    window is the box of its disk of ``radius fx / z`` px, grown by a pixel
+    and clipped to the body box, past which no surface lies.  The pixels
+    of all windows lie in one flat buffer, the straps' windows and then the
+    patches', view after view, each row-major.  A strap pixel is in its
+    band when its bone owns it on the tube within half a tape width of the
+    band center, and in its footprint when the surface there faces the
+    camera (cos >= 0.8).  A patch pixel is in its footprint when it is in
+    the disk and the surface there lies within 8 cm of the patch's depth.
+
+    One stack.  The windows that hold a footprint are stacked one under
+    another, each followed by an off row, so one ``interior_pixels`` call
+    erodes every footprint with an off border, and one labeling of the
+    stack's set pixels (``_largest_blobs``) finds each footprint's biggest
+    blob.  A footprint whose biggest blob holds 5 or more pixels, enough to
+    survive the downstream size rule, is annotated.
+
+    Every value rounds as the expression on one point or footprint does:
+    row-wise dots as the 1-D products, each view's rotation as one product
+    with its own matrix, each ring-axis projection as one matrix-vector
+    product per footprint (a row-wise dot rounds otherwise), the rays as
+    the ray grid's and each disk's squared radius as a scalar power, which
+    is not always ``r * r``.
     """
-    bands = []
-    for idx, bi, s_center, length in straps:
-        # the capsule owns pixels only inside its box
-        if bi not in boxes:
-            continue
-        sample = samples[idx]
-        surface_pt = sample.surface_point_toward(extr.translation)
-        if not _point_visible(surface_pt, intr, extr, zbuf, origin=origin):
-            continue
-        win = boxes[bi]
-        sub_axial = axial[win]
-        band = ((owner[win] == bi) & (np.abs(sub_axial - s_center) <= sample.band_half)
-                & (sub_axial > 1e-9) & (sub_axial < length - 1e-9))
-        vs, us = np.nonzero(band)
-        if len(vs):
-            bands.append((idx, win, band.shape, vs, us, surface_pt))
-    if not bands:
-        return {}
+    n_views, s, n_points = len(casts), len(refl.bones), len(refl.ids)
+    cams = np.array([_pinhole(intr) for intr, _ in rig.cameras]).reshape(-1, 6)
+    # each view's body-box origin (row, column) and shape, and where its
+    # pixels start in the views' joint buffers
+    boxes = np.array([(box[0].start, box[1].start) + zbuf.shape
+                      for box, zbuf, *_ in casts], dtype=np.int64).reshape(-1, 4)
+    box_size = boxes[:, 2] * boxes[:, 3]
+    box_first = np.cumsum(box_size) - box_size
+    zbuf = np.concatenate([cast[1].ravel() for cast in casts])
+    cam_pos = np.array([extr.translation for _, extr in rig.cameras]).reshape(-1, 3)
 
-    # the facing test on every band's surface points, in image coordinates;
-    # `segment` holds each point's band
-    box_v = np.concatenate([vs + win[0].start for _, win, _, vs, _, _ in bands])
-    box_u = np.concatenate([us + win[1].start for _, win, _, _, us, _ in bands])
-    hits_cam = (_rays(intr)[0][box_v + origin[0], box_u + origin[1]]
-                * zbuf[box_v, box_u][:, None])
-    picked = [samples[band[0]] for band in bands]
-    axes_cam = _rotate_rows(extr.rotation.T, np.array([s.ring_axis for s in picked]))
-    centers_cam = _rotate_rows(extr.rotation.T, np.array([s.axis_point for s in picked])
-                               - extr.translation)
-    counts = [len(band[3]) for band in bands]
-    ends = np.cumsum(counts)[:-1]
-    segment = np.repeat(np.arange(len(bands)), counts)
-    rel = hits_cam - centers_cam[segment]
-    along = np.concatenate([part @ axis for part, axis
-                            in zip(np.split(rel, ends), axes_cam)])
-    rad = rel - along[:, None] * axes_cam[segment]
-    rad_norm = np.linalg.norm(rad, axis=1)
-    ok_norm = rad_norm > 1e-9
-    surf_normal = np.zeros_like(rad)
-    surf_normal[ok_norm] = rad[ok_norm] / rad_norm[ok_norm, None]
-    view_dir = -hits_cam / np.linalg.norm(hits_cam, axis=1, keepdims=True)
-    facing = np.einsum("ij,ij->i", surf_normal, view_dir) >= _FACING_COS
+    # the points, one row per (view, reflector): each strap's surface point
+    # toward the camera, as surface_point_toward finds it
+    to_cam = cam_pos[:, None] - refl.points
+    ring_to_cam = to_cam[:, :s].reshape(-1, 3)
+    axes = np.tile(refl.ring_axes, (n_views, 1))
+    radial = ring_to_cam - _stacked_dot(ring_to_cam, axes)[:, None] * axes
+    norm = np.sqrt(_stacked_dot(radial, radial))[:, None]
+    rings = np.tile(refl.points[:s], (n_views, 1))
+    points = np.repeat(refl.points[None], n_views, axis=0)
+    points[:, :s] = np.where(
+        norm < 1e-12, rings,
+        rings + np.tile(refl.ring_radii, n_views)[:, None] * radial / norm
+    ).reshape(n_views, s, 3)
+    # each view's points, ring axes, ring centers and band ends in its
+    # camera's frame
+    in_cam = np.concatenate([
+        _rotate_rows(extr.rotation.T, np.concatenate(
+            [view_points - extr.translation, refl.ring_axes,
+             refl.points[:s] - extr.translation, refl.band_ends - extr.translation]))
+        for (_, extr), view_points in zip(rig.cameras, points)
+    ]).reshape(n_views, n_points + 4 * s, 3)
+    cam = in_cam[:, :n_points].reshape(-1, 3)
+    row_view = np.repeat(np.arange(n_views), n_points)
+    fx, fy, cx, cy, width, height = cams[row_view].T
+    bv, bu, bh, bw = boxes[row_view].T
+    z = cam[:, 2]
+    u = cam[:, 0] * fx / z + cx
+    v = cam[:, 1] * fy / z + cy
+    vi, ui = np.rint(v) - bv, np.rint(u) - bu
+    visible = (z > 0.05) & (vi >= 0) & (vi < bh) & (ui >= 0) & (ui < bw)
+    if not visible.any():
+        return [_NO_FOOTPRINTS] * n_views
+    at_z = zbuf[np.where(visible, box_first[row_view] + vi * bw + ui, 0).astype(np.int64)]
+    visible &= np.isfinite(at_z)
+    visible &= at_z >= z - np.tile(refl.tols, n_views)
+    patch_to_cam = to_cam[:, s:].reshape(-1, 3)
+    dist = np.sqrt(_stacked_dot(patch_to_cam, patch_to_cam))
+    visible = visible.reshape(n_views, n_points)
+    visible[:, s:] &= (_stacked_dot(np.tile(refl.normals, (n_views, 1)),
+                                    patch_to_cam / dist[:, None])
+                       >= 0.25).reshape(n_views, -1)
+    u, v, z = u.reshape(n_views, -1), v.reshape(n_views, -1), z.reshape(n_views, -1)
+    visible[:, s:] &= ((u[:, s:] >= 0) & (u[:, s:] < cams[:, 4:5])
+                       & (v[:, s:] >= 0) & (v[:, s:] < cams[:, 5:6]))
+    visible[:, :s] &= np.array([[bi in cast[4] for bi in refl.bones.tolist()]
+                                for cast in casts], dtype=bool).reshape(n_views, s)
+    strap_view, strap = np.nonzero(visible[:, :s])
+    patch_view, patch = np.nonzero(visible[:, s:])
+    n_straps = len(strap)
+    win_view = np.concatenate([strap_view, patch_view])
+    win_row = np.concatenate([strap, s + patch])   # the point of each window
 
-    out = {}
-    for (idx, win, shape, vs, us, surface_pt), face in zip(
-            bands, np.split(facing, ends)):
-        if face.any():
-            pixels = np.zeros(shape, dtype=bool)
-            pixels[vs[face], us[face]] = True
-            out[idx] = win, pixels, surface_pt
+    # the windows, within their body box: each strap's capsule box cut to
+    # its band's box, and each patch disk's box
+    axes_cam = in_cam[strap_view, n_points + strap]
+    centers_cam = in_cam[strap_view, n_points + s + strap]
+    ends = _sphere_windows(
+        np.concatenate([in_cam[strap_view, n_points + 2 * s + strap],
+                        in_cam[strap_view, n_points + 3 * s + strap]]),
+        np.tile(refl.ring_radii[strap], 2),
+        np.tile(cams[strap_view], (2, 1))).reshape(2, -1, 4)
+    cut = np.where(_LOWER, ends.min(axis=0), ends.max(axis=0))
+    capsule = np.array([(sv.start, sv.stop, su.start, su.stop) for sv, su in (
+        casts[view][4][bone] for view, bone
+        in zip(strap_view.tolist(), refl.bones[strap].tolist()))],
+        dtype=np.int64).reshape(-1, 4)
+    u0, v0, z0 = u[patch_view, s + patch], v[patch_view, s + patch], z[patch_view, s + patch]
+    r_px = refl.radii[patch] * cams[patch_view, 0] / z0
+    pbv, pbu, pbh, pbw = boxes[patch_view].T
+    disk = np.column_stack([np.maximum(np.trunc(v0 - r_px) - 1, pbv),
+                            np.minimum(np.trunc(v0 + r_px) + 2, pbv + pbh),
+                            np.maximum(np.trunc(u0 - r_px) - 1, pbu),
+                            np.minimum(np.trunc(u0 + r_px) + 2, pbu + pbw)])
+    image_to_box = boxes[win_view][:, [0, 0, 1, 1]]
+    windows = np.concatenate([
+        np.where(_LOWER, np.maximum(capsule, cut - image_to_box[:n_straps]),
+                 np.minimum(capsule, cut - image_to_box[:n_straps])),
+        disk.astype(np.int64) - image_to_box[n_straps:]])
+    hs = np.maximum(windows[:, 1] - windows[:, 0], 0)
+    ws = np.maximum(windows[:, 3] - windows[:, 2], 0)
+    counts = hs * ws
+    # the flat buffer, window row after window row; `flat` indexes the
+    # views' joint buffers
+    row_k = np.repeat(np.arange(len(windows)), hs)
+    row_w = ws[row_k]
+    row_v = np.arange(len(row_k)) + np.repeat(windows[:, 0] - (np.cumsum(hs) - hs), hs)
+    row_start = (box_first[win_view] + windows[:, 2])[row_k] + row_v * boxes[win_view, 3][row_k]
+    flat = np.arange(int(counts.sum())) + np.repeat(row_start - (np.cumsum(row_w) - row_w),
+                                                    row_w)
+    k_of = np.repeat(np.arange(len(windows)), counts)
+    in_straps = int(counts[:n_straps].sum())
+    on = np.zeros(len(flat), dtype=bool)
+
+    # the strap bands, then the facing test on their pixels
+    ks, at = k_of[:in_straps], flat[:in_straps]
+    ax = np.concatenate([cast[3].ravel() for cast in casts])[at]
+    band = (np.concatenate([cast[2].ravel() for cast in casts])[at]
+            == refl.bones[strap][ks])
+    band &= np.abs(ax - refl.s_centers[strap][ks]) <= refl.band_halves[strap][ks]
+    band &= ax > 1e-9
+    band &= ax < refl.s_ends[strap][ks]
+    sel = np.flatnonzero(band)
+    if len(sel):
+        segment = ks[sel]
+        views = win_view[segment]
+        vb, ub = np.divmod(at[sel] - box_first[views], boxes[views, 3])
+        rays = np.ones((len(sel), 3))
+        rays[:, 0] = (ub + boxes[views, 1] - cams[views, 2]) / cams[views, 0]
+        rays[:, 1] = (vb + boxes[views, 0] - cams[views, 3]) / cams[views, 1]
+        hits_cam = rays * zbuf[at[sel]][:, None]
+        rel = hits_cam - centers_cam[segment]
+        parts = np.cumsum(np.bincount(segment, minlength=n_straps))[:-1]
+        along = np.concatenate([part @ axis for part, axis
+                                in zip(np.split(rel, parts), axes_cam)])
+        rad = rel - along[:, None] * axes_cam[segment]
+        rad_norm = np.linalg.norm(rad, axis=1)
+        ok_norm = rad_norm > 1e-9
+        surf_normal = np.zeros_like(rad)
+        surf_normal[ok_norm] = rad[ok_norm] / rad_norm[ok_norm, None]
+        view_dir = -hits_cam / np.linalg.norm(hits_cam, axis=1, keepdims=True)
+        on[sel] = np.einsum("ij,ij->i", surf_normal, view_dir) >= _FACING_COS
+
+    # the patch disks
+    kp = k_of[in_straps:] - n_straps
+    views = patch_view[kp]
+    dv, du = np.divmod(flat[in_straps:] - box_first[views], boxes[views, 3])
+    du = (du + boxes[views, 1]) - u0[kp]
+    dv = (dv + boxes[views, 0]) - v0[kp]
+    r2 = np.array([radius ** 2 for radius in r_px.tolist()])
+    np.less_equal(du * du + dv * dv, r2[kp], out=on[in_straps:])
+    on[in_straps:] &= np.abs(zbuf[flat[in_straps:]] - z0[kp]) < 0.08
+
+    # one stack of the windows that hold a footprint
+    lit = np.flatnonzero(on)
+    if not len(lit):
+        return [_NO_FOOTPRINTS] * n_views
+    k_lit = k_of[lit]
+    sizes = np.bincount(k_lit, minlength=len(windows))
+    kept = np.flatnonzero(sizes)
+    tall = hs[kept] + 1
+    row0 = np.cumsum(tall) - tall
+    stack_width, stack_height = int(ws[kept].max()), int(tall.sum())
+    views = win_view[k_lit]
+    pixels = flat[lit] - box_first[views]
+    vb, ub = np.divmod(pixels, boxes[views, 3])
+    stacked = ((row0[(np.cumsum(sizes > 0) - 1)[k_lit]] + vb - windows[k_lit, 0])
+               * stack_width + ub - windows[k_lit, 2])
+    stack = np.zeros(stack_height * stack_width, dtype=bool)
+    stack[stacked] = True
+    interior = interior_pixels(stack.reshape(stack_height, stack_width)).ravel()[stacked]
+    largest = _largest_blobs(stacked, row0, stack_width, stack_height)
+
+    # each view's share, its footprints in window order
+    kept_view = win_view[kept]
+    out = []
+    for view in range(n_views):
+        picked = np.flatnonzero(kept_view == view)
+        if not len(picked):
+            out.append(_NO_FOOTPRINTS)
+            continue
+        mine = views == view
+        rows = win_row[kept[picked]]
+        ids = [refl.ids[row] for row in rows.tolist()]
+        annotations = [
+            Annotation2D(ReflectorId(idx), (u[view, row], v[view, row]), None)
+            for idx, row, size in sorted(zip(ids, rows.tolist(),
+                                             largest[picked].tolist()))
+            if size >= 5]
+        out.append(_Footprints(ids, windows[kept[picked]], points[view, rows],
+                               pixels[mine], np.cumsum(sizes[kept[picked]]),
+                               interior[mine], largest[picked], annotations))
     return out
-
-
-def _patch_footprint(sample: ReflectorSample, body: SyntheticBody,
-                     intr: CameraIntrinsics, extr: CameraExtrinsics,
-                     zbuf: np.ndarray, origin: tuple[int, int]
-                     ) -> tuple[tuple[slice, slice], np.ndarray, np.ndarray] | None:
-    """Visible footprint of one patch and its annotated surface point.
-
-    The footprint is a disk around the projected center on nearby body
-    surface.  Returns the disk's window, clipped to the body box and given
-    within it, its pixels within that window (every pixel outside the
-    window is off) and the patch point.
-    """
-    normal = sample.surface_normal
-    to_cam_dir = extr.translation - sample.axis_point
-    dist = np.linalg.norm(to_cam_dir)
-    if normal @ (to_cam_dir / dist) < 0.25:
-        return None  # facing away
-    pt_cam = to_camera(sample.axis_point, extr)
-    if pt_cam[2] <= 0.05:
-        return None
-    u0, v0, _ = project(pt_cam, intr)
-    if not (0 <= u0 < intr.width and 0 <= v0 < intr.height):
-        return None
-    if not _point_visible(sample.axis_point, intr, extr, zbuf, tol=0.05,
-                          origin=origin):
-        return None
-    r_px = body.patch_sites[sample.reflector.index].radius * intr.fx / pt_cam[2]
-    # zbuf is inf past the body box, so no disk pixel there is on
-    bv, bu = origin
-    u_lo = max(int(u0 - r_px) - 1, bu)
-    u_hi = min(int(u0 + r_px) + 2, bu + zbuf.shape[1])
-    v_lo = max(int(v0 - r_px) - 1, bv)
-    v_hi = min(int(v0 + r_px) + 2, bv + zbuf.shape[0])
-    disk = ((np.arange(u_lo, u_hi) - u0) ** 2
-            + ((np.arange(v_lo, v_hi) - v0) ** 2)[:, None] <= r_px ** 2)
-    win = (slice(v_lo - bv, v_hi - bv), slice(u_lo - bu, u_hi - bu))
-    pixels = disk & (np.abs(zbuf[win] - pt_cam[2]) < 0.08)
-    if not pixels.any():
-        return None
-    return win, pixels, sample.axis_point
-
-
-_EIGHT = np.ones((3, 3), dtype=bool)
 
 
 def interior_pixels(bits: np.ndarray) -> np.ndarray:
@@ -743,49 +917,22 @@ def interior_pixels(bits: np.ndarray) -> np.ndarray:
     return rows3[:, :-2] & rows3[:, 1:-1] & rows3[:, 2:]
 
 
-def _largest_components(windows: list[np.ndarray]) -> list[int]:
-    """Size of the biggest 8-connected blob in each footprint window.
+def _largest_blobs(stacked: np.ndarray, row0: np.ndarray, width: int,
+                   height: int) -> np.ndarray:
+    """Size of the biggest 8-connected blob in each window of a stack.
 
-    One labeling for all: the windows are stacked one under another, each
-    followed by an off row so no blob reaches the next.  Labels grow in
-    raster order, so each window's blobs hold the labels above the
-    previous window's highest and up to its own.
+    The windows lie one under another in a ``height`` x ``width`` stack,
+    window k from row ``row0[k]`` on, each followed by an off row so no
+    blob reaches the next; ``stacked`` holds the sorted flat indices of
+    the stack's set pixels.  One ``label_masks`` call labels them all, and
+    each blob belongs to the window holding its first pixel.
     """
-    if not windows:
-        return []
-    starts = np.cumsum([0] + [len(w) + 1 for w in windows])
-    stack = np.zeros((starts[-1], max(w.shape[1] for w in windows)), dtype=bool)
-    for r0, w in zip(starts.tolist(), windows):
-        stack[r0:r0 + w.shape[0], :w.shape[1]] = w
-    from scipy import ndimage   # imported on use: no other command needs it
-    labels, _ = ndimage.label(stack, structure=_EIGHT)
-    sizes = np.bincount(labels.ravel())
-    # each window's highest label, or the one before it when it has none
-    tops = np.maximum.accumulate(
-        np.maximum.reduceat(labels.max(axis=1), starts[:-1])).tolist()
-    return [int(sizes[lo + 1:hi + 1].max(initial=0))
-            for lo, hi in zip([0] + tops[:-1], tops)]
-
-
-def _point_visible(point: np.ndarray, intr: CameraIntrinsics,
-                   extr: CameraExtrinsics, zbuf: np.ndarray,
-                   tol: float = 0.03, origin: tuple[int, int] = (0, 0)) -> bool:
-    """True when nothing in the z-buffer occludes the point.
-
-    `zbuf` covers the image rows and columns from `origin` (row, column)
-    on; no surface lies outside it.
-    """
-    cam = to_camera(point, extr)
-    if cam[2] <= 0.05:
-        return False
-    u, v, _ = project(cam, intr)
-    vi, ui = int(round(v)) - origin[0], int(round(u)) - origin[1]
-    if not (0 <= vi < zbuf.shape[0] and 0 <= ui < zbuf.shape[1]):
-        return False
-    z = zbuf[vi, ui]
-    if not np.isfinite(z):
-        return False
-    return z >= cam[2] - tol
+    regions = label_masks([MaskPixels(stacked, width, height)])[0]
+    first_rows = regions.pixels[regions.ends - regions.sizes, 1]
+    largest = np.zeros(len(row0), dtype=np.int64)
+    np.maximum.at(largest, np.searchsorted(row0, first_rows, side="right") - 1,
+                  regions.sizes)
+    return largest
 
 
 # ---------------------------------------------------------------------------

@@ -871,9 +871,10 @@ class TestCli:
     def test_import_of_the_package_loads_no_submodule(self):
         assert self._loaded_modules("import mocap_geom", "mocap_geom.") == []
 
-    def test_only_synth_loads_scipy_ndimage(self, tmp_path):
-        # infer and fuse label their masks without scipy; synth's blob-size
-        # rule is the one scipy.ndimage user
+    def test_no_command_loads_scipy_ndimage_and_synth_no_scipy(self, tmp_path):
+        # every mask is labeled with numpy alone (spatial.label_masks), so
+        # no chain command loads scipy.ndimage, and synth loads no scipy
+        # module at all
         dataset, out = tmp_path / "dataset", tmp_path / "run"
         config = tmp_path / "tiny.ini"
         config.write_text("[synth]\nduration = 10\nnoise_sigma_mm = 0\n"
@@ -884,10 +885,11 @@ class TestCli:
                         "eval", "init-config"):
             argv = (["init-config", "--out", str(tmp_path / "cfg.ini")]
                     if command == "init-config" else [command, *args])
+            prefix = "scipy" if command == "synth" else "scipy.ndimage"
             loaded = self._loaded_modules(
                 f"from mocap_geom.cli import main\nassert main({argv!r}) == 0",
-                "scipy.ndimage")
-            assert bool(loaded) is (command == "synth"), (command, loaded)
+                prefix)
+            assert loaded == [], (command, loaded)
 
     def test_fuse_splits_two_estimate_regions_without_scipy_optimize(
             self, tmp_path):

@@ -759,6 +759,43 @@ class TestObserveBatch:
         assert observe_batch([([], depth, INTR, identity_extrinsics())]) == [[]]
 
 
+class TestPlaneNormalsOnRenderedRuns:
+    def test_per_length_products_equal_per_run_products(self, monkeypatch):
+        """On the strap runs of rendered views, the scatter products formed
+        per run length give the normals of one product per run, bit for
+        bit."""
+        from mocap_geom.synth import (MotionScript, SyntheticBody, animate,
+                                      default_rig, render)
+        body, rig = SyntheticBody.default(), default_rig(num_views=3)
+        script = MotionScript("squat-armraise", duration=60)
+        calls = []
+        plane_normals = spatial._plane_normals
+
+        def recorded(points, lengths):
+            calls.append((points, lengths))
+            return plane_normals(points, lengths)
+
+        monkeypatch.setattr(spatial, "_plane_normals", recorded)
+        for frame in range(0, 60, 6):
+            views = render(rig, body, animate(body, script, frame),
+                           noise_sigma_mm=3.0, seed=1, frame=frame)
+            observe_frame([([_est(a.reflector.index, *a.x_curr, conf=1.0)
+                             for a in rv.annotations], rv.mask, rv.depth, *rig[v])
+                           for v, rv in enumerate(views)])
+        fitted = shared = 0
+        for points, lengths in calls:
+            idx, normals = plane_normals(points, lengths)
+            want = _reference_plane_normals(points, lengths)
+            assert idx.tolist() == [i for i, nrm in enumerate(want) if nrm is not None]
+            assert all(nrm.tobytes() == want[i].tobytes()
+                       for i, nrm in zip(idx.tolist(), normals))
+            fitted += len(idx)
+            counts = np.bincount(lengths[lengths >= 3])
+            shared += int((counts > 1).sum())
+        # many runs, and many lengths that several runs share
+        assert fitted >= 100 and shared >= 10, (fitted, shared)
+
+
 class TestObserveView:
     EXTR = identity_extrinsics()
 

@@ -1,6 +1,7 @@
 """Tests for the synthetic capture rig (oracle geometry and rendering)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, MultiViewRig,
 from mocap_geom.errors import ValidationError
 from mocap_geom.maps import Annotation2D, ReflectorEstimate2D
 from mocap_geom.skeleton import JOINT_BY_NAME, JOINTS, Pose, rotation_about
-from mocap_geom.spatial import (find_regions_labeled, fuse_strap,
+from mocap_geom.spatial import (_rotate_rows, find_regions_labeled, fuse_strap,
                                 fuse_strap_single_view, observe_batch)
 from mocap_geom.synth import (MOTION_NAMES, MotionScript, SyntheticBody, animate,
                               default_rig, reflector_positions, render)
@@ -247,6 +248,180 @@ class TestRayGrid:
         assert any(rv.annotations for rv in first)
 
 
+# The footprint code as it was before the one-pass `synth._footprints`: one
+# call per strap set and per patch, one erosion per footprint and one
+# scipy.ndimage labeling of the stacked windows.  It is the bit-for-bit
+# reference of the footprint pass.
+
+def _reference_point_visible(point, intr, extr, zbuf, tol=0.03, origin=(0, 0)):
+    """True when nothing in the z-buffer occludes the point.
+
+    `zbuf` covers the image rows and columns from `origin` (row, column)
+    on; no surface lies outside it.
+    """
+    cam = to_camera(point, extr)
+    if cam[2] <= 0.05:
+        return False
+    u, v, _ = project(cam, intr)
+    vi, ui = int(round(v)) - origin[0], int(round(u)) - origin[1]
+    if not (0 <= vi < zbuf.shape[0] and 0 <= ui < zbuf.shape[1]):
+        return False
+    z = zbuf[vi, ui]
+    if not np.isfinite(z):
+        return False
+    return z >= cam[2] - tol
+
+
+def _reference_strap_footprints(samples, straps, intr, extr, zbuf, owner, axial,
+                                boxes, origin):
+    """Visible strap footprints of one view: {reflector: (window within the
+    body box, pixels within that window, surface point)}.  `straps` holds
+    (reflector, carrying bone, axial band center, bone length)."""
+    bands = []
+    for idx, bi, s_center, length in straps:
+        if bi not in boxes:
+            continue
+        sample = samples[idx]
+        surface_pt = sample.surface_point_toward(extr.translation)
+        if not _reference_point_visible(surface_pt, intr, extr, zbuf, origin=origin):
+            continue
+        win = boxes[bi]
+        sub_axial = axial[win]
+        band = ((owner[win] == bi) & (np.abs(sub_axial - s_center) <= sample.band_half)
+                & (sub_axial > 1e-9) & (sub_axial < length - 1e-9))
+        vs, us = np.nonzero(band)
+        if len(vs):
+            bands.append((idx, win, band.shape, vs, us, surface_pt))
+    if not bands:
+        return {}
+    box_v = np.concatenate([vs + win[0].start for _, win, _, vs, _, _ in bands])
+    box_u = np.concatenate([us + win[1].start for _, win, _, _, us, _ in bands])
+    hits_cam = (synth._rays(intr)[0][box_v + origin[0], box_u + origin[1]]
+                * zbuf[box_v, box_u][:, None])
+    picked = [samples[band[0]] for band in bands]
+    axes_cam = _rotate_rows(extr.rotation.T, np.array([s.ring_axis for s in picked]))
+    centers_cam = _rotate_rows(extr.rotation.T, np.array([s.axis_point for s in picked])
+                               - extr.translation)
+    counts = [len(band[3]) for band in bands]
+    ends = np.cumsum(counts)[:-1]
+    segment = np.repeat(np.arange(len(bands)), counts)
+    rel = hits_cam - centers_cam[segment]
+    along = np.concatenate([part @ axis for part, axis
+                            in zip(np.split(rel, ends), axes_cam)])
+    rad = rel - along[:, None] * axes_cam[segment]
+    rad_norm = np.linalg.norm(rad, axis=1)
+    ok_norm = rad_norm > 1e-9
+    surf_normal = np.zeros_like(rad)
+    surf_normal[ok_norm] = rad[ok_norm] / rad_norm[ok_norm, None]
+    view_dir = -hits_cam / np.linalg.norm(hits_cam, axis=1, keepdims=True)
+    facing = np.einsum("ij,ij->i", surf_normal, view_dir) >= synth._FACING_COS
+    out = {}
+    for (idx, win, shape, vs, us, surface_pt), face in zip(
+            bands, np.split(facing, ends)):
+        if face.any():
+            pixels = np.zeros(shape, dtype=bool)
+            pixels[vs[face], us[face]] = True
+            out[idx] = win, pixels, surface_pt
+    return out
+
+
+def _reference_patch_footprint(sample, body, intr, extr, zbuf, origin):
+    """Visible footprint of one patch: its disk's window, clipped to the
+    body box and given within it, the pixels within that window and the
+    patch point; or None."""
+    normal = sample.surface_normal
+    to_cam_dir = extr.translation - sample.axis_point
+    dist = np.linalg.norm(to_cam_dir)
+    if normal @ (to_cam_dir / dist) < 0.25:
+        return None  # facing away
+    pt_cam = to_camera(sample.axis_point, extr)
+    if pt_cam[2] <= 0.05:
+        return None
+    u0, v0, _ = project(pt_cam, intr)
+    if not (0 <= u0 < intr.width and 0 <= v0 < intr.height):
+        return None
+    if not _reference_point_visible(sample.axis_point, intr, extr, zbuf, tol=0.05,
+                                    origin=origin):
+        return None
+    r_px = body.patch_sites[sample.reflector.index].radius * intr.fx / pt_cam[2]
+    bv, bu = origin
+    u_lo = max(int(u0 - r_px) - 1, bu)
+    u_hi = min(int(u0 + r_px) + 2, bu + zbuf.shape[1])
+    v_lo = max(int(v0 - r_px) - 1, bv)
+    v_hi = min(int(v0 + r_px) + 2, bv + zbuf.shape[0])
+    disk = ((np.arange(u_lo, u_hi) - u0) ** 2
+            + ((np.arange(v_lo, v_hi) - v0) ** 2)[:, None] <= r_px ** 2)
+    win = (slice(v_lo - bv, v_hi - bv), slice(u_lo - bu, u_hi - bu))
+    pixels = disk & (np.abs(zbuf[win] - pt_cam[2]) < 0.08)
+    if not pixels.any():
+        return None
+    return win, pixels, sample.axis_point
+
+
+def _reference_largest_components(windows):
+    """Size of the biggest 8-connected blob in each footprint window: one
+    scipy.ndimage labeling of the windows stacked with an off row after
+    each."""
+    if not windows:
+        return []
+    starts = np.cumsum([0] + [len(w) + 1 for w in windows])
+    stack = np.zeros((starts[-1], max(w.shape[1] for w in windows)), dtype=bool)
+    for r0, w in zip(starts.tolist(), windows):
+        stack[r0:r0 + w.shape[0], :w.shape[1]] = w
+    labels, _ = ndimage.label(stack, structure=np.ones((3, 3), dtype=bool))
+    sizes = np.bincount(labels.ravel())
+    tops = np.maximum.accumulate(
+        np.maximum.reduceat(labels.max(axis=1), starts[:-1])).tolist()
+    return [int(sizes[lo + 1:hi + 1].max(initial=0))
+            for lo, hi in zip([0] + tops[:-1], tops)]
+
+
+def _reference_footprints(body, pose, intr, extr, zbuf, owner, axial, boxes,
+                          origin):
+    """The footprints of one view as the per-footprint code drew them:
+    {reflector: (window, pixels, surface point, interior, largest blob)},
+    and the annotations."""
+    samples = reflector_positions(body, pose)
+    bones = [j.name for j in JOINTS if j.parent is not None]
+    straps = []
+    for idx, site in sorted(body.strap_sites.items()):
+        length = np.linalg.norm(body.template.bone_vectors[site.capsule])
+        straps.append((idx, bones.index(site.capsule), length - site.offset, length))
+    footprints = _reference_strap_footprints(samples, straps, intr, extr, zbuf,
+                                             owner, axial, boxes, origin)
+    for idx, sample in samples.items():
+        if sample.ring_axis is None:
+            footprint = _reference_patch_footprint(sample, body, intr, extr,
+                                                   zbuf, origin)
+            if footprint is not None:
+                footprints[idx] = footprint
+    drawn = sorted(footprints)
+    sizes = _reference_largest_components([footprints[idx][1] for idx in drawn])
+    out, annotations = {}, []
+    for idx, size in zip(drawn, sizes):
+        win, pixels, surface_pt = footprints[idx]
+        out[idx] = win, pixels, surface_pt, synth.interior_pixels(pixels), size
+        if size >= 5:
+            u, v_pix, _ = project(to_camera(surface_pt, extr), intr)
+            annotations.append(Annotation2D(ReflectorId(idx), (u, v_pix), None))
+    return out, annotations
+
+
+def _largest_of_windows(windows):
+    """`synth._largest_blobs` on windows stacked as the footprint pass
+    stacks them: one under another, an off row after each."""
+    if not windows:
+        return []
+    tall = np.array([len(w) + 1 for w in windows])
+    row0 = np.cumsum(tall) - tall
+    width = max(w.shape[1] for w in windows)
+    stack = np.zeros((int(tall.sum()), width), dtype=bool)
+    for r0, w in zip(row0.tolist(), windows):
+        stack[r0:r0 + len(w), :w.shape[1]] = w
+    return synth._largest_blobs(np.flatnonzero(stack), row0, width,
+                                len(stack)).tolist()
+
+
 class TestLargestComponents:
     @staticmethod
     def _alone(pixels):
@@ -257,11 +432,11 @@ class TestLargestComponents:
     def test_matches_one_labeling_per_window(self):
         """Seeded windows of 1-11 rows and columns, each empty, full (one
         blob touching every edge) or random; neighbours differ in width."""
-        assert synth._largest_components([]) == []
+        assert _largest_of_windows([]) == []
         fixed = [np.ones((1, 1), bool), np.zeros((1, 1), bool),
                  np.array([[True, False, True, True]]), np.ones((1, 7), bool),
                  np.zeros((3, 2), bool), np.ones((4, 9), bool)]
-        assert (synth._largest_components(fixed)
+        assert (_largest_of_windows(fixed)
                 == [1, 0, 2, 7, 0, 36] == [self._alone(w) for w in fixed])
         rng = np.random.default_rng(1515)
         for trial in range(300):
@@ -275,7 +450,7 @@ class TestLargestComponents:
                     windows.append(np.ones(shape, bool))
                 else:
                     windows.append(rng.random(shape) < rng.uniform(0.2, 0.8))
-            assert (synth._largest_components(windows)
+            assert (_largest_of_windows(windows)
                     == [self._alone(w) for w in windows]), trial
 
 
@@ -304,7 +479,7 @@ def _full_frame_footprint(sample, body, intr, extr, zbuf, owner, axial, bones):
         pixels = np.zeros_like(band)
         pixels[vs[facing], us[facing]] = True
         surface_pt = sample.surface_point_toward(cam_pos)
-        if not pixels.any() or not synth._point_visible(surface_pt, intr, extr, zbuf):
+        if not pixels.any() or not _reference_point_visible(surface_pt, intr, extr, zbuf):
             return None
         return pixels, surface_pt
     to_cam_dir = cam_pos - sample.axis_point
@@ -316,7 +491,7 @@ def _full_frame_footprint(sample, body, intr, extr, zbuf, owner, axial, bones):
     u0, v0, _ = project(pt_cam, intr)
     if not (0 <= u0 < intr.width and 0 <= v0 < intr.height):
         return None
-    if not synth._point_visible(sample.axis_point, intr, extr, zbuf, tol=0.05):
+    if not _reference_point_visible(sample.axis_point, intr, extr, zbuf, tol=0.05):
         return None
     r_px = body.patch_sites[sample.reflector.index].radius * intr.fx / pt_cam[2]
     uu, vv = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
@@ -525,9 +700,24 @@ class TestRenderMatchesFullFrameReference:
         assert rv.annotations == anns
 
 
+def _reference_sphere_window(intr, center, radius):
+    """Image rows and columns [v0, v1) x [u0, u1) holding a sphere's image,
+    one sphere at a time in Python arithmetic: the lower bounds clipped at
+    0 and the upper ones at the image size (see `synth._sphere_windows`)."""
+    x, y, z = center.tolist()
+    denom = z * z - radius * radius
+    bounds = []
+    for c, f, c0, size in ((y, intr.fy, intr.cy, intr.height),
+                           (x, intr.fx, intr.cx, intr.width)):
+        half = radius * math.sqrt(c * c + denom)
+        bounds += [max(math.floor((c * z - half) / denom * f + c0) - 2, 0),
+                   min(math.ceil((c * z + half) / denom * f + c0) + 3, size)]
+    return tuple(bounds)
+
+
 def _box_of(intr, a, b, radius):
     """Image rows and columns bounding both end windows of a capsule."""
-    wa, wb = synth._sphere_window(intr, a, radius), synth._sphere_window(intr, b, radius)
+    wa, wb = _reference_sphere_window(intr, a, radius), _reference_sphere_window(intr, b, radius)
     return (slice(min(wa[0], wb[0]), max(wa[1], wb[1])),
             slice(min(wa[2], wb[2]), max(wa[3], wb[3])))
 
@@ -617,6 +807,201 @@ class TestCastMatchesFullFrameReference:
         body_box, zbuf, owner, axial, boxes = _assert_cast_matches_reference(
             intr, [behind, off_image, between_rays], "view with no hit")
         assert zbuf.shape == owner.shape == axial.shape == (0, 0) and boxes == {}
+
+
+class TestSphereWindows:
+    def test_matches_the_scalar_reference(self):
+        """Each sphere's window is the one-sphere reference's, its lower
+        bounds also clipped at the image size and its upper ones at 0, on
+        random spheres and on spheres whose bounds pass any int64."""
+        rng = np.random.default_rng(77)
+        intr = CameraIntrinsics(fx=251.5, fy=233.25, cx=70.3, cy=41.7,
+                                width=97, height=64)
+        radii = rng.uniform(0.01, 0.3, 400)
+        centers = rng.normal(0.0, 1.0, (400, 3))
+        centers[:, 2] = radii + rng.uniform(0.05, 4.0, 400)
+        centers[:4] = [(1e30, -3e25, 1.0), (-1e30, 2e28, 0.8), (1e12, -1e12, 1.0),
+                       (0.3, -0.2, 1.0)]
+        radii[:4] = 0.5, 0.3, 1.0 - 1e-9, 1.0 - 1e-9
+        got = synth._sphere_windows(centers, radii, synth._pinhole(intr))
+        sizes = [intr.height, intr.height, intr.width, intr.width]
+        want = [[min(max(bound, 0), size) for bound, size
+                 in zip(_reference_sphere_window(intr, c, r), sizes)]
+                for c, r in zip(centers, radii)]
+        assert got.dtype == np.int64 and got.tolist() == want
+        # per-sphere cameras window each sphere with its own camera
+        other = dataclasses.replace(intr, fx=120.0, cx=10.0, width=50)
+        cams = np.array([synth._pinhole(intr), synth._pinhole(other)])[np.arange(400) % 2]
+        mixed = synth._sphere_windows(centers, radii, cams)
+        assert mixed[0::2].tolist() == got[0::2].tolist()
+        assert mixed[1::2].tolist() == synth._sphere_windows(
+            centers[1::2], radii[1::2], synth._pinhole(other)).tolist()
+
+
+def _look_at(intr, position, target):
+    """A camera at `position` looking at `target`, image rows down."""
+    forward = np.subtract(target, position, dtype=float)
+    forward /= np.linalg.norm(forward)
+    right = np.cross(forward, [0.0, 0.0, 1.0])
+    right /= np.linalg.norm(right)
+    return intr, CameraExtrinsics(np.column_stack([right, np.cross(forward, right),
+                                                   forward]),
+                                  np.asarray(position, dtype=float))
+
+
+def _occluded(point, intr, extr, zbuf, origin, tol):
+    """A point in front of the camera whose nearest pixel shows a surface
+    nearer than the point less `tol`."""
+    cam = to_camera(point, extr)
+    if cam[2] <= 0.05:
+        return False
+    u, v, _ = project(cam, intr)
+    vi, ui = int(round(v)) - origin[0], int(round(u)) - origin[1]
+    return (0 <= vi < zbuf.shape[0] and 0 <= ui < zbuf.shape[1]
+            and zbuf[vi, ui] < cam[2] - tol)
+
+
+def _footprint_cases(body, pose, intr, extr, cast, footprints):
+    """The cases of one view worth covering, as the reference meets them."""
+    samples = reflector_positions(body, pose)
+    bones = [j.name for j in JOINTS if j.parent is not None]
+    body_box, zbuf, _, _, boxes = cast
+    origin = (body_box[0].start, body_box[1].start)
+    seen = set() if footprints else {"view with no footprint"}
+    for idx, site in body.strap_sites.items():
+        if bones.index(site.capsule) not in boxes:
+            seen.add("strap bone with no hit")
+        elif _occluded(samples[idx].surface_point_toward(extr.translation), intr,
+                       extr, zbuf, origin, 0.03):
+            seen.add("occluded surface point")
+    for idx, site in body.patch_sites.items():
+        sample = samples[idx]
+        to_cam = extr.translation - sample.axis_point
+        cam = to_camera(sample.axis_point, extr)
+        if sample.surface_normal @ (to_cam / np.linalg.norm(to_cam)) < 0.25:
+            seen.add("patch facing away")
+        elif cam[2] <= 0.05:
+            if zbuf.size:   # with a body box, so the pass tests the point
+                seen.add("patch behind the camera")
+        elif not (0 <= project(cam, intr)[0] < intr.width
+                  and 0 <= project(cam, intr)[1] < intr.height):
+            seen.add("patch off the image")
+        elif _occluded(sample.axis_point, intr, extr, zbuf, origin, 0.05):
+            seen.add("occluded surface point")
+        elif idx in footprints:
+            u, v, _ = project(cam, intr)
+            r_px = site.radius * intr.fx / cam[2]
+            if (int(u - r_px) - 1 < origin[1] or int(v - r_px) - 1 < origin[0]
+                    or int(u + r_px) + 2 > origin[1] + zbuf.shape[1]
+                    or int(v + r_px) + 2 > origin[0] + zbuf.shape[0]):
+                seen.add("disk clipped at the body-box edge")
+    return seen
+
+
+def _assert_footprints_match_reference(rig, body, pose, where):
+    """`synth._footprints` gives every view's footprints as the
+    per-footprint reference draws them, bit for bit: the same reflectors,
+    pixels, surface points, interiors, largest blobs and annotations.  A
+    patch keeps the reference's window; a strap's window lies in the
+    reference's, its capsule's box, and holds every footprint pixel.
+    Returns the cases seen and the footprints and annotations compared."""
+    bones = [j.name for j in JOINTS if j.parent is not None]
+    casts = [synth._cast_capsules(intr, [
+        (to_camera(pose.positions[JOINT_BY_NAME[name].parent], extr),
+         to_camera(pose.positions[name], extr), body.capsule_radii[name])
+        for name in bones]) for intr, extr in rig.cameras]
+    reflectors = synth._Reflectors.of(body, pose,
+                                      {name: bi for bi, name in enumerate(bones)})
+    found = synth._footprints(reflectors, rig, casts)
+    assert len(found) == len(rig)
+    seen, footprints, annotations = set(), 0, 0
+    for v, ((intr, extr), cast, got) in enumerate(zip(rig.cameras, casts, found)):
+        body_box, zbuf, owner, axial, boxes = cast
+        origin = (body_box[0].start, body_box[1].start)
+        want, want_annotations = _reference_footprints(
+            body, pose, intr, extr, zbuf, owner, axial, boxes, origin)
+        seen |= _footprint_cases(body, pose, intr, extr, cast, want)
+        view = f"{where}, view {v}"
+        assert sorted(got.ids) == sorted(want), view
+        assert len(got.ends) == len(got.ids) == len(got.largest) == len(got.points)
+        for k, idx in enumerate(got.ids):
+            win, pixels, surface_pt, interior, largest = want[idx]
+            run = slice(int(got.ends[k - 1]) if k else 0, int(got.ends[k]))
+            flat = got.pixels[run]
+            assert (np.diff(flat) > 0).all(), view
+            for mine, ref in ((flat, pixels), (flat[got.interior[run]], interior)):
+                on_box = np.zeros(zbuf.shape, dtype=bool)
+                on_box.ravel()[mine] = True
+                ref_box = np.zeros(zbuf.shape, dtype=bool)
+                ref_box[win] = ref
+                assert np.array_equal(on_box, ref_box), (view, idx)
+            v0, v1, u0, u1 = got.windows[k].tolist()
+            box = (win[0].start, win[0].stop, win[1].start, win[1].stop)
+            if idx in body.patch_sites:
+                assert (v0, v1, u0, u1) == box, (view, idx)
+            else:
+                assert box[0] <= v0 < v1 <= box[1] and box[2] <= u0 < u1 <= box[3]
+                rows, cols = np.divmod(flat, zbuf.shape[1])
+                assert ((v0 <= rows) & (rows < v1) & (u0 <= cols) & (cols < u1)).all()
+            assert got.points[k].tobytes() == surface_pt.tobytes(), (view, idx)
+            assert got.largest[k] == largest, (view, idx)
+        assert got.annotations == want_annotations, view
+        assert all(np.array(a.x_curr).tobytes() == np.array(b.x_curr).tobytes()
+                   for a, b in zip(got.annotations, want_annotations)), view
+        footprints += len(want)
+        annotations += len(want_annotations)
+    return seen, footprints, annotations
+
+
+class TestFootprintsMatchReference:
+    """The one-pass footprints of a pose against the per-footprint code,
+    bit for bit."""
+
+    def test_random_takes(self):
+        rng = np.random.default_rng(5150)
+        seen, footprints, annotations = set(), 0, 0
+        for trial in range(30):
+            body, pose, _, rig = _random_take(rng, max_views=4)
+            if trial % 2:
+                # joints moved off the template, so bones change length
+                pose = Pose(pose.frame, {name: p + rng.normal(0.0, 0.03, 3)
+                                         for name, p in pose.positions.items()},
+                            pose.rotations)
+            cases, n_footprints, n_annotations = _assert_footprints_match_reference(
+                rig, body, pose, f"trial {trial}")
+            seen |= cases
+            footprints += n_footprints
+            annotations += n_annotations
+        assert footprints > 300 and annotations > 200, (footprints, annotations)
+        assert {"patch facing away", "occluded surface point",
+                "strap bone with no hit"} <= seen, seen
+
+    def test_hand_built_views(self):
+        """A rest pose seen from the front, the side, past an image border
+        (the front pelvis patch a pixel from it, its disk clipped), from
+        beside the chest looking along it (patches behind the camera) and
+        from a camera turned away from the body."""
+        body = SyntheticBody.default()
+        pose = animate(body, MotionScript("rest", duration=1), 0)
+        intr = CameraIntrinsics(fx=280.0, fy=280.0, cx=160.0, cy=120.0,
+                                width=320, height=240)
+        front = _look_at(intr, [0.0, 2.3, 1.0], [0.0, 0.0, 0.9])
+        u_patch = project(to_camera(reflector_positions(body, pose)[1].axis_point,
+                                    front[1]), intr)[0]
+        rig = MultiViewRig((
+            front,
+            _look_at(intr, [-2.3, 0.0, 1.0], [0.0, 0.0, 0.9]),
+            (dataclasses.replace(intr, cx=intr.cx - (u_patch - 1.2)), front[1]),
+            _look_at(dataclasses.replace(intr, fx=100.0, fy=100.0),
+                     [0.2, 0.3, 1.0], [-3.0, 0.3, 1.0]),
+            _look_at(intr, [0.0, 2.3, 1.0], [0.0, 4.6, 0.9])))
+        seen, footprints, annotations = _assert_footprints_match_reference(
+            rig, body, pose, "hand-built views")
+        assert {"patch facing away", "patch off the image",
+                "patch behind the camera", "occluded surface point",
+                "strap bone with no hit", "disk clipped at the body-box edge",
+                "view with no footprint"} <= seen, seen
+        assert footprints > 20 and annotations > 20, (footprints, annotations)
 
 
 class TestStrapGeometryThroughPipeline:
