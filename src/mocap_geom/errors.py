@@ -29,9 +29,5 @@ class TrackingGap(Exception):
     """The root target is missing for a frame; pose must be predicted."""
 
 
-class NumericalError(RuntimeError):
-    """A filter or solver left its numerically valid regime."""
-
-
 class FormatError(ValueError):
     """An on-disk artifact does not match its expected binary/JSON format."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .spatial import OpticalFrame, OpticalPoint
 
 
@@ -36,18 +36,6 @@ class TrackState:
     velocity: np.ndarray  # (3,)
     covariance: np.ndarray  # (6, 6) SPD
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, self.velocity])
-
-
-def _check_spd(cov: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (cov + cov.T)
-    try:
-        np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        raise NumericalError("covariance lost positive definiteness") from None
-    return sym
-
 
 def init_state(measurement: np.ndarray, params: KalmanParams) -> TrackState:
     """First measurement seeds the state at the measurement, velocity zero."""
@@ -73,42 +61,6 @@ def _matrices(dt: float, params: KalmanParams):
     return F, Q, H, R
 
 
-def kalman_step(state: TrackState | None, measurement: OpticalPoint | None,
-                dt: float, params: KalmanParams = KalmanParams()
-                ) -> tuple[TrackState, OpticalPoint | None]:
-    """One predict/update cycle for a single reflector track.
-
-    With no prior state the measurement initializes the track.  With no
-    measurement the state coasts (predict only) and no smoothed point is
-    produced.  Raises NumericalError if the covariance update leaves the SPD
-    regime; callers should reset the track.
-    """
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    if state is None:
-        if measurement is None:
-            raise ValidationError("cannot initialize a track without a measurement")
-        state = init_state(measurement.position, params)
-        return state, measurement
-
-    F, Q, H, R = _matrices(dt, params)
-    x = F @ state.as_vector()
-    P = _check_spd(F @ state.covariance @ F.T + Q)
-    if measurement is None:
-        return TrackState(x[:3], x[3:], P), None
-
-    innovation = measurement.position - x[:3]
-    S = P[:3, :3] + R
-    K = P[:, :3] @ np.linalg.inv(S)
-    x = x + K @ innovation
-    P = _check_spd((np.eye(6) - K @ H) @ P)
-    new_state = TrackState(x[:3], x[3:], P)
-    smoothed = OpticalPoint(measurement.reflector, x[:3].copy(),
-                            measurement.confidence, measurement.frame,
-                            degraded=measurement.degraded)
-    return new_state, smoothed
-
-
 def _not_spd(p: np.ndarray) -> np.ndarray:
     """Mask of the covariances in the stack ``p`` that are not SPD.
 
@@ -132,8 +84,10 @@ def _not_spd(p: np.ndarray) -> np.ndarray:
 class ReflectorTracker:
     """Owns one Kalman track per reflector across an optical-frame stream.
 
-    The per-frame update is evaluated for all tracks at once with batched
-    matrix ops; per track it equals :func:`kalman_step`.
+    Each track is a constant-velocity filter: ``step`` predicts every track
+    one ``dt`` ahead and updates the measured ones with their new
+    positions, all tracks at once with batched matrix ops.  No track
+    depends on the others it is stepped with.
     """
 
     def __init__(self, dt: float, params: KalmanParams = KalmanParams()):

@@ -9,18 +9,17 @@ their estimates, and the contour depths, so that its depth frame can go.
 One ``observe_rows`` pass then observes every gathered item of a take:
 median contour depth, backprojection of the region center, and (for
 straps) a surface normal from a least-squares plane fit of the contour's
-3D points.  The cross-view half
-fuses the observations of each reflector in each frame into one global
-point (``fuse_observations`` on observed rows, ``fuse_groups`` on
-ViewObservation groups): confidence-weighted centroids for patches, closest
-points between inward normal lines for straps, with bounded fallbacks.
+3D points.  The cross-view half,
+``fuse_observations``, fuses the observed rows of each reflector in each
+frame into one global point, every group in one array pass:
+confidence-weighted centroids for patches, closest points between inward
+normal lines for straps, with bounded fallbacks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
-from itertools import islice
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,16 +46,6 @@ class Region:
     @property
     def size(self) -> int:
         return len(self.pixels)
-
-
-@dataclass(frozen=True)
-class ViewObservation:
-    """One reflector seen from one view, mapped to the global frame."""
-
-    reflector: ReflectorId
-    point_global: np.ndarray
-    e_total: float
-    normal_global: np.ndarray | None = None  # unit, oriented toward the camera
 
 
 @dataclass(frozen=True)
@@ -250,14 +239,6 @@ def label_masks(masks: Sequence[MaskPixels]) -> list[MaskRegions]:
     return out
 
 
-def find_regions_labeled(mask: IrMask) -> MaskRegions:
-    """The regions of one mask: ``label_masks`` on a batch of one.
-
-    A stage labels its masks in batches; this is for one-off use.
-    """
-    return label_masks([MaskPixels.of(mask)])[0]
-
-
 def _nonzero_medians(raw: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Lower-middle median of the nonzero values in each consecutive run.
 
@@ -413,11 +394,6 @@ def _rotate_rows(rotations: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (rotations @ vectors[:, :, None])[:, :, 0]
 
 
-# One item of a view: (estimate, region, contour, center_override).
-ObserveItem = tuple[ReflectorEstimate2D, Region, np.ndarray,
-                    tuple[float, float] | None]
-
-
 @dataclass
 class ViewRows:
     """What observation reads of one frame-view's items, item after item.
@@ -456,22 +432,6 @@ def _view_rows(ests: list[ReflectorEstimate2D], contours: list[np.ndarray],
                     [e.e_total for e in ests], [len(c) for c in contours],
                     joined, depth.pixels[joined[:, 1], joined[:, 0]],
                     overrides, pixel_sums, sizes)
-
-
-def _gather(items: list[ObserveItem], depth: DepthFrame, frame: int,
-            view: int) -> ViewRows:
-    """The rows of one frame-view's observe_batch items."""
-    plain = [item[1].pixels for item in items if item[3] is None]
-    sizes = np.array([len(p) for p in plain], dtype=np.int64)
-    if plain:
-        pixel_sums = np.add.reduceat(np.concatenate(plain),
-                                     np.cumsum(sizes) - sizes, axis=0)
-    else:
-        pixel_sums = np.empty((0, 2), dtype=np.int64)
-    return _view_rows([item[0] for item in items],
-                      [item[2] for item in items],
-                      [item[3] for item in items], pixel_sums, sizes, depth,
-                      frame, view)
 
 
 @dataclass
@@ -577,38 +537,6 @@ def observe_rows(rows: list[ViewRows],
                         has_normal, has_depth)
 
 
-def _view_observations(rows: list[ViewRows], obs: Observations
-                       ) -> list[list[ViewObservation | None]]:
-    """``obs`` of ``rows`` as one list per row, one entry per item; None
-    marks an item whose contour depths are all zero."""
-    normals = [normal if has else None
-               for normal, has in zip(obs.normals, obs.has_normal.tolist())]
-    out = iter([ViewObservation(reflector, point, e_total, normal) if ok else None
-                for reflector, point, e_total, normal, ok
-                in zip(obs.reflectors, obs.points, obs.e_totals, normals,
-                       obs.has_depth.tolist())])
-    return [list(islice(out, len(row.reflectors))) for row in rows]
-
-
-def observe_batch(views: list[tuple[list[ObserveItem], DepthFrame,
-                                    CameraIntrinsics, CameraExtrinsics]]
-                  ) -> list[list[ViewObservation | None]]:
-    """Backproject the given items of one multi-view frame into the global
-    frame: ``observe_rows`` on one batch.
-
-    ``views`` holds (items, depth, intrinsics, extrinsics) for each view;
-    every item is observed with its own view's depth frame and camera.
-    `contour` may be a sub-cluster of the region contour when a merged
-    region was split; `center_override` replaces the region centroid in
-    that case.  The result holds one list per view, one entry per item in
-    the items' order; None marks an item whose contour depths are all zero.
-    """
-    rows = [_gather(items, depth, 0, v)
-            for v, (items, depth, _, _) in enumerate(views)]
-    return _view_observations(
-        rows, observe_rows(rows, [(intr, extr) for *_, intr, extr in views]))
-
-
 def gather_view(ests: list[ReflectorEstimate2D], regions: MaskRegions,
                 depth: DepthFrame, frame: int, view: int) -> ViewRows:
     """The rows of one frame-view's validated estimates, for observe_rows.
@@ -652,27 +580,6 @@ def gather_view(ests: list[ReflectorEstimate2D], regions: MaskRegions,
         plain.append(label)
     return _view_rows(kept, contours, overrides, regions.pixel_sums[plain],
                       regions.sizes[plain], depth, frame, view)
-
-
-def observe_frame(views: list[tuple[list[ReflectorEstimate2D], IrMask,
-                                    DepthFrame, CameraIntrinsics,
-                                    CameraExtrinsics]]
-                  ) -> list[list[ViewObservation]]:
-    """Observations of one multi-view frame's validated estimates, one list
-    per view of (estimates, mask, depth, intrinsics, extrinsics).
-
-    The frame's masks are labeled in one ``label_masks`` pass, each view is
-    gathered on its own (``gather_view``), and every view's rows are
-    observed in one ``observe_rows`` pass.  Estimates whose contour depths
-    are all zero give no observation.
-    """
-    labeled = label_masks([MaskPixels.of(mask) for _, mask, *_ in views])
-    rows = [gather_view(ests, regions, depth, 0, v)
-            for v, ((ests, _, depth, _, _), regions)
-            in enumerate(zip(views, labeled))]
-    obs = observe_rows(rows, [(intr, extr) for *_, intr, extr in views])
-    return [[o for o in view if o is not None]
-            for view in _view_observations(rows, obs)]
 
 
 def _weighted_centroid(points: np.ndarray, conf: np.ndarray,
@@ -720,7 +627,14 @@ def _group_centroids(points: np.ndarray, conf: np.ndarray, starts: np.ndarray,
 
 def _closest_points(p_i: np.ndarray, n_i: np.ndarray, p_j: np.ndarray,
                     n_j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``closest_points_on_normal_lines`` of every row of the line pairs."""
+    """Closest points between the normal lines of every row of the line
+    pairs (p_i, n_i) and (p_j, n_j), plus the denominators 1 - b^2.
+
+    With b = n_i.n_j, c = n_i.(p_i - p_j), d = 1 - b^2, f = n_j.(p_i - p_j):
+    s = (b f - c) / d and t = (f - c b) / d give the closest points
+    p_i + s n_i and p_j + t n_j; a pair with d < PARALLEL_EPS (which callers
+    must check) gives p_i and p_j.
+    """
     diff = p_i - p_j
     b = _stacked_dot(n_i, n_j)
     c = _stacked_dot(n_i, diff)
@@ -734,26 +648,11 @@ def _closest_points(p_i: np.ndarray, n_i: np.ndarray, p_j: np.ndarray,
     return q_i, q_j, d
 
 
-def closest_points_on_normal_lines(p_i: np.ndarray, n_i: np.ndarray,
-                                   p_j: np.ndarray, n_j: np.ndarray
-                                   ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closest points between two normal lines plus the denominator 1 - b^2.
-
-    With b = n_i.n_j, c = n_i.(p_i - p_j), d = 1 - b^2, f = n_j.(p_i - p_j):
-    s = (b f - c) / d and t = (f - c b) / d give the closest points
-    p_i + s n_i and p_j + t n_j; a pair with d < PARALLEL_EPS (which callers
-    must check) gives p_i and p_j.
-    """
-    q_i, q_j, d = _closest_points(*(np.asarray(x, dtype=np.float64)[None]
-                                    for x in (p_i, n_i, p_j, n_j)))
-    return q_i[0], q_j[0], float(d[0])
-
-
 def _normal_line_points(points: np.ndarray, normals: np.ndarray,
                         conf: np.ndarray, starts: np.ndarray,
                         sizes: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weighted points of fuse_strap for groups of rows with normals.
+    """The weighted normal-line points of groups of rows with normals.
 
     Each pair (a, b), a < b in view order, of a group's normal lines gives
     its two closest points, weighted by the confidences of views a and b;
@@ -783,111 +682,14 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
-def fuse_patch(observations: list[ViewObservation], frame: int = 0) -> OpticalPoint:
-    """Confidence-weighted centroid of per-view points.
-
-    Weights are e_total normalized to sum 1 (a convex combination); an
-    all-zero confidence set degrades to the unweighted centroid with
-    confidence 0.  The fused confidence is the mean of the contributing
-    views' e_total.
-    """
-    if not observations:
-        raise ValidationError("fuse_patch needs at least one observation")
-    sizes = np.array([len(observations)])
-    (position,), (total,) = _group_centroids(
-        np.array([o.point_global for o in observations], dtype=np.float64),
-        np.array([o.e_total for o in observations], dtype=np.float64),
-        _starts(sizes), sizes)
-    # the mean, as conf.mean() rounds it
-    confidence = float(total / len(observations)) if total > 0 else 0.0
-    return OpticalPoint(observations[0].reflector, position, confidence, frame)
-
-
-def fuse_strap(observations: list[ViewObservation], frame: int = 0) -> OpticalPoint:
-    """Limb-axis point from >= 2 per-view surface observations with normals.
-
-    For every unordered view pair the closest points between the two normal
-    lines are computed; all 2m such points are fused with the source views'
-    confidences as weights.  When every pair is near-parallel the routine
-    falls back to fuse_patch on the raw observation points and flags the
-    result degraded.
-    """
-    with_normals = [o for o in observations if o.normal_global is not None]
-    if len(with_normals) < 2:
-        raise ValidationError("fuse_strap needs >= 2 observations with normals")
-    sizes = np.array([len(with_normals)])
-    line, weights, counts = _normal_line_points(
-        np.array([o.point_global for o in with_normals], dtype=np.float64),
-        np.array([o.normal_global for o in with_normals], dtype=np.float64),
-        np.array([o.e_total for o in with_normals], dtype=np.float64),
-        _starts(sizes), sizes)
-    if not counts[0]:
-        return replace(fuse_patch(observations, frame), degraded=True)
-    (position,), _ = _group_centroids(line, weights, _starts(counts), counts)
-    e_totals = np.array([o.e_total for o in observations])
-    confidence = float(e_totals.sum() / len(e_totals))
-    return OpticalPoint(observations[0].reflector, position, confidence, frame)
-
-
-def fuse_strap_single_view(obs: ViewObservation, limb_radius: float,
-                           frame: int = 0) -> OpticalPoint:
-    """Axis point from one view: surface point offset inward by the radius.
-
-    The stored normal points toward the camera, so subtracting radius *
-    normal moves from the visible surface into the limb.
-    """
-    if obs.normal_global is None:
-        raise ValidationError("single-view strap fusion needs a surface normal")
-    if limb_radius < 0:
-        raise ValidationError("limb radius must be >= 0")
-    position = obs.point_global - limb_radius * obs.normal_global
-    return OpticalPoint(obs.reflector, position, obs.e_total, frame)
-
-
-# One fusion group: (frame, one reflector's observations in view order, the
-# limb radius of a strap or None).
-FuseGroup = tuple[int, list[ViewObservation], float | None]
-
-
-def fuse_groups(groups: list[FuseGroup]) -> list[OpticalPoint]:
-    """``fuse_reflector`` of every group, in one array pass.
-
-    Each group keeps its view order and every sum is rounded as the
-    one-group expression rounds it, so each point equals the one-group
-    result bit for bit.  The groups with two or more normals share one pass
-    over their normal-line pairs, and the centroids of each kind share one
-    ``_group_centroids``.  The first group (in the groups' order) that is a
-    strap without a limb radius raises CalibrationInputError; the first
-    that is a strap with a normal and a negative radius, ValidationError.
-    """
-    if not groups:
-        return []
-    observations = [o for _, group, _ in groups for o in group]
-    sizes = np.array([len(group) for _, group, _ in groups])
-    if not sizes.all():
-        raise ValidationError("fusion needs at least one observation per group")
-    # rows with a normal, ascending, so each group's rows stay consecutive
-    rows = [i for i, o in enumerate(observations) if o.normal_global is not None]
-    reflectors = [group[0].reflector for _, group, _ in groups]
-    return _fuse_rows(
-        np.array([o.point_global for o in observations], dtype=np.float64),
-        np.array([o.e_total for o in observations], dtype=np.float64),
-        sizes, np.array(rows, dtype=np.int64),
-        np.array([observations[i].normal_global for i in rows],
-                 dtype=np.float64).reshape(-1, 3),
-        reflectors, [radius for *_, radius in groups],
-        [frame for frame, _, _ in groups])
-
-
 def fuse_observations(observations: Observations,
                       limb_radii: Mapping[int, float]) -> list[OpticalPoint]:
     """One point per (frame, reflector) of the observed rows, in (frame,
     reflector) order.
 
     The rows with depth of one reflector in one frame form its fusion
-    group; a stable sort keeps them in their gathered (view) order, so each
-    point equals ``fuse_groups``' point of that group.  A strap's limb
-    radius comes from ``limb_radii`` by reflector index.
+    group; a stable sort keeps them in their gathered (view) order.  A
+    strap's limb radius comes from ``limb_radii`` by reflector index.
     """
     keep = np.flatnonzero(observations.has_depth)
     if len(keep) == 0:
@@ -913,13 +715,29 @@ def _fuse_rows(points: np.ndarray, conf: np.ndarray, sizes: np.ndarray,
                rows: np.ndarray, normals: np.ndarray,
                reflectors: list[ReflectorId], limb_radii: list[float | None],
                frames: list[int]) -> list[OpticalPoint]:
-    """The points of groups of observation rows, as ``fuse_groups`` fuses
-    and checks them.
+    """The fused point of each group of observation rows.
 
     Group g is ``sizes[g]`` consecutive rows of ``points`` and ``conf``,
     of reflector ``reflectors[g]`` in frame ``frames[g]``, with limb radius
     ``limb_radii[g]`` (None where none is configured).  ``rows`` lists the
     rows with a normal, ascending, and ``normals`` their normals.
+
+    A patch is the centroid of its points weighted by e_total normalized
+    to sum 1, with the mean e_total as its confidence; weights that do not
+    sum above 0 give the plain mean and confidence 0.  A strap with >= 2
+    normals is the weighted centroid of the closest points of every pair of
+    its normal lines, each weighted by its view's e_total, unless that lies
+    more than 2.5 limb radii from the surface centroid: the true axis point
+    lies within one radius of it, so such a point comes from inconsistent
+    normals and the degraded mean of the per-view radius offsets replaces
+    it.  When every pair is near-parallel the strap is its degraded surface
+    centroid.  A strap with one normal is that view's point moved inward
+    by the radius; one with none is the surface centroid, flagged degraded.
+
+    Every sum is rounded as it would be for the group on its own, so no
+    point depends on the groups it is fused with.  The first group that is
+    a strap without a limb radius raises CalibrationInputError; the first
+    that is a strap with a normal and a negative radius, ValidationError.
     """
     is_strap = np.array([r.kind is ReflectorKind.STRAP for r in reflectors])
     no_radius = np.array([radius is None for radius in limb_radii])
@@ -994,20 +812,3 @@ def _fuse_rows(points: np.ndarray, conf: np.ndarray, sizes: np.ndarray,
             for reflector, position, confidence, frame, flag
             in zip(reflectors, positions, confidences.tolist(), frames,
                    degraded.tolist())]
-
-
-def fuse_reflector(observations: list[ViewObservation],
-                   limb_radius: float | None, frame: int = 0) -> OpticalPoint:
-    """One reflector's global point from its per-view observations.
-
-    A patch is the confidence-weighted centroid (fuse_patch).  A strap with
-    >= 2 normals is the normal-line point (fuse_strap), unless that lies
-    more than 2.5 limb radii from the surface centroid; the true axis point
-    lies within one radius of it, so such a point comes from inconsistent
-    normals and the degraded mean of the per-view radius offsets replaces
-    it.  A strap with one normal is that view's radius offset; one with
-    none is the surface centroid, flagged degraded.  A strap without a limb
-    radius raises CalibrationInputError.  This is the one-group case of
-    ``fuse_groups``.
-    """
-    return fuse_groups([(frame, observations, limb_radius)])[0]

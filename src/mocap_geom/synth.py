@@ -115,6 +115,10 @@ class SyntheticBody:
     capsule_radii: dict[str, float] = field(default_factory=lambda: dict(CAPSULE_RADII))
 
     def __post_init__(self):
+        both = sorted(set(self.strap_sites) & set(self.patch_sites))
+        if both:
+            raise ValidationError(f"reflector {both[0]} has both a strap and "
+                                  "a patch site")
         covered = set(self.strap_sites) | set(self.patch_sites)
         if covered != set(range(1, 27)):
             raise ValidationError("every reflector needs exactly one site")

@@ -35,11 +35,11 @@ from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
 from mocap_geom.skeleton import (CalibrationConfig, SkeletonTemplate,
                                  calibrate_bone, calibrate_template,
                                  joint_target, JOINT_BY_NAME, track)
-from mocap_geom.spatial import (OpticalFrame, OpticalPoint, ViewObservation,
-                                find_regions_labeled, fuse_patch, fuse_strap,
-                                fuse_strap_single_view, observe_batch)
+from mocap_geom.spatial import (MaskPixels, OpticalFrame, OpticalPoint,
+                                label_masks)
 from mocap_geom.synth import (MotionScript, SyntheticBody, animate,
                               default_rig, reflector_positions, render)
+from test_spatial import _fuse_observed, _observe_items
 
 PARAMS = MapSynthesisParams()
 
@@ -193,8 +193,8 @@ def test_criterion_2_brute_force_equivalence():
         n = int(rng.integers(1, 6))
         pts = rng.normal(size=(n, 3))
         conf = rng.random(n)
-        obs = [ViewObservation(rid, pts[i], float(conf[i])) for i in range(n)]
-        fused = fuse_patch(obs)
+        obs = [(rid, pts[i], float(conf[i]), None) for i in range(n)]
+        fused, = _fuse_observed(obs, {})
         expected = sum((conf[i] / conf.sum()) * pts[i] for i in range(n))
         assert np.max(np.abs(fused.position - expected)) <= 1e-9
 
@@ -223,13 +223,13 @@ def _cylinder_scene(num_views):
         ann = [a for a in rv.annotations if a.reflector.index == 20]
         if not ann:
             continue
-        regions = find_regions_labeled(rv.mask).regions()
+        regions = label_masks([MaskPixels.of(rv.mask)])[0].regions()
         region = min(regions, key=lambda r: np.hypot(
             *(r.pixels.mean(axis=0) - ann[0].x_curr)))
         intr, extr = rig[v]
         est = ReflectorEstimate2D(ReflectorId(20), ann[0].x_curr, 1.0, 0.0, 1.0)
-        obs = observe_batch([([(est, region, region.contour, None)],
-                              rv.depth, intr, extr)])[0][0]
+        obs = _observe_items([([(est, region, region.contour, None)],
+                               rv.depth, intr, extr)])[0][0]
         assert obs is not None, f"view {v}: no depth on the strap contour"
         observations.append(obs)
     return observations, samples[20].axis_point
@@ -239,22 +239,20 @@ def test_criterion_3_strap_geometry():
     start = time.perf_counter()
     obs2, axis_point = _cylinder_scene(2)
     assert len(obs2) == 2
-    fused = fuse_strap(obs2)
+    fused, = _fuse_observed(obs2, {20: 0.03})
     err2 = float(np.linalg.norm(fused.position - axis_point))
     ok = err2 < 0.005 and not fused.degraded
 
     obs1, axis_point1 = _cylinder_scene(1)
-    single = fuse_strap_single_view(obs1[0], limb_radius=0.03)
+    single, = _fuse_observed(obs1, {20: 0.03})
     err1 = float(np.linalg.norm(single.position - axis_point1))
     ok &= err1 < 0.005
 
     # parallel normals: documented fallback, flagged degraded
     rid = ReflectorId(20)
-    par = [ViewObservation(rid, np.array([0.0, 0.0, 1.0]), 1.0,
-                           np.array([0.0, 0.0, -1.0])),
-           ViewObservation(rid, np.array([0.1, 0.0, 1.0]), 1.0,
-                           np.array([0.0, 0.0, -1.0]))]
-    ok &= fuse_strap(par).degraded
+    par = [(rid, np.array([0.0, 0.0, 1.0]), 1.0, np.array([0.0, 0.0, -1.0])),
+           (rid, np.array([0.1, 0.0, 1.0]), 1.0, np.array([0.0, 0.0, -1.0]))]
+    ok &= _fuse_observed(par, {20: 0.03})[0].degraded
 
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
@@ -478,7 +476,7 @@ def test_criterion_7_filter_properties():
             ests.append(ReflectorEstimate2D(ReflectorId(idx), (float(x), float(y)),
                                             float(rng.random()), 0.0,
                                             float(rng.random())))
-        regions = find_regions_labeled(IrMask(bits))
+        regions = label_masks([MaskPixels.of(IrMask(bits))])[0]
         once = apply_filters(ests, regions, params)
         ok &= apply_filters(once, regions, params) == once   # idempotent
         ok &= len(once) <= len(ests)
@@ -498,8 +496,10 @@ def test_criterion_7_filter_properties():
     bits5[6, 5] = True
     est = ReflectorEstimate2D(ReflectorId(1), (6.0, 5.0), 0.9, 0.0, 0.9)
     b_min5 = FilterParams(b_min=5)
-    ok &= apply_filters([est], find_regions_labeled(IrMask(bits4)), b_min5) == []
-    ok &= apply_filters([est], find_regions_labeled(IrMask(bits5)), b_min5) == [est]
+    regions4, regions5 = label_masks([MaskPixels.of(IrMask(bits4)),
+                                      MaskPixels.of(IrMask(bits5))])
+    ok &= apply_filters([est], regions4, b_min5) == []
+    ok &= apply_filters([est], regions5, b_min5) == [est]
 
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0

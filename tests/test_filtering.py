@@ -9,7 +9,7 @@ from mocap_geom.errors import ValidationError
 from mocap_geom.filtering import (FilterParams, apply_filters, confidence_cut,
                                   dedupe_colocated, enforce_uniqueness)
 from mocap_geom.maps import ReflectorEstimate2D
-from mocap_geom.spatial import MaskPixels, find_regions_labeled, label_masks
+from mocap_geom.spatial import MaskPixels, label_masks
 
 
 def _est(idx, x, y, e_total, e_s=None):
@@ -27,7 +27,8 @@ def _mask_with_component(pixels, shape=(40, 40)):
 
 def _region_rule_passes(est, mask, b_min):
     """The region rule alone: one estimate through the chain, no confidence cut."""
-    return apply_filters([est], find_regions_labeled(mask), FilterParams(b_min=b_min, c_min=0.0)) == [est]
+    regions, = label_masks([MaskPixels.of(mask)])
+    return apply_filters([est], regions, FilterParams(b_min=b_min, c_min=0.0)) == [est]
 
 
 class TestValidateRegion:
@@ -224,8 +225,9 @@ class TestFilterChainProperties:
         params = FilterParams(b_min=5, colocate_dist=3.0, c_min=0.4)
         for _ in range(300):
             ests, mask = _random_instance(rng)
-            once = apply_filters(ests, find_regions_labeled(mask), params)
-            twice = apply_filters(once, find_regions_labeled(mask), params)
+            regions, = label_masks([MaskPixels.of(mask)])
+            once = apply_filters(ests, regions, params)
+            twice = apply_filters(once, regions, params)
             assert once == twice
             assert len(once) <= len(ests)
             assert all(e in ests for e in once)
@@ -236,7 +238,8 @@ class TestFilterChainProperties:
         for _ in range(100):
             ests, mask = _random_instance(rng, mask_all=True)
             unique = enforce_uniqueness(ests)
-            kept = apply_filters(ests, find_regions_labeled(mask), params)
+            kept = apply_filters(ests, label_masks([MaskPixels.of(mask)])[0],
+                                 params)
             # only uniqueness and the (vacuous at 0) confidence cut may drop
             assert len(kept) == len([e for e in unique if e.e_total > 0.0])
 
@@ -298,16 +301,17 @@ class TestRegionRuleMatchesFullFrameLabeling:
             mask = _random_mask(rng)
             b_min = int(rng.integers(1, 12))
             params = FilterParams(b_min=b_min, colocate_dist=0.0, c_min=0.0)
+            regions, = label_masks([MaskPixels.of(mask)])
             for u, v in _probe_positions(rng, mask):
                 est = _est(int(rng.integers(1, 27)), u, v, 0.5)
                 try:
                     expected = [est] if _full_frame_region_rule(est, mask, b_min) else []
                 except ValidationError:
                     with pytest.raises(ValidationError):
-                        apply_filters([est], find_regions_labeled(mask), params)
+                        apply_filters([est], regions, params)
                     raised += 1
                     continue
-                assert apply_filters([est], find_regions_labeled(mask), params) == expected, (u, v)
+                assert apply_filters([est], regions, params) == expected, (u, v)
                 checked += 1
         assert checked > 5000 and raised > 100
 
@@ -321,8 +325,9 @@ class TestRegionRuleMatchesFullFrameLabeling:
                          if 0 <= round(u) < mask.width and 0 <= round(v) < mask.height]
             ests = [_est(i + 1, u, v, 0.5)
                     for i, (u, v) in enumerate(positions[:26])]
-            kept = apply_filters(ests, find_regions_labeled(mask), FilterParams(b_min=b_min,
-                                                          colocate_dist=0.0,
-                                                          c_min=0.0))
+            regions, = label_masks([MaskPixels.of(mask)])
+            kept = apply_filters(ests, regions, FilterParams(b_min=b_min,
+                                                             colocate_dist=0.0,
+                                                             c_min=0.0))
             assert kept == [e for e in ests
                             if _full_frame_region_rule(e, mask, b_min)]

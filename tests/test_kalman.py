@@ -3,8 +3,8 @@
 import numpy as np
 
 from mocap_geom.core import ReflectorId
-from mocap_geom.kalman import (KalmanParams, ReflectorTracker, init_state,
-                               kalman_step)
+from mocap_geom.kalman import (KalmanParams, ReflectorTracker, TrackState,
+                               _matrices, init_state)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 
 DT = 1.0 / 30.0
@@ -14,20 +14,53 @@ def _point(pos, frame=0, conf=0.9, idx=1):
     return OpticalPoint(ReflectorId(idx), np.asarray(pos, dtype=float), conf, frame)
 
 
+def _reference_kalman_step(state, measurement, dt, params=KalmanParams()):
+    """One predict/update cycle of a single track, step by step.
+
+    With no prior state the measurement initializes the track; with no
+    measurement the state coasts and no smoothed point is produced.  A
+    covariance that leaves the SPD regime raises LinAlgError.
+    """
+    if state is None:
+        return init_state(measurement.position, params), measurement
+    F, Q, H, R = _matrices(dt, params)
+    x = F @ np.concatenate([state.position, state.velocity])
+    P = F @ state.covariance @ F.T + Q
+    P = 0.5 * (P + P.T)
+    np.linalg.cholesky(P)
+    if measurement is None:
+        return TrackState(x[:3], x[3:], P), None
+    K = P[:, :3] @ np.linalg.inv(P[:3, :3] + R)
+    x = x + K @ (measurement.position - x[:3])
+    P = (np.eye(6) - K @ H) @ P
+    P = 0.5 * (P + P.T)
+    np.linalg.cholesky(P)
+    return TrackState(x[:3], x[3:], P), OpticalPoint(
+        measurement.reflector, x[:3].copy(), measurement.confidence,
+        measurement.frame, degraded=measurement.degraded)
+
+
 class TestKalmanStep:
+    """One reflector's track, stepped by a ReflectorTracker frame by frame."""
+
     def test_first_measurement_initializes_at_measurement(self):
-        state, smoothed = kalman_step(None, _point([1.0, 2.0, 3.0]), DT)
+        tracker = ReflectorTracker(DT)
+        frame = OpticalFrame(frame=0)
+        frame.add(_point([1.0, 2.0, 3.0]))
+        out = tracker.step(frame)
+        state = tracker.states[1]
         np.testing.assert_allclose(state.position, [1, 2, 3])
         np.testing.assert_allclose(state.velocity, [0, 0, 0])
-        np.testing.assert_allclose(smoothed.position, [1, 2, 3])
+        np.testing.assert_allclose(out.points[1].position, [1, 2, 3])
 
     def test_covariance_stays_spd(self):
         rng = np.random.default_rng(2)
-        state = None
+        tracker = ReflectorTracker(DT)
         for f in range(200):
-            meas = _point(rng.normal(scale=0.01, size=3) + [0, 0, 1], frame=f)
-            state, _ = kalman_step(state, meas, DT)
-            np.linalg.cholesky(state.covariance)  # raises if not SPD
+            frame = OpticalFrame(frame=f)
+            frame.add(_point(rng.normal(scale=0.01, size=3) + [0, 0, 1], frame=f))
+            tracker.step(frame)
+            np.linalg.cholesky(tracker.states[1].covariance)  # raises if not SPD
 
     def test_noise_variance_is_reduced(self):
         # Stationary point with sigma = 1 cm noise: smoothed output variance
@@ -37,10 +70,12 @@ class TestKalmanStep:
         meas_all = []
         smooth_all = []
         for trial in range(20):
-            state = None
+            tracker = ReflectorTracker(DT)
             for f in range(100):
                 m = truth + rng.normal(scale=0.01, size=3)
-                state, smoothed = kalman_step(state, _point(m, frame=f), DT)
+                frame = OpticalFrame(frame=f)
+                frame.add(_point(m, frame=f))
+                smoothed = tracker.step(frame).points[1]
                 if f >= 30:  # past the transient
                     meas_all.append(m - truth)
                     smooth_all.append(smoothed.position - truth)
@@ -49,21 +84,28 @@ class TestKalmanStep:
         assert var_smooth < var_meas
 
     def test_tracks_exact_constant_velocity_within_1mm_after_transient(self):
-        state = None
+        tracker = ReflectorTracker(DT)
         vel = np.array([0.3, -0.1, 0.05])
         for f in range(60):
             pos = np.array([0.0, 0.0, 1.0]) + vel * f * DT
-            state, smoothed = kalman_step(state, _point(pos, frame=f), DT)
+            frame = OpticalFrame(frame=f)
+            frame.add(_point(pos, frame=f))
+            smoothed = tracker.step(frame).points[1]
             if f >= 20:
                 assert np.linalg.norm(smoothed.position - pos) <= 1e-3
 
     def test_predict_only_coasts(self):
-        state, _ = kalman_step(None, _point([0, 0, 1.0]), DT)
-        state, _ = kalman_step(state, _point([0.01, 0, 1.0], frame=1), DT)
-        coasted, smoothed = kalman_step(state, None, DT)
-        assert smoothed is None
+        tracker = ReflectorTracker(DT)
+        for f, pos in enumerate(([0, 0, 1.0], [0.01, 0, 1.0])):
+            frame = OpticalFrame(frame=f)
+            frame.add(_point(pos, frame=f))
+            tracker.step(frame)
+        state = tracker.states[1]
+        out = tracker.step(OpticalFrame(frame=2))
+        assert out.points == {}
         np.testing.assert_allclose(
-            coasted.position, state.position + DT * state.velocity, atol=1e-12)
+            tracker.states[1].position, state.position + DT * state.velocity,
+            atol=1e-12)
 
     def test_init_state_params(self):
         s = init_state(np.array([1.0, 1.0, 1.0]), KalmanParams())
@@ -126,11 +168,11 @@ def _random_stream(rng, frames=60, reflectors=12):
 
 
 def _reference_step(states, frame, params):
-    """Tracker step built from kalman_step, one track at a time."""
+    """Tracker step built from _reference_kalman_step, one track at a time."""
     out = {}
     for idx in sorted(set(states) | set(frame.points)):
-        states[idx], smoothed = kalman_step(states.get(idx), frame.get(idx),
-                                            DT, params)
+        states[idx], smoothed = _reference_kalman_step(
+            states.get(idx), frame.get(idx), DT, params)
         if smoothed is not None:
             out[idx] = smoothed
     return out

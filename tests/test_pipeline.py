@@ -77,13 +77,12 @@ def _reference_fuse_estimates(reader, estimates, cfg):
         observations = {}
         for view_obs in _reference_observe_frame(views):
             for obs in view_obs:
-                observations.setdefault(obs.reflector.index, []).append(obs)
+                observations.setdefault(obs[0].index, []).append(obs)
         frame = spatial.OpticalFrame(frame=f)
         for idx, obs in sorted(observations.items()):
             frame.add(_reference_fuse_reflector(obs, cfg.limb_radii.get(idx), f))
             if idx in cfg.limb_radii:
-                normal_counts.append(sum(o.normal_global is not None
-                                         for o in obs))
+                normal_counts.append(sum(o[3] is not None for o in obs))
         frames.append(tracker.step(frame))
     return frames, normal_counts
 
@@ -315,7 +314,8 @@ class TestComposition:
         for v in range(reader.num_views):
             by_fv[7, v] = []
         # frame 8, view 0: a reflector of no region (on the background) ...
-        labeled = spatial.find_regions_labeled(reader.mask(0, 8))
+        labeled, = spatial.label_masks(
+            [spatial.MaskPixels.of(reader.mask(0, 8))])
         taken = {e.reflector.index for e in by_fv[8, 0]}
         spare = min(set(range(1, 27)) - taken)
         assert labeled.at([0], [0])[0] == -1
@@ -347,7 +347,7 @@ class TestComposition:
         want, _ = _reference_fuse_estimates(reader, estimates, cfg)
         view_0, = _reference_observe_frame([(by_fv[8, 0], reader.mask(0, 8),
                                              reader.depth(0, 8), *reader.rig[0])])
-        assert lone.reflector not in {o.reflector for o in view_0}
+        assert lone.reflector not in {o[0] for o in view_0}
         assert not got[7].points and len(got[8].points) >= 20
         ds.write_optical(tmp_path / "got.jsonl", got)
         ds.write_optical(tmp_path / "want.jsonl", want)

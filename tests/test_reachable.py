@@ -1,0 +1,149 @@
+"""Every definition of the package is reached from the command line.
+
+A module-level function or class of ``mocap_geom`` that only tests call is
+a second way through the program that no command runs, and it drifts from
+the one that does.  The test below walks the package's syntax trees from
+``cli.main`` and every module's top-level statements, following the names
+each reached body uses, and fails on any definition it does not reach
+(methods included: a method is reached when its class is, and reached code
+reads an attribute of its name, or it is a dunder).
+"""
+
+import ast
+from pathlib import Path
+
+import mocap_geom
+
+PACKAGE = Path(mocap_geom.__file__).parent
+
+# Definitions that no command reaches, kept on purpose.
+KEEP = {
+    "core.project": "scalar reference for synth's elementwise projection",
+    "core.to_camera": "scalar reference for synth's rotated camera rows",
+    "errors.InvalidDepthError": "raised by core.project behind the camera",
+    "maps.loss_maps": "the paper's training loss, asserted by criterion 2",
+    "maps.loss_fields": "the paper's training loss, asserted by criterion 2",
+    "maps._squared_residual": "the sum that loss_maps and loss_fields share",
+    "synth.ReflectorSample.surface_point_toward":
+        "the oracle surface point of a strap, read by the geometry tests",
+    "skeleton.Pose.quaternion": "Pose's documented per-joint accessor; the "
+                                "writers read the cache derive_quaternions fills",
+    "skeleton.quat_from_matrix": "the one-matrix derivation Pose.quaternion runs",
+    "spatial.MaskRegions.regions": "a labeling as Region objects, as tests read it",
+}
+
+
+class _Module:
+    def __init__(self, name, tree):
+        self.name = name
+        self.tree = tree
+        self.defs = {node.name: node for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        self.imports = {}  # local name -> (package module, name there)
+        self.aliases = {}  # local name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("mocap_geom")):
+                source = (node.module or "").removeprefix("mocap_geom")
+                source = source.lstrip(".")
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if source:
+                        self.imports[local] = (source, alias.name)
+                    else:
+                        self.aliases[local] = alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("mocap_geom.") and alias.asname:
+                        self.aliases[alias.asname] = alias.name.split(".")[1]
+
+
+def _definitions(modules):
+    """Every module-level definition and method, by dotted name."""
+    out = {}
+    for mod in modules.values():
+        for name, node in mod.defs.items():
+            out[f"{mod.name}.{name}"] = (mod, node)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        out[f"{mod.name}.{name}.{item.name}"] = (mod, item)
+    return out
+
+
+def _resolve(modules, mod, name):
+    """The dotted name of the package definition ``name`` means in ``mod``."""
+    seen = set()
+    while name not in mod.defs:
+        if name not in mod.imports or (mod.name, name) in seen:
+            return None
+        seen.add((mod.name, name))
+        source, name = mod.imports[name]
+        mod = modules[source]
+    return f"{mod.name}.{name}"
+
+
+def _uses(modules, mod, nodes):
+    """The package definitions and the attribute names that ``nodes`` use."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(_resolve(modules, mod, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
+                if (isinstance(sub.value, ast.Name)
+                        and sub.value.id in mod.aliases):
+                    names.add(_resolve(
+                        modules, modules[mod.aliases[sub.value.id]], sub.attr))
+    return names - {None}, attrs
+
+
+def _body(node):
+    """What a definition runs or declares, without a class's methods."""
+    if isinstance(node, ast.ClassDef):
+        return [*node.bases, *node.keywords, *node.decorator_list,
+                *(item for item in node.body
+                  if not isinstance(item, ast.FunctionDef))]
+    return [node]
+
+
+def _unreached(modules):
+    """The dotted names of the definitions that no command reaches."""
+    definitions = _definitions(modules)
+    reached, attrs = set(), set()
+    frontier = [("cli", [modules["cli"].defs["main"]])] + [
+        (name, [node for node in mod.tree.body
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef))])
+        for name, mod in modules.items()]
+    reached.add("cli.main")
+    while frontier:
+        while frontier:
+            name, nodes = frontier.pop()
+            names, used = _uses(modules, modules[name], nodes)
+            attrs |= used
+            for target in names - reached:
+                reached.add(target)
+                mod, node = definitions[target]
+                frontier.append((mod.name, _body(node)))
+        for target, (mod, node) in definitions.items():
+            owner, _, method = target.rpartition(".")
+            if (target not in reached and owner in reached
+                    and (method in attrs or method.startswith("__"))):
+                reached.add(target)
+                frontier.append((mod.name, [node]))
+    return set(definitions) - reached
+
+
+def _package():
+    return {path.stem: _Module(path.stem, ast.parse(path.read_text()))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_definition_is_reached_from_the_cli():
+    missed = _unreached(_package())
+    assert missed - set(KEEP) == set(), (
+        "reached only from tests, or from nothing; delete them or give "
+        f"each a reason in KEEP: {sorted(missed - set(KEEP))}")
+    assert set(KEEP) <= missed, (
+        f"KEEP names what a command reaches: {sorted(set(KEEP) - missed)}")

@@ -12,13 +12,8 @@ from mocap_geom.errors import (CalibrationInputError, SplitFailure,
                                ValidationError)
 from mocap_geom.maps import ReflectorEstimate2D
 from mocap_geom.spatial import (PARALLEL_EPS, MaskPixels, OpticalFrame,
-                                OpticalPoint, Region, ViewObservation,
-                                closest_points_on_normal_lines,
-                                find_regions_labeled, fuse_patch,
-                                fuse_groups, fuse_reflector, fuse_strap,
-                                fuse_strap_single_view, gather_view,
-                                label_masks, observe_batch, observe_frame,
-                                split_merged_region)
+                                OpticalPoint, Region, gather_view,
+                                label_masks, split_merged_region)
 from mocap_geom.synth import interior_pixels
 from test_core import backproject, identity_extrinsics, to_global
 
@@ -30,15 +25,60 @@ def _est(idx, x, y, conf=0.9):
                                conf, 0.0, conf)
 
 
+# An observed row is (reflector, global point, e_total, global normal or
+# None), as observe_rows observes an item and fuse_observations reads it.
+
+def _observe_items(views):
+    """observe_rows on views of (items, depth, intrinsics, extrinsics),
+    each item an (estimate, region, contour, center override): one list of
+    rows per view, in the items' order, None for an item without depth."""
+    rows = []
+    for v, (items, depth, _, _) in enumerate(views):
+        plain = [region.pixels for _, region, _, center in items
+                 if center is None]
+        rows.append(spatial._view_rows(
+            [item[0] for item in items], [item[2] for item in items],
+            [item[3] for item in items],
+            np.array([p.sum(axis=0) for p in plain],
+                     dtype=np.int64).reshape(-1, 2),
+            np.array([len(p) for p in plain], dtype=np.int64), depth, 0, v))
+    obs = spatial.observe_rows(rows, [(intr, extr) for *_, intr, extr in views])
+    observed = iter([(r, p, e, n if has else None) if ok else None
+                     for r, p, e, n, has, ok in zip(
+                         obs.reflectors, obs.points, obs.e_totals, obs.normals,
+                         obs.has_normal.tolist(), obs.has_depth.tolist())])
+    return [[next(observed) for _ in items] for items, *_ in views]
+
+
+def _fuse_observed(rows, limb_radii, frames=0):
+    """fuse_observations on observed rows, each in frame ``frames`` (one
+    frame for all, or one per row)."""
+    n = len(rows)
+    normals = [normal for *_, normal in rows]
+    obs = spatial.Observations(
+        np.broadcast_to(np.asarray(frames, dtype=np.int64), (n,)).copy(),
+        [reflector for reflector, *_ in rows],
+        [float(e_total) for _, _, e_total, _ in rows],
+        np.array([point for _, point, *_ in rows],
+                 dtype=np.float64).reshape(n, 3),
+        np.array([np.zeros(3) if nrm is None else nrm for nrm in normals],
+                 dtype=np.float64).reshape(n, 3),
+        np.array([nrm is not None for nrm in normals], dtype=bool),
+        np.ones(n, dtype=bool))
+    return spatial.fuse_observations(obs, limb_radii)
+
+
 def _observe_one(est, region, contour, depth, intr, extr, center=None):
-    """observe_batch on one item: its observation, or None without depth."""
-    return observe_batch([([(est, region, contour, center)], depth, intr,
-                           extr)])[0][0]
+    """One item's observed row, or None without depth."""
+    return _observe_items([([(est, region, contour, center)], depth, intr,
+                            extr)])[0][0]
 
 
 def _observe_view(ests, mask, depth, intr, extr):
-    """observe_frame on one view: that view's observations."""
-    return observe_frame([(ests, mask, depth, intr, extr)])[0]
+    """gather_view and observe_rows on one view's estimates."""
+    regions, = label_masks([MaskPixels.of(mask)])
+    return spatial.observe_rows([gather_view(ests, regions, depth, 0, 0)],
+                                [(intr, extr)])
 
 
 # The region step as it was before the batch labeler: one scipy.ndimage
@@ -83,8 +123,8 @@ def _reference_label_at(labels, origin, u, v):
 
 
 def _obs(idx, point, conf=1.0, normal=None):
-    return ViewObservation(ReflectorId(idx), np.asarray(point, dtype=float),
-                           conf, None if normal is None else np.asarray(normal, dtype=float))
+    return (ReflectorId(idx), np.asarray(point, dtype=float), conf,
+            None if normal is None else np.asarray(normal, dtype=float))
 
 
 class TestFindRegions:
@@ -92,7 +132,7 @@ class TestFindRegions:
         bits = np.zeros((30, 30), dtype=bool)
         bits[5:8, 5:8] = True
         bits[20:23, 12:15] = True
-        regions = find_regions_labeled(IrMask(bits)).regions()
+        regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
         assert len(regions) == 2
         assert sorted(r.size for r in regions) == [9, 9]
         for r in regions:
@@ -102,10 +142,12 @@ class TestFindRegions:
             assert all(tuple(c) in pix for c in r.contour)
 
     def test_empty_mask(self):
-        assert find_regions_labeled(IrMask(np.zeros((10, 10), dtype=bool))).regions() == []
+        empty = IrMask(np.zeros((10, 10), dtype=bool))
+        assert label_masks([MaskPixels.of(empty)])[0].regions() == []
 
     def test_full_mask_single_region(self):
-        regions = find_regions_labeled(IrMask(np.ones((8, 9), dtype=bool))).regions()
+        full = IrMask(np.ones((8, 9), dtype=bool))
+        regions = label_masks([MaskPixels.of(full)])[0].regions()
         assert len(regions) == 1
         assert regions[0].size == 72
         # boundary ring of an 8x9 image
@@ -114,7 +156,7 @@ class TestFindRegions:
     def test_flood_fill_oracle_on_random_mask(self):
         rng = np.random.default_rng(3)
         bits = rng.random((20, 20)) < 0.3
-        regions = find_regions_labeled(IrMask(bits)).regions()
+        regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
         assert sum(r.size for r in regions) == int(bits.sum())
         # oracle: 8-connected flood fill component count
         seen = np.zeros_like(bits)
@@ -144,7 +186,7 @@ class TestFindRegions:
             if rng.random() < 0.3:  # blank margins: empty rows and columns
                 bits[:int(rng.integers(0, h + 1))] = False
                 bits[:, int(rng.integers(0, w + 1)):] = False
-            labeled = find_regions_labeled(IrMask(bits))
+            labeled = label_masks([MaskPixels.of(IrMask(bits))])[0]
             regions = labeled.regions()
             # reference labels: 8-connected flood fill, numbered in the
             # row-major order of each component's first pixel
@@ -233,7 +275,7 @@ def _assert_same_regions(got, bits):
 class TestLabelMasks:
     def test_one_mask_at_a_time_matches_the_ndimage_reference(self):
         for bits in _labeler_masks():
-            _assert_same_regions(find_regions_labeled(IrMask(bits)), bits)
+            _assert_same_regions(label_masks([MaskPixels.of(IrMask(bits))])[0], bits)
 
     def test_every_batch_size_matches_the_ndimage_reference(self):
         # masks of different sizes, with empty ones mixed in, in batches of
@@ -268,7 +310,7 @@ class TestLabelMasks:
 
 
 def _backprojected_depth_mm(contour, depth):
-    """Depth (mm) at which observe_batch backprojects a patch with this
+    """Depth (mm) at which observe_rows backprojects a patch with this
     contour, read back from a point on the optical axis; None without depth."""
     contour = np.asarray(contour)
     region = Region(pixels=contour, contour=contour)
@@ -276,8 +318,9 @@ def _backprojected_depth_mm(contour, depth):
                        identity_extrinsics(), center=(INTR.cx, INTR.cy))
     if obs is None:
         return None
-    assert obs.point_global[0] == obs.point_global[1] == 0.0
-    return round(obs.point_global[2] * 1000.0)
+    _, point, _, _ = obs
+    assert point[0] == point[1] == 0.0
+    return round(point[2] * 1000.0)
 
 
 class TestRegionDepth:
@@ -323,7 +366,7 @@ class TestSplitMergedRegion:
             bits[y, x] = True
             if depth[y, x] == 0:
                 depth[y, x] = 1500
-        regions = find_regions_labeled(IrMask(bits)).regions()
+        regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
         assert len(regions) == 1
         return regions[0], DepthFrame(depth), set(left), set(right)
 
@@ -349,7 +392,7 @@ class TestSplitMergedRegion:
         for x, y in a + b + bridge:
             bits[y, x] = True
             depth[y, x] = 1000 if x < 40 else 2000
-        region = find_regions_labeled(IrMask(bits)).region(0)
+        region = label_masks([MaskPixels.of(IrMask(bits))])[0].region(0)
         ests = [_est(1, 20, 20), _est(2, 60, 20)]
         clusters = split_merged_region(region, ests, DepthFrame(depth))
         for p in clusters[0]:
@@ -362,7 +405,7 @@ class TestSplitMergedRegion:
         bits[5, 5] = True
         depth = np.zeros((10, 10), dtype=np.uint16)
         depth[5, 5] = 1000
-        region = find_regions_labeled(IrMask(bits)).region(0)
+        region = label_masks([MaskPixels.of(IrMask(bits))])[0].region(0)
         with pytest.raises(SplitFailure):
             split_merged_region(region, [_est(1, 5, 5), _est(2, 5, 6)],
                                 DepthFrame(depth))
@@ -383,7 +426,7 @@ class TestSplitMergedRegion:
             for x, y in disk:
                 bits[y, x] = True
                 depth[y, x] = depth[y, x] or 1000 + 400 * k
-        region = find_regions_labeled(IrMask(bits)).region(0)
+        region = label_masks([MaskPixels.of(IrMask(bits))])[0].region(0)
         # the estimates in another order than the disks
         ests = [_est(2, 31, 20), _est(3, 42, 20), _est(1, 20, 20)]
         clusters = split_merged_region(region, ests, DepthFrame(depth))
@@ -424,18 +467,19 @@ class TestObserve:
             bits[y, x] = True
             depth[y, x] = 0
         # restore depth on the contour ring (the IR blob blooms past the hole)
-        region = find_regions_labeled(IrMask(bits)).region(0)
+        region = label_masks([MaskPixels.of(IrMask(bits))])[0].region(0)
         for u, v in region.contour:
             depth[v, u] = 1000
-        obs = _observe_one(_est(1, 160, 120), region, region.contour,
-                           DepthFrame(depth), INTR, identity_extrinsics())
-        np.testing.assert_allclose(obs.point_global, [0, 0, 1.0], atol=1e-6)
-        assert obs.normal_global is None  # patches carry no normal
+        _, point, _, normal = _observe_one(
+            _est(1, 160, 120), region, region.contour, DepthFrame(depth), INTR,
+            identity_extrinsics())
+        np.testing.assert_allclose(point, [0, 0, 1.0], atol=1e-6)
+        assert normal is None  # patches carry no normal
 
     def test_zero_depth_region_gives_no_observation(self):
         bits = np.zeros((240, 320), dtype=bool)
         bits[100:110, 100:110] = True
-        region = find_regions_labeled(IrMask(bits)).region(0)
+        region = label_masks([MaskPixels.of(IrMask(bits))])[0].region(0)
         assert _observe_one(_est(1, 105, 105), region, region.contour,
                             DepthFrame(np.zeros((240, 320), dtype=np.uint16)),
                             INTR, identity_extrinsics()) is None
@@ -443,7 +487,7 @@ class TestObserve:
 
 def _observe_reference(est, region, contour, depth, intr, extr,
                        center=None):
-    """One estimate, step by step as the docstring of observe_batch states it."""
+    """One estimate, step by step as the docstring of observe_rows states it."""
     cvals = depth[contour[:, 1], contour[:, 0]].astype(float)
     nonzero = sorted(cvals[cvals > 0])
     if not nonzero:
@@ -471,8 +515,8 @@ def _observe_reference(est, region, contour, depth, intr, extr,
     return to_global(point_cam, extr), normal_global
 
 
-# observe_batch and observe_frame as they were before the take pass, one
-# frame per call: the bit-equality reference of the gather and observe_rows.
+# Observation as it was before the take pass, one frame per call: the
+# bit-equality reference of the gather and observe_rows.
 
 def _reference_plane_normals(points, lengths):
     n = len(lengths)
@@ -563,18 +607,16 @@ def _reference_observe_batch(views):
             for k, i in enumerate(idx):
                 if facing[k]:
                     normals_global[i] = rotated[k]
-    out = [ViewObservation(reflector=item[0].reflector,
-                           point_global=points_global[i],
-                           e_total=item[0].e_total,
-                           normal_global=normals_global[i])
-           if has_depth[i] else None for i, item in enumerate(items)]
+    out = [(item[0].reflector, points_global[i], item[0].e_total,
+            normals_global[i]) if has_depth[i] else None
+           for i, item in enumerate(items)]
     ends = np.cumsum(counts).tolist()
     return [out[end - count:end] for count, end in zip(counts, ends)]
 
 
 def _reference_view_items(ests, mask, depth):
-    """One view's observe_batch items, each estimate looked up in the
-    reference labeling of its mask."""
+    """One view's (estimate, region, contour, center override) items, each
+    estimate looked up in the reference labeling of its mask."""
     regions, labels, origin = _reference_find_regions_labeled(mask)
     by_region = {}
     for e in ests:
@@ -607,14 +649,12 @@ def _reference_observe_frame(views):
 
 
 def _same_observation(a, b):
-    """Equal ViewObservations (or both None), bit for bit."""
+    """Equal observed rows (or both None), bit for bit."""
     if a is None or b is None:
         return a is b
-    return (a.reflector == b.reflector and a.e_total == b.e_total
-            and a.point_global.tobytes() == b.point_global.tobytes()
-            and (a.normal_global is None) == (b.normal_global is None)
-            and (a.normal_global is None
-                 or a.normal_global.tobytes() == b.normal_global.tobytes()))
+    return (a[0] == b[0] and a[2] == b[2] and a[1].tobytes() == b[1].tobytes()
+            and (a[3] is None) == (b[3] is None)
+            and (a[3] is None or a[3].tobytes() == b[3].tobytes()))
 
 
 class TestObserveBatch:
@@ -634,7 +674,7 @@ class TestObserveBatch:
             depth = (900 + 2.0 * xs + rng.uniform(-1, 1) * ys
                      + rng.normal(0, 3, (240, 320))).astype(np.uint16)
             depth[rng.random((240, 320)) < 0.2] = 0
-            regions = find_regions_labeled(IrMask(bits)).regions()
+            regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
             items = []
             for region in regions:
                 if rng.random() < 0.15:
@@ -648,7 +688,7 @@ class TestObserveBatch:
                 else:
                     items.append((est, region, region.contour, None))
             frame = DepthFrame(depth)
-            got, = observe_batch([(items, frame, INTR, extr)])
+            got, = _observe_items([(items, frame, INTR, extr)])
             assert len(got) == len(items)
             for (est, region, contour, center), obs in zip(items, got):
                 ref = _observe_reference(est, region, contour, depth, INTR,
@@ -659,19 +699,18 @@ class TestObserveBatch:
                     assert _observe_one(est, region, contour, frame, INTR,
                                         extr, center) is None
                     continue
-                assert obs.reflector == est.reflector
-                assert obs.e_total == est.e_total
-                np.testing.assert_allclose(obs.point_global, ref[0],
-                                           rtol=0, atol=1e-12)
-                assert (obs.normal_global is None) == (ref[1] is None)
+                reflector, point, e_total, normal = obs
+                assert reflector == est.reflector
+                assert e_total == est.e_total
+                np.testing.assert_allclose(point, ref[0], rtol=0, atol=1e-12)
+                assert (normal is None) == (ref[1] is None)
                 if ref[1] is not None:
                     normals_seen += 1
-                    np.testing.assert_allclose(obs.normal_global, ref[1],
-                                               rtol=0, atol=1e-9)
+                    np.testing.assert_allclose(normal, ref[1], rtol=0,
+                                               atol=1e-9)
                 single = _observe_one(est, region, contour, frame, INTR, extr,
                                       center)
-                np.testing.assert_array_equal(single.point_global,
-                                              obs.point_global)
+                np.testing.assert_array_equal(single[1], point)
         assert normals_seen >= 20 and no_depth_seen >= 10
 
     @staticmethod
@@ -699,7 +738,7 @@ class TestObserveBatch:
                  + rng.normal(0, 3, (h, w))).astype(np.uint16)
         depth[rng.random((h, w)) < 0.2] = 0
         items = []
-        for region in find_regions_labeled(IrMask(bits)).regions():
+        for region in label_masks([MaskPixels.of(IrMask(bits))])[0].regions():
             if rng.random() < 0.15:
                 depth[region.contour[:, 1], region.contour[:, 0]] = 0
             est = _est(int(rng.choice([11, 12, 16, 19, 20, 1, 2, 9])),
@@ -721,7 +760,7 @@ class TestObserveBatch:
             n_views = int(rng.integers(1, 5))
             views = [self._random_view(rng, int(rng.integers(0, 10)))
                      for _ in range(n_views)]
-            got = observe_batch(views)
+            got = _observe_items(views)
             assert len(got) == n_views
             # the frame as the per-frame reference observes it
             want = _reference_observe_batch(views)
@@ -730,7 +769,7 @@ class TestObserveBatch:
                        in zip(got, want) for a, b in zip(view_got, view_want))
             seen["views_4"] += n_views == 4
             for view, frame_obs in zip(views, got):
-                single, = observe_batch([view])
+                single, = _observe_items([view])
                 assert len(frame_obs) == len(single) == len(view[0])
                 seen["empty_view"] += not view[0]
                 seen["override"] += sum(item[3] is not None for item in view[0])
@@ -739,24 +778,19 @@ class TestObserveBatch:
                     if a is None:
                         seen["no_depth"] += 1
                         continue
-                    assert a.reflector == b.reflector and a.e_total == b.e_total
-                    assert a.point_global.tobytes() == b.point_global.tobytes()
+                    assert _same_observation(a, b)
                     # and R @ p + t of the view's own camera rounds alike
                     est, region, contour, center = item
                     ref = _observe_reference(est, region, contour,
                                              view[1].pixels, *view[2:], center)
-                    assert a.point_global.tobytes() == ref[0].tobytes()
-                    assert (a.normal_global is None) == (b.normal_global is None)
-                    if a.normal_global is not None:
-                        seen["normal"] += 1
-                        assert (a.normal_global.tobytes()
-                                == b.normal_global.tobytes())
+                    assert a[1].tobytes() == ref[0].tobytes()
+                    seen["normal"] += a[3] is not None
         assert min(seen.values()) >= 5, seen
 
     def test_empty_batch(self):
         depth = DepthFrame(np.zeros((4, 4), dtype=np.uint16))
-        assert observe_batch([]) == []
-        assert observe_batch([([], depth, INTR, identity_extrinsics())]) == [[]]
+        assert _observe_items([]) == []
+        assert _observe_items([([], depth, INTR, identity_extrinsics())]) == [[]]
 
 
 class TestPlaneNormalsOnRenderedRuns:
@@ -779,9 +813,12 @@ class TestPlaneNormalsOnRenderedRuns:
         for frame in range(0, 60, 6):
             views = render(rig, body, animate(body, script, frame),
                            noise_sigma_mm=3.0, seed=1, frame=frame)
-            observe_frame([([_est(a.reflector.index, *a.x_curr, conf=1.0)
-                             for a in rv.annotations], rv.mask, rv.depth, *rig[v])
-                           for v, rv in enumerate(views)])
+            labeled = label_masks([MaskPixels.of(rv.mask) for rv in views])
+            spatial.observe_rows(
+                [gather_view([_est(a.reflector.index, *a.x_curr, conf=1.0)
+                              for a in rv.annotations], regions, rv.depth, 0, v)
+                 for v, (rv, regions) in enumerate(zip(views, labeled))],
+                [rig[v] for v in range(len(views))])
         fitted = shared = 0
         for points, lengths in calls:
             idx, normals = plane_normals(points, lengths)
@@ -805,18 +842,18 @@ class TestObserveView:
         bits[50:56, 314:320] = True  # where u = -3 would wrap to
         bits[100:104, 200:210] = True
         depth = DepthFrame(np.full((240, 320), 1200, dtype=np.uint16))
-        regions = find_regions_labeled(IrMask(bits)).regions()
+        regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
         regions = [regions[0], regions[2]]
         on_a, on_b = _est(1, 62.4, 52.6), _est(2, 205, 101)
         ests = [_est(3, 150, 150), on_b, _est(4, -3, 52), on_a,
                 _est(5, 62, 240), _est(6, 319.6, 101)]
         got = _observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
         # in region order, each as the one-item batch observes it
-        assert [o.reflector.index for o in got] == [1, 2]
-        for obs, est, region in zip(got, (on_a, on_b), regions):
+        assert [r.index for r in got.reflectors] == [1, 2]
+        for point, est, region in zip(got.points, (on_a, on_b), regions):
             ref = _observe_one(est, region, region.contour, depth, INTR,
                                self.EXTR)
-            np.testing.assert_array_equal(obs.point_global, ref.point_global)
+            np.testing.assert_array_equal(point, ref[1])
 
     def test_failed_split_falls_back_to_top_ranked_estimate(self):
         bits = np.zeros((240, 320), dtype=bool)
@@ -824,7 +861,7 @@ class TestObserveView:
         raw = np.zeros((240, 320), dtype=np.uint16)
         raw[100, 102] = 1500  # one usable contour pixel for three estimates
         depth = DepthFrame(raw)
-        region = find_regions_labeled(IrMask(bits)).region(0)
+        region = label_masks([MaskPixels.of(IrMask(bits))])[0].region(0)
         with pytest.raises(SplitFailure):
             split_merged_region(region, [_est(1, 101, 101), _est(2, 103, 103)],
                                 depth)
@@ -832,11 +869,11 @@ class TestObserveView:
         ests = [_est(3, 101, 101, 0.9), _est(1, 102, 102, 0.7),
                 _est(2, 103, 103, 0.9)]
         got = _observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
-        assert [o.reflector.index for o in got] == [2]
+        assert [r.index for r in got.reflectors] == [2]
         ref = _observe_one(ests[2], region, region.contour, depth, INTR,
                            self.EXTR)
-        np.testing.assert_array_equal(got[0].point_global, ref.point_global)
-        assert got[0].e_total == 0.9
+        np.testing.assert_array_equal(got.points[0], ref[1])
+        assert got.e_totals == [0.9]
 
     def test_merged_region_split_among_its_estimates(self):
         region, depth, _, _ = TestSplitMergedRegion()._dumbbell()
@@ -846,34 +883,34 @@ class TestObserveView:
         got = _observe_view(ests, IrMask(bits), depth, INTR, self.EXTR)
         ranked = [ests[1], ests[0]]
         clusters = split_merged_region(region, ranked, depth)
-        assert [o.reflector.index for o in got] == [1, 2]
-        for obs, est, cluster in zip(got, ranked, clusters):
+        assert [r.index for r in got.reflectors] == [1, 2]
+        for point, est, cluster in zip(got.points, ranked, clusters):
             ref = _observe_one(est, region, cluster, depth, INTR, self.EXTR,
                                tuple(cluster.mean(axis=0)))
-            np.testing.assert_array_equal(obs.point_global, ref.point_global)
+            np.testing.assert_array_equal(point, ref[1])
 
     def test_no_estimates_or_empty_mask_give_nothing(self):
         depth = DepthFrame(np.full((240, 320), 1000, dtype=np.uint16))
         empty = IrMask(np.zeros((240, 320), dtype=bool))
         assert _observe_view([_est(1, 10, 10)], empty, depth, INTR,
-                             self.EXTR) == []
+                             self.EXTR).reflectors == []
         assert _observe_view([], IrMask(np.ones((240, 320), dtype=bool)),
-                             depth, INTR, self.EXTR) == []
+                             depth, INTR, self.EXTR).reflectors == []
 
 
-# The fusion of one reflector at a time, as it was before fuse_groups: the
-# bit-equality reference of the take pass.
+# The fusion of one reflector at a time, on observed rows: the bit-equality
+# reference of fuse_observations.
 
 def _reference_weighted_centroid(points, conf, total):
     return (conf / total) @ points if total > 0 else points.mean(axis=0)
 
 
 def _reference_fuse_patch(observations, frame=0):
-    pts = np.array([o.point_global for o in observations])
-    conf = np.array([o.e_total for o in observations])
+    pts = np.array([point for _, point, _, _ in observations])
+    conf = np.array([e_total for _, _, e_total, _ in observations])
     total = conf.sum()
     confidence = float(total / len(conf)) if total > 0 else 0.0
-    return OpticalPoint(observations[0].reflector,
+    return OpticalPoint(observations[0][0],
                         _reference_weighted_centroid(pts, conf, total),
                         confidence, frame)
 
@@ -891,39 +928,37 @@ def _reference_closest_points(p_i, n_i, p_j, n_j):
 
 
 def _reference_fuse_strap(observations, frame=0):
-    with_normals = [o for o in observations if o.normal_global is not None]
+    with_normals = [o for o in observations if o[3] is not None]
     points = []
     for a in range(len(with_normals)):
         for b in range(a + 1, len(with_normals)):
-            oi, oj = with_normals[a], with_normals[b]
-            pi, pj, d = _reference_closest_points(
-                oi.point_global, oi.normal_global, oj.point_global,
-                oj.normal_global)
+            _, p_i, e_i, n_i = with_normals[a]
+            _, p_j, e_j, n_j = with_normals[b]
+            q_i, q_j, d = _reference_closest_points(p_i, n_i, p_j, n_j)
             if d < PARALLEL_EPS:
                 continue
-            points.append((pi, oi.e_total))
-            points.append((pj, oj.e_total))
+            points.append((q_i, e_i))
+            points.append((q_j, e_j))
     if not points:
         return replace(_reference_fuse_patch(observations, frame), degraded=True)
     conf = np.array([w for _, w in points])
     position = _reference_weighted_centroid(np.array([p for p, _ in points]),
                                             conf, conf.sum())
-    e_totals = np.array([o.e_total for o in observations])
-    return OpticalPoint(observations[0].reflector, position,
+    e_totals = np.array([e_total for _, _, e_total, _ in observations])
+    return OpticalPoint(observations[0][0], position,
                         float(e_totals.sum() / len(e_totals)), frame)
 
 
 def _reference_single_view(obs, limb_radius, frame=0):
-    return OpticalPoint(obs.reflector,
-                        obs.point_global - limb_radius * obs.normal_global,
-                        obs.e_total, frame)
+    reflector, point, e_total, normal = obs
+    return OpticalPoint(reflector, point - limb_radius * normal, e_total, frame)
 
 
 def _reference_fuse_reflector(observations, limb_radius, frame=0):
-    reflector = observations[0].reflector
+    reflector = observations[0][0]
     if reflector.kind is ReflectorKind.PATCH:
         return _reference_fuse_patch(observations, frame)
-    with_normals = [o for o in observations if o.normal_global is not None]
+    with_normals = [o for o in observations if o[3] is not None]
     if len(with_normals) == 1:
         return _reference_single_view(with_normals[0], limb_radius, frame)
     if not with_normals:
@@ -934,7 +969,7 @@ def _reference_fuse_reflector(observations, limb_radius, frame=0):
         return point
     offsets = np.array([_reference_single_view(o, limb_radius, frame).position
                         for o in with_normals])
-    conf = np.array([o.e_total for o in with_normals])
+    conf = np.array([e_total for _, _, e_total, _ in with_normals])
     total = conf.sum()
     return OpticalPoint(reflector, _reference_weighted_centroid(offsets, conf, total),
                         float(total / len(conf)), frame, degraded=True)
@@ -952,7 +987,7 @@ def _unit(v):
 
 
 def _random_group(rng, radius):
-    """One seeded (frame, observations, radius) group of 1-5 views.
+    """One seeded (observed rows, radius) group of 1-5 views.
 
     Straps get 0, 1 or several normals: all facing one axis point (a
     normal-line point near the surface), random, or near-parallel (a point
@@ -987,10 +1022,10 @@ def _random_group(rng, radius):
             # a parallel or antiparallel pair
             a, b = with_normal[:2]
             normals[b] = normals[a] * rng.choice([1.0, -1.0])
-    obs = [ViewObservation(ReflectorId(idx), points[v], float(conf[v]),
-                           None if normals[v] is None else np.array(normals[v]))
+    obs = [(ReflectorId(idx), points[v], float(conf[v]),
+            None if normals[v] is None else np.array(normals[v]))
            for v in range(k)]
-    return int(rng.integers(0, 300)), obs, radius if strap else None
+    return obs, radius if strap else None
 
 
 class TestFuseGroups:
@@ -999,24 +1034,19 @@ class TestFuseGroups:
     def test_equals_the_per_reflector_reference_bit_for_bit(self):
         rng = np.random.default_rng(2024)
         groups = [_random_group(rng, self.RADIUS) for _ in range(600)]
-        fused = fuse_groups(groups)
+        radii = {i: self.RADIUS for i in (11, 12, 16, 19, 25)}
+        # group g in frame g, so that no two groups merge
+        fused = _fuse_observed([o for obs, _ in groups for o in obs], radii,
+                               [g for g, (obs, _) in enumerate(groups)
+                                for _ in obs])
         assert len(fused) == len(groups)
         branches = {}
-        for (frame, obs, radius), got in zip(groups, fused):
+        for frame, ((obs, radius), got) in enumerate(zip(groups, fused)):
             want = _reference_fuse_reflector(obs, radius, frame)
             _assert_same_point(got, want)
-            # the one-group public functions are the same arithmetic
-            _assert_same_point(fuse_reflector(obs, radius, frame), want)
-            _assert_same_point(fuse_patch(obs, frame),
-                               _reference_fuse_patch(obs, frame))
-            with_normals = [o for o in obs if o.normal_global is not None]
-            if len(with_normals) >= 2:
-                _assert_same_point(fuse_strap(obs, frame),
-                                   _reference_fuse_strap(obs, frame))
-            if with_normals and radius is not None:
-                _assert_same_point(
-                    fuse_strap_single_view(with_normals[0], radius, frame),
-                    _reference_single_view(with_normals[0], radius, frame))
+            # a group fused on its own is the same arithmetic
+            _assert_same_point(_fuse_observed(obs, radii, frame)[0], want)
+            with_normals = [o for o in obs if o[3] is not None]
             kind = ("patch" if radius is None else
                     f"strap, {min(len(with_normals), 2)} normals")
             if len(with_normals) >= 2:
@@ -1035,46 +1065,44 @@ class TestFuseGroups:
             "strap, 2 normals, near", "strap, 2 normals, far, 8+ points",
             "strap, 2 normals, near, 8+ points"}, branches
         assert min(branches.values()) >= 5, branches
-        sizes = {len(obs) for _, obs, _ in groups}
+        sizes = {len(obs) for obs, _ in groups}
         assert sizes == {1, 2, 3, 4, 5}
-        assert any(not any(o.e_total for o in obs) for _, obs, _ in groups)
+        assert any(not any(o[2] for o in obs) for obs, _ in groups)
 
     def test_first_bad_group_names_its_error(self):
-        patch = (0, [_obs(1, [0, 0, 1], 0.9)], None)
-        no_radius = (1, [_obs(16, [0, 0, 1], 0.9)], None)
-        negative = (2, [_obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1])], -0.01)
+        patch = _obs(1, [0, 0, 1], 0.9)
+        no_radius = _obs(16, [0, 0, 1], 0.9)
+        negative = _obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1])
         # a strap without a normal never reads its radius
-        unread = (3, [_obs(12, [0, 0, 1], 0.9)], -0.01)
-        assert fuse_groups([patch, unread])[1].degraded
+        unread = _obs(12, [0, 0, 1], 0.9)
+        radii = {11: -0.01, 12: -0.01}
+        assert _fuse_observed([patch, unread], radii, [0, 1])[1].degraded
+        # groups come in (frame, reflector) order
         with pytest.raises(CalibrationInputError, match="strap 16"):
-            fuse_groups([patch, no_radius, negative])
+            _fuse_observed([patch, no_radius, negative], radii, [0, 1, 2])
         with pytest.raises(ValidationError, match="limb radius"):
-            fuse_groups([patch, negative, no_radius])
-        with pytest.raises(ValidationError, match="at least one observation"):
-            fuse_groups([patch, (4, [], None)])
-        assert fuse_groups([]) == []
+            _fuse_observed([patch, negative, no_radius], radii, [0, 1, 2])
+        assert _fuse_observed([], radii) == []
 
 
 class TestFuseReflector:
     RADIUS = 0.03
+    RADII = {11: RADIUS, 12: RADIUS, 16: RADIUS}
 
     def test_patch_is_the_weighted_centroid(self):
         obs = [_obs(1, [0, 0, 1], 0.9), _obs(1, [0.1, 0, 1], 0.3)]
-        fused = fuse_reflector(obs, None, frame=3)
-        ref = fuse_patch(obs, 3)
-        np.testing.assert_array_equal(fused.position, ref.position)
-        assert fused.confidence == ref.confidence
+        fused, = _fuse_observed(obs, self.RADII, 3)
+        _assert_same_point(fused, _reference_fuse_patch(obs, 3))
         assert fused.frame == 3 and not fused.degraded
 
     def test_normal_line_point(self):
         target = np.array([0.0, 0.0, 1.0])
         obs = [_obs(11, target + [0, 0, -0.03], 0.9, normal=[0, 0, -1]),
                _obs(11, target + [-0.03, 0, 0], 0.7, normal=[-1, 0, 0])]
-        fused = fuse_reflector(obs, self.RADIUS, frame=4)
-        ref = fuse_strap(obs, 4)
-        np.testing.assert_array_equal(fused.position, ref.position)
+        fused, = _fuse_observed(obs, self.RADII, 4)
+        _assert_same_point(fused, _reference_fuse_strap(obs, 4))
         np.testing.assert_allclose(fused.position, target, atol=1e-12)
-        assert fused.confidence == ref.confidence and not fused.degraded
+        assert not fused.degraded
 
     def test_far_normal_line_point_falls_back_to_offset_mean(self):
         # nearly parallel normals meet about 2 m away from the surface
@@ -1082,9 +1110,10 @@ class TestFuseReflector:
         obs = [_obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1]),
                _obs(11, [0.02, 0, 1], 0.6, normal=n2),
                _obs(11, [0.01, 0.01, 1], 0.5)]  # no normal
-        line = fuse_strap(obs, 0).position
-        assert np.linalg.norm(line - fuse_patch(obs).position) > 2.5 * self.RADIUS
-        fused = fuse_reflector(obs, self.RADIUS, frame=5)
+        line = _reference_fuse_strap(obs).position
+        assert (np.linalg.norm(line - _reference_fuse_patch(obs).position)
+                > 2.5 * self.RADIUS)
+        fused, = _fuse_observed(obs, self.RADII, 5)
         offsets = [np.array([0, 0, 1]) + self.RADIUS * np.array([0, 0, 1]),
                    np.array([0.02, 0, 1]) - self.RADIUS * n2]
         expected = (0.9 * offsets[0] + 0.6 * offsets[1]) / 1.5
@@ -1095,48 +1124,46 @@ class TestFuseReflector:
     def test_single_view_normal_offsets_by_the_radius(self):
         obs = [_obs(12, [0.2, 0, 1], 0.8, normal=[0, 0, -1]),
                _obs(12, [0.3, 0, 1], 0.9)]
-        fused = fuse_reflector(obs, self.RADIUS, frame=2)
+        fused, = _fuse_observed(obs, self.RADII, 2)
         np.testing.assert_allclose(fused.position, [0.2, 0, 1.03], atol=1e-15)
         assert fused.confidence == 0.8 and not fused.degraded
 
     def test_no_normal_gives_degraded_surface_point(self):
         obs = [_obs(16, [0, 0, 1], 0.9), _obs(16, [0.1, 0, 1], 0.3)]
-        fused = fuse_reflector(obs, self.RADIUS, frame=6)
-        surface = fuse_patch(obs, 6)
-        np.testing.assert_array_equal(fused.position, surface.position)
-        assert fused.confidence == surface.confidence
-        assert fused.degraded and fused.frame == 6
+        fused, = _fuse_observed(obs, self.RADII, 6)
+        _assert_same_point(fused, replace(_reference_fuse_patch(obs, 6),
+                                          degraded=True))
 
     def test_strap_without_radius_rejected(self):
         obs = [_obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1])]
         with pytest.raises(CalibrationInputError, match="strap 11"):
-            fuse_reflector(obs, None)
+            _fuse_observed(obs, {})
 
 
 class TestFusePatch:
     def test_equal_confidences_give_centroid(self):
         obs = [_obs(1, [0, 0, 1], 0.5), _obs(1, [1, 0, 1], 0.5)]
-        fused = fuse_patch(obs)
+        fused, = _fuse_observed(obs, {})
         np.testing.assert_allclose(fused.position, [0.5, 0, 1])
         assert fused.confidence == pytest.approx(0.5)
 
     def test_zero_weight_view_ignored(self):
         obs = [_obs(1, [1, 2, 3], 1.0), _obs(1, [9, 9, 9], 0.0)]
-        fused = fuse_patch(obs)
+        fused, = _fuse_observed(obs, {})
         np.testing.assert_allclose(fused.position, [1, 2, 3])
 
     def test_matches_scalar_expansion_oracle(self):
         pts = np.array([[0.1, 0.2, 1.0], [0.4, -0.1, 1.2], [-0.2, 0.3, 0.9]])
         conf = np.array([0.9, 0.6, 0.3])
         obs = [_obs(1, p, c) for p, c in zip(pts, conf)]
-        fused = fuse_patch(obs)
+        fused, = _fuse_observed(obs, {})
         expected = sum((conf[i] / conf.sum()) * pts[i] for i in range(3))
         np.testing.assert_allclose(fused.position, expected, atol=1e-12)
         assert fused.confidence == pytest.approx(conf.mean())
 
     def test_all_zero_confidence_falls_back_to_centroid(self):
         obs = [_obs(1, [0, 0, 0], 0.0), _obs(1, [2, 0, 0], 0.0)]
-        fused = fuse_patch(obs)
+        fused, = _fuse_observed(obs, {})
         np.testing.assert_allclose(fused.position, [1, 0, 0])
         assert fused.confidence == 0.0
 
@@ -1146,22 +1173,26 @@ class TestFusePatch:
             pts = rng.normal(size=(4, 3))
             conf = rng.random(4)
             obs = [_obs(1, p, c) for p, c in zip(pts, conf)]
-            fused = fuse_patch(obs).position
+            fused = _fuse_observed(obs, {})[0].position
             lo = pts.min(axis=0) - 1e-12
             hi = pts.max(axis=0) + 1e-12
             assert np.all(fused >= lo) and np.all(fused <= hi)
             scaled = [_obs(1, p, 3.7 * c) for p, c in zip(pts, conf)]
-            np.testing.assert_allclose(fuse_patch(scaled).position, fused, atol=1e-12)
+            np.testing.assert_allclose(_fuse_observed(scaled, {})[0].position,
+                                       fused, atol=1e-12)
 
 
 class TestStrapFusion:
+    # a radius so large that the normal-line point never fails the gap test
+    RADII = {11: 1e3}
+
     def test_intersecting_normal_lines_recover_common_point(self):
         target = np.array([0.0, 0.0, 1.0])
         p1 = target + 0.03 * np.array([0.0, 0.0, -1.0])
         p2 = target + 0.03 * np.array([-1.0, 0.0, 0.0])
         obs = [_obs(11, p1, 1.0, normal=[0, 0, -1]),
                _obs(11, p2, 1.0, normal=[-1, 0, 0])]
-        fused = fuse_strap(obs)
+        fused, = _fuse_observed(obs, self.RADII)
         np.testing.assert_allclose(fused.position, target, atol=1e-12)
         assert not fused.degraded
 
@@ -1172,37 +1203,45 @@ class TestStrapFusion:
         n1 /= np.linalg.norm(n1)
         n2 = rng.normal(size=3)
         n2 /= np.linalg.norm(n2)
-        a1, a2, _ = closest_points_on_normal_lines(p1, n1, p2, n2)
-        b2, b1, _ = closest_points_on_normal_lines(p2, n2, p1, n1)
-        np.testing.assert_allclose(a1, b1, atol=1e-12)
-        np.testing.assert_allclose(a2, b2, atol=1e-12)
+        a = _obs(11, p1, 0.7, normal=n1)
+        b = _obs(11, p2, 0.4, normal=n2)
+        forward, = _fuse_observed([a, b], self.RADII)
+        backward, = _fuse_observed([b, a], self.RADII)
+        assert not forward.degraded and not backward.degraded
+        np.testing.assert_allclose(forward.position, backward.position,
+                                   atol=1e-12)
+        _assert_same_point(forward, _reference_fuse_strap([a, b]))
 
     def test_parallel_normals_fall_back_degraded(self):
         obs = [_obs(11, [0, 0, 1], 1.0, normal=[0, 0, -1]),
                _obs(11, [0.1, 0, 1], 1.0, normal=[0, 0, -1])]
-        fused = fuse_strap(obs)
+        fused, = _fuse_observed(obs, self.RADII)
         assert fused.degraded
         np.testing.assert_allclose(fused.position, [0.05, 0, 1], atol=1e-12)
 
-    def test_requires_two_normals(self):
-        with pytest.raises(ValidationError):
-            fuse_strap([_obs(11, [0, 0, 1], 1.0, normal=[0, 0, -1])])
+    def test_one_normal_is_the_single_view_offset(self):
+        obs = [_obs(11, [0, 0, 1], 1.0, normal=[0, 0, -1]),
+               _obs(11, [0.1, 0, 1], 1.0)]
+        fused, = _fuse_observed(obs, {11: 0.04})
+        _assert_same_point(fused, _reference_single_view(obs[0], 0.04))
 
 
 class TestStrapSingleView:
     def test_axis_offset(self):
         obs = _obs(11, [0, 0, 1.0], 1.0, normal=[0, 0, -1])
-        fused = fuse_strap_single_view(obs, limb_radius=0.04)
+        fused, = _fuse_observed([obs], {11: 0.04})
         np.testing.assert_allclose(fused.position, [0, 0, 1.04])
 
     def test_zero_radius_keeps_surface_point(self):
         obs = _obs(11, [0.2, 0.1, 1.0], 1.0, normal=[0, 0, -1])
-        fused = fuse_strap_single_view(obs, limb_radius=0.0)
+        fused, = _fuse_observed([obs], {11: 0.0})
         np.testing.assert_allclose(fused.position, [0.2, 0.1, 1.0])
 
-    def test_missing_normal_rejected(self):
-        with pytest.raises(ValidationError):
-            fuse_strap_single_view(_obs(11, [0, 0, 1], 1.0), 0.04)
+    def test_missing_normal_gives_degraded_surface_point(self):
+        obs = _obs(11, [0.2, 0.1, 1.0], 1.0)
+        fused, = _fuse_observed([obs], {11: 0.04})
+        assert fused.degraded
+        np.testing.assert_array_equal(fused.position, [0.2, 0.1, 1.0])
 
 
 class TestOpticalFrame:
@@ -1238,11 +1277,12 @@ class TestMultiViewConsistency:
             for x, y in _disk_pixels(int(round(u)), int(round(v)), 4):
                 bits[y, x] = True
                 depth[y, x] = 0
-            region = find_regions_labeled(IrMask(bits)).region(0)
+            region = label_masks([MaskPixels.of(IrMask(bits))])[0].region(0)
             for cu, cv in region.contour:
                 depth[cv, cu] = wall_mm  # hole rim keeps wall depth
-            obs = _observe_one(_est(1, u, v), region, region.contour,
-                               DepthFrame(depth), INTR, extr)
-            observations.append(obs.point_global)
+            _, point, _, _ = _observe_one(_est(1, u, v), region,
+                                          region.contour, DepthFrame(depth),
+                                          INTR, extr)
+            observations.append(point)
         gap = np.linalg.norm(observations[0] - observations[1])
         assert gap <= 2e-3, f"views disagree by {gap * 1000:.2f} mm"

@@ -13,10 +13,10 @@ from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, MultiViewRig,
 from mocap_geom.errors import ValidationError
 from mocap_geom.maps import Annotation2D, ReflectorEstimate2D
 from mocap_geom.skeleton import JOINT_BY_NAME, JOINTS, Pose, rotation_about
-from mocap_geom.spatial import (_rotate_rows, find_regions_labeled, fuse_strap,
-                                fuse_strap_single_view, observe_batch)
+from mocap_geom.spatial import MaskPixels, _rotate_rows, label_masks
 from mocap_geom.synth import (MOTION_NAMES, MotionScript, SyntheticBody, animate,
                               default_rig, reflector_positions, render)
+from test_spatial import _fuse_observed, _observe_items
 
 
 def _est(idx, x, y, conf=0.9):
@@ -66,6 +66,13 @@ class TestAnimate:
 
 
 class TestReflectorPositions:
+    def test_reflector_with_two_sites_rejected(self):
+        # reflector 1 is a patch; a strap site on it used to fail in render
+        sites = {**synth.STRAP_SITES, 1: synth.StrapSite("left_knee")}
+        with pytest.raises(ValidationError, match="reflector 1 "):
+            SyntheticBody(template=SyntheticBody.default().template,
+                          strap_sites=sites)
+
     def test_strap_axis_points_sit_just_proximal_of_joints(self):
         body = SyntheticBody.default()
         pose = animate(body, MotionScript("rest", duration=1), 0)
@@ -157,7 +164,7 @@ class TestRender:
     def test_holes_have_measurable_contours(self):
         views = render(self.rig, self.body, self.pose)
         for rv in views:
-            regions = find_regions_labeled(rv.mask).regions()
+            regions = label_masks([MaskPixels.of(rv.mask)])[0].regions()
             assert regions
             with_depth = 0
             for region in regions:
@@ -169,7 +176,7 @@ class TestRender:
     def test_annotated_footprints_meet_minimum_size(self):
         views = render(self.rig, self.body, self.pose)
         for rv in views:
-            regions = find_regions_labeled(rv.mask).regions()
+            regions = label_masks([MaskPixels.of(rv.mask)])[0].regions()
             for a in rv.annotations:
                 ui = int(round(a.x_curr[0]))
                 vi = int(round(a.x_curr[1]))
@@ -1033,23 +1040,23 @@ class TestStrapGeometryThroughPipeline:
             ann = [a for a in rv.annotations if a.reflector.index == idx]
             if not ann:
                 continue
-            regions = find_regions_labeled(rv.mask).regions()
+            regions = label_masks([MaskPixels.of(rv.mask)])[0].regions()
             ui = int(round(ann[0].x_curr[0]))
             vi = int(round(ann[0].x_curr[1]))
             region = min(regions, key=lambda r: np.hypot(
                 *(r.pixels.mean(axis=0) - (ui, vi))))
             intr, extr = rig[v]
             est = _est(idx, ann[0].x_curr[0], ann[0].x_curr[1], conf=1.0)
-            obs.append(observe_batch([([(est, region, region.contour, None)],
-                                       rv.depth, intr, extr)])[0][0])
+            obs.append(_observe_items([([(est, region, region.contour, None)],
+                                        rv.depth, intr, extr)])[0][0])
         return obs
 
     def test_two_view_fusion_recovers_axis_point_within_5mm(self):
         body, rig, pose, views, samples = self._cylinder_views(num_views=2)
         obs = self._observe_strap(body, rig, views, idx=20)
         assert len(obs) == 2
-        assert all(o.normal_global is not None for o in obs)
-        fused = fuse_strap(obs)
+        assert all(normal is not None for *_, normal in obs)
+        fused, = _fuse_observed(obs, {20: 0.03})
         assert not fused.degraded
         err = np.linalg.norm(fused.position - samples[20].axis_point)
         assert err < 0.005, f"axis error {err * 1000:.2f} mm"
@@ -1058,17 +1065,17 @@ class TestStrapGeometryThroughPipeline:
         body, rig, pose, views, samples = self._cylinder_views(num_views=1)
         obs = self._observe_strap(body, rig, views, idx=20)
         assert len(obs) == 1
-        fused = fuse_strap_single_view(obs[0], limb_radius=0.03)
+        fused, = _fuse_observed(obs, {20: 0.03})
         err = np.linalg.norm(fused.position - samples[20].axis_point)
         assert err < 0.005, f"axis error {err * 1000:.2f} mm"
 
     def test_surface_normal_within_5_degrees_of_cylinder_normal(self):
         body, rig, pose, views, samples = self._cylinder_views(num_views=1)
-        obs = self._observe_strap(body, rig, views, idx=20)[0]
+        *_, normal = self._observe_strap(body, rig, views, idx=20)[0]
         _, extr = rig[0]
         sample = samples[20]
         true_surface = sample.surface_point_toward(extr.translation)
         true_normal = true_surface - sample.axis_point
         true_normal = true_normal / np.linalg.norm(true_normal)
-        cos = abs(float(obs.normal_global @ true_normal))
+        cos = abs(float(normal @ true_normal))
         assert np.degrees(np.arccos(min(cos, 1.0))) < 5.0
