@@ -181,6 +181,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
             value = _value(raw, like, where)
             if (section, key) in _POSITIVE and value <= 0:
                 raise ValidationError(f"{where}: must be positive, got {raw!r}")
+            if (section, key) == ("pipeline", "fps") and 1.0 / value == math.inf:
+                raise ValidationError(f"{where}: 1/fps must be finite, got {raw!r}")
             if (section, key) in _NON_NEGATIVE and value < 0:
                 raise ValidationError(f"{where}: must be >= 0, got {raw!r}")
             groups.setdefault(group, {})[name] = value

@@ -1,8 +1,13 @@
-"""Constant-velocity Kalman smoothing of per-reflector optical points."""
+"""Constant-velocity Kalman smoothing of per-reflector optical points.
+
+Every matrix of the filter (transition, noises, initial covariance and so
+every covariance after them) is a 2×2 (position, velocity) matrix M ⊗ I₃,
+so each axis is the same 1-D filter with a shared gain (Bar-Shalom, Li &
+Kirubarajan 2001), and a track keeps only M.
+"""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,51 +39,22 @@ class TrackState:
 
     position: np.ndarray  # (3,)
     velocity: np.ndarray  # (3,)
-    covariance: np.ndarray  # (6, 6) SPD
+    covariance: np.ndarray  # (2, 2) SPD, the same for each axis
 
 
 def init_state(measurement: np.ndarray, params: KalmanParams) -> TrackState:
     """First measurement seeds the state at the measurement, velocity zero."""
-    cov = np.diag([params.init_pos_var] * 3 + [params.init_vel_var] * 3)
-    return TrackState(np.asarray(measurement, dtype=np.float64).copy(),
-                      np.zeros(3), cov)
-
-
-# Transition/noise matrices depend only on (dt, params); cache them.
-@functools.lru_cache(maxsize=16)
-def _matrices(dt: float, params: KalmanParams):
-    F = np.eye(6)
-    F[:3, 3:] = dt * np.eye(3)
-    q = params.accel_noise ** 2
-    Q = np.zeros((6, 6))
-    Q[:3, :3] = q * (dt ** 4 / 4.0) * np.eye(3)
-    Q[:3, 3:] = q * (dt ** 3 / 2.0) * np.eye(3)
-    Q[3:, :3] = q * (dt ** 3 / 2.0) * np.eye(3)
-    Q[3:, 3:] = q * (dt ** 2) * np.eye(3)
-    H = np.zeros((3, 6))
-    H[:, :3] = np.eye(3)
-    R = params.meas_noise ** 2 * np.eye(3)
-    return F, Q, H, R
+    return TrackState(np.asarray(measurement, dtype=np.float64).copy(), np.zeros(3),
+                      np.diag([params.init_pos_var, params.init_vel_var]))
 
 
 def _not_spd(p: np.ndarray) -> np.ndarray:
-    """Mask of the covariances in the stack ``p`` that are not SPD.
-
-    One stacked ``cholesky`` checks them all; only when it fails is each
-    covariance tested on its own.
-    """
-    try:
-        np.linalg.cholesky(p)
-        return np.zeros(len(p), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    lost = np.zeros(len(p), dtype=bool)
-    for j, cov in enumerate(p):
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            lost[j] = True
-    return lost
+    """Mask of the 2×2 covariances in the stack ``p`` that are not SPD: a
+    Cholesky pivot, ``a`` or ``c - (b / sqrt(a))^2``, is not > 0 (NaN is not)."""
+    a, b, c = p[:, 0, 0], p[:, 1, 0], p[:, 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l21 = b * (1.0 / np.sqrt(a))
+        return ~((a > 0) & (c - l21 * l21 > 0))
 
 
 class ReflectorTracker:
@@ -87,15 +63,21 @@ class ReflectorTracker:
     Each track is a constant-velocity filter: ``step`` predicts every track
     one ``dt`` ahead and updates the measured ones with their new
     positions, all tracks at once with batched matrix ops.  No track
-    depends on the others it is stepped with.
+    depends on the others it is stepped with.  Every matrix of the filter
+    is M ⊗ I₃ for a 2×2 (position, velocity) M, so the three axes of a
+    track share its one 2×2 covariance and gain.
     """
 
     def __init__(self, dt: float, params: KalmanParams = KalmanParams()):
-        if dt <= 0:
-            raise ValidationError("dt must be positive")
+        # written so that NaN, for which every comparison is False, fails
+        if not 0 < dt < math.inf:
+            raise ValidationError(f"dt must be finite and positive, got {dt}")
         self.dt = dt
         self.params = params
         self.states: dict[int, TrackState] = {}
+        self._F = np.array([[1.0, dt], [0.0, 1.0]])
+        self._Q = params.accel_noise ** 2 * np.array(
+            [[dt ** 4 / 4.0, dt ** 3 / 2.0], [dt ** 3 / 2.0, dt ** 2]])
 
     def step(self, frame: OpticalFrame) -> OpticalFrame:
         """Smooth one frame; tracks without a measurement coast silently.
@@ -105,7 +87,6 @@ class ReflectorTracker:
         it has none this frame; the other tracks are unaffected.
         """
         out = OpticalFrame(frame=frame.frame)
-        F, Q, H, R = _matrices(self.dt, self.params)
         points = frame.points
         measured = sorted(points)
         update_ids = [i for i in measured if i in self.states]
@@ -119,31 +100,27 @@ class ReflectorTracker:
         if not batch:
             return out
         states = [self.states[i] for i in batch]
-        x = np.empty((len(batch), 6))
-        x[:, :3] = [s.position for s in states]
-        x[:, 3:] = [s.velocity for s in states]
-        p = np.array([s.covariance for s in states])
-        x = x @ F.T
-        p = F @ p @ F.T + Q
+        x = self._F @ np.array([(s.position, s.velocity) for s in states])
+        p = self._F @ np.array([s.covariance for s in states]) @ self._F.T + self._Q
         p = 0.5 * (p + np.transpose(p, (0, 2, 1)))
         lost = _not_spd(p)
         # A lost track restarts or is dropped below; an identity covariance
-        # keeps its row of the update finite (no singular innovation).
-        p[lost] = np.eye(6)
+        # keeps its row of the update finite (no zero innovation variance).
+        p[lost] = np.eye(2)
         n_up = len(update_ids)
         if n_up:
             z = np.array([points[i].position for i in update_ids])
-            innovation = z - x[:n_up, :3]
-            s = p[:n_up, :3, :3] + R
-            k = p[:n_up, :, :3] @ np.linalg.inv(s)
-            x[:n_up] += (k @ innovation[:, :, None])[:, :, 0]
-            p[:n_up] = (np.eye(6) - k @ H) @ p[:n_up]
+            innovation = z - x[:n_up, 0]
+            gain = p[:n_up, :, 0] * (
+                1.0 / (p[:n_up, 0, 0] + self.params.meas_noise ** 2))[:, None]
+            x[:n_up] += gain[:, :, None] * innovation[:, None, :]
+            p[:n_up] = (np.eye(2) - gain[:, :, None] * [1.0, 0.0]) @ p[:n_up]
             p[:n_up] = 0.5 * (p[:n_up] + np.transpose(p[:n_up], (0, 2, 1)))
             lost[:n_up] |= _not_spd(p[:n_up])
         # Rows of this step's fresh arrays; nothing updates them in place.
         for j, idx in enumerate(batch):
             if not lost[j]:
-                self.states[idx] = TrackState(x[j, :3], x[j, 3:], p[j])
+                self.states[idx] = TrackState(x[j, 0], x[j, 1], p[j])
             elif j < n_up:
                 self.states[idx] = init_state(points[idx].position, self.params)
             else:
@@ -153,7 +130,7 @@ class ReflectorTracker:
             if lost[j]:
                 out.add(point)
             else:
-                out.add(OpticalPoint(point.reflector, x[j, :3].copy(),
+                out.add(OpticalPoint(point.reflector, x[j, 0].copy(),
                                      point.confidence, point.frame,
                                      degraded=point.degraded))
         return out

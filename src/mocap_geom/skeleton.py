@@ -283,12 +283,6 @@ def kabsch(refs: np.ndarray, obs: np.ndarray,
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def quat_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) from a rotation matrix: the one-matrix
-    case of :func:`quats_from_matrices`."""
-    return quats_from_matrices(np.asarray(m)[None])[0]
-
-
 def quats_from_matrices(ms: np.ndarray) -> np.ndarray:
     """Unit quaternions (w, x, y, z) of a stack of rotation matrices, one
     row per (3, 3) matrix.
@@ -334,29 +328,24 @@ class Pose:
     """Global joint positions and orientations for one frame.
 
     A fitted pose holds a rotation matrix per joint; its quaternions are
-    derived from them on first use.  A pose read from ``motion.jsonl``
-    holds the positions and the quaternions of the file and no rotation
-    matrices, so write -> read -> write reproduces the file byte for byte.
+    derived from them by ``derive_quaternions`` when it is written.  A pose
+    read from ``motion.jsonl`` holds the positions and the quaternions of
+    the file and no rotation matrices, so write -> read -> write reproduces
+    the file byte for byte.
     """
 
     frame: int
     positions: dict[str, np.ndarray]
     rotations: dict[str, np.ndarray]  # 3x3 global orientation; empty when read
     gap: bool = False  # the root was missing; pose carried from previous
-    # (w, x, y, z) per joint: read from the file, or cached by quaternion()
+    # (w, x, y, z) per joint: read from the file, or filled from the
+    # rotations by derive_quaternions
     quaternions: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def quaternion(self, name: str) -> np.ndarray:
-        q = self.quaternions.get(name)
-        if q is None:
-            q = self.quaternions[name] = quat_from_matrix(self.rotations[name])
-        return q
 
 
 def derive_quaternions(poses: list[Pose]) -> None:
-    """Cache the quaternion of every joint of every pose that lacks one,
-    all derived in one :func:`quats_from_matrices` pass; ``quaternion``
-    then returns them, as if it had derived each one itself."""
+    """Fill ``Pose.quaternions`` for every joint of every pose that lacks
+    one, all derived in one :func:`quats_from_matrices` pass."""
     missing = [(pose, j.name) for pose in poses for j in JOINTS
                if pose.quaternions.get(j.name) is None]
     if missing:

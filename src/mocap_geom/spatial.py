@@ -134,9 +134,6 @@ class MaskRegions:
         return Region(pixels=self.pixels[start:int(self.ends[k])],
                       contour=self.contour[c_start:int(self.contour_ends[k])])
 
-    def regions(self) -> list[Region]:
-        return [self.region(k) for k in range(len(self))]
-
 
 def label_masks(masks: Sequence[MaskPixels]) -> list[MaskRegions]:
     """Label the 8-connected regions of a batch of masks in one pass.

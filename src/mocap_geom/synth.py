@@ -10,6 +10,7 @@ output is a pure function of (body, script, rig, seed).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -181,6 +182,10 @@ class MotionScript:
                                   f"known: {', '.join(MOTION_NAMES)}")
         if self.duration < 1:
             raise ValidationError("duration must be >= 1 frame")
+        # written so that NaN, for which every comparison is False, fails
+        if not (0 < self.rate < math.inf and 1.0 / self.rate < math.inf):
+            raise ValidationError(f"rate and 1/rate must be finite and positive, "
+                                  f"got {self.rate}")
 
 
 def _cycle(t: float, period: float = 2.0) -> float:

@@ -39,7 +39,7 @@ from mocap_geom.spatial import (MaskPixels, OpticalFrame, OpticalPoint,
                                 label_masks)
 from mocap_geom.synth import (MotionScript, SyntheticBody, animate,
                               default_rig, reflector_positions, render)
-from test_spatial import _fuse_observed, _observe_items
+from test_spatial import _fuse_observed, _observe_items, _regions
 
 PARAMS = MapSynthesisParams()
 
@@ -223,7 +223,7 @@ def _cylinder_scene(num_views):
         ann = [a for a in rv.annotations if a.reflector.index == 20]
         if not ann:
             continue
-        regions = label_masks([MaskPixels.of(rv.mask)])[0].regions()
+        regions = _regions(rv.mask)
         region = min(regions, key=lambda r: np.hypot(
             *(r.pixels.mean(axis=0) - ann[0].x_curr)))
         intr, extr = rig[v]

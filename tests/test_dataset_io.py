@@ -19,7 +19,7 @@ from mocap_geom.maps import (Annotation2D, ConfidenceMap, FlowField,
                              MapSynthesisParams, ReflectorEstimate2D,
                              synth_confidence_map, synth_flow_field)
 from mocap_geom.skeleton import (JOINTS, Pose, SkeletonTemplate,
-                                 quat_from_matrix, rotation_about)
+                                 quats_from_matrices, rotation_about)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 from mocap_geom.synth import default_rig
 from test_skeleton import matrix_from_quat
@@ -680,8 +680,8 @@ class TestJsonlCodecs:
         back = ds.read_motion(path)
         np.testing.assert_array_equal(back[0].positions["left_knee"],
                                       rest["left_knee"])
-        np.testing.assert_array_equal(back[0].quaternion("left_knee"),
-                                      quat_from_matrix(rot))
+        np.testing.assert_array_equal(back[0].quaternions["left_knee"],
+                                      quats_from_matrices(rot[None])[0])
 
     def test_read_motion_keeps_the_file_quaternions_and_no_matrix(
             self, tmp_path):
@@ -698,7 +698,7 @@ class TestJsonlCodecs:
         assert not hasattr(skeleton, "matrix_from_quat")
         assert pose.rotations == {} and pose.gap is True
         for name, q in quats.items():
-            assert pose.quaternion(name).tobytes() == np.array(q).tobytes(), name
+            assert pose.quaternions[name].tobytes() == np.array(q).tobytes(), name
 
     @staticmethod
     def _assert_format_errors(tmp_path, read, good, bad_lines):
@@ -910,7 +910,9 @@ def _reference_write_optical(path, frames):
 
 def _reference_quaternion(pose, name):
     q = pose.quaternions.get(name)
-    return q if q is not None else quat_from_matrix(pose.rotations[name])
+    if q is None:
+        q = quats_from_matrices(pose.rotations[name][None])[0]
+    return q
 
 
 def _reference_write_motion(path, poses):

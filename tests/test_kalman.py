@@ -1,10 +1,11 @@
 """Tests for the constant-velocity Kalman smoothing of optical points."""
 
 import numpy as np
+import pytest
 
 from mocap_geom.core import ReflectorId
-from mocap_geom.kalman import (KalmanParams, ReflectorTracker, TrackState,
-                               _matrices, init_state)
+from mocap_geom.errors import ValidationError
+from mocap_geom.kalman import KalmanParams, ReflectorTracker, init_state
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 
 DT = 1.0 / 30.0
@@ -14,28 +15,48 @@ def _point(pos, frame=0, conf=0.9, idx=1):
     return OpticalPoint(ReflectorId(idx), np.asarray(pos, dtype=float), conf, frame)
 
 
+def _reference_matrices(dt, params):
+    """The 6×6 constant-velocity F, Q, H and R, built here so that the
+    reference shares no matrix with the tracker it checks."""
+    F = np.eye(6)
+    F[:3, 3:] = dt * np.eye(3)
+    q = params.accel_noise ** 2
+    Q = np.zeros((6, 6))
+    Q[:3, :3] = q * (dt ** 4 / 4.0) * np.eye(3)
+    Q[:3, 3:] = q * (dt ** 3 / 2.0) * np.eye(3)
+    Q[3:, :3] = q * (dt ** 3 / 2.0) * np.eye(3)
+    Q[3:, 3:] = q * (dt ** 2) * np.eye(3)
+    H = np.zeros((3, 6))
+    H[:, :3] = np.eye(3)
+    R = params.meas_noise ** 2 * np.eye(3)
+    return F, Q, H, R
+
+
 def _reference_kalman_step(state, measurement, dt, params=KalmanParams()):
-    """One predict/update cycle of a single track, step by step.
+    """One predict/update cycle of a single track, step by step, as the
+    full 6×6 filter over the state ``(x, P)``: x the (6,) position and
+    velocity, P its 6×6 covariance.
 
     With no prior state the measurement initializes the track; with no
     measurement the state coasts and no smoothed point is produced.  A
     covariance that leaves the SPD regime raises LinAlgError.
     """
     if state is None:
-        return init_state(measurement.position, params), measurement
-    F, Q, H, R = _matrices(dt, params)
-    x = F @ np.concatenate([state.position, state.velocity])
-    P = F @ state.covariance @ F.T + Q
+        P = np.diag([params.init_pos_var] * 3 + [params.init_vel_var] * 3)
+        return (np.concatenate([measurement.position, np.zeros(3)]), P), measurement
+    F, Q, H, R = _reference_matrices(dt, params)
+    x = F @ state[0]
+    P = F @ state[1] @ F.T + Q
     P = 0.5 * (P + P.T)
     np.linalg.cholesky(P)
     if measurement is None:
-        return TrackState(x[:3], x[3:], P), None
+        return (x, P), None
     K = P[:, :3] @ np.linalg.inv(P[:3, :3] + R)
     x = x + K @ (measurement.position - x[:3])
     P = (np.eye(6) - K @ H) @ P
     P = 0.5 * (P + P.T)
     np.linalg.cholesky(P)
-    return TrackState(x[:3], x[3:], P), OpticalPoint(
+    return (x, P), OpticalPoint(
         measurement.reflector, x[:3].copy(), measurement.confidence,
         measurement.frame, degraded=measurement.degraded)
 
@@ -113,6 +134,11 @@ class TestKalmanStep:
 
 
 class TestReflectorTracker:
+    def test_dt_must_be_finite_and_positive(self):
+        for dt in (0.0, -DT, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="dt"):
+                ReflectorTracker(dt)
+
     def test_per_reflector_tracks_are_independent(self):
         tracker = ReflectorTracker(DT)
         frame = OpticalFrame(frame=0)
@@ -203,11 +229,14 @@ class TestTrackerMatchesKalmanStep:
                             mine.degraded) == (point.reflector, point.confidence,
                                                point.frame, point.degraded)
                 assert sorted(tracker.states) == sorted(states)
-                for idx, state in states.items():
+                for idx, (x, P) in states.items():
+                    # the premise of the tracker's 2×2 covariance: the 6×6
+                    # filter keeps P = M ⊗ I₃, M its (position, velocity) block
+                    assert np.array_equal(P, np.kron(P[::3, ::3], np.eye(3)))
                     mine = tracker.states[idx]
-                    gap = max(gap, np.abs(mine.position - state.position).max(),
-                              np.abs(mine.velocity - state.velocity).max(),
-                              np.abs(mine.covariance - state.covariance).max())
+                    gap = max(gap, np.abs(mine.position - x[:3]).max(),
+                              np.abs(mine.velocity - x[3:]).max(),
+                              np.abs(np.kron(mine.covariance, np.eye(3)) - P).max())
         assert gap <= 1e-12
         assert births > 150 and coasts > 1000
 
@@ -217,12 +246,16 @@ class TestNonSpdReset:
 
     STREAM = _random_stream(np.random.default_rng(5), frames=30, reflectors=10)
 
-    def _run(self, last, fault=None):
+    # a negative first pivot, and a positive diagonal with a negative
+    # second pivot (det < 0) that stays indefinite through the prediction
+    FAULTS = (-np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def _run(self, last, fault=None, covariance=None):
         tracker = ReflectorTracker(DT)
         for frame in self.STREAM[:last]:
             tracker.step(frame)
         if fault is not None:
-            tracker.states[fault].covariance = -np.eye(6)
+            tracker.states[fault].covariance = covariance
         return tracker, tracker.step(self.STREAM[last])
 
     def _pick(self, measured):
@@ -251,21 +284,24 @@ class TestNonSpdReset:
 
     def test_measured_track_restarts_at_its_measurement(self):
         f, idx = self._pick(measured=True)
-        tracker, out = self._run(f, fault=idx)
-        point = self.STREAM[f].points[idx]
-        assert out.points[idx] is point
-        state = tracker.states[idx]
-        np.testing.assert_array_equal(state.position, point.position)
-        np.testing.assert_array_equal(state.velocity, np.zeros(3))
-        np.testing.assert_array_equal(
-            state.covariance, init_state(point.position, KalmanParams()).covariance)
-        self._assert_others_equal(f, idx, tracker, out)
+        for covariance in self.FAULTS:
+            tracker, out = self._run(f, fault=idx, covariance=covariance)
+            point = self.STREAM[f].points[idx]
+            assert out.points[idx] is point
+            state = tracker.states[idx]
+            np.testing.assert_array_equal(state.position, point.position)
+            np.testing.assert_array_equal(state.velocity, np.zeros(3))
+            np.testing.assert_array_equal(
+                state.covariance,
+                init_state(point.position, KalmanParams()).covariance)
+            self._assert_others_equal(f, idx, tracker, out)
 
     def test_coasting_track_is_dropped(self):
         f, idx = self._pick(measured=False)
-        tracker, out = self._run(f, fault=idx)
-        assert idx not in tracker.states
-        self._assert_others_equal(f, idx, tracker, out)
+        for covariance in self.FAULTS:
+            tracker, out = self._run(f, fault=idx, covariance=covariance)
+            assert idx not in tracker.states
+            self._assert_others_equal(f, idx, tracker, out)
 
     def test_exact_measurements_keep_every_covariance_spd(self):
         # With meas_noise = 0 an update collapses the position variance, so
@@ -290,7 +326,7 @@ class TestNonSpdReset:
             frame = OpticalFrame(frame=f)
             frame.add(_point(pos, frame=f))
             if f == 1:
-                tracker.states[1].covariance = np.zeros((6, 6))
+                tracker.states[1].covariance = np.zeros((2, 2))
             out = tracker.step(frame)
         assert out.points[1] is frame.points[1]
         np.testing.assert_array_equal(tracker.states[1].covariance,

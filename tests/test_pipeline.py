@@ -635,7 +635,8 @@ class TestCli:
 
     def test_non_finite_or_out_of_range_values_exit_2(self, tmp_path, capsys):
         config = tmp_path / "tiny.ini"
-        cases = [("pipeline", "fps", v) for v in ("0", "-30", "nan", "inf")]
+        # 1e-320 is positive and finite, but 1/fps overflows to inf
+        cases = [("pipeline", "fps", v) for v in ("0", "-30", "nan", "inf", "1e-320")]
         cases += [("filter", "colocate_dist", v) for v in ("nan", "inf")]
         cases += [("eval", "alpha", v) for v in ("nan", "inf", "0")]
         cases += [("eval", "a3d_cm", v) for v in ("nan", "inf", "-1")]

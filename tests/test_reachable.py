@@ -26,10 +26,6 @@ KEEP = {
     "maps._squared_residual": "the sum that loss_maps and loss_fields share",
     "synth.ReflectorSample.surface_point_toward":
         "the oracle surface point of a strap, read by the geometry tests",
-    "skeleton.Pose.quaternion": "Pose's documented per-joint accessor; the "
-                                "writers read the cache derive_quaternions fills",
-    "skeleton.quat_from_matrix": "the one-matrix derivation Pose.quaternion runs",
-    "spatial.MaskRegions.regions": "a labeling as Region objects, as tests read it",
 }
 
 

@@ -25,6 +25,12 @@ def _est(idx, x, y, conf=0.9):
                                conf, 0.0, conf)
 
 
+def _regions(mask):
+    """The regions of one mask, in label order."""
+    labeled = label_masks([MaskPixels.of(mask)])[0]
+    return [labeled.region(k) for k in range(len(labeled))]
+
+
 # An observed row is (reflector, global point, e_total, global normal or
 # None), as observe_rows observes an item and fuse_observations reads it.
 
@@ -132,7 +138,7 @@ class TestFindRegions:
         bits = np.zeros((30, 30), dtype=bool)
         bits[5:8, 5:8] = True
         bits[20:23, 12:15] = True
-        regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
+        regions = _regions(IrMask(bits))
         assert len(regions) == 2
         assert sorted(r.size for r in regions) == [9, 9]
         for r in regions:
@@ -143,11 +149,11 @@ class TestFindRegions:
 
     def test_empty_mask(self):
         empty = IrMask(np.zeros((10, 10), dtype=bool))
-        assert label_masks([MaskPixels.of(empty)])[0].regions() == []
+        assert _regions(empty) == []
 
     def test_full_mask_single_region(self):
         full = IrMask(np.ones((8, 9), dtype=bool))
-        regions = label_masks([MaskPixels.of(full)])[0].regions()
+        regions = _regions(full)
         assert len(regions) == 1
         assert regions[0].size == 72
         # boundary ring of an 8x9 image
@@ -156,7 +162,7 @@ class TestFindRegions:
     def test_flood_fill_oracle_on_random_mask(self):
         rng = np.random.default_rng(3)
         bits = rng.random((20, 20)) < 0.3
-        regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
+        regions = _regions(IrMask(bits))
         assert sum(r.size for r in regions) == int(bits.sum())
         # oracle: 8-connected flood fill component count
         seen = np.zeros_like(bits)
@@ -187,7 +193,7 @@ class TestFindRegions:
                 bits[:int(rng.integers(0, h + 1))] = False
                 bits[:, int(rng.integers(0, w + 1)):] = False
             labeled = label_masks([MaskPixels.of(IrMask(bits))])[0]
-            regions = labeled.regions()
+            regions = [labeled.region(k) for k in range(len(labeled))]
             # reference labels: 8-connected flood fill, numbered in the
             # row-major order of each component's first pixel
             ref = np.zeros((h, w), dtype=int)
@@ -366,7 +372,7 @@ class TestSplitMergedRegion:
             bits[y, x] = True
             if depth[y, x] == 0:
                 depth[y, x] = 1500
-        regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
+        regions = _regions(IrMask(bits))
         assert len(regions) == 1
         return regions[0], DepthFrame(depth), set(left), set(right)
 
@@ -674,7 +680,7 @@ class TestObserveBatch:
             depth = (900 + 2.0 * xs + rng.uniform(-1, 1) * ys
                      + rng.normal(0, 3, (240, 320))).astype(np.uint16)
             depth[rng.random((240, 320)) < 0.2] = 0
-            regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
+            regions = _regions(IrMask(bits))
             items = []
             for region in regions:
                 if rng.random() < 0.15:
@@ -738,7 +744,7 @@ class TestObserveBatch:
                  + rng.normal(0, 3, (h, w))).astype(np.uint16)
         depth[rng.random((h, w)) < 0.2] = 0
         items = []
-        for region in label_masks([MaskPixels.of(IrMask(bits))])[0].regions():
+        for region in _regions(IrMask(bits)):
             if rng.random() < 0.15:
                 depth[region.contour[:, 1], region.contour[:, 0]] = 0
             est = _est(int(rng.choice([11, 12, 16, 19, 20, 1, 2, 9])),
@@ -842,7 +848,7 @@ class TestObserveView:
         bits[50:56, 314:320] = True  # where u = -3 would wrap to
         bits[100:104, 200:210] = True
         depth = DepthFrame(np.full((240, 320), 1200, dtype=np.uint16))
-        regions = label_masks([MaskPixels.of(IrMask(bits))])[0].regions()
+        regions = _regions(IrMask(bits))
         regions = [regions[0], regions[2]]
         on_a, on_b = _est(1, 62.4, 52.6), _est(2, 205, 101)
         ests = [_est(3, 150, 150), on_b, _est(4, -3, 52), on_a,

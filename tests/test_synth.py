@@ -13,10 +13,10 @@ from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, MultiViewRig,
 from mocap_geom.errors import ValidationError
 from mocap_geom.maps import Annotation2D, ReflectorEstimate2D
 from mocap_geom.skeleton import JOINT_BY_NAME, JOINTS, Pose, rotation_about
-from mocap_geom.spatial import MaskPixels, _rotate_rows, label_masks
+from mocap_geom.spatial import _rotate_rows
 from mocap_geom.synth import (MOTION_NAMES, MotionScript, SyntheticBody, animate,
                               default_rig, reflector_positions, render)
-from test_spatial import _fuse_observed, _observe_items
+from test_spatial import _fuse_observed, _observe_items, _regions
 
 
 def _est(idx, x, y, conf=0.9):
@@ -55,6 +55,11 @@ class TestAnimate:
     def test_unknown_motion_rejected(self):
         with pytest.raises(ValidationError):
             MotionScript("cartwheel", duration=10)
+
+    def test_rate_without_finite_frame_period_rejected(self):
+        for rate in (0.0, -30.0, float("nan"), float("inf"), 1e-320):
+            with pytest.raises(ValidationError, match="rate"):
+                MotionScript("squat", duration=10, rate=rate)
 
     def test_squat_keeps_feet_grounded(self):
         body = SyntheticBody.default()
@@ -164,7 +169,7 @@ class TestRender:
     def test_holes_have_measurable_contours(self):
         views = render(self.rig, self.body, self.pose)
         for rv in views:
-            regions = label_masks([MaskPixels.of(rv.mask)])[0].regions()
+            regions = _regions(rv.mask)
             assert regions
             with_depth = 0
             for region in regions:
@@ -176,7 +181,7 @@ class TestRender:
     def test_annotated_footprints_meet_minimum_size(self):
         views = render(self.rig, self.body, self.pose)
         for rv in views:
-            regions = label_masks([MaskPixels.of(rv.mask)])[0].regions()
+            regions = _regions(rv.mask)
             for a in rv.annotations:
                 ui = int(round(a.x_curr[0]))
                 vi = int(round(a.x_curr[1]))
@@ -1040,7 +1045,7 @@ class TestStrapGeometryThroughPipeline:
             ann = [a for a in rv.annotations if a.reflector.index == idx]
             if not ann:
                 continue
-            regions = label_masks([MaskPixels.of(rv.mask)])[0].regions()
+            regions = _regions(rv.mask)
             ui = int(round(ann[0].x_curr[0]))
             vi = int(round(ann[0].x_curr[1]))
             region = min(regions, key=lambda r: np.hypot(
