@@ -289,10 +289,15 @@ def finite_vector(value, n: int, what: str):
     ValueError naming ``what`` when it is anything else.
 
     Checked in Python, without numpy: the JSONL readers call it for every
-    vector and score they read.
+    vector and score they read.  A value whose sum from 0.0 is finite
+    passes at once: that sum is finite only when every item is a finite
+    number (an int past the float range overflows on the way, and a
+    string, or an object's string key, fails).  The per-item test decides
+    the rest, such as sums that overflow on finite items.
     """
     try:
-        if len(value) == n and all(map(math.isfinite, value)):
+        if len(value) == n and (math.isfinite(sum(value, 0.0))
+                                or all(map(math.isfinite, value))):
             return value
     except (TypeError, OverflowError):   # not numbers, or ints past float
         pass

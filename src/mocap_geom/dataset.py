@@ -240,23 +240,6 @@ def _read_jsonl(path: str | Path, parse, key) -> list:
     return records
 
 
-def _finite(value, n: int, what: str):
-    """``value`` when finite_vector accepts it, its ValueError otherwise.
-
-    A JSON value of n items whose sum from 0.0 is finite passes at once:
-    that sum is finite only when every item is a finite number (an int past
-    the float range overflows on the way, and a string, or an object's
-    string key, fails).  finite_vector decides the rest: other sizes, and
-    sums that overflow on finite items.
-    """
-    try:
-        if len(value) == n and isfinite(sum(value, 0.0)):
-            return value
-    except (TypeError, OverflowError):
-        pass
-    return finite_vector(value, n, what)
-
-
 def _reflector(value) -> ReflectorId:
     """The shared id of a JSON reflector index; the ValueError of json_int
     or ReflectorId for any other value."""
@@ -310,9 +293,9 @@ def read_annotations(path: str | Path, num_frames: int | None = None,
         for a in doc["annotations"]:
             prev = a.get("x_prev")
             rid = _reflector(a["reflector"])
-            x_curr = _finite(a["x_curr"], 2, "x_curr")
+            x_curr = finite_vector(a["x_curr"], 2, "x_curr")
             if prev is not None:
-                prev = tuple(_finite(prev, 2, "x_prev"))
+                prev = tuple(finite_vector(prev, 2, "x_prev"))
             u, v = x_curr
             if size is not None and not (0 <= round(u) < size[0]
                                          and 0 <= round(v) < size[1]):
@@ -349,7 +332,7 @@ def read_estimates(path: str | Path) -> list[tuple[int, int, list[ReflectorEstim
         ests = []
         for e in doc["estimates"]:
             rid = _reflector(e["reflector"])
-            position = tuple(_finite(e["position"], 2, "position"))
+            position = tuple(finite_vector(e["position"], 2, "position"))
             scores = [e["e_s"], e["e_l"], e["e_total"]]
             e_s, e_l, e_total = scores
             if not (type(e_s) is type(e_l) is type(e_total) is float
@@ -395,7 +378,7 @@ def read_optical(path: str | Path) -> list[OpticalFrame]:
             if not (type(confidence) is float and isfinite(confidence)):
                 confidence, = finite_vector([confidence], 1, "confidence")
                 confidence = float(confidence)
-            coords.append(_finite(p["xyz_m"], 3, "xyz_m"))
+            coords.append(finite_vector(p["xyz_m"], 3, "xyz_m"))
             if rid.index in points:
                 raise ValidationError(f"duplicate reflector {rid.index}")
             points[rid.index] = (rid, confidence, p.get("degraded") is True)
@@ -450,9 +433,9 @@ def read_motion(path: str | Path) -> list[Pose]:
             name = j["id"]
             if name in names:
                 raise ValueError(f"joint {name!r} repeated")
-            positions.append(_finite(j["xyz_m"], 3, f"{name} xyz_m"))
+            positions.append(finite_vector(j["xyz_m"], 3, f"{name} xyz_m"))
             names[name] = None
-            quat = _finite(j["quat_wxyz"], 4, f"{name} quat_wxyz")
+            quat = finite_vector(j["quat_wxyz"], 4, f"{name} quat_wxyz")
             w, x, y, z = quat
             if not type(w) is type(x) is type(y) is type(z) is float:
                 w, x, y, z = map(float, quat)

@@ -24,7 +24,7 @@ from .metrics import (EVAL_JOINT_NAMES, Detection2D, EvalReport,
                       mean_average_precision, subject_bbox)
 from .skeleton import (BoneCalibration, Pose, SkeletonTemplate,
                        calibrate_template, track)
-from .spatial import (MaskPixels, MaskRegions, OpticalFrame,
+from .spatial import (MaskPixels, MaskRegions, OpticalFrame, OpticalPoint,
                       fuse_observations, gather_view, label_masks,
                       observe_rows)
 from .synth import MotionScript, SyntheticBody, animate, default_rig, render
@@ -216,8 +216,10 @@ def fuse_estimates(reader: ds.DatasetReader,
     assignment, merged-region splits), so no depth frame outlives its
     gather; then the whole take is observed in one ``observe_rows`` pass
     and every (frame, reflector) group is fused in one
-    ``fuse_observations`` pass, each group in view order; then the tracker
-    steps over the fused frames.
+    ``fuse_observations`` pass, each group in view order.  The tracker,
+    whose tracks are rows of arrays indexed by reflector id, then steps
+    once per frame over that frame's slice of the fused arrays; a frame
+    without points steps too, so that its tracks coast.
     """
     by_frame: dict[int, dict[int, list[ReflectorEstimate2D]]] = {}
     for frame, view, ests in estimates:
@@ -226,12 +228,22 @@ def fuse_estimates(reader: ds.DatasetReader,
             for view, ests in sorted(by_frame.get(f, {}).items()) if ests}
     rows = [gather_view(todo[f, view], regions, reader.depth(view, f), f, view)
             for (f, view), regions in _labeled_masks(reader, list(todo))]
-    frames = [OpticalFrame(frame=f) for f in range(reader.num_frames)]
-    for point in fuse_observations(observe_rows(rows, reader.rig.cameras),
-                                   config.limb_radii):
-        frames[point.frame].add(point)
+    fused = fuse_observations(observe_rows(rows, reader.rig.cameras),
+                              config.limb_radii)
+    ids = np.array([r.index for r in fused.reflectors], dtype=np.intp)
+    bounds = np.searchsorted(fused.frames, np.arange(reader.num_frames + 1))
+    confidences, degraded = fused.confidences.tolist(), fused.degraded.tolist()
     tracker = ReflectorTracker(dt=1.0 / config.fps, params=config.kalman)
-    return [tracker.step(frame) for frame in frames]
+    out = []
+    for f in range(reader.num_frames):
+        a, b = bounds[f], bounds[f + 1]
+        smoothed = tracker.step(ids[a:b], fused.positions[a:b])
+        out.append(OpticalFrame(f, {
+            r.index: OpticalPoint(r, position, confidence, f, degraded=flag)
+            for r, position, confidence, flag in zip(
+                fused.reflectors[a:b], smoothed, confidences[a:b],
+                degraded[a:b])}))
+    return out
 
 
 def cmd_fuse(dataset_dir: str | Path, estimates_path: str | Path,

@@ -377,12 +377,11 @@ def joint_target(frame: OpticalFrame, subset: tuple[int, ...],
             float(total / len(conf_arr)))
 
 
-def frame_targets(frame: OpticalFrame, conf_min: float = -1.0
-                  ) -> dict[str, tuple[np.ndarray, float]]:
+def frame_targets(frame: OpticalFrame) -> dict[str, tuple[np.ndarray, float]]:
     """Per-joint targets for one optical frame."""
     out = {}
     for j in JOINTS:
-        t = joint_target(frame, j.subset, conf_min)
+        t = joint_target(frame, j.subset)
         if t is not None:
             out[j.name] = t
     return out

@@ -13,7 +13,8 @@ straps) a surface normal from a least-squares plane fit of the contour's
 ``fuse_observations``, fuses the observed rows of each reflector in each
 frame into one global point, every group in one array pass:
 confidence-weighted centroids for patches, closest points between inward
-normal lines for straps, with bounded fallbacks.
+normal lines for straps, with bounded fallbacks.  It returns the take's
+points as arrays, one row per (frame, reflector) (``FusedPoints``).
 """
 
 from __future__ import annotations
@@ -679,8 +680,19 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
+@dataclass
+class FusedPoints:
+    """Fused points, one row per (frame, reflector), in that order."""
+
+    frames: np.ndarray       # (n,) int64
+    reflectors: list[ReflectorId]
+    positions: np.ndarray    # (n, 3) global positions
+    confidences: np.ndarray  # (n,)
+    degraded: np.ndarray     # (n,) bool: strap fusion fell back
+
+
 def fuse_observations(observations: Observations,
-                      limb_radii: Mapping[int, float]) -> list[OpticalPoint]:
+                      limb_radii: Mapping[int, float]) -> FusedPoints:
     """One point per (frame, reflector) of the observed rows, in (frame,
     reflector) order.
 
@@ -690,7 +702,8 @@ def fuse_observations(observations: Observations,
     """
     keep = np.flatnonzero(observations.has_depth)
     if len(keep) == 0:
-        return []
+        return FusedPoints(np.zeros(0, dtype=np.int64), [], np.zeros((0, 3)),
+                           np.zeros(0), np.zeros(0, dtype=bool))
     index = np.array([r.index for r in observations.reflectors])[keep]
     key = observations.frames[keep] * (int(index.max()) + 1) + index
     order = np.argsort(key, kind="stable")
@@ -699,25 +712,25 @@ def fuse_observations(observations: Observations,
     firsts = rows[starts]
     reflectors = [observations.reflectors[i] for i in firsts.tolist()]
     with_normal = observations.has_normal[rows]
-    return _fuse_rows(
+    return FusedPoints(observations.frames[firsts], reflectors, *_fuse_rows(
         observations.points[rows],
         np.array(observations.e_totals, dtype=np.float64)[rows],
         np.diff(starts, append=len(rows)), np.flatnonzero(with_normal),
         observations.normals[rows[with_normal]], reflectors,
-        [limb_radii.get(r.index) for r in reflectors],
-        observations.frames[firsts].tolist())
+        [limb_radii.get(r.index) for r in reflectors]))
 
 
 def _fuse_rows(points: np.ndarray, conf: np.ndarray, sizes: np.ndarray,
                rows: np.ndarray, normals: np.ndarray,
-               reflectors: list[ReflectorId], limb_radii: list[float | None],
-               frames: list[int]) -> list[OpticalPoint]:
-    """The fused point of each group of observation rows.
+               reflectors: list[ReflectorId], limb_radii: list[float | None]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fused position, confidence and degraded flag of each group of
+    observation rows.
 
     Group g is ``sizes[g]`` consecutive rows of ``points`` and ``conf``,
-    of reflector ``reflectors[g]`` in frame ``frames[g]``, with limb radius
-    ``limb_radii[g]`` (None where none is configured).  ``rows`` lists the
-    rows with a normal, ascending, and ``normals`` their normals.
+    of reflector ``reflectors[g]``, with limb radius ``limb_radii[g]``
+    (None where none is configured).  ``rows`` lists the rows with a
+    normal, ascending, and ``normals`` their normals.
 
     A patch is the centroid of its points weighted by e_total normalized
     to sum 1, with the mean e_total as its confidence; weights that do not
@@ -805,7 +818,4 @@ def _fuse_rows(points: np.ndarray, conf: np.ndarray, sizes: np.ndarray,
             confidences[multi[far]] = far_totals / far_sizes
             degraded[multi[far]] = True
 
-    return [OpticalPoint(reflector, position, confidence, frame, degraded=flag)
-            for reflector, position, confidence, frame, flag
-            in zip(reflectors, positions, confidences.tolist(), frames,
-                   degraded.tolist())]
+    return positions, confidences, degraded

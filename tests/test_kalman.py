@@ -5,7 +5,7 @@ import pytest
 
 from mocap_geom.core import ReflectorId
 from mocap_geom.errors import ValidationError
-from mocap_geom.kalman import KalmanParams, ReflectorTracker, init_state
+from mocap_geom.kalman import KalmanParams, ReflectorTracker
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 
 DT = 1.0 / 30.0
@@ -13,6 +13,29 @@ DT = 1.0 / 30.0
 
 def _point(pos, frame=0, conf=0.9, idx=1):
     return OpticalPoint(ReflectorId(idx), np.asarray(pos, dtype=float), conf, frame)
+
+
+def _step(tracker, frame):
+    """``tracker.step`` on the points of ``frame``, in reflector order; the
+    smoothed frame, each point rebuilt as fuse_estimates builds it."""
+    ids = sorted(frame.points)
+    smoothed = tracker.step(
+        ids, np.array([frame.points[i].position for i in ids]).reshape(-1, 3))
+    out = OpticalFrame(frame=frame.frame)
+    for idx, position in zip(ids, smoothed):
+        p = frame.points[idx]
+        out.add(OpticalPoint(p.reflector, position, p.confidence, p.frame,
+                             degraded=p.degraded))
+    return out
+
+
+def _tracks(tracker):
+    """The tracked reflector ids of ``tracker``, ascending."""
+    return np.flatnonzero(tracker.tracked).tolist()
+
+
+def _init_covariance(params):
+    return np.diag([params.init_pos_var, params.init_vel_var])
 
 
 def _reference_matrices(dt, params):
@@ -68,10 +91,9 @@ class TestKalmanStep:
         tracker = ReflectorTracker(DT)
         frame = OpticalFrame(frame=0)
         frame.add(_point([1.0, 2.0, 3.0]))
-        out = tracker.step(frame)
-        state = tracker.states[1]
-        np.testing.assert_allclose(state.position, [1, 2, 3])
-        np.testing.assert_allclose(state.velocity, [0, 0, 0])
+        out = _step(tracker, frame)
+        np.testing.assert_allclose(tracker.state[1, 0], [1, 2, 3])
+        np.testing.assert_allclose(tracker.state[1, 1], [0, 0, 0])
         np.testing.assert_allclose(out.points[1].position, [1, 2, 3])
 
     def test_covariance_stays_spd(self):
@@ -80,8 +102,8 @@ class TestKalmanStep:
         for f in range(200):
             frame = OpticalFrame(frame=f)
             frame.add(_point(rng.normal(scale=0.01, size=3) + [0, 0, 1], frame=f))
-            tracker.step(frame)
-            np.linalg.cholesky(tracker.states[1].covariance)  # raises if not SPD
+            _step(tracker, frame)
+            np.linalg.cholesky(tracker.covariance[1])  # raises if not SPD
 
     def test_noise_variance_is_reduced(self):
         # Stationary point with sigma = 1 cm noise: smoothed output variance
@@ -96,7 +118,7 @@ class TestKalmanStep:
                 m = truth + rng.normal(scale=0.01, size=3)
                 frame = OpticalFrame(frame=f)
                 frame.add(_point(m, frame=f))
-                smoothed = tracker.step(frame).points[1]
+                smoothed = _step(tracker, frame).points[1]
                 if f >= 30:  # past the transient
                     meas_all.append(m - truth)
                     smooth_all.append(smoothed.position - truth)
@@ -111,7 +133,7 @@ class TestKalmanStep:
             pos = np.array([0.0, 0.0, 1.0]) + vel * f * DT
             frame = OpticalFrame(frame=f)
             frame.add(_point(pos, frame=f))
-            smoothed = tracker.step(frame).points[1]
+            smoothed = _step(tracker, frame).points[1]
             if f >= 20:
                 assert np.linalg.norm(smoothed.position - pos) <= 1e-3
 
@@ -120,17 +142,19 @@ class TestKalmanStep:
         for f, pos in enumerate(([0, 0, 1.0], [0.01, 0, 1.0])):
             frame = OpticalFrame(frame=f)
             frame.add(_point(pos, frame=f))
-            tracker.step(frame)
-        state = tracker.states[1]
-        out = tracker.step(OpticalFrame(frame=2))
+            _step(tracker, frame)
+        position, velocity = tracker.state[1].copy()
+        out = _step(tracker, OpticalFrame(frame=2))
         assert out.points == {}
-        np.testing.assert_allclose(
-            tracker.states[1].position, state.position + DT * state.velocity,
-            atol=1e-12)
+        np.testing.assert_allclose(tracker.state[1, 0], position + DT * velocity,
+                                   atol=1e-12)
 
     def test_init_state_params(self):
-        s = init_state(np.array([1.0, 1.0, 1.0]), KalmanParams())
-        np.linalg.cholesky(s.covariance)
+        params = KalmanParams(init_pos_var=2e-4, init_vel_var=3.0)
+        tracker = ReflectorTracker(DT, params)
+        tracker.step([1], [[1.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(tracker.covariance[1], np.diag([2e-4, 3.0]))
+        np.linalg.cholesky(tracker.covariance[1])
 
 
 class TestReflectorTracker:
@@ -144,18 +168,18 @@ class TestReflectorTracker:
         frame = OpticalFrame(frame=0)
         frame.add(_point([0, 0, 1], idx=1))
         frame.add(_point([1, 1, 1], idx=2))
-        out = tracker.step(frame)
+        out = _step(tracker, frame)
         assert set(out.points) == {1, 2}
 
     def test_missing_reflector_omitted_from_output(self):
         tracker = ReflectorTracker(DT)
         f0 = OpticalFrame(frame=0)
         f0.add(_point([0, 0, 1], idx=1))
-        tracker.step(f0)
+        _step(tracker, f0)
         f1 = OpticalFrame(frame=1)  # reflector 1 dropped out
-        out = tracker.step(f1)
+        out = _step(tracker, f1)
         assert out.points == {}
-        assert 1 in tracker.states  # track coasts
+        assert tracker.tracked[1]  # track coasts
 
     def test_smoothing_reduces_jitter_in_stream(self):
         rng = np.random.default_rng(9)
@@ -167,7 +191,7 @@ class TestReflectorTracker:
             noisy = truth + rng.normal(scale=0.01, size=3)
             frame = OpticalFrame(frame=f)
             frame.add(_point(noisy, frame=f))
-            out = tracker.step(frame)
+            out = _step(tracker, frame)
             if f >= 30:
                 raw_dev.append(np.linalg.norm(noisy - truth))
                 smooth_dev.append(np.linalg.norm(out.points[1].position - truth))
@@ -219,7 +243,7 @@ class TestTrackerMatchesKalmanStep:
             for frame in _random_stream(rng):
                 births += len(set(frame.points) - set(states))
                 coasts += len(set(states) - set(frame.points))
-                got = tracker.step(frame)
+                got = _step(tracker, frame)
                 want = _reference_step(states, frame, params)
                 assert sorted(got.points) == sorted(want) == sorted(frame.points)
                 for idx, point in want.items():
@@ -228,15 +252,14 @@ class TestTrackerMatchesKalmanStep:
                     assert (mine.reflector, mine.confidence, mine.frame,
                             mine.degraded) == (point.reflector, point.confidence,
                                                point.frame, point.degraded)
-                assert sorted(tracker.states) == sorted(states)
+                assert _tracks(tracker) == sorted(states)
                 for idx, (x, P) in states.items():
                     # the premise of the tracker's 2×2 covariance: the 6×6
                     # filter keeps P = M ⊗ I₃, M its (position, velocity) block
                     assert np.array_equal(P, np.kron(P[::3, ::3], np.eye(3)))
-                    mine = tracker.states[idx]
-                    gap = max(gap, np.abs(mine.position - x[:3]).max(),
-                              np.abs(mine.velocity - x[3:]).max(),
-                              np.abs(np.kron(mine.covariance, np.eye(3)) - P).max())
+                    gap = max(gap, np.abs(tracker.state[idx].ravel() - x).max(),
+                              np.abs(np.kron(tracker.covariance[idx], np.eye(3))
+                                     - P).max())
         assert gap <= 1e-12
         assert births > 150 and coasts > 1000
 
@@ -253,10 +276,10 @@ class TestNonSpdReset:
     def _run(self, last, fault=None, covariance=None):
         tracker = ReflectorTracker(DT)
         for frame in self.STREAM[:last]:
-            tracker.step(frame)
+            _step(tracker, frame)
         if fault is not None:
-            tracker.states[fault].covariance = covariance
-        return tracker, tracker.step(self.STREAM[last])
+            tracker.covariance[fault] = covariance
+        return tracker, _step(tracker, self.STREAM[last])
 
     def _pick(self, measured):
         """A frame and a track started before it, measured in it or not."""
@@ -274,47 +297,84 @@ class TestNonSpdReset:
             if other != idx:
                 np.testing.assert_array_equal(out.points[other].position,
                                               point.position)
-        assert set(tracker.states) | {idx} == set(clean_tracker.states)
-        for other, state in clean_tracker.states.items():
+        assert set(_tracks(tracker)) | {idx} == set(_tracks(clean_tracker))
+        for other in _tracks(clean_tracker):
             if other != idx:
-                mine = tracker.states[other]
-                np.testing.assert_array_equal(mine.position, state.position)
-                np.testing.assert_array_equal(mine.velocity, state.velocity)
-                np.testing.assert_array_equal(mine.covariance, state.covariance)
+                np.testing.assert_array_equal(tracker.state[other],
+                                              clean_tracker.state[other])
+                np.testing.assert_array_equal(tracker.covariance[other],
+                                              clean_tracker.covariance[other])
 
     def test_measured_track_restarts_at_its_measurement(self):
         f, idx = self._pick(measured=True)
         for covariance in self.FAULTS:
             tracker, out = self._run(f, fault=idx, covariance=covariance)
             point = self.STREAM[f].points[idx]
-            assert out.points[idx] is point
-            state = tracker.states[idx]
-            np.testing.assert_array_equal(state.position, point.position)
-            np.testing.assert_array_equal(state.velocity, np.zeros(3))
-            np.testing.assert_array_equal(
-                state.covariance,
-                init_state(point.position, KalmanParams()).covariance)
+            np.testing.assert_array_equal(out.points[idx].position,
+                                          point.position)
+            np.testing.assert_array_equal(tracker.state[idx],
+                                          [point.position, np.zeros(3)])
+            np.testing.assert_array_equal(tracker.covariance[idx],
+                                          _init_covariance(KalmanParams()))
             self._assert_others_equal(f, idx, tracker, out)
 
     def test_coasting_track_is_dropped(self):
         f, idx = self._pick(measured=False)
         for covariance in self.FAULTS:
             tracker, out = self._run(f, fault=idx, covariance=covariance)
-            assert idx not in tracker.states
+            assert not tracker.tracked[idx]
             self._assert_others_equal(f, idx, tracker, out)
+
+    def test_dropped_track_restarts_when_measured_again(self):
+        # A track dropped while it coasts keeps nothing of its row: measured
+        # again, it starts afresh, and the other tracks never notice.
+        f, idx = self._pick(measured=False)
+        g = next((g for g in range(f + 1, len(self.STREAM))
+                  if idx in self.STREAM[g].points), None)
+        assert g is not None, "the stream never measures the track again"
+        for covariance in self.FAULTS:
+            tracker, clean = ReflectorTracker(DT), ReflectorTracker(DT)
+            for k, frame in enumerate(self.STREAM[:g + 1]):
+                if k == f:
+                    tracker.covariance[idx] = covariance
+                out, want = _step(tracker, frame), _step(clean, frame)
+                if k == f:
+                    assert not tracker.tracked[idx]
+            point = self.STREAM[g].points[idx]
+            np.testing.assert_array_equal(out.points[idx].position,
+                                          point.position)
+            np.testing.assert_array_equal(tracker.state[idx, 1], np.zeros(3))
+            np.testing.assert_array_equal(tracker.covariance[idx],
+                                          _init_covariance(KalmanParams()))
+            assert out.points.keys() == want.points.keys()
+            for other in want.points:
+                if other != idx:
+                    np.testing.assert_array_equal(out.points[other].position,
+                                                  want.points[other].position)
+            assert _tracks(tracker) == _tracks(clean)
+            for other in _tracks(clean):
+                if other != idx:
+                    np.testing.assert_array_equal(tracker.state[other],
+                                                  clean.state[other])
+                    np.testing.assert_array_equal(tracker.covariance[other],
+                                                  clean.covariance[other])
 
     def test_exact_measurements_keep_every_covariance_spd(self):
         # With meas_noise = 0 an update collapses the position variance, so
         # most updates leave the SPD regime and restart their track.
-        tracker = ReflectorTracker(DT, KalmanParams(meas_noise=0.0))
+        params = KalmanParams(meas_noise=0.0)
+        tracker = ReflectorTracker(DT, params)
         restarts = births = updates = 0
         for frame in self.STREAM:
-            births += len(set(frame.points) - set(tracker.states))
-            updates += len(set(frame.points) & set(tracker.states))
-            out = tracker.step(frame)
-            restarts += sum(out.points[i] is p for i, p in frame.points.items())
-            for state in tracker.states.values():
-                np.linalg.cholesky(state.covariance)  # raises if not SPD
+            births += len(set(frame.points) - set(_tracks(tracker)))
+            updates += len(set(frame.points) & set(_tracks(tracker)))
+            _step(tracker, frame)
+            # a started track holds the initial covariance, bit for bit
+            restarts += sum(np.array_equal(tracker.covariance[i],
+                                           _init_covariance(params))
+                            for i in frame.points)
+            for idx in _tracks(tracker):
+                np.linalg.cholesky(tracker.covariance[idx])  # raises if not SPD
         assert restarts - births > 0.5 * updates
 
     def test_singular_prediction_restarts_without_an_update(self):
@@ -326,9 +386,9 @@ class TestNonSpdReset:
             frame = OpticalFrame(frame=f)
             frame.add(_point(pos, frame=f))
             if f == 1:
-                tracker.states[1].covariance = np.zeros((2, 2))
-            out = tracker.step(frame)
-        assert out.points[1] is frame.points[1]
-        np.testing.assert_array_equal(tracker.states[1].covariance,
-                                      init_state(frame.points[1].position,
-                                                 params).covariance)
+                tracker.covariance[1] = np.zeros((2, 2))
+            out = _step(tracker, frame)
+        np.testing.assert_array_equal(out.points[1].position,
+                                      frame.points[1].position)
+        np.testing.assert_array_equal(tracker.covariance[1],
+                                      _init_covariance(params))

@@ -26,6 +26,7 @@ from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
                                  infer_dataset)
 from mocap_geom.skeleton import (JOINTS, Pose, SkeletonTemplate,
                                  calibrate_template, track)
+from test_kalman import _step
 from test_spatial import _reference_fuse_reflector, _reference_observe_frame
 
 
@@ -83,7 +84,7 @@ def _reference_fuse_estimates(reader, estimates, cfg):
             frame.add(_reference_fuse_reflector(obs, cfg.limb_radii.get(idx), f))
             if idx in cfg.limb_radii:
                 normal_counts.append(sum(o[3] is not None for o in obs))
-        frames.append(tracker.step(frame))
+        frames.append(_step(tracker, frame))
     return frames, normal_counts
 
 
@@ -278,6 +279,37 @@ class TestComposition:
         monkeypatch.undo()
         again = fuse_estimates(reader, estimates, cfg)
         assert [sorted(f.points) for f in frames] == [sorted(f.points) for f in again]
+
+    def test_an_estimate_free_frame_is_stepped(self, small_run, tmp_path,
+                                               monkeypatch):
+        # Coasting advances every track, so the tracker steps once per
+        # frame, a frame without estimates in the middle of the take too.
+        root, cfg, run = small_run
+        reader = ds.DatasetReader(root)
+        gap = reader.num_frames // 2
+        estimates = [e for e in ds.read_estimates(run / "estimates.jsonl")
+                     if e[0] != gap]
+        steps = []
+        step = ReflectorTracker.step
+
+        def counted(self, ids, positions):
+            steps.append(len(ids))
+            return step(self, ids, positions)
+        monkeypatch.setattr(ReflectorTracker, "step", counted)
+        got = fuse_estimates(reader, estimates, cfg)
+        assert len(steps) == reader.num_frames and steps[gap] == 0
+        assert not got[gap].points and got[gap + 1].points
+        # no estimates at all: every frame is stepped, and every one is empty
+        steps.clear()
+        assert [f.points for f in fuse_estimates(reader, [], cfg)] == \
+            [{}] * reader.num_frames
+        assert steps == [0] * reader.num_frames
+        monkeypatch.undo()
+        want, _ = _reference_fuse_estimates(reader, estimates, cfg)
+        ds.write_optical(tmp_path / "got.jsonl", got)
+        ds.write_optical(tmp_path / "want.jsonl", want)
+        assert ((tmp_path / "got.jsonl").read_bytes()
+                == (tmp_path / "want.jsonl").read_bytes())
 
     def test_fused_take_equals_the_per_reflector_reference(self, tmp_path):
         # A 4-view take that moves: at 10 frames/s the 1 s rest lead-in

@@ -6,7 +6,8 @@ the one that does.  The test below walks the package's syntax trees from
 ``cli.main`` and every module's top-level statements, following the names
 each reached body uses, and fails on any definition it does not reach
 (methods included: a method is reached when its class is, and reached code
-reads an attribute of its name, or it is a dunder).
+reads an attribute of its name, or it is a dunder).  A second scan fails on
+any function parameter that its body never reads.
 """
 
 import ast
@@ -26,6 +27,12 @@ KEEP = {
     "maps._squared_residual": "the sum that loss_maps and loss_fields share",
     "synth.ReflectorSample.surface_point_toward":
         "the oracle surface point of a strap, read by the geometry tests",
+}
+
+# Parameters that their function never reads, kept on purpose.
+KEEP_PARAMETERS = {
+    "skeleton.calibrate_template.seed":
+        "perfbench/run.py passes it; drop it with the next benchmark change",
 }
 
 
@@ -143,3 +150,40 @@ def test_every_definition_is_reached_from_the_cli():
         f"each a reason in KEEP: {sorted(missed - set(KEEP))}")
     assert set(KEEP) <= missed, (
         f"KEEP names what a command reaches: {sorted(set(KEEP) - missed)}")
+
+
+def _unread_parameters(modules):
+    """The dotted names (function, then parameter) of the parameters, other
+    than ``self`` and ``cls``, that their function's body never reads."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                name = f"{prefix}.{child.name}"
+                args = child.args
+                read = {sub.id for stmt in child.body for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.Name)
+                        and isinstance(sub.ctx, ast.Load)}
+                out.update(f"{name}.{arg.arg}" for arg in (
+                    *args.posonlyargs, *args.args, *args.kwonlyargs,
+                    *filter(None, (args.vararg, args.kwarg)))
+                    if arg.arg not in read | {"self", "cls"})
+                visit(child, name)
+            else:
+                visit(child, f"{prefix}.{child.name}"
+                      if isinstance(child, ast.ClassDef) else prefix)
+
+    for mod in modules.values():
+        visit(mod.tree, mod.name)
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters(_package())
+    assert unread - set(KEEP_PARAMETERS) == set(), (
+        "parameters that their function never reads; drop them or give "
+        f"each a reason in KEEP_PARAMETERS: {sorted(unread - set(KEEP_PARAMETERS))}")
+    assert set(KEEP_PARAMETERS) <= unread, (
+        "KEEP_PARAMETERS names parameters that are read: "
+        f"{sorted(set(KEEP_PARAMETERS) - unread)}")

@@ -58,7 +58,7 @@ def _observe_items(views):
 
 def _fuse_observed(rows, limb_radii, frames=0):
     """fuse_observations on observed rows, each in frame ``frames`` (one
-    frame for all, or one per row)."""
+    frame for all, or one per row), as one OpticalPoint per fused row."""
     n = len(rows)
     normals = [normal for *_, normal in rows]
     obs = spatial.Observations(
@@ -71,7 +71,10 @@ def _fuse_observed(rows, limb_radii, frames=0):
                  dtype=np.float64).reshape(n, 3),
         np.array([nrm is not None for nrm in normals], dtype=bool),
         np.ones(n, dtype=bool))
-    return spatial.fuse_observations(obs, limb_radii)
+    fused = spatial.fuse_observations(obs, limb_radii)
+    return [OpticalPoint(*point) for point in zip(
+        fused.reflectors, fused.positions, fused.confidences.tolist(),
+        fused.frames.tolist(), fused.degraded.tolist())]
 
 
 def _observe_one(est, region, contour, depth, intr, extr, center=None):
