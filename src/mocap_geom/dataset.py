@@ -64,7 +64,8 @@ def _write_frame_file(path: str | Path, magic: bytes, w: int, h: int,
 
 def _read_frame_file(path: str | Path, magic: bytes) -> tuple[bytes, int, int]:
     """The bytes and (w, h) header of a DMCD or DMCI file."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     if data[:4] != magic:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected "
                           f"{magic.decode()}")

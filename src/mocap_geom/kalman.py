@@ -59,7 +59,6 @@ class ReflectorTracker:
         # written so that NaN, for which every comparison is False, fails
         if not 0 < dt < math.inf:
             raise ValidationError(f"dt must be finite and positive, got {dt}")
-        self.dt = dt
         self.params = params
         self.tracked = np.zeros(NUM_REFLECTORS + 1, dtype=bool)
         self.state = np.zeros((NUM_REFLECTORS + 1, 2, 3))

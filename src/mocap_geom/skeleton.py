@@ -1,15 +1,16 @@
 """Articulated 20-joint template, bone calibration and FK motion capture.
 
 The template is a 40-DoF hierarchy (levels L0..L6, hips first).  Tracking
-reduces each frame's optical points to per-joint targets (confidence-weighted
-centroids of the joint's reflector subset), places the root at the hips
-target, and solves each joint's rotation within its DoF budget so the
-template bone directions align with the parent-target -> child-target
-directions.  Calibration scales the template from the first batch, sets each
-bone whose targets stay a rigid distance apart through the frame window's
-motion to the median of that distance, and records the rest geometry
-(reference target directions, root reflector cloud) that absorbs constant
-marker-to-joint offsets.
+reduces a take's optical points to per-joint targets (confidence-weighted
+centroids of the joint's reflector subset), built once per take in one
+grouped array pass that calibration reads too.  It places each frame's root
+at the hips target, and solves each joint's rotation within its DoF budget
+so the template bone directions align with the parent-target ->
+child-target directions.  Calibration scales the template from the first
+batch, sets each bone whose targets stay a rigid distance apart through the
+frame window's motion to the median of that distance, and records the rest
+geometry (reference target directions, root reflector cloud) that absorbs
+constant marker-to-joint offsets.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import finite_vector, parse_json, read_text, write_json
+from .core import (NUM_REFLECTORS, finite_vector, parse_json, read_text,
+                   write_json)
 from .errors import (CalibrationDeferred, CalibrationInputError, TrackingGap,
                      ValidationError)
-from .spatial import OpticalFrame, _weighted_centroid
+from .spatial import OpticalFrame, _group_centroids, _stacked_dot
 
 # ---------------------------------------------------------------------------
 # Template structure
@@ -99,10 +101,10 @@ _REST_POSITIONS = {
 
 # Flexion axes for the 1-DoF joints, in the parent's rest frame.
 _HINGE_AXES = {
-    "left_elbow": (1.0, 0.0, 0.0),
-    "right_elbow": (1.0, 0.0, 0.0),
-    "left_knee": (1.0, 0.0, 0.0),
-    "right_knee": (1.0, 0.0, 0.0),
+    "left_elbow": np.array([1.0, 0.0, 0.0]),
+    "right_elbow": np.array([1.0, 0.0, 0.0]),
+    "left_knee": np.array([1.0, 0.0, 0.0]),
+    "right_knee": np.array([1.0, 0.0, 0.0]),
 }
 
 
@@ -166,9 +168,6 @@ class SkeletonTemplate:
             return self.reference_dirs[child]
         vec = self.bone_vectors[child]
         return vec / np.linalg.norm(vec)
-
-    def hinge_axis(self, name: str) -> np.ndarray:
-        return np.array(_HINGE_AXES[name])
 
     def apply_scale(self, scale: float) -> None:
         if scale <= 0:
@@ -355,36 +354,83 @@ def derive_quaternions(poses: list[Pose]) -> None:
             pose.quaternions[name] = q
 
 
-def joint_target(frame: OpticalFrame, subset: tuple[int, ...],
-                 conf_min: float = -1.0) -> tuple[np.ndarray, float] | None:
-    """Confidence-weighted centroid of the subset's available points.
+# Row j holds JOINTS[j].subset, padded to the longest subset with
+# reflector 0, which no frame holds.
+_SUBSETS = np.array([j.subset + (0,) * (4 - len(j.subset)) for j in JOINTS])
+_JOINT_INDEX = {j.name: i for i, j in enumerate(JOINTS)}
 
-    Returns (position, mean confidence) or None when no subset point with
-    confidence > conf_min is present in the frame.
+
+@dataclass(frozen=True)
+class TakeTargets:
+    """A take's optical points and every frame's joint targets, as arrays.
+
+    Row f of each array is the take's frame f.  Reflector columns are
+    reflector indices (column 0 stays empty); joint columns follow
+    ``JOINTS``.
     """
-    pts = []
-    confs = []
-    for idx in subset:
-        p = frame.get(idx)
-        if p is not None and p.confidence > conf_min:
-            pts.append(p.position)
-            confs.append(p.confidence)
-    if not pts:
-        return None
-    conf_arr = np.array(confs)
-    total = conf_arr.sum()
-    return (_weighted_centroid(np.array(pts), conf_arr, total),
-            float(total / len(conf_arr)))
+
+    frames: list[int]           # frame numbers
+    points: np.ndarray          # (frames, 27, 3) positions, 0 where absent
+    confidences: np.ndarray     # (frames, 27), 0 where absent
+    present: np.ndarray         # (frames, 27) bool
+    targets: np.ndarray         # (frames, 20, 3) joint target positions
+    target_conf: np.ndarray     # (frames, 20) their mean point confidence
+    found: np.ndarray           # (frames, 20) bool: the joint has a target
+
+    def stream(self, name: str) -> list[tuple[np.ndarray, float] | None]:
+        """Joint ``name``'s (position, mean confidence) in each frame, None
+        where it has no target: the streams ``calibrate_bone`` reads."""
+        j = _JOINT_INDEX[name]
+        return [(pos, conf) if ok else None for pos, conf, ok in zip(
+            self.targets[:, j], self.target_conf[:, j].tolist(),
+            self.found[:, j].tolist())]
 
 
-def frame_targets(frame: OpticalFrame) -> dict[str, tuple[np.ndarray, float]]:
-    """Per-joint targets for one optical frame."""
-    out = {}
-    for j in JOINTS:
-        t = joint_target(frame, j.subset)
-        if t is not None:
-            out[j.name] = t
-    return out
+def take_targets(frames: list[OpticalFrame],
+                 conf_min: float = -1.0) -> TakeTargets:
+    """Read a take into arrays and build every frame's joint targets.
+
+    A joint's target is the confidence-weighted centroid of its subset's
+    points with confidence > ``conf_min`` (the plain mean when those
+    confidences do not sum above 0), with their mean confidence; a joint
+    with no such point has none.  All (frame, joint) groups are reduced in
+    one ``_group_centroids`` pass, each rounded as its one-group expression.
+    """
+    n = len(frames)
+    points = np.zeros((n, NUM_REFLECTORS + 1, 3))
+    confidences = np.zeros((n, NUM_REFLECTORS + 1))
+    present = np.zeros((n, NUM_REFLECTORS + 1), dtype=bool)
+    rows: list[int] = []
+    cols: list[int] = []
+    listed: list = []
+    for f, frame in enumerate(frames):
+        rows += [f] * len(frame.points)
+        cols += frame.points
+        listed += frame.points.values()
+    if listed:
+        points[rows, cols] = [p.position for p in listed]
+        confidences[rows, cols] = [p.confidence for p in listed]
+        present[rows, cols] = True
+
+    # one group per (frame, joint): its qualifying subset points in subset
+    # order, the groups in frame-major order
+    members = (present & (confidences > conf_min))[:, _SUBSETS]
+    group_frames, group_joints, slots = np.nonzero(members)
+    reflectors = _SUBSETS[group_joints, slots]
+    sizes = members.sum(axis=2).ravel()
+    found = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[found]
+    centroids, totals = _group_centroids(
+        points[group_frames, reflectors], confidences[group_frames, reflectors],
+        starts, sizes[found])
+    targets = np.zeros((n * len(JOINTS), 3))
+    targets[found] = centroids
+    target_conf = np.zeros(n * len(JOINTS))
+    target_conf[found] = totals / sizes[found]
+    return TakeTargets([frame.frame for frame in frames], points, confidences,
+                       present, targets.reshape(n, len(JOINTS), 3),
+                       target_conf.reshape(n, len(JOINTS)),
+                       found.reshape(n, len(JOINTS)))
 
 
 @dataclass(frozen=True)
@@ -412,27 +458,24 @@ class CalibrationConfig:
 # Coarse scaling and bone calibration
 # ---------------------------------------------------------------------------
 
-def coarse_scale(template: SkeletonTemplate, frames: list[OpticalFrame],
-                 cfg: CalibrationConfig = CalibrationConfig()) -> float:
-    """Uniform scale from the first batch: hips-to-ankle distance ratio.
+def coarse_scale(template: SkeletonTemplate, rest: TakeTargets) -> float:
+    """Uniform scale from the rest batch: the median hips-to-ankle target
+    distance over the template's, for each ankle of each frame.
 
     The reference length is the rest-pose straight-line hips-to-ankle
     distance of the template (not the summed bone lengths: the measured
     quantity is a straight line, so the reference must be too).
     """
-    rest = template.rest_positions()
-    samples = []
-    for frame in frames[:cfg.rest_frames]:
-        hips = joint_target(frame, JOINT_BY_NAME["hips"].subset)
-        if hips is None:
-            continue
-        for side in ("left_ankle", "right_ankle"):
-            ankle = joint_target(frame, JOINT_BY_NAME[side].subset)
-            if ankle is None:
-                continue
-            ref = np.linalg.norm(rest[side] - rest["hips"])
-            samples.append(float(np.linalg.norm(ankle[0] - hips[0])) / ref)
-    if not samples:
+    rest_pos = template.rest_positions()
+    sides = ("left_ankle", "right_ankle")
+    ankles = [_JOINT_INDEX[side] for side in sides]
+    hips = _JOINT_INDEX["hips"]
+    refs = [np.linalg.norm(rest_pos[side] - rest_pos["hips"]) for side in sides]
+    # frame-major rows, both ankles of a frame side by side
+    d = (rest.targets[:, ankles] - rest.targets[:, [hips]]).reshape(-1, 3)
+    ratios = np.sqrt(_stacked_dot(d, d)) / np.tile(refs, len(rest.frames))
+    samples = ratios[(rest.found[:, [hips]] & rest.found[:, ankles]).ravel()]
+    if not len(samples):
         raise CalibrationInputError("no frame provides hips and ankle targets")
     return float(np.median(samples))
 
@@ -505,13 +548,10 @@ def calibrate_template(template: SkeletonTemplate, frames: list[OpticalFrame],
     if not frames:
         raise CalibrationInputError("empty frame batch")
     out = template.copy()
-    out.apply_scale(coarse_scale(out, frames, cfg))
+    rest = take_targets(frames[:cfg.rest_frames])
+    out.apply_scale(coarse_scale(out, rest))
 
-    window = frames[:cfg.frame_window] if len(frames) >= cfg.frame_window else frames
-    streams = {
-        j.name: [joint_target(f, j.subset, cfg.conf_min) for f in window]
-        for j in JOINTS
-    }
+    window = take_targets(frames[:cfg.frame_window], cfg.conf_min)
     report: dict[str, BoneCalibration] = {}
     for j in sorted((j for j in JOINTS if j.parent is not None),
                     key=lambda j: (j.level, j.name)):
@@ -523,7 +563,8 @@ def calibrate_template(template: SkeletonTemplate, frames: list[OpticalFrame],
                 f"{j.parent}: no bone to measure")
             continue
         try:
-            result = calibrate_bone(streams[j.parent], streams[j.name], cfg)
+            result = calibrate_bone(window.stream(j.parent),
+                                    window.stream(j.name), cfg)
         except (CalibrationDeferred, ValidationError) as exc:
             report[j.name] = BoneCalibration(out.bone_length(j.name), False, str(exc))
             continue
@@ -531,12 +572,19 @@ def calibrate_template(template: SkeletonTemplate, frames: list[OpticalFrame],
         if result.converged:
             out.set_bone_length(j.name, result.length)
 
-    _record_rest_geometry(out, frames[:cfg.rest_frames])
+    _record_rest_geometry(out, rest)
     return out, report
 
 
-def _record_rest_geometry(template: SkeletonTemplate,
-                          rest_frames: list[OpticalFrame]) -> None:
+def _frame_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-column sums over the frames (axis 0) of the rows that ``mask``
+    keeps.  A sum along axis 0 adds the frames in order to a running total
+    from ``initial``, so each sum rounds as a per-frame loop adding to
+    ``np.zeros`` rounds it."""
+    return np.where(mask[..., None], values, 0.0).sum(axis=0, initial=0.0)
+
+
+def _record_rest_geometry(template: SkeletonTemplate, rest: TakeTargets) -> None:
     """Record rest-batch target directions and the root reflector cloud.
 
     Assumes the rest batch shows the subject standing in the template's rest
@@ -544,41 +592,31 @@ def _record_rest_geometry(template: SkeletonTemplate,
     parent's rest position so constant marker offsets cancel during
     tracking.
     """
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for frame in rest_frames:
-        for name, (pos, _) in frame_targets(frame).items():
-            sums[name] = sums.get(name, np.zeros(3)) + pos
-            counts[name] = counts.get(name, 0) + 1
-    rest_targets = {name: sums[name] / counts[name] for name in sums}
-    if "hips" not in rest_targets:
+    counts = rest.found.sum(axis=0)
+    hips = _JOINT_INDEX["hips"]
+    if not counts[hips]:
         raise CalibrationInputError("rest batch has no hips target")
-    root = rest_targets["hips"]
+    sums = _frame_sums(rest.targets, rest.found)
+    root = sums[hips] / counts[hips]
 
     # Rest joint positions: template chain anchored at the measured root.
     rest_local = template.rest_positions()
-    rest_pos = {name: root + rest_local[name] for name in rest_local}
-
     refs = {}
-    for j in JOINTS:
-        if j.parent is None or j.name not in rest_targets:
+    for i, j in enumerate(JOINTS):
+        if j.parent is None or not counts[i]:
             continue
-        vec = rest_targets[j.name] - rest_pos[j.parent]
+        vec = sums[i] / counts[i] - (root + rest_local[j.parent])
         norm = np.linalg.norm(vec)
         if norm > 1e-9:
             refs[j.name] = vec / norm
     template.reference_dirs = refs
 
-    locals_sum: dict[int, np.ndarray] = {}
-    locals_n: dict[int, int] = {}
-    for frame in rest_frames:
-        for idx in JOINT_BY_NAME["hips"].subset:
-            p = frame.get(idx)
-            if p is not None:
-                locals_sum[idx] = locals_sum.get(idx, np.zeros(3)) + p.position
-                locals_n[idx] = locals_n.get(idx, 0) + 1
-    template.root_locals = {idx: locals_sum[idx] / locals_n[idx] - root
-                            for idx in locals_sum}
+    subset = list(JOINTS[hips].subset)
+    seen = rest.present[:, subset]
+    local_sums = _frame_sums(rest.points[:, subset], seen)
+    seen_n = seen.sum(axis=0)
+    template.root_locals = {idx: local_sums[k] / seen_n[k] - root
+                            for k, idx in enumerate(subset) if seen_n[k]}
 
 
 # ---------------------------------------------------------------------------
@@ -606,25 +644,42 @@ def _solve_hinge(axis: np.ndarray, ref_dir: np.ndarray,
     return rotation_about(axis, theta)
 
 
-def _root_from_cloud(template: SkeletonTemplate, frame: OpticalFrame
+@dataclass(frozen=True)
+class _FitConstants:
+    """What fitting reads of a template, looked up once per take."""
+
+    bones: dict[str, np.ndarray]
+    # joint -> (child, reference direction of the child's target) pairs
+    children: dict[str, tuple[tuple[str, np.ndarray], ...]]
+    root_ids: np.ndarray     # reflector indices of the root locals, sorted
+    root_locals: np.ndarray  # their rest-frame positions, one row each
+
+    @classmethod
+    def of(cls, template: SkeletonTemplate) -> "_FitConstants":
+        # a frame holds reflectors 1..26 only, so no other local can be seen
+        locals_ = sorted((idx, local) for idx, local in
+                         (template.root_locals or {}).items()
+                         if 0 < idx <= NUM_REFLECTORS)
+        return cls(
+            bones=template.bone_vectors,
+            children={name: tuple((child, template.reference_dir(child))
+                                  for child in kids)
+                      for name, kids in _CHILDREN.items()},
+            root_ids=np.array([idx for idx, _ in locals_], dtype=np.intp),
+            root_locals=np.array([local for _, local in locals_]).reshape(-1, 3))
+
+
+def _root_from_cloud(constants: _FitConstants, take: TakeTargets, index: int
                      ) -> tuple[np.ndarray, np.ndarray] | None:
-    """6-DoF root from the root reflector cloud against recorded rest locals."""
-    if template.root_locals is None:
+    """6-DoF root from the root reflector cloud of the take's frame
+    ``index`` against the recorded rest locals."""
+    seen = take.present[index, constants.root_ids]
+    if np.count_nonzero(seen) < 3:
         return None
-    locals_list = []
-    obs_list = []
-    weights = []
-    for idx, local in sorted(template.root_locals.items()):
-        p = frame.get(idx)
-        if p is not None:
-            locals_list.append(local)
-            obs_list.append(p.position)
-            weights.append(max(p.confidence, 1e-6))
-    if len(obs_list) < 3:
-        return None
-    locals_arr = np.array(locals_list)
-    obs_arr = np.array(obs_list)
-    w = np.array(weights)
+    ids = constants.root_ids[seen]
+    locals_arr = constants.root_locals[seen]
+    obs_arr = take.points[index, ids]
+    w = np.maximum(take.confidences[index, ids], 1e-6)
     w = w / w.sum()
     local_centroid = w @ locals_arr
     obs_centroid = w @ obs_arr
@@ -647,6 +702,15 @@ def fit_pose_targets(template: SkeletonTemplate,
     and no override) the previous pose is carried as a gap frame; with no
     previous pose either, TrackingGap is raised.
     """
+    return _fit_targets(_FitConstants.of(template), targets, prev, frame,
+                        root_override)
+
+
+def _fit_targets(constants: _FitConstants,
+                 targets: dict[str, tuple[np.ndarray, float]],
+                 prev: Pose | None, frame: int,
+                 root_override: tuple[np.ndarray, np.ndarray] | None) -> Pose:
+    """``fit_pose_targets`` with the template's constants looked up."""
     if "hips" not in targets and root_override is None:
         if prev is None:
             raise TrackingGap(f"frame {frame}: no root target and no previous pose")
@@ -660,47 +724,48 @@ def fit_pose_targets(template: SkeletonTemplate,
         positions["hips"], rotations["hips"] = root_override
     else:
         positions["hips"] = targets["hips"][0].copy()
-        rotations["hips"] = _fit_rotation(template, "hips", positions["hips"],
+        rotations["hips"] = _fit_rotation(constants, "hips", positions["hips"],
                                           targets, prev)
 
     for j in JOINTS:
         if j.parent is None:
             continue
-        positions[j.name] = positions[j.parent] + rotations[j.parent] @ template.bone_vectors[j.name]
+        positions[j.name] = positions[j.parent] + rotations[j.parent] @ constants.bones[j.name]
         if j.dofs == 0 or j.name not in _CHILDREN:
             rotations[j.name] = rotations[j.parent].copy()
             continue
-        rotations[j.name] = _fit_rotation(template, j.name, positions[j.name],
+        rotations[j.name] = _fit_rotation(constants, j.name, positions[j.name],
                                           targets, prev, parent_rot=rotations[j.parent])
     return Pose(frame, positions, rotations)
 
 
-def _fit_rotation(template: SkeletonTemplate, name: str, position: np.ndarray,
+def _fit_rotation(constants: _FitConstants, name: str, position: np.ndarray,
                   targets: dict[str, tuple[np.ndarray, float]],
                   prev: Pose | None,
                   parent_rot: np.ndarray | None = None) -> np.ndarray:
     joint = JOINT_BY_NAME[name]
     pairs = []
-    for child in _CHILDREN.get(name, ()):
-        if child not in targets:
+    for child, ref in constants.children.get(name, ()):
+        target = targets.get(child)
+        if target is None:
             continue
-        vec = targets[child][0] - position
+        vec = target[0] - position
         norm = _norm(vec)
         if norm < 1e-9:
             continue
-        pairs.append((template.reference_dir(child), vec / norm, targets[child][1]))
+        pairs.append((ref, vec / norm, target[1]))
 
     if not pairs:
         if prev is not None:
             if parent_rot is None:
                 return prev.rotations[name].copy()
-            prev_parent = prev.rotations[JOINT_BY_NAME[name].parent]
+            prev_parent = prev.rotations[joint.parent]
             local_prev = prev_parent.T @ prev.rotations[name]
             return parent_rot @ local_prev
         return np.eye(3) if parent_rot is None else parent_rot.copy()
 
     if joint.dofs == 1:
-        axis = template.hinge_axis(name)
+        axis = _HINGE_AXES[name]
         ref, obs, _ = pairs[0]
         base = parent_rot if parent_rot is not None else np.eye(3)
         local = _solve_hinge(axis, ref, base.T @ obs)
@@ -723,18 +788,26 @@ def _fit_rotation(template: SkeletonTemplate, name: str, position: np.ndarray,
     return minimal_rotation(base @ ref, obs) @ base
 
 
-def fit_pose(template: SkeletonTemplate, frame: OpticalFrame,
+def fit_pose(constants: _FitConstants, take: TakeTargets, index: int,
              prev: Pose | None = None) -> Pose:
-    """Fit one optical frame: root from the reflector cloud when recorded."""
-    return fit_pose_targets(template, frame_targets(frame), prev, frame.frame,
-                            _root_from_cloud(template, frame))
+    """Fit the take's frame ``index``: root from the reflector cloud when
+    recorded."""
+    targets = {j.name: (pos, conf) for j, pos, conf, ok in zip(
+        JOINTS, take.targets[index], take.target_conf[index].tolist(),
+        take.found[index].tolist()) if ok}
+    return _fit_targets(constants, targets, prev, take.frames[index],
+                        _root_from_cloud(constants, take, index))
 
 
 def track(template: SkeletonTemplate, frames: list[OpticalFrame]) -> list[Pose]:
-    """Chain fit_pose over a sequence; gap frames carry the previous pose."""
+    """Fit every frame of a take in order, each from the previous pose;
+    gap frames carry the previous pose.  The take's joint targets and the
+    template's constants are built once, before the first frame."""
+    take = take_targets(frames)
+    constants = _FitConstants.of(template)
     poses: list[Pose] = []
     prev: Pose | None = None
-    for frame in frames:
-        prev = fit_pose(template, frame, prev)
+    for index in range(len(frames)):
+        prev = fit_pose(constants, take, index, prev)
         poses.append(prev)
     return poses

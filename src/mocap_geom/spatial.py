@@ -580,25 +580,17 @@ def gather_view(ests: list[ReflectorEstimate2D], regions: MaskRegions,
                       regions.sizes[plain], depth, frame, view)
 
 
-def _weighted_centroid(points: np.ndarray, conf: np.ndarray,
-                       total: float) -> np.ndarray:
-    """Rows of ``points`` weighted by ``conf`` normalized to sum 1 (a convex
-    combination); the plain mean when the weights do not sum above 0.
-
-    ``total`` is ``conf.sum()``, which callers also need for their
-    confidence, so it is summed once.
-    """
-    return (conf / total) @ points if total > 0 else points.mean(axis=0)
-
-
 # Fusion works on groups: the observations of one reflector in one frame, in
-# view order.  The rows of a group sit one after another in flat arrays,
+# view order (skeleton's joint targets too: the subset points of one joint
+# in one frame).  The rows of a group sit one after another in flat arrays,
 # ``sizes[g]`` rows from ``starts[g]``.
 
 def _group_centroids(points: np.ndarray, conf: np.ndarray, starts: np.ndarray,
                      sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_weighted_centroid`` of the rows of each group, and the group's
-    ``conf`` total, rounded as the one-group expressions round them.
+    """The rows of each group weighted by ``conf`` normalized to sum 1
+    (``(conf / total) @ points``; the plain mean when the weights do not sum
+    above 0), and the group's ``conf`` total, rounded as those one-group
+    expressions round them.
 
     The groups of one size form one (groups, size) block.  Its totals come
     from ``.sum(axis=1)``, which sums each row as ``ndarray.sum`` sums one

@@ -34,7 +34,7 @@ from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
                                  infer_dataset)
 from mocap_geom.skeleton import (CalibrationConfig, SkeletonTemplate,
                                  calibrate_bone, calibrate_template,
-                                 joint_target, JOINT_BY_NAME, track)
+                                 take_targets, track)
 from mocap_geom.spatial import (MaskPixels, OpticalFrame, OpticalPoint,
                                 label_masks)
 from mocap_geom.synth import (MotionScript, SyntheticBody, animate,
@@ -266,16 +266,15 @@ def test_criterion_3_strap_geometry():
 
 def _target_streams(script, frames, joints):
     body = SyntheticBody.default()
-    streams = {name: [] for name in joints}
+    optical = []
     for f in frames:
         pose = animate(body, script, f)
         samples = reflector_positions(body, pose)
-        optical = OpticalFrame(frame=f)
+        optical.append(OpticalFrame(frame=f))
         for idx, s in samples.items():
-            optical.add(OpticalPoint(ReflectorId(idx), s.axis_point, 1.0, f))
-        for name in joints:
-            streams[name].append(joint_target(optical, JOINT_BY_NAME[name].subset))
-    return body, streams
+            optical[-1].add(OpticalPoint(ReflectorId(idx), s.axis_point, 1.0, f))
+    take = take_targets(optical)
+    return body, {name: take.stream(name) for name in joints}
 
 
 def test_criterion_4_calibration():

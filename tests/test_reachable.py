@@ -7,7 +7,9 @@ the one that does.  The test below walks the package's syntax trees from
 each reached body uses, and fails on any definition it does not reach
 (methods included: a method is reached when its class is, and reached code
 reads an attribute of its name, or it is a dunder).  A second scan fails on
-any function parameter that its body never reads.
+any function parameter that its body never reads, and a third on any
+``self.<name>`` that a method stores and no package code reads as an
+attribute.
 """
 
 import ast
@@ -27,6 +29,8 @@ KEEP = {
     "maps._squared_residual": "the sum that loss_maps and loss_fields share",
     "synth.ReflectorSample.surface_point_toward":
         "the oracle surface point of a strap, read by the geometry tests",
+    "skeleton.fit_pose_targets":
+        "fits explicit targets by track's arithmetic, for the fit tests",
 }
 
 # Parameters that their function never reads, kept on purpose.
@@ -34,6 +38,9 @@ KEEP_PARAMETERS = {
     "skeleton.calibrate_template.seed":
         "perfbench/run.py passes it; drop it with the next benchmark change",
 }
+
+# Attributes that a method stores and no package code reads, kept on purpose.
+KEEP_ATTRIBUTES = {}
 
 
 class _Module:
@@ -187,3 +194,41 @@ def test_every_parameter_is_read():
     assert set(KEEP_PARAMETERS) <= unread, (
         "KEEP_PARAMETERS names parameters that are read: "
         f"{sorted(set(KEEP_PARAMETERS) - unread)}")
+
+
+def _unread_attributes(modules):
+    """The dotted names (class, then attribute) of the ``self.<name>`` that
+    a method of a package class stores and that no package code reads as an
+    attribute: by ``.<name>``, an augmented assignment or ``getattr``."""
+    stored, read = set(), set()
+    for mod in modules.values():
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.ClassDef):
+                stored.update(
+                    f"{mod.name}.{node.name}.{sub.attr}"
+                    for item in node.body if isinstance(item, ast.FunctionDef)
+                    for sub in ast.walk(item)
+                    if isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self")
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.AugAssign)
+                  and isinstance(node.target, ast.Attribute)):
+                read.add(node.target.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return {name for name in stored if name.rpartition(".")[2] not in read}
+
+
+def test_every_stored_attribute_is_read():
+    unread = _unread_attributes(_package())
+    assert unread - set(KEEP_ATTRIBUTES) == set(), (
+        "attributes that no package code reads; drop them or give each a "
+        f"reason in KEEP_ATTRIBUTES: {sorted(unread - set(KEEP_ATTRIBUTES))}")
+    assert set(KEEP_ATTRIBUTES) <= unread, (
+        "KEEP_ATTRIBUTES names attributes that are read: "
+        f"{sorted(set(KEEP_ATTRIBUTES) - unread)}")

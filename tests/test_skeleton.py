@@ -7,12 +7,15 @@ from mocap_geom.core import ReflectorId
 from mocap_geom.errors import (CalibrationDeferred, CalibrationInputError,
                                TrackingGap)
 from mocap_geom.skeleton import (JOINTS, JOINT_BY_NAME, SHARED_REFLECTORS,
-                                 CalibrationConfig, SkeletonTemplate,
-                                 calibrate_bone, calibrate_template,
-                                 coarse_scale, fit_pose_targets,
-                                 joint_target, kabsch, minimal_rotation,
-                                 quats_from_matrices, rotation_about, track)
+                                 BoneCalibration, CalibrationConfig,
+                                 SkeletonTemplate, calibrate_bone,
+                                 calibrate_template, coarse_scale,
+                                 fit_pose_targets, kabsch, minimal_rotation,
+                                 quats_from_matrices, rotation_about,
+                                 take_targets, track)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
+from mocap_geom.synth import (MotionScript, SyntheticBody, animate,
+                              reflector_positions)
 
 
 def matrix_from_quat(q: np.ndarray) -> np.ndarray:
@@ -165,34 +168,39 @@ class TestRotationHelpers:
         np.testing.assert_allclose(kabsch(refs, obs), truth, atol=1e-12)
 
 
+def _target(frame, name, conf_min=-1.0):
+    """Joint ``name``'s target in a one-frame take."""
+    return take_targets([frame], conf_min).stream(name)[0]
+
+
 class TestJointTarget:
     def test_singleton_subset(self):
         f = frame_from_points({20: [0.1, 0, -0.4]})
-        pos, conf = joint_target(f, (20,))
+        pos, conf = _target(f, "left_knee")
         np.testing.assert_allclose(pos, [0.1, 0, -0.4])
         assert conf == pytest.approx(0.9)
 
     def test_equal_confidence_centroid(self):
         f = frame_from_points({1: [0, 0.1, 0], 8: [0, -0.1, 0],
                                19: [0.1, 0, 0], 23: [-0.1, 0, 0]})
-        pos, _ = joint_target(f, (1, 8, 19, 23))
+        pos, _ = _target(f, "hips")
         np.testing.assert_allclose(pos, [0, 0, 0], atol=1e-12)
 
     def test_partial_subset_weighted_oracle(self):
         f = OpticalFrame(frame=0)
         f.add(OpticalPoint(ReflectorId(1), np.array([1.0, 0, 0]), 0.9, 0))
         f.add(OpticalPoint(ReflectorId(8), np.array([0.0, 1, 0]), 0.3, 0))
-        pos, conf = joint_target(f, (1, 8, 19, 23))
+        pos, conf = _target(f, "hips")
         expected = (0.9 * np.array([1.0, 0, 0]) + 0.3 * np.array([0.0, 1, 0])) / 1.2
         np.testing.assert_allclose(pos, expected, atol=1e-12)
         assert conf == pytest.approx(0.6)
 
     def test_confidence_gate(self):
         f = frame_from_points({20: [0.1, 0, -0.4]})
-        assert joint_target(f, (20,), conf_min=0.95) is None
+        assert _target(f, "left_knee", conf_min=0.95) is None
 
     def test_empty_subset_absent(self):
-        assert joint_target(OpticalFrame(frame=0), (20,)) is None
+        assert _target(OpticalFrame(frame=0), "left_knee") is None
 
 
 class TestFitPoseTargets:
@@ -301,16 +309,17 @@ class TestCoarseScale:
     def test_identity_scale_on_template_targets(self):
         template = SkeletonTemplate.default()
         frames = self._frames_from_template(template, scale=1.0)
-        assert coarse_scale(template, frames) == pytest.approx(1.0, abs=1e-6)
+        assert coarse_scale(template, take_targets(frames)) == pytest.approx(1.0, abs=1e-6)
 
     def test_recovers_1p2_scale(self):
         template = SkeletonTemplate.default()
         frames = self._frames_from_template(template, scale=1.2)
-        assert coarse_scale(template, frames) == pytest.approx(1.2, rel=0.02)
+        assert coarse_scale(template, take_targets(frames)) == pytest.approx(1.2, rel=0.02)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(CalibrationInputError):
-            coarse_scale(SkeletonTemplate.default(), [frame_from_points({})])
+            coarse_scale(SkeletonTemplate.default(),
+                         take_targets([frame_from_points({})]))
 
 
 def _flexion_streams(length=90, radius=0.26, swing=1.2, noise=0.0, seed=0):
@@ -430,15 +439,14 @@ class TestSharedReflectors:
                 23: spine - 2 * d - [0.1, 0.0, 0.0],
                 21: rest["left_ankle"], 25: rest["right_ankle"]}, frame=f))
         cfg = CalibrationConfig()
-        streams = {name: [joint_target(fr, JOINT_BY_NAME[name].subset,
-                                       cfg.conf_min) for fr in frames]
-                   for name in ("hips", "spinebase")}
-        collapse = calibrate_bone(streams["hips"], streams["spinebase"], cfg)
+        window = take_targets(frames, cfg.conf_min)
+        collapse = calibrate_bone(window.stream("hips"),
+                                  window.stream("spinebase"), cfg)
         assert collapse.converged
         assert collapse.length == pytest.approx(0.015)
 
         out, report = calibrate_template(template, frames, cfg)
-        scale = coarse_scale(template, frames, cfg)
+        scale = coarse_scale(template, take_targets(frames[:cfg.rest_frames]))
         for name, shared in (("spinebase", "1, 8"), ("left_hip", "19"),
                              ("right_hip", "23")):
             assert not report[name].converged
@@ -490,3 +498,288 @@ class TestTrack:
         frame.add(OpticalPoint(ReflectorId(11), np.array([0.2, 0.0, 1.2]), 0.9, 0))
         with pytest.raises(TrackingGap, match="frame 0"):
             track(template, [frame, OpticalFrame(frame=1)])
+
+
+# ---------------------------------------------------------------------------
+# Take-wide targets, tracking and calibration against the per-frame code
+# ---------------------------------------------------------------------------
+
+def _reference_joint_target(frame, subset, conf_min=-1.0):
+    """The per-frame joint target that take_targets must match bit for bit:
+    the confidence-weighted centroid of the subset's points above the gate,
+    the plain mean when their confidences do not sum above 0."""
+    pts, confs = [], []
+    for idx in subset:
+        p = frame.get(idx)
+        if p is not None and p.confidence > conf_min:
+            pts.append(p.position)
+            confs.append(p.confidence)
+    if not pts:
+        return None
+    conf = np.array(confs)
+    total = conf.sum()
+    pos = (conf / total) @ np.array(pts) if total > 0 else np.array(pts).mean(axis=0)
+    return pos, float(total / len(conf))
+
+
+def _reference_targets(frame, conf_min=-1.0):
+    out = {}
+    for j in JOINTS:
+        t = _reference_joint_target(frame, j.subset, conf_min)
+        if t is not None:
+            out[j.name] = t
+    return out
+
+
+def _reference_root(template, frame):
+    """6-DoF root from one frame's root reflector cloud."""
+    if template.root_locals is None:
+        return None
+    locals_list, obs_list, weights = [], [], []
+    for idx, local in sorted(template.root_locals.items()):
+        p = frame.get(idx)
+        if p is not None:
+            locals_list.append(local)
+            obs_list.append(p.position)
+            weights.append(max(p.confidence, 1e-6))
+    if len(obs_list) < 3:
+        return None
+    locals_arr = np.array(locals_list)
+    obs_arr = np.array(obs_list)
+    w = np.array(weights)
+    w = w / w.sum()
+    local_centroid = w @ locals_arr
+    obs_centroid = w @ obs_arr
+    rot = kabsch(locals_arr - local_centroid, obs_arr - obs_centroid, w)
+    return obs_centroid - rot @ local_centroid, rot
+
+
+def _reference_track(template, frames):
+    """track as one target reduction and one root fit per frame."""
+    poses, prev = [], None
+    for frame in frames:
+        prev = fit_pose_targets(template, _reference_targets(frame), prev,
+                                frame.frame, _reference_root(template, frame))
+        poses.append(prev)
+    return poses
+
+
+def _reference_calibrate_template(template, frames, cfg):
+    """calibrate_template with every joint target reduced frame by frame."""
+    out = template.copy()
+    rest_frames = frames[:cfg.rest_frames]
+    rest = out.rest_positions()
+    samples = []
+    for frame in rest_frames:
+        hips = _reference_joint_target(frame, JOINT_BY_NAME["hips"].subset)
+        if hips is None:
+            continue
+        for side in ("left_ankle", "right_ankle"):
+            ankle = _reference_joint_target(frame, JOINT_BY_NAME[side].subset)
+            if ankle is not None:
+                ref = np.linalg.norm(rest[side] - rest["hips"])
+                samples.append(float(np.linalg.norm(ankle[0] - hips[0])) / ref)
+    out.apply_scale(float(np.median(samples)))
+
+    streams = {j.name: [_reference_joint_target(f, j.subset, cfg.conf_min)
+                        for f in frames[:cfg.frame_window]] for j in JOINTS}
+    report = {}
+    for j in sorted((j for j in JOINTS if j.parent is not None),
+                    key=lambda j: (j.level, j.name)):
+        shared = SHARED_REFLECTORS.get(j.name)
+        if shared:
+            report[j.name] = BoneCalibration(
+                out.bone_length(j.name), False,
+                f"shares reflectors {', '.join(map(str, shared))} with "
+                f"{j.parent}: no bone to measure")
+            continue
+        try:
+            result = calibrate_bone(streams[j.parent], streams[j.name], cfg)
+        except (CalibrationDeferred, ValueError) as exc:
+            report[j.name] = BoneCalibration(out.bone_length(j.name), False, str(exc))
+            continue
+        report[j.name] = result
+        if result.converged:
+            out.set_bone_length(j.name, result.length)
+
+    sums, counts = {}, {}
+    for frame in rest_frames:
+        for name, (pos, _) in _reference_targets(frame).items():
+            sums[name] = sums.get(name, np.zeros(3)) + pos
+            counts[name] = counts.get(name, 0) + 1
+    rest_targets = {name: sums[name] / counts[name] for name in sums}
+    root = rest_targets["hips"]
+    rest_local = out.rest_positions()
+    refs = {}
+    for j in JOINTS:
+        if j.parent is None or j.name not in rest_targets:
+            continue
+        vec = rest_targets[j.name] - (root + rest_local[j.parent])
+        norm = np.linalg.norm(vec)
+        if norm > 1e-9:
+            refs[j.name] = vec / norm
+    out.reference_dirs = refs
+    locals_sum, locals_n = {}, {}
+    for frame in rest_frames:
+        for idx in JOINT_BY_NAME["hips"].subset:
+            p = frame.get(idx)
+            if p is not None:
+                locals_sum[idx] = locals_sum.get(idx, np.zeros(3)) + p.position
+                locals_n[idx] = locals_n.get(idx, 0) + 1
+    out.root_locals = {idx: locals_sum[idx] / locals_n[idx] - root
+                       for idx in locals_sum}
+    return out, report
+
+
+def _random_take(rng, n, conf_levels=(0.0, 0.0, 0.3, 0.6, 0.9)):
+    """Points at random positions, each reflector present with probability
+    1/2; confidences from ``conf_levels`` or uniform; every fifth frame
+    empty."""
+    frames = []
+    for f in range(n):
+        frame = OpticalFrame(frame=3 * f + 7)
+        for idx in range(1, 27):
+            if f % 5 == 4 or rng.random() < 0.5:
+                continue
+            conf = (float(rng.choice(conf_levels)) if rng.random() < 0.7
+                    else float(rng.random()))
+            pos = rng.normal(size=3) * 10.0 ** rng.integers(-2, 2)
+            frame.add(OpticalPoint(ReflectorId(idx), pos, conf, frame.frame))
+        frames.append(frame)
+    return frames
+
+
+def _assert_same_targets(take, frames, conf_min):
+    assert take.frames == [f.frame for f in frames]
+    for f, frame in enumerate(frames):
+        for idx in range(1, 27):
+            p = frame.get(idx)
+            assert take.present[f, idx] == (p is not None)
+            if p is not None:
+                assert take.points[f, idx].tobytes() == p.position.tobytes()
+                assert take.confidences[f, idx] == p.confidence
+        for j, joint in enumerate(JOINTS):
+            want = _reference_joint_target(frame, joint.subset, conf_min)
+            assert take.found[f, j] == (want is not None), (f, joint.name)
+            if want is not None:
+                assert take.targets[f, j].tobytes() == want[0].tobytes(), (f, joint.name)
+                assert take.target_conf[f, j] == want[1]
+
+
+def _synth_take(motion, n, seed, drop=0.0, droppable=range(1, 27), low=0.5):
+    """Axis points of a synthetic body with 2 mm noise and confidences
+    uniform from ``low`` to 1; each point of a ``droppable`` reflector is
+    dropped with probability ``drop``."""
+    rng = np.random.default_rng(seed)
+    body = SyntheticBody.default()
+    script = MotionScript(motion, duration=n, rate=30.0)
+    frames = []
+    for f in range(n):
+        frame = OpticalFrame(frame=f)
+        for idx, sample in sorted(reflector_positions(
+                body, animate(body, script, f)).items()):
+            pos = sample.axis_point + rng.normal(scale=0.002, size=3)
+            if idx not in droppable or rng.random() >= drop:
+                frame.add(OpticalPoint(ReflectorId(idx), pos,
+                                       float(rng.uniform(low, 1.0)), f))
+        frames.append(frame)
+    return frames
+
+
+def _without(frame, reflectors):
+    return OpticalFrame(frame.frame, {idx: p for idx, p in frame.points.items()
+                                      if idx not in reflectors})
+
+
+def _assert_same_poses(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.frame, a.gap) == (b.frame, b.gap)
+        assert list(a.positions) == list(b.positions)
+        for name in a.positions:
+            assert a.positions[name].tobytes() == b.positions[name].tobytes(), (a.frame, name)
+            assert a.rotations[name].tobytes() == b.rotations[name].tobytes(), (a.frame, name)
+
+
+class TestTakeTargets:
+    @pytest.mark.parametrize("conf_min", [-1.0, 0.6])
+    def test_equal_to_the_per_frame_reduction(self, conf_min):
+        rng = np.random.default_rng(31)
+        frames = _random_take(rng, 400)
+        take = take_targets(frames, conf_min)
+        _assert_same_targets(take, frames, conf_min)
+
+        # every presence pattern of every subset, none present included
+        for j in JOINTS:
+            patterns = {tuple(frame.get(idx) is not None for idx in j.subset)
+                        for frame in frames}
+            assert len(patterns) == 2 ** len(j.subset), j.name
+        # groups of 2 or more whose confidences sum to 0 take the plain mean
+        zero_sums = [(frame, j) for frame in frames for j in JOINTS
+                     if (t := [frame.get(i) for i in j.subset
+                               if frame.get(i) is not None]) and len(t) >= 2
+                     and sum(p.confidence for p in t) == 0.0]
+        assert len(zero_sums) >= 10
+        # the gate is strict: a confidence equal to it is cut
+        at_gate = [p for frame in frames for p in frame.points.values()
+                   if p.confidence == 0.6]
+        assert len(at_gate) >= 100
+
+    def test_zero_and_one_frame_takes(self):
+        empty = take_targets([])
+        assert empty.frames == []
+        assert empty.targets.shape == (0, len(JOINTS), 3)
+        assert empty.found.shape == (0, len(JOINTS))
+        assert empty.stream("hips") == []
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            frames = _random_take(rng, 1)
+            _assert_same_targets(take_targets(frames), frames, -1.0)
+        _assert_same_targets(take_targets([OpticalFrame(frame=4)]),
+                             [OpticalFrame(frame=4)], -1.0)
+
+
+class TestTrackAgainstPerFrameFits:
+    def test_gap_frames_and_missing_children(self):
+        frames = _synth_take("squat-armraise", 60, seed=2, drop=0.1)
+        template, _ = calibrate_template(SkeletonTemplate.default(), frames)
+        hips = JOINT_BY_NAME["hips"].subset
+        for f in (20, 21, 35):  # no hips target, no root cloud
+            frames[f] = _without(frames[f], hips)
+        frames[40] = _without(frames[40], hips[:2])  # two root reflectors
+        frames[45] = OpticalFrame(frame=45)
+        for f in range(50, 55):  # a hand and a forearm missing
+            frames[f] = _without(frames[f], (12, 13, 17))
+        for candidate in (template, SkeletonTemplate.default()):
+            poses = track(candidate, frames)
+            _assert_same_poses(poses, _reference_track(candidate, frames))
+        gaps = [p.frame for p in poses if p.gap]
+        assert gaps == [20, 21, 35, 45]
+
+    def test_first_frame_gap_raises_as_before(self):
+        frames = _synth_take("jumping-jack", 5, seed=3)
+        template, _ = calibrate_template(SkeletonTemplate.default(), frames)
+        frames[0] = _without(frames[0], JOINT_BY_NAME["hips"].subset)
+        for candidate in (template, SkeletonTemplate.default()):
+            with pytest.raises(TrackingGap) as want:
+                _reference_track(candidate, frames)
+            with pytest.raises(TrackingGap) as got:
+                track(candidate, frames)
+            assert str(got.value) == str(want.value)
+
+
+class TestCalibrateAgainstPerFrameTargets:
+    def test_deferred_bones(self):
+        # left limbs lose a third of their points; the right ones keep them
+        frames = _synth_take("squat-armraise", 120, seed=4, drop=0.35,
+                             droppable=(9, 10, 11, 12, 13, 19, 20, 21, 22),
+                             low=0.65)
+        cfg = CalibrationConfig()
+        template = SkeletonTemplate.default()
+        got, report = calibrate_template(template, frames, cfg)
+        want, want_report = _reference_calibrate_template(template, frames, cfg)
+        assert got.to_dict() == want.to_dict()
+        assert report == want_report
+        deferred = [r for r in report.values() if "qualifying frames" in r.detail]
+        assert len(deferred) >= 4
+        assert any(r.converged for r in report.values())
