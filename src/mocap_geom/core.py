@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DimensionError, FormatError, InvalidDepthError,
-                     ValidationError)
+from .errors import DimensionError, FormatError, ValidationError
 
 NUM_REFLECTORS = 26
 
@@ -177,22 +176,6 @@ class IrMask:
     @property
     def width(self) -> int:
         return self.bits.shape[1]
-
-
-def project(point_cam: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[float, float, float]:
-    """Forward pinhole projection; returns (u, v, depth_mm)."""
-    x, y, z = np.asarray(point_cam, dtype=np.float64)
-    if z <= 0:
-        raise InvalidDepthError("point is behind the camera")
-    u = x * intrinsics.fx / z + intrinsics.cx
-    v = y * intrinsics.fy / z + intrinsics.cy
-    return u, v, z * 1000.0
-
-
-def to_camera(point_global: np.ndarray, extrinsics: CameraExtrinsics) -> np.ndarray:
-    """Global point to camera space: the inverse of ``R @ p + t``."""
-    return extrinsics.rotation.T @ (np.asarray(point_global, dtype=np.float64)
-                                    - extrinsics.translation)
 
 
 # ---------------------------------------------------------------------------

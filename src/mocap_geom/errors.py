@@ -9,10 +9,6 @@ class DimensionError(ValidationError):
     """Image or array dimensions are empty or inconsistent."""
 
 
-class InvalidDepthError(ValidationError):
-    """A depth value required to be positive was zero or negative."""
-
-
 class SplitFailure(ValueError):
     """A merged region could not be split into the requested clusters."""
 

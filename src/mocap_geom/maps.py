@@ -4,13 +4,21 @@ Ground-truth synthesis mirrors what a reflector-localization network is
 trained to produce: per reflector, a Gaussian belief peak at the current
 image location and a unit-vector field on the band swept between the
 previous and current locations.  Inference decodes peaks, scores temporal
-consistency with a line integral over the field, and fuses both scores.
+consistency with a line integral over the field, and fuses both scores
+(:func:`select_estimates`, which any source of candidates feeds).
+
+An oracle map centred on an integer pixel decodes to that pixel with a
+score of exactly 1.0 and to nothing else, since its centre is its only
+strict maximum (:class:`MapSynthesisParams` rejects a ``sigma_peak`` for
+which it is not): so infer takes oracle candidates straight from the
+annotations, and only a ``.dmcm`` map is decoded.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,8 @@ _PEAK_REACH = math.sqrt(150.0 * math.log(2.0))
 # Peak kernels kept, one per (sigma, sub-pixel offset): oracle centres are
 # integer pixels, so a run with one sigma_peak uses a single kernel.
 _PEAK_KERNELS = 4
+
+_NEAREST = np.ones(1)   # the squared distance of a centre's nearest pixels
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,15 @@ class MapSynthesisParams:
             if not 0 < value < math.inf:
                 raise ValidationError(f"{key} must be finite and positive, "
                                       f"got {value}")
+        # evaluated as _peak_kernel evaluates it: the nearest pixels of an
+        # integer centre must round below its 1.0, or the centre is no
+        # strict maximum and an oracle map no single peak.  That fails near
+        # 1.4e8 px, long before sigma ** 2 overflows (past 1e154).
+        if not (self.sigma_peak < 1e150 and
+                np.exp(-_NEAREST / self.sigma_peak ** 2)[0] < 1.0):
+            raise ValidationError("sigma_peak must leave the peak's centre a "
+                                  "strict maximum, so exp(-1 / sigma_peak^2) "
+                                  f"< 1; got {self.sigma_peak}")
 
 
 @dataclass(frozen=True)
@@ -118,26 +137,19 @@ class ConfidenceMap:
         _check_confidence_range(vals)
         self.values = vals
 
-    # (values, (sigma, fx, fy), row, col) of a window of a peak kernel: the
-    # window, its kernel's key and the kernel row and column of values[0, 0]
-    _kernel = None
-
     @classmethod
     def _of_checked_values(cls, reflector: ReflectorId, values: np.ndarray,
-                           origin: tuple[int, int], size: tuple[int, int],
-                           kernel: tuple | None = None) -> ConfidenceMap:
+                           origin: tuple[int, int], size: tuple[int, int]
+                           ) -> ConfidenceMap:
         """A map of float64 values already known to lie in [0, 1].
 
         Only the window's place in the frame is checked: the values are not
         scanned again (a synthesized map is a window of a checked kernel).
-        ``kernel`` is ``((sigma, fx, fy), row, col)`` for such a window.
         """
         cmap = cls.__new__(cls)
         cmap.reflector, cmap.values = reflector, values
         cmap.origin, cmap.size = _frame_window(values.shape, origin, size,
                                                "confidence map")
-        if kernel is not None:
-            cmap._kernel = (values,) + kernel
         return cmap
 
     @property
@@ -249,14 +261,12 @@ def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
     x0, x1 = max(math.floor(cx - reach), 0), min(math.ceil(cx + reach) + 1, w)
     y0, y1 = max(math.floor(cy - reach), 0), min(math.ceil(cy + reach) + 1, h)
     ix, iy = math.floor(cx), math.floor(cy)
-    key = (params.sigma_peak, cx - ix, cy - iy)
-    kernel = _peak_kernel(*key)
+    kernel = _peak_kernel(params.sigma_peak, cx - ix, cy - iy)
     r = kernel.shape[0] // 2
     row, col = r + y0 - iy, r + x0 - ix   # kernel element of frame (y0, x0)
     return ConfidenceMap._of_checked_values(
         reflector or ReflectorId(1),
-        kernel[row:row + y1 - y0, col:col + x1 - x0], (y0, x0), (w, h),
-        (key, row, col))
+        kernel[row:row + y1 - y0, col:col + x1 - x0], (y0, x0), (w, h))
 
 
 def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
@@ -324,53 +334,6 @@ def _strong_box(conf_map: ConfidenceMap, min_conf: float):
             wc + int(strong_cols[-1]))
 
 
-@functools.lru_cache(maxsize=_PEAK_KERNELS)
-def _kernel_peaks(sigma: float, fx: float, fy: float, nms_window: int,
-                  min_conf: float):
-    """(grown box, peaks) of the whole kernel of (sigma, fx, fy) decoded as
-    one dense map, or None when no kernel value reaches min_conf.
-
-    The grown box is the kernel (top, bottom, left, right) bounds of its
-    pixels >= min_conf, grown by nms_window // 2 and not clipped: every
-    value the kernel's peak search reads.
-    """
-    kernel = _peak_kernel(sigma, fx, fy)
-    side = kernel.shape[0]
-    whole = ConfidenceMap._of_checked_values(ReflectorId(1), kernel, (0, 0),
-                                             (side, side))
-    box = _strong_box(whole, min_conf)
-    if box is None:
-        return None
-    half = nms_window // 2
-    top, bottom, left, right = box
-    return ((top - half, bottom + half, left - half, right + half),
-            tuple(_search_peaks(whole, nms_window, min_conf)))
-
-
-def _peaks_from_kernel(cmap: ConfidenceMap, nms_window: int, min_conf: float):
-    """The peaks of a kernel window, translated from its kernel's, or None
-    when the map is no kernel window or its window cuts its kernel's grown
-    box.
-
-    When the window holds the grown box, the map's own pixels >= min_conf
-    are the kernel's, shifted, and their grown box holds the kernel's
-    values: decode_peaks would find the kernel's peaks, shifted, with the
-    same scores in the same order.
-    """
-    if cmap._kernel is None or cmap._kernel[0] is not cmap.values:
-        return None
-    values, key, row, col = cmap._kernel
-    memo = _kernel_peaks(*key, nms_window, min_conf)
-    if memo is None:
-        return None
-    (top, bottom, left, right), peaks = memo
-    rows, cols = values.shape
-    if top < row or bottom >= row + rows or left < col or right >= col + cols:
-        return None
-    dr, dc = cmap.origin[0] - row, cmap.origin[1] - col
-    return [((x + dc, y + dr), score) for (x, y), score in peaks]
-
-
 def decode_peaks(conf_maps: list[ConfidenceMap], nms_window: int = 5,
                  min_conf: float = 0.1
                  ) -> list[list[tuple[tuple[int, int], float]]]:
@@ -379,20 +342,11 @@ def decode_peaks(conf_maps: list[ConfidenceMap], nms_window: int = 5,
     One peak list per map, in order.  A peak must strictly exceed every
     other value inside the (odd) window centred on it, so plateaus yield no
     peaks.  Ties in score order break by smaller row then smaller column.
-
-    A synthesized map is a window of a peak kernel: the kernel is decoded
-    once per (nms_window, min_conf), and each window that holds the
-    kernel's grown box takes its peaks from there, translated.  Any other
-    map is searched on its own crop (:func:`_search_peaks`).
+    Each map is searched on its own crop (:func:`_search_peaks`).
     """
     if nms_window < 3 or nms_window % 2 == 0:
         raise ValidationError("nms_window must be odd and >= 3")
-    out = []
-    for cmap in conf_maps:
-        peaks = _peaks_from_kernel(cmap, nms_window, min_conf)
-        out.append(_search_peaks(cmap, nms_window, min_conf)
-                   if peaks is None else peaks)
-    return out
+    return [_search_peaks(cmap, nms_window, min_conf) for cmap in conf_maps]
 
 
 def _search_peaks(cmap: ConfidenceMap, nms_window: int, min_conf: float):
@@ -507,27 +461,46 @@ def greedy_inference(maps: dict[ReflectorId, ConfidenceMap],
                      params: InferenceParams) -> list[ReflectorEstimate2D]:
     """Select at most one estimate per reflector by fused confidence.
 
-    Candidate peaks come from each reflector's map; each candidate's flow
-    score is the line integral against the previous frame's retained
-    estimate for the same reflector (0 when there is none).  The flow score
-    is clamped to [0, 1] before fusing so e_total stays a probability-like
-    score.  Ties break by smaller image row, then smaller column.
+    Candidate peaks are decoded from each reflector's map and scored
+    against its field by :func:`select_estimates`.
     """
     if set(maps) != set(fields):
         raise ValidationError("maps and fields must cover the same reflectors")
-    prev = prev or {}
-    out: list[ReflectorEstimate2D] = []
     rids = sorted(maps)
     decoded = decode_peaks([maps[rid] for rid in rids], params.nms_window,
                            params.min_peak_conf)
-    for rid, peaks in zip(rids, decoded):
+    return select_estimates(zip(rids, decoded), fields.__getitem__, prev,
+                            params)
+
+
+def select_estimates(
+        candidates: Iterable[tuple[ReflectorId,
+                                   list[tuple[tuple[int, int], float]]]],
+        field_of: Callable[[ReflectorId], FlowField],
+        prev: dict[ReflectorId, ReflectorEstimate2D] | None,
+        params: InferenceParams) -> list[ReflectorEstimate2D]:
+    """The best-scored candidate of each reflector.
+
+    ``candidates`` yields (reflector, peaks) pairs in reflector order, the
+    peaks as :func:`decode_peaks` lists them.  Each candidate's flow score
+    is the line integral of the reflector's field, ``field_of(reflector)``,
+    along the segment from the previous frame's retained estimate for the
+    same reflector; it is 0 when there is none, and when the segment has
+    zero length, in which case the field is not asked for.  The flow score
+    is clamped to [0, 1] before fusing so e_total stays a probability-like
+    score.  Ties break by smaller image row, then smaller column.
+    """
+    prev = prev or {}
+    out: list[ReflectorEstimate2D] = []
+    for rid, peaks in candidates:
         if not peaks:
             continue
+        last = prev.get(rid)
         best: ReflectorEstimate2D | None = None
         for (px, py), e_s in peaks:
             e_l = 0.0
-            if rid in prev:
-                raw = line_integral(fields[rid], prev[rid].position, (px, py),
+            if last is not None and last.position != (px, py):
+                raw = line_integral(field_of(rid), last.position, (px, py),
                                     params.samples)
                 e_l = min(max(raw, 0.0), 1.0)
             cand = ReflectorEstimate2D(rid, (float(px), float(py)), e_s, e_l,
@@ -535,8 +508,7 @@ def greedy_inference(maps: dict[ReflectorId, ConfidenceMap],
             if best is None or (cand.e_total, -cand.position[1], -cand.position[0]) > \
                     (best.e_total, -best.position[1], -best.position[0]):
                 best = cand
-        if best is not None:
-            out.append(best)
+        out.append(best)
     return out
 
 

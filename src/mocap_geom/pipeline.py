@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 from . import dataset as ds
 from .config import PipelineConfig
-from .core import save_rig, write_json
+from .core import ReflectorId, save_rig, write_json
 from .errors import ValidationError
 from .filtering import apply_filters
 from .kalman import ReflectorTracker
 from .maps import (Annotation2D, ReflectorEstimate2D, greedy_inference,
-                   synth_confidence_map, synth_flow_field)
+                   select_estimates, synth_confidence_map, synth_flow_field)
 from .metrics import (EVAL_JOINT_NAMES, Detection2D, EvalReport,
                       average_precision, evaluate_motion, map_sweep,
                       mean_average_precision, subject_bbox)
@@ -89,20 +89,50 @@ def cmd_synth(config: PipelineConfig, out_dir: str | Path) -> Path:
 # infer
 # ---------------------------------------------------------------------------
 
+def _oracle_segment(a: Annotation2D) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (previous, current) pixels of an annotation's oracle map and
+    field: each location rounded, the current one for a missing previous."""
+    center = (round(a.x_curr[0]), round(a.x_curr[1]))
+    if a.x_prev is None:
+        return center, center
+    return (round(a.x_prev[0]), round(a.x_prev[1])), center
+
+
 def _maps_from_annotations(anns: list[Annotation2D], dims: tuple[int, int],
                            config: PipelineConfig):
     """Oracle maps/fields for one frame-view (centers on integer pixels)."""
     maps = {}
     fields = {}
     for a in anns:
-        center = (round(a.x_curr[0]), round(a.x_curr[1]))
+        prev, center = _oracle_segment(a)
         maps[a.reflector] = synth_confidence_map(center, dims, config.maps,
                                                  a.reflector)
-        prev = (center if a.x_prev is None
-                else (round(a.x_prev[0]), round(a.x_prev[1])))
         fields[a.reflector] = synth_flow_field(prev, center, dims, config.maps,
                                                a.reflector)
     return maps, fields
+
+
+def _oracle_estimates(anns: list[Annotation2D], dims: tuple[int, int],
+                      prev: dict[ReflectorId, ReflectorEstimate2D],
+                      config: PipelineConfig) -> list[ReflectorEstimate2D]:
+    """``greedy_inference`` over ``_maps_from_annotations``, without the maps.
+
+    An oracle map's only peak is its centre pixel, scored exactly 1.0 (the
+    centre is the kernel's strict maximum, which ``MapSynthesisParams``
+    checks), so that pixel is each reflector's one candidate, and none is
+    when ``min_peak_conf`` exceeds 1.  A flow field is built only for a
+    candidate that the line integral scores: one away from the previous
+    retained estimate.
+    """
+    segments = {a.reflector: _oracle_segment(a) for a in anns}
+    keep = config.inference.min_peak_conf <= 1.0
+
+    def field_of(rid):
+        return synth_flow_field(*segments[rid], dims, config.maps, rid)
+
+    return select_estimates(
+        ((rid, [(segments[rid][1], 1.0)] if keep else [])
+         for rid in sorted(segments)), field_of, prev, config.inference)
 
 
 def _views(reader: ds.DatasetReader, view_subset: list[int] | None) -> list[int]:
@@ -138,14 +168,18 @@ def _labeled_masks(reader: ds.DatasetReader,
 def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
                   view_subset: list[int] | None = None
                   ) -> list[tuple[int, int, list[ReflectorEstimate2D]]]:
-    """2D estimation for every frame-view: maps, greedy inference, filtering.
+    """2D estimation for every frame-view: candidates, scoring, filtering.
 
-    Per view, maps come from maps_{f}.dmcm when present (the external
-    predictor plug point) and are synthesized from the annotations otherwise
-    (oracle mode).  The temporal chain feeds each frame's retained estimates
-    into the next frame's flow scoring for the same view.  The filter's
-    region rule reads each mask's regions, labeled a batch of frames at a
-    time (``_labeled_masks``).
+    Per view, the maps of maps_{f}.dmcm (the external predictor plug point)
+    are decoded and scored when the file is present (``greedy_inference``).
+    Otherwise, in oracle mode, each annotation's rounded pixel is its
+    reflector's candidate and its flow field is synthesized only when the
+    candidate moved (``_oracle_estimates``): the estimates that decoding
+    the annotations' synthesized maps gives, with no map built.  The
+    temporal chain feeds each frame's retained estimates into the next
+    frame's flow scoring for the same view.  The filter's region rule reads
+    each mask's regions, labeled a batch of frames at a time
+    (``_labeled_masks``).
     """
     out = []
     for v in _views(reader, view_subset):
@@ -155,9 +189,13 @@ def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
         prev_retained: dict = {}
         for (f, _), regions in _labeled_masks(
                 reader, [(f, v) for f in range(reader.num_frames)]):
-            maps, fields = reader.maps(v, f) or _maps_from_annotations(
-                annotations.get(f, []), dims, config)
-            ests = greedy_inference(maps, fields, prev_retained, config.inference)
+            loaded = reader.maps(v, f)
+            if loaded is None:
+                ests = _oracle_estimates(annotations.get(f, []), dims,
+                                         prev_retained, config)
+            else:
+                ests = greedy_inference(*loaded, prev_retained,
+                                        config.inference)
             ests = apply_filters(ests, regions, config.filters)
             prev_retained = {e.reflector: e for e in ests}
             out.append((f, v, ests))

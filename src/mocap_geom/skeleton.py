@@ -193,10 +193,17 @@ class SkeletonTemplate:
     @classmethod
     def from_dict(cls, doc: dict) -> "SkeletonTemplate":
         """The template of a :meth:`to_dict` document; ValueError when a
-        non-root joint has no bone, a vector is not 3 finite numbers or
-        ``scale`` is not a finite, positive number."""
+        non-root joint has no bone, a vector is not 3 finite numbers,
+        ``scale`` is not a finite, positive number or a ``root_locals`` key
+        names no reflector 1..26."""
         def vec3(value, what):
             return np.array(finite_vector(value, 3, what), dtype=np.float64)
+
+        def reflector(key):
+            if key not in _REFLECTOR_KEYS:
+                raise ValueError(f"root_locals key {key!r} names no "
+                                 f"reflector 1..{NUM_REFLECTORS}")
+            return _REFLECTOR_KEYS[key]
 
         scale, = finite_vector([doc.get("scale", 1.0)], 1, "scale")
         if not scale > 0:
@@ -211,7 +218,7 @@ class SkeletonTemplate:
             reference_dirs={k: vec3(v, f"reference_dirs {k}")
                             for k, v in doc.get("reference_dirs", {}).items()},
             root_locals=None if "root_locals" not in doc else
-            {int(k): vec3(v, f"root_locals {k}")
+            {reflector(k): vec3(v, f"root_locals {k}")
              for k, v in doc["root_locals"].items()},
             scale=float(scale),
         )
@@ -226,6 +233,9 @@ class SkeletonTemplate:
 
 
 _BONE_NAMES = sorted(j.name for j in JOINTS if j.parent is not None)
+
+# the root_locals keys that to_dict writes, one per reflector
+_REFLECTOR_KEYS = {str(idx): idx for idx in range(1, NUM_REFLECTORS + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +254,18 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
+# the first addend of the Rodrigues sum; the sum is a new array, so this
+# one is never handed out
+_IDENTITY = np.eye(3)
+_IDENTITY.setflags(write=False)
+
+
 def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis."""
     a = np.asarray(axis, dtype=np.float64)
     a0, a1, a2 = (a / _norm(a)).tolist()
     k = np.array([[0.0, -a2, a1], [a2, 0.0, -a0], [-a1, a0, 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+    return _IDENTITY + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
 
 
 def minimal_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -656,10 +672,7 @@ class _FitConstants:
 
     @classmethod
     def of(cls, template: SkeletonTemplate) -> "_FitConstants":
-        # a frame holds reflectors 1..26 only, so no other local can be seen
-        locals_ = sorted((idx, local) for idx, local in
-                         (template.root_locals or {}).items()
-                         if 0 < idx <= NUM_REFLECTORS)
+        locals_ = sorted((template.root_locals or {}).items())
         return cls(
             bones=template.bone_vectors,
             children={name: tuple((child, template.reference_dir(child))
@@ -688,10 +701,10 @@ def _root_from_cloud(constants: _FitConstants, take: TakeTargets, index: int
     return obs_centroid - rot @ local_centroid, rot
 
 
-def fit_pose_targets(template: SkeletonTemplate,
-                     targets: dict[str, tuple[np.ndarray, float]],
-                     prev: Pose | None = None, frame: int = 0,
-                     root_override: tuple[np.ndarray, np.ndarray] | None = None) -> Pose:
+def _fit_targets(constants: _FitConstants,
+                 targets: dict[str, tuple[np.ndarray, float]],
+                 prev: Pose | None, frame: int,
+                 root_override: tuple[np.ndarray, np.ndarray] | None) -> Pose:
     """Fit the template to explicit per-joint targets.
 
     The root position is the hips target; every other joint's rotation is
@@ -702,15 +715,6 @@ def fit_pose_targets(template: SkeletonTemplate,
     and no override) the previous pose is carried as a gap frame; with no
     previous pose either, TrackingGap is raised.
     """
-    return _fit_targets(_FitConstants.of(template), targets, prev, frame,
-                        root_override)
-
-
-def _fit_targets(constants: _FitConstants,
-                 targets: dict[str, tuple[np.ndarray, float]],
-                 prev: Pose | None, frame: int,
-                 root_override: tuple[np.ndarray, np.ndarray] | None) -> Pose:
-    """``fit_pose_targets`` with the template's constants looked up."""
     if "hips" not in targets and root_override is None:
         if prev is None:
             raise TrackingGap(f"frame {frame}: no root target and no previous pose")

@@ -309,17 +309,6 @@ class ReflectorSample:
     surface_normal: np.ndarray | None  # outward patch normal
     band_half: float | None = None
 
-    def surface_point_toward(self, camera_pos: np.ndarray) -> np.ndarray:
-        """Visible surface point of the reflector as seen from a camera."""
-        if self.ring_axis is None:
-            return self.axis_point
-        to_cam = camera_pos - self.axis_point
-        radial = to_cam - (to_cam @ self.ring_axis) * self.ring_axis
-        norm = np.linalg.norm(radial)
-        if norm < 1e-12:
-            return self.axis_point
-        return self.axis_point + self.ring_radius * radial / norm
-
 
 def reflector_positions(body: SyntheticBody, pose: Pose) -> dict[int, ReflectorSample]:
     """Per-reflector ground truth: strap axis point + ring, patch point."""
@@ -739,8 +728,8 @@ def _footprints(refl: _Reflectors, rig: MultiViewRig,
     zbuf = np.concatenate([cast[1].ravel() for cast in casts])
     cam_pos = np.array([extr.translation for _, extr in rig.cameras]).reshape(-1, 3)
 
-    # the points, one row per (view, reflector): each strap's surface point
-    # toward the camera, as surface_point_toward finds it
+    # the points, one row per (view, reflector): each strap's ring point
+    # nearest the camera (its axis point when the camera sits on the axis)
     to_cam = cam_pos[:, None] - refl.points
     ring_to_cam = to_cam[:, :s].reshape(-1, 3)
     axes = np.tile(refl.ring_axes, (n_views, 1))

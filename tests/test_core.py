@@ -6,13 +6,15 @@ import pytest
 from mocap_geom.core import (END_REFLECTORS, NUM_REFLECTORS,
                              CameraExtrinsics, CameraIntrinsics, IrMask,
                              ReflectorId, ReflectorKind, load_rig,
-                             MultiViewRig, project, save_rig, to_camera)
-from mocap_geom.errors import (DimensionError, InvalidDepthError,
-                               ValidationError)
+                             MultiViewRig, save_rig)
+from mocap_geom.errors import DimensionError, ValidationError
 
 
-# Helpers only the tests use: one-point references of what spatial computes
-# for whole rows of points, and two fixtures.
+# Helpers only the tests use: one-point references of what spatial and
+# synth compute for whole rows of points, and two fixtures.
+
+class InvalidDepthError(ValidationError):
+    """A depth value required to be positive was zero or negative."""
 
 def all_reflectors() -> list[ReflectorId]:
     return [ReflectorId(i) for i in range(1, NUM_REFLECTORS + 1)]
@@ -44,6 +46,22 @@ def backproject(pixel: tuple[float, float], depth_mm: float,
 def to_global(point_cam: np.ndarray, extrinsics: CameraExtrinsics) -> np.ndarray:
     """Apply the camera-to-global rigid transform."""
     return extrinsics.rotation @ np.asarray(point_cam, dtype=np.float64) + extrinsics.translation
+
+
+def project(point_cam: np.ndarray, intrinsics: CameraIntrinsics) -> tuple[float, float, float]:
+    """Forward pinhole projection; returns (u, v, depth_mm)."""
+    x, y, z = np.asarray(point_cam, dtype=np.float64)
+    if z <= 0:
+        raise InvalidDepthError("point is behind the camera")
+    u = x * intrinsics.fx / z + intrinsics.cx
+    v = y * intrinsics.fy / z + intrinsics.cy
+    return u, v, z * 1000.0
+
+
+def to_camera(point_global: np.ndarray, extrinsics: CameraExtrinsics) -> np.ndarray:
+    """Global point to camera space: the inverse of ``R @ p + t``."""
+    return extrinsics.rotation.T @ (np.asarray(point_global, dtype=np.float64)
+                                    - extrinsics.translation)
 
 
 def _intrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, w=320, h=240):

@@ -1,5 +1,6 @@
 """Dataset-level pipeline tests: synth output contract, command chain, CLI."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,8 +20,10 @@ from mocap_geom.cli import main
 from mocap_geom.config import PipelineConfig, load_config, write_default_config
 from mocap_geom.core import DepthFrame, ReflectorId
 from mocap_geom.errors import ValidationError
+from mocap_geom.filtering import apply_filters
 from mocap_geom.kalman import ReflectorTracker
-from mocap_geom.maps import ReflectorEstimate2D
+from mocap_geom.maps import (Annotation2D, InferenceParams, MapSynthesisParams,
+                             ReflectorEstimate2D, greedy_inference)
 from mocap_geom.pipeline import (cmd_calibrate, cmd_eval, cmd_fuse, cmd_infer,
                                  cmd_synth, cmd_track, fuse_estimates,
                                  infer_dataset)
@@ -86,6 +89,29 @@ def _reference_fuse_estimates(reader, estimates, cfg):
                 normal_counts.append(sum(o[3] is not None for o in obs))
         frames.append(_step(tracker, frame))
     return frames, normal_counts
+
+
+def _reference_infer(reader, cfg, view_subset=None):
+    """infer_dataset as it was before oracle candidates: each frame-view's
+    maps read from its .dmcm file or synthesized from its annotations, then
+    decoded and scored by greedy_inference, then filtered."""
+    views = range(reader.num_views) if view_subset is None else sorted(view_subset)
+    out = []
+    for v in views:
+        intr, _ = reader.rig[v]
+        dims = (intr.width, intr.height)
+        annotations = reader.annotations(v)
+        prev = {}
+        for f in range(reader.num_frames):
+            maps, fields = reader.maps(v, f) or pipeline._maps_from_annotations(
+                annotations.get(f, []), dims, cfg)
+            ests = greedy_inference(maps, fields, prev, cfg.inference)
+            regions, = spatial.label_masks([spatial.MaskPixels.of(reader.mask(v, f))])
+            ests = apply_filters(ests, regions, cfg.filters)
+            prev = {e.reflector: e for e in ests}
+            out.append((f, v, ests))
+    out.sort(key=lambda item: (item[0], item[1]))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +244,140 @@ class TestInfer:
                 assert g.e_l == pytest.approx(o.e_l, abs=1e-6)
                 flowed += o.e_l > 0
         assert flowed > 20
+
+
+def _moving_config(num_views=3, motion="squat-armraise", duration=8):
+    """A small take that moves from its fifth frame: at 3 fps the 1 s
+    lead-in at rest ends at frame 3."""
+    cfg = small_config(duration=duration)
+    sc = cfg.synth
+    sc.num_views, sc.motion = num_views, motion
+    sc.fps, sc.image_width, sc.image_height = 3.0, 160, 120
+    sc.focal_px /= 2
+    return cfg
+
+
+def _random_annotations(rng, w, h, frames):
+    """Annotation lists of consecutive frames of one w x h view: reflectors
+    that come and go, stand still or move, on the frame border and inside
+    it, with x_prev missing, the previous x_curr or anywhere near."""
+    def pixel(size):
+        kind = int(rng.integers(0, 6))
+        base = (0, size - 1)[kind] if kind < 2 else int(rng.integers(0, size))
+        return float(np.clip(base + rng.uniform(-0.49, 0.49), 0.0, size - 1))
+
+    out, last = [], {}
+    for _ in range(frames):
+        anns = []
+        for idx in sorted(rng.choice(np.arange(1, 11), int(rng.integers(0, 9)),
+                                     replace=False).tolist()):
+            kind = int(rng.integers(0, 3))
+            if idx in last and kind == 0:
+                x = last[idx]
+            elif idx in last and kind == 1:
+                x = tuple(float(np.clip(c + rng.integers(-6, 7), 0, size - 1))
+                          for c, size in zip(last[idx], (w, h)))
+            else:
+                x = (pixel(w), pixel(h))
+            r = rng.random()
+            prev = (None if r < 0.2 else last.get(idx) if r < 0.8 else
+                    (float(rng.uniform(-20, w + 20)), float(rng.uniform(-20, h + 20))))
+            anns.append(Annotation2D(ReflectorId(idx), x, prev))
+        last = {a.reflector.index: a.x_curr for a in anns}
+        out.append(anns)
+    return out
+
+
+class TestOracleInfer:
+    """Oracle candidates taken from the annotations score as the oracle
+    maps that they stand for decode and score."""
+
+    def test_equals_decoding_the_synthesized_maps(self):
+        rng = np.random.default_rng(31)
+        counts = dict(estimates=0, flowed=0, moved=0, still=0, border=0,
+                      no_prev=0)
+        grid = [(c, n, sigma, k) for c in (-0.25, 0.0, 0.1, 1.0, 1.5)
+                for n in (3, 5, 7) for sigma in (0.5, 7.0, 20.0) for k in (2, 10)]
+        for trial, (min_conf, nms, sigma, samples) in enumerate(grid):
+            cfg = PipelineConfig()
+            cfg.maps = MapSynthesisParams(sigma_peak=sigma)
+            cfg.inference = InferenceParams(nms_window=nms, min_peak_conf=min_conf,
+                                            samples=samples)
+            w, h = (int(x) for x in rng.integers(6, 48, 2))
+            prev = {}
+            for anns in _random_annotations(rng, w, h, 10):
+                maps, fields = pipeline._maps_from_annotations(anns, (w, h), cfg)
+                want = greedy_inference(maps, fields, prev, cfg.inference)
+                got = pipeline._oracle_estimates(anns, (w, h), prev, cfg)
+                # repr tells every float apart, -0.0 from 0.0 included
+                assert repr(got) == repr(want), (trial, anns, prev)
+                for e in got:
+                    last = prev.get(e.reflector)
+                    counts["estimates"] += 1
+                    counts["flowed"] += e.e_l > 0
+                    counts["moved"] += last is not None and \
+                        last.position != e.position
+                    counts["still"] += last is not None and \
+                        last.position == e.position
+                    counts["border"] += e.position[0] in (0, w - 1) or \
+                        e.position[1] in (0, h - 1)
+                counts["no_prev"] += sum(a.x_prev is None for a in anns)
+                # a random subset carries over, as the filter would leave it
+                prev = {e.reflector: e for e in got if rng.random() < 0.8}
+        assert counts["estimates"] >= 2000 and counts["flowed"] >= 250, counts
+        assert counts["moved"] >= 400 and counts["still"] >= 200, counts
+        assert counts["border"] >= 800 and counts["no_prev"] >= 1000, counts
+
+    @pytest.mark.parametrize("num_views, motion", [
+        (2, "squat-armraise"), (3, "squat-armraise"), (4, "squat-armraise"),
+        (3, "jumping-jack")])
+    def test_infer_dataset_equals_the_reference(self, tmp_path, num_views,
+                                                motion):
+        cfg = _moving_config(num_views, motion)
+        reader = ds.DatasetReader(cmd_synth(cfg, tmp_path / "dataset"))
+        got = infer_dataset(reader, cfg)
+        assert repr(got) == repr(_reference_infer(reader, cfg))
+        assert repr(infer_dataset(reader, cfg, view_subset=[1])) == \
+            repr(_reference_infer(reader, cfg, view_subset=[1]))
+        flowed = sum(e.e_l > 0 for _, _, ests in got for e in ests)
+        assert flowed >= 10 * num_views, flowed
+
+    def test_builds_no_map_and_a_field_only_for_a_moved_candidate(
+            self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("synth_confidence_map", "synth_flow_field"):
+            monkeypatch.setattr(pipeline, name, counted(name))
+        # the first 30 frames at 30 fps are the lead-in at rest
+        cfg = small_config(duration=6)
+        reader = ds.DatasetReader(cmd_synth(cfg, tmp_path / "rest"))
+        calls.clear()
+        assert infer_dataset(reader, cfg)
+        assert calls == Counter(), calls
+
+        cfg = _moving_config()
+        reader = ds.DatasetReader(cmd_synth(cfg, tmp_path / "moving"))
+        calls.clear()
+        estimates = infer_dataset(reader, cfg)
+        retained = {(f, v): {e.reflector: e.position for e in ests}
+                    for f, v, ests in estimates}
+        moved = 0
+        for v in range(reader.num_views):
+            for f, anns in reader.annotations(v).items():
+                last = retained.get((f - 1, v), {})
+                moved += sum(
+                    a.reflector in last and last[a.reflector]
+                    != (round(a.x_curr[0]), round(a.x_curr[1])) for a in anns)
+        assert moved >= 30
+        assert calls == Counter(synth_flow_field=moved), (calls, moved)
 
 
 class TestComposition:
@@ -587,6 +747,45 @@ class TestCli:
             assert "Traceback" not in err
         template.write_text(json.dumps(doc))
         assert main(["track", "--out", str(out)]) == 0
+
+    def test_root_locals_key_of_no_reflector_exits_3_naming_it(
+            self, small_run, tmp_path, capsys):
+        """A template's root_locals keys name reflectors 1..26; a template
+        that calibrate saved loads, and saves to the same bytes."""
+        _, _, run = small_run
+        saved = run / "template.json"
+        again = tmp_path / "again.json"
+        SkeletonTemplate.load(saved).save(again)
+        assert again.read_bytes() == saved.read_bytes()
+        doc = json.loads(saved.read_text())
+        assert sorted(doc["root_locals"], key=int) == \
+            [str(i) for i in skeleton.JOINT_BY_NAME["hips"].subset]
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "optical.jsonl").write_text("")
+        template = out / "template.json"
+        for key in ("99", "-3", "0"):
+            template.write_text(json.dumps(
+                {**doc, "root_locals": {**doc["root_locals"],
+                                        key: [0.0, 0.1, 0.0]}}))
+            assert main(["track", "--out", str(out)]) == 3, key
+            err = capsys.readouterr().err
+            assert err.startswith(f"format error: {template}: "), (key, err)
+            assert f"root_locals key '{key}'" in err, (key, err)
+
+    def test_sigma_peak_without_a_strict_centre_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "tiny.ini"
+        for value in ("1.5e8", "1e300"):
+            config.write_text(f"[synth]\nduration = 3\n\n[maps]\n"
+                              f"sigma_peak = {value}\n")
+            for command in ("synth", "infer"):
+                assert main([command, "--config", str(config), "--dataset",
+                             str(tmp_path / "dataset"),
+                             "--out", str(tmp_path / "o")]) == 2
+                err = capsys.readouterr().err
+                assert f"{config}: [maps] sigma_peak" in err, err
+                assert "strict maximum" in err, err
+        assert not (tmp_path / "dataset").exists()
 
     def test_bad_calibration_exits_3_naming_it(self, tmp_path, capsys):
         dataset, out = tmp_path / "dataset", tmp_path / "o"

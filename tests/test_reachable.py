@@ -21,16 +21,9 @@ PACKAGE = Path(mocap_geom.__file__).parent
 
 # Definitions that no command reaches, kept on purpose.
 KEEP = {
-    "core.project": "scalar reference for synth's elementwise projection",
-    "core.to_camera": "scalar reference for synth's rotated camera rows",
-    "errors.InvalidDepthError": "raised by core.project behind the camera",
     "maps.loss_maps": "the paper's training loss, asserted by criterion 2",
     "maps.loss_fields": "the paper's training loss, asserted by criterion 2",
     "maps._squared_residual": "the sum that loss_maps and loss_fields share",
-    "synth.ReflectorSample.surface_point_toward":
-        "the oracle surface point of a strap, read by the geometry tests",
-    "skeleton.fit_pose_targets":
-        "fits explicit targets by track's arithmetic, for the fit tests",
 }
 
 # Parameters that their function never reads, kept on purpose.

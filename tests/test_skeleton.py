@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from mocap_geom import skeleton
 from mocap_geom.core import ReflectorId
 from mocap_geom.errors import (CalibrationDeferred, CalibrationInputError,
                                TrackingGap)
 from mocap_geom.skeleton import (JOINTS, JOINT_BY_NAME, SHARED_REFLECTORS,
                                  BoneCalibration, CalibrationConfig,
                                  SkeletonTemplate, calibrate_bone,
-                                 calibrate_template, coarse_scale,
-                                 fit_pose_targets, kabsch, minimal_rotation,
-                                 quats_from_matrices, rotation_about,
-                                 take_targets, track)
+                                 calibrate_template, coarse_scale, kabsch,
+                                 minimal_rotation, quats_from_matrices,
+                                 rotation_about, take_targets, track)
 from mocap_geom.spatial import OpticalFrame, OpticalPoint
 from mocap_geom.synth import (MotionScript, SyntheticBody, animate,
                               reflector_positions)
@@ -62,6 +62,14 @@ def pose_template(template, local_rotations, root_pos=np.zeros(3)):
         pos[j.name] = pos[j.parent] + rots[j.parent] @ template.bone_vectors[j.name]
         rots[j.name] = rots[j.parent] @ local_rotations.get(j.name, np.eye(3))
     return pos, rots
+
+
+def fit_pose_targets(template, targets, prev=None, frame=0,
+                     root_override=None):
+    """Fit the template to explicit per-joint targets by track's
+    arithmetic, with the template's constants looked up for this call."""
+    return skeleton._fit_targets(skeleton._FitConstants.of(template), targets,
+                                 prev, frame, root_override)
 
 
 def targets_from_positions(positions, conf=1.0):

@@ -15,7 +15,8 @@ from mocap_geom.spatial import (PARALLEL_EPS, MaskPixels, OpticalFrame,
                                 OpticalPoint, Region, gather_view,
                                 label_masks, split_merged_region)
 from mocap_geom.synth import interior_pixels
-from test_core import backproject, identity_extrinsics, to_global
+from test_core import (backproject, identity_extrinsics, project,
+                       to_camera, to_global)
 
 INTR = CameraIntrinsics(fx=365.0, fy=365.0, cx=160.0, cy=120.0, width=320, height=240)
 
@@ -1266,8 +1267,6 @@ class TestMultiViewConsistency:
         # Two cameras observing the same flat patch hole: the per-view
         # global observations must agree within twice the millimeter depth
         # quantization before any fusion.
-        from mocap_geom.core import to_camera, project
-
         wall_z = 1.5  # meters in front of camera A
         extr_a = identity_extrinsics()
         # camera B translated sideways, same orientation; baseline chosen so

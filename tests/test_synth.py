@@ -9,14 +9,28 @@ from scipy import ndimage
 
 from mocap_geom import synth
 from mocap_geom.core import (CameraExtrinsics, CameraIntrinsics, MultiViewRig,
-                             ReflectorId, project, to_camera)
+                             ReflectorId)
 from mocap_geom.errors import ValidationError
 from mocap_geom.maps import Annotation2D, ReflectorEstimate2D
 from mocap_geom.skeleton import JOINT_BY_NAME, JOINTS, Pose, rotation_about
 from mocap_geom.spatial import _rotate_rows
 from mocap_geom.synth import (MOTION_NAMES, MotionScript, SyntheticBody, animate,
                               default_rig, reflector_positions, render)
+from test_core import project, to_camera
 from test_spatial import _fuse_observed, _observe_items, _regions
+
+
+def surface_point_toward(sample, camera_pos: np.ndarray) -> np.ndarray:
+    """Visible surface point of a reflector sample as seen from a camera:
+    a patch's own point, or the point of a strap's ring nearest the camera."""
+    if sample.ring_axis is None:
+        return sample.axis_point
+    to_cam = camera_pos - sample.axis_point
+    radial = to_cam - (to_cam @ sample.ring_axis) * sample.ring_axis
+    norm = np.linalg.norm(radial)
+    if norm < 1e-12:
+        return sample.axis_point
+    return sample.axis_point + sample.ring_radius * radial / norm
 
 
 def _est(idx, x, y, conf=0.9):
@@ -108,7 +122,7 @@ class TestReflectorPositions:
         body.capsule_radii["left_wrist"] = 0.0  # strap 12 rides the forearm
         pose = animate(body, MotionScript("rest", duration=1), 0)
         s = reflector_positions(body, pose)[12]
-        np.testing.assert_allclose(s.surface_point_toward(np.array([0, 2.0, 1.0])),
+        np.testing.assert_allclose(surface_point_toward(s, np.array([0, 2.0, 1.0])),
                                    s.axis_point, atol=1e-12)
 
     def test_equivariance_under_global_transform(self):
@@ -294,7 +308,7 @@ def _reference_strap_footprints(samples, straps, intr, extr, zbuf, owner, axial,
         if bi not in boxes:
             continue
         sample = samples[idx]
-        surface_pt = sample.surface_point_toward(extr.translation)
+        surface_pt = surface_point_toward(sample, extr.translation)
         if not _reference_point_visible(surface_pt, intr, extr, zbuf, origin=origin):
             continue
         win = boxes[bi]
@@ -490,7 +504,7 @@ def _full_frame_footprint(sample, body, intr, extr, zbuf, owner, axial, bones):
         facing = np.einsum("ij,ij->i", surf_normal, view_dir) >= synth._FACING_COS
         pixels = np.zeros_like(band)
         pixels[vs[facing], us[facing]] = True
-        surface_pt = sample.surface_point_toward(cam_pos)
+        surface_pt = surface_point_toward(sample, cam_pos)
         if not pixels.any() or not _reference_point_visible(surface_pt, intr, extr, zbuf):
             return None
         return pixels, surface_pt
@@ -883,7 +897,7 @@ def _footprint_cases(body, pose, intr, extr, cast, footprints):
     for idx, site in body.strap_sites.items():
         if bones.index(site.capsule) not in boxes:
             seen.add("strap bone with no hit")
-        elif _occluded(samples[idx].surface_point_toward(extr.translation), intr,
+        elif _occluded(surface_point_toward(samples[idx], extr.translation), intr,
                        extr, zbuf, origin, 0.03):
             seen.add("occluded surface point")
     for idx, site in body.patch_sites.items():
@@ -1079,7 +1093,7 @@ class TestStrapGeometryThroughPipeline:
         *_, normal = self._observe_strap(body, rig, views, idx=20)[0]
         _, extr = rig[0]
         sample = samples[20]
-        true_surface = sample.surface_point_toward(extr.translation)
+        true_surface = surface_point_toward(sample, extr.translation)
         true_normal = true_surface - sample.axis_point
         true_normal = true_normal / np.linalg.norm(true_normal)
         cos = abs(float(normal @ true_normal))
