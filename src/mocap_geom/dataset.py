@@ -110,21 +110,21 @@ def write_maps(path: str | Path, maps: dict[ReflectorId, ConfidenceMap],
     reflector (in that order) the w*h float32 confidence plane; then per
     reflector the two w*h float32 flow planes (x components, then y
     components).  A frame with no reflectors is written as w = h = count = 0.
-    Planes are whole frames: each stored window is densified as it is
-    written.
+    Planes are whole frames: a map is written as it is held, and each flow
+    field's stored window is densified as it is written.
     """
     if set(maps) != set(fields):
         raise ValidationError("maps and fields must cover the same reflectors")
     rids = sorted(maps)
-    w, h = maps[rids[0]].size if rids else (0, 0)
+    h, w = maps[rids[0]].values.shape if rids else (0, 0)
     with open(path, "wb") as fh:
         fh.write(MAGIC_MAPS)
         fh.write(struct.pack("<IIII", MAPS_VERSION, w, h, len(rids)))
         fh.write(struct.pack(f"<{len(rids)}I", *(rid.index for rid in rids)))
         for rid in rids:
-            if maps[rid].size != (w, h):
+            if maps[rid].values.shape != (h, w):
                 raise ValidationError("inconsistent map dimensions")
-            fh.write(maps[rid].dense().astype("<f4").tobytes())
+            fh.write(maps[rid].values.astype("<f4").tobytes())
         for rid in rids:
             if fields[rid].size != (w, h):
                 raise ValidationError("inconsistent field dimensions")
@@ -166,7 +166,7 @@ def read_maps(path: str | Path) -> tuple[dict[ReflectorId, ConfidenceMap],
         rids = [ReflectorId(i) for i in indices]
         for rid in rids:
             vals = np.frombuffer(data, dtype="<f4", count=w * h, offset=off)
-            maps[rid] = ConfidenceMap(rid, vals.reshape(h, w).astype(np.float64))
+            maps[rid] = ConfidenceMap(vals.reshape(h, w).astype(np.float64))
             off += plane
         flow = np.frombuffer(data, dtype="<f4", count=2 * count * w * h,
                              offset=off).reshape(count, 2, h, w)
@@ -174,7 +174,7 @@ def read_maps(path: str | Path) -> tuple[dict[ReflectorId, ConfidenceMap],
             raise FormatError(f"{path}: flow planes hold NaN or infinite values")
         for k, rid in enumerate(rids):
             vec = np.stack([flow[k, 0], flow[k, 1]], axis=-1)
-            fields[rid] = FlowField(rid, vec.astype(np.float64))
+            fields[rid] = FlowField(vec.astype(np.float64))
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return maps, fields
@@ -536,7 +536,8 @@ class DatasetReader:
         # one w x h covers every plane of the file
         first = next(iter(maps.values()), None)
         if first is not None:
-            self._check_size(path, view, first.width, first.height)
+            h, w = first.values.shape
+            self._check_size(path, view, w, h)
         return maps, fields
 
     def _check_size(self, path: Path, view: int, w: int, h: int) -> None:

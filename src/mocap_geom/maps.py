@@ -7,6 +7,10 @@ previous and current locations.  Inference decodes peaks, scores temporal
 consistency with a line integral over the field, and fuses both scores
 (:func:`select_estimates`, which any source of candidates feeds).
 
+A confidence map holds its whole frame, as a ``.dmcm`` file does; a flow
+field stores only the window around its band, since oracle infer builds
+one for each candidate that moved.
+
 An oracle map centred on an integer pixel decodes to that pixel with a
 score of exactly 1.0 and to nothing else, since its centre is its only
 strict maximum (:class:`MapSynthesisParams` rejects a ``sigma_peak`` for
@@ -80,101 +84,35 @@ class InferenceParams:
                                   f"{self.min_peak_conf}")
 
 
-def _frame_window(shape: tuple[int, ...], origin, size, what: str):
-    """Check that a stored window lies inside a non-empty frame.
-
-    ``size`` None means the window is the whole frame.  Returns the
-    normalized ``(origin, size)``.
-    """
-    r0, c0 = (int(x) for x in origin)
-    w, h = (shape[1], shape[0]) if size is None else (int(x) for x in size)
-    if w < 1 or h < 1:
-        raise DimensionError(f"{what} frame must be non-empty, got {w}x{h}")
-    if r0 < 0 or c0 < 0 or r0 + shape[0] > h or c0 + shape[1] > w:
-        raise DimensionError(f"{what} window {shape[1]}x{shape[0]} at row "
-                             f"{r0}, col {c0} is outside the {w}x{h} frame")
-    return (r0, c0), (w, h)
-
-
-def _densify(window: np.ndarray, origin: tuple[int, int],
-             size: tuple[int, int]) -> np.ndarray:
-    """The full frame: the window at its origin, 0 everywhere else."""
-    (r0, c0), (w, h) = origin, size
-    out = np.zeros((h, w) + window.shape[2:])
-    out[r0:r0 + window.shape[0], c0:c0 + window.shape[1]] = window
-    return out
-
-
-def _check_confidence_range(vals: np.ndarray) -> None:
-    # written so that NaN, for which every comparison is False, fails
-    if vals.size and not (vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12):
-        raise ValidationError("confidence values must lie in [0, 1]")
-
-
 @dataclass
 class ConfidenceMap:
-    """Per-reflector 2D belief image with values in [0, 1].
+    """Per-reflector 2D belief image of a whole (h, w) frame, values in
+    [0, 1] (float rounding of +-1e-12 allowed)."""
 
-    Only a window of the frame is stored: ``values[i, j]`` is frame pixel
-    (row ``origin[0] + i``, col ``origin[1] + j``) of a ``size`` = (w, h)
-    frame, and every frame pixel outside the window is 0.  A dense map is
-    the window that covers the frame (origin (0, 0), the default size).
-    ``values`` may be a read-only view shared with other maps (a synthesized
-    map's window of its peak kernel); :meth:`dense` returns a new array.
-    """
-
-    reflector: ReflectorId
-    values: np.ndarray  # (rows, cols) float64 window
-    origin: tuple[int, int] = (0, 0)        # (row, col) of values[0, 0]
-    size: tuple[int, int] | None = None     # frame (w, h); None: the window
+    values: np.ndarray  # (h, w) float64
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise DimensionError("confidence map must be a 2D array")
-        self.origin, self.size = _frame_window(vals.shape, self.origin,
-                                               self.size, "confidence map")
-        _check_confidence_range(vals)
+        if vals.ndim != 2 or vals.size == 0:
+            raise DimensionError("confidence map must be a non-empty 2D "
+                                 f"array, got shape {vals.shape}")
+        # written so that NaN, for which every comparison is False, fails
+        if not (vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12):
+            raise ValidationError("confidence values must lie in [0, 1]")
         self.values = vals
-
-    @classmethod
-    def _of_checked_values(cls, reflector: ReflectorId, values: np.ndarray,
-                           origin: tuple[int, int], size: tuple[int, int]
-                           ) -> ConfidenceMap:
-        """A map of float64 values already known to lie in [0, 1].
-
-        Only the window's place in the frame is checked: the values are not
-        scanned again (a synthesized map is a window of a checked kernel).
-        """
-        cmap = cls.__new__(cls)
-        cmap.reflector, cmap.values = reflector, values
-        cmap.origin, cmap.size = _frame_window(values.shape, origin, size,
-                                               "confidence map")
-        return cmap
-
-    @property
-    def height(self) -> int:
-        return self.size[1]
-
-    @property
-    def width(self) -> int:
-        return self.size[0]
-
-    def dense(self) -> np.ndarray:
-        """A new (h, w) array of the whole frame."""
-        return _densify(self.values, self.origin, self.size)
 
 
 @dataclass
 class FlowField:
     """Per-reflector 2-channel temporal vector field.
 
-    Stored as a window like :class:`ConfidenceMap`: ``vectors[i, j]`` holds
-    the (x, y) flow direction at frame pixel (u, v) = (``origin[1] + j``,
-    ``origin[0] + i``); zero outside the window and the field support.
+    Only a window of the frame is stored: ``vectors[i, j]`` holds the (x, y)
+    flow direction at frame pixel (u, v) = (``origin[1] + j``,
+    ``origin[0] + i``) of a ``size`` = (w, h) frame, and the field is zero
+    outside the window and the field support.  A dense field is the window
+    that covers the frame (origin (0, 0), the default size).
     """
 
-    reflector: ReflectorId
     vectors: np.ndarray  # (rows, cols, 2) float64 window
     origin: tuple[int, int] = (0, 0)        # (row, col) of vectors[0, 0]
     size: tuple[int, int] | None = None     # frame (w, h); None: the window
@@ -183,21 +121,25 @@ class FlowField:
         vec = np.asarray(self.vectors, dtype=np.float64)
         if vec.ndim != 3 or vec.shape[2] != 2:
             raise DimensionError("flow field must be a (rows, cols, 2) array")
-        self.origin, self.size = _frame_window(vec.shape, self.origin,
-                                               self.size, "flow field")
-        self.vectors = vec
-
-    @property
-    def height(self) -> int:
-        return self.size[1]
-
-    @property
-    def width(self) -> int:
-        return self.size[0]
+        r0, c0 = (int(x) for x in self.origin)
+        rows, cols = vec.shape[:2]
+        w, h = (cols, rows) if self.size is None else (int(x) for x in self.size)
+        if w < 1 or h < 1:
+            raise DimensionError(f"flow field frame must be non-empty, got "
+                                 f"{w}x{h}")
+        if r0 < 0 or c0 < 0 or r0 + rows > h or c0 + cols > w:
+            raise DimensionError(f"flow field window {cols}x{rows} at row "
+                                 f"{r0}, col {c0} is outside the {w}x{h} "
+                                 "frame")
+        self.origin, self.size, self.vectors = (r0, c0), (w, h), vec
 
     def dense(self) -> np.ndarray:
         """A new (h, w, 2) array of the whole frame."""
-        return _densify(self.vectors, self.origin, self.size)
+        (r0, c0), (w, h) = self.origin, self.size
+        out = np.zeros((h, w, 2))
+        out[r0:r0 + self.vectors.shape[0], c0:c0 + self.vectors.shape[1]] = \
+            self.vectors
+        return out
 
 
 @dataclass(frozen=True)
@@ -227,31 +169,30 @@ def _peak_kernel(sigma: float, fx: float, fy: float) -> np.ndarray:
     Row j and column k run over the integer offsets -r..r, with
     r = ceil(sigma * _PEAK_REACH) + 2, so element [r + j, r + k] is the
     value at pixel (ix + k, iy + j) of a peak centred at (ix + fx, iy + fy).
-    Its range is checked here, once, for every map sliced from it.
     """
     r = math.ceil(sigma * _PEAK_REACH) + 2
     ks = np.arange(-r, r + 1, dtype=np.float64)
     d2 = (ks[None, :] - fx) ** 2 + (ks[:, None] - fy) ** 2
     kernel = np.exp(-d2 / sigma ** 2)
-    _check_confidence_range(kernel)
     kernel.setflags(write=False)
     return kernel
 
 
 def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
-                         params: MapSynthesisParams,
-                         reflector: ReflectorId | None = None) -> ConfidenceMap:
+                         params: MapSynthesisParams) -> ConfidenceMap:
     """Gaussian belief peak: value(p) = exp(-|p - center|^2 / sigma^2).
 
     The maximum is exactly 1.0 at the center; synthesize with integer-pixel
     centers when a grid pixel must attain it.  Values below 2**-150, which
-    are 0 once stored as float32, are 0: the map stores only the box of
-    half-width sigma * sqrt(150 ln 2) (about 10.2 sigma) around the center,
-    clipped to the frame, and every value inside it is the full-frame value.
+    are 0 once stored as float32, are 0: only the box of half-width
+    sigma * sqrt(150 ln 2) (about 10.2 sigma) around the center, clipped to
+    the frame, is evaluated, and every value inside it is the full-frame
+    value.
 
-    The box is a read-only window of the kernel of the center's sub-pixel
-    offset.  ``cx - floor(cx)`` is exact, so ``k - fx`` is the float nearest
-    to ``x - cx``, as in the full-frame expression, and so is every value.
+    The box is copied into a zero frame from the cached kernel of the
+    center's sub-pixel offset.  ``cx - floor(cx)`` is exact, so ``k - fx``
+    is the float nearest to ``x - cx``, as in the full-frame expression,
+    and so is every value.
     """
     w, h = dims
     cx, cy = float(center[0]), float(center[1])
@@ -264,14 +205,14 @@ def synth_confidence_map(center: tuple[float, float], dims: tuple[int, int],
     kernel = _peak_kernel(params.sigma_peak, cx - ix, cy - iy)
     r = kernel.shape[0] // 2
     row, col = r + y0 - iy, r + x0 - ix   # kernel element of frame (y0, x0)
-    return ConfidenceMap._of_checked_values(
-        reflector or ReflectorId(1),
-        kernel[row:row + y1 - y0, col:col + x1 - x0], (y0, x0), (w, h))
+    values = np.zeros((h, w))
+    values[y0:y1, x0:x1] = kernel[row:row + y1 - y0, col:col + x1 - x0]
+    return ConfidenceMap(values)
 
 
 def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
-                     dims: tuple[int, int], params: MapSynthesisParams,
-                     reflector: ReflectorId | None = None) -> FlowField:
+                     dims: tuple[int, int], params: MapSynthesisParams
+                     ) -> FlowField:
     """Unit-vector band between the previous and current locations.
 
     Support: points p with 0 <= v.(p - x_prev) <= d and |v_perp.(p - x_prev)|
@@ -280,7 +221,7 @@ def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
     field, stored as an empty window.
     """
     w, h = dims
-    empty = (reflector or ReflectorId(1), np.zeros((0, 0, 2)), (0, 0), (w, h))
+    empty = (np.zeros((0, 0, 2)), (0, 0), (w, h))
     if tuple(x_prev) == tuple(x_curr):   # stationary: skip the array arithmetic
         return FlowField(*empty)
     prev = np.asarray(x_prev, dtype=np.float64)
@@ -312,26 +253,18 @@ def synth_flow_field(x_prev: tuple[float, float], x_curr: tuple[float, float],
         (np.abs(across) <= params.sigma_field)
     vectors = np.zeros((y1 - y0, x1 - x0, 2))
     vectors[support] = v
-    return FlowField(reflector or ReflectorId(1), vectors, (y0, x0), (w, h))
+    return FlowField(vectors, (y0, x0), (w, h))
 
 
-def _strong_box(conf_map: ConfidenceMap, min_conf: float):
-    """Frame (top, bottom, left, right) bounds of the pixels >= min_conf,
-    or None when there are none."""
-    vals = conf_map.values
-    (wr, wc), (w, h) = conf_map.origin, conf_map.size
-    if min_conf <= 0 and vals.shape != (h, w):
-        # the 0s outside the window are strong too
-        return 0, h - 1, 0, w - 1
-    if vals.size == 0:
-        return None
+def _strong_box(vals: np.ndarray, min_conf: float):
+    """(top, bottom, left, right) bounds of the pixels >= min_conf, or None
+    when there are none."""
     strong_rows = np.flatnonzero(vals.max(axis=1) >= min_conf)
     if len(strong_rows) == 0:
         return None
     first, last = int(strong_rows[0]), int(strong_rows[-1])
     strong_cols = np.flatnonzero(vals[first:last + 1].max(axis=0) >= min_conf)
-    return (wr + first, wr + last, wc + int(strong_cols[0]),
-            wc + int(strong_cols[-1]))
+    return first, last, int(strong_cols[0]), int(strong_cols[-1])
 
 
 def decode_peaks(conf_maps: list[ConfidenceMap], nms_window: int = 5,
@@ -355,28 +288,22 @@ def _search_peaks(cmap: ConfidenceMap, nms_window: int, min_conf: float):
     Only pixels >= min_conf can be peaks, and a peak's window reaches
     nms_window // 2 past it, so the map is searched on the bounding box of
     those pixels grown by that much and clipped to its frame: every value a
-    candidate's window reads is inside that crop, which holds the stored
-    values inside the map's window and 0 outside it.  The crop is padded
-    with -inf, which stands for the pixels off the frame.
+    candidate's window reads is inside that crop.  The crop is padded with
+    -inf, which stands for the pixels off the frame.
     """
-    box = _strong_box(cmap, min_conf)
+    vals = cmap.values
+    box = _strong_box(vals, min_conf)
     if box is None:
         return []
     half = nms_window // 2
     top, bottom, left, right = box
-    vals, (wr, wc), (w, h) = cmap.values, cmap.origin, cmap.size
+    h, w = vals.shape
     r0, r1 = max(top - half, 0), min(bottom + half + 1, h)
     c0, c1 = max(left - half, 0), min(right + half + 1, w)
     rows, cols = r1 - r0, c1 - c0
     padded = np.full((rows + 2 * half, cols + 2 * half), -np.inf)
     crop = padded[half:half + rows, half:half + cols]
-    i0, i1 = max(r0, wr), min(r1, wr + vals.shape[0])
-    j0, j1 = max(c0, wc), min(c1, wc + vals.shape[1])
-    if (i0, i1, j0, j1) != (r0, r1, c0, c1):
-        crop[...] = 0.0   # the crop reaches past the stored window
-    if i0 < i1 and j0 < j1:
-        crop[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = \
-            vals[i0 - wr:i1 - wr, j0 - wc:j1 - wc]
+    crop[...] = vals[r0:r1, c0:c1]
     # the window maximum, centre included: along rows, then along columns
     row_max = np.maximum(padded[:, :cols], padded[:, 1:cols + 1])
     for k in range(2, nms_window):
@@ -486,9 +413,10 @@ def select_estimates(
     is the line integral of the reflector's field, ``field_of(reflector)``,
     along the segment from the previous frame's retained estimate for the
     same reflector; it is 0 when there is none, and when the segment has
-    zero length, in which case the field is not asked for.  The flow score
-    is clamped to [0, 1] before fusing so e_total stays a probability-like
-    score.  Ties break by smaller image row, then smaller column.
+    zero length, in which case the field is not asked for.  Both scores
+    are clamped to [0, 1] before fusing so e_total stays a probability-like
+    score: a map's range check allows values 1e-12 past either bound.  Ties
+    break by smaller image row, then smaller column.
     """
     prev = prev or {}
     out: list[ReflectorEstimate2D] = []
@@ -497,7 +425,8 @@ def select_estimates(
             continue
         last = prev.get(rid)
         best: ReflectorEstimate2D | None = None
-        for (px, py), e_s in peaks:
+        for (px, py), score in peaks:
+            e_s = min(max(score, 0.0), 1.0)
             e_l = 0.0
             if last is not None and last.position != (px, py):
                 raw = line_integral(field_of(rid), last.position, (px, py),
@@ -512,23 +441,26 @@ def select_estimates(
     return out
 
 
-def _squared_residual(pred: list, truth: list, what: str) -> float:
-    """Sum of squared per-pixel residuals of paired maps or fields."""
+def _squared_residual(pred: list[np.ndarray], truth: list[np.ndarray],
+                      what: str) -> float:
+    """Sum of squared per-pixel residuals of paired whole-frame arrays."""
     if len(pred) != len(truth):
         raise DimensionError("prediction/truth reflector counts differ")
     total = 0.0
     for p, t in zip(pred, truth):
-        if p.size != t.size:
+        if p.shape != t.shape:
             raise DimensionError(f"{what} dimensions differ")
-        total += float(np.sum((p.dense() - t.dense()) ** 2))
+        total += float(np.sum((p - t) ** 2))
     return total
 
 
 def loss_maps(pred: list[ConfidenceMap], truth: list[ConfidenceMap]) -> float:
     """Sum of squared per-pixel residuals over all reflector maps."""
-    return _squared_residual(pred, truth, "map")
+    return _squared_residual([m.values for m in pred],
+                             [m.values for m in truth], "map")
 
 
 def loss_fields(pred: list[FlowField], truth: list[FlowField]) -> float:
     """Sum of squared per-pixel 2-vector residuals over all flow fields."""
-    return _squared_residual(pred, truth, "field")
+    return _squared_residual([f.dense() for f in pred],
+                             [f.dense() for f in truth], "field")

@@ -105,10 +105,8 @@ def _maps_from_annotations(anns: list[Annotation2D], dims: tuple[int, int],
     fields = {}
     for a in anns:
         prev, center = _oracle_segment(a)
-        maps[a.reflector] = synth_confidence_map(center, dims, config.maps,
-                                                 a.reflector)
-        fields[a.reflector] = synth_flow_field(prev, center, dims, config.maps,
-                                               a.reflector)
+        maps[a.reflector] = synth_confidence_map(center, dims, config.maps)
+        fields[a.reflector] = synth_flow_field(prev, center, dims, config.maps)
     return maps, fields
 
 
@@ -128,7 +126,7 @@ def _oracle_estimates(anns: list[Annotation2D], dims: tuple[int, int],
     keep = config.inference.min_peak_conf <= 1.0
 
     def field_of(rid):
-        return synth_flow_field(*segments[rid], dims, config.maps, rid)
+        return synth_flow_field(*segments[rid], dims, config.maps)
 
     return select_estimates(
         ((rid, [(segments[rid][1], 1.0)] if keep else [])

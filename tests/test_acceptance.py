@@ -56,7 +56,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_map_math():
     start = time.perf_counter()
-    m = synth_confidence_map((30, 20), (64, 48), PARAMS).dense()
+    m = synth_confidence_map((30, 20), (64, 48), PARAMS).values
     ok = abs(m[20, 30] - 1.0) <= 1e-9
     ok &= abs(m[20, 37] - np.exp(-1.0)) <= 1e-9
 
@@ -141,7 +141,7 @@ def test_criterion_2_brute_force_equivalence():
 
     for _ in range(100):  # line integrals over random fields
         vecs = rng.normal(size=(16, 18, 2))
-        field = FlowField(rid, vecs)
+        field = FlowField(vecs)
         a = rng.uniform(0, 17, 2)
         b = rng.uniform(0, 17, 2)
         if np.allclose(a, b):
@@ -156,12 +156,12 @@ def test_criterion_2_brute_force_equivalence():
     for _ in range(100):  # losses
         pv, tv = rng.random((2, 7, 9))
         naive = sum((pv[y, x] - tv[y, x]) ** 2 for y in range(7) for x in range(9))
-        got = loss_maps([ConfidenceMap(rid, pv)], [ConfidenceMap(rid, tv)])
+        got = loss_maps([ConfidenceMap(pv)], [ConfidenceMap(tv)])
         assert abs(got - naive) <= 1e-9
         pf, tf = rng.random((2, 7, 9, 2))
         naive_f = sum(np.sum((pf[y, x] - tf[y, x]) ** 2)
                       for y in range(7) for x in range(9))
-        assert abs(loss_fields([FlowField(rid, pf)], [FlowField(rid, tf)])
+        assert abs(loss_fields([FlowField(pf)], [FlowField(tf)])
                    - naive_f) <= 1e-9
 
     for _ in range(100):  # PCK / AP counting

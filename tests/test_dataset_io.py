@@ -29,9 +29,9 @@ def corrupt_maps_files(tmp_path) -> dict[str, bytes]:
     """Bytes of damaged `.dmcm` files, each derived from a valid one."""
     params = MapSynthesisParams()
     rids = (ReflectorId(3), ReflectorId(17))
-    maps = {rid: synth_confidence_map((4.0, 5.0), (8, 6), params, rid)
+    maps = {rid: synth_confidence_map((4.0, 5.0), (8, 6), params)
             for rid in rids}
-    fields = {rid: synth_flow_field((1.0, 1.0), (6.0, 4.0), (8, 6), params, rid)
+    fields = {rid: synth_flow_field((1.0, 1.0), (6.0, 4.0), (8, 6), params)
               for rid in rids}
     path = tmp_path / "valid.dmcm"
     ds.write_maps(path, maps, fields)
@@ -136,14 +136,14 @@ class TestBinaryFormats:
         fields = {}
         for i in (1, 2, 3):
             rid = ReflectorId(i)
-            maps[rid] = synth_confidence_map((10 + i, 12), (48, 36), params, rid)
-            fields[rid] = synth_flow_field((5, 5), (15 + i, 9), (48, 36), params, rid)
+            maps[rid] = synth_confidence_map((10 + i, 12), (48, 36), params)
+            fields[rid] = synth_flow_field((5, 5), (15 + i, 9), (48, 36), params)
         path = tmp_path / "maps.dmcm"
         ds.write_maps(path, maps, fields)
         maps2, fields2 = ds.read_maps(path)
         assert set(maps2) == set(maps)
         for rid in maps:
-            np.testing.assert_allclose(maps2[rid].values, maps[rid].dense(),
+            np.testing.assert_allclose(maps2[rid].values, maps[rid].values,
                                        atol=1e-7)  # float32 storage
             np.testing.assert_allclose(fields2[rid].vectors, fields[rid].dense(),
                                        atol=1e-7)
@@ -159,18 +159,17 @@ class TestBinaryFormats:
             for i in ids:
                 rid = ReflectorId(i)
                 center = tuple(float(x) for x in rng.uniform(0, [40, 30]))
-                maps[rid] = synth_confidence_map(center, dims, params, rid)
+                maps[rid] = synth_confidence_map(center, dims, params)
                 fields[rid] = synth_flow_field(
-                    tuple(rng.uniform(-5, 45, 2)), center, dims, params, rid)
+                    tuple(rng.uniform(-5, 45, 2)), center, dims, params)
             path = tmp_path / f"maps_{trial}.dmcm"
             ds.write_maps(path, maps, fields)
             maps2, fields2 = ds.read_maps(path)
             assert sorted(r.index for r in maps2) == ids
             assert sorted(r.index for r in fields2) == ids
             for rid in maps:
-                assert maps2[rid].reflector == rid
                 assert np.array_equal(maps2[rid].values,
-                                      maps[rid].dense().astype("<f4"))
+                                      maps[rid].values.astype("<f4"))
                 assert np.array_equal(fields2[rid].vectors,
                                       fields[rid].dense().astype("<f4"))
 
@@ -229,7 +228,8 @@ def _random_mask(rng) -> IrMask:
 
 def _random_maps(rng):
     """Maps and fields of a random frame: 0-6 sparse ids (0 is an empty
-    frame), each a random window of values in [0, 1] and flow in [-1, 1]."""
+    frame), each a random window of values in [0, 1] and flow in [-1, 1],
+    0 around it (the map holds its whole frame, the field the window)."""
     w, h = (int(x) for x in rng.integers(1, 33, 2))
     ids = sorted(int(i) for i in rng.choice(np.arange(1, 27),
                                             int(rng.integers(0, 7)), False))
@@ -238,8 +238,10 @@ def _random_maps(rng):
         rid = ReflectorId(i)
         r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
         rows, cols = int(rng.integers(0, h - r0 + 1)), int(rng.integers(0, w - c0 + 1))
-        maps[rid] = ConfidenceMap(rid, rng.random((rows, cols)), (r0, c0), (w, h))
-        fields[rid] = FlowField(rid, rng.uniform(-1, 1, (rows, cols, 2)),
+        vals = np.zeros((h, w))
+        vals[r0:r0 + rows, c0:c0 + cols] = rng.random((rows, cols))
+        maps[rid] = ConfidenceMap(vals)
+        fields[rid] = FlowField(rng.uniform(-1, 1, (rows, cols, 2)),
                                 (r0, c0), (w, h))
     return maps, fields
 
@@ -325,14 +327,14 @@ class TestCodecFuzz:
             assert list(maps2) == sorted(maps) == list(fields2), trial
             for rid in maps:
                 assert np.array_equal(maps2[rid].values,
-                                      maps[rid].dense().astype("<f4"))
+                                      maps[rid].values.astype("<f4"))
                 assert np.array_equal(fields2[rid].vectors,
                                       fields[rid].dense().astype("<f4"))
             empty += not maps
             for kind, data in _corruptions(rng, good, b"DMCM", 4):
                 self._assert_rejected(path, data, ds.read_maps, kind)
             if maps:   # a header that disagrees with the planes
-                w, h = next(iter(maps.values())).size
+                h, w = next(iter(maps.values())).values.shape
                 for size in ((w + 1, h), (w, h + 1)):
                     data = good[:8] + struct.pack("<II", *size) + good[16:]
                     self._assert_rejected(path, data, ds.read_maps, size)
@@ -374,9 +376,9 @@ class TestMapsThroughCli:
         params, rid = MapSynthesisParams(), ReflectorId(3)
         victim = dataset / "view_1" / "maps_00000.dmcm"
         ds.write_maps(victim,
-                      {rid: synth_confidence_map((4.0, 5.0), (8, 6), params, rid)},
+                      {rid: synth_confidence_map((4.0, 5.0), (8, 6), params)},
                       {rid: synth_flow_field((1.0, 1.0), (6.0, 4.0), (8, 6),
-                                             params, rid)})
+                                             params)})
         capsys.readouterr()
         assert main(["infer", "--config", str(config), "--dataset",
                      str(dataset), "--out", str(out)]) == 3
@@ -389,8 +391,8 @@ class TestMapsThroughCli:
         victim = dataset / "view_2" / "maps_00000.dmcm"
         ds.write_maps(victim,
                       {rid: synth_confidence_map((150, 100), (320, 240),
-                                                 params, rid)},
-                      {rid: FlowField(rid, np.zeros((240, 320, 2)))})
+                                                 params)},
+                      {rid: FlowField(np.zeros((240, 320, 2)))})
         # the peak pixel of the one confidence plane, after header and id
         data = bytearray(victim.read_bytes())
         at = 24 + 4 * (100 * 320 + 150)
@@ -402,6 +404,25 @@ class TestMapsThroughCli:
                      str(dataset), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert str(victim) in err and "[0, 1]" in err
+
+    def test_peak_just_below_zero_is_scored_zero(self, tmp_path, capsys):
+        """A map that the range check accepts, with a strict local maximum
+        of about -1e-13 found at a negative min_peak_conf, scores e_s = 0
+        and infer runs to the end instead of failing on it."""
+        config, dataset, out = self._one_frame_take(tmp_path)
+        config.write_text(config.read_text() + "[maps]\nmin_peak_conf = -0.5\n")
+        rid = ReflectorId(3)
+        plane = np.full((240, 320), -1e-12)
+        plane[100, 150] = -1e-13
+        ds.write_maps(dataset / "view_2" / "maps_00000.dmcm",
+                      {rid: ConfidenceMap(plane)},
+                      {rid: FlowField(np.zeros((240, 320, 2)))})
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config), "--dataset",
+                     str(dataset), "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        records = ds.read_estimates(out / "estimates.jsonl")
+        assert [view for _, view, _ in records] == [0, 1, 2]
 
     def test_corrupt_depth_and_mask_exit_3_naming_them(self, tmp_path, capsys):
         config, dataset, out = self._one_frame_take(tmp_path)

@@ -41,16 +41,16 @@ class TestMapSynthesisParams:
 class TestConfidenceMapSynthesis:
     def test_value_at_center_is_one(self):
         m = synth_confidence_map((20, 15), (64, 48), PARAMS)
-        assert m.dense()[15, 20] == 1.0
+        assert m.values[15, 20] == 1.0
 
     def test_value_at_sigma_offset(self):
         m = synth_confidence_map((20, 15), (64, 48), PARAMS)
-        np.testing.assert_allclose(m.dense()[15, 27], np.exp(-1.0), atol=1e-12)
+        np.testing.assert_allclose(m.values[15, 27], np.exp(-1.0), atol=1e-12)
 
     def test_matches_double_loop_oracle(self):
         params = MapSynthesisParams(sigma_peak=7.0)
         center = (184, 170)
-        m = synth_confidence_map(center, (368, 368), params).dense()
+        m = synth_confidence_map(center, (368, 368), params).values
         # brute-force oracle, independent pixel loop over a band
         for y in range(160, 181):
             for x in range(175, 195):
@@ -68,7 +68,7 @@ class TestConfidenceMapSynthesis:
     def test_resynthesis_is_deterministic(self):
         a = synth_confidence_map((11.5, 20.25), (48, 40), PARAMS)
         b = synth_confidence_map((11.5, 20.25), (48, 40), PARAMS)
-        assert np.array_equal(a.dense(), b.dense())
+        assert np.array_equal(a.values, b.values)
 
     def test_windowed_matches_full_frame_reference(self):
         tiny = 2.0 ** -150  # below it a value is 0 in float32
@@ -89,7 +89,7 @@ class TestConfidenceMapSynthesis:
             center = (min(center[0], np.nextafter(w, 0)),
                       min(center[1], np.nextafter(h, 0)))
             got = synth_confidence_map(
-                center, (w, h), MapSynthesisParams(sigma_peak=sigma)).dense()
+                center, (w, h), MapSynthesisParams(sigma_peak=sigma)).values
             # the full-frame expression, evaluated on every pixel
             xs = np.arange(w, dtype=np.float64)
             ys = np.arange(h, dtype=np.float64)
@@ -132,22 +132,25 @@ class TestConfidenceMapSynthesis:
                                    (w // 2, h - 1), (0, 0), (w - 1, h - 1)):
                         center = (ix + fx, iy + fy)
                         m = synth_confidence_map(center, (w, h), params)
-                        ref, origin = self._direct(center, (w, h), sigma)
-                        assert m.origin == origin, (sigma, center)
-                        assert m.values.shape == ref.shape, (sigma, center)
+                        box, (y0, x0) = self._direct(center, (w, h), sigma)
+                        ref = np.zeros((h, w))
+                        ref[y0:y0 + box.shape[0], x0:x0 + box.shape[1]] = box
+                        assert m.values.shape == (h, w), (sigma, center)
                         assert m.values.tobytes() == ref.tobytes(), (sigma, center)
 
-    def test_values_are_a_read_only_view(self):
+    def test_writing_to_a_map_leaves_the_shared_kernel_intact(self):
+        """Maps of one sigma and sub-pixel offset are cut from one cached
+        kernel; each map's values are its own, writable array."""
         m = synth_confidence_map((20, 15), (64, 48), PARAMS)
-        with pytest.raises(ValueError):
-            m.values[15 - m.origin[0], 20 - m.origin[1]] = 0.5
-        dense = m.dense()
-        dense[15, 20] = 0.5  # a new, writable array
-        assert not np.shares_memory(dense, m.values)
-        assert m.dense()[15, 20] == 1.0
-        # maps with the same sigma and sub-pixel offset share one kernel
         other = synth_confidence_map((30, 25), (64, 48), PARAMS)
-        assert np.shares_memory(other.values, m.values)
+        before = other.values.copy()
+        m.values[12:19, 17:24] = 0.5
+        m.values *= 0.25
+        assert not np.shares_memory(m.values, other.values)
+        again = synth_confidence_map((30, 25), (64, 48), PARAMS)
+        assert again.values.tobytes() == before.tobytes()
+        assert other.values.tobytes() == before.tobytes()
+        assert synth_confidence_map((20, 15), (64, 48), PARAMS).values[15, 20] == 1.0
 
 
 class TestFlowFieldSynthesis:
@@ -190,9 +193,8 @@ class TestFlowFieldSynthesis:
             assert np.all(np.abs(norms - 1.0) < 1e-6)
 
     def test_zero_displacement_is_the_empty_window(self):
-        f = synth_flow_field((5, 5), (5, 5), (20, 10), PARAMS, ReflectorId(4))
+        f = synth_flow_field((5, 5), (5, 5), (20, 10), PARAMS)
         assert f.vectors.shape == (0, 0, 2) and f.size == (20, 10)
-        assert f.reflector == ReflectorId(4)
         assert f.dense().shape == (10, 20, 2)
         assert not f.dense().any()
 
@@ -256,14 +258,14 @@ class TestConfidenceMapValidation:
         vals[4, 4] = 0.9
         vals[2, 6] = np.nan
         with pytest.raises(ValidationError):
-            ConfidenceMap(ReflectorId(1), vals)
+            ConfidenceMap(vals)
 
     def test_out_of_range_rejected(self):
         for bad in (-0.5, 1.5, np.inf):
             vals = np.zeros((8, 8))
             vals[3, 3] = bad
             with pytest.raises(ValidationError):
-                ConfidenceMap(ReflectorId(1), vals)
+                ConfidenceMap(vals)
 
 
 class TestExtractPeaks:
@@ -277,9 +279,9 @@ class TestExtractPeaks:
         assert peaks[0][1] == 1.0
 
     def test_two_peaks_sorted_by_score(self):
-        a = synth_confidence_map((20, 30), (128, 96), PARAMS).dense()
-        b = synth_confidence_map((70, 30), (128, 96), PARAMS).dense()
-        m = ConfidenceMap(ReflectorId(1), np.maximum(a, 0.8 * b))
+        a = synth_confidence_map((20, 30), (128, 96), PARAMS).values
+        b = synth_confidence_map((70, 30), (128, 96), PARAMS).values
+        m = ConfidenceMap(np.maximum(a, 0.8 * b))
         peaks = decode_peaks([m], nms_window=5, min_conf=0.1)[0]
         assert [p[0] for p in peaks] == [(20, 30), (70, 30)]
         assert peaks[0][1] == 1.0
@@ -298,12 +300,12 @@ class TestExtractPeaks:
         for dr, dc in ((0, 2), (2, 0), (2, 2), (-2, 2), (0, -2)):
             vals = np.zeros((9, 11))
             vals[4, 5] = vals[4 + dr, 5 + dc] = 0.8
-            m = ConfidenceMap(ReflectorId(1), vals, (3, 6), (30, 20))
+            m = _in_frame(vals, (3, 6), (30, 20))
             assert decode_peaks([m], 5, 0.1)[0] == [], (dr, dc)
             # one pixel farther apart, each is alone in its window
             far = np.zeros((9, 11))
             far[4, 5] = far[4 + dr + np.sign(dr), 5 + dc + np.sign(dc)] = 0.8
-            m = ConfidenceMap(ReflectorId(1), far, (3, 6), (30, 20))
+            m = _in_frame(far, (3, 6), (30, 20))
             got = decode_peaks([m], 5, 0.1)[0]
             expected = sorted([(11, 7), (11 + dc + np.sign(dc), 7 + dr + np.sign(dr))],
                               key=lambda p: (p[1], p[0]))
@@ -317,18 +319,18 @@ class TestExtractPeaks:
                                      MapSynthesisParams(sigma_peak=2.0))
             assert decode_peaks([m], 5, 0.1)[0] == [((x, y), 1.0)]
             # a tie one pixel inside the frame suppresses it
-            vals = m.dense()
+            vals = m.values.copy()
             vals[y + (1 if y == 0 else -1), x] = 1.0
-            got = decode_peaks([ConfidenceMap(ReflectorId(1), vals)], 5, 0.1)[0]
+            got = decode_peaks([ConfidenceMap(vals)], 5, 0.1)[0]
             assert got == [] == self._full_frame_peaks(vals, 5, 0.1)
-        # a window that ends at the frame edge, with its peak on that edge
+        # support that ends at the frame edge, with its peak on that edge
         vals = np.zeros((3, 4))
         vals[1, 3] = 0.7
-        m = ConfidenceMap(ReflectorId(1), vals, (4, 12), (w, h))
+        m = _in_frame(vals, (4, 12), (w, h))
         assert decode_peaks([m], 3, 0.1)[0] == [((15, 5), 0.7)]
 
     def test_uniform_zero_map_has_no_peaks(self):
-        m = ConfidenceMap(ReflectorId(1), np.zeros((32, 32)))
+        m = ConfidenceMap(np.zeros((32, 32)))
         assert decode_peaks([m], 5, 0.1)[0] == []
 
     @staticmethod
@@ -372,7 +374,7 @@ class TestExtractPeaks:
                 vals = np.round(vals, 1)
             elif kind == 3:  # nothing reaches the threshold
                 vals = vals * (0.999 * min_conf)
-            m = ConfidenceMap(ReflectorId(1), vals)
+            m = ConfidenceMap(vals)
             got = decode_peaks([m], nms_window, min_conf)[0]
             assert got == self._full_frame_peaks(m.values, nms_window, min_conf)
             border_peaks += any(x in (0, w - 1) or y in (0, h - 1)
@@ -381,6 +383,15 @@ class TestExtractPeaks:
             plateau_maps += kind in (1, 2)
         # the randomized cases cover what the crop must get right
         assert border_peaks >= 20 and empty_maps >= 100 and plateau_maps >= 100
+
+
+def _in_frame(window, origin, size):
+    """The map of a (w, h) = ``size`` frame that holds ``window`` at
+    (row, col) ``origin`` and 0 everywhere else."""
+    (r0, c0), (w, h) = origin, size
+    vals = np.zeros((h, w))
+    vals[r0:r0 + window.shape[0], c0:c0 + window.shape[1]] = window
+    return ConfidenceMap(vals)
 
 
 def _random_window(rng, w, h):
@@ -413,12 +424,16 @@ def _random_window(rng, w, h):
 
 
 class TestWindowedMaps:
-    """A window and its densified frame decode to the same result."""
+    """Maps are whole frames whose support is a window; flow fields store
+    only that window, and read as their densified frames do."""
 
     def test_stores_only_the_support_window(self):
         m = synth_confidence_map((160, 120), (320, 240), PARAMS)
-        assert m.values.shape == (145, 145) and m.origin == (48, 88)
-        assert m.size == (320, 240) and m.dense().shape == (240, 320)
+        assert m.values.shape == (240, 320)
+        rows, cols = np.nonzero(m.values)
+        assert (rows.min(), rows.max(), cols.min(), cols.max()) == \
+            (48, 192, 88, 232)   # the 145 x 145 box, every value in it > 0
+        assert np.count_nonzero(m.values) == 145 * 145
         f = synth_flow_field((100, 50), (110, 56), (320, 240), PARAMS)
         assert f.vectors.shape == (17, 21, 2) and f.origin == (45, 95)
         z = synth_flow_field((100, 50), (100, 50), (320, 240), PARAMS)
@@ -450,13 +465,10 @@ class TestWindowedMaps:
                 if rng.random() < 0.5:
                     i, j = int(rng.integers(0, rows)), int(rng.choice([0, cols - 1]))
                 vals[i, j] = float(rng.uniform(0.5, 1.0))
-            m = ConfidenceMap(ReflectorId(1), vals, (r0, c0), (w, h))
+            m = _in_frame(vals, (r0, c0), (w, h))
             got = decode_peaks([m], nms_window, min_conf)[0]
-            dense = m.dense()
-            assert got == TestExtractPeaks._full_frame_peaks(dense, nms_window,
-                                                            min_conf)
-            assert got == decode_peaks([ConfidenceMap(ReflectorId(1), dense)],
-                                       nms_window, min_conf)[0]
+            assert got == TestExtractPeaks._full_frame_peaks(
+                m.values, nms_window, min_conf)
             # a peak on a window edge that has frame pixels beyond it
             edge_peaks += any(
                 r0 <= y < r0 + rows and c0 <= x < c0 + cols
@@ -467,7 +479,7 @@ class TestWindowedMaps:
             clipped += 0 < rows * cols < w * h and (
                 r0 == 0 or c0 == 0 or r0 + rows == h or c0 + cols == w)
         # windows whose edges lie inside the frame carry peaks on those
-        # edges, and non-positive thresholds see the 0s outside the window
+        # edges, and non-positive thresholds see the 0s around the window
         assert edge_peaks >= 100 and nonpositive >= 200 and clipped >= 150
 
     def test_line_integral_matches_dense_field(self):
@@ -476,9 +488,8 @@ class TestWindowedMaps:
         for _ in range(500):
             w, h = (int(x) for x in rng.integers(1, 40, 2))
             (r0, c0), rows, cols = _random_window(rng, w, h)
-            field = FlowField(ReflectorId(1), rng.normal(size=(rows, cols, 2)),
-                              (r0, c0), (w, h))
-            dense = FlowField(ReflectorId(1), field.dense())
+            field = FlowField(rng.normal(size=(rows, cols, 2)), (r0, c0), (w, h))
+            dense = FlowField(field.dense())
             a = rng.uniform(-6, [w + 6, h + 6])
             b = rng.uniform(-6, [w + 6, h + 6])
             if rng.random() < 0.3:
@@ -491,13 +502,6 @@ class TestWindowedMaps:
             shifted += rows * cols > 0 and (r0, c0) != (0, 0)
         assert off_image >= 200 and shifted >= 150
 
-    def test_nan_in_window_rejected(self):
-        vals = np.zeros((4, 5))
-        vals[1, 2] = 0.9
-        vals[3, 0] = np.nan
-        with pytest.raises(ValidationError):
-            ConfidenceMap(ReflectorId(1), vals, (2, 3), (20, 10))
-
     def test_window_outside_frame_rejected(self):
         for origin, shape, size in (((-1, 0), (3, 3), (10, 10)),
                                     ((0, -2), (3, 3), (10, 10)),
@@ -507,13 +511,11 @@ class TestWindowedMaps:
                                     ((2, 2), (3, 3), None),
                                     ((0, 0), (0, 0), (0, 10))):
             with pytest.raises(DimensionError):
-                ConfidenceMap(ReflectorId(1), np.zeros(shape), origin, size)
-            with pytest.raises(DimensionError):
-                FlowField(ReflectorId(1), np.zeros(shape + (2,)), origin, size)
+                FlowField(np.zeros(shape + (2,)), origin, size)
 
     def test_losses_compare_dense_frames(self):
         a = synth_confidence_map((20, 15), (64, 48), PARAMS)
-        b = ConfidenceMap(ReflectorId(1), a.dense())
+        b = ConfidenceMap(a.values.copy())
         assert loss_maps([a], [b]) == 0.0
         f = synth_flow_field((10, 10), (20, 14), (64, 48), PARAMS)
         z = synth_flow_field((10, 10), (10, 10), (64, 48), PARAMS)
@@ -592,9 +594,8 @@ def _single_peak_setup(dims=(64, 48)):
         rid = ReflectorId(idx)
         cx = 4 + (idx * 2) % (dims[0] - 8)
         cy = 4 + (idx * 7) % (dims[1] - 8)
-        m = synth_confidence_map((cx, cy), dims, PARAMS)
-        maps[rid] = ConfidenceMap(rid, m.dense())
-        fields[rid] = synth_flow_field((cx, cy), (cx, cy), dims, PARAMS, rid)
+        maps[rid] = synth_confidence_map((cx, cy), dims, PARAMS)
+        fields[rid] = synth_flow_field((cx, cy), (cx, cy), dims, PARAMS)
     return maps, fields
 
 
@@ -610,10 +611,10 @@ class TestGreedyInference:
     def test_flow_consistent_candidate_wins(self):
         dims = (128, 64)
         rid = ReflectorId(5)
-        strong = synth_confidence_map((90, 30), dims, PARAMS).dense() * 0.7
-        weak = synth_confidence_map((40, 30), dims, PARAMS).dense() * 0.55
-        maps = {rid: ConfidenceMap(rid, np.maximum(strong, weak))}
-        fields = {rid: synth_flow_field((30, 30), (40, 30), dims, PARAMS, rid)}
+        strong = synth_confidence_map((90, 30), dims, PARAMS).values * 0.7
+        weak = synth_confidence_map((40, 30), dims, PARAMS).values * 0.55
+        maps = {rid: ConfidenceMap(np.maximum(strong, weak))}
+        fields = {rid: synth_flow_field((30, 30), (40, 30), dims, PARAMS)}
         prev = {rid: ReflectorEstimate2D(rid, (30.0, 30.0), 1.0, 0.0, 1.0)}
         ests = greedy_inference(maps, fields, prev, InferenceParams())
         assert len(ests) == 1
@@ -622,9 +623,25 @@ class TestGreedyInference:
         assert est.position == (40.0, 30.0)
         assert est.e_total == pytest.approx(1.0, abs=1e-6)
 
+    def test_map_scores_past_the_range_are_clamped_to_it(self):
+        """The range check allows values 1e-12 past [0, 1]; a peak there
+        scores as the bound it passed instead of failing the fusion."""
+        rid = ReflectorId(7)
+        fields = {rid: synth_flow_field((9, 6), (9, 6), (20, 12), PARAMS)}
+        for peak, background, min_conf, e_s in ((1.0 + 5e-13, 0.0, 0.1, 1.0),
+                                                (-1e-13, -1e-12, -0.5, 0.0)):
+            vals = np.full((12, 20), background)
+            vals[6, 9] = peak
+            maps = {rid: ConfidenceMap(vals)}
+            params = InferenceParams(min_peak_conf=min_conf)
+            assert decode_peaks([maps[rid]], 5, min_conf) == [[((9, 6), peak)]]
+            est, = greedy_inference(maps, fields, None, params)
+            assert (est.position, est.e_s, est.e_l, est.e_total) == \
+                ((9.0, 6.0), e_s, 0.0, e_s)
+
     def test_all_below_threshold_gives_empty(self):
         maps, fields = _single_peak_setup()
-        maps = {rid: ConfidenceMap(rid, m.values * 0.05) for rid, m in maps.items()}
+        maps = {rid: ConfidenceMap(m.values * 0.05) for rid, m in maps.items()}
         params = InferenceParams(min_peak_conf=0.1)
         assert greedy_inference(maps, fields, None, params) == []
 
@@ -637,10 +654,10 @@ class TestLosses:
         assert loss_fields(list(fields.values()), list(fields.values())) == 0.0
 
     def test_single_pixel_residual(self):
-        a = ConfidenceMap(ReflectorId(1), np.zeros((10, 10)))
+        a = ConfidenceMap(np.zeros((10, 10)))
         vals = np.zeros((10, 10))
         vals[3, 4] = 0.5
-        b = ConfidenceMap(ReflectorId(1), vals)
+        b = ConfidenceMap(vals)
         assert loss_maps([a], [b]) == pytest.approx(0.25)
 
     def test_random_pair_matches_naive_loop(self):
@@ -648,25 +665,23 @@ class TestLosses:
         pv = rng.random((6, 7))
         tv = rng.random((6, 7))
         naive = sum((pv[y, x] - tv[y, x]) ** 2 for y in range(6) for x in range(7))
-        got = loss_maps([ConfidenceMap(ReflectorId(1), pv)],
-                        [ConfidenceMap(ReflectorId(1), tv)])
+        got = loss_maps([ConfidenceMap(pv)], [ConfidenceMap(tv)])
         assert got == pytest.approx(naive, rel=1e-12)
 
         pf = rng.random((6, 7, 2)) * 2 - 1
         tf = rng.random((6, 7, 2)) * 2 - 1
         naive_f = sum(np.sum((pf[y, x] - tf[y, x]) ** 2)
                       for y in range(6) for x in range(7))
-        got_f = loss_fields([FlowField(ReflectorId(1), pf)],
-                            [FlowField(ReflectorId(1), tf)])
+        got_f = loss_fields([FlowField(pf)], [FlowField(tf)])
         assert got_f == pytest.approx(naive_f, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        a = ConfidenceMap(ReflectorId(1), np.zeros((5, 5)))
-        b = ConfidenceMap(ReflectorId(1), np.zeros((6, 5)))
+        a = ConfidenceMap(np.zeros((5, 5)))
+        b = ConfidenceMap(np.zeros((6, 5)))
         with pytest.raises(DimensionError, match="map dimensions"):
             loss_maps([a], [b])
-        f = FlowField(ReflectorId(1), np.zeros((5, 5, 2)))
-        g = FlowField(ReflectorId(1), np.zeros((5, 6, 2)))
+        f = FlowField(np.zeros((5, 5, 2)))
+        g = FlowField(np.zeros((5, 6, 2)))
         with pytest.raises(DimensionError, match="field dimensions"):
             loss_fields([f], [g])
         for loss, item in ((loss_maps, a), (loss_fields, f)):
@@ -675,7 +690,7 @@ class TestLosses:
 
 
 class TestRangeCheck:
-    """Maps from outside are scanned; a kernel window was checked with its kernel."""
+    """The constructor scans the values of every map."""
 
     def test_values_outside_zero_one_rejected_in_windows_too(self):
         for bad in (np.nan, 1.5, -0.1):
@@ -683,38 +698,7 @@ class TestRangeCheck:
             vals[2, 3] = 0.9
             vals[4, 1] = bad
             with pytest.raises(ValidationError):
-                ConfidenceMap(ReflectorId(2), vals)
-            with pytest.raises(ValidationError):
-                ConfidenceMap(ReflectorId(2), vals, (7, 11), (40, 30))
-
-    def test_kernel_window_is_not_scanned_again(self, monkeypatch):
-        scans = []
-        real = maps_module._check_confidence_range
-        monkeypatch.setattr(maps_module, "_check_confidence_range",
-                            lambda vals: scans.append(vals.shape) or real(vals))
-        params = MapSynthesisParams(sigma_peak=3.25)  # a kernel no other test builds
-        maps_module._peak_kernel.cache_clear()
-        first = synth_confidence_map((30, 20), (64, 48), params)
-        side = 2 * (int(np.ceil(3.25 * maps_module._PEAK_REACH)) + 2) + 1
-        assert scans == [(side, side)]  # the kernel, once
-        for x, y in ((0, 0), (63, 47), (10, 40), (55, 3)):
-            m = synth_confidence_map((x, y), (64, 48), params)
-            assert m.dense()[y, x] == 1.0
-            assert np.shares_memory(m.values, first.values)
-        assert scans == [(side, side)]
-        # the constructor of every other map still scans
-        ConfidenceMap(ReflectorId(1), first.dense())
-        assert scans[-1] == (48, 64)
-
-    def test_kernel_window_skips_the_constructor_check(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("a kernel window was checked again")
-        m = synth_confidence_map((12, 9), (40, 30), PARAMS)
-        monkeypatch.setattr(ConfidenceMap, "__post_init__", refuse)
-        again = synth_confidence_map((12, 9), (40, 30), PARAMS)
-        assert (again.origin, again.size) == (m.origin, m.size)
-        assert again.values.tobytes() == m.values.tobytes()
-        assert again.values.dtype == np.float64 and again.reflector == ReflectorId(1)
+                ConfidenceMap(vals)
 
 
 def _reference_extract_peaks(conf_map, nms_window=5, min_conf=0.1):
@@ -722,31 +706,21 @@ def _reference_extract_peaks(conf_map, nms_window=5, min_conf=0.1):
     if nms_window < 3 or nms_window % 2 == 0:
         raise ValidationError("nms_window must be odd and >= 3")
     vals = conf_map.values
-    (wr, wc), (w, h) = conf_map.origin, conf_map.size
-    if min_conf <= 0 and vals.shape != (h, w):
-        top, bottom, left, right = 0, h - 1, 0, w - 1
-    else:
-        if vals.size == 0:
-            return []
-        strong_rows = np.flatnonzero(vals.max(axis=1) >= min_conf)
-        if len(strong_rows) == 0:
-            return []
-        first, last = int(strong_rows[0]), int(strong_rows[-1])
-        strong_cols = np.flatnonzero(vals[first:last + 1].max(axis=0) >= min_conf)
-        top, bottom = wr + first, wr + last
-        left, right = wc + int(strong_cols[0]), wc + int(strong_cols[-1])
+    h, w = vals.shape
+    strong_rows = np.flatnonzero(vals.max(axis=1) >= min_conf)
+    if len(strong_rows) == 0:
+        return []
+    first, last = int(strong_rows[0]), int(strong_rows[-1])
+    strong_cols = np.flatnonzero(vals[first:last + 1].max(axis=0) >= min_conf)
+    top, bottom = first, last
+    left, right = int(strong_cols[0]), int(strong_cols[-1])
     half = nms_window // 2
     r0, r1 = max(top - half, 0), min(bottom + half + 1, h)
     c0, c1 = max(left - half, 0), min(right + half + 1, w)
     rows, cols = r1 - r0, c1 - c0
     padded = np.full((rows + 2 * half, cols + 2 * half), -np.inf)
     crop = padded[half:half + rows, half:half + cols]
-    crop[...] = 0.0
-    i0, i1 = max(r0, wr), min(r1, wr + vals.shape[0])
-    j0, j1 = max(c0, wc), min(c1, wc + vals.shape[1])
-    if i0 < i1 and j0 < j1:
-        crop[i0 - r0:i1 - r0, j0 - c0:j1 - c0] = \
-            vals[i0 - wr:i1 - wr, j0 - wc:j1 - wc]
+    crop[...] = vals[r0:r1, c0:c1]
     row_max = np.maximum(padded[:, :cols], padded[:, 1:cols + 1])
     for k in range(2, nms_window):
         np.maximum(row_max, padded[:, k:k + cols], out=row_max)
@@ -764,9 +738,10 @@ def _reference_extract_peaks(conf_map, nms_window=5, min_conf=0.1):
 
 
 def _random_map_list(rng, w, h):
-    """0-7 maps of one w x h frame: random windows (clipped, empty, away
-    from the origin, whole-frame) holding bumps, plateaus and ties on a
-    background of 0s and tiny negatives."""
+    """0-7 maps of one w x h frame, each with its support window: random
+    windows (clipped, empty, away from the origin, whole-frame) holding
+    bumps, plateaus and ties on a background of 0s and tiny negatives, and
+    0 around them.  Yields (map, origin, window values) triples."""
     out = []
     for _ in range(int(rng.integers(0, 8))):
         (r0, c0), rows, cols = _random_window(rng, w, h)
@@ -789,8 +764,7 @@ def _random_map_list(rng, w, h):
                 vals[i + di, j + dj] = vals[i, j]
         elif kind == 3 and vals.size:  # strong pixels on the window edge
             vals[int(rng.choice([0, rows - 1])), :] = float(rng.uniform(0.2, 1))
-        out.append(ConfidenceMap(ReflectorId(int(rng.integers(1, 27))), vals,
-                                 (r0, c0), (w, h)))
+        out.append((_in_frame(vals, (r0, c0), (w, h)), (r0, c0), vals))
     return out
 
 
@@ -803,27 +777,26 @@ class TestDecodePeaks:
                       nonpositive=0)
         for trial in range(trials):
             w, h = (int(x) for x in rng.integers(1, 48, 2))
-            conf_maps = _random_map_list(rng, w, h)
+            drawn = _random_map_list(rng, w, h)
+            conf_maps = [m for m, _, _ in drawn]
             nms_window = (3, 5, 7)[trial % 3]
             min_conf = [0.0, -0.25, 0.1, float(rng.uniform(0.05, 0.9))][trial % 4]
             got = decode_peaks(conf_maps, nms_window, min_conf)
             want = [_reference_extract_peaks(m, nms_window, min_conf)
                     for m in conf_maps]
             assert got == want, trial
-            for m, peaks in zip(conf_maps, got):
+            for (m, (r0, c0), vals), peaks in zip(drawn, got):
                 assert decode_peaks([m], nms_window, min_conf)[0] == peaks
                 assert all(type(x) is int and type(y) is int
                            and type(v) is float for (x, y), v in peaks)
-                vals = m.values
                 counts["peaks"] += len(peaks)
                 counts["ties"] += vals.size > 0 and \
                     np.count_nonzero(vals == vals.max()) > 1
                 counts["clipped"] += 0 < vals.size < w * h and (
-                    m.origin[0] == 0 or m.origin[1] == 0
-                    or m.origin[0] + vals.shape[0] == h
-                    or m.origin[1] + vals.shape[1] == w)
+                    r0 == 0 or c0 == 0 or r0 + vals.shape[0] == h
+                    or c0 + vals.shape[1] == w)
                 counts["empty"] += vals.size == 0
-                counts["shifted"] += m.origin[0] > 0 and m.origin[1] > 0
+                counts["shifted"] += r0 > 0 and c0 > 0
                 counts["nonpositive"] += min_conf <= 0
         return counts
 
@@ -835,33 +808,27 @@ class TestDecodePeaks:
 
     def test_oracle_maps_of_a_frame(self):
         """26 oracle maps of a 320 x 240 frame each have one peak, 1.0 at
-        its centre, and so have their dense copies; at min_conf <= 0 every
-        map is searched on a crop of the whole frame."""
+        its centre; at min_conf <= 0 every map is searched on a crop of the
+        whole frame."""
         rng = np.random.default_rng(71)
         # one non-positive min_conf per sigma: a whole-frame search per map
         for sigma, flat in ((1.5, 0.0), (7.0, -0.25)):
             params = MapSynthesisParams(sigma_peak=sigma)
             centres = [(int(rng.integers(0, 320)), int(rng.integers(0, 240)))
                        for _ in range(26)]
-            conf_maps = [synth_confidence_map(c, (320, 240), params,
-                                              ReflectorId(i))
-                         for i, c in enumerate(centres, start=1)]
-            dense_maps = [ConfidenceMap(m.reflector, m.dense())
-                          for m in conf_maps]
+            conf_maps = [synth_confidence_map(c, (320, 240), params)
+                         for c in centres]
             want = [[(c, 1.0)] for c in centres]
             for nms_window, min_conf in ((3, 0.1), (5, 0.1), (7, 0.1),
                                          (5, flat)):
                 where = (sigma, nms_window, min_conf)
-                if min_conf > 0:
-                    assert [_reference_extract_peaks(m, nms_window, min_conf)
-                            for m in conf_maps] == want, where
+                assert [_reference_extract_peaks(m, nms_window, min_conf)
+                        for m in conf_maps] == want, where
                 assert decode_peaks(conf_maps, nms_window, min_conf) == want, where
-                assert decode_peaks(dense_maps, nms_window, min_conf) == want, where
 
     def test_kernel_windows_at_every_border_distance(self):
-        """A synthesized map at every distance from the frame border, its
-        window clipping its kernel or not, decodes as the reference does,
-        and as its dense copy does."""
+        """A synthesized map at every distance from the frame border, the
+        frame clipping its kernel or not, decodes as the reference does."""
         confs = (-0.25, 0.0, 0.1, 0.5, 1.0, 1.5)
         combos = [(n, c) for i, c in enumerate(confs)
                   for n in ((3, 5, 7) if i % 2 == 0 else (7, 5, 3))]
@@ -871,7 +838,7 @@ class TestDecodePeaks:
             # the strong disk's radius at min_conf 0.1
             whole = synth_confidence_map((reach, reach),
                                          (2 * reach + 1, 2 * reach + 1),
-                                         params).dense()
+                                         params).values
             strong = int(np.nonzero(whole >= 0.1)[0].max()) - reach
             side = min(2 * reach + 5, 2 * (strong + 8) + 1)
             mid = side // 2
@@ -888,11 +855,8 @@ class TestDecodePeaks:
                         (x, y), (side, side), params)))
             for (fx, fy), group in groups.items():
                 conf_maps = [m for _, m in group]
-                dense_maps = [ConfidenceMap(m.reflector, m.dense())
-                              for m in conf_maps]
                 for nms_window, min_conf in combos:
                     got = decode_peaks(conf_maps, nms_window, min_conf)
-                    assert decode_peaks(dense_maps, nms_window, min_conf) == got
                     for ((ix, iy), m), peaks in zip(group, got):
                         where = (sigma, (ix + fx, iy + fy), nms_window, min_conf)
                         assert peaks == _reference_extract_peaks(

@@ -202,9 +202,8 @@ class TestInfer:
         intr, _ = reader.rig[0]
         dims = (intr.width, intr.height)
         rid = ReflectorId(1)
-        maps = {rid: synth_confidence_map((50, 60), dims, cfg.maps, rid)}
-        fields = {rid: synth_flow_field((50, 60), (50, 60), dims, cfg.maps,
-                                        rid)}
+        maps = {rid: synth_confidence_map((50, 60), dims, cfg.maps)}
+        fields = {rid: synth_flow_field((50, 60), (50, 60), dims, cfg.maps)}
         target = reader.maps_path(0, 0)
         try:
             ds.write_maps(target, maps, fields)
