@@ -25,7 +25,7 @@ from .metrics import (EVAL_JOINT_NAMES, Detection2D, EvalReport,
 from .skeleton import (BoneCalibration, Pose, SkeletonTemplate,
                        calibrate_template, track)
 from .spatial import (MaskPixels, MaskRegions, OpticalFrame, OpticalPoint,
-                      fuse_observations, gather_view, label_masks,
+                      fuse_observations, gather_batch, label_masks,
                       observe_rows)
 from .synth import MotionScript, SyntheticBody, animate, default_rig, render
 
@@ -149,18 +149,28 @@ def _views(reader: ds.DatasetReader, view_subset: list[int] | None) -> list[int]
 MASKS_PER_LABEL_PASS = 32
 
 
-def _labeled_masks(reader: ds.DatasetReader,
+def _label_batches(reader: ds.DatasetReader,
                    frame_views: list[tuple[int, int]]
-                   ) -> Iterator[tuple[tuple[int, int], MaskRegions]]:
-    """Each (frame, view) pair with the regions of its mask, in order.
+                   ) -> Iterator[tuple[list[tuple[int, int]], list[MaskRegions]]]:
+    """The (frame, view) pairs in batches of ``MASKS_PER_LABEL_PASS``, in
+    order, each with the regions of their masks.
 
-    The masks are read and labeled ``MASKS_PER_LABEL_PASS`` at a time, and
-    only their set pixels are kept until they are labeled.
+    A batch's masks are read and labeled together, and only their set
+    pixels are kept until they are labeled.
     """
     for first in range(0, len(frame_views), MASKS_PER_LABEL_PASS):
         batch = frame_views[first:first + MASKS_PER_LABEL_PASS]
-        yield from zip(batch, label_masks(
-            [MaskPixels.of(reader.mask(view, f)) for f, view in batch]))
+        yield batch, label_masks(
+            [MaskPixels.of(reader.mask(view, f)) for f, view in batch])
+
+
+def _labeled_masks(reader: ds.DatasetReader,
+                   frame_views: list[tuple[int, int]]
+                   ) -> Iterator[tuple[tuple[int, int], MaskRegions]]:
+    """Each (frame, view) pair with the regions of its mask, in order,
+    labeled a batch at a time (``_label_batches``)."""
+    for batch, labeled in _label_batches(reader, frame_views):
+        yield from zip(batch, labeled)
 
 
 def infer_dataset(reader: ds.DatasetReader, config: PipelineConfig,
@@ -247,12 +257,12 @@ def fuse_estimates(reader: ds.DatasetReader,
     """Cross-view fusion into Kalman-smoothed optical frames.
 
     The masks of the frame-views with estimates are labeled a batch at a
-    time (``_labeled_masks``), keeping only their set pixels.  Each of
-    those frame-views is then gathered on its own (``gather_view``: region
-    assignment, merged-region splits), so no depth frame outlives its
-    gather; then the whole take is observed in one ``observe_rows`` pass
-    and every (frame, reflector) group is fused in one
-    ``fuse_observations`` pass, each group in view order.  The tracker,
+    time (``_label_batches``), keeping only their set pixels, and each
+    batch is gathered in one array pass (``gather_batch``: region
+    assignment, merged-region splits), which reads each frame-view's depth
+    frame once and keeps none; then the whole take is observed in one
+    ``observe_rows`` pass and every (frame, reflector) group is fused in
+    one ``fuse_observations`` pass, each group in view order.  The tracker,
     whose tracks are rows of arrays indexed by reflector id, then steps
     once per frame over that frame's slice of the fused arrays; a frame
     without points steps too, so that its tracks coast.
@@ -262,8 +272,9 @@ def fuse_estimates(reader: ds.DatasetReader,
         by_frame.setdefault(frame, {})[view] = ests
     todo = {(f, view): ests for f in range(reader.num_frames)
             for view, ests in sorted(by_frame.get(f, {}).items()) if ests}
-    rows = [gather_view(todo[f, view], regions, reader.depth(view, f), f, view)
-            for (f, view), regions in _labeled_masks(reader, list(todo))]
+    rows = [gather_batch(batch, [todo[fv] for fv in batch], labeled,
+                         reader.depth)
+            for batch, labeled in _label_batches(reader, list(todo))]
     fused = fuse_observations(observe_rows(rows, reader.rig.cameras),
                               config.limb_radii)
     ids = np.array([r.index for r in fused.reflectors], dtype=np.intp)

@@ -3,29 +3,30 @@
 The per-view half turns validated estimates into observations.  The
 connected reflector regions of a batch of masks come from one
 ``label_masks`` pass over their set pixels; the filter's region rule reads
-the same regions.  Each frame-view is then gathered on its own
-(``gather_view``): each estimate's region, merged regions split among
-their estimates, and the contour depths, so that its depth frame can go.
-One ``observe_rows`` pass then observes every gathered item of a take:
-median contour depth, backprojection of the region center, and (for
-straps) a surface normal from a least-squares plane fit of the contour's
-3D points.  The cross-view half,
-``fuse_observations``, fuses the observed rows of each reflector in each
-frame into one global point, every group in one array pass:
-confidence-weighted centroids for patches, closest points between inward
-normal lines for straps, with bounded fallbacks.  It returns the take's
-points as arrays, one row per (frame, reflector) (``FusedPoints``).
+the same regions.  Each batch is then gathered in one array pass
+(``gather_batch``): each estimate's region, merged regions split among
+their estimates, and the contour depths, each frame-view's depth frame
+read once and dropped before the next.  One ``observe_rows`` pass then
+observes every gathered item of a take: median contour depth,
+backprojection of the region center, and (for straps) a surface normal
+from a least-squares plane fit of the contour's 3D points.  The
+cross-view half, ``fuse_observations``, fuses the observed rows of each
+reflector in each frame into one global point, every group in one array
+pass: confidence-weighted centroids for patches, closest points between
+inward normal lines for straps, with bounded fallbacks.  It returns the
+take's points as arrays, one row per (frame, reflector) (``FusedPoints``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (CameraExtrinsics, CameraIntrinsics, DepthFrame, IrMask,
-                   ReflectorId, ReflectorKind)
+from .core import (NUM_REFLECTORS, CameraExtrinsics, CameraIntrinsics,
+                   DepthFrame, IrMask, ReflectorId, ReflectorKind)
 from .errors import CalibrationInputError, SplitFailure, ValidationError
 from .maps import ReflectorEstimate2D
 
@@ -35,6 +36,11 @@ DEPTH_FEATURE_SCALE = 0.05
 
 # Normal-line pairs with 1 - (n_i . n_j)^2 below this are near-parallel.
 PARALLEL_EPS = 1e-6
+
+# Whether each reflector index is a strap; index 0 names no reflector.
+_IS_STRAP = np.array([False] + [
+    ReflectorId(i).kind is ReflectorKind.STRAP
+    for i in range(1, NUM_REFLECTORS + 1)])
 
 
 @dataclass
@@ -49,8 +55,7 @@ class Region:
         return len(self.pixels)
 
 
-@dataclass(frozen=True)
-class OpticalPoint:
+class OpticalPoint(NamedTuple):
     """Fused global position of one reflector for one frame."""
 
     reflector: ReflectorId
@@ -212,8 +217,7 @@ def label_masks(masks: Sequence[MaskPixels]) -> list[MaskRegions]:
     # pixels staying in raster order
     run_order = np.argsort(run_region, kind="stable")
     lengths = np.diff(np.append(run_first, n))[run_order]
-    order = np.arange(n) + np.repeat(
-        run_first[run_order] - (np.cumsum(lengths) - lengths), lengths)
+    order = _runs(run_first[run_order], lengths)
     pixels = np.column_stack([us[order], vs[order]])
     contour = pixels[on_contour[order]]
     sizes = np.bincount(region, minlength=n_regions)
@@ -394,42 +398,28 @@ def _rotate_rows(rotations: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ViewRows:
-    """What observation reads of one frame-view's items, item after item.
+    """What observation reads of the items of a batch of frame-views, item
+    after item (``gather_batch``).
 
-    It is gathered while the view's depth frame is at hand, so that the
-    depth, mask and labels can go before the take is observed: each item's
-    reflector, e_total and contour pixels with the raw depths under them,
-    its center override, and for each item without one the exact integer
-    sums of its region's pixel coordinates and the region's size.
+    It is gathered while each frame-view's depth frame is at hand, so that
+    the depths, masks and labels can go before the take is observed: each
+    item's frame, view, reflector and e_total, its contour pixels with the
+    raw depths under them, and its center override or, for an item without
+    one, the exact integer sums of its region's pixel coordinates and the
+    region's size.
     """
 
-    frame: int
-    view: int
+    frames: np.ndarray      # (n,) frame of each item
+    views: np.ndarray       # (n,) view of each item
     reflectors: list[ReflectorId]
     e_totals: list[float]
-    lengths: list[int]     # contour pixels of each item
-    contours: np.ndarray   # (m, 2) (u, v) of every item's contour
-    raw: np.ndarray        # (m,) uint16 depths under them
-    overrides: list[tuple[float, float] | None]
-    pixel_sums: np.ndarray  # (k, 2) int sums (u, v) of the items without override
+    lengths: np.ndarray     # (n,) contour pixels of each item
+    contours: np.ndarray    # (m, 2) (u, v) of every item's contour
+    raw: np.ndarray         # (m,) uint16 depths under them
+    plain: np.ndarray       # (n,) bool: the item has no center override
+    overrides: np.ndarray   # (n - k, 2) center overrides of the other items
+    pixel_sums: np.ndarray  # (k, 2) int sums (u, v) of the plain items' regions
     sizes: np.ndarray       # (k,) their regions' pixel counts
-
-
-def _view_rows(ests: list[ReflectorEstimate2D], contours: list[np.ndarray],
-               overrides: list[tuple[float, float] | None],
-               pixel_sums: np.ndarray, sizes: np.ndarray, depth: DepthFrame,
-               frame: int, view: int) -> ViewRows:
-    """The rows of one frame-view's items, reading ``depth`` once: each
-    estimate with its contour and center override, and the pixel sums and
-    sizes of the regions of the items without one."""
-    if contours:
-        joined = np.concatenate(contours).reshape(-1, 2)
-    else:
-        joined = np.empty((0, 2), dtype=np.int64)
-    return ViewRows(frame, view, [e.reflector for e in ests],
-                    [e.e_total for e in ests], [len(c) for c in contours],
-                    joined, depth.pixels[joined[:, 1], joined[:, 0]],
-                    overrides, pixel_sums, sizes)
 
 
 @dataclass
@@ -454,40 +444,38 @@ def observe_rows(rows: list[ViewRows],
                  ) -> Observations:
     """Backproject gathered items into the global frame, all in one pass.
 
-    The items of each row are observed with its view's camera,
-    ``cameras[row.view]``.  The region's central 2D point (pixel centroid,
-    rounded) is backprojected at the median of the nonzero contour depths;
-    an even count takes the lower middle value, so the depth is always a
-    measured integer.  For straps, the contour's 3D points give a
-    least-squares plane whose unit normal, oriented toward the camera,
-    rides along for the cross-view fusion when it faces the camera.  A
-    center override replaces the region centroid: the contour is then a
-    sub-cluster of a split merged region.
+    Each item is observed with its view's camera, ``cameras[view]``.  The
+    region's central 2D point (pixel centroid, rounded) is backprojected at
+    the median of the nonzero contour depths; an even count takes the lower
+    middle value, so the depth is always a measured integer.  For straps,
+    the contour's 3D points give a least-squares plane whose unit normal,
+    oriented toward the camera, rides along for the cross-view fusion when
+    it faces the camera.  A center override replaces the region centroid:
+    the contour is then a sub-cluster of a split merged region.
 
     Medians come from one sort, centroids from the exact pixel sums of the
     gather, and the strap plane fits share one stacked ``eigh``; every
     number is rounded as the one-item computation rounds it, so no row
     depends on the rows it is observed with.
     """
-    counts = [len(row.reflectors) for row in rows]
     reflectors = [r for row in rows for r in row.reflectors]
     e_totals = [e for row in rows for e in row.e_totals]
     n = len(reflectors)
-    frames = np.repeat(np.array([row.frame for row in rows], dtype=np.int64),
-                       counts)
+    frames = np.concatenate([np.empty(0, dtype=np.int64)]
+                            + [row.frames for row in rows])
     points_global, normals = np.empty((n, 3)), np.zeros((n, 3))
     has_normal = np.zeros(n, dtype=bool)
     if n == 0:
         return Observations(frames, reflectors, e_totals, points_global,
                             normals, has_normal, has_normal.copy())
-    item_view = np.repeat(np.array([row.view for row in rows]), counts)
+    item_view = np.concatenate([row.views for row in rows])
     pinholes = np.array([(intr.fx, intr.fy, intr.cx, intr.cy)
                          for intr, _ in cameras], dtype=np.float64)[item_view]
     limits = np.array([(intr.width - 1, intr.height - 1)
                        for intr, _ in cameras])[item_view]
     rotations = np.array([extr.rotation for _, extr in cameras])[item_view]
     translations = np.array([extr.translation for _, extr in cameras])[item_view]
-    lengths = np.array([length for row in rows for length in row.lengths])
+    lengths = np.concatenate([row.lengths for row in rows])
     owner = np.repeat(np.arange(n), lengths)
     contours = np.concatenate([row.contours for row in rows])
     raw = np.concatenate([row.raw for row in rows])
@@ -497,14 +485,13 @@ def observe_rows(rows: list[ViewRows],
 
     # Central point: pixel centroid (exact integer sums) unless overridden.
     centers = np.empty((n, 2))
-    overrides = [o for row in rows for o in row.overrides]
-    plain = np.array([o is None for o in overrides])
+    plain = np.concatenate([row.plain for row in rows])
     if plain.any():
         sizes = np.concatenate([row.sizes for row in rows])
         centers[plain] = (np.concatenate([row.pixel_sums for row in rows])
                           / sizes[:, None])
     if not plain.all():
-        centers[~plain] = [o for o in overrides if o is not None]
+        centers[~plain] = np.concatenate([row.overrides for row in rows])
     pixel = np.rint(centers).astype(np.int64)
     u = np.minimum(np.maximum(pixel[:, 0], 0), limits[:, 0])
     v = np.minimum(np.maximum(pixel[:, 1], 0), limits[:, 1])
@@ -513,8 +500,7 @@ def observe_rows(rows: list[ViewRows],
 
     # Strap normals: contour samples hugging the silhouette read the surface
     # at grazing incidence; trim depths far from the region median first.
-    straps = has_depth & np.array([r.kind is ReflectorKind.STRAP
-                                   for r in reflectors])
+    straps = has_depth & _IS_STRAP[[r.index for r in reflectors]]
     if straps.any():
         ok = (cvals > 0) & (np.abs(cvals - d_mm[owner]) <= 40.0) & straps[owner]
         pts3d = _backproject_all(contours[ok, 0], contours[ok, 1],
@@ -535,49 +521,149 @@ def observe_rows(rows: list[ViewRows],
                         has_normal, has_depth)
 
 
-def gather_view(ests: list[ReflectorEstimate2D], regions: MaskRegions,
-                depth: DepthFrame, frame: int, view: int) -> ViewRows:
-    """The rows of one frame-view's validated estimates, for observe_rows.
+def gather_batch(frame_views: Sequence[tuple[int, int]],
+                 ests: Sequence[Sequence[ReflectorEstimate2D]],
+                 regions: Sequence[MaskRegions],
+                 depth: Callable[[int, int], DepthFrame]) -> ViewRows:
+    """The rows of the validated estimates of a batch of frame-views, for
+    observe_rows.
 
-    ``regions`` are the regions of the frame-view's mask, labeled in a
-    batch by ``label_masks``.  Each estimate belongs to the region under
-    its rounded position; estimates on the background or off the frame are
-    skipped.  A region holding several estimates is split among them, and
-    each of its parts is centered on its own mean pixel; when the split
-    fails, only the top-ranked one (highest e_total, then lowest reflector
-    index) is kept, on the whole region.  The other items read their
-    region's contour, pixel sums and size from the batch's arrays.  Nothing
-    returned refers to the depth frame, so it can go once this returns.
+    Frame-view i of the batch is ``frame_views[i]`` = (frame, view), with
+    the estimates ``ests[i]`` and the regions ``regions[i]`` of its mask,
+    labeled in one batch by ``label_masks``; ``depth(view, frame)`` reads
+    its depth frame.  Each estimate belongs to the region under its
+    position rounded half to even, as ``round`` rounds it; estimates on the
+    background or off the frame are skipped, and a position that is not
+    finite raises ValidationError.  Items come out frame-view after
+    frame-view, in region order.  A region holding several estimates is
+    split among them, ranked by highest e_total, then lowest reflector
+    index, and each of its parts is centered on its own mean pixel; when
+    the split fails, only the top-ranked one is kept, on the whole region.
+    The other items read their region's contour, pixel sums and size from
+    the batch's arrays.
+
+    One array pass looks up, groups and gathers the estimates of the whole
+    batch.  Then each frame-view's depth frame is read in turn: its merged
+    regions are split and the depths under its contours taken, and it goes
+    before the next one is read.
     """
-    labels = regions.at([round(e.position[0]) for e in ests],
-                        [round(e.position[1]) for e in ests])
-    by_region: dict[int, list[ReflectorEstimate2D]] = {}
-    for e, label in zip(ests, labels.tolist()):
-        if label >= 0:
-            by_region.setdefault(label, []).append(e)
+    counts = [len(view_ests) for view_ests in ests]
+    flat = [e for view_ests in ests for e in view_ests]
+    owner = np.repeat(np.arange(len(ests)), counts)
+    xs = np.array([e.position[0] for e in flat], dtype=np.float64)
+    ys = np.array([e.position[1] for e in flat], dtype=np.float64)
+    bad = ~(np.isfinite(xs) & np.isfinite(ys))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        frame, view = frame_views[owner[i]]
+        raise ValidationError(
+            f"frame {frame}, view {view}, reflector {flat[i].reflector.index}: "
+            f"position {flat[i].position} is not finite")
+    # Rounded and tested against the frame in floating point, so that no
+    # far-off position overflows the cast or wraps into another row.
+    xs, ys = np.rint(xs), np.rint(ys)
+    widths = np.array([r.width for r in regions], dtype=np.int64)
+    heights = np.array([r.height for r in regions], dtype=np.int64)
+    at = np.flatnonzero((xs >= 0) & (xs < widths[owner])
+                        & (ys >= 0) & (ys < heights[owner]))
 
-    kept, contours, overrides, plain = [], [], [], []
-    c_ends = [0, *regions.contour_ends.tolist()]
-    for label, assigned in sorted(by_region.items()):
-        if len(assigned) > 1:
-            assigned = sorted(assigned, key=lambda e: (-e.e_total,
-                                                       e.reflector.index))
+    # The batch's flat keys and labels: each mask's follow those of the
+    # masks before it, offset by their image sizes and region counts.
+    pixel_counts = [len(r.flat) for r in regions]
+    region_counts = [len(r) for r in regions]
+    image_first = _starts(widths * heights)
+    region_first = _starts(np.array(region_counts, dtype=np.int64))
+    keys = (np.concatenate([r.flat for r in regions])
+            + np.repeat(image_first, pixel_counts))
+    labels = (np.concatenate([r.label for r in regions])
+              + np.repeat(region_first, pixel_counts))
+    wanted = (image_first[owner[at]] + ys[at].astype(np.int64) * widths[owner[at]]
+              + xs[at].astype(np.int64))
+    j = np.searchsorted(keys, wanted)
+    hit = np.append(keys, -1)[j] == wanted
+
+    # Group the estimates by (frame-view, region), each group in the
+    # estimates' order; a group's item is its lead estimate on the whole
+    # region, unless it is merged and the split replaces it.
+    region = labels[j[hit]]
+    order = np.argsort(region, kind="stable")
+    members, region = at[hit][order], region[order]
+    first = np.flatnonzero(np.diff(region, prepend=-1))
+    group_region = region[first]
+    group_fv = owner[members[first]]
+    group_sizes = np.diff(first, append=len(members))
+    item_ests = [flat[k] for k in members[first].tolist()]
+    merged: dict[int, list[tuple[int, list[ReflectorEstimate2D]]]] = {}
+    for g in np.flatnonzero(group_sizes > 1).tolist():
+        a = int(first[g])
+        ranked = sorted((flat[k] for k in members[a:a + group_sizes[g]].tolist()),
+                        key=lambda e: (-e.e_total, e.reflector.index))
+        item_ests[g] = ranked[0]
+        merged.setdefault(int(group_fv[g]), []).append((g, ranked))
+
+    contour_first = _starts(np.array([len(r.contour) for r in regions],
+                                     dtype=np.int64))
+    c_ends = (np.concatenate([r.contour_ends for r in regions])
+              + np.repeat(contour_first, region_counts))
+    lengths = np.diff(c_ends, prepend=0)[group_region]
+    # take, not fancy indexing: it copies whole rows at once
+    contours = np.concatenate([r.contour for r in regions]).take(
+        _runs(c_ends[group_region] - lengths, lengths), axis=0)
+    fv_rows = np.append(0, np.cumsum(lengths))[
+        np.searchsorted(group_fv, np.arange(len(frame_views) + 1))]
+
+    raw_parts, splits = [], {}
+    for i, (frame, view) in enumerate(frame_views):
+        frame_depth = depth(view, frame)
+        pixels = frame_depth.pixels
+        view_contours = contours[fv_rows[i]:fv_rows[i + 1]]
+        raw_parts.append(pixels[view_contours[:, 1], view_contours[:, 0]])
+        for g, ranked in merged.get(i, []):
+            label = int(group_region[g] - region_first[i])
             try:
-                clusters = split_merged_region(regions.region(label),
-                                               assigned, depth)
+                parts = split_merged_region(regions[i].region(label), ranked,
+                                            frame_depth)
             except SplitFailure:
-                pass
-            else:
-                kept.extend(assigned)
-                contours.extend(clusters)
-                overrides.extend(tuple(c.mean(axis=0)) for c in clusters)
                 continue
-        kept.append(assigned[0])
-        contours.append(regions.contour[c_ends[label]:c_ends[label + 1]])
-        overrides.append(None)
-        plain.append(label)
-    return _view_rows(kept, contours, overrides, regions.pixel_sums[plain],
-                      regions.sizes[plain], depth, frame, view)
+            splits[g] = (ranked, parts,
+                         [pixels[part[:, 1], part[:, 0]] for part in parts])
+        del frame_depth, pixels
+    raw = np.concatenate(raw_parts)
+
+    item_group = np.arange(len(first))
+    plain = np.ones(len(first), dtype=bool)
+    overrides = np.empty((0, 2))
+    if splits:
+        # each split region's parts replace its item, in rank order
+        split = sorted(splits)
+        parts = [part for g in split for part in splits[g][1]]
+        part_lengths = np.array([len(part) for part in parts], dtype=np.int64)
+        per_group = np.ones(len(first), dtype=np.int64)
+        per_group[split] = [len(splits[g][1]) for g in split]
+        item_group = np.repeat(item_group, per_group)
+        plain = ~np.isin(item_group, split)
+        starts = _starts(lengths)[item_group]
+        item_lengths = lengths[item_group]
+        starts[~plain] = len(contours) + _starts(part_lengths)
+        item_lengths[~plain] = part_lengths
+        index = _runs(starts, item_lengths)
+        contours = np.concatenate([contours, *parts]).take(index, axis=0)
+        raw = np.concatenate(
+            [raw, *(r for g in split for r in splits[g][2])])[index]
+        lengths = item_lengths
+        overrides = np.array([part.mean(axis=0) for part in parts])
+        for g in reversed(split):
+            item_ests[g:g + 1] = splits[g][0]
+
+    fvs = np.array(frame_views, dtype=np.int64).reshape(-1, 2)[
+        group_fv[item_group]]
+    plain_regions = group_region[item_group[plain]]
+    return ViewRows(
+        fvs[:, 0], fvs[:, 1], [e.reflector for e in item_ests],
+        [e.e_total for e in item_ests], lengths, contours, raw, plain,
+        overrides,
+        np.concatenate([r.pixel_sums for r in regions])[plain_regions],
+        np.concatenate([r.sizes for r in regions])[plain_regions])
 
 
 # Fusion works on groups: the observations of one reflector in one frame, in
@@ -672,6 +758,13 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of runs laid end to end: ``lengths[i]`` indices from
+    ``starts[i]``, run after run."""
+    return (np.repeat(starts - _starts(lengths), lengths)
+            + np.arange(int(lengths.sum())))
+
+
 @dataclass
 class FusedPoints:
     """Fused points, one row per (frame, reflector), in that order."""
@@ -741,7 +834,7 @@ def _fuse_rows(points: np.ndarray, conf: np.ndarray, sizes: np.ndarray,
     a strap without a limb radius raises CalibrationInputError; the first
     that is a strap with a normal and a negative radius, ValidationError.
     """
-    is_strap = np.array([r.kind is ReflectorKind.STRAP for r in reflectors])
+    is_strap = _IS_STRAP[[r.index for r in reflectors]]
     no_radius = np.array([radius is None for radius in limb_radii])
     radii = np.array([0.0 if radius is None else radius
                       for radius in limb_radii], dtype=np.float64)

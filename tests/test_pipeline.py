@@ -424,20 +424,53 @@ class TestComposition:
         original = pipeline.observe_rows
 
         def counted(rows, cameras):
-            passes.append([(row.frame, row.view) for row in rows])
+            passes.append([(f, v) for row in rows for f, v in zip(
+                row.frames.tolist(), row.views.tolist())])
             return original(rows, cameras)
         monkeypatch.setattr(pipeline, "observe_rows", counted)
         frames = fuse_estimates(reader, estimates, cfg)
-        # one pass over every frame-view that has estimates, in take order
-        assert passes == [[(f, v) for f, v, ests in estimates if ests]]
-        assert len(passes[0]) == reader.num_frames * reader.num_views
+        # one pass over the items of every frame-view, in take order; at
+        # rest each estimate is alone in its region
+        assert passes == [[(f, v) for f, v, ests in estimates for _ in ests]]
+        frame_views = [(f, v) for f, v, ests in estimates if ests]
+        assert len(frame_views) == reader.num_frames * reader.num_views
         # no mask or depth frame outlives the gather of its frame-view
-        assert len(reader.reads) == 2 * len(passes[0])
+        assert len(reader.reads) == 2 * len(frame_views)
         assert reader.alive_at_read == []
         assert all(ref() is None for _, ref in reader.reads)
         monkeypatch.undo()
         again = fuse_estimates(reader, estimates, cfg)
         assert [sorted(f.points) for f in frames] == [sorted(f.points) for f in again]
+
+    def test_fuse_checks_estimate_positions(self, small_run, tmp_path):
+        # a position that is not finite is named with its frame, view and
+        # reflector; a finite one far off the image is skipped as off it
+        root, cfg, run = small_run
+        reader = ds.DatasetReader(root)
+        estimates = ds.read_estimates(run / "estimates.jsonl")
+        f, v, ests = estimates[4]
+        moved = ests[2]
+
+        def with_position(position):
+            changed = list(estimates)
+            changed[4] = (f, v, [dataclasses.replace(e, position=position)
+                                 if e is moved else e for e in ests])
+            return changed
+        for bad in [(float("nan"), 10.0), (10.0, float("inf")),
+                    (-float("inf"), 3.0)]:
+            with pytest.raises(ValidationError, match=(
+                    rf"frame {f}, view {v}, reflector "
+                    rf"{moved.reflector.index}: .*not finite")):
+                fuse_estimates(reader, with_position(bad), cfg)
+        dropped = list(estimates)
+        dropped[4] = (f, v, [e for e in ests if e is not moved])
+        ds.write_optical(tmp_path / "want.jsonl",
+                         fuse_estimates(reader, dropped, cfg))
+        for far in [(1e300, 10.0), (10.0, -1e300), (9.3e18, 10.0)]:
+            ds.write_optical(tmp_path / "got.jsonl",
+                             fuse_estimates(reader, with_position(far), cfg))
+            assert ((tmp_path / "got.jsonl").read_bytes()
+                    == (tmp_path / "want.jsonl").read_bytes())
 
     def test_an_estimate_free_frame_is_stepped(self, small_run, tmp_path,
                                                monkeypatch):

@@ -1,7 +1,5 @@
 """Unit tests for region extraction, depth mapping and 3D fusion."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from mocap_geom.errors import (CalibrationInputError, SplitFailure,
                                ValidationError)
 from mocap_geom.maps import ReflectorEstimate2D
 from mocap_geom.spatial import (PARALLEL_EPS, MaskPixels, OpticalFrame,
-                                OpticalPoint, Region, gather_view,
+                                OpticalPoint, Region, ViewRows, gather_batch,
                                 label_masks, split_merged_region)
 from mocap_geom.synth import interior_pixels
 from test_core import (backproject, identity_extrinsics, project,
@@ -35,20 +33,33 @@ def _regions(mask):
 # An observed row is (reflector, global point, e_total, global normal or
 # None), as observe_rows observes an item and fuse_observations reads it.
 
+def _item_rows(items, depth, view):
+    """The ViewRows of one frame-view's items, each an (estimate, region,
+    contour, center override), as the gather would give them."""
+    plain = [region.pixels for _, region, _, center in items if center is None]
+    contours = [item[2] for item in items]
+    joined = (np.concatenate(contours).reshape(-1, 2) if contours
+              else np.empty((0, 2), dtype=np.int64))
+    n = len(items)
+    return ViewRows(
+        np.zeros(n, dtype=np.int64), np.full(n, view, dtype=np.int64),
+        [item[0].reflector for item in items],
+        [item[0].e_total for item in items],
+        np.array([len(c) for c in contours], dtype=np.int64), joined,
+        depth.pixels[joined[:, 1], joined[:, 0]],
+        np.array([center is None for *_, center in items], dtype=bool),
+        np.array([center for *_, center in items if center is not None],
+                 dtype=np.float64).reshape(-1, 2),
+        np.array([p.sum(axis=0) for p in plain], dtype=np.int64).reshape(-1, 2),
+        np.array([len(p) for p in plain], dtype=np.int64))
+
+
 def _observe_items(views):
     """observe_rows on views of (items, depth, intrinsics, extrinsics),
     each item an (estimate, region, contour, center override): one list of
     rows per view, in the items' order, None for an item without depth."""
-    rows = []
-    for v, (items, depth, _, _) in enumerate(views):
-        plain = [region.pixels for _, region, _, center in items
-                 if center is None]
-        rows.append(spatial._view_rows(
-            [item[0] for item in items], [item[2] for item in items],
-            [item[3] for item in items],
-            np.array([p.sum(axis=0) for p in plain],
-                     dtype=np.int64).reshape(-1, 2),
-            np.array([len(p) for p in plain], dtype=np.int64), depth, 0, v))
+    rows = [_item_rows(items, depth, v)
+            for v, (items, depth, _, _) in enumerate(views)]
     obs = spatial.observe_rows(rows, [(intr, extr) for *_, intr, extr in views])
     observed = iter([(r, p, e, n if has else None) if ok else None
                      for r, p, e, n, has, ok in zip(
@@ -84,10 +95,15 @@ def _observe_one(est, region, contour, depth, intr, extr, center=None):
                             extr)])[0][0]
 
 
+def _gather_one(ests, regions, depth):
+    """gather_batch on a batch of one frame-view, frame 0 of view 0."""
+    return gather_batch([(0, 0)], [ests], [regions], lambda view, f: depth)
+
+
 def _observe_view(ests, mask, depth, intr, extr):
-    """gather_view and observe_rows on one view's estimates."""
+    """gather_batch and observe_rows on one view's estimates."""
     regions, = label_masks([MaskPixels.of(mask)])
-    return spatial.observe_rows([gather_view(ests, regions, depth, 0, 0)],
+    return spatial.observe_rows([_gather_one(ests, regions, depth)],
                                 [(intr, extr)])
 
 
@@ -315,7 +331,7 @@ class TestLabelMasks:
             # fusion skips such an estimate, and keeps the one on the mask
             depth = DepthFrame(np.full((h, w), 1000, dtype=np.uint16))
             ests = [_est(k + 1, u, v) for k, (u, v) in enumerate(off)]
-            row = gather_view(ests + [_est(26, 4, 3)], regions, depth, 0, 0)
+            row = _gather_one(ests + [_est(26, 4, 3)], regions, depth)
             assert [r.index for r in row.reflectors] == [26]
 
 
@@ -824,10 +840,11 @@ class TestPlaneNormalsOnRenderedRuns:
             views = render(rig, body, animate(body, script, frame),
                            noise_sigma_mm=3.0, seed=1, frame=frame)
             labeled = label_masks([MaskPixels.of(rv.mask) for rv in views])
-            spatial.observe_rows(
-                [gather_view([_est(a.reflector.index, *a.x_curr, conf=1.0)
-                              for a in rv.annotations], regions, rv.depth, 0, v)
-                 for v, (rv, regions) in enumerate(zip(views, labeled))],
+            spatial.observe_rows([gather_batch(
+                [(0, v) for v in range(len(views))],
+                [[_est(a.reflector.index, *a.x_curr, conf=1.0)
+                  for a in rv.annotations] for rv in views],
+                labeled, lambda v, f: views[v].depth)],
                 [rig[v] for v in range(len(views))])
         fitted = shared = 0
         for points, lengths in calls:
@@ -911,6 +928,225 @@ class TestObserveView:
 # The fusion of one reflector at a time, on observed rows: the bit-equality
 # reference of fuse_observations.
 
+# The gather as it was before the batch pass, one frame-view per call: the
+# bit-for-bit reference of gather_batch.
+
+def _reference_gather_view(ests, regions, depth):
+    """One frame-view's items: their estimates, contour lengths, contours,
+    raw depths, center overrides (None for a plain item), and the pixel
+    sums and sizes of the plain items' regions."""
+    labels = regions.at([round(e.position[0]) for e in ests],
+                        [round(e.position[1]) for e in ests])
+    by_region = {}
+    for e, label in zip(ests, labels.tolist()):
+        if label >= 0:
+            by_region.setdefault(label, []).append(e)
+
+    kept, contours, overrides, plain = [], [], [], []
+    c_ends = [0, *regions.contour_ends.tolist()]
+    for label, assigned in sorted(by_region.items()):
+        if len(assigned) > 1:
+            assigned = sorted(assigned, key=lambda e: (-e.e_total,
+                                                       e.reflector.index))
+            try:
+                clusters = spatial.split_merged_region(regions.region(label),
+                                                       assigned, depth)
+            except SplitFailure:
+                pass
+            else:
+                kept.extend(assigned)
+                contours.extend(clusters)
+                overrides.extend(tuple(c.mean(axis=0)) for c in clusters)
+                continue
+        kept.append(assigned[0])
+        contours.append(regions.contour[c_ends[label]:c_ends[label + 1]])
+        overrides.append(None)
+        plain.append(label)
+    if contours:
+        joined = np.concatenate(contours).reshape(-1, 2)
+    else:
+        joined = np.empty((0, 2), dtype=np.int64)
+    return (kept, [len(c) for c in contours], joined,
+            depth.pixels[joined[:, 1], joined[:, 0]], overrides,
+            regions.pixel_sums[plain], regions.sizes[plain])
+
+
+def _assert_gathers_as_reference(frame_views, ests, depths):
+    """gather_batch on one batch gives the reference's items of each of
+    its frame-views, in order, bit for bit, reading each depth frame once;
+    returns the reference's items."""
+    regions = label_masks([MaskPixels.of(depths[fv][1]) for fv in frame_views])
+    reads = []
+
+    def depth(view, frame):
+        reads.append((frame, view))
+        return depths[frame, view][0]
+    got = gather_batch(frame_views, ests, regions, depth)
+    assert reads == list(frame_views)
+    want = [_reference_gather_view(e, r, depths[fv][0])
+            for fv, e, r in zip(frame_views, ests, regions)]
+    items = [(fv, e) for fv, w in zip(frame_views, want) for e in w[0]]
+    assert got.frames.tolist() == [f for (f, _), _ in items]
+    assert got.views.tolist() == [v for (_, v), _ in items]
+    assert got.reflectors == [e.reflector for _, e in items]
+    assert got.e_totals == [e.e_total for _, e in items]
+    assert got.lengths.tolist() == [n for w in want for n in w[1]]
+    overrides = [o for w in want for o in w[4]]
+    assert got.plain.tolist() == [o is None for o in overrides]
+    for field_, k in (("contours", 2), ("raw", 3), ("pixel_sums", 5),
+                      ("sizes", 6)):
+        joined = np.concatenate([w[k] for w in want])
+        assert getattr(got, field_).dtype == joined.dtype, field_
+        assert getattr(got, field_).tobytes() == joined.tobytes(), field_
+    centers = np.array([o for o in overrides if o is not None],
+                       dtype=np.float64).reshape(-1, 2)
+    assert got.overrides.tobytes() == centers.tobytes()
+    return want
+
+
+def _rendered(motion, frames, num_views, seed=1):
+    """{(frame, view): (depth, mask, annotations)} of rendered frames of a
+    30 frames/s motion that starts at frame 30."""
+    from mocap_geom.synth import (MotionScript, SyntheticBody, animate,
+                                  default_rig, render)
+    body, rig = SyntheticBody.default(), default_rig(num_views=num_views)
+    script = MotionScript(motion, duration=max(frames) + 1)
+    out = {}
+    for f in frames:
+        views = render(rig, body, animate(body, script, f), noise_sigma_mm=3.0,
+                       seed=seed, frame=f)
+        for v, rv in enumerate(views):
+            out[f, v] = (rv.depth, rv.mask, rv.annotations)
+    return out
+
+
+def _annotated_estimates(rendered, rng):
+    """Each frame-view's annotations as estimates in shuffled order, with
+    e_totals that often tie, some of them moved to a half pixel."""
+    out = {}
+    for fv, (_, _, annotations) in rendered.items():
+        ests = []
+        for a in annotations:
+            x, y = a.x_curr
+            if rng.random() < 0.3:
+                x, y = np.floor(x) + 0.5, np.floor(y) + 0.5
+            ests.append(_est(a.reflector.index, x, y,
+                             float(rng.choice([0.6, 0.8, 0.8, 1.0]))))
+        out[fv] = [ests[i] for i in rng.permutation(len(ests))]
+    return out
+
+
+class TestGatherBatch:
+    def test_rest_take(self):
+        rendered = _rendered("squat-armraise", range(0, 12), 3)
+        ests = _annotated_estimates(rendered, np.random.default_rng(3))
+        fvs = sorted(rendered)
+        want = _assert_gathers_as_reference(fvs, [ests[fv] for fv in fvs],
+                                            rendered)
+        assert sum(len(w[0]) for w in want) >= 10 * len(fvs)
+
+    @pytest.mark.parametrize("motion, num_views, frames", [
+        ("squat-armraise", 3, range(38, 98, 4)),
+        ("jumping-jack", 3, range(66, 100, 2)),
+        ("squat", 6, range(40, 70, 3))])
+    def test_moving_takes_split_merged_regions(self, motion, num_views,
+                                               frames):
+        rendered = _rendered(motion, frames, num_views)
+        ests = _annotated_estimates(rendered, np.random.default_rng(5))
+        fvs = sorted(rendered)
+        splits = []
+        for first in range(0, len(fvs), 32):
+            batch = fvs[first:first + 32]
+            want = _assert_gathers_as_reference(
+                batch, [ests[fv] for fv in batch], rendered)
+            splits += [o for w in want for o in w[4] if o is not None]
+        assert len(splits) >= 4, motion
+
+    def test_failed_split_keeps_the_top_ranked_on_the_whole_region(self):
+        rendered = _rendered("squat-armraise", range(38, 98, 4), 3)
+        ests = _annotated_estimates(rendered, np.random.default_rng(5))
+        # zero the depth under every merged region's contour
+        failed = 0
+        for fv in sorted(rendered):
+            depth, mask, _ = rendered[fv]
+            regions, = label_masks([MaskPixels.of(mask)])
+            labels = regions.at([round(e.position[0]) for e in ests[fv]],
+                                [round(e.position[1]) for e in ests[fv]])
+            labels, counts = np.unique(labels[labels >= 0], return_counts=True)
+            pixels = depth.pixels.copy()
+            for label in labels[counts > 1].tolist():
+                contour = regions.region(label).contour
+                pixels[contour[:, 1], contour[:, 0]] = 0
+                failed += 1
+            rendered[fv] = (DepthFrame(pixels), mask, None)
+        assert failed >= 4
+        fvs = sorted(rendered)
+        want = _assert_gathers_as_reference(fvs[:32], [ests[fv] for fv in fvs[:32]],
+                                            rendered)
+        assert all(o is None for w in want for o in w[4])
+
+    def test_estimates_off_the_mask_and_off_the_image(self):
+        rendered = _rendered("squat-armraise", [0, 1], 3)
+        ests = _annotated_estimates(rendered, np.random.default_rng(7))
+        fvs = sorted(rendered)
+        _, mask, _ = rendered[fvs[0]]
+        h, w = mask.bits.shape
+        background = np.argwhere(~mask.bits)[0]
+        off = [(-0.6, 5.0), (-0.5, 5.0), (w - 0.5, 7.0), (w + 3.0, 1.0),
+               (4.0, -0.7), (4.0, h - 0.5), (float(w), float(h)),
+               (background[1], background[0])]
+        for k, fv in enumerate(fvs[:4]):
+            taken = {e.reflector.index for e in ests[fv]}
+            spare = [i for i in range(1, 27) if i not in taken]
+            ests[fv] = ests[fv] + [_est(spare[j % len(spare)], *off[(j + k) % 8])
+                                   for j in range(3)]
+        # a frame-view whose estimates all miss, and one without estimates
+        ests[fvs[4]] = [_est(i + 1, *p) for i, p in enumerate(off)]
+        ests[fvs[5]] = []
+        want = _assert_gathers_as_reference(fvs, [ests[fv] for fv in fvs],
+                                            rendered)
+        assert want[4][0] == [] and want[5][0] == []
+
+    def test_batches_of_every_size_around_the_label_pass(self):
+        rendered = _rendered("squat-armraise", range(40, 62), 3)
+        ests = _annotated_estimates(rendered, np.random.default_rng(9))
+        fvs = sorted(rendered)
+        for size in (1, 31, 32, 33):
+            for first in range(0, len(fvs), size):
+                batch = fvs[first:first + size]
+                _assert_gathers_as_reference(batch, [ests[fv] for fv in batch],
+                                             rendered)
+
+    def _one_view(self):
+        bits = np.zeros((24, 32), dtype=bool)
+        bits[4:9, 6:12] = True
+        depth = DepthFrame(np.full((24, 32), 1000, dtype=np.uint16))
+        regions, = label_masks([MaskPixels.of(IrMask(bits))])
+        return regions, depth
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_names_frame_view_and_reflector(self, bad):
+        regions, depth = self._one_view()
+        ests = [[_est(1, 8, 6)], [_est(2, 8, 6), _est(5, bad, 6)]]
+        with pytest.raises(ValidationError,
+                           match=r"frame 7, view 2, reflector 5: .*not finite"):
+            gather_batch([(7, 1), (7, 2)], ests, [regions, regions],
+                         lambda view, f: depth)
+        ests[1][1] = _est(5, 8, bad)
+        with pytest.raises(ValidationError, match="reflector 5"):
+            gather_batch([(7, 1), (7, 2)], ests, [regions, regions],
+                         lambda view, f: depth)
+
+    def test_far_off_positions_are_skipped(self):
+        regions, depth = self._one_view()
+        far = [(1e300, 10.0), (-1e300, 6.0), (8.0, 1e300), (8.0, -1e19),
+               (9.3e18, 6.0), (np.finfo(float).max, 6.0)]
+        ests = [_est(i + 1, *p) for i, p in enumerate(far)] + [_est(26, 8, 6)]
+        got = _gather_one(ests, regions, depth)
+        assert [r.index for r in got.reflectors] == [26]
+        assert got.views.tolist() == [0] and got.frames.tolist() == [0]
+
+
 def _reference_weighted_centroid(points, conf, total):
     return (conf / total) @ points if total > 0 else points.mean(axis=0)
 
@@ -950,7 +1186,7 @@ def _reference_fuse_strap(observations, frame=0):
             points.append((q_i, e_i))
             points.append((q_j, e_j))
     if not points:
-        return replace(_reference_fuse_patch(observations, frame), degraded=True)
+        return _reference_fuse_patch(observations, frame)._replace(degraded=True)
     conf = np.array([w for _, w in points])
     position = _reference_weighted_centroid(np.array([p for p, _ in points]),
                                             conf, conf.sum())
@@ -972,7 +1208,7 @@ def _reference_fuse_reflector(observations, limb_radius, frame=0):
     if len(with_normals) == 1:
         return _reference_single_view(with_normals[0], limb_radius, frame)
     if not with_normals:
-        return replace(_reference_fuse_patch(observations, frame), degraded=True)
+        return _reference_fuse_patch(observations, frame)._replace(degraded=True)
     point = _reference_fuse_strap(observations, frame)
     gap = point.position - _reference_fuse_patch(observations, frame).position
     if np.sqrt(gap @ gap) <= 2.5 * limb_radius:
@@ -1141,8 +1377,8 @@ class TestFuseReflector:
     def test_no_normal_gives_degraded_surface_point(self):
         obs = [_obs(16, [0, 0, 1], 0.9), _obs(16, [0.1, 0, 1], 0.3)]
         fused, = _fuse_observed(obs, self.RADII, 6)
-        _assert_same_point(fused, replace(_reference_fuse_patch(obs, 6),
-                                          degraded=True))
+        _assert_same_point(fused,
+                           _reference_fuse_patch(obs, 6)._replace(degraded=True))
 
     def test_strap_without_radius_rejected(self):
         obs = [_obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1])]
