@@ -151,7 +151,8 @@ MASKS_PER_LABEL_PASS = 32
 
 def _label_batches(reader: ds.DatasetReader,
                    frame_views: list[tuple[int, int]]
-                   ) -> Iterator[tuple[list[tuple[int, int]], list[MaskRegions]]]:
+                   ) -> Iterator[tuple[list[tuple[int, int]],
+                                       list[MaskRegions]]]:
     """The (frame, view) pairs in batches of ``MASKS_PER_LABEL_PASS``, in
     order, each with the regions of their masks.
 

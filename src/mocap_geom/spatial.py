@@ -418,7 +418,7 @@ class ViewRows:
     raw: np.ndarray         # (m,) uint16 depths under them
     plain: np.ndarray       # (n,) bool: the item has no center override
     overrides: np.ndarray   # (n - k, 2) center overrides of the other items
-    pixel_sums: np.ndarray  # (k, 2) int sums (u, v) of the plain items' regions
+    pixel_sums: np.ndarray  # (k, 2) int sums (u, v) of plain items' regions
     sizes: np.ndarray       # (k,) their regions' pixel counts
 
 
@@ -556,9 +556,10 @@ def gather_batch(frame_views: Sequence[tuple[int, int]],
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         frame, view = frame_views[owner[i]]
+        e = flat[i]
         raise ValidationError(
-            f"frame {frame}, view {view}, reflector {flat[i].reflector.index}: "
-            f"position {flat[i].position} is not finite")
+            f"frame {frame}, view {view}, reflector {e.reflector.index}: "
+            f"position {e.position} is not finite")
     # Rounded and tested against the frame in floating point, so that no
     # far-off position overflows the cast or wraps into another row.
     xs, ys = np.rint(xs), np.rint(ys)
@@ -577,7 +578,8 @@ def gather_batch(frame_views: Sequence[tuple[int, int]],
             + np.repeat(image_first, pixel_counts))
     labels = (np.concatenate([r.label for r in regions])
               + np.repeat(region_first, pixel_counts))
-    wanted = (image_first[owner[at]] + ys[at].astype(np.int64) * widths[owner[at]]
+    fv = owner[at]
+    wanted = (image_first[fv] + ys[at].astype(np.int64) * widths[fv]
               + xs[at].astype(np.int64))
     j = np.searchsorted(keys, wanted)
     hit = np.append(keys, -1)[j] == wanted
@@ -596,7 +598,7 @@ def gather_batch(frame_views: Sequence[tuple[int, int]],
     merged: dict[int, list[tuple[int, list[ReflectorEstimate2D]]]] = {}
     for g in np.flatnonzero(group_sizes > 1).tolist():
         a = int(first[g])
-        ranked = sorted((flat[k] for k in members[a:a + group_sizes[g]].tolist()),
+        ranked = sorted([flat[k] for k in members[a:a + group_sizes[g]]],
                         key=lambda e: (-e.e_total, e.reflector.index))
         item_ests[g] = ranked[0]
         merged.setdefault(int(group_fv[g]), []).append((g, ranked))

@@ -50,7 +50,8 @@ def _item_rows(items, depth, view):
         np.array([center is None for *_, center in items], dtype=bool),
         np.array([center for *_, center in items if center is not None],
                  dtype=np.float64).reshape(-1, 2),
-        np.array([p.sum(axis=0) for p in plain], dtype=np.int64).reshape(-1, 2),
+        np.array([p.sum(axis=0) for p in plain],
+                 dtype=np.int64).reshape(-1, 2),
         np.array([len(p) for p in plain], dtype=np.int64))
 
 
@@ -993,11 +994,11 @@ def _assert_gathers_as_reference(frame_views, ests, depths):
     assert got.lengths.tolist() == [n for w in want for n in w[1]]
     overrides = [o for w in want for o in w[4]]
     assert got.plain.tolist() == [o is None for o in overrides]
-    for field_, k in (("contours", 2), ("raw", 3), ("pixel_sums", 5),
-                      ("sizes", 6)):
+    for name, k in (("contours", 2), ("raw", 3), ("pixel_sums", 5),
+                    ("sizes", 6)):
         joined = np.concatenate([w[k] for w in want])
-        assert getattr(got, field_).dtype == joined.dtype, field_
-        assert getattr(got, field_).tobytes() == joined.tobytes(), field_
+        assert getattr(got, name).dtype == joined.dtype, name
+        assert getattr(got, name).tobytes() == joined.tobytes(), name
     centers = np.array([o for o in overrides if o is not None],
                        dtype=np.float64).reshape(-1, 2)
     assert got.overrides.tobytes() == centers.tobytes()
@@ -1081,7 +1082,8 @@ class TestGatherBatch:
             rendered[fv] = (DepthFrame(pixels), mask, None)
         assert failed >= 4
         fvs = sorted(rendered)
-        want = _assert_gathers_as_reference(fvs[:32], [ests[fv] for fv in fvs[:32]],
+        batch = fvs[:32]
+        want = _assert_gathers_as_reference(batch, [ests[fv] for fv in batch],
                                             rendered)
         assert all(o is None for w in want for o in w[4])
 
@@ -1098,8 +1100,9 @@ class TestGatherBatch:
         for k, fv in enumerate(fvs[:4]):
             taken = {e.reflector.index for e in ests[fv]}
             spare = [i for i in range(1, 27) if i not in taken]
-            ests[fv] = ests[fv] + [_est(spare[j % len(spare)], *off[(j + k) % 8])
-                                   for j in range(3)]
+            ests[fv] = ests[fv] + [
+                _est(spare[j % len(spare)], *off[(j + k) % len(off)])
+                for j in range(3)]
         # a frame-view whose estimates all miss, and one without estimates
         ests[fvs[4]] = [_est(i + 1, *p) for i, p in enumerate(off)]
         ests[fvs[5]] = []
@@ -1128,8 +1131,8 @@ class TestGatherBatch:
     def test_non_finite_position_names_frame_view_and_reflector(self, bad):
         regions, depth = self._one_view()
         ests = [[_est(1, 8, 6)], [_est(2, 8, 6), _est(5, bad, 6)]]
-        with pytest.raises(ValidationError,
-                           match=r"frame 7, view 2, reflector 5: .*not finite"):
+        with pytest.raises(ValidationError, match=(
+                r"frame 7, view 2, reflector 5: .*not finite")):
             gather_batch([(7, 1), (7, 2)], ests, [regions, regions],
                          lambda view, f: depth)
         ests[1][1] = _est(5, 8, bad)
@@ -1186,7 +1189,8 @@ def _reference_fuse_strap(observations, frame=0):
             points.append((q_i, e_i))
             points.append((q_j, e_j))
     if not points:
-        return _reference_fuse_patch(observations, frame)._replace(degraded=True)
+        return _reference_fuse_patch(observations,
+                                     frame)._replace(degraded=True)
     conf = np.array([w for _, w in points])
     position = _reference_weighted_centroid(np.array([p for p, _ in points]),
                                             conf, conf.sum())
@@ -1208,7 +1212,8 @@ def _reference_fuse_reflector(observations, limb_radius, frame=0):
     if len(with_normals) == 1:
         return _reference_single_view(with_normals[0], limb_radius, frame)
     if not with_normals:
-        return _reference_fuse_patch(observations, frame)._replace(degraded=True)
+        return _reference_fuse_patch(observations,
+                                     frame)._replace(degraded=True)
     point = _reference_fuse_strap(observations, frame)
     gap = point.position - _reference_fuse_patch(observations, frame).position
     if np.sqrt(gap @ gap) <= 2.5 * limb_radius:
@@ -1377,8 +1382,8 @@ class TestFuseReflector:
     def test_no_normal_gives_degraded_surface_point(self):
         obs = [_obs(16, [0, 0, 1], 0.9), _obs(16, [0.1, 0, 1], 0.3)]
         fused, = _fuse_observed(obs, self.RADII, 6)
-        _assert_same_point(fused,
-                           _reference_fuse_patch(obs, 6)._replace(degraded=True))
+        want = _reference_fuse_patch(obs, 6)._replace(degraded=True)
+        _assert_same_point(fused, want)
 
     def test_strap_without_radius_rejected(self):
         obs = [_obs(11, [0, 0, 1], 0.9, normal=[0, 0, -1])]
